@@ -31,7 +31,8 @@ print(f"\nencoded a {link.link_state.value} link with {link.n_paths} paths "
 block = image[0:8, 0:2]
 print(f"top-left 8x2 block is constant: {np.allclose(block, block[0, 0])}")
 
-decoded = codec.decode(image, link.tx, link.rx, link.carrier_freq)
+# decode takes a stack of images with one (tx, rx, carrier) geometry per image
+decoded = codec.decode(image[None], [link.tx], [link.rx], [link.carrier_freq])[0]
 print(f"\ndecoded: state={decoded.link_state.value} paths={decoded.n_paths} "
       f"(virtual columns stripped)")
 orig = np.stack([p.as_array() for p in link.paths])

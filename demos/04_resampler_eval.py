@@ -3,9 +3,11 @@
 The resampler returns stored images of nearest-condition training links,
 so after decoding, any statistical gap against held-out data reflects the
 codec, not generative-model quality.  This is the pipeline's oracle
-baseline: pathloss/delay KS distances, azimuth/phase uniformity, LOS
-probability against distance and RMS spreads all come out matched.
-Run:  python3 demos/04_resampler_eval.py   (about two minutes)
+baseline: pathloss/delay KS distances and azimuth/phase uniformity come
+out small.  The "LOS gap" column is the largest LOS-probability gap over
+distance bins, and bins holding one or two held-out links dominate it, so
+it is not a measure of fit.
+Run:  python3 demos/04_resampler_eval.py   (a few seconds)
 """
 
 import numpy as np
@@ -27,9 +29,9 @@ per_cond = 4
 conds = np.array([[lk.condition().dist2d, lk.condition().height] for lk in held])
 tiled = np.tile(conds, (per_cond, 1))
 images = model.sample(tiled, len(tiled), seed=12)
-decoded = [codec.decode(images[i], held[i % len(held)].tx, held[i % len(held)].rx,
-                        held[i % len(held)].carrier_freq)
-           for i in range(len(images))]
+geo = [held[i % len(held)] for i in range(len(images))]
+decoded = codec.decode(images, [lk.tx for lk in geo], [lk.rx for lk in geo],
+                       [lk.carrier_freq for lk in geo])
 print(f"decoded {len(decoded)} resampled links; comparing against held-out data")
 
 report = compare_datasets(decoded, held, DEFAULT_HEIGHTS)

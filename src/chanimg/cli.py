@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import io
-from .codec import DatasetEncoder, fit_codec
+from .codec import IMAGE_SHAPE, DatasetEncoder, fit_codec
 from .core import LinkState, geometry
 from .errors import (
     ChanimgError,
@@ -174,11 +174,9 @@ def _cmd_decode(args) -> int:
     if len(images) % len(links):
         raise DataError(
             f"{len(images)} images do not tile {len(links)} geometry links")
-    decoded = [
-        codec.decode(images[i], links[i % len(links)].tx, links[i % len(links)].rx,
-                     links[i % len(links)].carrier_freq)
-        for i in range(len(images))
-    ]
+    geo = [links[i % len(links)] for i in range(len(images))]
+    decoded = codec.decode(images, [lk.tx for lk in geo], [lk.rx for lk in geo],
+                           [lk.carrier_freq for lk in geo])
     io.write_dataset(args.out, decoded, seed=args.seed)
     print(f"decoded {len(decoded)} links -> {args.out}")
     return 0
@@ -279,10 +277,14 @@ def _cmd_report(args) -> int:
     header = ["link", "state_ok", "n_paths_ok", "virtual_survivors",
               "err_pathloss", "err_delay", "err_aod", "err_zod", "err_aoa",
               "err_zoa", "err_phase"]
+    images = np.empty((len(links), *IMAGE_SHAPE))
+    for i, lk in enumerate(links):
+        images[i] = codec.encode_link(lk, rng)
+    decoded_links = codec.decode(images, [lk.tx for lk in links], [lk.rx for lk in links],
+                                 [lk.carrier_freq for lk in links])
     rows = []
     worst = np.zeros(7)
-    for i, lk in enumerate(links):
-        decoded = codec.decode(codec.encode_link(lk, rng), lk.tx, lk.rx, lk.carrier_freq)
+    for i, (lk, decoded) in enumerate(zip(links, decoded_links)):
         state_ok = decoded.link_state is lk.link_state
         n_ok = decoded.n_paths == lk.n_paths
         if n_ok and lk.paths:

@@ -67,6 +67,7 @@ DELAY_SCALE = 1e7
 OUTAGE_THRESHOLD_DB = 180.0
 VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH = 181.0, 190.0
 LINK_STATE_EPS = 0.01
+DECODE_CHUNK = 256  # images per decode block; bounds decode's working memory
 
 
 @dataclass
@@ -269,8 +270,12 @@ class ChannelImageCodec:
 
     # -- decode ------------------------------------------------------------
 
-    def decode(self, image: np.ndarray, tx, rx, carrier_freq: float) -> LinkRecord:
-        """Invert the pipeline and strip virtual paths.
+    def decode(self, images, tx, rx, carrier_freq) -> list:
+        """Invert the pipeline for a stack of images and strip virtual paths.
+
+        images is (N, 64, 50); tx and rx are (N, 3) endpoint coordinates and
+        carrier_freq is (N,), so image i decodes against link geometry i.
+        Returns N LinkRecords in order.
 
         The link state is voted on the mean of the (un-scaled) last row;
         a LOS vote overwrites the first column with the closed-form LOS
@@ -278,51 +283,77 @@ class ChannelImageCodec:
         dropped; if none survive the link is an Outage with zero paths.
         Decoded values from a generative model may leave their physical
         ranges, so angles are wrapped/clipped and delays floored at the
-        straight-line propagation time (counted in self.stats).
+        straight-line propagation time (counted in self.stats over the
+        kept columns).
         """
-        image = np.asarray(image, dtype=np.float64)
-        if not np.all(np.isfinite(image)):
+        images = np.asarray(images)
+        n = len(images)
+        tx = np.asarray(tx, dtype=np.float64)
+        rx = np.asarray(rx, dtype=np.float64)
+        carrier_freq = np.asarray(carrier_freq, dtype=np.float64)
+        if tx.shape != (n, 3) or rx.shape != (n, 3) or carrier_freq.shape != (n,):
+            raise DataError("decode needs (N, 3) tx/rx and (N,) carrier_freq per image")
+        out = []
+        for start in range(0, n, DECODE_CHUNK):
+            block = slice(start, start + DECODE_CHUNK)
+            out.extend(self._decode_block(images[block], tx[block].tolist(),
+                                          rx[block].tolist(), carrier_freq[block].tolist()))
+        return out
+
+    def _decode_block(self, images, txs, rxs, freqs) -> list:
+        images = np.asarray(images, dtype=np.float64)
+        if not np.all(np.isfinite(images)):
             raise FormatError("channel image contains non-finite pixels")
-        values = self.scaler.unscale(untile(image)).values
+        values = self.scaler.unscale_array(untile_array(images))  # (m, 8, 25)
+        is_los = values[:, LS].mean(axis=-1) > 0.0
 
-        _, dist3d = geometry(tx, rx)
-        values[PL] += fspl(dist3d, carrier_freq)
-        base_delay = dist3d / SPEED_OF_LIGHT
-        values[DLY] = values[DLY] / self.delay_scale + base_delay
+        # per-link references stay on the scalar closed forms of core, so the
+        # decoded numbers match them bit for bit
+        m = len(values)
+        fspl_ref = np.empty(m)
+        base_delay = np.empty(m)
+        los_rows = []
+        for i, (a, b, f) in enumerate(zip(txs, rxs, freqs)):
+            _, dist3d = geometry(a, b)
+            fspl_ref[i] = fspl(dist3d, f)
+            base_delay[i] = dist3d / SPEED_OF_LIGHT
+            if is_los[i]:
+                los_rows.append(los_params(a, b, f).as_array())
+        values[:, PL] += fspl_ref[:, None]
+        values[:, DLY] = values[:, DLY] / self.delay_scale + base_delay[:, None]
+        if los_rows:
+            values[is_los, :PS + 1, 0] = los_rows
 
-        is_los = float(values[LS].mean()) > 0.0
-        if is_los:
-            values[:PS + 1, 0] = los_params(tx, rx, carrier_freq).as_array()
-
-        keep = values[PL] <= self.outage_threshold_db
-        if not np.any(keep):
-            return LinkRecord(tx=tx, rx=rx, carrier_freq=carrier_freq,
-                              link_state=LinkState.OUTAGE, paths=[])
-        cols = values[:, keep]
-
-        self.stats["delay_floored"] += int(np.count_nonzero(cols[DLY] < base_delay))
-        self.stats["pathloss_floored"] += int(np.count_nonzero(cols[PL] <= 0.0))
-        cols[DLY] = np.maximum(cols[DLY], base_delay)
-        cols[PL] = np.maximum(cols[PL], 1e-9)
-        cols[AOD] = wrap_azimuth(cols[AOD])
-        cols[AOA] = wrap_azimuth(cols[AOA])
-        cols[ZOD] = np.clip(cols[ZOD], 0.0, 180.0)
-        cols[ZOA] = np.clip(cols[ZOA], 0.0, 180.0)
-        cols[PS] = wrap_phase(cols[PS])
+        keep = values[:, PL] <= self.outage_threshold_db  # (m, 25)
+        self.stats["delay_floored"] += int(np.count_nonzero(
+            keep & (values[:, DLY] < base_delay[:, None])))
+        self.stats["pathloss_floored"] += int(np.count_nonzero(keep & (values[:, PL] <= 0.0)))
+        values[:, DLY] = np.maximum(values[:, DLY], base_delay[:, None])
+        values[:, PL] = np.maximum(values[:, PL], 1e-9)
+        values[:, AOD] = wrap_azimuth(values[:, AOD])
+        values[:, AOA] = wrap_azimuth(values[:, AOA])
+        values[:, ZOD] = np.clip(values[:, ZOD], 0.0, 180.0)
+        values[:, ZOA] = np.clip(values[:, ZOA], 0.0, 180.0)
+        values[:, PS] = wrap_phase(values[:, PS])
 
         # stable sort keeps the LOS overwrite (leftmost column, minimum
-        # possible delay after flooring) in first position
-        order = np.argsort(cols[DLY], kind="stable")
-        cols = cols[:, order]
-        paths = [
-            PathParams(pathloss=float(c[PL]), delay=float(c[DLY]), aod=float(c[AOD]),
-                       zod=float(c[ZOD]), aoa=float(c[AOA]), zoa=float(c[ZOA]),
-                       phase=float(c[PS]))
-            for c in cols.T
-        ]
-        state = LinkState.LOS if is_los else LinkState.NLOS
-        return LinkRecord(tx=tx, rx=rx, carrier_freq=carrier_freq,
-                          link_state=state, paths=paths)
+        # possible delay after flooring) in first position; dropped columns
+        # sort last and are cut off by the per-link count
+        order = np.argsort(np.where(keep, values[:, DLY], np.inf), axis=-1, kind="stable")
+        cols = np.take_along_axis(values[:, :PS + 1], order[:, None, :], axis=-1)
+        counts = np.count_nonzero(keep, axis=-1).tolist()
+        rows = cols.transpose(0, 2, 1).tolist()  # (m, 25, 7) path rows
+
+        out = []
+        for i in range(m):
+            if counts[i] == 0:
+                state, paths = LinkState.OUTAGE, []
+            else:
+                state = LinkState.LOS if is_los[i] else LinkState.NLOS
+                paths = [PathParams(*p) for p in rows[i][:counts[i]]]
+            out.append(LinkRecord(tx=txs[i], rx=rxs[i], carrier_freq=freqs[i],
+                                  link_state=state, paths=paths))
+        return out
 
     # -- persistence --------------------------------------------------------
 

@@ -14,6 +14,8 @@ from ..rng import substream
 
 __all__ = ["EmpiricalResampler"]
 
+QUERY_CHUNK = 256  # queries per distance block; bounds the (chunk, N) work arrays
+
 
 class EmpiricalResampler:
     """k-nearest-condition resampling over an encoded dataset."""
@@ -32,7 +34,9 @@ class EmpiricalResampler:
         self.cond_max = self.conditions.max(axis=0)
         span = self.cond_max - self.cond_min
         self._span = np.where(span > 0, span, 1.0)
-        self._norm = (self.conditions - self.cond_min) / self._span
+        norm = (self.conditions - self.cond_min) / self._span
+        self._nx = np.ascontiguousarray(norm[:, 0])
+        self._ny = np.ascontiguousarray(norm[:, 1])
 
     @classmethod
     def from_links(cls, links, codec, rng, k: int = 50) -> "EmpiricalResampler":
@@ -41,12 +45,29 @@ class EmpiricalResampler:
         conds = np.array([[lk.condition().dist2d, lk.condition().height] for lk in links])
         return cls(images, conds, k)
 
-    def _neighbors(self, cond_pair) -> np.ndarray:
-        q = (np.asarray(cond_pair, dtype=np.float64) - self.cond_min) / self._span
-        d2 = np.sum((self._norm - q) ** 2, axis=1)
-        # lexsort gives a deterministic order under distance ties
-        order = np.lexsort((np.arange(len(d2)), d2))
-        return order[: self.k]
+    def _nearest(self, queries) -> np.ndarray:
+        """(m, k) indices of the k nearest stored conditions per query row.
+
+        Neighbours are ordered by (squared normalized distance, index), the
+        order of a full lexsort, so ties resolve deterministically.
+        """
+        q = (queries - self.cond_min) / self._span
+        out = np.empty((len(q), self.k), dtype=np.intp)
+        for start in range(0, len(q), QUERY_CHUNK):
+            qx = q[start:start + QUERY_CHUNK, 0:1]
+            qy = q[start:start + QUERY_CHUNK, 1:2]
+            d2 = (self._nx - qx) ** 2 + (self._ny - qy) ** 2  # (c, N)
+            cand = np.argpartition(d2, self.k - 1, axis=1)[:, :self.k]
+            cand_d2 = np.take_along_axis(d2, cand, axis=1)
+            order = np.lexsort((cand, cand_d2), axis=1)
+            nb = np.take_along_axis(cand, order, axis=1)
+            # argpartition picks an arbitrary subset of the conditions tied
+            # at the k-th distance; rows with such ties redo the full sort
+            kth = np.take_along_axis(d2, nb[:, -1:], axis=1)
+            for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != self.k):
+                nb[r] = np.lexsort((np.arange(d2.shape[1]), d2[r]))[:self.k]
+            out[start:start + len(nb)] = nb
+        return out
 
     def sample(self, cond, n: int, seed: int) -> np.ndarray:
         """n stored images resampled near the condition(s).
@@ -59,13 +80,11 @@ class EmpiricalResampler:
         cond = np.asarray(cond, dtype=np.float64)
         rng = substream(seed, "resampler")
         if cond.ndim == 1:
-            nb = self._neighbors(cond)
-            picks = nb[rng.integers(self.k, size=n)]
+            nb = self._nearest(cond[None, :])
+            picks = nb[0, rng.integers(self.k, size=n)]
         else:
             if cond.shape != (n, 2):
                 raise DataError("cond must be one pair or an (n, 2) array")
-            picks = np.empty(n, dtype=int)
-            for i in range(n):
-                nb = self._neighbors(cond[i])
-                picks[i] = nb[rng.integers(self.k)]
-        return self.images[picks].copy()
+            nb = self._nearest(cond)
+            picks = nb[np.arange(n), rng.integers(self.k, size=n)]
+        return self.images[picks]  # fancy indexing already copies

@@ -48,6 +48,11 @@ def _require_version(kind: str, got: int, expected: int):
         raise VersionError(f"{kind} format v{got} not supported (expected v{expected})")
 
 
+def _write_array(fh, array, dtype):
+    """Write an array's bytes in C order without a bytes copy of the payload."""
+    fh.write(memoryview(np.ascontiguousarray(array, dtype=dtype)).cast("B"))
+
+
 # -- dataset JSONL ---------------------------------------------------------------
 
 
@@ -138,8 +143,8 @@ def write_images(path, images, conditions, seed=None):
         fh.write(IMAGES_MAGIC)
         fh.write(struct.pack("<4I", IMAGES_VERSION, images.shape[0],
                              images.shape[1], images.shape[2]))
-        fh.write(np.ascontiguousarray(images, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(conditions, dtype="<f8").tobytes())
+        _write_array(fh, images, "<f4")
+        _write_array(fh, conditions, "<f8")
 
 
 def read_images(path):
@@ -174,7 +179,7 @@ def _write_checkpoint(path, meta: dict, arrays: dict):
         fh.write(struct.pack("<2I", CHECKPOINT_VERSION, len(header)))
         fh.write(header)
         for v in arrays.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+            _write_array(fh, v, "<f8")
 
 
 def _read_checkpoint(path):
@@ -190,13 +195,18 @@ def _read_checkpoint(path):
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from exc
     offset += header_len
+    if not isinstance(doc, dict) or "meta" not in doc or "entries" not in doc:
+        raise FormatError(f"{path}: checkpoint header lacks 'meta' or 'entries'")
     arrays = {}
     for entry in doc["entries"]:
-        shape = tuple(entry["shape"])
+        try:
+            name, shape = entry["name"], tuple(entry["shape"])
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"{path}: bad checkpoint entry {entry!r}") from exc
         n = int(np.prod(shape)) if shape else 1
         if offset + 8 * n > len(raw):
             raise FormatError(f"{path}: truncated checkpoint payload")
-        arrays[entry["name"]] = np.frombuffer(
+        arrays[name] = np.frombuffer(
             raw, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
         offset += 8 * n
     return doc["meta"], arrays

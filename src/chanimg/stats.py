@@ -7,11 +7,11 @@ angles relative to the LOS direction, uniformity checks for azimuths and
 phases, and gain-weighted RMS spreads of delay and angles.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import LinkState, geometry, los_params
+from .core import MAX_PATHS, LinkState, geometry, los_params
 from .errors import DataError, GeometryError
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "RmsSpreadReport",
     "rms_spread_report",
     "path_feature_samples",
+    "PathTable",
     "compare_datasets",
 ]
 
@@ -42,6 +43,69 @@ _FEATURE_ATTR = {
     "zoa": "zoa",
     "phase": "phase",
 }
+# column of each path feature in a PathTable (PathParams field order)
+_FEATURE_COL = {f: i for i, f in
+                enumerate(("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase"))}
+_ZENITH_REF = {"zod": 0, "zoa": 1}  # column of PathTable.los_zenith
+
+
+def _padded_paths(path_lists):
+    """(N, W, 7) zero-padded path features and (N,) counts, W >= MAX_PATHS.
+
+    The width is fixed rather than fitted to the data, so a link's sums run
+    over the same padded row, and give the same bits, in any table.
+    """
+    counts = np.array([len(ps) for ps in path_lists], dtype=int)
+    width = max(MAX_PATHS, int(counts.max(initial=0)))
+    out = np.zeros((len(counts), width, len(_FEATURE_COL)))
+    for i, ps in enumerate(path_lists):
+        if ps:
+            out[i, :len(ps)] = [[p.pathloss, p.delay, p.aod, p.zod, p.aoa, p.zoa, p.phase]
+                                for p in ps]
+    return out, counts
+
+
+@dataclass
+class PathTable:
+    """Per-link arrays of a link dataset, the form the eval kernels work on.
+
+    paths holds each link's paths in its first counts[i] rows, zero beyond.
+    dist2d is NaN where the endpoints coincide; los_zenith holds the LOS
+    (zod, zoa) of every non-Outage link with paths, NaN where that link has
+    no LOS direction or is not such a link.
+    """
+
+    paths: np.ndarray       # (N, W, 7)
+    counts: np.ndarray      # (N,)
+    state: np.ndarray       # (N,) LinkState objects
+    dist2d: np.ndarray      # (N,)
+    height: np.ndarray      # (N,)
+    los_zenith: np.ndarray  # (N, 2)
+
+    @classmethod
+    def from_links(cls, links) -> "PathTable":
+        links = list(links)
+        paths, counts = _padded_paths([lk.paths for lk in links])
+        dist2d = np.full(len(links), np.nan)
+        los_zenith = np.full((len(links), 2), np.nan)
+        for i, lk in enumerate(links):
+            try:
+                dist2d[i] = geometry(lk.tx, lk.rx)[0]
+                if lk.paths and lk.link_state is not LinkState.OUTAGE:
+                    ref = los_params(lk.tx, lk.rx, lk.carrier_freq)
+                    los_zenith[i] = ref.zod, ref.zoa
+            except GeometryError:
+                pass
+        return cls(paths, counts, np.array([lk.link_state for lk in links], dtype=object),
+                   dist2d, np.array([lk.rx[2] for lk in links], dtype=float), los_zenith)
+
+    def take(self, rows) -> "PathTable":
+        return PathTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(N, W) mask of the real path cells."""
+        return np.arange(self.paths.shape[1]) < self.counts[:, None]
 
 
 class Ecdf:
@@ -152,39 +216,29 @@ def relative_zenith_pdf(links, height, dist_edges, angle_edges, angle: str = "zo
     Outage links are excluded; degenerate-geometry links are skipped and
     counted.
     """
-    if angle not in ("zod", "zoa"):
+    if angle not in _ZENITH_REF:
         raise DataError("angle must be 'zod' or 'zoa'")
-    dist_edges = np.asarray(dist_edges, dtype=float)
-    angle_edges = np.asarray(angle_edges, dtype=float)
+    return _relative_zenith_kernel(PathTable.from_links(links), height,
+                                   np.asarray(dist_edges, dtype=float),
+                                   np.asarray(angle_edges, dtype=float), angle)
 
-    dists, rels = [], []
-    skipped = 0
-    for lk in links:
-        if lk.rx[2] != height or lk.link_state is LinkState.OUTAGE or not lk.paths:
-            continue
-        try:
-            ref = los_params(lk.tx, lk.rx, lk.carrier_freq)
-        except GeometryError:
-            skipped += 1
-            continue
-        d2 = geometry(lk.tx, lk.rx)[0]
-        ref_angle = getattr(ref, angle)
-        for p in lk.paths:
-            dists.append(d2)
-            rels.append(getattr(p, angle) - ref_angle)
+
+def _relative_zenith_kernel(table: PathTable, height, dist_edges, angle_edges,
+                            angle: str) -> BinnedPdf2D:
+    used = ((table.height == height) & (table.state != LinkState.OUTAGE)
+            & (table.counts > 0))
+    ref = table.los_zenith[:, _ZENITH_REF[angle]]
+    skipped = int(np.count_nonzero(used & np.isnan(ref)))
+    t = table.take(used & ~np.isnan(ref))
+    valid = t.valid
+    rels = (t.paths[..., _FEATURE_COL[angle]] - t.los_zenith[:, _ZENITH_REF[angle], None])[valid]
+    dists = np.broadcast_to(t.dist2d[:, None], valid.shape)[valid]
 
     hist, _, _ = np.histogram2d(rels, dists, bins=(angle_edges, dist_edges))
     total = hist.sum(axis=0)
-    density = np.divide(hist, np.maximum(total, 1.0)[None, :], where=total[None, :] > 0)
-    density[:, total == 0] = 0.0
+    density = np.divide(hist, np.maximum(total, 1.0)[None, :], out=np.zeros_like(hist),
+                        where=total[None, :] > 0)
     return BinnedPdf2D(dist_edges, angle_edges, density, skipped_links=skipped)
-
-
-def _circular_unwrap(angles, gains):
-    """Unwrap azimuths to within 180 deg of the gain-weighted circular mean."""
-    rad = np.radians(angles)
-    mean = np.degrees(np.arctan2(np.sum(gains * np.sin(rad)), np.sum(gains * np.cos(rad))))
-    return mean + (angles - mean + 180.0) % 360.0 - 180.0
 
 
 def rms_spread(paths, feature: str) -> float:
@@ -199,18 +253,31 @@ def rms_spread(paths, feature: str) -> float:
         raise DataError(f"unknown RMS feature: {feature}")
     if not paths:
         raise DataError("rms_spread needs at least one path")
-    pl = np.array([p.pathloss for p in paths])
-    d = np.array([getattr(p, _FEATURE_ATTR[feature]) for p in paths], dtype=float)
+    table, counts = _padded_paths([paths])
+    return float(_rms_kernel(table, counts, (feature,))[feature][0])
 
-    gains = 10.0 ** (-(pl - pl.min()) / 10.0)  # common factor cancels
-    if feature == "delay":
-        d = d - d.min()
-    elif feature in _CIRCULAR:
-        d = _circular_unwrap(d, gains)
 
-    w = gains / gains.sum()
-    mean = np.dot(w, d)
-    return float(np.sqrt(np.dot(w, (d - mean) ** 2)))
+def _rms_kernel(paths, counts, features) -> dict:
+    """{feature: (N,) RMS spreads} of padded (N, W, 7) paths, counts >= 1."""
+    valid = np.arange(paths.shape[1]) < counts[:, None]
+    pl = np.where(valid, paths[..., _FEATURE_COL["pathloss"]], np.inf)
+    excess = pl - pl.min(axis=1, keepdims=True)
+    gains = 10.0 ** (-excess / 10.0)  # 0 in the padding; common factor cancels
+    w = gains / gains.sum(axis=1, keepdims=True)
+    out = {}
+    for feature in features:
+        d = paths[..., _FEATURE_COL[feature]]
+        if feature == "delay":
+            d = d - np.where(valid, d, np.inf).min(axis=1, keepdims=True)
+        elif feature in _CIRCULAR:
+            # unwrap to within 180 deg of the gain-weighted circular mean
+            rad = np.radians(d)
+            mean = np.degrees(np.arctan2(np.sum(gains * np.sin(rad), axis=1, keepdims=True),
+                                         np.sum(gains * np.cos(rad), axis=1, keepdims=True)))
+            d = mean + (d - mean + 180.0) % 360.0 - 180.0
+        mean = np.sum(w * d, axis=1, keepdims=True)
+        out[feature] = np.sqrt(np.sum(w * (d - mean) ** 2, axis=1))
+    return out
 
 
 @dataclass
@@ -225,9 +292,13 @@ class RmsSpreadReport:
 
 
 def rms_spread_report(links) -> RmsSpreadReport:
-    usable = [lk for lk in links if lk.paths]
-    values = {f: np.array([rms_spread(lk.paths, f) for lk in usable]) for f in RMS_FEATURES}
-    return RmsSpreadReport(**values)
+    """RMS spreads of every link that has paths, in link order."""
+    return _rms_report(PathTable.from_links(links))
+
+
+def _rms_report(table: PathTable) -> RmsSpreadReport:
+    t = table.take(table.counts > 0)
+    return RmsSpreadReport(**_rms_kernel(t.paths, t.counts, RMS_FEATURES))
 
 
 def path_feature_samples(links, feature: str, height=None) -> np.ndarray:
@@ -255,6 +326,9 @@ def compare_datasets(model_links, data_links, heights, dist_bin_width: float = 2
     dist_edges = np.arange(0.0, d_hi + dist_bin_width, dist_bin_width)
     angle_edges = np.arange(-angle_range, angle_range + angle_bin_width, angle_bin_width)
 
+    tables = {"model": PathTable.from_links(model_links),
+              "data": PathTable.from_links(data_links)}
+
     report = {}
     for h in heights:
         m = [lk for lk in model_links if lk.rx[2] == h]
@@ -275,16 +349,15 @@ def compare_datasets(model_links, data_links, heights, dist_bin_width: float = 2
         entry["link_state_model"] = lsp_m
         entry["link_state_data"] = lsp_d
 
-        rms_m = rms_spread_report(m)
-        rms_d = rms_spread_report(d)
+        rms_m, rms_d = (_rms_report(t.take(t.height == h)) for t in tables.values())
         for feat in RMS_FEATURES:
             vm, vd = getattr(rms_m, feat), getattr(rms_d, feat)
             entry[f"ks_rms_{feat}"] = (
                 ks_statistic(vm, vd) if len(vm) and len(vd) else np.nan)
 
-        for side, lks in (("model", m), ("data", d)):
+        for side, table in tables.items():
             for ang in ("zod", "zoa"):
-                entry[f"zenith_pdf_{ang}_{side}"] = relative_zenith_pdf(
-                    lks, h, dist_edges, angle_edges, ang)
+                entry[f"zenith_pdf_{ang}_{side}"] = _relative_zenith_kernel(
+                    table, h, dist_edges, angle_edges, ang)
         report[h] = entry
     return report

@@ -1,5 +1,12 @@
 """CLI surface: determinism, composition, error exit codes."""
 
+import json
+import os
+import struct
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -126,6 +133,37 @@ def test_exit_codes(tmp_path):
     # invalid request -> bad data
     assert run(["gen-data", "--links", "0", "--out", str(tmp_path / "d.jsonl")]) \
         == EXIT_BAD_DATA
+
+
+def test_eval_runs_warning_free(pipeline_dir, tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(__file__).resolve().parent.parent / "src"),
+                    os.environ.get("PYTHONPATH")) if p))
+    d = pipeline_dir
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "chanimg.cli", "--seed", "4", "eval",
+         "--model", str(d / "decoded.jsonl"), "--data", str(d / "data.jsonl"),
+         "--outdir", str(tmp_path / "reports")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    for name in ("ks.csv", "los_prob.csv", "zenith_pdf_zod.csv", "zenith_pdf_zoa.csv"):
+        assert (tmp_path / "reports" / name).read_bytes() == \
+            (d / "reports" / name).read_bytes()
+
+
+@pytest.mark.parametrize("header", [{"entries": []}, {"meta": {"backend": "resampler"}},
+                                    [], {"meta": {}, "entries": [{"name": "x"}]}])
+def test_checkpoint_header_gaps_are_format_errors(tmp_path, capsys, header):
+    run(["--seed", "1", "gen-data", "--links", "20", "--out", str(tmp_path / "d.jsonl")])
+    capsys.readouterr()
+    raw = json.dumps(header).encode()
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"WGPC" + struct.pack("<2I", 1, len(raw)) + raw)
+    assert run(["sample", "--model", str(bad), "--conditions-from", str(tmp_path / "d.jsonl"),
+                "--out", str(tmp_path / "s.chim")]) == EXIT_BAD_FILE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("chanimg: error kind=format exit=3")
 
 
 def test_decode_rejects_mismatched_counts(tmp_path):

@@ -6,6 +6,7 @@ import pytest
 from chanimg.codec import (
     AOA,
     AOD,
+    DECODE_CHUNK,
     DLY,
     LS,
     PL,
@@ -24,8 +25,19 @@ from chanimg.codec import (
     tile,
     tile_array,
     untile,
+    untile_array,
 )
-from chanimg.core import SPEED_OF_LIGHT, LinkRecord, LinkState, PathParams, fspl, geometry
+from chanimg.core import (
+    SPEED_OF_LIGHT,
+    LinkRecord,
+    LinkState,
+    PathParams,
+    fspl,
+    geometry,
+    los_params,
+    wrap_azimuth,
+    wrap_phase,
+)
 from chanimg.errors import DataError, FormatError
 from chanimg.rng import substream
 from chanimg.surrogate import SurrogateConfig, generate_dataset
@@ -232,11 +244,21 @@ def test_untile_rejects_bad_shape():
 # -- full encode/decode -----------------------------------------------------------
 
 
+def decode_stack(codec, images, links):
+    """Decode images[i] against the geometry of links[i]."""
+    return codec.decode(images, [lk.tx for lk in links], [lk.rx for lk in links],
+                        [lk.carrier_freq for lk in links])
+
+
+def decode_one(codec, image, link):
+    return decode_stack(codec, np.asarray(image)[None], [link])[0]
+
+
 def test_roundtrip_surrogate_links(dataset, codec):
     rng = substream(12, "roundtrip")
+    images = np.stack([codec.encode_link(lk, rng) for lk in dataset])
     worst = np.zeros(7)
-    for lk in dataset:
-        dec = codec.decode(codec.encode_link(lk, rng), lk.tx, lk.rx, lk.carrier_freq)
+    for lk, dec in zip(dataset, decode_stack(codec, images, dataset)):
         assert dec.link_state is lk.link_state
         assert dec.n_paths == lk.n_paths  # no virtual survivors, no real losses
         a = np.stack([p.as_array() for p in lk.paths])
@@ -252,14 +274,14 @@ def test_roundtrip_los_first_path_exact(dataset, codec):
     for lk in dataset:
         if lk.link_state is not LinkState.LOS:
             continue
-        dec = codec.decode(codec.encode_link(lk, rng), lk.tx, lk.rx, lk.carrier_freq)
+        dec = decode_one(codec, codec.encode_link(lk, rng), lk)
         np.testing.assert_array_equal(dec.paths[0].as_array(), lk.paths[0].as_array())
 
 
 def test_decode_negative_last_row_is_nlos(codec):
     link = make_link(10)
     img = codec.encode_link(link, substream(14, "x"))
-    dec = codec.decode(img, link.tx, link.rx, link.carrier_freq)
+    dec = decode_one(codec, img, link)
     assert dec.link_state is LinkState.NLOS
 
 
@@ -272,7 +294,7 @@ def test_decode_all_paths_above_threshold_is_outage(codec):
     vals[DLY] = 1.0
     vals[LS] = -0.995
     img = tile(codec.scaler.scale(ChannelMatrix(vals)))
-    dec = codec.decode(img, link.tx, link.rx, link.carrier_freq)
+    dec = decode_one(codec, img, link)
     assert dec.link_state is LinkState.OUTAGE
     assert dec.n_paths == 0
 
@@ -281,14 +303,95 @@ def test_decode_rejects_nonfinite(codec):
     img = np.zeros((64, 50))
     img[5, 5] = np.nan
     with pytest.raises(FormatError):
-        codec.decode(img, (0, 0, 30), (10, 10, 1.6), 12e9)
+        codec.decode(img[None], [(0, 0, 30)], [(10, 10, 1.6)], [12e9])
+    # a bad image past the first internal block is caught too
+    n = DECODE_CHUNK + 2
+    stack = np.zeros((n, 64, 50))
+    stack[-1] = img
+    with pytest.raises(FormatError):
+        codec.decode(stack, [(0, 0, 30)] * n, [(10, 10, 1.6)] * n, [12e9] * n)
+
+
+def reference_decode(codec, image, tx, rx, carrier_freq, stats):
+    """Per-image decode, written column by column as the definition reads."""
+    values = codec.scaler.unscale_array(untile_array(np.asarray(image, dtype=np.float64)))
+    _, dist3d = geometry(tx, rx)
+    values[PL] += fspl(dist3d, carrier_freq)
+    base_delay = dist3d / SPEED_OF_LIGHT
+    values[DLY] = values[DLY] / codec.delay_scale + base_delay
+    is_los = float(values[LS].mean()) > 0.0
+    if is_los:
+        values[:PS + 1, 0] = los_params(tx, rx, carrier_freq).as_array()
+    keep = values[PL] <= codec.outage_threshold_db
+    if not np.any(keep):
+        return LinkRecord(tx, rx, carrier_freq, LinkState.OUTAGE, [])
+    cols = values[:, keep]
+    stats["delay_floored"] += int(np.count_nonzero(cols[DLY] < base_delay))
+    stats["pathloss_floored"] += int(np.count_nonzero(cols[PL] <= 0.0))
+    cols[DLY] = np.maximum(cols[DLY], base_delay)
+    cols[PL] = np.maximum(cols[PL], 1e-9)
+    cols[AOD] = wrap_azimuth(cols[AOD])
+    cols[AOA] = wrap_azimuth(cols[AOA])
+    cols[ZOD] = np.clip(cols[ZOD], 0.0, 180.0)
+    cols[ZOA] = np.clip(cols[ZOA], 0.0, 180.0)
+    cols[PS] = wrap_phase(cols[PS])
+    cols = cols[:, np.argsort(cols[DLY], kind="stable")]
+    paths = [PathParams(*(float(v) for v in c[:PS + 1])) for c in cols.T]
+    return LinkRecord(tx, rx, carrier_freq, LinkState.LOS if is_los else LinkState.NLOS, paths)
+
+
+def test_stacked_decode_matches_per_image_reference():
+    # wide scaler ranges push decoded values past every physical limit:
+    # pathloss <= 0 and > 180 dB, delays before the LOS arrival, azimuths and
+    # phases outside their wrap intervals, zeniths outside [0, 180]
+    lo = np.array([-300.0, -1e3, -400.0, -60.0, -400.0, -60.0, -800.0, -1.0])
+    hi = np.array([300.0, 1e3, 400.0, 240.0, 400.0, 240.0, 300.0, 1.0])
+    doc = ChannelImageCodec(np.stack([lo, hi], axis=1), FeatureScaler(lo, hi)).to_dict()
+    stacked, single, ref = (ChannelImageCodec.from_dict(doc) for _ in range(3))
+
+    rng = np.random.default_rng(21)
+    n = DECODE_CHUNK + 7  # crosses an internal block boundary
+    mats = rng.uniform(-1.1, 1.1, size=(n, 8, 25))  # some cells out of range
+    mats[0, PL] = 1.0  # every column above the outage threshold ...
+    mats[0, LS] = -0.5  # ... and no LOS column written over them
+    mats[1, LS] = 0.5  # clear LOS vote
+    mats[2, LS] = -0.5  # clear NLOS vote
+    images = tile_array(mats)
+    tx = np.column_stack([rng.uniform(-200, 200, (n, 2)), np.full(n, 30.0)])
+    rx = np.column_stack([rng.uniform(-200, 200, (n, 2)), rng.choice([1.6, 30.0, 60.0], n)])
+    freq = rng.choice([3.5e9, 12e9, 28e9], n)
+
+    got = stacked.decode(images, tx, rx, freq)
+    ones = [single.decode(images[i:i + 1], tx[i:i + 1], rx[i:i + 1], freq[i:i + 1])[0]
+            for i in range(n)]
+    stats = {"delay_floored": 0, "pathloss_floored": 0}
+    want = [reference_decode(ref, images[i], tuple(tx[i]), tuple(rx[i]), float(freq[i]),
+                             stats)
+            for i in range(n)]
+    assert [repr(r) for r in got] == [repr(r) for r in want]  # repr keeps every bit
+    assert [repr(r) for r in ones] == [repr(r) for r in want]
+    assert stacked.stats == single.stats == stats
+    assert stacked.scaler.n_clipped == single.scaler.n_clipped == ref.scaler.n_clipped > 0
+
+    states = [r.link_state for r in want]
+    assert states[0] is LinkState.OUTAGE and states[1] is LinkState.LOS
+    assert states[2] is LinkState.NLOS
+    assert stats["delay_floored"] > 0 and stats["pathloss_floored"] > 0
+    raw = ref.scaler.unscale_array(mats.clip(-1, 1))
+    assert np.any(np.abs(raw[:, AOD]) > 180.0) and np.any(raw[:, ZOD] < 0.0)
+    assert np.any(raw[:, ZOA] > 180.0) and np.any(raw[:, PS] > 0.0)
+
+
+def test_decode_rejects_mismatched_geometry(codec):
+    with pytest.raises(DataError):
+        codec.decode(np.zeros((2, 64, 50)), [(0, 0, 30)], [(10, 10, 1.6)] * 2, [12e9] * 2)
 
 
 def test_decode_sanitizes_gan_style_output(codec):
     # arbitrary in-range pixels must decode to a valid link record
     rng = np.random.default_rng(15)
     img = rng.uniform(-1, 1, size=(64, 50))
-    dec = codec.decode(img, (0.0, 0.0, 30.0), (100.0, 50.0, 1.6), 12e9)
+    dec = codec.decode(img[None], [(0.0, 0.0, 30.0)], [(100.0, 50.0, 1.6)], [12e9])[0]
     for p in dec.paths:
         assert -180.0 < p.aod <= 180.0 and -180.0 < p.aoa <= 180.0
         assert 0.0 <= p.zod <= 180.0 and 0.0 <= p.zoa <= 180.0

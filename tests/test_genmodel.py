@@ -18,6 +18,7 @@ from chanimg.genmodel import (
     sample,
     train_wgan_gp,
 )
+from chanimg.genmodel.resampler import QUERY_CHUNK
 from chanimg.genmodel.wgan import (
     NetworkParams,
     build_networks,
@@ -319,6 +320,42 @@ def test_resampler_deterministic_and_validated():
         EmpiricalResampler(images[:0], conds[:0])
     with pytest.raises(DataError):
         res.sample(conds[:3], 8, seed=0)
+
+
+def reference_picks(conds, queries, k, seed):
+    """Per-query full (distance, index) lexsort and one scalar draw per query."""
+    lo = conds.min(axis=0)
+    span = np.where(conds.max(axis=0) > lo, conds.max(axis=0) - lo, 1.0)
+    norm = (conds - lo) / span
+    rng = substream(seed, "resampler")
+    picks = []
+    for q in queries:
+        d2 = np.sum((norm - (q - lo) / span) ** 2, axis=1)
+        nb = np.lexsort((np.arange(len(d2)), d2))[:k]
+        picks.append(nb[rng.integers(k)])
+    return np.array(picks)
+
+
+def test_resampler_picks_match_bruteforce_reference():
+    # conditions on a coarse grid repeat exactly, so many queries have ties
+    # at the k-th distance that only the index order can break
+    rng = np.random.default_rng(18)
+    conds = rng.integers(0, 6, size=(300, 2)).astype(float) * (25.0, 10.0)
+    images = np.arange(300.0).reshape(300, 1, 1)  # image i holds its own index
+    res = EmpiricalResampler(images, conds, k=7)
+    n = QUERY_CHUNK + 45  # more queries than one chunk
+    queries = np.concatenate([conds[rng.integers(0, 300, n - 20)],
+                              rng.uniform(0, 130, (20, 2))])
+    got = res.sample(queries, n, seed=5)[:, 0, 0].astype(int)
+    np.testing.assert_array_equal(got, reference_picks(conds, queries, 7, seed=5))
+
+    # the single-pair path draws every pick from one neighbour list
+    got = res.sample(conds[3], 50, seed=6)[:, 0, 0].astype(int)
+    np.testing.assert_array_equal(got, reference_picks(conds, [conds[3]] * 50, 7, seed=6))
+
+    # one vector draw yields the same values as that many scalar draws
+    a, b = substream(9, "resampler"), substream(9, "resampler")
+    np.testing.assert_array_equal(a.integers(7, size=500), [b.integers(7) for _ in range(500)])
 
 
 def test_augmented_batches_counts():

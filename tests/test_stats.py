@@ -256,6 +256,45 @@ def test_rms_azimuth_seam_safety():
     assert rms_spread(paths, "aoa") == pytest.approx(5.0, abs=1e-9)
 
 
+def reference_rms(paths, feature):
+    """Per-link gain-weighted RMS spread with 1D sums and dot products."""
+    pl = np.array([p.pathloss for p in paths])
+    d = np.array([getattr(p, feature) for p in paths])
+    gains = 10.0 ** (-(pl - pl.min()) / 10.0)
+    if feature == "delay":
+        d = d - d.min()
+    elif feature in ("aoa", "aod"):
+        rad = np.radians(d)
+        mean = np.degrees(np.arctan2(np.sum(gains * np.sin(rad)), np.sum(gains * np.cos(rad))))
+        d = mean + (d - mean + 180.0) % 360.0 - 180.0
+    w = gains / gains.sum()
+    mean = np.dot(w, d)
+    return float(np.sqrt(np.dot(w, (d - mean) ** 2)))
+
+
+def test_rms_report_matches_per_link_reference():
+    rng = np.random.default_rng(9)
+    # an outage link without paths is left out of the report
+    links = [LinkRecord((0.0, 0.0, 30.0), (50.0, 0.0, 1.6), 12e9, LinkState.OUTAGE, [])]
+    for i in range(300):
+        n = 1 if i % 10 == 0 else int(rng.integers(2, 26))
+        # every third link straddles the +/-180 azimuth seam
+        az = (rng.uniform(170.0, 190.0, n) if i % 3 == 0 else rng.uniform(-180.0, 180.0, n))
+        az = np.where(az > 180.0, az - 360.0, az)
+        paths = [make_path(rng.uniform(80, 170), delay=d, aod=az[j], zod=rng.uniform(0, 180),
+                           aoa=-az[j], zoa=rng.uniform(0, 180))
+                 for j, d in enumerate(np.sort(rng.uniform(1e-7, 2e-6, n)))]
+        links.append(make_link(paths=paths))
+    rep = rms_spread_report(links)
+    for f in ("delay", "aoa", "aod", "zoa", "zod"):
+        want = np.array([reference_rms(lk.paths, f) for lk in links[1:]])
+        got = getattr(rep, f)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        assert np.all(got[::10] == 0.0)  # single-path links
+        assert got.tolist() == [rms_spread(lk.paths, f) for lk in links[1:]]
+    assert np.all(rep.aoa[3::3] < 10.0)  # seam links keep a small azimuth spread
+
+
 def test_rms_report_shapes():
     links = [make_link(paths=[make_path(100.0), make_path(110.0, delay=2e-6)]),
              make_link()]
