@@ -22,8 +22,11 @@ for name, lo, hi in zip(("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase
                         codec.scaler.feature_min, codec.scaler.feature_max):
     print(f"  {name:9s} [{lo:9.3f}, {hi:9.3f}]")
 
+# encode takes a list of links and returns a stack of images plus their
+# (dist2d, height) conditions
 link = max(links, key=lambda lk: lk.n_paths)
-image = codec.encode_link(link, substream(7, "demo"))
+images, conds = codec.encode([link], substream(7, "demo"))
+image = images[0]
 print(f"\nencoded a {link.link_state.value} link with {link.n_paths} paths "
       f"-> image {image.shape}, pixel range [{image.min():.3f}, {image.max():.3f}]")
 
@@ -32,7 +35,7 @@ block = image[0:8, 0:2]
 print(f"top-left 8x2 block is constant: {np.allclose(block, block[0, 0])}")
 
 # decode takes a stack of images with one (tx, rx, carrier) geometry per image
-decoded = codec.decode(image[None], [link.tx], [link.rx], [link.carrier_freq])[0]
+decoded = codec.decode(images, [link.tx], [link.rx], [link.carrier_freq])[0]
 print(f"\ndecoded: state={decoded.link_state.value} paths={decoded.n_paths} "
       f"(virtual columns stripped)")
 orig = np.stack([p.as_array() for p in link.paths])

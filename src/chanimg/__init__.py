@@ -18,7 +18,7 @@ from .core import (
     geometry,
     los_params,
 )
-from .codec import ChannelImageCodec, ChannelMatrix, FeatureScaler, fit_codec, tile, untile
+from .codec import ChannelImageCodec, FeatureScaler, fit_codec, tile, untile
 from .surrogate import SurrogateConfig, generate_dataset, train_test_split
 
 __version__ = "0.1.0"
@@ -36,7 +36,6 @@ __all__ = [
     "SurrogateConfig",
     "generate_dataset",
     "train_test_split",
-    "ChannelMatrix",
     "FeatureScaler",
     "ChannelImageCodec",
     "fit_codec",

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import io
-from .codec import IMAGE_SHAPE, DatasetEncoder, fit_codec
+from .codec import IMAGE_SHAPE, fit_codec
 from .core import LinkState, geometry
 from .errors import (
     ChanimgError,
@@ -28,6 +28,7 @@ from .errors import (
     FormatError,
     GeometryError,
     TrainingDivergedError,
+    UsageError,
     VersionError,
 )
 from .genmodel import (
@@ -130,11 +131,22 @@ def build_parser() -> argparse.ArgumentParser:
 # -- subcommand bodies --------------------------------------------------------------
 
 
+def _number_list(text: str, flag: str, kind=float, count=None) -> tuple:
+    """Parse a comma-separated option value; UsageError when it does not parse."""
+    try:
+        values = tuple(kind(v) for v in text.split(","))
+    except ValueError:
+        raise UsageError(f"{flag} takes comma-separated numbers, got {text!r}") from None
+    if count is not None and len(values) != count:
+        raise UsageError(f"{flag} takes {count} comma-separated numbers, got {text!r}")
+    return values
+
+
 def _cmd_gen_data(args) -> int:
-    heights = tuple(float(h) for h in args.heights.split(","))
-    w, d = (float(v) for v in args.area.split(","))
-    if args.links <= 0:
-        raise DataError("zero links requested")
+    heights = _number_list(args.heights, "--heights")
+    w, d = _number_list(args.area, "--area", count=2)
+    if args.links <= 0 or args.num_tx <= 0:
+        raise DataError("--links and --num-tx must be positive")
     per_height = -(-args.links // (args.num_tx * len(heights)))  # ceil
     cfg = SurrogateConfig(
         num_tx=args.num_tx, num_rx_per_height=per_height, heights=heights,
@@ -159,11 +171,16 @@ def _cmd_encode(args) -> int:
     codec = io.read_codec(args.codec)
     if args.realizations < 1:
         raise DataError("--realizations must be >= 1")
-    encoder = DatasetEncoder(links, codec)
-    images, conds = encoder.encode_all(substream(args.seed, "padding"), args.realizations)
-    io.write_images(args.out, images, conds, seed=args.seed)
+    rng = substream(args.seed, "padding")
+    n = len(links)
+    images = np.empty((args.realizations * n, *IMAGE_SHAPE), dtype=np.float32)
+    for r in range(args.realizations):
+        # unpacking straight into the float32 output drops each float64
+        # block before the next realization is drawn
+        images[r * n:(r + 1) * n], conds = codec.encode(links, rng)
+    io.write_images(args.out, images, np.tile(conds, (args.realizations, 1)), seed=args.seed)
     print(f"encoded {len(images)} images ({args.realizations} realization(s) "
-          f"of {len(links)} links) -> {args.out}")
+          f"of {n} links) -> {args.out}")
     return 0
 
 
@@ -193,7 +210,7 @@ def _cmd_train(args) -> int:
         learning_rate=args.lr, adam_beta1=args.beta1, adam_beta2=args.beta2,
         epochs=args.epochs, batch_size=args.batch_size, gp_lambda=args.gp_lambda,
         critic_steps_per_gen_step=args.critic_steps, noise_dim=args.noise_dim,
-        hidden=tuple(int(h) for h in args.hidden.split(",")),
+        hidden=_number_list(args.hidden, "--hidden", kind=int),
         generator_output_gain=args.output_gain,
         output_init=args.output_init, dtype=args.dtype)
     netp, log = train_wgan_gp(ArrayBatches(images, conds, hyper.batch_size), hyper, args.seed)
@@ -273,13 +290,10 @@ def _cmd_eval(args) -> int:
 def _cmd_report(args) -> int:
     links = io.read_dataset(args.data)
     codec = io.read_codec(args.codec)
-    rng = substream(args.seed, "padding")
     header = ["link", "state_ok", "n_paths_ok", "virtual_survivors",
               "err_pathloss", "err_delay", "err_aod", "err_zod", "err_aoa",
               "err_zoa", "err_phase"]
-    images = np.empty((len(links), *IMAGE_SHAPE))
-    for i, lk in enumerate(links):
-        images[i] = codec.encode_link(lk, rng)
+    images, _ = codec.encode(links, substream(args.seed, "padding"))
     decoded_links = codec.decode(images, [lk.tx for lk in links], [lk.rx for lk in links],
                                  [lk.carrier_freq for lk in links])
     rows = []
@@ -324,6 +338,9 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
+    except UsageError as exc:
+        print(f"chanimg: error kind=usage exit={EXIT_USAGE} msg={exc}", file=sys.stderr)
+        return EXIT_USAGE
     except TrainingDivergedError as exc:
         print(f"chanimg: error kind=diverged exit={EXIT_DIVERGED} msg={exc}", file=sys.stderr)
         return EXIT_DIVERGED

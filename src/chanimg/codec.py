@@ -1,7 +1,7 @@
 """Invertible mapping between link records and 64x50 channel images.
 
-Encode pipeline, per link:
-  1. pad the #paths x 8 features to a fixed 8x25 matrix with "virtual"
+Encode pipeline, run on a whole dataset at once:
+  1. pad each link's #paths x 8 features to a fixed 8x25 matrix with "virtual"
      paths: non-pathloss features drawn uniformly inside the dataset's real
      ranges, virtual pathloss drawn in (181, 190) dB so anything above the
      180 dB outage threshold marks a column as virtual;
@@ -11,6 +11,11 @@ Encode pipeline, per link:
   3. Min-Max scale each feature row into [-1, 1] with ranges fitted over
      the whole padded tensor;
   4. tile every matrix cell into an 8x2 pixel block, giving 64x50.
+
+The padding draws come from one rng in a fixed order: a (N, 25) block of
+virtual pathloss, then one (N, 25) block per row from delay to phase (cells
+of real paths draw too and discard the value), then one link-state draw per
+link.
 
 Decode runs the exact inverse (block mean, inverse scaling, add the
 references back), votes the link state on the mean of the last row,
@@ -24,7 +29,7 @@ Angles are kept absolute, not relative to the LOS direction: with only
 relative azimuths would make the pipeline non-invertible.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +42,7 @@ from .core import (
     fspl,
     geometry,
     los_params,
+    padded_paths,
     wrap_azimuth,
     wrap_phase,
 )
@@ -44,13 +50,8 @@ from .errors import DataError, FormatError
 
 __all__ = [
     "FEATURES",
-    "ChannelMatrix",
     "FeatureScaler",
     "ChannelImageCodec",
-    "raw_feature_ranges",
-    "pad_virtual_paths",
-    "normalize_link_features",
-    "fit_scaler",
     "tile",
     "untile",
     "fit_codec",
@@ -68,19 +69,6 @@ OUTAGE_THRESHOLD_DB = 180.0
 VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH = 181.0, 190.0
 LINK_STATE_EPS = 0.01
 DECODE_CHUNK = 256  # images per decode block; bounds decode's working memory
-
-
-@dataclass
-class ChannelMatrix:
-    """8x25 feature matrix of one link, raw or scaled into [-1, 1]."""
-
-    values: np.ndarray
-    scaled: bool = False
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (N_FEATURES, MAX_PATHS):
-            raise DataError(f"channel matrix must be {N_FEATURES}x{MAX_PATHS}")
 
 
 class FeatureScaler:
@@ -102,20 +90,7 @@ class FeatureScaler:
                 raise DataError(f"degenerate feature '{FEATURES[i]}': max <= min")
         self.n_clipped = 0
 
-    @classmethod
-    def fit(cls, matrices) -> "FeatureScaler":
-        if not matrices:
-            raise DataError("cannot fit scaler on an empty dataset")
-        stack = np.stack([m.values for m in matrices])
-        return cls(stack.min(axis=(0, 2)), stack.max(axis=(0, 2)))
-
-    def scale(self, matrix: ChannelMatrix) -> ChannelMatrix:
-        if matrix.scaled:
-            raise DataError("matrix is already scaled")
-        x = self.scale_array(matrix.values)
-        return ChannelMatrix(x, scaled=True)
-
-    def scale_array(self, values: np.ndarray) -> np.ndarray:
+    def scale(self, values: np.ndarray) -> np.ndarray:
         """Scale raw feature rows (works on (..., 8, 25) stacks)."""
         lo = self.feature_min[:, None]
         hi = self.feature_max[:, None]
@@ -123,12 +98,7 @@ class FeatureScaler:
         x = 2.0 * (values - lo) / (hi - lo) - 1.0
         return np.clip(x, -1.0, 1.0)
 
-    def unscale(self, matrix: ChannelMatrix) -> ChannelMatrix:
-        if not matrix.scaled:
-            raise DataError("matrix is not scaled")
-        return ChannelMatrix(self.unscale_array(matrix.values), scaled=False)
-
-    def unscale_array(self, x: np.ndarray) -> np.ndarray:
+    def unscale(self, x: np.ndarray) -> np.ndarray:
         self.n_clipped += int(np.count_nonzero((x < -1.0) | (x > 1.0)))
         x = np.clip(x, -1.0, 1.0)
         lo = self.feature_min[:, None]
@@ -146,96 +116,16 @@ class FeatureScaler:
         return cls(d["feature_min"], d["feature_max"])
 
 
-def raw_feature_ranges(links) -> np.ndarray:
-    """(8, 2) min/max of each feature over the REAL paths of a dataset.
-
-    Rows delay..phase bound the uniform draws for virtual paths.  The
-    pathloss row is informational (virtual pathloss has its own fixed
-    range) and the link-state row is nominally (-1, 1).
-    """
-    if not links:
-        raise DataError("cannot compute feature ranges of an empty dataset")
-    cols = np.concatenate([np.stack([p.as_array() for p in lk.paths], axis=1)
-                           for lk in links if lk.paths], axis=1)
-    ranges = np.empty((N_FEATURES, 2))
-    ranges[:PS + 1, 0] = cols.min(axis=1)
-    ranges[:PS + 1, 1] = cols.max(axis=1)
-    ranges[LS] = (-1.0, 1.0)
-    return ranges
+def tile(values: np.ndarray) -> np.ndarray:
+    """Replicate each cell of (..., 8, 25) matrices 8x vertically and 2x horizontally."""
+    lead = values.shape[:-2]
+    out = np.empty((*lead, *IMAGE_SHAPE))
+    out.reshape(*lead, N_FEATURES, V_REP, MAX_PATHS, H_REP)[...] = values[..., :, None, :, None]
+    return out
 
 
-def pad_virtual_paths(link: LinkRecord, feature_ranges, rng,
-                      eps: float = LINK_STATE_EPS) -> ChannelMatrix:
-    """Pad a link's paths to a full 8x25 raw matrix with virtual columns.
-
-    Virtual delay/angle/phase values are uniform inside the dataset-wide
-    real ranges; virtual pathloss is uniform in (181, 190) dB, strictly
-    above the outage threshold.  The last row carries the link state drawn
-    in (1-eps, 1) for LOS and (-1, -1+eps) otherwise, replicated across all
-    columns.
-    """
-    n = link.n_paths
-    if n == 0:
-        raise DataError("cannot encode a link with zero paths")
-    if n > MAX_PATHS:
-        raise DataError(f"link has {n} paths; keep the {MAX_PATHS} earliest before encoding")
-    feature_ranges = np.asarray(feature_ranges, dtype=np.float64)
-
-    values = np.empty((N_FEATURES, MAX_PATHS))
-    values[:PS + 1, :n] = np.stack([p.as_array() for p in link.paths], axis=1)
-
-    n_virtual = MAX_PATHS - n
-    if n_virtual:
-        values[PL, n:] = rng.uniform(VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH, size=n_virtual)
-        for row in range(DLY, PS + 1):
-            lo, hi = feature_ranges[row]
-            values[row, n:] = rng.uniform(lo, hi, size=n_virtual)
-
-    if link.link_state is LinkState.LOS:
-        state_value = rng.uniform(1.0 - eps, 1.0)
-    else:
-        state_value = rng.uniform(-1.0, -1.0 + eps)
-    values[LS, :] = state_value
-    return ChannelMatrix(values, scaled=False)
-
-
-def normalize_link_features(matrix: ChannelMatrix, link: LinkRecord) -> ChannelMatrix:
-    """Re-reference pathloss/delay rows to the link's free-space values.
-
-    pathloss -> pathloss - FSPL(dist3d, f); delay -> (delay - dist3d/c) * 1e7.
-    Angles, phase and the link-state row pass through unchanged.
-    """
-    if matrix.scaled:
-        raise DataError("normalize expects a raw matrix")
-    _, dist3d = geometry(link.tx, link.rx)
-    values = matrix.values.copy()
-    values[PL] -= fspl(dist3d, link.carrier_freq)
-    values[DLY] = (values[DLY] - dist3d / SPEED_OF_LIGHT) * DELAY_SCALE
-    return ChannelMatrix(values, scaled=False)
-
-
-def fit_scaler(matrices) -> FeatureScaler:
-    """Min-Max ranges over a list of padded, re-referenced matrices."""
-    return FeatureScaler.fit(matrices)
-
-
-def tile(matrix: ChannelMatrix) -> np.ndarray:
-    """Replicate each matrix cell 8x vertically and 2x horizontally."""
-    if not matrix.scaled:
-        raise DataError("tile expects a scaled matrix")
-    return tile_array(matrix.values)
-
-
-def tile_array(values: np.ndarray) -> np.ndarray:
-    return np.repeat(np.repeat(values, V_REP, axis=-2), H_REP, axis=-1)
-
-
-def untile(image: np.ndarray) -> ChannelMatrix:
+def untile(image: np.ndarray) -> np.ndarray:
     """Block mean over each 8x2 pixel block; exact inverse of tile."""
-    return ChannelMatrix(untile_array(image), scaled=True)
-
-
-def untile_array(image: np.ndarray) -> np.ndarray:
     image = np.asarray(image, dtype=np.float64)
     if image.shape[-2:] != IMAGE_SHAPE:
         raise DataError(f"channel image must be {IMAGE_SHAPE[0]}x{IMAGE_SHAPE[1]}")
@@ -247,6 +137,60 @@ def untile_array(image: np.ndarray) -> np.ndarray:
     s = s[..., 0::2, :] + s[..., 1::2, :]
     s = s[..., 0, :] + s[..., 1, :]
     return s / float(V_REP * H_REP)
+
+
+class _RealPaths(NamedTuple):
+    """The real paths of a link dataset in the form encode works on."""
+
+    raw: np.ndarray        # (N, 8, 25): link i's paths in its first columns, zero beyond
+    virtual: np.ndarray    # (N, 25): the cells beyond them, which padding fills
+    fspl_ref: np.ndarray   # (N,) free-space pathloss, dB
+    delay_ref: np.ndarray  # (N,) straight-line delay, s
+    is_los: np.ndarray     # (N,)
+    dist2d: np.ndarray     # (N,)
+
+
+def _gather(links) -> _RealPaths:
+    if not links:
+        raise DataError("empty link dataset")
+    paths, counts = padded_paths([lk.paths for lk in links])
+    if not counts.all():
+        raise DataError(f"link {int(np.argmin(counts))} has zero paths; cannot encode it")
+    n = len(links)
+    raw = np.zeros((n, N_FEATURES, MAX_PATHS))
+    raw[:, :PS + 1] = paths.transpose(0, 2, 1)
+    # per-link references stay on the scalar closed forms of core, as in decode
+    fspl_ref, delay_ref, dist2d = np.empty(n), np.empty(n), np.empty(n)
+    for i, lk in enumerate(links):
+        dist2d[i], dist3d = geometry(lk.tx, lk.rx)
+        fspl_ref[i] = fspl(dist3d, lk.carrier_freq)
+        delay_ref[i] = dist3d / SPEED_OF_LIGHT
+    is_los = np.array([lk.link_state is LinkState.LOS for lk in links])
+    return _RealPaths(raw, np.arange(MAX_PATHS) >= counts[:, None], fspl_ref, delay_ref,
+                      is_los, dist2d)
+
+
+def _prescale(real: _RealPaths, virtual_ranges, eps: float, rng) -> np.ndarray:
+    """Padded, re-referenced (N, 8, 25) matrices, before Min-Max scaling.
+
+    Virtual delay/angle/phase values are uniform inside the dataset-wide
+    real ranges; virtual pathloss is uniform in (181, 190) dB, strictly
+    above the outage threshold.  Pathloss is re-referenced to FSPL and
+    delay to the LOS delay, times 1e7.  The last row carries the link state,
+    in (1-eps, 1] for LOS and [-1, -1+eps) otherwise, across all columns.
+    """
+    n = len(real.raw)
+    virt = real.virtual
+    values = np.empty_like(real.raw)
+    values[:, PL] = np.where(virt, rng.uniform(VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH, (n, MAX_PATHS)),
+                             real.raw[:, PL]) - real.fspl_ref[:, None]
+    for row in range(DLY, PS + 1):
+        lo, hi = virtual_ranges[row]
+        values[:, row] = np.where(virt, rng.uniform(lo, hi, (n, MAX_PATHS)), real.raw[:, row])
+    values[:, DLY] = (values[:, DLY] - real.delay_ref[:, None]) * DELAY_SCALE
+    u = rng.uniform(0.0, eps, size=n)
+    values[:, LS] = np.where(real.is_los, 1.0 - u, -1.0 + u)[:, None]
+    return values
 
 
 class ChannelImageCodec:
@@ -262,11 +206,21 @@ class ChannelImageCodec:
 
     # -- encode ------------------------------------------------------------
 
-    def encode_link(self, link: LinkRecord, rng) -> np.ndarray:
-        """Full per-link pipeline: pad -> normalize -> scale -> tile."""
-        raw = pad_virtual_paths(link, self.virtual_ranges, rng, self.eps)
-        pre = normalize_link_features(raw, link)
-        return tile(self.scaler.scale(pre))
+    def encode(self, links, rng):
+        """(images (N, 64, 50), conditions (N, 2)) of a link dataset.
+
+        One padding realization is drawn from rng; conditions are each
+        link's (dist2d, receiver height).  Clipped cells count in
+        self.scaler.n_clipped.  An empty dataset, a link without paths and
+        a receiver at height <= 0 are DataErrors.
+        """
+        real = _gather(links)
+        height = np.array([lk.rx[2] for lk in links])
+        low = np.flatnonzero(height <= 0.0)
+        if low.size:
+            raise DataError(f"link {low[0]}: receiver height {height[low[0]]} is not positive")
+        images = tile(self.scaler.scale(_prescale(real, self.virtual_ranges, self.eps, rng)))
+        return images, np.column_stack([real.dist2d, height])
 
     # -- decode ------------------------------------------------------------
 
@@ -304,7 +258,7 @@ class ChannelImageCodec:
         images = np.asarray(images, dtype=np.float64)
         if not np.all(np.isfinite(images)):
             raise FormatError("channel image contains non-finite pixels")
-        values = self.scaler.unscale_array(untile_array(images))  # (m, 8, 25)
+        values = self.scaler.unscale(untile(images))  # (m, 8, 25)
         is_los = values[:, LS].mean(axis=-1) > 0.0
 
         # per-link references stay on the scalar closed forms of core, so the
@@ -384,92 +338,18 @@ class ChannelImageCodec:
 def fit_codec(links, rng, eps: float = LINK_STATE_EPS) -> ChannelImageCodec:
     """Fit virtual-path ranges and the feature scaler on a dataset.
 
-    The scaler is fitted after padding and re-referencing (one padding
-    realization drawn from rng), so virtual values are in-range by
-    construction.
+    The virtual ranges are the min/max of each feature over the real paths
+    (the pathloss row is informational, the link-state row nominally
+    (-1, 1)).  The scaler is fitted after padding and re-referencing, with
+    one padding realization drawn from rng in encode's order, so virtual
+    values are in-range by construction.
     """
-    ranges = raw_feature_ranges(links)
-    matrices = [
-        normalize_link_features(pad_virtual_paths(lk, ranges, rng, eps), lk) for lk in links
-    ]
-    scaler = fit_scaler(matrices)
-    return ChannelImageCodec(ranges, scaler, eps)
-
-
-class DatasetEncoder:
-    """Vectorized encoder for many links and padding realizations.
-
-    Precomputes each link's normalized real columns once; every batch draw
-    then only fills virtual cells, scales and tiles, which keeps streaming
-    augmentation (fresh virtual padding per epoch) cheap during training.
-    Matches encode_link cell-for-cell given the same rng draws are used in
-    the same roles (verified in tests via distribution equality).
-    """
-
-    def __init__(self, links, codec: ChannelImageCodec):
-        if not links:
-            raise DataError("no links to encode")
-        self.codec = codec
-        n = len(links)
-        self.norm_real = np.zeros((n, N_FEATURES, MAX_PATHS))
-        self.real_mask = np.zeros((n, MAX_PATHS), dtype=bool)
-        self.fspl_ref = np.empty(n)
-        self.delay_ref = np.empty(n)
-        self.is_los = np.empty(n, dtype=bool)
-        self.conditions = np.empty((n, 2))
-        for i, lk in enumerate(links):
-            dist2d, dist3d = geometry(lk.tx, lk.rx)
-            k = lk.n_paths
-            cols = np.stack([p.as_array() for p in lk.paths], axis=1)
-            self.norm_real[i, :PS + 1, :k] = cols
-            self.norm_real[i, PL, :k] -= fspl(dist3d, lk.carrier_freq)
-            self.norm_real[i, DLY, :k] = (
-                self.norm_real[i, DLY, :k] - dist3d / SPEED_OF_LIGHT) * DELAY_SCALE
-            self.real_mask[i, :k] = True
-            self.fspl_ref[i] = fspl(dist3d, lk.carrier_freq)
-            self.delay_ref[i] = dist3d / SPEED_OF_LIGHT
-            self.is_los[i] = lk.link_state is LinkState.LOS
-            self.conditions[i] = (dist2d, lk.rx[2])
-
-    def __len__(self):
-        return self.norm_real.shape[0]
-
-    def encode_batch(self, indices, rng):
-        """(images (B,64,50), conditions (B,2)) with fresh virtual padding."""
-        idx = np.asarray(indices)
-        b = idx.size
-        values = self.norm_real[idx].copy()
-        virt = ~self.real_mask[idx]  # (B, 25)
-
-        # virtual pathloss, re-referenced per link
-        pl = rng.uniform(VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH, size=(b, MAX_PATHS))
-        pl -= self.fspl_ref[idx][:, None]
-        values[:, PL][virt] = pl[virt]
-        # virtual delay/angles/phase from the raw dataset ranges
-        vr = self.codec.virtual_ranges
-        for row in range(DLY, PS + 1):
-            draw = rng.uniform(vr[row, 0], vr[row, 1], size=(b, MAX_PATHS))
-            if row == DLY:
-                draw = (draw - self.delay_ref[idx][:, None]) * DELAY_SCALE
-            values[:, row][virt] = draw[virt]
-
-        eps = self.codec.eps
-        u = rng.uniform(0.0, eps, size=b)
-        state = np.where(self.is_los[idx], 1.0 - u, -1.0 + u)
-        values[:, LS, :] = state[:, None]
-
-        lo = self.codec.scaler.feature_min[None, :, None]
-        hi = self.codec.scaler.feature_max[None, :, None]
-        scaled = np.clip(2.0 * (values - lo) / (hi - lo) - 1.0, -1.0, 1.0)
-        return tile_array(scaled), self.conditions[idx]
-
-    def encode_all(self, rng, realizations: int = 1):
-        """Materialize all links x realizations (images, conditions)."""
-        images = []
-        conds = []
-        idx = np.arange(len(self))
-        for _ in range(realizations):
-            im, co = self.encode_batch(idx, rng)
-            images.append(im.astype(np.float32))
-            conds.append(co)
-        return np.concatenate(images), np.concatenate(conds)
+    real = _gather(links)
+    cells = real.raw[:, :PS + 1].transpose(0, 2, 1)[~real.virtual]  # (paths, 7)
+    ranges = np.empty((N_FEATURES, 2))
+    ranges[:PS + 1, 0] = cells.min(axis=0)
+    ranges[:PS + 1, 1] = cells.max(axis=0)
+    ranges[LS] = (-1.0, 1.0)
+    values = _prescale(real, ranges, eps, rng)
+    return ChannelImageCodec(ranges, FeatureScaler(values.min(axis=(0, 2)),
+                                                   values.max(axis=(0, 2))), eps)

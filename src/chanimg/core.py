@@ -34,6 +34,7 @@ __all__ = [
     "geometry",
     "fspl",
     "los_params",
+    "padded_paths",
     "wrap_azimuth",
     "wrap_phase",
 ]
@@ -80,6 +81,9 @@ class PathParams:
     phase: float
 
     def __post_init__(self):
+        for name in ("pathloss", "delay", "aod", "aoa"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.pathloss > 0.0:
             raise ValueError(f"pathloss must be positive, got {self.pathloss}")
         if not self.delay > 0.0:
@@ -116,6 +120,8 @@ class LinkRecord:
         self.rx = tuple(float(v) for v in self.rx)
         if len(self.tx) != 3 or len(self.rx) != 3:
             raise ValueError("tx and rx must be 3D coordinates")
+        if not all(math.isfinite(v) for v in (*self.tx, *self.rx, self.carrier_freq)):
+            raise ValueError("coordinates and carrier_freq must be finite")
         if self.carrier_freq <= 0:
             raise ValueError("carrier_freq must be positive")
         n = len(self.paths)
@@ -152,6 +158,23 @@ class ConditionVector:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.dist2d, self.height])
+
+
+def padded_paths(path_lists):
+    """(N, W, 7) zero-padded path features and (N,) counts, W >= MAX_PATHS.
+
+    Row j of link i holds its j-th path in PathParams field order.  The
+    width is fixed rather than fitted to the data, so a link's sums run
+    over the same padded row, and give the same bits, in any table.
+    """
+    counts = np.array([len(ps) for ps in path_lists], dtype=int)
+    width = max(MAX_PATHS, int(counts.max(initial=0)))
+    out = np.zeros((len(counts), width, 7))
+    for i, ps in enumerate(path_lists):
+        if ps:
+            out[i, :len(ps)] = [[p.pathloss, p.delay, p.aod, p.zod, p.aoa, p.zoa, p.phase]
+                                for p in ps]
+    return out, counts
 
 
 def geometry(tx, rx):

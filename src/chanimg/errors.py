@@ -9,6 +9,10 @@ class ChanimgError(Exception):
     """Base class for all package errors."""
 
 
+class UsageError(ChanimgError, ValueError):
+    """A command-line argument that does not parse."""
+
+
 class GeometryError(ChanimgError, ValueError):
     """Degenerate link geometry (coincident endpoints, undefined azimuth)."""
 

@@ -10,7 +10,6 @@ from .nn import AdamState, Mlp, adam_step
 from .resampler import EmpiricalResampler
 from .wgan import (
     ArrayBatches,
-    AugmentedBatches,
     NetworkParams,
     WganGpHyperparams,
     critic_loss,
@@ -30,6 +29,5 @@ __all__ = [
     "train_wgan_gp",
     "sample",
     "ArrayBatches",
-    "AugmentedBatches",
     "EmpiricalResampler",
 ]

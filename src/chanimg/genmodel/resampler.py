@@ -41,8 +41,7 @@ class EmpiricalResampler:
     @classmethod
     def from_links(cls, links, codec, rng, k: int = 50) -> "EmpiricalResampler":
         """Encode a link dataset once and resample from it."""
-        images = np.stack([codec.encode_link(lk, rng) for lk in links])
-        conds = np.array([[lk.condition().dist2d, lk.condition().height] for lk in links])
+        images, conds = codec.encode(links, rng)
         return cls(images, conds, k)
 
     def _nearest(self, queries) -> np.ndarray:

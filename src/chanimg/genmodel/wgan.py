@@ -31,7 +31,6 @@ __all__ = [
     "NetworkParams",
     "TrainingLog",
     "ArrayBatches",
-    "AugmentedBatches",
     "critic_loss",
     "generator_loss",
     "train_wgan_gp",
@@ -181,11 +180,10 @@ def calibrate_output_layer(netp: NetworkParams, mode: str, mu, sd, z, cond_norm)
 
 
 def _critic_apply(netp: NetworkParams, x_flat, cond_norm):
-    """Critic value on (image, condition); returns scores and caches."""
-    emb, emb_cache = netp.critic_embed.forward(cond_norm)
+    """Critic value on (image, condition); returns scores and the body cache."""
+    emb, _ = netp.critic_embed.forward(cond_norm)
     u = np.concatenate([x_flat, emb], axis=1)
-    f, body_cache = netp.critic.forward(u)
-    return f, emb_cache, body_cache
+    return netp.critic.forward(u)
 
 
 def _interpolates(real, fake, u):
@@ -273,14 +271,14 @@ def generator_forward(netp: NetworkParams, z, cond_norm):
 def generator_loss(netp: NetworkParams, z, cond_norm) -> float:
     """-mean critic(G(z, c), c); value only."""
     y, _, _ = generator_forward(netp, z, cond_norm)
-    f, _, _ = _critic_apply(netp, y, cond_norm)
+    f, _ = _critic_apply(netp, y, cond_norm)
     return float(-f.mean())
 
 
 def generator_loss_and_grads(netp: NetworkParams, z, cond_norm):
     b = z.shape[0]
     y, emb_cache, gen_cache = generator_forward(netp, z, cond_norm)
-    f, _, critic_cache = _critic_apply(netp, y, cond_norm)
+    f, critic_cache = _critic_apply(netp, y, cond_norm)
     loss = float(-f.mean())
 
     d_u = netp.critic.input_grad(
@@ -312,57 +310,22 @@ class ArrayBatches:
             raise DataError("images and conditions must pair up")
         if len(self.images) == 0:
             raise DataError("empty training set")
+        # min and max propagate NaN and show +-inf, without a full-size mask
+        if not (np.isfinite([self.images.min(), self.images.max()]).all()
+                and np.isfinite(self.conditions).all()):
+            raise DataError("training images or conditions contain non-finite values")
         self.batch_size = batch_size
 
-    @property
-    def images_per_epoch(self) -> int:
-        return len(self.images)
-
-    def preimage_moments(self, rng):
+    def preimage_moments(self):
         x = _to_preimage(self.images.astype(np.float64).reshape(len(self.images), -1))
         return x.mean(axis=0), x.std(axis=0)
 
-    def epoch_batches(self, order_rng, pad_rng):
+    def epoch_batches(self, order_rng):
         idx = order_rng.permutation(len(self.images))
         for start in range(0, len(idx) - self.batch_size + 1, self.batch_size):
             take = idx[start:start + self.batch_size]
             x = self.images[take].astype(np.float64).reshape(len(take), -1)
             yield x, self.conditions[take]
-
-
-class AugmentedBatches:
-    """Streaming minibatches with fresh virtual padding every epoch.
-
-    Wraps a codec.DatasetEncoder; each epoch visits every link
-    `realizations` times (independently shuffled), so the generative model
-    sees many virtual-cell realizations of the same real paths without
-    materializing them.
-    """
-
-    def __init__(self, encoder, batch_size: int, realizations: int = 1):
-        if realizations < 1:
-            raise DataError("realizations must be >= 1")
-        self.encoder = encoder
-        self.conditions = encoder.conditions
-        self.batch_size = batch_size
-        self.realizations = realizations
-
-    @property
-    def images_per_epoch(self) -> int:
-        return len(self.encoder) * self.realizations
-
-    def preimage_moments(self, rng):
-        images, _ = self.encoder.encode_batch(np.arange(len(self.encoder)), rng)
-        x = _to_preimage(images.reshape(len(images), -1))
-        return x.mean(axis=0), x.std(axis=0)
-
-    def epoch_batches(self, order_rng, pad_rng):
-        idx = np.concatenate(
-            [order_rng.permutation(len(self.encoder)) for _ in range(self.realizations)])
-        for start in range(0, len(idx) - self.batch_size + 1, self.batch_size):
-            take = idx[start:start + self.batch_size]
-            images, conds = self.encoder.encode_batch(take, pad_rng)
-            yield images.reshape(len(take), -1), conds
 
 
 @dataclass
@@ -386,22 +349,21 @@ class TrainingLog:
 def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
     """Train on channel images; returns (NetworkParams, TrainingLog).
 
-    data is an ArrayBatches/AugmentedBatches source or an (images,
-    conditions) pair.  Deterministic for fixed seed and thread count: batch
-    order, noise, interpolation draws and init each use a named substream
-    of the seed.
+    data is an ArrayBatches source or an (images, conditions) pair.
+    Deterministic for fixed seed and thread count: batch order, noise,
+    interpolation draws and init each use a named substream of the seed.
     """
     hyper.validate()
     if isinstance(data, tuple):
         data = ArrayBatches(data[0], data[1], hyper.batch_size)
-    if data.images_per_epoch < hyper.batch_size:
+    if len(data.images) < hyper.batch_size:
         raise DataError("dataset smaller than one batch; nothing to train on")
 
     cond = np.asarray(data.conditions, dtype=np.float64)
     netp = build_networks(hyper, cond.min(axis=0), cond.max(axis=0),
                           substream(seed, "init"))
     if hyper.output_init != "fan_in":
-        mu, sd = data.preimage_moments(substream(seed, "padding", "init-stats"))
+        mu, sd = data.preimage_moments()
         calib_rng = substream(seed, "init", "calibration")
         n_calib = min(512, len(cond))
         z = calib_rng.standard_normal((n_calib, hyper.noise_dim))
@@ -416,8 +378,7 @@ def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
     step = 0
     for epoch in range(hyper.epochs):
         order_rng = substream(seed, "batching", epoch)
-        pad_rng = substream(seed, "padding", epoch)
-        for x, c_raw in data.epoch_batches(order_rng, pad_rng):
+        for x, c_raw in data.epoch_batches(order_rng):
             step += 1
             b = x.shape[0]
             x = x.astype(dt, copy=False)

@@ -11,12 +11,11 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import MAX_PATHS, LinkState, geometry, los_params
+from .core import LinkState, geometry, los_params, padded_paths
 from .errors import DataError, GeometryError
 
 __all__ = [
     "Ecdf",
-    "ecdf",
     "ks_statistic",
     "ks_uniform",
     "uniformity_check",
@@ -49,22 +48,6 @@ _FEATURE_COL = {f: i for i, f in
 _ZENITH_REF = {"zod": 0, "zoa": 1}  # column of PathTable.los_zenith
 
 
-def _padded_paths(path_lists):
-    """(N, W, 7) zero-padded path features and (N,) counts, W >= MAX_PATHS.
-
-    The width is fixed rather than fitted to the data, so a link's sums run
-    over the same padded row, and give the same bits, in any table.
-    """
-    counts = np.array([len(ps) for ps in path_lists], dtype=int)
-    width = max(MAX_PATHS, int(counts.max(initial=0)))
-    out = np.zeros((len(counts), width, len(_FEATURE_COL)))
-    for i, ps in enumerate(path_lists):
-        if ps:
-            out[i, :len(ps)] = [[p.pathloss, p.delay, p.aod, p.zod, p.aoa, p.zoa, p.phase]
-                                for p in ps]
-    return out, counts
-
-
 @dataclass
 class PathTable:
     """Per-link arrays of a link dataset, the form the eval kernels work on.
@@ -85,7 +68,7 @@ class PathTable:
     @classmethod
     def from_links(cls, links) -> "PathTable":
         links = list(links)
-        paths, counts = _padded_paths([lk.paths for lk in links])
+        paths, counts = padded_paths([lk.paths for lk in links])
         dist2d = np.full(len(links), np.nan)
         los_zenith = np.full((len(links), 2), np.nan)
         for i, lk in enumerate(links):
@@ -120,10 +103,6 @@ class Ecdf:
 
     def __call__(self, v):
         return np.searchsorted(self.x, v, side="right") / self.n
-
-
-def ecdf(samples) -> Ecdf:
-    return Ecdf(samples)
 
 
 def ks_statistic(a, b) -> float:
@@ -253,7 +232,7 @@ def rms_spread(paths, feature: str) -> float:
         raise DataError(f"unknown RMS feature: {feature}")
     if not paths:
         raise DataError("rms_spread needs at least one path")
-    table, counts = _padded_paths([paths])
+    table, counts = padded_paths([paths])
     return float(_rms_kernel(table, counts, (feature,))[feature][0])
 
 

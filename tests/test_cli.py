@@ -18,6 +18,7 @@ from chanimg.cli import (
     EXIT_VERSION,
     run,
 )
+from chanimg.rng import substream
 
 
 def test_gen_data_byte_identical(tmp_path):
@@ -177,3 +178,81 @@ def test_decode_rejects_mismatched_counts(tmp_path):
                 "--codec", str(tmp_path / "codec.json"),
                 "--geometry-from", str(tmp_path / "b.jsonl"),
                 "--out", str(tmp_path / "dec.jsonl")]) == EXIT_BAD_DATA
+
+
+def test_encode_realizations_are_consecutive_encode_calls(tmp_path):
+    data, codec_path, out = tmp_path / "d.jsonl", tmp_path / "c.json", tmp_path / "i.chim"
+    run(["--seed", "5", "gen-data", "--links", "40", "--out", str(data)])
+    run(["--seed", "5", "fit-codec", "--data", str(data), "--out", str(codec_path)])
+    assert run(["--seed", "5", "encode", "--data", str(data), "--codec", str(codec_path),
+                "--realizations", "2", "--out", str(out)]) == 0
+    links, codec = io.read_dataset(data), io.read_codec(codec_path)
+    rng = substream(5, "padding")
+    (a, conds), (b, _) = codec.encode(links, rng), codec.encode(links, rng)
+    images, got_conds = io.read_images(out)
+    np.testing.assert_array_equal(images, np.concatenate([a, b]).astype(np.float32))
+    np.testing.assert_array_equal(got_conds, np.concatenate([conds, conds]))
+
+
+def fails_cleanly(capsys, argv, code, *fragments):
+    """run(argv) exits with code and one error line on stderr holding fragments."""
+    capsys.readouterr()
+    assert run(argv) == code
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("chanimg: error kind=")
+    assert f"exit={code}" in err and "Traceback" not in err
+    for fragment in fragments:
+        assert fragment in err, err
+
+
+def edit_first_link(path, edit):
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    edit(rec)
+    lines[1] = json.dumps(rec) + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda r: r["paths"][0].update(pathloss=float("inf")),
+    lambda r: r["paths"][0].update(delay=float("inf")),
+    lambda r: r["paths"][0].update(aod=float("nan")),
+    lambda r: r["paths"][0].update(aoa=float("-inf")),
+    lambda r: r["tx"].__setitem__(0, float("nan")),
+    lambda r: r["rx"].__setitem__(2, float("inf")),
+    lambda r: r.update(carrier_freq=float("nan")),
+], ids=["pathloss", "delay", "aod", "aoa", "tx", "rx", "carrier_freq"])
+def test_dataset_rejects_nonfinite_numbers(tmp_path, capsys, edit):
+    data = tmp_path / "d.jsonl"
+    run(["--seed", "1", "gen-data", "--links", "20", "--out", str(data)])
+    edit_first_link(data, edit)
+    fails_cleanly(capsys, ["fit-codec", "--data", str(data), "--out", str(tmp_path / "c.json")],
+                  EXIT_BAD_FILE, f"{data}:2:")
+
+
+def test_encode_rejects_receiver_at_ground(tmp_path, capsys):
+    data, codec = tmp_path / "d.jsonl", tmp_path / "c.json"
+    run(["--seed", "1", "gen-data", "--links", "20", "--out", str(data)])
+    run(["--seed", "1", "fit-codec", "--data", str(data), "--out", str(codec)])
+    edit_first_link(data, lambda r: r["rx"].__setitem__(2, 0.0))
+    fails_cleanly(capsys, ["encode", "--data", str(data), "--codec", str(codec),
+                           "--out", str(tmp_path / "i.chim")], EXIT_BAD_DATA, "link 0")
+
+
+def test_train_rejects_nonfinite_pixels(tmp_path, capsys):
+    images = np.zeros((8, 64, 50), dtype=np.float32)
+    images[3, 10, 10] = np.nan
+    io.write_images(tmp_path / "i.chim", images, np.ones((8, 2)))
+    fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"), "--batch-size", "4",
+                           "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA, "non-finite")
+
+
+def test_gen_data_unparsable_heights_is_usage_error(tmp_path, capsys):
+    fails_cleanly(capsys, ["gen-data", "--heights", "a,b", "--out", str(tmp_path / "d.jsonl")],
+                  EXIT_USAGE, "--heights")
+
+
+@pytest.mark.parametrize("flags", [["--num-tx", "0"], ["--num-tx", "-3"], ["--links", "-1"]])
+def test_gen_data_nonpositive_counts_are_data_errors(tmp_path, capsys, flags):
+    fails_cleanly(capsys, ["gen-data", *flags, "--out", str(tmp_path / "d.jsonl")],
+                  EXIT_BAD_DATA)

@@ -14,18 +14,10 @@ from chanimg.codec import (
     ZOA,
     ZOD,
     ChannelImageCodec,
-    ChannelMatrix,
-    DatasetEncoder,
     FeatureScaler,
     fit_codec,
-    fit_scaler,
-    normalize_link_features,
-    pad_virtual_paths,
-    raw_feature_ranges,
     tile,
-    tile_array,
     untile,
-    untile_array,
 )
 from chanimg.core import (
     SPEED_OF_LIGHT,
@@ -53,6 +45,18 @@ def codec(dataset):
     return fit_codec(dataset, substream(11, "padding"))
 
 
+# scaler ranges wide enough that no test link clips, symmetric so that 0 maps
+# to 0 and back exactly
+WIDE_LO = np.array([-300.0, -1e3, -400.0, -60.0, -400.0, -60.0, -800.0, -1.0])
+WIDE_HI = np.array([300.0, 1e3, 400.0, 240.0, 400.0, 240.0, 300.0, 1.0])
+
+
+@pytest.fixture
+def wide(codec):
+    """The dataset's virtual ranges with a scaler that clips nothing."""
+    return ChannelImageCodec(codec.virtual_ranges, FeatureScaler(WIDE_LO, WIDE_HI))
+
+
 def make_link(n_paths, state=LinkState.NLOS, freq=12e9):
     tx, rx = (0.0, 0.0, 30.0), (100.0, 50.0, 1.6)
     _, d3 = geometry(tx, rx)
@@ -67,80 +71,124 @@ def make_link(n_paths, state=LinkState.NLOS, freq=12e9):
     return LinkRecord(tx, rx, freq, state, paths)
 
 
+def reference_prescale(virtual_ranges, eps, links, rng):
+    """Per-link pad -> re-reference, written as the definition reads.
+
+    Draws in encode's order: a (N, 25) block of virtual pathloss, one (N, 25)
+    block per row from delay to phase, then one link-state value per link.
+    """
+    n = len(links)
+    draws = [rng.uniform(181.0, 190.0, size=(n, 25))]
+    draws += [rng.uniform(*virtual_ranges[row], size=(n, 25)) for row in range(DLY, PS + 1)]
+    u = rng.uniform(0.0, eps, size=n)
+    out = np.empty((n, 8, 25))
+    for i, lk in enumerate(links):
+        k = lk.n_paths
+        m = out[i]
+        for row in range(PS + 1):  # pad
+            m[row, :k] = [p.as_array()[row] for p in lk.paths]
+            m[row, k:] = draws[row][i, k:]
+        m[LS] = 1.0 - u[i] if lk.link_state is LinkState.LOS else -1.0 + u[i]
+        _, d3 = geometry(lk.tx, lk.rx)  # re-reference
+        m[PL] -= fspl(d3, lk.carrier_freq)
+        m[DLY] = (m[DLY] - d3 / SPEED_OF_LIGHT) * 1e7
+    return out
+
+
+def reference_encode(codec, links, rng):
+    """(images, conditions, clipped cells): reference_prescale -> scale -> tile."""
+    pre = reference_prescale(codec.virtual_ranges, codec.eps, links, rng)
+    lo = codec.scaler.feature_min[:, None]
+    hi = codec.scaler.feature_max[:, None]
+    images = np.empty((len(links), 64, 50))
+    clipped = 0
+    for i, m in enumerate(pre):
+        clipped += int(np.count_nonzero((m < lo) | (m > hi)))
+        scaled = np.clip(2.0 * (m - lo) / (hi - lo) - 1.0, -1.0, 1.0)
+        images[i] = np.kron(scaled, np.ones((8, 2)))
+    conds = np.array([[geometry(lk.tx, lk.rx)[0], lk.rx[2]] for lk in links])
+    return images, conds, clipped
+
+
+def prescaled(codec, links, rng):
+    """encode's matrices before scaling, recovered through untile and unscale."""
+    images, _ = codec.encode(links, rng)
+    return codec.scaler.unscale(untile(images))
+
+
 # -- padding -------------------------------------------------------------------
 
 
-def test_pad_full_link_adds_no_virtual_columns(dataset):
-    ranges = raw_feature_ranges(dataset)
+def test_pad_full_link_adds_no_virtual_columns(wide):
     link = make_link(25)
-    m = pad_virtual_paths(link, ranges, substream(0, "x"))
-    assert np.all(m.values[PL, :] > 0)
-    np.testing.assert_array_equal(
-        m.values[:LS, :], np.stack([p.as_array() for p in link.paths], axis=1))
+    m = prescaled(wide, [link], substream(0, "x"))[0]
+    _, d3 = geometry(link.tx, link.rx)
+    assert np.all(m[PL] + fspl(d3, link.carrier_freq) < 180.0)
+    real = np.stack([p.as_array() for p in link.paths], axis=1)
+    np.testing.assert_allclose(m[AOD:PS + 1], real[AOD:], rtol=0, atol=1e-9)
 
 
-def test_pad_13_paths_virtual_pathloss_above_threshold(dataset):
-    ranges = raw_feature_ranges(dataset)
-    m = pad_virtual_paths(make_link(13), ranges, substream(1, "x"))
-    assert np.all(m.values[PL, 13:] > 180.0)
-    assert np.all(m.values[PL, 13:] < 190.0)
+def test_pad_13_paths_virtual_pathloss_above_threshold(wide):
+    link = make_link(13)
+    m = prescaled(wide, [link], substream(1, "x"))[0]
+    _, d3 = geometry(link.tx, link.rx)
+    pl = m[PL] + fspl(d3, link.carrier_freq)
+    assert np.all(pl[13:] > 181.0 - 1e-9)
+    assert np.all(pl[13:] < 190.0 + 1e-9)
+    assert np.all(pl[:13] < 180.0)
 
 
-def test_pad_virtual_values_inside_dataset_ranges(dataset):
+def test_pad_virtual_values_inside_dataset_ranges(dataset, codec, wide):
     # brute-force scan of the dataset is the oracle for the ranges
     cols = np.concatenate(
         [np.stack([p.as_array() for p in lk.paths], axis=1) for lk in dataset], axis=1)
     lo, hi = cols.min(axis=1), cols.max(axis=1)
-    ranges = raw_feature_ranges(dataset)
-    np.testing.assert_array_equal(ranges[:LS, 0], lo)
-    np.testing.assert_array_equal(ranges[:LS, 1], hi)
+    np.testing.assert_array_equal(codec.virtual_ranges[:LS, 0], lo)
+    np.testing.assert_array_equal(codec.virtual_ranges[:LS, 1], hi)
+    np.testing.assert_array_equal(codec.virtual_ranges[LS], [-1.0, 1.0])
 
-    rng = substream(2, "x")
-    for n in (1, 7, 24):
-        m = pad_virtual_paths(make_link(n), ranges, rng)
+    links = [make_link(n) for n in (1, 7, 24)]
+    tol = 1e-9 * np.maximum(np.abs(lo), np.abs(hi))
+    for lk, m in zip(links, prescaled(wide, links, substream(2, "x"))):
+        n = lk.n_paths
+        _, d3 = geometry(lk.tx, lk.rx)
+        m[DLY] = m[DLY] / 1e7 + d3 / SPEED_OF_LIGHT
         for row in range(DLY, PS + 1):
-            assert np.all(m.values[row, n:] >= lo[row])
-            assert np.all(m.values[row, n:] <= hi[row])
+            assert np.all(m[row, n:] >= lo[row] - tol[row])
+            assert np.all(m[row, n:] <= hi[row] + tol[row])
 
 
-def test_pad_link_state_row(dataset):
-    ranges = raw_feature_ranges(dataset)
+def test_pad_link_state_row(wide):
     rng = substream(3, "x")
-    m_nlos = pad_virtual_paths(make_link(5), ranges, rng)
-    assert np.all(m_nlos.values[LS] == m_nlos.values[LS, 0])
-    assert -1.0 <= m_nlos.values[LS, 0] <= -0.99
-    m_los = pad_virtual_paths(make_link(5, state=LinkState.LOS), ranges, rng)
-    assert 0.99 <= m_los.values[LS, 0] <= 1.0
+    m = prescaled(wide, [make_link(5), make_link(5, state=LinkState.LOS)], rng)
+    assert np.all(m[:, LS] == m[:, LS, :1])
+    assert -1.0 <= m[0, LS, 0] <= -0.99
+    assert 0.99 <= m[1, LS, 0] <= 1.0
 
 
-def test_pad_rejects_empty_and_oversized(dataset):
-    ranges = raw_feature_ranges(dataset)
+def test_pad_rejects_empty_and_oversized(codec):
     empty = LinkRecord((0, 0, 1), (1, 0, 1), 12e9, LinkState.OUTAGE, [])
-    with pytest.raises(DataError):
-        pad_virtual_paths(empty, ranges, substream(4, "x"))
+    with pytest.raises(DataError, match="link 1 has zero paths"):
+        codec.encode([make_link(3), empty], substream(4, "x"))
 
 
 # -- normalization ---------------------------------------------------------------
 
 
-def test_normalize_los_first_path_is_zero(dataset):
-    ranges = raw_feature_ranges(dataset)
-    from chanimg.core import los_params
-
+def test_normalize_los_first_path_is_zero(wide):
     tx, rx, f = (0.0, 0.0, 25.0), (200.0, 10.0, 1.6), 12e9
     link = LinkRecord(tx, rx, f, LinkState.LOS, [los_params(tx, rx, f)])
-    m = normalize_link_features(pad_virtual_paths(link, ranges, substream(5, "x")), link)
-    assert m.values[PL, 0] == 0.0
-    assert m.values[DLY, 0] == 0.0
+    m = prescaled(wide, [link], substream(5, "x"))[0]
+    assert m[PL, 0] == 0.0
+    assert m[DLY, 0] == 0.0
 
 
-def test_normalize_delay_scaling(dataset):
-    ranges = raw_feature_ranges(dataset)
+def test_normalize_delay_scaling(wide):
     link = make_link(1)
     _, d3 = geometry(link.tx, link.rx)
     link.paths[0].delay = d3 / SPEED_OF_LIGHT + 150e-9
-    m = normalize_link_features(pad_virtual_paths(link, ranges, substream(6, "x")), link)
-    assert m.values[DLY, 0] == pytest.approx(1.5, rel=1e-9)
+    m = prescaled(wide, [link], substream(6, "x"))[0]
+    assert m[DLY, 0] == pytest.approx(1.5, rel=1e-9)
 
 
 # -- scaling ---------------------------------------------------------------------
@@ -152,28 +200,34 @@ def test_scaler_endpoints_exact():
     vals[:, 0] = 0.0
     vals[:, 1] = 10.0
     vals[:, 2] = 5.0
-    out = scaler.scale(ChannelMatrix(vals)).values
+    out = scaler.scale(vals)
     assert np.all(out[:, 0] == -1.0)
     assert np.all(out[:, 1] == 1.0)
     np.testing.assert_allclose(out[:, 2], 0.0, atol=1e-15)
 
 
 def test_scaler_fit_matches_bruteforce(dataset, codec):
-    ranges = raw_feature_ranges(dataset)
-    rng = substream(7, "x")
-    mats = [normalize_link_features(pad_virtual_paths(lk, ranges, rng), lk)
-            for lk in dataset]
-    scaler = fit_scaler(mats)
-    stack = np.stack([m.values for m in mats])
-    np.testing.assert_array_equal(scaler.feature_min, stack.min(axis=(0, 2)))
-    np.testing.assert_array_equal(scaler.feature_max, stack.max(axis=(0, 2)))
+    # the fixture's codec was fitted on one realization drawn from this stream
+    stack = reference_prescale(codec.virtual_ranges, codec.eps, dataset,
+                               substream(11, "padding"))
+    np.testing.assert_array_equal(codec.scaler.feature_min, stack.min(axis=(0, 2)))
+    np.testing.assert_array_equal(codec.scaler.feature_max, stack.max(axis=(0, 2)))
 
 
 def test_scaler_single_matrix_fit():
-    vals = np.arange(200, dtype=float).reshape(8, 25)
-    scaler = fit_scaler([ChannelMatrix(vals)])
-    np.testing.assert_array_equal(scaler.feature_min, vals.min(axis=1))
-    np.testing.assert_array_equal(scaler.feature_max, vals.max(axis=1))
+    # one link's link-state row is constant, so its scaler is degenerate; one
+    # link per state is the smallest dataset that fits
+    los = make_link(7, state=LinkState.LOS)
+    with pytest.raises(DataError, match="link_state"):
+        fit_codec([los], substream(7, "x"))
+    links = [los, make_link(3)]
+    two = fit_codec(links, substream(7, "x"))
+    real = np.stack([p.as_array() for p in los.paths], axis=1)  # holds both links' paths
+    np.testing.assert_array_equal(two.virtual_ranges[:LS, 0], real.min(axis=1))
+    np.testing.assert_array_equal(two.virtual_ranges[:LS, 1], real.max(axis=1))
+    m = reference_prescale(two.virtual_ranges, two.eps, links, substream(7, "x"))
+    np.testing.assert_array_equal(two.scaler.feature_min, m.min(axis=(0, 2)))
+    np.testing.assert_array_equal(two.scaler.feature_max, m.max(axis=(0, 2)))
 
 
 def test_scaler_roundtrip_property():
@@ -182,17 +236,16 @@ def test_scaler_roundtrip_property():
     for _ in range(50):
         vals = rng.uniform(scaler.feature_min[:, None], scaler.feature_max[:, None],
                            size=(8, 25))
-        m = ChannelMatrix(vals)
-        back = scaler.unscale(scaler.scale(m))
-        assert np.max(np.abs(back.values - vals)) < 1e-12
-        assert np.all(np.abs(scaler.scale(m).values) <= 1.0)
+        back = scaler.unscale(scaler.scale(vals))
+        assert np.max(np.abs(back - vals)) < 1e-12
+        assert np.all(np.abs(scaler.scale(vals)) <= 1.0)
 
 
 def test_scaler_clamps_and_counts():
     scaler = FeatureScaler(np.zeros(8), np.ones(8))
     vals = np.full((8, 25), 0.5)
     vals[0, 0] = 2.0  # out of range
-    out = scaler.scale(ChannelMatrix(vals)).values
+    out = scaler.scale(vals)
     assert out[0, 0] == 1.0
     assert scaler.n_clipped == 1
 
@@ -202,9 +255,11 @@ def test_scaler_rejects_degenerate_feature():
         FeatureScaler(np.zeros(8), np.r_[1.0, 0.0, np.ones(6)])
 
 
-def test_fit_scaler_empty():
+def test_fit_codec_empty(codec):
     with pytest.raises(DataError):
-        fit_scaler([])
+        fit_codec([], substream(0, "x"))
+    with pytest.raises(DataError):
+        codec.encode([], substream(0, "x"))
 
 
 # -- tiling ----------------------------------------------------------------------
@@ -213,32 +268,67 @@ def test_fit_scaler_empty():
 def test_tile_replicates_blocks():
     vals = np.zeros((8, 25))
     vals[0, 0] = 0.5
-    img = tile(ChannelMatrix(vals, scaled=True))
+    img = tile(vals)
     assert img.shape == (64, 50)
     assert np.all(img[0:8, 0:2] == 0.5)
     assert np.all(img[8:, :] == 0.0)
+    assert np.all(img[:, 2:] == 0.0)
 
 
 def test_untile_tile_bit_exact():
     rng = np.random.default_rng(9)
-    for _ in range(200):
-        vals = rng.uniform(-1, 1, size=(8, 25))
-        m = ChannelMatrix(vals, scaled=True)
-        back = untile(tile(m))
-        assert np.array_equal(back.values, vals)
+    vals = rng.uniform(-1, 1, size=(200, 8, 25))
+    images = tile(vals)
+    np.testing.assert_array_equal(images, np.kron(vals, np.ones((8, 2))))
+    assert np.array_equal(untile(images), vals)
 
 
 def test_untile_noise_attenuation():
     rng = np.random.default_rng(10)
     vals = rng.uniform(-0.9, 0.9, size=(8, 25))
-    noisy = tile_array(vals) + rng.uniform(-0.01, 0.01, size=(64, 50))
-    back = untile(noisy)
-    assert np.max(np.abs(back.values - vals)) <= 0.01
+    noisy = tile(vals) + rng.uniform(-0.01, 0.01, size=(64, 50))
+    assert np.max(np.abs(untile(noisy) - vals)) <= 0.01
 
 
 def test_untile_rejects_bad_shape():
     with pytest.raises(DataError):
         untile(np.zeros((63, 50)))
+
+
+# -- encode ------------------------------------------------------------------------
+
+
+def encode_cases(dataset):
+    """The dataset plus a full 25-path and 1-path link in each state."""
+    tx, rx, f = (0.0, 0.0, 25.0), (200.0, 10.0, 1.6), 12e9
+    los_1 = LinkRecord(tx, rx, f, LinkState.LOS, [los_params(tx, rx, f)])
+    links = [*dataset, make_link(25), make_link(25, state=LinkState.LOS), make_link(1), los_1]
+    counts = {lk.n_paths for lk in links}
+    states = {lk.link_state for lk in links}
+    assert {1, 25} <= counts and {LinkState.LOS, LinkState.NLOS} <= states
+    return links
+
+
+def test_encode_matches_per_link_reference(dataset, codec):
+    # every cell, virtual and link-state cells included, bit for bit
+    links = encode_cases(dataset)
+    enc = ChannelImageCodec.from_dict(codec.to_dict())
+    images, conds = enc.encode(links, substream(16, "x"))
+    want, want_conds, clipped = reference_encode(codec, links, substream(16, "x"))
+    assert images.dtype == np.float64
+    np.testing.assert_array_equal(images, want)
+    np.testing.assert_array_equal(conds, want_conds)
+    assert enc.scaler.n_clipped == clipped
+
+
+def test_encode_counts_clipped_cells(wide):
+    # aod of a full link runs from -120 to 120 deg, all above a -170 deg max
+    wide.scaler.feature_max[AOD] = -170.0
+    images, _ = wide.encode([make_link(25)], substream(19, "x"))
+    assert wide.scaler.n_clipped == 25
+    assert np.all(images[0, 8 * AOD:8 * (AOD + 1)] == 1.0)
+    wide.encode([make_link(25)], substream(20, "x"))
+    assert wide.scaler.n_clipped == 50
 
 
 # -- full encode/decode -----------------------------------------------------------
@@ -255,8 +345,7 @@ def decode_one(codec, image, link):
 
 
 def test_roundtrip_surrogate_links(dataset, codec):
-    rng = substream(12, "roundtrip")
-    images = np.stack([codec.encode_link(lk, rng) for lk in dataset])
+    images, _ = codec.encode(dataset, substream(12, "roundtrip"))
     worst = np.zeros(7)
     for lk, dec in zip(dataset, decode_stack(codec, images, dataset)):
         assert dec.link_state is lk.link_state
@@ -270,18 +359,16 @@ def test_roundtrip_surrogate_links(dataset, codec):
 
 
 def test_roundtrip_los_first_path_exact(dataset, codec):
-    rng = substream(13, "los")
-    for lk in dataset:
-        if lk.link_state is not LinkState.LOS:
-            continue
-        dec = decode_one(codec, codec.encode_link(lk, rng), lk)
-        np.testing.assert_array_equal(dec.paths[0].as_array(), lk.paths[0].as_array())
+    images, _ = codec.encode(dataset, substream(13, "los"))
+    for lk, dec in zip(dataset, decode_stack(codec, images, dataset)):
+        if lk.link_state is LinkState.LOS:
+            np.testing.assert_array_equal(dec.paths[0].as_array(), lk.paths[0].as_array())
 
 
 def test_decode_negative_last_row_is_nlos(codec):
     link = make_link(10)
-    img = codec.encode_link(link, substream(14, "x"))
-    dec = decode_one(codec, img, link)
+    images, _ = codec.encode([link], substream(14, "x"))
+    dec = decode_one(codec, images[0], link)
     assert dec.link_state is LinkState.NLOS
 
 
@@ -293,7 +380,7 @@ def test_decode_all_paths_above_threshold_is_outage(codec):
     vals[PL] = 185.0 - fspl(d3, link.carrier_freq)
     vals[DLY] = 1.0
     vals[LS] = -0.995
-    img = tile(codec.scaler.scale(ChannelMatrix(vals)))
+    img = tile(codec.scaler.scale(vals))
     dec = decode_one(codec, img, link)
     assert dec.link_state is LinkState.OUTAGE
     assert dec.n_paths == 0
@@ -314,7 +401,7 @@ def test_decode_rejects_nonfinite(codec):
 
 def reference_decode(codec, image, tx, rx, carrier_freq, stats):
     """Per-image decode, written column by column as the definition reads."""
-    values = codec.scaler.unscale_array(untile_array(np.asarray(image, dtype=np.float64)))
+    values = codec.scaler.unscale(untile(np.asarray(image, dtype=np.float64)))
     _, dist3d = geometry(tx, rx)
     values[PL] += fspl(dist3d, carrier_freq)
     base_delay = dist3d / SPEED_OF_LIGHT
@@ -356,7 +443,7 @@ def test_stacked_decode_matches_per_image_reference():
     mats[0, LS] = -0.5  # ... and no LOS column written over them
     mats[1, LS] = 0.5  # clear LOS vote
     mats[2, LS] = -0.5  # clear NLOS vote
-    images = tile_array(mats)
+    images = tile(mats)
     tx = np.column_stack([rng.uniform(-200, 200, (n, 2)), np.full(n, 30.0)])
     rx = np.column_stack([rng.uniform(-200, 200, (n, 2)), rng.choice([1.6, 30.0, 60.0], n)])
     freq = rng.choice([3.5e9, 12e9, 28e9], n)
@@ -377,7 +464,7 @@ def test_stacked_decode_matches_per_image_reference():
     assert states[0] is LinkState.OUTAGE and states[1] is LinkState.LOS
     assert states[2] is LinkState.NLOS
     assert stats["delay_floored"] > 0 and stats["pathloss_floored"] > 0
-    raw = ref.scaler.unscale_array(mats.clip(-1, 1))
+    raw = ref.scaler.unscale(mats.clip(-1, 1))
     assert np.any(np.abs(raw[:, AOD]) > 180.0) and np.any(raw[:, ZOD] < 0.0)
     assert np.any(raw[:, ZOA] > 180.0) and np.any(raw[:, PS] > 0.0)
 
@@ -406,25 +493,11 @@ def test_codec_json_roundtrip(codec):
     assert back.eps == codec.eps
 
 
-def test_dataset_encoder_matches_encode_link(dataset, codec):
-    # real-path cells do not depend on the padding draws, so the vectorized
-    # encoder must reproduce encode_link exactly on them
-    enc = DatasetEncoder(dataset, codec)
-    images, conds = enc.encode_batch(np.arange(len(dataset)), substream(16, "x"))
-    rng = substream(17, "y")
-    for i, lk in enumerate(dataset):
-        ref = codec.encode_link(lk, rng)
-        mask = np.zeros((8, 25), dtype=bool)
-        mask[:, : lk.n_paths] = True
-        mask[LS, :] = False  # state value is a fresh draw per realization
-        tiled_mask = np.repeat(np.repeat(mask, 8, axis=0), 2, axis=1)
-        np.testing.assert_allclose(images[i][tiled_mask], ref[tiled_mask], atol=1e-12)
-        d2, _ = geometry(lk.tx, lk.rx)
-        assert conds[i, 0] == d2 and conds[i, 1] == lk.rx[2]
-
-
-def test_dataset_encoder_images_in_range(dataset, codec):
-    enc = DatasetEncoder(dataset, codec)
-    images, _ = enc.encode_all(substream(18, "x"), realizations=2)
-    assert images.shape == (2 * len(dataset), 64, 50)
-    assert np.all(images >= -1.0) and np.all(images <= 1.0)
+def test_encode_images_in_range(dataset, codec):
+    rng = substream(18, "x")
+    for _ in range(2):
+        images, conds = codec.encode(dataset, rng)
+        assert images.shape == (len(dataset), 64, 50)
+        assert np.all(images >= -1.0) and np.all(images <= 1.0)
+        for lk, c in zip(dataset, conds):
+            assert c[0] == geometry(lk.tx, lk.rx)[0] and c[1] == lk.rx[2]

@@ -9,7 +9,6 @@ from chanimg.errors import DataError, TrainingDivergedError
 from chanimg.genmodel import (
     AdamState,
     ArrayBatches,
-    AugmentedBatches,
     EmpiricalResampler,
     Mlp,
     WganGpHyperparams,
@@ -231,6 +230,18 @@ def test_training_drops_last_partial_batch():
     assert log.steps == [1]  # 100 -> one full batch of 64, remainder dropped
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_array_batches_rejects_nonfinite(bad):
+    images, conds = toy_data(n=8)
+    images[3, 1, 0] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        ArrayBatches(images, conds, 4)
+    images, conds = toy_data(n=8)
+    conds[5, 1] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        ArrayBatches(images, conds, 4)
+
+
 def test_training_rejects_small_dataset():
     images, conds = toy_data(n=16)
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64)
@@ -356,19 +367,3 @@ def test_resampler_picks_match_bruteforce_reference():
     # one vector draw yields the same values as that many scalar draws
     a, b = substream(9, "resampler"), substream(9, "resampler")
     np.testing.assert_array_equal(a.integers(7, size=500), [b.integers(7) for _ in range(500)])
-
-
-def test_augmented_batches_counts():
-    from chanimg import SurrogateConfig, fit_codec, generate_dataset
-    from chanimg.codec import DatasetEncoder
-
-    links = generate_dataset(SurrogateConfig(num_tx=2, num_rx_per_height=10, seed=20))
-    codec = fit_codec(links, substream(20, "padding"))
-    enc = DatasetEncoder(links, codec)
-    src = AugmentedBatches(enc, batch_size=32, realizations=3)
-    assert src.images_per_epoch == 300
-    batches = list(src.epoch_batches(substream(0, "order"), substream(0, "pad")))
-    assert len(batches) == 9  # floor(300/32)
-    x, c = batches[0]
-    assert x.shape == (32, 3200) and c.shape == (32, 2)
-    assert np.all(np.abs(x) <= 1.0)

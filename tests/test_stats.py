@@ -8,7 +8,7 @@ from chanimg.core import LinkRecord, LinkState, PathParams, los_params
 from chanimg.errors import DataError
 from chanimg.stats import (
     BinnedPdf2D,
-    ecdf,
+    Ecdf,
     ks_statistic,
     ks_uniform,
     link_state_prob,
@@ -33,7 +33,7 @@ def make_link(state=LinkState.NLOS, paths=None, rx_h=1.6, dist=100.0):
 
 def test_ecdf_monotone_0_to_1():
     rng = np.random.default_rng(0)
-    f = ecdf(rng.normal(size=500))
+    f = Ecdf(rng.normal(size=500))
     grid = np.linspace(-5, 5, 1001)
     vals = f(grid)
     assert vals[0] == 0.0 and vals[-1] == 1.0
@@ -41,14 +41,14 @@ def test_ecdf_monotone_0_to_1():
 
 
 def test_ecdf_right_continuous():
-    f = ecdf([1.0, 2.0, 2.0, 3.0])
+    f = Ecdf([1.0, 2.0, 2.0, 3.0])
     assert f(2.0) == 0.75
     assert f(1.999999) == 0.25
 
 
 def test_ecdf_empty_rejected():
     with pytest.raises(DataError):
-        ecdf([])
+        Ecdf([])
 
 
 def test_ks_identical_zero():
