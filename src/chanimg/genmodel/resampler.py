@@ -27,6 +27,10 @@ class EmpiricalResampler:
             raise DataError("resampler needs a non-empty dataset")
         if len(self.images) != len(self.conditions):
             raise DataError("images and conditions must pair up")
+        # min and max propagate NaN and show +-inf, without a full-size mask
+        if not (np.isfinite([self.images.min(), self.images.max()]).all()
+                and np.isfinite(self.conditions).all()):
+            raise DataError("resampler images or conditions contain non-finite values")
         self.k = int(min(k, len(self.images)))
         if self.k < 1:
             raise DataError("k must be >= 1")

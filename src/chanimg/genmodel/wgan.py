@@ -1,10 +1,10 @@
 """Conditional Wasserstein GAN with gradient penalty over channel images.
 
-Generator and critic are dense float64 networks (nn.Mlp).  The condition
-(2D distance, receiver height) is normalized to [-1, 1] by dataset bounds
-and embedded through a small fully connected network on each side; the
-embedding concatenates with the noise vector (generator) or the flattened
-image (critic) at the input.
+Generator and critic are dense networks (nn.Mlp) in float64 or float32
+(WganGpHyperparams.dtype).  The condition (2D distance, receiver height)
+is normalized to [-1, 1] by dataset bounds and embedded through a small
+fully connected network on each side; the embedding concatenates with
+the noise vector (generator) or the flattened image (critic) at the input.
 
 The critic objective is
 
@@ -187,16 +187,16 @@ def _critic_apply(netp: NetworkParams, x_flat, cond_norm):
 
 
 def _interpolates(real, fake, u):
-    return u * real + (1.0 - u) * fake
+    """u * real + (1 - u) * fake; the second product is added in place."""
+    x = u * real
+    x += (1.0 - u) * fake
+    return x
 
 
-def _gp_terms(netp, x_hat, cond_norm, emb):
+def _gp_terms(netp, x_hat, emb):
     """Per-sample gradient norms of the critic w.r.t. the image input."""
-    d = x_hat.shape[1]
-    u_in = np.concatenate([x_hat, emb], axis=1)
-    f, cache = netp.critic.forward(u_in)
-    g_full = netp.critic.input_grad(cache, np.ones_like(f))
-    g_img = g_full[:, :d]
+    f, cache = netp.critic.forward(np.concatenate([x_hat, emb], axis=1))
+    g_img = netp.critic.input_grad(cache, np.ones_like(f), slice(0, x_hat.shape[1]))
     s = np.sqrt(np.sum(g_img * g_img, axis=1))
     return s, g_img, cache
 
@@ -216,7 +216,7 @@ def critic_loss(netp: NetworkParams, real, fake, cond_norm, u, gp_lambda: float)
     f_fake, _ = netp.critic.forward(np.concatenate([fake, emb], axis=1))
     wasserstein = float(f_fake.mean() - f_real.mean())
 
-    s, _, _ = _gp_terms(netp, _interpolates(real, fake, u), cond_norm, emb)
+    s, _, _ = _gp_terms(netp, _interpolates(real, fake, u), emb)
     gp = gp_lambda * float(np.mean((s - 1.0) ** 2))
     if not math.isfinite(wasserstein + gp):
         raise TrainingDivergedError(-1, "non-finite critic loss")
@@ -239,21 +239,22 @@ def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lamb
     wasserstein = float(f_all[b:].mean() - f_all[:b].mean())
     d_out = np.full((2 * b, 1), 1.0 / b, dtype=dt)
     d_out[:b] = -1.0 / b
-    body_grads, d_u = netp.critic.backward(cache_all, d_out)
-    d_emb = d_u[:b, d:] + d_u[b:, d:]
+    # only the embedding columns of the input gradient are read
+    grads, d_emb_all = netp.critic.backward(cache_all, d_out, in_cols=slice(d, None))
+    d_emb = d_emb_all[:b] + d_emb_all[b:]
 
     # gradient penalty: needs second derivatives through the input gradient
     x_hat = _interpolates(real, fake, u)
-    s, g_img, cache_h = _gp_terms(netp, x_hat, cond_norm, emb)
+    s, g_img, cache_h = _gp_terms(netp, x_hat, emb)
     gp = gp_lambda * float(np.mean((s - 1.0) ** 2))
 
     s_safe = np.maximum(s, 1e-12)
     coef = (gp_lambda * 2.0 * (s - 1.0) / (s_safe * b))[:, None].astype(dt)
     tangent = np.concatenate([g_img, np.zeros((b, emb.shape[1]), dtype=dt)], axis=1)
-    gp_grads, d_u_gp = netp.critic.grad_of_jvp(cache_h, tangent, coef)
-    d_emb = d_emb + d_u_gp[:, d:]
-
-    grads = [gw + gg for gw, gg in zip(body_grads, gp_grads)]
+    gp_grads, d_emb_gp = netp.critic.grad_of_jvp(cache_h, tangent, coef, slice(d, None))
+    d_emb += d_emb_gp
+    for gw, gg in zip(grads, gp_grads):
+        gw += gg
     emb_grads, _ = netp.critic_embed.backward(emb_cache, d_emb)
 
     total = wasserstein + gp
@@ -281,11 +282,12 @@ def generator_loss_and_grads(netp: NetworkParams, z, cond_norm):
     f, critic_cache = _critic_apply(netp, y, cond_norm)
     loss = float(-f.mean())
 
-    d_u = netp.critic.input_grad(
-        critic_cache, np.full((b, 1), -1.0 / b, dtype=netp.critic.dtype))
-    d_y = d_u[:, : y.shape[1]]  # critic params frozen; embed grad unused
-    gen_grads, d_gen_in = netp.generator.backward(gen_cache, d_y)
-    d_emb = d_gen_in[:, netp.noise_dim:]
+    # critic params frozen: only the image columns of its input gradient count
+    d_y = netp.critic.input_grad(
+        critic_cache, np.full((b, 1), -1.0 / b, dtype=netp.critic.dtype),
+        slice(0, y.shape[1]))
+    gen_grads, d_emb = netp.generator.backward(
+        gen_cache, d_y, in_cols=slice(netp.noise_dim, None))
     emb_grads, _ = netp.gen_embed.backward(emb_cache, d_emb)
     if not math.isfinite(loss):
         raise TrainingDivergedError(-1, "non-finite generator loss")

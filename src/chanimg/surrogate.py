@@ -72,12 +72,17 @@ class SurrogateConfig:
     tx_height_range: tuple = (20.0, 60.0)
 
     def validate(self):
-        if not self.heights or any(h <= 0 for h in self.heights):
-            raise DataError("heights must be non-empty and positive")
+        # chained comparisons with math.inf also reject NaN
+        if not self.heights or not all(0 < h < math.inf for h in self.heights):
+            raise DataError("heights must be non-empty, positive and finite")
         if self.max_paths != MAX_PATHS:
             raise DataError(f"max_paths must be {MAX_PATHS} to match the channel matrix")
-        if self.area[0] <= 0 or self.area[1] <= 0:
-            raise DataError("area dimensions must be positive")
+        if not all(0 < x < math.inf for x in self.area):
+            raise DataError("area dimensions must be positive and finite")
+        if not 0 < self.carrier_freq < math.inf:
+            raise DataError("carrier_freq must be positive and finite")
+        if self.los_probability is not None and not 0 <= self.los_probability <= 1:
+            raise DataError("los_probability must lie in [0, 1]")
         if self.num_tx * self.num_rx_per_height * len(self.heights) <= 0:
             raise DataError("zero links requested")
 

@@ -243,8 +243,11 @@ def test_train_rejects_nonfinite_pixels(tmp_path, capsys):
     images = np.zeros((8, 64, 50), dtype=np.float32)
     images[3, 10, 10] = np.nan
     io.write_images(tmp_path / "i.chim", images, np.ones((8, 2)))
-    fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"), "--batch-size", "4",
-                           "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA, "non-finite")
+    for backend in ("wgan-gp", "resampler"):
+        fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"), "--batch-size", "4",
+                               "--backend", backend, "--out", str(tmp_path / "m.ckpt")],
+                      EXIT_BAD_DATA, "non-finite")
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_gen_data_unparsable_heights_is_usage_error(tmp_path, capsys):
@@ -256,3 +259,15 @@ def test_gen_data_unparsable_heights_is_usage_error(tmp_path, capsys):
 def test_gen_data_nonpositive_counts_are_data_errors(tmp_path, capsys, flags):
     fails_cleanly(capsys, ["gen-data", *flags, "--out", str(tmp_path / "d.jsonl")],
                   EXIT_BAD_DATA)
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--freq", "nan"), ("--freq", "0"), ("--freq", "-1"), ("--freq", "inf"),
+    ("--los-probability", "nan"), ("--los-probability", "2"),
+    ("--los-probability", "-0.1"), ("--area", "nan,500"), ("--area", "500,inf"),
+    ("--heights", "1.6,nan"), ("--heights", "inf"),
+])
+def test_gen_data_out_of_range_physics_are_data_errors(tmp_path, capsys, flag, value):
+    fails_cleanly(capsys, ["gen-data", "--links", "20", f"{flag}={value}",
+                           "--out", str(tmp_path / "d.jsonl")], EXIT_BAD_DATA)
+    assert not (tmp_path / "d.jsonl").exists()

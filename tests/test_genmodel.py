@@ -1,11 +1,13 @@
 """Generative backends: optimizer, losses, training loop, resampler."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from chanimg.errors import DataError, TrainingDivergedError
+from chanimg.genmodel import nn
 from chanimg.genmodel import (
     AdamState,
     ArrayBatches,
@@ -79,9 +81,50 @@ def test_adam_deterministic():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    params = [np.array([1.0])]
-    with pytest.raises(TrainingDivergedError):
-        adam_step(params, [np.array([np.nan])], AdamState.zeros(params), 1e-3, 0.5, 0.9)
+    # the bad values sit past the first Adam block of a multi-block parameter
+    for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]):
+        params = [np.ones(nn.ADAM_CHUNK + 10)]
+        g = np.zeros_like(params[0])
+        g[-len(bad):] = bad
+        state = AdamState.zeros(params)
+        with pytest.raises(TrainingDivergedError):
+            adam_step(params, [g], state, 1e-3, 0.5, 0.9)
+        assert np.all(params[0] == 1.0) and not state.m[0].any() and not state.v[0].any()
+
+
+def reference_adam(params, grad_steps, lr, b1, b2, eps):
+    """Textbook Adam over whole arrays, one expression per moment."""
+    params = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    for t, grads in enumerate(grad_steps, start=1):
+        for i, g in enumerate(grads):
+            m[i] = m[i] * b1 + (1.0 - b1) * g
+            v[i] = v[i] * b2 + (1.0 - b2) * g * g
+            params[i] = params[i] - lr * (m[i] / (1.0 - b1 ** t)) / (
+                np.sqrt(v[i] / (1.0 - b2 ** t)) + eps)
+    return params, m, v
+
+
+def test_adam_matches_reference_bitwise():
+    # shapes cover several blocks with a short last one, a 1-D parameter
+    # longer than one block, a single element, float32 and a Fortran-order
+    # parameter whose blocks are strided views
+    rng = np.random.default_rng(19)
+    shapes = [(3 * nn.ADAM_CHUNK // 100 + 7, 100), (nn.ADAM_CHUNK + 5,), (1, 1), (40, 30)]
+    params = [rng.standard_normal(s) for s in shapes]
+    params.append(rng.standard_normal((17, 9)).astype(np.float32))
+    params.append(np.asfortranarray(rng.standard_normal((300, 70))))
+    grad_steps = [[rng.standard_normal(p.shape).astype(p.dtype) * 10.0 ** -k for p in params]
+                  for k in range(3)]
+    want_p, want_m, want_v = reference_adam(params, grad_steps, 1e-3, 0.5, 0.9, 1e-8)
+    state = AdamState.zeros(params)
+    for grads in grad_steps:
+        adam_step(params, grads, state, 1e-3, 0.5, 0.9)
+    for got, want in zip((params, state.m, state.v), (want_p, want_m, want_v)):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
 
 
 def test_adam_zero_gradient_decays_moments():
@@ -91,6 +134,64 @@ def test_adam_zero_gradient_decays_moments():
     m1 = state.m[0][0]
     adam_step(params, [np.array([0.0])], state, 0.0, 0.5, 0.9)
     assert state.m[0][0] == 0.5 * m1
+
+
+# -- Mlp exactness -----------------------------------------------------------------
+
+
+def reference_sigmoid(a):
+    """Two-branch masked logistic function."""
+    out = np.empty_like(a)
+    pos = a >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-a[pos]))
+    e = np.exp(a[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_matches_masked_reference(dtype):
+    edges = [0.0, 1e-300, 36.0, 745.0, 1000.0]
+    a = np.array(edges + [-x for x in edges] + [np.nan])
+    a = np.concatenate([a, np.random.default_rng(20).normal(0.0, 20.0, 500)]).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nn._sigmoid(a)
+    assert got.dtype == dtype
+    np.testing.assert_array_equal(got, reference_sigmoid(a))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", [3, 64])
+def test_column_ranges_are_columns_of_full_result(dtype, batch):
+    # the training shapes (critic input = 3,200 image + 32 embedding columns,
+    # generator input = 64 noise + 32 embedding columns): bit-identical
+    # checkpoints rely on a column range leaving each column's sums unchanged
+    rng = np.random.default_rng(21)
+    critic = Mlp.init([3232, 256, 256, 1], "linear", rng, dtype=dtype)
+    generator = Mlp.init([96, 256, 256, 3200], "tanh", rng, dtype=dtype)
+    x = rng.uniform(-1, 1, (batch, 3232)).astype(dtype)
+    v = rng.standard_normal((batch, 3232)).astype(dtype)
+    r = rng.standard_normal((batch, 1)).astype(dtype)
+    _, cache = critic.forward(x)
+    full_grads, full = critic.backward(cache, r)
+    full_gp, full_gp_in = critic.grad_of_jvp(cache, v, r)
+    for cols in (slice(3200, None), slice(0, 3200)):
+        grads, part = critic.backward(cache, r, in_cols=cols)
+        np.testing.assert_array_equal(part, full[:, cols])
+        for a, b in zip(grads, full_grads):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(critic.input_grad(cache, r, cols), full[:, cols])
+        gp, part = critic.grad_of_jvp(cache, v, r, cols)
+        np.testing.assert_array_equal(part, full_gp_in[:, cols])
+        for a, b in zip(gp, full_gp):
+            np.testing.assert_array_equal(a, b)
+
+    y, cache = generator.forward(rng.standard_normal((batch, 96)).astype(dtype))
+    d_y = rng.standard_normal(y.shape).astype(dtype)
+    _, full = generator.backward(cache, d_y)
+    _, part = generator.backward(cache, d_y, in_cols=slice(64, None))
+    np.testing.assert_array_equal(part, full[:, 64:])
 
 
 # -- critic loss special cases ------------------------------------------------------
@@ -331,6 +432,18 @@ def test_resampler_deterministic_and_validated():
         EmpiricalResampler(images[:0], conds[:0])
     with pytest.raises(DataError):
         res.sample(conds[:3], 8, seed=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_resampler_rejects_nonfinite(bad):
+    images, conds = toy_data(n=8)
+    images[3, 1, 0] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        EmpiricalResampler(images, conds)
+    images, conds = toy_data(n=8)
+    conds[5, 1] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        EmpiricalResampler(images, conds)
 
 
 def reference_picks(conds, queries, k, seed):
