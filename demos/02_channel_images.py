@@ -8,7 +8,7 @@ Run:  python3 demos/02_channel_images.py
 
 import numpy as np
 
-from chanimg import SurrogateConfig, fit_codec, generate_dataset
+from chanimg import LinkTable, SurrogateConfig, fit_codec, generate_dataset
 from chanimg.rng import substream
 
 cfg = SurrogateConfig(num_tx=5, num_rx_per_height=20, seed=42)
@@ -16,16 +16,17 @@ links = generate_dataset(cfg)
 print(f"surrogate dataset: {len(links)} links, "
       f"{np.mean([lk.n_paths for lk in links]):.1f} paths/link on average")
 
-codec = fit_codec(links, substream(42, "padding"))
+codec = fit_codec(LinkTable.from_links(links), substream(42, "padding"))
 print("fitted per-feature scaler ranges (min/max):")
 for name, lo, hi in zip(("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase", "state"),
                         codec.scaler.feature_min, codec.scaler.feature_max):
     print(f"  {name:9s} [{lo:9.3f}, {hi:9.3f}]")
 
-# encode takes a list of links and returns a stack of images plus their
+# encode takes a link table and returns a stack of images plus their
 # (dist2d, height) conditions
 link = max(links, key=lambda lk: lk.n_paths)
-images, conds = codec.encode([link], substream(7, "demo"))
+table = LinkTable.from_links([link])
+images, conds = codec.encode(table, substream(7, "demo"))
 image = images[0]
 print(f"\nencoded a {link.link_state.value} link with {link.n_paths} paths "
       f"-> image {image.shape}, pixel range [{image.min():.3f}, {image.max():.3f}]")
@@ -34,8 +35,8 @@ print(f"\nencoded a {link.link_state.value} link with {link.n_paths} paths "
 block = image[0:8, 0:2]
 print(f"top-left 8x2 block is constant: {np.allclose(block, block[0, 0])}")
 
-# decode takes a stack of images with one (tx, rx, carrier) geometry per image
-decoded = codec.decode(images, [link.tx], [link.rx], [link.carrier_freq])[0]
+# decode takes a stack of images and a table with one geometry row per image
+decoded = codec.decode(images, table)[0]
 print(f"\ndecoded: state={decoded.link_state.value} paths={decoded.n_paths} "
       f"(virtual columns stripped)")
 orig = np.stack([p.as_array() for p in link.paths])

@@ -12,29 +12,28 @@ Run:  python3 demos/04_resampler_eval.py   (a few seconds)
 
 import numpy as np
 
-from chanimg import SurrogateConfig, fit_codec, generate_dataset, train_test_split
+from chanimg import LinkTable, SurrogateConfig, fit_codec, generate_dataset, train_test_split
 from chanimg.genmodel import EmpiricalResampler
 from chanimg.rng import substream
 from chanimg.stats import compare_datasets
 from chanimg.surrogate import DEFAULT_HEIGHTS
 
 links = generate_dataset(SurrogateConfig(seed=11))
-train, held = train_test_split(links, 0.2, seed=11)
+train, held = (LinkTable.from_links(part) for part in train_test_split(links, 0.2, seed=11))
 codec = fit_codec(train, substream(11, "padding"))
 print(f"{len(train)} training links, {len(held)} held-out links")
 
-model = EmpiricalResampler.from_links(train, codec, substream(11, "encode"), k=50)
+model = EmpiricalResampler(*codec.encode(train, substream(11, "encode")), k=50)
 
+# every held-out condition (dist2d, height) four times over; image i
+# decodes against the geometry of held-out link i % len(held)
 per_cond = 4
-conds = np.array([[lk.condition().dist2d, lk.condition().height] for lk in held])
-tiled = np.tile(conds, (per_cond, 1))
+tiled = np.tile(np.column_stack([held.dist2d, held.height]), (per_cond, 1))
 images = model.sample(tiled, len(tiled), seed=12)
-geo = [held[i % len(held)] for i in range(len(images))]
-decoded = codec.decode(images, [lk.tx for lk in geo], [lk.rx for lk in geo],
-                       [lk.carrier_freq for lk in geo])
+decoded = codec.decode(images, held.take(np.arange(len(images)) % len(held)))
 print(f"decoded {len(decoded)} resampled links; comparing against held-out data")
 
-report = compare_datasets(decoded, held, DEFAULT_HEIGHTS)
+report = compare_datasets(LinkTable.from_links(decoded), held, DEFAULT_HEIGHTS)
 print(f"\n{'height':>7} {'KS(pl)':>7} {'KS(dly)':>8} {'KS(aoa)':>8} {'KS(phase)':>9} {'LOS gap':>8}")
 for h in DEFAULT_HEIGHTS:
     e = report[h]

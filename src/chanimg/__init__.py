@@ -10,9 +10,9 @@ validated statistically against the source data.
 from .core import (
     MAX_PATHS,
     SPEED_OF_LIGHT,
-    ConditionVector,
     LinkRecord,
     LinkState,
+    LinkTable,
     PathParams,
     fspl,
     geometry,
@@ -29,7 +29,7 @@ __all__ = [
     "PathParams",
     "LinkRecord",
     "LinkState",
-    "ConditionVector",
+    "LinkTable",
     "geometry",
     "fspl",
     "los_params",

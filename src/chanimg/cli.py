@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io
 from .codec import IMAGE_SHAPE, fit_codec
-from .core import LinkState, geometry
+from .core import LinkTable
 from .errors import (
     ChanimgError,
     DataError,
@@ -159,25 +159,25 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_fit_codec(args) -> int:
-    links = io.read_dataset(args.data)
-    codec = fit_codec(links, substream(args.seed, "padding"))
+    table = LinkTable.from_links(io.read_dataset(args.data))
+    codec = fit_codec(table, substream(args.seed, "padding"))
     io.write_codec(args.out, codec, seed=args.seed)
-    print(f"fitted codec on {len(links)} links -> {args.out}")
+    print(f"fitted codec on {len(table)} links -> {args.out}")
     return 0
 
 
 def _cmd_encode(args) -> int:
-    links = io.read_dataset(args.data)
+    table = LinkTable.from_links(io.read_dataset(args.data))
     codec = io.read_codec(args.codec)
     if args.realizations < 1:
         raise DataError("--realizations must be >= 1")
     rng = substream(args.seed, "padding")
-    n = len(links)
+    n = len(table)
     images = np.empty((args.realizations * n, *IMAGE_SHAPE), dtype=np.float32)
     for r in range(args.realizations):
         # unpacking straight into the float32 output drops each float64
         # block before the next realization is drawn
-        images[r * n:(r + 1) * n], conds = codec.encode(links, rng)
+        images[r * n:(r + 1) * n], conds = codec.encode(table, rng)
     io.write_images(args.out, images, np.tile(conds, (args.realizations, 1)), seed=args.seed)
     print(f"encoded {len(images)} images ({args.realizations} realization(s) "
           f"of {n} links) -> {args.out}")
@@ -187,13 +187,11 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     images, _ = io.read_images(args.images)
     codec = io.read_codec(args.codec)
-    links = io.read_dataset(args.geometry_from)
-    if len(images) % len(links):
-        raise DataError(
-            f"{len(images)} images do not tile {len(links)} geometry links")
-    geo = [links[i % len(links)] for i in range(len(images))]
-    decoded = codec.decode(images, [lk.tx for lk in geo], [lk.rx for lk in geo],
-                           [lk.carrier_freq for lk in geo])
+    table = LinkTable.from_links(io.read_dataset(args.geometry_from))
+    n = len(table)
+    if len(images) % n:
+        raise DataError(f"{len(images)} images do not tile {n} geometry links")
+    decoded = codec.decode(images, table.take(np.arange(len(images)) % n))
     io.write_dataset(args.out, decoded, seed=args.seed)
     print(f"decoded {len(decoded)} links -> {args.out}")
     return 0
@@ -225,9 +223,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_sample(args) -> int:
     backend, model = io.read_model_checkpoint(args.model)
-    links = io.read_dataset(args.conditions_from)
-    conds = np.array([[geometry(lk.tx, lk.rx)[0], lk.rx[2]] for lk in links])
-    tiled = np.tile(conds, (args.per_cond, 1))
+    table = LinkTable.from_links(io.read_dataset(args.conditions_from))
+    tiled = np.tile(np.column_stack([table.dist2d, table.height]), (args.per_cond, 1))
     if backend == "wgan-gp":
         images = wgan_sample(model, tiled, len(tiled), args.seed)
     else:
@@ -238,10 +235,9 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model_links = io.read_dataset(args.model)
-    data_links = io.read_dataset(args.data)
-    heights = sorted({lk.rx[2] for lk in data_links})
-    report = compare_datasets(model_links, data_links, heights,
+    model = LinkTable.from_links(io.read_dataset(args.model))
+    data = LinkTable.from_links(io.read_dataset(args.data))
+    report = compare_datasets(model, data, np.unique(data.height).tolist(),
                               dist_bin_width=args.dist_bin_width,
                               angle_bin_width=args.angle_bin_width)
     outdir = args.outdir
@@ -288,28 +284,22 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    links = io.read_dataset(args.data)
+    table = LinkTable.from_links(io.read_dataset(args.data))
     codec = io.read_codec(args.codec)
     header = ["link", "state_ok", "n_paths_ok", "virtual_survivors",
               "err_pathloss", "err_delay", "err_aod", "err_zod", "err_aoa",
               "err_zoa", "err_phase"]
-    images, _ = codec.encode(links, substream(args.seed, "padding"))
-    decoded_links = codec.decode(images, [lk.tx for lk in links], [lk.rx for lk in links],
-                                 [lk.carrier_freq for lk in links])
-    rows = []
-    worst = np.zeros(7)
-    for i, (lk, decoded) in enumerate(zip(links, decoded_links)):
-        state_ok = decoded.link_state is lk.link_state
-        n_ok = decoded.n_paths == lk.n_paths
-        if n_ok and lk.paths:
-            a = np.stack([p.as_array() for p in lk.paths])
-            b = np.stack([p.as_array() for p in decoded.paths])
-            errs = np.abs(a - b).max(axis=0)
-        else:
-            errs = np.full(7, np.nan)
-        worst = np.fmax(worst, errs)
-        rows.append([i, int(state_ok), int(n_ok), max(0, decoded.n_paths - lk.n_paths),
-                     *errs])
+    images, _ = codec.encode(table, substream(args.seed, "padding"))
+    decoded = LinkTable.from_links(codec.decode(images, table))
+    state_ok = (decoded.state == table.state).astype(int).tolist()
+    n_ok = decoded.counts == table.counts
+    survivors = np.maximum(decoded.counts - table.counts, 0).tolist()
+    # per-feature max over the real paths, NaN where the path counts differ
+    errs = np.where(table.valid[..., None], np.abs(decoded.paths - table.paths),
+                    -np.inf).max(axis=1)
+    errs[~(n_ok & (table.counts > 0))] = np.nan
+    worst = np.fmax.reduce(errs, axis=0, initial=0.0)
+    rows = [[i, state_ok[i], int(n_ok[i]), survivors[i], *errs[i]] for i in range(len(table))]
     io.write_report_csv(args.out, "roundtrip", args.seed, header, rows)
     print("round-trip worst-case errors "
           "(pathloss dB, delay s, aod, zod, aoa, zoa, phase deg): "

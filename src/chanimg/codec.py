@@ -29,8 +29,6 @@ Angles are kept absolute, not relative to the LOS direction: with only
 relative azimuths would make the pipeline non-invertible.
 """
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .core import (
@@ -38,15 +36,12 @@ from .core import (
     SPEED_OF_LIGHT,
     LinkRecord,
     LinkState,
+    LinkTable,
     PathParams,
-    fspl,
-    geometry,
-    los_params,
-    padded_paths,
     wrap_azimuth,
     wrap_phase,
 )
-from .errors import DataError, FormatError
+from .errors import DataError, FormatError, GeometryError
 
 __all__ = [
     "FEATURES",
@@ -139,38 +134,14 @@ def untile(image: np.ndarray) -> np.ndarray:
     return s / float(V_REP * H_REP)
 
 
-class _RealPaths(NamedTuple):
-    """The real paths of a link dataset in the form encode works on."""
-
-    raw: np.ndarray        # (N, 8, 25): link i's paths in its first columns, zero beyond
-    virtual: np.ndarray    # (N, 25): the cells beyond them, which padding fills
-    fspl_ref: np.ndarray   # (N,) free-space pathloss, dB
-    delay_ref: np.ndarray  # (N,) straight-line delay, s
-    is_los: np.ndarray     # (N,)
-    dist2d: np.ndarray     # (N,)
-
-
-def _gather(links) -> _RealPaths:
-    if not links:
+def _require_paths(table: LinkTable):
+    if not len(table):
         raise DataError("empty link dataset")
-    paths, counts = padded_paths([lk.paths for lk in links])
-    if not counts.all():
-        raise DataError(f"link {int(np.argmin(counts))} has zero paths; cannot encode it")
-    n = len(links)
-    raw = np.zeros((n, N_FEATURES, MAX_PATHS))
-    raw[:, :PS + 1] = paths.transpose(0, 2, 1)
-    # per-link references stay on the scalar closed forms of core, as in decode
-    fspl_ref, delay_ref, dist2d = np.empty(n), np.empty(n), np.empty(n)
-    for i, lk in enumerate(links):
-        dist2d[i], dist3d = geometry(lk.tx, lk.rx)
-        fspl_ref[i] = fspl(dist3d, lk.carrier_freq)
-        delay_ref[i] = dist3d / SPEED_OF_LIGHT
-    is_los = np.array([lk.link_state is LinkState.LOS for lk in links])
-    return _RealPaths(raw, np.arange(MAX_PATHS) >= counts[:, None], fspl_ref, delay_ref,
-                      is_los, dist2d)
+    if not table.counts.all():
+        raise DataError(f"link {int(np.argmin(table.counts))} has zero paths; cannot encode it")
 
 
-def _prescale(real: _RealPaths, virtual_ranges, eps: float, rng) -> np.ndarray:
+def _prescale(table: LinkTable, virtual_ranges, eps: float, rng) -> np.ndarray:
     """Padded, re-referenced (N, 8, 25) matrices, before Min-Max scaling.
 
     Virtual delay/angle/phase values are uniform inside the dataset-wide
@@ -179,17 +150,18 @@ def _prescale(real: _RealPaths, virtual_ranges, eps: float, rng) -> np.ndarray:
     delay to the LOS delay, times 1e7.  The last row carries the link state,
     in (1-eps, 1] for LOS and [-1, -1+eps) otherwise, across all columns.
     """
-    n = len(real.raw)
-    virt = real.virtual
-    values = np.empty_like(real.raw)
+    n = len(table)
+    raw = table.paths.transpose(0, 2, 1)  # (N, 7, 25)
+    virt = ~table.valid
+    values = np.empty((n, N_FEATURES, MAX_PATHS))
     values[:, PL] = np.where(virt, rng.uniform(VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH, (n, MAX_PATHS)),
-                             real.raw[:, PL]) - real.fspl_ref[:, None]
+                             raw[:, PL]) - table.fspl[:, None]
     for row in range(DLY, PS + 1):
         lo, hi = virtual_ranges[row]
-        values[:, row] = np.where(virt, rng.uniform(lo, hi, (n, MAX_PATHS)), real.raw[:, row])
-    values[:, DLY] = (values[:, DLY] - real.delay_ref[:, None]) * DELAY_SCALE
+        values[:, row] = np.where(virt, rng.uniform(lo, hi, (n, MAX_PATHS)), raw[:, row])
+    values[:, DLY] = (values[:, DLY] - table.dist3d[:, None] / SPEED_OF_LIGHT) * DELAY_SCALE
     u = rng.uniform(0.0, eps, size=n)
-    values[:, LS] = np.where(real.is_los, 1.0 - u, -1.0 + u)[:, None]
+    values[:, LS] = np.where(table.state == LinkState.LOS, 1.0 - u, -1.0 + u)[:, None]
     return values
 
 
@@ -206,77 +178,63 @@ class ChannelImageCodec:
 
     # -- encode ------------------------------------------------------------
 
-    def encode(self, links, rng):
-        """(images (N, 64, 50), conditions (N, 2)) of a link dataset.
+    def encode(self, table: LinkTable, rng):
+        """(images (N, 64, 50), conditions (N, 2)) of a link table.
 
         One padding realization is drawn from rng; conditions are each
         link's (dist2d, receiver height).  Clipped cells count in
-        self.scaler.n_clipped.  An empty dataset, a link without paths and
+        self.scaler.n_clipped.  An empty table, a link without paths and
         a receiver at height <= 0 are DataErrors.
         """
-        real = _gather(links)
-        height = np.array([lk.rx[2] for lk in links])
-        low = np.flatnonzero(height <= 0.0)
+        _require_paths(table)
+        low = np.flatnonzero(table.height <= 0.0)
         if low.size:
-            raise DataError(f"link {low[0]}: receiver height {height[low[0]]} is not positive")
-        images = tile(self.scaler.scale(_prescale(real, self.virtual_ranges, self.eps, rng)))
-        return images, np.column_stack([real.dist2d, height])
+            raise DataError(f"link {low[0]}: receiver height {table.height[low[0]]} "
+                            "is not positive")
+        images = tile(self.scaler.scale(_prescale(table, self.virtual_ranges, self.eps, rng)))
+        return images, np.column_stack([table.dist2d, table.height])
 
     # -- decode ------------------------------------------------------------
 
-    def decode(self, images, tx, rx, carrier_freq) -> list:
+    def decode(self, images, table: LinkTable) -> list:
         """Invert the pipeline for a stack of images and strip virtual paths.
 
-        images is (N, 64, 50); tx and rx are (N, 3) endpoint coordinates and
-        carrier_freq is (N,), so image i decodes against link geometry i.
-        Returns N LinkRecords in order.
+        images is (N, 64, 50) and table has N rows: image i decodes against
+        the geometry of table row i.  Returns N LinkRecords in order.
 
         The link state is voted on the mean of the (un-scaled) last row;
         a LOS vote overwrites the first column with the closed-form LOS
-        path.  Columns with pathloss above the outage threshold are
-        dropped; if none survive the link is an Outage with zero paths.
-        Decoded values from a generative model may leave their physical
-        ranges, so angles are wrapped/clipped and delays floored at the
-        straight-line propagation time (counted in self.stats over the
-        kept columns).
+        path, and is a GeometryError on a link without one.  Columns with
+        pathloss above the outage threshold are dropped; if none survive
+        the link is an Outage with zero paths.  Decoded values from a
+        generative model may leave their physical ranges, so angles are
+        wrapped/clipped and delays floored at the straight-line propagation
+        time (counted in self.stats over the kept columns).
         """
         images = np.asarray(images)
-        n = len(images)
-        tx = np.asarray(tx, dtype=np.float64)
-        rx = np.asarray(rx, dtype=np.float64)
-        carrier_freq = np.asarray(carrier_freq, dtype=np.float64)
-        if tx.shape != (n, 3) or rx.shape != (n, 3) or carrier_freq.shape != (n,):
-            raise DataError("decode needs (N, 3) tx/rx and (N,) carrier_freq per image")
+        if len(table) != len(images):
+            raise DataError("decode needs one geometry row per image")
         out = []
-        for start in range(0, n, DECODE_CHUNK):
+        for start in range(0, len(images), DECODE_CHUNK):
             block = slice(start, start + DECODE_CHUNK)
-            out.extend(self._decode_block(images[block], tx[block].tolist(),
-                                          rx[block].tolist(), carrier_freq[block].tolist()))
+            out.extend(self._decode_block(images[block], table.take(block), start))
         return out
 
-    def _decode_block(self, images, txs, rxs, freqs) -> list:
+    def _decode_block(self, images, geo: LinkTable, start: int) -> list:
         images = np.asarray(images, dtype=np.float64)
         if not np.all(np.isfinite(images)):
             raise FormatError("channel image contains non-finite pixels")
         values = self.scaler.unscale(untile(images))  # (m, 8, 25)
         is_los = values[:, LS].mean(axis=-1) > 0.0
+        no_los = np.flatnonzero(is_los & np.isnan(geo.los[:, PL]))
+        if no_los.size:
+            raise GeometryError(f"image {start + no_los[0]}: LOS vote on a link "
+                                "without a closed-form LOS path")
 
-        # per-link references stay on the scalar closed forms of core, so the
-        # decoded numbers match them bit for bit
-        m = len(values)
-        fspl_ref = np.empty(m)
-        base_delay = np.empty(m)
-        los_rows = []
-        for i, (a, b, f) in enumerate(zip(txs, rxs, freqs)):
-            _, dist3d = geometry(a, b)
-            fspl_ref[i] = fspl(dist3d, f)
-            base_delay[i] = dist3d / SPEED_OF_LIGHT
-            if is_los[i]:
-                los_rows.append(los_params(a, b, f).as_array())
-        values[:, PL] += fspl_ref[:, None]
+        base_delay = geo.dist3d / SPEED_OF_LIGHT
+        values[:, PL] += geo.fspl[:, None]
         values[:, DLY] = values[:, DLY] / self.delay_scale + base_delay[:, None]
-        if los_rows:
-            values[is_los, :PS + 1, 0] = los_rows
+        values[is_los, :PS + 1, 0] = geo.los[is_los]
 
         keep = values[:, PL] <= self.outage_threshold_db  # (m, 25)
         self.stats["delay_floored"] += int(np.count_nonzero(
@@ -299,14 +257,14 @@ class ChannelImageCodec:
         rows = cols.transpose(0, 2, 1).tolist()  # (m, 25, 7) path rows
 
         out = []
-        for i in range(m):
+        for i, (a, b, f) in enumerate(zip(geo.tx.tolist(), geo.rx.tolist(),
+                                          geo.carrier_freq.tolist())):
             if counts[i] == 0:
                 state, paths = LinkState.OUTAGE, []
             else:
                 state = LinkState.LOS if is_los[i] else LinkState.NLOS
                 paths = [PathParams(*p) for p in rows[i][:counts[i]]]
-            out.append(LinkRecord(tx=txs[i], rx=rxs[i], carrier_freq=freqs[i],
-                                  link_state=state, paths=paths))
+            out.append(LinkRecord(tx=a, rx=b, carrier_freq=f, link_state=state, paths=paths))
         return out
 
     # -- persistence --------------------------------------------------------
@@ -335,8 +293,8 @@ class ChannelImageCodec:
         return codec
 
 
-def fit_codec(links, rng, eps: float = LINK_STATE_EPS) -> ChannelImageCodec:
-    """Fit virtual-path ranges and the feature scaler on a dataset.
+def fit_codec(table: LinkTable, rng, eps: float = LINK_STATE_EPS) -> ChannelImageCodec:
+    """Fit virtual-path ranges and the feature scaler on a link table.
 
     The virtual ranges are the min/max of each feature over the real paths
     (the pathloss row is informational, the link-state row nominally
@@ -344,12 +302,12 @@ def fit_codec(links, rng, eps: float = LINK_STATE_EPS) -> ChannelImageCodec:
     one padding realization drawn from rng in encode's order, so virtual
     values are in-range by construction.
     """
-    real = _gather(links)
-    cells = real.raw[:, :PS + 1].transpose(0, 2, 1)[~real.virtual]  # (paths, 7)
+    _require_paths(table)
+    cells = table.paths[table.valid]  # (paths, 7)
     ranges = np.empty((N_FEATURES, 2))
     ranges[:PS + 1, 0] = cells.min(axis=0)
     ranges[:PS + 1, 1] = cells.max(axis=0)
     ranges[LS] = (-1.0, 1.0)
-    values = _prescale(real, ranges, eps, rng)
+    values = _prescale(table, ranges, eps, rng)
     return ChannelImageCodec(ranges, FeatureScaler(values.min(axis=(0, 2)),
                                                    values.max(axis=(0, 2))), eps)

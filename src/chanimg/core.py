@@ -5,7 +5,8 @@ propagation paths, each described by seven features: pathloss (dB), delay
 (s), azimuth/zenith angles of departure and arrival (deg) and arrival phase
 (deg).  When the link is line-of-sight, the first-arrival path is fully
 determined by the endpoint coordinates and the carrier frequency; those
-closed forms live here and are reused by the image codec on decode.
+closed forms live here.  LinkTable evaluates them once per link, next to
+the padded path arrays, and the codec and the stats read only that table.
 
 Conventions:
   - azimuths in (-180, 180], zeniths in [0, 180], phases in (-360, 0]
@@ -14,12 +15,12 @@ Conventions:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import DataError, GeometryError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 MAX_PATHS = 25
@@ -30,7 +31,7 @@ __all__ = [
     "LinkState",
     "PathParams",
     "LinkRecord",
-    "ConditionVector",
+    "LinkTable",
     "geometry",
     "fspl",
     "los_params",
@@ -137,28 +138,6 @@ class LinkRecord:
     def n_paths(self) -> int:
         return len(self.paths)
 
-    def geometry(self):
-        return geometry(self.tx, self.rx)
-
-    def condition(self) -> "ConditionVector":
-        dist2d, _ = geometry(self.tx, self.rx)
-        return ConditionVector(dist2d=dist2d, height=self.rx[2])
-
-
-@dataclass(frozen=True)
-class ConditionVector:
-    """Conditioning variables for the generative model."""
-
-    dist2d: float
-    height: float
-
-    def __post_init__(self):
-        if self.dist2d <= 0 or self.height <= 0:
-            raise ValueError("dist2d and height must be positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.dist2d, self.height])
-
 
 def padded_paths(path_lists):
     """(N, W, 7) zero-padded path features and (N,) counts, W >= MAX_PATHS.
@@ -234,6 +213,77 @@ def los_params(tx, rx, freq) -> PathParams:
     return PathParams(
         pathloss=pathloss, delay=delay, aod=aod, zod=zod, aoa=aoa, zoa=zoa, phase=phase
     )
+
+
+@dataclass
+class LinkTable:
+    """Per-link arrays of a link dataset: what encode, decode and eval read.
+
+    paths holds link i's paths in its first counts[i] rows, in PathParams
+    field order, zero beyond.  fspl and dist3d give the free-space pathloss
+    and delay references; los is the closed-form LOS path in PathParams
+    field order, NaN where los_params raises (a vertical link, or a LOS
+    pathloss that is not positive).
+    """
+
+    paths: np.ndarray         # (N, W, 7)
+    counts: np.ndarray        # (N,)
+    state: np.ndarray         # (N,) LinkState objects
+    tx: np.ndarray            # (N, 3)
+    rx: np.ndarray            # (N, 3)
+    carrier_freq: np.ndarray  # (N,)
+    dist2d: np.ndarray        # (N,)
+    dist3d: np.ndarray        # (N,)
+    fspl: np.ndarray          # (N,) dB
+    los: np.ndarray           # (N, 7)
+
+    @classmethod
+    def from_links(cls, links) -> "LinkTable":
+        """The table of a non-empty link list.
+
+        GeometryError names a link whose endpoints coincide.
+        """
+        links = list(links)
+        n = len(links)
+        if not n:
+            raise DataError("empty link dataset")
+        paths, counts = padded_paths([lk.paths for lk in links])
+        state = np.empty(n, dtype=object)
+        tx, rx, freq = np.empty((n, 3)), np.empty((n, 3)), np.empty(n)
+        dist2d, dist3d, fspl_db = np.empty(n), np.empty(n), np.empty(n)
+        los = np.full((n, 7), np.nan)
+        # the scalar closed forms of this module, so every reference is
+        # bit-identical to a direct call on the link
+        for i, lk in enumerate(links):
+            state[i], tx[i], rx[i], freq[i] = lk.link_state, lk.tx, lk.rx, lk.carrier_freq
+            try:
+                dist2d[i], dist3d[i] = geometry(lk.tx, lk.rx)
+            except GeometryError as exc:
+                raise GeometryError(f"link {i}: {exc}") from None
+            try:
+                ref = los_params(lk.tx, lk.rx, lk.carrier_freq)
+            except ValueError:  # no LOS azimuth, or a LOS path PathParams rejects
+                fspl_db[i] = fspl(dist3d[i], lk.carrier_freq)
+            else:
+                los[i] = ref.as_array()
+                fspl_db[i] = ref.pathloss
+        return cls(paths, counts, state, tx, rx, freq, dist2d, dist3d, fspl_db, los)
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def take(self, rows) -> "LinkTable":
+        return LinkTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
+
+    @property
+    def height(self) -> np.ndarray:
+        """(N,) receiver height."""
+        return self.rx[:, 2]
+
+    @property
+    def valid(self) -> np.ndarray:
+        """(N, W) mask of the real path cells."""
+        return np.arange(self.paths.shape[1]) < self.counts[:, None]
 
 
 def verify_los_first_path(link: LinkRecord, rtol: float = 1e-9) -> bool:

@@ -42,12 +42,6 @@ class EmpiricalResampler:
         self._nx = np.ascontiguousarray(norm[:, 0])
         self._ny = np.ascontiguousarray(norm[:, 1])
 
-    @classmethod
-    def from_links(cls, links, codec, rng, k: int = 50) -> "EmpiricalResampler":
-        """Encode a link dataset once and resample from it."""
-        images, conds = codec.encode(links, rng)
-        return cls(images, conds, k)
-
     def _nearest(self, queries) -> np.ndarray:
         """(m, k) indices of the k nearest stored conditions per query row.
 

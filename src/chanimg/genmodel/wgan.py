@@ -76,6 +76,10 @@ class WganGpHyperparams:
     output_init: str = "fan_in"
 
     def validate(self):
+        for name in ("learning_rate", "adam_beta1", "adam_beta2", "gp_lambda",
+                     "generator_output_gain"):
+            if not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         positive = (
             self.learning_rate, self.adam_beta1, self.adam_beta2, self.epochs,
             self.batch_size, self.gp_lambda, self.critic_steps_per_gen_step,
@@ -84,6 +88,8 @@ class WganGpHyperparams:
         )
         if any(v <= 0 for v in positive):
             raise DataError("all hyperparameters must be positive")
+        if not (self.adam_beta1 < 1.0 and self.adam_beta2 < 1.0):
+            raise DataError("Adam betas must lie in (0, 1)")
         if len(self.image_shape) < 2:
             raise DataError("image_shape must be (rows, cols)")
         if self.output_init not in ("fan_in", "data_mean", "data_moments"):
@@ -232,9 +238,12 @@ def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lamb
     b, d = real.shape
     emb, emb_cache = netp.critic_embed.forward(cond_norm)
 
-    # Wasserstein part: one concatenated pass over [real; fake]
-    u_all = np.concatenate(
-        [np.concatenate([real, emb], axis=1), np.concatenate([fake, emb], axis=1)])
+    # Wasserstein part: one pass over the stacked inputs [real, emb; fake, emb]
+    u_all = np.empty((2 * b, d + emb.shape[1]), dtype=dt)
+    u_all[:b, :d] = real
+    u_all[b:, :d] = fake
+    u_all[:b, d:] = emb
+    u_all[b:, d:] = emb
     f_all, cache_all = netp.critic.forward(u_all)
     wasserstein = float(f_all[b:].mean() - f_all[:b].mean())
     d_out = np.full((2 * b, 1), 1.0 / b, dtype=dt)
@@ -250,7 +259,8 @@ def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lamb
 
     s_safe = np.maximum(s, 1e-12)
     coef = (gp_lambda * 2.0 * (s - 1.0) / (s_safe * b))[:, None].astype(dt)
-    tangent = np.concatenate([g_img, np.zeros((b, emb.shape[1]), dtype=dt)], axis=1)
+    tangent = np.zeros((b, d + emb.shape[1]), dtype=dt)
+    tangent[:, :d] = g_img
     gp_grads, d_emb_gp = netp.critic.grad_of_jvp(cache_h, tangent, coef, slice(d, None))
     d_emb += d_emb_gp
     for gw, gg in zip(grads, gp_grads):

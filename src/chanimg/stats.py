@@ -7,12 +7,12 @@ angles relative to the LOS direction, uniformity checks for azimuths and
 phases, and gain-weighted RMS spreads of delay and angles.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinkState, geometry, los_params, padded_paths
-from .errors import DataError, GeometryError
+from .core import LinkState, LinkTable, padded_paths
+from .errors import DataError
 
 __all__ = [
     "Ecdf",
@@ -26,69 +26,14 @@ __all__ = [
     "rms_spread",
     "RmsSpreadReport",
     "rms_spread_report",
-    "path_feature_samples",
-    "PathTable",
     "compare_datasets",
 ]
 
 RMS_FEATURES = ("delay", "aoa", "aod", "zoa", "zod")
 _CIRCULAR = {"aoa", "aod"}
-_FEATURE_ATTR = {
-    "pathloss": "pathloss",
-    "delay": "delay",
-    "aod": "aod",
-    "zod": "zod",
-    "aoa": "aoa",
-    "zoa": "zoa",
-    "phase": "phase",
-}
-# column of each path feature in a PathTable (PathParams field order)
+# column of each path feature in LinkTable.paths and LinkTable.los
 _FEATURE_COL = {f: i for i, f in
                 enumerate(("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase"))}
-_ZENITH_REF = {"zod": 0, "zoa": 1}  # column of PathTable.los_zenith
-
-
-@dataclass
-class PathTable:
-    """Per-link arrays of a link dataset, the form the eval kernels work on.
-
-    paths holds each link's paths in its first counts[i] rows, zero beyond.
-    dist2d is NaN where the endpoints coincide; los_zenith holds the LOS
-    (zod, zoa) of every non-Outage link with paths, NaN where that link has
-    no LOS direction or is not such a link.
-    """
-
-    paths: np.ndarray       # (N, W, 7)
-    counts: np.ndarray      # (N,)
-    state: np.ndarray       # (N,) LinkState objects
-    dist2d: np.ndarray      # (N,)
-    height: np.ndarray      # (N,)
-    los_zenith: np.ndarray  # (N, 2)
-
-    @classmethod
-    def from_links(cls, links) -> "PathTable":
-        links = list(links)
-        paths, counts = padded_paths([lk.paths for lk in links])
-        dist2d = np.full(len(links), np.nan)
-        los_zenith = np.full((len(links), 2), np.nan)
-        for i, lk in enumerate(links):
-            try:
-                dist2d[i] = geometry(lk.tx, lk.rx)[0]
-                if lk.paths and lk.link_state is not LinkState.OUTAGE:
-                    ref = los_params(lk.tx, lk.rx, lk.carrier_freq)
-                    los_zenith[i] = ref.zod, ref.zoa
-            except GeometryError:
-                pass
-        return cls(paths, counts, np.array([lk.link_state for lk in links], dtype=object),
-                   dist2d, np.array([lk.rx[2] for lk in links], dtype=float), los_zenith)
-
-    def take(self, rows) -> "PathTable":
-        return PathTable(**{f.name: getattr(self, f.name)[rows] for f in fields(self)})
-
-    @property
-    def valid(self) -> np.ndarray:
-        """(N, W) mask of the real path cells."""
-        return np.arange(self.paths.shape[1]) < self.counts[:, None]
 
 
 class Ecdf:
@@ -145,17 +90,17 @@ class LinkStateProb:
         return self.counts > 0
 
 
-def link_state_prob(links, height: float, bin_edges) -> LinkStateProb:
+def link_state_prob(table: LinkTable, height: float, bin_edges) -> LinkStateProb:
     """LOS/outage probability vs 2D distance for links at one height.
 
     Empty bins are reported with count 0 and NaN probabilities (absent, not
     zero).  P_LOS + P_outage <= 1 in every occupied bin.
     """
     bin_edges = np.asarray(bin_edges, dtype=float)
-    sel = [lk for lk in links if lk.rx[2] == height]
-    dists = np.array([geometry(lk.tx, lk.rx)[0] for lk in sel])
-    is_los = np.array([lk.link_state is LinkState.LOS for lk in sel], dtype=float)
-    is_out = np.array([lk.link_state is LinkState.OUTAGE for lk in sel], dtype=float)
+    sel = table.height == height
+    dists = table.dist2d[sel]
+    is_los = (table.state[sel] == LinkState.LOS).astype(float)
+    is_out = (table.state[sel] == LinkState.OUTAGE).astype(float)
 
     counts, _ = np.histogram(dists, bin_edges)
     los_counts, _ = np.histogram(dists, bin_edges, weights=is_los)
@@ -186,31 +131,28 @@ class BinnedPdf2D:
         return out
 
 
-def relative_zenith_pdf(links, height, dist_edges, angle_edges, angle: str = "zod") -> BinnedPdf2D:
+def relative_zenith_pdf(table: LinkTable, height, dist_edges, angle_edges,
+                        angle: str = "zod") -> BinnedPdf2D:
     """PDF of zenith angles relative to the LOS direction, per distance bin.
 
     The LOS reference is computed from each link's actual endpoint
     coordinates (not from the conditioning variables), so rooftop
     transmitters above the receiver get the correct obtuse reference.
-    Outage links are excluded; degenerate-geometry links are skipped and
-    counted.
+    Outage links are excluded; links without a LOS direction (vertical
+    links) are skipped and counted.
     """
-    if angle not in _ZENITH_REF:
+    if angle not in ("zod", "zoa"):
         raise DataError("angle must be 'zod' or 'zoa'")
-    return _relative_zenith_kernel(PathTable.from_links(links), height,
-                                   np.asarray(dist_edges, dtype=float),
-                                   np.asarray(angle_edges, dtype=float), angle)
-
-
-def _relative_zenith_kernel(table: PathTable, height, dist_edges, angle_edges,
-                            angle: str) -> BinnedPdf2D:
+    dist_edges = np.asarray(dist_edges, dtype=float)
+    angle_edges = np.asarray(angle_edges, dtype=float)
+    col = _FEATURE_COL[angle]
     used = ((table.height == height) & (table.state != LinkState.OUTAGE)
             & (table.counts > 0))
-    ref = table.los_zenith[:, _ZENITH_REF[angle]]
+    ref = table.los[:, col]
     skipped = int(np.count_nonzero(used & np.isnan(ref)))
     t = table.take(used & ~np.isnan(ref))
     valid = t.valid
-    rels = (t.paths[..., _FEATURE_COL[angle]] - t.los_zenith[:, _ZENITH_REF[angle], None])[valid]
+    rels = (t.paths[..., col] - t.los[:, col, None])[valid]
     dists = np.broadcast_to(t.dist2d[:, None], valid.shape)[valid]
 
     hist, _, _ = np.histogram2d(rels, dists, bins=(angle_edges, dist_edges))
@@ -270,28 +212,13 @@ class RmsSpreadReport:
     zod: np.ndarray
 
 
-def rms_spread_report(links) -> RmsSpreadReport:
+def rms_spread_report(table: LinkTable) -> RmsSpreadReport:
     """RMS spreads of every link that has paths, in link order."""
-    return _rms_report(PathTable.from_links(links))
-
-
-def _rms_report(table: PathTable) -> RmsSpreadReport:
     t = table.take(table.counts > 0)
     return RmsSpreadReport(**_rms_kernel(t.paths, t.counts, RMS_FEATURES))
 
 
-def path_feature_samples(links, feature: str, height=None) -> np.ndarray:
-    """Pool one path feature over all paths of all (optionally one-height) links."""
-    attr = _FEATURE_ATTR[feature]
-    out = []
-    for lk in links:
-        if height is not None and lk.rx[2] != height:
-            continue
-        out.extend(getattr(p, attr) for p in lk.paths)
-    return np.asarray(out, dtype=float)
-
-
-def compare_datasets(model_links, data_links, heights, dist_bin_width: float = 25.0,
+def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width: float = 25.0,
                      angle_bin_width: float = 2.0, angle_range: float = 90.0) -> dict:
     """Model-vs-data divergence report, per receiver height.
 
@@ -300,25 +227,21 @@ def compare_datasets(model_links, data_links, heights, dist_bin_width: float = 2
     absolute LOS-probability gap over shared occupied distance bins, and
     relative-zenith spread profiles for both sides.
     """
-    all_d2 = [geometry(lk.tx, lk.rx)[0] for lk in list(model_links) + list(data_links)]
-    d_hi = max(all_d2) + dist_bin_width
+    d_hi = float(np.concatenate([model.dist2d, data.dist2d]).max()) + dist_bin_width
     dist_edges = np.arange(0.0, d_hi + dist_bin_width, dist_bin_width)
     angle_edges = np.arange(-angle_range, angle_range + angle_bin_width, angle_bin_width)
 
-    tables = {"model": PathTable.from_links(model_links),
-              "data": PathTable.from_links(data_links)}
-
     report = {}
     for h in heights:
-        m = [lk for lk in model_links if lk.rx[2] == h]
-        d = [lk for lk in data_links if lk.rx[2] == h]
+        m, d = model.take(model.height == h), data.take(data.height == h)
         entry = {"n_model_links": len(m), "n_data_links": len(d)}
+        # every path of every link, link by link
+        pool_m, pool_d = m.paths[m.valid], d.paths[d.valid]
         for feat in ("pathloss", "delay"):
-            entry[f"ks_{feat}"] = ks_statistic(
-                path_feature_samples(m, feat), path_feature_samples(d, feat))
-        for feat in ("aoa", "aod"):
-            entry[f"ks_uniform_{feat}"] = uniformity_check(path_feature_samples(m, feat), feat)
-        entry["ks_uniform_phase"] = uniformity_check(path_feature_samples(m, "phase"), "phase")
+            col = _FEATURE_COL[feat]
+            entry[f"ks_{feat}"] = ks_statistic(pool_m[:, col], pool_d[:, col])
+        for feat in ("aoa", "aod", "phase"):
+            entry[f"ks_uniform_{feat}"] = uniformity_check(pool_m[:, _FEATURE_COL[feat]], feat)
 
         lsp_m = link_state_prob(m, h, dist_edges)
         lsp_d = link_state_prob(d, h, dist_edges)
@@ -328,15 +251,15 @@ def compare_datasets(model_links, data_links, heights, dist_bin_width: float = 2
         entry["link_state_model"] = lsp_m
         entry["link_state_data"] = lsp_d
 
-        rms_m, rms_d = (_rms_report(t.take(t.height == h)) for t in tables.values())
+        rms_m, rms_d = rms_spread_report(m), rms_spread_report(d)
         for feat in RMS_FEATURES:
             vm, vd = getattr(rms_m, feat), getattr(rms_d, feat)
             entry[f"ks_rms_{feat}"] = (
                 ks_statistic(vm, vd) if len(vm) and len(vd) else np.nan)
 
-        for side, table in tables.items():
+        for side, table in (("model", m), ("data", d)):
             for ang in ("zod", "zoa"):
-                entry[f"zenith_pdf_{ang}_{side}"] = _relative_zenith_kernel(
+                entry[f"zenith_pdf_{ang}_{side}"] = relative_zenith_pdf(
                     table, h, dist_edges, angle_edges, ang)
         report[h] = entry
     return report

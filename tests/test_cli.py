@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanimg import io
+from chanimg import LinkTable, io
 from chanimg.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FILE,
@@ -186,9 +186,9 @@ def test_encode_realizations_are_consecutive_encode_calls(tmp_path):
     run(["--seed", "5", "fit-codec", "--data", str(data), "--out", str(codec_path)])
     assert run(["--seed", "5", "encode", "--data", str(data), "--codec", str(codec_path),
                 "--realizations", "2", "--out", str(out)]) == 0
-    links, codec = io.read_dataset(data), io.read_codec(codec_path)
+    table, codec = LinkTable.from_links(io.read_dataset(data)), io.read_codec(codec_path)
     rng = substream(5, "padding")
-    (a, conds), (b, _) = codec.encode(links, rng), codec.encode(links, rng)
+    (a, conds), (b, _) = codec.encode(table, rng), codec.encode(table, rng)
     images, got_conds = io.read_images(out)
     np.testing.assert_array_equal(images, np.concatenate([a, b]).astype(np.float32))
     np.testing.assert_array_equal(got_conds, np.concatenate([conds, conds]))
@@ -271,3 +271,54 @@ def test_gen_data_out_of_range_physics_are_data_errors(tmp_path, capsys, flag, v
     fails_cleanly(capsys, ["gen-data", "--links", "20", f"{flag}={value}",
                            "--out", str(tmp_path / "d.jsonl")], EXIT_BAD_DATA)
     assert not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--lr", "nan"), ("--gp-lambda", "nan"), ("--beta1", "nan"), ("--beta1", "1.5"),
+    ("--beta2", "1"), ("--output-gain", "nan"), ("--output-gain", "inf"),
+])
+def test_train_rejects_bad_hyperparameters(tmp_path, capsys, flag, value):
+    images = np.random.default_rng(0).uniform(-1, 1, (8, 64, 50)).astype(np.float32)
+    io.write_images(tmp_path / "i.chim", images, np.ones((8, 2)))
+    fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"), "--batch-size", "4",
+                           f"{flag}={value}", "--log", str(tmp_path / "log.csv"),
+                           "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA)
+    assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "log.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def degenerate_dir(tmp_path_factory):
+    """A dataset with its codec, images and resampler; bad.jsonl is a copy
+    whose link 0 has rx == tx, and empty.jsonl holds no links."""
+    d = tmp_path_factory.mktemp("degenerate")
+    run(["--seed", "1", "gen-data", "--links", "20", "--out", str(d / "good.jsonl")])
+    run(["--seed", "1", "fit-codec", "--data", str(d / "good.jsonl"),
+         "--out", str(d / "codec.json")])
+    run(["--seed", "1", "encode", "--data", str(d / "good.jsonl"),
+         "--codec", str(d / "codec.json"), "--out", str(d / "i.chim")])
+    run(["--seed", "1", "train", "--images", str(d / "i.chim"), "--backend", "resampler",
+         "--k", "5", "--out", str(d / "res.ckpt")])
+    bad = d / "bad.jsonl"
+    bad.write_bytes((d / "good.jsonl").read_bytes())
+    edit_first_link(bad, lambda r: r.update(rx=r["tx"]))
+    (d / "empty.jsonl").write_text(bad.read_text().splitlines(keepends=True)[0])
+    return d
+
+
+@pytest.mark.parametrize("argv", [
+    ["encode", "--data", "{bad}", "--codec", "{d}/codec.json", "--out", "{d}/o.chim"],
+    ["decode", "--images", "{d}/i.chim", "--codec", "{d}/codec.json",
+     "--geometry-from", "{bad}", "--out", "{d}/o.jsonl"],
+    ["sample", "--model", "{d}/res.ckpt", "--conditions-from", "{bad}", "--out", "{d}/o.chim"],
+    ["eval", "--model", "{bad}", "--data", "{d}/good.jsonl", "--outdir", "{d}/reports"],
+    ["eval", "--model", "{d}/good.jsonl", "--data", "{bad}", "--outdir", "{d}/reports"],
+    ["fit-codec", "--data", "{bad}", "--out", "{d}/o.json"],
+    ["report", "--data", "{bad}", "--codec", "{d}/codec.json", "--out", "{d}/o.csv"],
+], ids=["encode", "decode", "sample", "eval-model", "eval-data", "fit-codec", "report"])
+@pytest.mark.parametrize("bad, fragment", [("bad.jsonl", "link 0: tx and rx coincide"),
+                                            ("empty.jsonl", "empty link dataset")])
+def test_degenerate_datasets_are_data_errors(degenerate_dir, capsys, argv, bad, fragment):
+    d = degenerate_dir
+    argv = [a.format(d=d, bad=d / bad) for a in argv]
+    fails_cleanly(capsys, argv, EXIT_BAD_DATA, fragment)
+    assert not any(d.glob("o.*")) and not (d / "reports").exists()

@@ -23,6 +23,7 @@ from chanimg.core import (
     SPEED_OF_LIGHT,
     LinkRecord,
     LinkState,
+    LinkTable,
     PathParams,
     fspl,
     geometry,
@@ -30,7 +31,7 @@ from chanimg.core import (
     wrap_azimuth,
     wrap_phase,
 )
-from chanimg.errors import DataError, FormatError
+from chanimg.errors import DataError, FormatError, GeometryError
 from chanimg.rng import substream
 from chanimg.surrogate import SurrogateConfig, generate_dataset
 
@@ -41,8 +42,13 @@ def dataset():
 
 
 @pytest.fixture(scope="module")
-def codec(dataset):
-    return fit_codec(dataset, substream(11, "padding"))
+def table(dataset):
+    return LinkTable.from_links(dataset)
+
+
+@pytest.fixture(scope="module")
+def codec(table):
+    return fit_codec(table, substream(11, "padding"))
 
 
 # scaler ranges wide enough that no test link clips, symmetric so that 0 maps
@@ -112,7 +118,7 @@ def reference_encode(codec, links, rng):
 
 def prescaled(codec, links, rng):
     """encode's matrices before scaling, recovered through untile and unscale."""
-    images, _ = codec.encode(links, rng)
+    images, _ = codec.encode(LinkTable.from_links(links), rng)
     return codec.scaler.unscale(untile(images))
 
 
@@ -169,7 +175,7 @@ def test_pad_link_state_row(wide):
 def test_pad_rejects_empty_and_oversized(codec):
     empty = LinkRecord((0, 0, 1), (1, 0, 1), 12e9, LinkState.OUTAGE, [])
     with pytest.raises(DataError, match="link 1 has zero paths"):
-        codec.encode([make_link(3), empty], substream(4, "x"))
+        codec.encode(LinkTable.from_links([make_link(3), empty]), substream(4, "x"))
 
 
 # -- normalization ---------------------------------------------------------------
@@ -219,9 +225,9 @@ def test_scaler_single_matrix_fit():
     # link per state is the smallest dataset that fits
     los = make_link(7, state=LinkState.LOS)
     with pytest.raises(DataError, match="link_state"):
-        fit_codec([los], substream(7, "x"))
+        fit_codec(LinkTable.from_links([los]), substream(7, "x"))
     links = [los, make_link(3)]
-    two = fit_codec(links, substream(7, "x"))
+    two = fit_codec(LinkTable.from_links(links), substream(7, "x"))
     real = np.stack([p.as_array() for p in los.paths], axis=1)  # holds both links' paths
     np.testing.assert_array_equal(two.virtual_ranges[:LS, 0], real.min(axis=1))
     np.testing.assert_array_equal(two.virtual_ranges[:LS, 1], real.max(axis=1))
@@ -256,10 +262,13 @@ def test_scaler_rejects_degenerate_feature():
 
 
 def test_fit_codec_empty(codec):
-    with pytest.raises(DataError):
-        fit_codec([], substream(0, "x"))
-    with pytest.raises(DataError):
-        codec.encode([], substream(0, "x"))
+    with pytest.raises(DataError, match="empty"):
+        LinkTable.from_links([])
+    empty = LinkTable.from_links([make_link(3)]).take([])
+    with pytest.raises(DataError, match="empty"):
+        fit_codec(empty, substream(0, "x"))
+    with pytest.raises(DataError, match="empty"):
+        codec.encode(empty, substream(0, "x"))
 
 
 # -- tiling ----------------------------------------------------------------------
@@ -313,7 +322,7 @@ def test_encode_matches_per_link_reference(dataset, codec):
     # every cell, virtual and link-state cells included, bit for bit
     links = encode_cases(dataset)
     enc = ChannelImageCodec.from_dict(codec.to_dict())
-    images, conds = enc.encode(links, substream(16, "x"))
+    images, conds = enc.encode(LinkTable.from_links(links), substream(16, "x"))
     want, want_conds, clipped = reference_encode(codec, links, substream(16, "x"))
     assert images.dtype == np.float64
     np.testing.assert_array_equal(images, want)
@@ -324,10 +333,10 @@ def test_encode_matches_per_link_reference(dataset, codec):
 def test_encode_counts_clipped_cells(wide):
     # aod of a full link runs from -120 to 120 deg, all above a -170 deg max
     wide.scaler.feature_max[AOD] = -170.0
-    images, _ = wide.encode([make_link(25)], substream(19, "x"))
+    images, _ = wide.encode(LinkTable.from_links([make_link(25)]), substream(19, "x"))
     assert wide.scaler.n_clipped == 25
     assert np.all(images[0, 8 * AOD:8 * (AOD + 1)] == 1.0)
-    wide.encode([make_link(25)], substream(20, "x"))
+    wide.encode(LinkTable.from_links([make_link(25)]), substream(20, "x"))
     assert wide.scaler.n_clipped == 50
 
 
@@ -336,16 +345,21 @@ def test_encode_counts_clipped_cells(wide):
 
 def decode_stack(codec, images, links):
     """Decode images[i] against the geometry of links[i]."""
-    return codec.decode(images, [lk.tx for lk in links], [lk.rx for lk in links],
-                        [lk.carrier_freq for lk in links])
+    return codec.decode(images, LinkTable.from_links(links))
+
+
+def geometry_table(tx, rx, carrier_freq):
+    """A table of path-less links holding just the given geometry rows."""
+    return LinkTable.from_links(LinkRecord(a, b, f, LinkState.OUTAGE, [])
+                                for a, b, f in zip(tx, rx, carrier_freq))
 
 
 def decode_one(codec, image, link):
     return decode_stack(codec, np.asarray(image)[None], [link])[0]
 
 
-def test_roundtrip_surrogate_links(dataset, codec):
-    images, _ = codec.encode(dataset, substream(12, "roundtrip"))
+def test_roundtrip_surrogate_links(dataset, table, codec):
+    images, _ = codec.encode(table, substream(12, "roundtrip"))
     worst = np.zeros(7)
     for lk, dec in zip(dataset, decode_stack(codec, images, dataset)):
         assert dec.link_state is lk.link_state
@@ -358,8 +372,8 @@ def test_roundtrip_surrogate_links(dataset, codec):
     assert np.all(worst[[AOD, ZOD, AOA, ZOA, PS]] <= 1e-3)
 
 
-def test_roundtrip_los_first_path_exact(dataset, codec):
-    images, _ = codec.encode(dataset, substream(13, "los"))
+def test_roundtrip_los_first_path_exact(dataset, table, codec):
+    images, _ = codec.encode(table, substream(13, "los"))
     for lk, dec in zip(dataset, decode_stack(codec, images, dataset)):
         if lk.link_state is LinkState.LOS:
             np.testing.assert_array_equal(dec.paths[0].as_array(), lk.paths[0].as_array())
@@ -367,7 +381,7 @@ def test_roundtrip_los_first_path_exact(dataset, codec):
 
 def test_decode_negative_last_row_is_nlos(codec):
     link = make_link(10)
-    images, _ = codec.encode([link], substream(14, "x"))
+    images, _ = codec.encode(LinkTable.from_links([link]), substream(14, "x"))
     dec = decode_one(codec, images[0], link)
     assert dec.link_state is LinkState.NLOS
 
@@ -390,13 +404,13 @@ def test_decode_rejects_nonfinite(codec):
     img = np.zeros((64, 50))
     img[5, 5] = np.nan
     with pytest.raises(FormatError):
-        codec.decode(img[None], [(0, 0, 30)], [(10, 10, 1.6)], [12e9])
+        codec.decode(img[None], geometry_table([(0, 0, 30)], [(10, 10, 1.6)], [12e9]))
     # a bad image past the first internal block is caught too
     n = DECODE_CHUNK + 2
     stack = np.zeros((n, 64, 50))
     stack[-1] = img
     with pytest.raises(FormatError):
-        codec.decode(stack, [(0, 0, 30)] * n, [(10, 10, 1.6)] * n, [12e9] * n)
+        codec.decode(stack, geometry_table([(0, 0, 30)] * n, [(10, 10, 1.6)] * n, [12e9] * n))
 
 
 def reference_decode(codec, image, tx, rx, carrier_freq, stats):
@@ -448,9 +462,9 @@ def test_stacked_decode_matches_per_image_reference():
     rx = np.column_stack([rng.uniform(-200, 200, (n, 2)), rng.choice([1.6, 30.0, 60.0], n)])
     freq = rng.choice([3.5e9, 12e9, 28e9], n)
 
-    got = stacked.decode(images, tx, rx, freq)
-    ones = [single.decode(images[i:i + 1], tx[i:i + 1], rx[i:i + 1], freq[i:i + 1])[0]
-            for i in range(n)]
+    geo = geometry_table(tx, rx, freq)
+    got = stacked.decode(images, geo)
+    ones = [single.decode(images[i:i + 1], geo.take([i]))[0] for i in range(n)]
     stats = {"delay_floored": 0, "pathloss_floored": 0}
     want = [reference_decode(ref, images[i], tuple(tx[i]), tuple(rx[i]), float(freq[i]),
                              stats)
@@ -471,14 +485,29 @@ def test_stacked_decode_matches_per_image_reference():
 
 def test_decode_rejects_mismatched_geometry(codec):
     with pytest.raises(DataError):
-        codec.decode(np.zeros((2, 64, 50)), [(0, 0, 30)], [(10, 10, 1.6)] * 2, [12e9] * 2)
+        codec.decode(np.zeros((2, 64, 50)), geometry_table([(0, 0, 30)], [(10, 10, 1.6)], [12e9]))
+
+
+def test_decode_los_vote_on_vertical_link_is_geometry_error(codec):
+    # a vertical link has no LOS azimuth, so its table row holds no LOS path
+    geo = geometry_table([(0.0, 0.0, 30.0)] * 2, [(10.0, 10.0, 1.6), (0.0, 0.0, 1.6)],
+                         [12e9] * 2)
+    assert np.all(np.isnan(geo.los[1])) and not np.any(np.isnan(geo.los[0]))
+    vals = np.zeros((2, 8, 25))  # every column 0 dB above free space: all kept
+    vals[:, LS] = -0.995
+    nlos = codec.decode(tile(codec.scaler.scale(vals)), geo)
+    assert [lk.link_state for lk in nlos] == [LinkState.NLOS] * 2
+    vals[:, LS] = 0.995
+    with pytest.raises(GeometryError, match="image 1"):
+        codec.decode(tile(codec.scaler.scale(vals)), geo)
 
 
 def test_decode_sanitizes_gan_style_output(codec):
     # arbitrary in-range pixels must decode to a valid link record
     rng = np.random.default_rng(15)
     img = rng.uniform(-1, 1, size=(64, 50))
-    dec = codec.decode(img[None], [(0.0, 0.0, 30.0)], [(100.0, 50.0, 1.6)], [12e9])[0]
+    dec = codec.decode(img[None], geometry_table([(0.0, 0.0, 30.0)], [(100.0, 50.0, 1.6)],
+                                                 [12e9]))[0]
     for p in dec.paths:
         assert -180.0 < p.aod <= 180.0 and -180.0 < p.aoa <= 180.0
         assert 0.0 <= p.zod <= 180.0 and 0.0 <= p.zoa <= 180.0
@@ -493,10 +522,10 @@ def test_codec_json_roundtrip(codec):
     assert back.eps == codec.eps
 
 
-def test_encode_images_in_range(dataset, codec):
+def test_encode_images_in_range(dataset, table, codec):
     rng = substream(18, "x")
     for _ in range(2):
-        images, conds = codec.encode(dataset, rng)
+        images, conds = codec.encode(table, rng)
         assert images.shape == (len(dataset), 64, 50)
         assert np.all(images >= -1.0) and np.all(images <= 1.0)
         for lk, c in zip(dataset, conds):

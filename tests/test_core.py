@@ -9,6 +9,7 @@ from chanimg.core import (
     SPEED_OF_LIGHT,
     LinkRecord,
     LinkState,
+    LinkTable,
     PathParams,
     fspl,
     geometry,
@@ -17,7 +18,7 @@ from chanimg.core import (
     wrap_azimuth,
     wrap_phase,
 )
-from chanimg.errors import GeometryError
+from chanimg.errors import DataError, GeometryError
 
 
 def test_geometry_planar():
@@ -176,3 +177,40 @@ def test_verify_los_first_path():
                      los.aoa, los.zoa, los.phase)
     link2 = LinkRecord(tx, rx, f, LinkState.LOS, [bad])
     assert not verify_los_first_path(link2)
+
+
+def test_link_table_rows_are_the_scalar_closed_forms():
+    p = PathParams(120.0, 1e-6, 10.0, 80.0, -170.0, 100.0, -5.0)
+    links = [
+        LinkRecord((0, 0, 30), (120, 40, 1.6), 12e9, LinkState.NLOS, [p, p]),
+        LinkRecord((5, 5, 30), (5, 5, 1.6), 28e9, LinkState.LOS, [p]),  # vertical
+        LinkRecord((0, 0, 30), (100, 0, 1.6), 1.0, LinkState.NLOS, [p]),  # LOS pathloss < 0
+        LinkRecord((0, 0, 30), (-50, 10, 60.0), 3.5e9, LinkState.OUTAGE, []),
+    ]
+    table = LinkTable.from_links(links)
+    assert len(table) == 4 and table.counts.tolist() == [2, 1, 1, 0]
+    np.testing.assert_array_equal(table.paths[0, :2], [p.as_array()] * 2)
+    assert not table.paths[0, 2:].any() and not table.paths[3].any()
+    assert list(table.state) == [lk.link_state for lk in links]
+    for i, lk in enumerate(links):
+        d2, d3 = geometry(lk.tx, lk.rx)
+        assert (table.dist2d[i], table.dist3d[i]) == (d2, d3)
+        assert table.fspl[i] == fspl(d3, lk.carrier_freq)
+        assert table.height[i] == lk.rx[2] and tuple(table.tx[i]) == lk.tx
+        assert table.carrier_freq[i] == lk.carrier_freq
+    for i in (0, 3):
+        lk = links[i]
+        np.testing.assert_array_equal(table.los[i],
+                                      los_params(lk.tx, lk.rx, lk.carrier_freq).as_array())
+    assert np.isnan(table.los[1:3]).all() and table.fspl[2] < 0.0
+    sub = table.take([3, 0])
+    assert sub.counts.tolist() == [0, 2] and sub.height.tolist() == [60.0, 1.6]
+
+
+def test_link_table_rejects_empty_and_coincident_datasets():
+    with pytest.raises(DataError, match="empty"):
+        LinkTable.from_links([])
+    ok = LinkRecord((0, 0, 30), (120, 40, 1.6), 12e9, LinkState.OUTAGE, [])
+    same = LinkRecord((1, 2, 3), (1, 2, 3), 12e9, LinkState.OUTAGE, [])
+    with pytest.raises(GeometryError, match="link 2: tx and rx coincide"):
+        LinkTable.from_links([ok, ok, same])

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from chanimg import SurrogateConfig, fit_codec, generate_dataset
+from chanimg import LinkTable, SurrogateConfig, fit_codec, generate_dataset
 from chanimg import io
 from chanimg.errors import FormatError, VersionError
 from chanimg.genmodel import EmpiricalResampler, WganGpHyperparams
@@ -53,7 +53,7 @@ def test_dataset_rejects_bad_record(tmp_path):
 
 
 def test_codec_roundtrip(tmp_path, links):
-    codec = fit_codec(links, substream(7, "padding"))
+    codec = fit_codec(LinkTable.from_links(links), substream(7, "padding"))
     p = tmp_path / "codec.json"
     io.write_codec(p, codec, seed=7)
     back = io.read_codec(p)

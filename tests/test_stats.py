@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from chanimg.core import LinkRecord, LinkState, PathParams, los_params
+from chanimg.core import LinkRecord, LinkState, LinkTable, PathParams, los_params
 from chanimg.errors import DataError
 from chanimg.stats import (
     BinnedPdf2D,
@@ -110,7 +110,7 @@ def test_uniformity_check_kinds():
 
 def test_link_state_prob_all_los():
     links = [make_link(LinkState.LOS, dist=d) for d in (10, 60, 110)]
-    out = link_state_prob(links, 1.6, [0, 50, 100, 150])
+    out = link_state_prob(LinkTable.from_links(links), 1.6, [0, 50, 100, 150])
     np.testing.assert_array_equal(out.counts, [1, 1, 1])
     assert np.all(out.p_los[out.occupied] == 1.0)
     assert np.all(out.p_outage[out.occupied] == 0.0)
@@ -119,7 +119,7 @@ def test_link_state_prob_all_los():
 def test_link_state_prob_single_outage_bin():
     links = [make_link(LinkState.OUTAGE,
                        paths=[make_path(185.0)], dist=75.0)]
-    out = link_state_prob(links, 1.6, [0, 50, 100])
+    out = link_state_prob(LinkTable.from_links(links), 1.6, [0, 50, 100])
     assert out.counts.tolist() == [0, 1]
     assert np.isnan(out.p_los[0])  # empty bin absent, not zero
     assert out.p_outage[1] == 1.0
@@ -128,7 +128,7 @@ def test_link_state_prob_single_outage_bin():
 
 def test_link_state_prob_filters_height():
     links = [make_link(LinkState.LOS, rx_h=1.6), make_link(LinkState.NLOS, rx_h=30.0)]
-    out = link_state_prob(links, 1.6, [0, 200])
+    out = link_state_prob(LinkTable.from_links(links), 1.6, [0, 200])
     assert out.counts.sum() == 1 and out.p_los[0] == 1.0
 
 
@@ -141,7 +141,8 @@ def test_relative_zenith_pure_los_mass_at_zero():
         tx, rx = (0.0, 0.0, 30.0), (d, 0.0, 1.6)
         links.append(LinkRecord(tx, rx, 12e9, LinkState.LOS,
                                 [los_params(tx, rx, 12e9)]))
-    pdf = relative_zenith_pdf(links, 1.6, [0, 100, 200, 300], np.arange(-91, 92, 2.0))
+    pdf = relative_zenith_pdf(LinkTable.from_links(links), 1.6, [0, 100, 200, 300],
+                              np.arange(-91, 92, 2.0))
     zero_bin = np.searchsorted(pdf.angle_edges, 0.0, side="right") - 1
     for j in range(3):
         assert pdf.density[zero_bin, j] == 1.0
@@ -153,7 +154,7 @@ def test_relative_zenith_offset_path():
     ref = los_params(tx, rx, 12e9)
     p = make_path(120.0, zod=ref.zod + 10.0)
     links = [LinkRecord(tx, rx, 12e9, LinkState.NLOS, [p])]
-    pdf = relative_zenith_pdf(links, 1.6, [0, 200], np.arange(-90, 91, 2.0))
+    pdf = relative_zenith_pdf(LinkTable.from_links(links), 1.6, [0, 200], np.arange(-90, 91, 2.0))
     centers = 0.5 * (pdf.angle_edges[:-1] + pdf.angle_edges[1:])
     hot = np.flatnonzero(pdf.density[:, 0])
     assert len(hot) == 1 and abs(centers[hot[0]] - 10.0) <= 1.0
@@ -161,8 +162,18 @@ def test_relative_zenith_offset_path():
 
 def test_relative_zenith_skips_outage():
     links = [make_link(LinkState.OUTAGE, paths=[make_path(185.0)])]
-    pdf = relative_zenith_pdf(links, 1.6, [0, 200], np.arange(-90, 91, 2.0))
+    pdf = relative_zenith_pdf(LinkTable.from_links(links), 1.6, [0, 200], np.arange(-90, 91, 2.0))
     assert pdf.density.sum() == 0.0
+
+
+def test_relative_zenith_skips_and_counts_vertical_links():
+    tx = (0.0, 0.0, 30.0)
+    vertical = LinkRecord(tx, (0.0, 0.0, 1.6), 12e9, LinkState.NLOS, [make_path(120.0)])
+    slanted = LinkRecord(tx, (100.0, 0.0, 1.6), 12e9, LinkState.NLOS, [make_path(120.0)])
+    table = LinkTable.from_links([vertical, slanted, vertical])
+    pdf = relative_zenith_pdf(table, 1.6, [0, 200], np.arange(-90, 91, 2.0), angle="zoa")
+    assert pdf.skipped_links == 2
+    assert pdf.density.sum() == pytest.approx(1.0)  # the slanted link alone
 
 
 def test_binned_pdf_columns_sum_to_one_or_zero():
@@ -175,7 +186,8 @@ def test_binned_pdf_columns_sum_to_one_or_zero():
         paths = [make_path(100.0 + i, zod=np.clip(ref.zod + rng.normal(0, 8), 0, 180))
                  for i in range(rng.integers(1, 6))]
         links.append(LinkRecord(tx, rx, 12e9, LinkState.NLOS, paths))
-    pdf = relative_zenith_pdf(links, 1.6, np.arange(0, 500, 50.0), np.arange(-90, 91, 2.0))
+    pdf = relative_zenith_pdf(LinkTable.from_links(links), 1.6, np.arange(0, 500, 50.0),
+                              np.arange(-90, 91, 2.0))
     sums = pdf.density.sum(axis=0)
     assert np.all((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0))
 
@@ -285,7 +297,7 @@ def test_rms_report_matches_per_link_reference():
                            aoa=-az[j], zoa=rng.uniform(0, 180))
                  for j, d in enumerate(np.sort(rng.uniform(1e-7, 2e-6, n)))]
         links.append(make_link(paths=paths))
-    rep = rms_spread_report(links)
+    rep = rms_spread_report(LinkTable.from_links(links))
     for f in ("delay", "aoa", "aod", "zoa", "zod"):
         want = np.array([reference_rms(lk.paths, f) for lk in links[1:]])
         got = getattr(rep, f)
@@ -298,7 +310,7 @@ def test_rms_report_matches_per_link_reference():
 def test_rms_report_shapes():
     links = [make_link(paths=[make_path(100.0), make_path(110.0, delay=2e-6)]),
              make_link()]
-    rep = rms_spread_report(links)
+    rep = rms_spread_report(LinkTable.from_links(links))
     for f in ("delay", "aoa", "aod", "zoa", "zod"):
         assert getattr(rep, f).shape == (2,)
         assert np.all(getattr(rep, f) >= 0.0)
