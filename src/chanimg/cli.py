@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import io
-from .codec import IMAGE_SHAPE, fit_codec
+from .codec import IMAGE_SHAPE, fit_codec, tile, untile
 from .core import LinkTable
 from .errors import (
     ChanimgError,
@@ -211,7 +211,9 @@ def _cmd_train(args) -> int:
         hidden=_number_list(args.hidden, "--hidden", kind=int),
         generator_output_gain=args.output_gain,
         output_init=args.output_init, dtype=args.dtype)
-    netp, log = train_wgan_gp(ArrayBatches(images, conds, hyper.batch_size), hyper, args.seed)
+    # the model learns the 8x25 matrix each image carries
+    netp, log = train_wgan_gp(ArrayBatches(untile(images), conds, hyper.batch_size),
+                              hyper, args.seed)
     io.write_wgan_checkpoint(args.out, netp, seed=args.seed)
     if args.log:
         io.write_training_log(args.log, log, seed=args.seed)
@@ -226,7 +228,7 @@ def _cmd_sample(args) -> int:
     table = LinkTable.from_links(io.read_dataset(args.conditions_from))
     tiled = np.tile(np.column_stack([table.dist2d, table.height]), (args.per_cond, 1))
     if backend == "wgan-gp":
-        images = wgan_sample(model, tiled, len(tiled), args.seed)
+        images = tile(wgan_sample(model, tiled, len(tiled), args.seed))
     else:
         images = model.sample(tiled, len(tiled), args.seed)
     io.write_images(args.out, images.astype(np.float32), tiled, seed=args.seed)

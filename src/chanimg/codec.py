@@ -64,6 +64,7 @@ OUTAGE_THRESHOLD_DB = 180.0
 VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH = 181.0, 190.0
 LINK_STATE_EPS = 0.01
 DECODE_CHUNK = 256  # images per decode block; bounds decode's working memory
+UNTILE_CHUNK = 256  # images per untile block; bounds the float64 copy of float32 input
 
 
 class FeatureScaler:
@@ -113,6 +114,8 @@ class FeatureScaler:
 
 def tile(values: np.ndarray) -> np.ndarray:
     """Replicate each cell of (..., 8, 25) matrices 8x vertically and 2x horizontally."""
+    if values.shape[-2:] != (N_FEATURES, MAX_PATHS):
+        raise DataError(f"channel matrix must be {N_FEATURES}x{MAX_PATHS}")
     lead = values.shape[:-2]
     out = np.empty((*lead, *IMAGE_SHAPE))
     out.reshape(*lead, N_FEATURES, V_REP, MAX_PATHS, H_REP)[...] = values[..., :, None, :, None]
@@ -120,18 +123,28 @@ def tile(values: np.ndarray) -> np.ndarray:
 
 
 def untile(image: np.ndarray) -> np.ndarray:
-    """Block mean over each 8x2 pixel block; exact inverse of tile."""
-    image = np.asarray(image, dtype=np.float64)
+    """Block mean over each 8x2 pixel block; exact inverse of tile.
+
+    Returns float64 (..., 8, 25).  The stack is worked through UNTILE_CHUNK
+    images at a time, so float32 input is upcast one block at a time.
+    """
+    image = np.asarray(image)
     if image.shape[-2:] != IMAGE_SHAPE:
         raise DataError(f"channel image must be {IMAGE_SHAPE[0]}x{IMAGE_SHAPE[1]}")
-    b = image.reshape(*image.shape[:-2], N_FEATURES, V_REP, MAX_PATHS, H_REP)
-    # balanced pairwise sums: every add combines equal-size blocks, so the
-    # mean of a constant block is bit-exact (each step doubles the value)
-    s = b[..., 0] + b[..., 1]
-    s = s[..., 0::2, :] + s[..., 1::2, :]
-    s = s[..., 0::2, :] + s[..., 1::2, :]
-    s = s[..., 0, :] + s[..., 1, :]
-    return s / float(V_REP * H_REP)
+    flat = image.reshape(-1, *IMAGE_SHAPE)
+    out = np.empty((len(flat), N_FEATURES, MAX_PATHS))
+    for start in range(0, len(flat), UNTILE_CHUNK):
+        block = slice(start, start + UNTILE_CHUNK)
+        b = flat[block].astype(np.float64, copy=False).reshape(
+            -1, N_FEATURES, V_REP, MAX_PATHS, H_REP)
+        # balanced pairwise sums: every add combines equal-size blocks, so the
+        # mean of a constant block is bit-exact (each step doubles the value)
+        s = b[..., 0] + b[..., 1]
+        s = s[..., 0::2, :] + s[..., 1::2, :]
+        s = s[..., 0::2, :] + s[..., 1::2, :]
+        s = s[..., 0, :] + s[..., 1, :]
+        np.divide(s, float(V_REP * H_REP), out=out[block])
+    return out.reshape(*image.shape[:-2], N_FEATURES, MAX_PATHS)
 
 
 def _require_paths(table: LinkTable):

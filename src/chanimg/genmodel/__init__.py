@@ -1,9 +1,10 @@
 """Conditional generative backends over channel images.
 
-Two interchangeable backends produce 64x50 images in [-1, 1] given a
-(dist2d, height) condition: a conditional WGAN trained with a gradient
-penalty, and a nearest-condition empirical resampler that serves as a
-codec-isolating baseline.
+Two backends produce channel data in [-1, 1] given a (dist2d, height)
+condition: a conditional WGAN trained with a gradient penalty, which
+models the 8x25 matrix each 64x50 image carries (the CLI tiles its
+samples into images), and a nearest-condition empirical resampler that
+returns stored 64x50 images and serves as a codec-isolating baseline.
 """
 
 from .nn import AdamState, Mlp, adam_step
@@ -12,8 +13,6 @@ from .wgan import (
     ArrayBatches,
     NetworkParams,
     WganGpHyperparams,
-    critic_loss,
-    generator_loss,
     sample,
     train_wgan_gp,
 )
@@ -24,8 +23,6 @@ __all__ = [
     "adam_step",
     "WganGpHyperparams",
     "NetworkParams",
-    "critic_loss",
-    "generator_loss",
     "train_wgan_gp",
     "sample",
     "ArrayBatches",

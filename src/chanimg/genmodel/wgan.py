@@ -1,20 +1,29 @@
-"""Conditional Wasserstein GAN with gradient penalty over channel images.
+"""Conditional Wasserstein GAN with gradient penalty over channel matrices.
+
+The model works on the (8, 25) matrix that a 64x50 channel image carries:
+every 8x2 pixel block of the image is one matrix cell (codec.tile), and
+decode block-averages away everything else (codec.untile).  The CLI trains
+on untile(images) and tiles the samples it writes.
 
 Generator and critic are dense networks (nn.Mlp) in float64 or float32
 (WganGpHyperparams.dtype).  The condition (2D distance, receiver height)
 is normalized to [-1, 1] by dataset bounds and embedded through a small
 fully connected network on each side; the embedding concatenates with
-the noise vector (generator) or the flattened image (critic) at the input.
+the noise vector (generator) or the flattened matrix (critic) at the input.
 
-The critic objective is
+The critic objective is the textbook penalty in the space the model
+samples, the matrix m:
 
-    mean f(fake) - mean f(real) + lambda * mean (||grad_x f(x_hat)|| - 1)^2
+    mean f(fake) - mean f(real) + lambda * mean (||grad_m f(m_hat)|| - 1)^2
 
-with x_hat = u * real + (1 - u) * fake, u ~ U(0,1) per sample, and the
-gradient taken with respect to the image part of the critic input only.
-The generator minimizes -mean f(fake).  All gradients, including the
-second-order gradient-penalty path, are computed analytically and are
-finite-difference checked in the test suite.
+with m_hat = u * real + (1 - u) * fake, u ~ U(0,1) per sample, and the
+gradient taken with respect to the matrix part of the critic input only.
+A penalty with target 1 on the 64x50 image would be target 4 on the
+matrix gradient only for a critic that is constant over each pixel block,
+so no choice here reproduces an image-space critic exactly.  The generator
+minimizes -mean f(fake).  All gradients, including the second-order
+gradient-penalty path, are computed analytically and are finite-difference
+checked in the test suite.
 """
 
 import math
@@ -31,22 +40,20 @@ __all__ = [
     "NetworkParams",
     "TrainingLog",
     "ArrayBatches",
-    "critic_loss",
-    "generator_loss",
     "train_wgan_gp",
     "sample",
 ]
 
-IMAGE_SHAPE = (64, 50)
+MATRIX_SHAPE = (8, 25)  # the codec's features x paths; one cell per 8x2 pixel block
 
 
 @dataclass
 class WganGpHyperparams:
     """Training knobs; defaults follow the reported recipe.
 
-    learning rate 5e-5, Adam betas (0.5, 0.9), 10 epochs, batch 256 on
-    64x50x1 images; gradient-penalty weight 10 and 5 critic steps per
-    generator step are the standard reference values.
+    learning rate 5e-5, Adam betas (0.5, 0.9), 10 epochs, batch 256;
+    gradient-penalty weight 10 and 5 critic steps per generator step are
+    the standard reference values.  Samples are 8x25 channel matrices.
     """
 
     learning_rate: float = 5e-5
@@ -54,7 +61,7 @@ class WganGpHyperparams:
     adam_beta2: float = 0.9
     epochs: int = 10
     batch_size: int = 256
-    image_shape: tuple = IMAGE_SHAPE
+    image_shape: tuple = MATRIX_SHAPE
     gp_lambda: float = 10.0
     critic_steps_per_gen_step: int = 5
     noise_dim: int = 64
@@ -68,7 +75,7 @@ class WganGpHyperparams:
     dtype: str = "float64"
     # init shaping of the generator output layer:
     #   fan_in       - plain uniform fan-in init (gain below applies)
-    #   data_mean    - output bias starts at arctanh(mean training image)
+    #   data_mean    - output bias starts at arctanh(mean training matrix)
     #   data_moments - bias as above plus per-pixel weight rescaling so the
     #                  initial output marginals match the training data's
     #                  (one calibration forward pass on noise at init)
@@ -109,7 +116,7 @@ class NetworkParams:
     cond_min: np.ndarray
     cond_max: np.ndarray
     noise_dim: int
-    image_shape: tuple = IMAGE_SHAPE
+    image_shape: tuple = MATRIX_SHAPE
 
     @property
     def image_dim(self) -> int:
@@ -200,37 +207,20 @@ def _interpolates(real, fake, u):
 
 
 def _gp_terms(netp, x_hat, emb):
-    """Per-sample gradient norms of the critic w.r.t. the image input."""
+    """Per-sample gradient norms of the critic w.r.t. the matrix input."""
     f, cache = netp.critic.forward(np.concatenate([x_hat, emb], axis=1))
     g_img = netp.critic.input_grad(cache, np.ones_like(f), slice(0, x_hat.shape[1]))
     s = np.sqrt(np.sum(g_img * g_img, axis=1))
     return s, g_img, cache
 
 
-def critic_loss(netp: NetworkParams, real, fake, cond_norm, u, gp_lambda: float) -> dict:
-    """Loss value only (used directly by the finite-difference checks).
-
-    Returns {"total", "wasserstein", "gp"}; gp is the lambda-weighted term.
-    """
-    dt = netp.critic.dtype
-    real = np.asarray(real, dtype=dt).reshape(len(real), -1)
-    fake = np.asarray(fake, dtype=dt).reshape(len(fake), -1)
-    u = np.asarray(u, dtype=dt)
-    emb, _ = netp.critic_embed.forward(cond_norm)
-
-    f_real, _ = netp.critic.forward(np.concatenate([real, emb], axis=1))
-    f_fake, _ = netp.critic.forward(np.concatenate([fake, emb], axis=1))
-    wasserstein = float(f_fake.mean() - f_real.mean())
-
-    s, _, _ = _gp_terms(netp, _interpolates(real, fake, u), emb)
-    gp = gp_lambda * float(np.mean((s - 1.0) ** 2))
-    if not math.isfinite(wasserstein + gp):
-        raise TrainingDivergedError(-1, "non-finite critic loss")
-    return {"total": wasserstein + gp, "wasserstein": wasserstein, "gp": gp}
-
-
 def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lambda: float):
-    """Loss parts plus gradients aligned with netp.critic_params()."""
+    """Loss parts plus gradients aligned with netp.critic_params().
+
+    The parts are "total", "wasserstein" (mean f(fake) - mean f(real)),
+    "gp" (the lambda-weighted penalty) and "gp_norm" (the mean input-gradient
+    norm at the interpolates, which the penalty pulls towards 1).
+    """
     dt = netp.critic.dtype
     real = np.asarray(real, dtype=dt).reshape(len(real), -1)
     fake = np.asarray(fake, dtype=dt).reshape(len(fake), -1)
@@ -270,7 +260,8 @@ def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lamb
     total = wasserstein + gp
     if not math.isfinite(total):
         raise TrainingDivergedError(-1, "non-finite critic loss")
-    return {"total": total, "wasserstein": wasserstein, "gp": gp}, emb_grads + grads
+    parts = {"total": total, "wasserstein": wasserstein, "gp": gp, "gp_norm": float(s.mean())}
+    return parts, emb_grads + grads
 
 
 def generator_forward(netp: NetworkParams, z, cond_norm):
@@ -279,20 +270,13 @@ def generator_forward(netp: NetworkParams, z, cond_norm):
     return y, emb_cache, cache
 
 
-def generator_loss(netp: NetworkParams, z, cond_norm) -> float:
-    """-mean critic(G(z, c), c); value only."""
-    y, _, _ = generator_forward(netp, z, cond_norm)
-    f, _ = _critic_apply(netp, y, cond_norm)
-    return float(-f.mean())
-
-
 def generator_loss_and_grads(netp: NetworkParams, z, cond_norm):
     b = z.shape[0]
     y, emb_cache, gen_cache = generator_forward(netp, z, cond_norm)
     f, critic_cache = _critic_apply(netp, y, cond_norm)
     loss = float(-f.mean())
 
-    # critic params frozen: only the image columns of its input gradient count
+    # critic params frozen: only the matrix columns of its input gradient count
     d_y = netp.critic.input_grad(
         critic_cache, np.full((b, 1), -1.0 / b, dtype=netp.critic.dtype),
         slice(0, y.shape[1]))
@@ -348,26 +332,34 @@ class TrainingLog:
     critic_losses: list = field(default_factory=list)
     gen_losses: list = field(default_factory=list)  # NaN when no generator step
     gp_terms: list = field(default_factory=list)
+    wasserstein: list = field(default_factory=list)  # mean f(fake) - mean f(real)
+    gp_norms: list = field(default_factory=list)  # mean ||grad_m f|| at the interpolates
     param_counts: dict = field(default_factory=dict)
 
     def rows(self):
-        for s, c, g, p in zip(self.steps, self.critic_losses, self.gen_losses, self.gp_terms):
-            yield {"step": s, "critic_loss": c, "gen_loss": g, "gp_term": p}
+        for s, c, g, p, w, n in zip(self.steps, self.critic_losses, self.gen_losses,
+                                    self.gp_terms, self.wasserstein, self.gp_norms):
+            yield {"step": s, "critic_loss": c, "gen_loss": g, "gp_term": p,
+                   "wasserstein": w, "gp_norm": n}
 
 
 # -- training -------------------------------------------------------------------
 
 
 def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
-    """Train on channel images; returns (NetworkParams, TrainingLog).
+    """Train on channel matrices; returns (NetworkParams, TrainingLog).
 
-    data is an ArrayBatches source or an (images, conditions) pair.
+    data is an ArrayBatches source or a (matrices, conditions) pair whose
+    samples have shape hyper.image_shape (a DataError otherwise).
     Deterministic for fixed seed and thread count: batch order, noise,
     interpolation draws and init each use a named substream of the seed.
     """
     hyper.validate()
     if isinstance(data, tuple):
         data = ArrayBatches(data[0], data[1], hyper.batch_size)
+    if data.images.shape[1:] != tuple(hyper.image_shape):
+        raise DataError(f"training samples have shape {data.images.shape[1:]}, "
+                        f"the model expects {tuple(hyper.image_shape)}")
     if len(data.images) < hyper.batch_size:
         raise DataError("dataset smaller than one batch; nothing to train on")
 
@@ -416,11 +408,13 @@ def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
             log.critic_losses.append(parts["total"])
             log.gen_losses.append(gen_loss)
             log.gp_terms.append(parts["gp"])
+            log.wasserstein.append(parts["wasserstein"])
+            log.gp_norms.append(parts["gp_norm"])
     return netp, log
 
 
 def sample(netp: NetworkParams, cond, n: int, seed: int) -> np.ndarray:
-    """n images under the given condition(s), in [-1, 1].
+    """n channel matrices under the given condition(s), in [-1, 1].
 
     cond is one (dist2d, height) pair applied to every sample, or an (n, 2)
     array pairing one condition per sample.  Sample i depends only on

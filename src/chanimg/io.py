@@ -18,6 +18,7 @@ Every format carries a major version; readers reject unknown majors.
 
 import csv
 import json
+import os
 import re
 import struct
 from pathlib import Path
@@ -34,7 +35,7 @@ from .genmodel.wgan import NetworkParams
 DATASET_VERSION = 1
 CODEC_VERSION = 1
 IMAGES_VERSION = 1
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # v2: the WGAN-GP models 8x25 matrices, not 64x50 images
 REPORT_VERSION = 1
 
 IMAGES_MAGIC = b"CHIM"
@@ -148,22 +149,29 @@ def write_images(path, images, conditions, seed=None):
 
 
 def read_images(path):
+    """(images (N, rows, cols) float32, conditions (N, 2) float64) of a CHIM file.
+
+    The payloads are read straight into their arrays, so the pixels are
+    held once.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != IMAGES_MAGIC:
-        raise FormatError(f"{path}: not a channel image file")
-    version, count, rows, cols = struct.unpack_from("<4I", raw, 4)
-    _require_version("images", version, IMAGES_VERSION)
-    offset = 4 + 16
-    pixel_bytes = count * rows * cols * 4
-    cond_bytes = count * 2 * 8
-    if len(raw) != offset + pixel_bytes + cond_bytes:
-        raise FormatError(f"{path}: truncated image file")
-    images = np.frombuffer(raw, dtype="<f4", count=count * rows * cols,
-                           offset=offset).reshape(count, rows, cols)
-    conditions = np.frombuffer(raw, dtype="<f8", count=count * 2,
-                               offset=offset + pixel_bytes).reshape(count, 2)
-    return images.copy(), conditions.copy()
+    with path.open("rb") as fh:
+        head = fh.read(4 + 16)
+        if head[:4] != IMAGES_MAGIC:
+            raise FormatError(f"{path}: not a channel image file")
+        if len(head) < 4 + 16:
+            raise FormatError(f"{path}: truncated image file")
+        version, count, rows, cols = struct.unpack_from("<4I", head, 4)
+        _require_version("images", version, IMAGES_VERSION)
+        # sized from the header before anything is allocated
+        if os.fstat(fh.fileno()).st_size != len(head) + count * (rows * cols * 4 + 2 * 8):
+            raise FormatError(f"{path}: truncated image file")
+        images = np.empty((count, rows, cols), dtype="<f4")
+        conditions = np.empty((count, 2), dtype="<f8")
+        for array in (images, conditions):
+            if fh.readinto(array) != array.nbytes:
+                raise FormatError(f"{path}: truncated image file")
+    return images, conditions
 
 
 # -- model checkpoints -------------------------------------------------------------
@@ -294,7 +302,7 @@ def write_training_log(path, log, seed=None):
                  f" generator_params={log.param_counts.get('generator')}"
                  f" critic_params={log.param_counts.get('critic')}\n")
         writer = csv.writer(fh)
-        writer.writerow(["step", "critic_loss", "gen_loss", "gp_term"])
+        columns = ["step", "critic_loss", "gen_loss", "gp_term", "wasserstein", "gp_norm"]
+        writer.writerow(columns)
         for row in log.rows():
-            writer.writerow([row["step"], row["critic_loss"], row["gen_loss"],
-                             row["gp_term"]])
+            writer.writerow([row[c] for c in columns])

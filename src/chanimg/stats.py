@@ -223,7 +223,8 @@ def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width:
     """Model-vs-data divergence report, per receiver height.
 
     Returns {height: {metric: value}} with KS distances for pathloss and
-    delay, uniformity KS for the model's azimuths/phases, the maximum
+    delay, uniformity KS for the model's azimuths/phases (each NaN at a
+    height where a side it reads has no path), the maximum
     absolute LOS-probability gap over shared occupied distance bins, and
     relative-zenith spread profiles for both sides.
     """
@@ -237,11 +238,14 @@ def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width:
         entry = {"n_model_links": len(m), "n_data_links": len(d)}
         # every path of every link, link by link
         pool_m, pool_d = m.paths[m.valid], d.paths[d.valid]
+        # a side without any path here (e.g. all Outage) has no distribution: NaN
         for feat in ("pathloss", "delay"):
             col = _FEATURE_COL[feat]
-            entry[f"ks_{feat}"] = ks_statistic(pool_m[:, col], pool_d[:, col])
+            entry[f"ks_{feat}"] = (ks_statistic(pool_m[:, col], pool_d[:, col])
+                                   if len(pool_m) and len(pool_d) else np.nan)
         for feat in ("aoa", "aod", "phase"):
-            entry[f"ks_uniform_{feat}"] = uniformity_check(pool_m[:, _FEATURE_COL[feat]], feat)
+            entry[f"ks_uniform_{feat}"] = (uniformity_check(pool_m[:, _FEATURE_COL[feat]], feat)
+                                           if len(pool_m) else np.nan)
 
         lsp_m = link_state_prob(m, h, dist_edges)
         lsp_d = link_state_prob(d, h, dist_edges)

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanimg import LinkTable, io
+from chanimg import LinkTable, io, tile, untile
 from chanimg.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FILE,
@@ -111,8 +111,55 @@ def test_eval_report_format(pipeline_dir):
 def test_training_log_format(pipeline_dir):
     lines = (pipeline_dir / "train_log.csv").read_text().splitlines()
     assert "generator_params=" in lines[0] and "critic_params=" in lines[0]
-    assert lines[1] == "step,critic_loss,gen_loss,gp_term"
+    assert lines[1] == "step,critic_loss,gen_loss,gp_term,wasserstein,gp_norm"
     assert len(lines) > 2
+    for row in lines[2:]:
+        _, total, _, gp, wasserstein, gp_norm = (float(v) for v in row.split(","))
+        assert total == pytest.approx(wasserstein + gp, rel=1e-12, abs=1e-15)
+        assert gp_norm > 0
+
+
+def test_wgan_models_the_matrix_and_samples_tiled_images(pipeline_dir):
+    d = pipeline_dir
+    backend, netp = io.read_model_checkpoint(d / "model.ckpt")
+    assert backend == "wgan-gp" and netp.image_shape == (8, 25)
+    assert netp.generator.sizes[-1] == 200 and netp.critic.sizes[0] == 200 + 32
+    samples, _ = io.read_images(d / "samples.chim")
+    assert samples.shape == (300, 64, 50)
+    # every 8x2 pixel block holds one matrix cell
+    np.testing.assert_array_equal(tile(untile(samples)), samples)
+
+
+def test_v1_checkpoint_is_version_error(pipeline_dir, tmp_path, capsys):
+    old = bytearray((pipeline_dir / "model.ckpt").read_bytes())
+    old[4:8] = struct.pack("<I", 1)
+    (tmp_path / "v1.ckpt").write_bytes(bytes(old))
+    fails_cleanly(capsys, ["sample", "--model", str(tmp_path / "v1.ckpt"),
+                           "--conditions-from", str(pipeline_dir / "data.jsonl"),
+                           "--out", str(tmp_path / "s.chim")], EXIT_VERSION, "v1")
+    assert not (tmp_path / "s.chim").exists()
+
+
+def test_eval_reports_nan_at_a_height_without_model_paths(pipeline_dir, tmp_path):
+    # a collapsed generator decodes to Outage links: no path at 1.6 m
+    lines = (pipeline_dir / "decoded.jsonl").read_text().splitlines(keepends=True)
+    for i, line in enumerate(lines[1:], start=1):
+        rec = json.loads(line)
+        if rec["rx"][2] == 1.6:
+            rec.update(link_state="Outage", paths=[])
+            lines[i] = json.dumps(rec) + "\n"
+    (tmp_path / "outage.jsonl").write_text("".join(lines))
+    out = tmp_path / "reports"
+    assert run(["--seed", "4", "eval", "--model", str(tmp_path / "outage.jsonl"),
+                "--data", str(pipeline_dir / "data.jsonl"), "--outdir", str(out)]) == 0
+    for name in ("ks.csv", "los_prob.csv", "zenith_pdf_zod.csv", "zenith_pdf_zoa.csv"):
+        assert (out / name).exists(), name
+    ks = {(h, m): float(v) for h, m, v in
+          (row.split(",") for row in (out / "ks.csv").read_text().splitlines()[2:])}
+    for metric in ("ks_pathloss", "ks_delay", "ks_uniform_aoa", "ks_uniform_aod",
+                   "ks_uniform_phase"):
+        assert np.isnan(ks["1.6", metric]), metric
+        assert 0.0 <= ks["30.0", metric] <= 1.0, metric
 
 
 def test_exit_codes(tmp_path):
@@ -160,7 +207,7 @@ def test_checkpoint_header_gaps_are_format_errors(tmp_path, capsys, header):
     capsys.readouterr()
     raw = json.dumps(header).encode()
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"WGPC" + struct.pack("<2I", 1, len(raw)) + raw)
+    bad.write_bytes(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, len(raw)) + raw)
     assert run(["sample", "--model", str(bad), "--conditions-from", str(tmp_path / "d.jsonl"),
                 "--out", str(tmp_path / "s.chim")]) == EXIT_BAD_FILE
     err = capsys.readouterr().err
@@ -248,6 +295,14 @@ def test_train_rejects_nonfinite_pixels(tmp_path, capsys):
                                "--backend", backend, "--out", str(tmp_path / "m.ckpt")],
                       EXIT_BAD_DATA, "non-finite")
         assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_train_rejects_images_that_are_not_64x50(tmp_path, capsys):
+    images = np.random.default_rng(0).uniform(-1, 1, (300, 2, 2)).astype(np.float32)
+    io.write_images(tmp_path / "i.chim", images, np.ones((300, 2)))
+    fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"),
+                           "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA, "64x50")
+    assert not (tmp_path / "m.ckpt").exists()
 
 
 def test_gen_data_unparsable_heights_is_usage_error(tmp_path, capsys):

@@ -8,6 +8,7 @@ from chanimg.codec import (
     AOD,
     DECODE_CHUNK,
     DLY,
+    UNTILE_CHUNK,
     LS,
     PL,
     PS,
@@ -302,6 +303,38 @@ def test_untile_noise_attenuation():
 def test_untile_rejects_bad_shape():
     with pytest.raises(DataError):
         untile(np.zeros((63, 50)))
+
+
+def test_tile_rejects_bad_shape():
+    for shape in ((8, 24), (3, 2, 2), (25, 8)):
+        with pytest.raises(DataError, match="8x25"):
+            tile(np.zeros(shape))
+
+
+def untile_whole_stack(image):
+    """Reference untile: one float64 copy of the whole stack, then the sums."""
+    image = np.asarray(image, dtype=np.float64)
+    b = image.reshape(*image.shape[:-2], 8, 8, 25, 2)
+    s = b[..., 0] + b[..., 1]
+    s = s[..., 0::2, :] + s[..., 1::2, :]
+    s = s[..., 0::2, :] + s[..., 1::2, :]
+    s = s[..., 0, :] + s[..., 1, :]
+    return s / 16.0
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("lead", [(), (1,), (UNTILE_CHUNK,), (2 * UNTILE_CHUNK + 3,),
+                                  (3, UNTILE_CHUNK // 2 + 1), (0,)])
+def test_blocked_untile_matches_whole_stack_bitwise(dtype, lead):
+    rng = np.random.default_rng(11)
+    images = rng.uniform(-1, 1, size=(*lead, 64, 50)).astype(dtype)
+    got = untile(images)
+    ref = untile_whole_stack(images)
+    assert got.dtype == np.float64 and got.shape == (*lead, 8, 25)
+    assert got.tobytes() == ref.tobytes()
+    # a strided view untiles to the same bits as its copy
+    if images.ndim == 3 and len(images) > 2:
+        assert untile(images[::2]).tobytes() == untile_whole_stack(images[::2]).tobytes()
 
 
 # -- encode ------------------------------------------------------------------------

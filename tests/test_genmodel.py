@@ -15,7 +15,6 @@ from chanimg.genmodel import (
     Mlp,
     WganGpHyperparams,
     adam_step,
-    critic_loss,
     sample,
     train_wgan_gp,
 )
@@ -24,7 +23,6 @@ from chanimg.genmodel.wgan import (
     NetworkParams,
     build_networks,
     critic_loss_and_grads,
-    generator_loss,
     generator_loss_and_grads,
 )
 from chanimg.rng import substream
@@ -194,6 +192,38 @@ def test_column_ranges_are_columns_of_full_result(dtype, batch):
     np.testing.assert_array_equal(part, full[:, 64:])
 
 
+# -- value-only reference losses ------------------------------------------------------
+#
+# The textbook losses, written out from the networks' forward and input-gradient
+# passes; the finite-difference checks differentiate these.
+
+
+def critic_loss(netp, real, fake, cond_norm, u, gp_lambda):
+    """{"total", "wasserstein", "gp", "gp_norm"} of the critic objective, value only."""
+    real = np.asarray(real).reshape(len(real), -1)
+    fake = np.asarray(fake).reshape(len(fake), -1)
+    emb, _ = netp.critic_embed.forward(cond_norm)
+    f_real, _ = netp.critic.forward(np.concatenate([real, emb], axis=1))
+    f_fake, _ = netp.critic.forward(np.concatenate([fake, emb], axis=1))
+    wasserstein = float(f_fake.mean() - f_real.mean())
+    x_hat = u * real + (1.0 - u) * fake
+    f, cache = netp.critic.forward(np.concatenate([x_hat, emb], axis=1))
+    g = netp.critic.input_grad(cache, np.ones_like(f), slice(0, x_hat.shape[1]))
+    s = np.sqrt(np.sum(g * g, axis=1))
+    gp = gp_lambda * float(np.mean((s - 1.0) ** 2))
+    return {"total": wasserstein + gp, "wasserstein": wasserstein, "gp": gp,
+            "gp_norm": float(s.mean())}
+
+
+def generator_loss(netp, z, cond_norm):
+    """-mean critic(G(z, c), c), value only."""
+    g_emb, _ = netp.gen_embed.forward(cond_norm)
+    y, _ = netp.generator.forward(np.concatenate([z, g_emb], axis=1))
+    c_emb, _ = netp.critic_embed.forward(cond_norm)
+    f, _ = netp.critic.forward(np.concatenate([y, c_emb], axis=1))
+    return float(-f.mean())
+
+
 # -- critic loss special cases ------------------------------------------------------
 
 
@@ -238,7 +268,11 @@ def test_critic_gradcheck_tiny():
     fake = rng.uniform(-1, 1, (b, 4))
     cond = rng.uniform(-1, 1, (b, 2))
     u = rng.uniform(size=(b, 1))
-    _, grads = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
+    parts, grads = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
+    ref = critic_loss(netp, real, fake, cond, u, 10.0)
+    assert parts.keys() == ref.keys()
+    for key in ref:
+        assert parts[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-15), key
     params = netp.critic_params()
     h = 1e-6
     for pi, p in enumerate(params):
@@ -322,6 +356,27 @@ def test_training_log_contents():
     assert all(np.isfinite(log.critic_losses))
     assert math.isnan(log.gen_losses[0]) and math.isfinite(log.gen_losses[1])
     assert log.param_counts["generator"] > 0 and log.param_counts["critic"] > 0
+    # the total is the Wasserstein estimate plus the weighted penalty
+    assert len(log.wasserstein) == len(log.gp_norms) == 4
+    for total, w, gp in zip(log.critic_losses, log.wasserstein, log.gp_terms):
+        assert total == pytest.approx(w + gp, rel=1e-12, abs=1e-15)
+    assert all(n > 0 and math.isfinite(n) for n in log.gp_norms)
+    assert [row["gp_norm"] for row in log.rows()] == log.gp_norms
+
+
+def test_default_model_is_the_channel_matrix():
+    assert WganGpHyperparams().image_shape == (8, 25)
+    assert NetworkParams.__dataclass_fields__["image_shape"].default == (8, 25)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 1)])
+def test_training_rejects_samples_of_another_shape(shape):
+    images, conds = toy_data(n=64, shape=shape)
+    hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=16)
+    with pytest.raises(DataError, match="shape"):
+        train_wgan_gp((images, conds), hyper, seed=0)
+    with pytest.raises(DataError, match="shape"):
+        train_wgan_gp(ArrayBatches(images, conds, 16), hyper, seed=0)
 
 
 def test_training_drops_last_partial_batch():

@@ -103,9 +103,13 @@ def test_images_rejects_truncation(tmp_path):
     p = tmp_path / "t.chim"
     io.write_images(p, rng.uniform(size=(3, 64, 50)), rng.uniform(size=(3, 2)))
     data = p.read_bytes()
-    p.write_bytes(data[:-10])
-    with pytest.raises(FormatError):
-        io.read_images(p)
+    # short payload, extra bytes, a header cut short, and a header whose
+    # count claims far more than the file holds (rejected before allocating)
+    for bad in (data[:-10], data + b"\x00", data[:12],
+                data[:4] + struct.pack("<4I", 1, 2**32 - 1, 2**16, 2**16) + data[20:]):
+        p.write_bytes(bad)
+        with pytest.raises(FormatError, match="truncated"):
+            io.read_images(p)
 
 
 def test_wgan_checkpoint_roundtrip(tmp_path):
