@@ -1,14 +1,15 @@
-"""From link records to channel images and back, losslessly.
+"""From link records to channel matrices and back, losslessly.
 
 Generates a small surrogate dataset, fits the codec (virtual-path ranges +
-Min-Max scaler), encodes one link into a 64x50 image, and shows that
-decoding recovers the original paths while stripping the virtual padding.
+Min-Max scaler), encodes one link into its 8x25 channel matrix, renders the
+matrix as the paper's 64x50 channel image, and shows that decoding the
+matrix recovers the original paths while stripping the virtual padding.
 Run:  python3 demos/02_channel_images.py
 """
 
 import numpy as np
 
-from chanimg import LinkTable, SurrogateConfig, fit_codec, generate_dataset
+from chanimg import LinkTable, SurrogateConfig, fit_codec, generate_dataset, tile
 from chanimg.rng import substream
 
 cfg = SurrogateConfig(num_tx=5, num_rx_per_height=20, seed=42)
@@ -22,21 +23,23 @@ for name, lo, hi in zip(("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase
                         codec.scaler.feature_min, codec.scaler.feature_max):
     print(f"  {name:9s} [{lo:9.3f}, {hi:9.3f}]")
 
-# encode takes a link table and returns a stack of images plus their
-# (dist2d, height) conditions
+# encode takes a link table and returns a stack of scaled 8x25 matrices plus
+# their (dist2d, height) conditions
 link = max(links, key=lambda lk: lk.n_paths)
 table = LinkTable.from_links([link])
-images, conds = codec.encode(table, substream(7, "demo"))
-image = images[0]
+matrices, conds = codec.encode(table, substream(7, "demo"))
+matrix = matrices[0]
 print(f"\nencoded a {link.link_state.value} link with {link.n_paths} paths "
-      f"-> image {image.shape}, pixel range [{image.min():.3f}, {image.max():.3f}]")
+      f"-> matrix {matrix.shape}, value range [{matrix.min():.3f}, {matrix.max():.3f}]")
 
-# each matrix cell becomes a constant 8x2 pixel block
+# the paper's channel image renders each matrix cell as a constant 8x2 block
+image = tile(matrix)
 block = image[0:8, 0:2]
-print(f"top-left 8x2 block is constant: {np.allclose(block, block[0, 0])}")
+print(f"rendered image {image.shape}; top-left 8x2 block is constant: "
+      f"{bool(np.all(block == matrix[0, 0]))}")
 
-# decode takes a stack of images and a table with one geometry row per image
-decoded = codec.decode(images, table)[0]
+# decode takes a stack of matrices and a table with one geometry row per matrix
+decoded = codec.decode(matrices, table)[0]
 print(f"\ndecoded: state={decoded.link_state.value} paths={decoded.n_paths} "
       f"(virtual columns stripped)")
 orig = np.stack([p.as_array() for p in link.paths])

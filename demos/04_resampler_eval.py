@@ -1,6 +1,6 @@
 """Distribution checks with the empirical resampler as the model.
 
-The resampler returns stored images of nearest-condition training links,
+The resampler returns stored matrices of nearest-condition training links,
 so after decoding, any statistical gap against held-out data reflects the
 codec, not generative-model quality.  This is the pipeline's oracle
 baseline: pathloss/delay KS distances and azimuth/phase uniformity come
@@ -25,12 +25,12 @@ print(f"{len(train)} training links, {len(held)} held-out links")
 
 model = EmpiricalResampler(*codec.encode(train, substream(11, "encode")), k=50)
 
-# every held-out condition (dist2d, height) four times over; image i
+# every held-out condition (dist2d, height) four times over; matrix i
 # decodes against the geometry of held-out link i % len(held)
 per_cond = 4
 tiled = np.tile(np.column_stack([held.dist2d, held.height]), (per_cond, 1))
-images = model.sample(tiled, len(tiled), seed=12)
-decoded = codec.decode(images, held.take(np.arange(len(images)) % len(held)))
+matrices = model.sample(tiled, len(tiled), seed=12)
+decoded = codec.decode(matrices, held.take(np.arange(len(matrices)) % len(held)))
 print(f"decoded {len(decoded)} resampled links; comparing against held-out data")
 
 report = compare_datasets(LinkTable.from_links(decoded), held, DEFAULT_HEIGHTS)

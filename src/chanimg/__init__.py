@@ -1,10 +1,11 @@
 """chanimg: geometry-based stochastic channel modeling via channel images.
 
-Multipath link records are encoded as 64x50 "channel images" through an
-invertible pipeline (virtual-path padding, free-space re-referencing,
-Min-Max scaling, pixel tiling), a conditional generative model learns their
-distribution given (2D distance, receiver height), and decoded samples are
-validated statistically against the source data.
+Multipath link records are encoded as 8x25 channel matrices (tile renders
+one as the paper's 64x50 "channel image") through an invertible pipeline
+(virtual-path padding, free-space re-referencing, Min-Max scaling), a
+conditional generative model learns their distribution given (2D distance,
+receiver height), and decoded samples are validated statistically against
+the source data.
 """
 
 from .core import (
@@ -18,7 +19,7 @@ from .core import (
     geometry,
     los_params,
 )
-from .codec import ChannelImageCodec, FeatureScaler, fit_codec, tile, untile
+from .codec import ChannelImageCodec, FeatureScaler, fit_codec, tile
 from .surrogate import SurrogateConfig, generate_dataset, train_test_split
 
 __version__ = "0.1.0"
@@ -40,6 +41,5 @@ __all__ = [
     "ChannelImageCodec",
     "fit_codec",
     "tile",
-    "untile",
     "__version__",
 ]

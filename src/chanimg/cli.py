@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import io
-from .codec import IMAGE_SHAPE, fit_codec, tile, untile
+from .codec import MATRIX_SHAPE, fit_codec
 from .core import LinkTable
 from .errors import (
     ChanimgError,
@@ -72,22 +72,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("encode", help="encode a dataset into channel images")
+    p = sub.add_parser("encode", help="encode a dataset into 8x25 channel matrices")
     p.add_argument("--data", required=True)
     p.add_argument("--codec", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--realizations", type=int, default=1,
                    help="virtual-padding realizations per link (data augmentation)")
 
-    p = sub.add_parser("decode", help="decode channel images back into a link dataset")
-    p.add_argument("--images", required=True)
+    p = sub.add_parser("decode", help="decode channel matrices back into a link dataset")
+    p.add_argument("--images", required=True, help="CHIM file of channel matrices")
     p.add_argument("--codec", required=True)
     p.add_argument("--geometry-from", required=True,
-                   help="dataset supplying tx/rx/freq; image i pairs with link i %% n_links")
+                   help="dataset supplying tx/rx/freq; matrix i pairs with link i %% n_links")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="train a generative backend on channel images")
-    p.add_argument("--images", required=True)
+    p = sub.add_parser("train", help="train a generative backend on channel matrices")
+    p.add_argument("--images", required=True, help="CHIM file of channel matrices")
     p.add_argument("--backend", choices=("wgan-gp", "resampler"), default="wgan-gp")
     p.add_argument("--out", required=True)
     p.add_argument("--log", default=None, help="training log CSV (wgan-gp)")
@@ -108,10 +108,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="training arithmetic (checkpoints are always float64)")
     p.add_argument("--k", type=int, default=50, help="resampler neighborhood size")
 
-    p = sub.add_parser("sample", help="sample images at the conditions of a dataset")
+    p = sub.add_parser("sample", help="sample channel matrices at the conditions of a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--conditions-from", required=True)
-    p.add_argument("--per-cond", type=int, default=1)
+    p.add_argument("--per-cond", type=int, default=1, help="matrices per condition (>= 1)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="compare a decoded model dataset against source data")
@@ -173,36 +173,36 @@ def _cmd_encode(args) -> int:
         raise DataError("--realizations must be >= 1")
     rng = substream(args.seed, "padding")
     n = len(table)
-    images = np.empty((args.realizations * n, *IMAGE_SHAPE), dtype=np.float32)
+    matrices = np.empty((args.realizations * n, *MATRIX_SHAPE), dtype=np.float32)
     for r in range(args.realizations):
         # unpacking straight into the float32 output drops each float64
         # block before the next realization is drawn
-        images[r * n:(r + 1) * n], conds = codec.encode(table, rng)
-    io.write_images(args.out, images, np.tile(conds, (args.realizations, 1)), seed=args.seed)
-    print(f"encoded {len(images)} images ({args.realizations} realization(s) "
+        matrices[r * n:(r + 1) * n], conds = codec.encode(table, rng)
+    io.write_images(args.out, matrices, np.tile(conds, (args.realizations, 1)), seed=args.seed)
+    print(f"encoded {len(matrices)} matrices ({args.realizations} realization(s) "
           f"of {n} links) -> {args.out}")
     return 0
 
 
 def _cmd_decode(args) -> int:
-    images, _ = io.read_images(args.images)
+    matrices, _ = io.read_images(args.images)
     codec = io.read_codec(args.codec)
     table = LinkTable.from_links(io.read_dataset(args.geometry_from))
     n = len(table)
-    if len(images) % n:
-        raise DataError(f"{len(images)} images do not tile {n} geometry links")
-    decoded = codec.decode(images, table.take(np.arange(len(images)) % n))
+    if len(matrices) % n:
+        raise DataError(f"{len(matrices)} matrices do not repeat {n} geometry links")
+    decoded = codec.decode(matrices, table.take(np.arange(len(matrices)) % n))
     io.write_dataset(args.out, decoded, seed=args.seed)
     print(f"decoded {len(decoded)} links -> {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
-    images, conds = io.read_images(args.images)
+    matrices, conds = io.read_images(args.images)
     if args.backend == "resampler":
-        model = EmpiricalResampler(images.astype(np.float64), conds, k=args.k)
+        model = EmpiricalResampler(matrices.astype(np.float64), conds, k=args.k)
         io.write_resampler_checkpoint(args.out, model, seed=args.seed)
-        print(f"stored resampler over {len(images)} images -> {args.out}")
+        print(f"stored resampler over {len(matrices)} matrices -> {args.out}")
         return 0
     hyper = WganGpHyperparams(
         learning_rate=args.lr, adam_beta1=args.beta1, adam_beta2=args.beta2,
@@ -211,8 +211,7 @@ def _cmd_train(args) -> int:
         hidden=_number_list(args.hidden, "--hidden", kind=int),
         generator_output_gain=args.output_gain,
         output_init=args.output_init, dtype=args.dtype)
-    # the model learns the 8x25 matrix each image carries
-    netp, log = train_wgan_gp(ArrayBatches(untile(images), conds, hyper.batch_size),
+    netp, log = train_wgan_gp(ArrayBatches(matrices, conds, hyper.batch_size),
                               hyper, args.seed)
     io.write_wgan_checkpoint(args.out, netp, seed=args.seed)
     if args.log:
@@ -224,15 +223,17 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.per_cond < 1:
+        raise DataError("--per-cond must be >= 1")
     backend, model = io.read_model_checkpoint(args.model)
     table = LinkTable.from_links(io.read_dataset(args.conditions_from))
-    tiled = np.tile(np.column_stack([table.dist2d, table.height]), (args.per_cond, 1))
+    conds = np.tile(np.column_stack([table.dist2d, table.height]), (args.per_cond, 1))
     if backend == "wgan-gp":
-        images = tile(wgan_sample(model, tiled, len(tiled), args.seed))
+        matrices = wgan_sample(model, conds, len(conds), args.seed)
     else:
-        images = model.sample(tiled, len(tiled), args.seed)
-    io.write_images(args.out, images.astype(np.float32), tiled, seed=args.seed)
-    print(f"sampled {len(images)} images ({args.per_cond} per condition) -> {args.out}")
+        matrices = model.sample(conds, len(conds), args.seed)
+    io.write_images(args.out, matrices, conds, seed=args.seed)
+    print(f"sampled {len(matrices)} matrices ({args.per_cond} per condition) -> {args.out}")
     return 0
 
 
@@ -291,8 +292,8 @@ def _cmd_report(args) -> int:
     header = ["link", "state_ok", "n_paths_ok", "virtual_survivors",
               "err_pathloss", "err_delay", "err_aod", "err_zod", "err_aoa",
               "err_zoa", "err_phase"]
-    images, _ = codec.encode(table, substream(args.seed, "padding"))
-    decoded = LinkTable.from_links(codec.decode(images, table))
+    matrices, _ = codec.encode(table, substream(args.seed, "padding"))
+    decoded = LinkTable.from_links(codec.decode(matrices, table))
     state_ok = (decoded.state == table.state).astype(int).tolist()
     n_ok = decoded.counts == table.counts
     survivors = np.maximum(decoded.counts - table.counts, 0).tolist()

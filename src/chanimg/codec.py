@@ -1,4 +1,4 @@
-"""Invertible mapping between link records and 64x50 channel images.
+"""Invertible mapping between link records and 8x25 channel matrices.
 
 Encode pipeline, run on a whole dataset at once:
   1. pad each link's #paths x 8 features to a fixed 8x25 matrix with "virtual"
@@ -10,19 +10,24 @@ Encode pipeline, run on a whole dataset at once:
      link state as a value near +1 (LOS) or -1 (NLOS/Outage);
   3. Min-Max scale each feature row into [-1, 1] with ranges fitted over
      the whole padded tensor;
-  4. tile every matrix cell into an 8x2 pixel block, giving 64x50.
+  4. render (display only): tile shows a matrix as the paper's 64x50
+     channel image, each cell an 8x2 pixel block.
+
+The scaled (N, 8, 25) matrix of step 3 is the encoded form: CHIM files
+store it, the generative backends model it and decode reads it.  The
+rendered image carries no value the matrix lacks, so no stage stores or
+reads it.
 
 The padding draws come from one rng in a fixed order: a (N, 25) block of
 virtual pathloss, then one (N, 25) block per row from delay to phase (cells
 of real paths draw too and discard the value), then one link-state draw per
 link.
 
-Decode runs the exact inverse (block mean, inverse scaling, add the
-references back), votes the link state on the mean of the last row,
-overwrites the first column with the closed-form LOS path when the vote is
-LOS, and strips every column whose pathloss exceeds the outage threshold.
-Every step is exact up to float64 rounding, so decode(encode(link))
-recovers the real paths.
+Decode runs the exact inverse (inverse scaling, add the references back),
+votes the link state on the mean of the last row, overwrites the first
+column with the closed-form LOS path when the vote is LOS, and strips every
+column whose pathloss exceeds the outage threshold.  Every step is exact up
+to float64 rounding, so decode(encode(link)) recovers the real paths.
 
 Angles are kept absolute, not relative to the LOS direction: with only
 (dist2d, height) as conditions the LOS azimuth is not recoverable, so
@@ -47,8 +52,8 @@ __all__ = [
     "FEATURES",
     "FeatureScaler",
     "ChannelImageCodec",
+    "MATRIX_SHAPE",
     "tile",
-    "untile",
     "fit_codec",
 ]
 
@@ -56,15 +61,14 @@ FEATURES = ("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase", "link_stat
 N_FEATURES = 8
 PL, DLY, AOD, ZOD, AOA, ZOA, PS, LS = range(N_FEATURES)
 
-IMAGE_SHAPE = (64, 50)
-V_REP, H_REP = 8, 2  # vertical / horizontal replication factors
+MATRIX_SHAPE = (N_FEATURES, MAX_PATHS)  # the encoded form: features x paths
+V_REP, H_REP = 8, 2  # pixel rows / columns per cell of the 64x50 rendering
 
 DELAY_SCALE = 1e7
 OUTAGE_THRESHOLD_DB = 180.0
 VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH = 181.0, 190.0
 LINK_STATE_EPS = 0.01
-DECODE_CHUNK = 256  # images per decode block; bounds decode's working memory
-UNTILE_CHUNK = 256  # images per untile block; bounds the float64 copy of float32 input
+DECODE_CHUNK = 256  # matrices per decode block; bounds decode's working memory
 
 
 class FeatureScaler:
@@ -113,38 +117,10 @@ class FeatureScaler:
 
 
 def tile(values: np.ndarray) -> np.ndarray:
-    """Replicate each cell of (..., 8, 25) matrices 8x vertically and 2x horizontally."""
-    if values.shape[-2:] != (N_FEATURES, MAX_PATHS):
+    """Render (..., 8, 25) matrices as 64x50 images: each cell an 8x2 pixel block."""
+    if values.shape[-2:] != MATRIX_SHAPE:
         raise DataError(f"channel matrix must be {N_FEATURES}x{MAX_PATHS}")
-    lead = values.shape[:-2]
-    out = np.empty((*lead, *IMAGE_SHAPE))
-    out.reshape(*lead, N_FEATURES, V_REP, MAX_PATHS, H_REP)[...] = values[..., :, None, :, None]
-    return out
-
-
-def untile(image: np.ndarray) -> np.ndarray:
-    """Block mean over each 8x2 pixel block; exact inverse of tile.
-
-    Returns float64 (..., 8, 25).  The stack is worked through UNTILE_CHUNK
-    images at a time, so float32 input is upcast one block at a time.
-    """
-    image = np.asarray(image)
-    if image.shape[-2:] != IMAGE_SHAPE:
-        raise DataError(f"channel image must be {IMAGE_SHAPE[0]}x{IMAGE_SHAPE[1]}")
-    flat = image.reshape(-1, *IMAGE_SHAPE)
-    out = np.empty((len(flat), N_FEATURES, MAX_PATHS))
-    for start in range(0, len(flat), UNTILE_CHUNK):
-        block = slice(start, start + UNTILE_CHUNK)
-        b = flat[block].astype(np.float64, copy=False).reshape(
-            -1, N_FEATURES, V_REP, MAX_PATHS, H_REP)
-        # balanced pairwise sums: every add combines equal-size blocks, so the
-        # mean of a constant block is bit-exact (each step doubles the value)
-        s = b[..., 0] + b[..., 1]
-        s = s[..., 0::2, :] + s[..., 1::2, :]
-        s = s[..., 0::2, :] + s[..., 1::2, :]
-        s = s[..., 0, :] + s[..., 1, :]
-        np.divide(s, float(V_REP * H_REP), out=out[block])
-    return out.reshape(*image.shape[:-2], N_FEATURES, MAX_PATHS)
+    return np.repeat(np.repeat(values, V_REP, axis=-2), H_REP, axis=-1)
 
 
 def _require_paths(table: LinkTable):
@@ -192,7 +168,7 @@ class ChannelImageCodec:
     # -- encode ------------------------------------------------------------
 
     def encode(self, table: LinkTable, rng):
-        """(images (N, 64, 50), conditions (N, 2)) of a link table.
+        """(matrices (N, 8, 25) float64, conditions (N, 2)) of a link table.
 
         One padding realization is drawn from rng; conditions are each
         link's (dist2d, receiver height).  Clipped cells count in
@@ -204,16 +180,17 @@ class ChannelImageCodec:
         if low.size:
             raise DataError(f"link {low[0]}: receiver height {table.height[low[0]]} "
                             "is not positive")
-        images = tile(self.scaler.scale(_prescale(table, self.virtual_ranges, self.eps, rng)))
-        return images, np.column_stack([table.dist2d, table.height])
+        matrices = self.scaler.scale(_prescale(table, self.virtual_ranges, self.eps, rng))
+        return matrices, np.column_stack([table.dist2d, table.height])
 
     # -- decode ------------------------------------------------------------
 
-    def decode(self, images, table: LinkTable) -> list:
-        """Invert the pipeline for a stack of images and strip virtual paths.
+    def decode(self, matrices, table: LinkTable) -> list:
+        """Invert the pipeline for a stack of matrices and strip virtual paths.
 
-        images is (N, 64, 50) and table has N rows: image i decodes against
-        the geometry of table row i.  Returns N LinkRecords in order.
+        matrices is (N, 8, 25) (a DataError otherwise) and table has N rows:
+        matrix i decodes against the geometry of table row i.  Returns N
+        LinkRecords in order.
 
         The link state is voted on the mean of the (un-scaled) last row;
         a LOS vote overwrites the first column with the closed-form LOS
@@ -224,24 +201,27 @@ class ChannelImageCodec:
         wrapped/clipped and delays floored at the straight-line propagation
         time (counted in self.stats over the kept columns).
         """
-        images = np.asarray(images)
-        if len(table) != len(images):
-            raise DataError("decode needs one geometry row per image")
+        matrices = np.asarray(matrices)
+        if matrices.ndim != 3 or matrices.shape[1:] != MATRIX_SHAPE:
+            raise DataError(f"decode needs (N, {N_FEATURES}, {MAX_PATHS}) channel matrices, "
+                            f"got shape {matrices.shape}")
+        if len(table) != len(matrices):
+            raise DataError("decode needs one geometry row per matrix")
         out = []
-        for start in range(0, len(images), DECODE_CHUNK):
+        for start in range(0, len(matrices), DECODE_CHUNK):
             block = slice(start, start + DECODE_CHUNK)
-            out.extend(self._decode_block(images[block], table.take(block), start))
+            out.extend(self._decode_block(matrices[block], table.take(block), start))
         return out
 
-    def _decode_block(self, images, geo: LinkTable, start: int) -> list:
-        images = np.asarray(images, dtype=np.float64)
-        if not np.all(np.isfinite(images)):
-            raise FormatError("channel image contains non-finite pixels")
-        values = self.scaler.unscale(untile(images))  # (m, 8, 25)
+    def _decode_block(self, matrices, geo: LinkTable, start: int) -> list:
+        matrices = np.asarray(matrices, dtype=np.float64)
+        if not np.all(np.isfinite(matrices)):
+            raise FormatError("channel matrix contains non-finite values")
+        values = self.scaler.unscale(matrices)  # (m, 8, 25)
         is_los = values[:, LS].mean(axis=-1) > 0.0
         no_los = np.flatnonzero(is_los & np.isnan(geo.los[:, PL]))
         if no_los.size:
-            raise GeometryError(f"image {start + no_los[0]}: LOS vote on a link "
+            raise GeometryError(f"matrix {start + no_los[0]}: LOS vote on a link "
                                 "without a closed-form LOS path")
 
         base_delay = geo.dist3d / SPEED_OF_LIGHT

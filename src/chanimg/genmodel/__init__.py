@@ -1,10 +1,9 @@
-"""Conditional generative backends over channel images.
+"""Conditional generative backends over 8x25 channel matrices.
 
-Two backends produce channel data in [-1, 1] given a (dist2d, height)
-condition: a conditional WGAN trained with a gradient penalty, which
-models the 8x25 matrix each 64x50 image carries (the CLI tiles its
-samples into images), and a nearest-condition empirical resampler that
-returns stored 64x50 images and serves as a codec-isolating baseline.
+Two backends produce channel matrices in [-1, 1] given a (dist2d, height)
+condition: a conditional WGAN trained with a gradient penalty, and a
+nearest-condition empirical resampler that returns stored training
+matrices and serves as a codec-isolating baseline.
 """
 
 from .nn import AdamState, Mlp, adam_step

@@ -1,10 +1,10 @@
 """Nearest-condition empirical resampler.
 
-A deliberately model-free backend: "sampling" an image under a condition
-returns a stored training image whose condition is among the k nearest in
-normalized condition space, drawn with replacement.  Because its outputs
-are real encoded images, any distributional mismatch after decoding
-isolates codec problems from generative-model quality.
+A deliberately model-free backend: "sampling" a channel matrix under a
+condition returns one of the stored training matrices whose condition is
+among the k nearest in normalized condition space, drawn with replacement.
+Because its outputs are real encoded matrices, any distributional mismatch
+after decoding isolates codec problems from generative-model quality.
 """
 
 import numpy as np
@@ -18,20 +18,20 @@ QUERY_CHUNK = 256  # queries per distance block; bounds the (chunk, N) work arra
 
 
 class EmpiricalResampler:
-    """k-nearest-condition resampling over an encoded dataset."""
+    """k-nearest-condition resampling over stored training matrices."""
 
-    def __init__(self, images, conditions, k: int = 50):
-        self.images = np.asarray(images)
+    def __init__(self, matrices, conditions, k: int = 50):
+        self.matrices = np.asarray(matrices)
         self.conditions = np.asarray(conditions, dtype=np.float64)
-        if len(self.images) == 0:
+        if len(self.matrices) == 0:
             raise DataError("resampler needs a non-empty dataset")
-        if len(self.images) != len(self.conditions):
-            raise DataError("images and conditions must pair up")
+        if len(self.matrices) != len(self.conditions):
+            raise DataError("matrices and conditions must pair up")
         # min and max propagate NaN and show +-inf, without a full-size mask
-        if not (np.isfinite([self.images.min(), self.images.max()]).all()
+        if not (np.isfinite([self.matrices.min(), self.matrices.max()]).all()
                 and np.isfinite(self.conditions).all()):
-            raise DataError("resampler images or conditions contain non-finite values")
-        self.k = int(min(k, len(self.images)))
+            raise DataError("resampler matrices or conditions contain non-finite values")
+        self.k = int(min(k, len(self.matrices)))
         if self.k < 1:
             raise DataError("k must be >= 1")
         self.cond_min = self.conditions.min(axis=0)
@@ -67,13 +67,13 @@ class EmpiricalResampler:
         return out
 
     def sample(self, cond, n: int, seed: int) -> np.ndarray:
-        """n stored images resampled near the condition(s).
+        """n stored matrices resampled near the condition(s).
 
         cond is one (dist2d, height) pair, or an (n, 2) array pairing one
-        condition per output image.
+        condition per output matrix.
         """
         if n == 0:
-            return self.images[:0].copy()
+            return self.matrices[:0].copy()
         cond = np.asarray(cond, dtype=np.float64)
         rng = substream(seed, "resampler")
         if cond.ndim == 1:
@@ -84,4 +84,4 @@ class EmpiricalResampler:
                 raise DataError("cond must be one pair or an (n, 2) array")
             nb = self._nearest(cond)
             picks = nb[np.arange(n), rng.integers(self.k, size=n)]
-        return self.images[picks]  # fancy indexing already copies
+        return self.matrices[picks]  # fancy indexing already copies

@@ -1,9 +1,10 @@
 """Conditional Wasserstein GAN with gradient penalty over channel matrices.
 
-The model works on the (8, 25) matrix that a 64x50 channel image carries:
-every 8x2 pixel block of the image is one matrix cell (codec.tile), and
-decode block-averages away everything else (codec.untile).  The CLI trains
-on untile(images) and tiles the samples it writes.
+The model works on the codec's scaled (8, 25) channel matrix
+(codec.MATRIX_SHAPE), the form that CHIM files store and decode reads.
+The paper's 64x50 channel image is a rendering of it (codec.tile, each
+cell an 8x2 pixel block) and carries no further values.  The CLI trains on
+the matrices it reads and writes the samples as they come.
 
 Generator and critic are dense networks (nn.Mlp) in float64 or float32
 (WganGpHyperparams.dtype).  The condition (2D distance, receiver height)
@@ -18,7 +19,7 @@ samples, the matrix m:
 
 with m_hat = u * real + (1 - u) * fake, u ~ U(0,1) per sample, and the
 gradient taken with respect to the matrix part of the critic input only.
-A penalty with target 1 on the 64x50 image would be target 4 on the
+A penalty with target 1 on the 64x50 rendering would be target 4 on the
 matrix gradient only for a critic that is constant over each pixel block,
 so no choice here reproduces an image-space critic exactly.  The generator
 minimizes -mean f(fake).  All gradients, including the second-order
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..codec import MATRIX_SHAPE
 from ..errors import DataError, TrainingDivergedError
 from ..rng import substream
 from .nn import AdamState, Mlp, adam_step, count_params
@@ -43,9 +45,6 @@ __all__ = [
     "train_wgan_gp",
     "sample",
 ]
-
-MATRIX_SHAPE = (8, 25)  # the codec's features x paths; one cell per 8x2 pixel block
-
 
 @dataclass
 class WganGpHyperparams:
@@ -346,6 +345,10 @@ class TrainingLog:
 # -- training -------------------------------------------------------------------
 
 
+def _dims(shape) -> str:
+    return "x".join(str(d) for d in shape)
+
+
 def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
     """Train on channel matrices; returns (NetworkParams, TrainingLog).
 
@@ -358,8 +361,8 @@ def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
     if isinstance(data, tuple):
         data = ArrayBatches(data[0], data[1], hyper.batch_size)
     if data.images.shape[1:] != tuple(hyper.image_shape):
-        raise DataError(f"training samples have shape {data.images.shape[1:]}, "
-                        f"the model expects {tuple(hyper.image_shape)}")
+        raise DataError(f"training samples have shape {_dims(data.images.shape[1:])}, "
+                        f"the model expects {_dims(hyper.image_shape)}")
     if len(data.images) < hyper.batch_size:
         raise DataError("dataset smaller than one batch; nothing to train on")
 

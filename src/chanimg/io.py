@@ -5,12 +5,12 @@ Every format carries a major version; readers reject unknown majors.
   - dataset:    JSON Lines, one link per line, '#'-comment header with
                 version, units and the generating seed
   - codec:      JSON bundle of virtual-path ranges and scaler parameters
-  - images:     binary "CHIM": magic, u32 version/count/rows/cols, float32
-                pixel payload, then one float64 (dist2d, height) pair per
-                image.  Image i of a file derived from a dataset pairs with
-                link i % n_links (realizations/samples are stored as
+  - images:     binary "CHIM" v2: magic, u32 version/count/rows/cols, float32
+                8x25 channel matrices, then one float64 (dist2d, height) pair
+                per matrix.  Matrix i of a file derived from a dataset pairs
+                with link i % n_links (realizations/samples are stored as
                 repeated blocks of the full dataset).
-  - checkpoint: binary "WGPC": magic, u32 version, u32 header length, JSON
+  - checkpoint: binary "WGPC" v3: magic, u32 version, u32 header length, JSON
                 header (metadata + named array table), float64 payload
   - reports:    CSV with a '#'-comment identifying the metric, version and
                 seed, then a regular header row
@@ -18,6 +18,7 @@ Every format carries a major version; readers reject unknown majors.
 
 import csv
 import json
+import math
 import os
 import re
 import struct
@@ -34,8 +35,8 @@ from .genmodel.wgan import NetworkParams
 
 DATASET_VERSION = 1
 CODEC_VERSION = 1
-IMAGES_VERSION = 1
-CHECKPOINT_VERSION = 2  # v2: the WGAN-GP models 8x25 matrices, not 64x50 images
+IMAGES_VERSION = 2  # v2: 8x25 matrices, not their 64x50 tiled images
+CHECKPOINT_VERSION = 3  # v3: the resampler stores 8x25 matrices, not 64x50 images
 REPORT_VERSION = 1
 
 IMAGES_MAGIC = b"CHIM"
@@ -51,7 +52,7 @@ def _require_version(kind: str, got: int, expected: int):
 
 def _write_array(fh, array, dtype):
     """Write an array's bytes in C order without a bytes copy of the payload."""
-    fh.write(memoryview(np.ascontiguousarray(array, dtype=dtype)).cast("B"))
+    fh.write(np.ascontiguousarray(array, dtype=dtype))
 
 
 # -- dataset JSONL ---------------------------------------------------------------
@@ -130,48 +131,47 @@ def read_codec(path) -> ChannelImageCodec:
         raise FormatError(f"{path}: missing codec field {exc}") from exc
 
 
-# -- channel image tensors --------------------------------------------------------
+# -- channel matrix tensors --------------------------------------------------------
 
 
-def write_images(path, images, conditions, seed=None):
-    images = np.asarray(images)
+def write_images(path, matrices, conditions, seed=None):
+    matrices = np.asarray(matrices)
     conditions = np.asarray(conditions, dtype=np.float64)
-    if images.ndim != 3 or len(images) != len(conditions):
-        raise DataError("need (N, rows, cols) images and matching (N, 2) conditions")
+    if matrices.ndim != 3 or len(matrices) != len(conditions):
+        raise DataError("need (N, rows, cols) matrices and matching (N, 2) conditions")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as fh:
         fh.write(IMAGES_MAGIC)
-        fh.write(struct.pack("<4I", IMAGES_VERSION, images.shape[0],
-                             images.shape[1], images.shape[2]))
-        _write_array(fh, images, "<f4")
+        fh.write(struct.pack("<4I", IMAGES_VERSION, *matrices.shape))
+        _write_array(fh, matrices, "<f4")
         _write_array(fh, conditions, "<f8")
 
 
 def read_images(path):
-    """(images (N, rows, cols) float32, conditions (N, 2) float64) of a CHIM file.
+    """(matrices (N, rows, cols) float32, conditions (N, 2) float64) of a CHIM file.
 
-    The payloads are read straight into their arrays, so the pixels are
+    The payloads are read straight into their arrays, so the values are
     held once.
     """
     path = Path(path)
     with path.open("rb") as fh:
         head = fh.read(4 + 16)
         if head[:4] != IMAGES_MAGIC:
-            raise FormatError(f"{path}: not a channel image file")
+            raise FormatError(f"{path}: not a channel matrix file")
         if len(head) < 4 + 16:
-            raise FormatError(f"{path}: truncated image file")
+            raise FormatError(f"{path}: truncated matrix file")
         version, count, rows, cols = struct.unpack_from("<4I", head, 4)
         _require_version("images", version, IMAGES_VERSION)
         # sized from the header before anything is allocated
         if os.fstat(fh.fileno()).st_size != len(head) + count * (rows * cols * 4 + 2 * 8):
-            raise FormatError(f"{path}: truncated image file")
-        images = np.empty((count, rows, cols), dtype="<f4")
+            raise FormatError(f"{path}: truncated matrix file")
+        matrices = np.empty((count, rows, cols), dtype="<f4")
         conditions = np.empty((count, 2), dtype="<f8")
-        for array in (images, conditions):
+        for array in (matrices, conditions):
             if fh.readinto(array) != array.nbytes:
-                raise FormatError(f"{path}: truncated image file")
-    return images, conditions
+                raise FormatError(f"{path}: truncated matrix file")
+    return matrices, conditions
 
 
 # -- model checkpoints -------------------------------------------------------------
@@ -195,23 +195,27 @@ def _read_checkpoint(path):
     raw = path.read_bytes()
     if raw[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"{path}: not a checkpoint file")
+    if len(raw) < 4 + 8:
+        raise FormatError(f"{path}: truncated checkpoint header")
     version, header_len = struct.unpack_from("<2I", raw, 4)
     _require_version("checkpoint", version, CHECKPOINT_VERSION)
     offset = 4 + 8
     try:
         doc = json.loads(raw[offset:offset + header_len].decode())
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from exc
     offset += header_len
-    if not isinstance(doc, dict) or "meta" not in doc or "entries" not in doc:
-        raise FormatError(f"{path}: checkpoint header lacks 'meta' or 'entries'")
+    if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
+            and isinstance(doc.get("entries"), list)):
+        raise FormatError(f"{path}: checkpoint header lacks a 'meta' object or 'entries' list")
     arrays = {}
     for entry in doc["entries"]:
-        try:
-            name, shape = entry["name"], tuple(entry["shape"])
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{path}: bad checkpoint entry {entry!r}") from exc
-        n = int(np.prod(shape)) if shape else 1
+        shape = entry.get("shape") if isinstance(entry, dict) else None
+        if not (isinstance(shape, list) and isinstance(entry.get("name"), str)
+                and all(isinstance(d, int) and d >= 0 for d in shape)):
+            raise FormatError(f"{path}: bad checkpoint entry {entry!r}")
+        name, shape = entry["name"], tuple(shape)
+        n = math.prod(shape)
         if offset + 8 * n > len(raw):
             raise FormatError(f"{path}: truncated checkpoint payload")
         arrays[name] = np.frombuffer(
@@ -246,7 +250,7 @@ def write_wgan_checkpoint(path, netp: NetworkParams, seed=None):
 def write_resampler_checkpoint(path, model: EmpiricalResampler, seed=None):
     meta = {"backend": "resampler", "seed": seed, "k": model.k}
     _write_checkpoint(path, meta, {
-        "images": np.asarray(model.images, dtype=np.float64),
+        "matrices": np.asarray(model.matrices, dtype=np.float64),
         "conditions": model.conditions,
     })
 
@@ -273,9 +277,9 @@ def read_model_checkpoint(path):
             netp.check_finite()
             return backend, netp
         if backend == "resampler":
-            return backend, EmpiricalResampler(arrays["images"], arrays["conditions"],
+            return backend, EmpiricalResampler(arrays["matrices"], arrays["conditions"],
                                                k=meta["k"])
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:  # a field missing or of the wrong JSON type
         raise FormatError(f"{path}: incomplete checkpoint: {exc}") from exc
     raise FormatError(f"{path}: unknown backend {backend!r}")
 

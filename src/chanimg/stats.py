@@ -226,8 +226,13 @@ def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width:
     delay, uniformity KS for the model's azimuths/phases (each NaN at a
     height where a side it reads has no path), the maximum
     absolute LOS-probability gap over shared occupied distance bins, and
-    relative-zenith spread profiles for both sides.
+    relative-zenith spread profiles for both sides.  A bin width that is
+    not positive and finite is a DataError.
     """
+    for name, width in (("dist_bin_width", dist_bin_width),
+                        ("angle_bin_width", angle_bin_width)):
+        if not 0 < width < np.inf:
+            raise DataError(f"{name} must be positive and finite, got {width}")
     d_hi = float(np.concatenate([model.dist2d, data.dist2d]).max()) + dist_bin_width
     dist_edges = np.arange(0.0, d_hi + dist_bin_width, dist_bin_width)
     angle_edges = np.arange(-angle_range, angle_range + angle_bin_width, angle_bin_width)

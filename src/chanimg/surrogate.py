@@ -86,10 +86,6 @@ class SurrogateConfig:
         if self.num_tx * self.num_rx_per_height * len(self.heights) <= 0:
             raise DataError("zero links requested")
 
-    @property
-    def num_links(self) -> int:
-        return self.num_tx * self.num_rx_per_height * len(self.heights)
-
 
 def _los_probability(cfg: SurrogateConfig, dist2d: float, height: float) -> float:
     if cfg.los_probability is not None:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chanimg import LinkTable, io, tile, untile
+from chanimg import LinkTable, io
 from chanimg.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FILE,
@@ -18,6 +18,7 @@ from chanimg.cli import (
     EXIT_VERSION,
     run,
 )
+from chanimg.genmodel import sample as wgan_sample
 from chanimg.rng import substream
 
 
@@ -119,25 +120,82 @@ def test_training_log_format(pipeline_dir):
         assert gp_norm > 0
 
 
-def test_wgan_models_the_matrix_and_samples_tiled_images(pipeline_dir):
+def test_wgan_models_and_samples_the_matrix(pipeline_dir):
     d = pipeline_dir
     backend, netp = io.read_model_checkpoint(d / "model.ckpt")
     assert backend == "wgan-gp" and netp.image_shape == (8, 25)
     assert netp.generator.sizes[-1] == 200 and netp.critic.sizes[0] == 200 + 32
-    samples, _ = io.read_images(d / "samples.chim")
-    assert samples.shape == (300, 64, 50)
-    # every 8x2 pixel block holds one matrix cell
-    np.testing.assert_array_equal(tile(untile(samples)), samples)
+    samples, conds = io.read_images(d / "samples.chim")
+    assert samples.shape == (300, 8, 25)
+    # sample stores the generator's matrices as they come, in float32
+    np.testing.assert_array_equal(samples, wgan_sample(netp, conds, 300, 4).astype(np.float32))
+
+
+def with_version(path, version, out):
+    """A copy of path whose u32 version word (bytes 4-8) reads version."""
+    raw = bytearray(Path(path).read_bytes())
+    raw[4:8] = struct.pack("<I", version)
+    out.write_bytes(bytes(raw))
+    return str(out)
 
 
 def test_v1_checkpoint_is_version_error(pipeline_dir, tmp_path, capsys):
-    old = bytearray((pipeline_dir / "model.ckpt").read_bytes())
-    old[4:8] = struct.pack("<I", 1)
-    (tmp_path / "v1.ckpt").write_bytes(bytes(old))
-    fails_cleanly(capsys, ["sample", "--model", str(tmp_path / "v1.ckpt"),
+    for version in (1, 2):
+        old = with_version(pipeline_dir / "model.ckpt", version, tmp_path / f"v{version}.ckpt")
+        fails_cleanly(capsys, ["sample", "--model", old,
+                               "--conditions-from", str(pipeline_dir / "data.jsonl"),
+                               "--out", str(tmp_path / "s.chim")], EXIT_VERSION, f"v{version}")
+        assert not (tmp_path / "s.chim").exists()
+
+
+def test_v1_images_are_version_errors(pipeline_dir, tmp_path, capsys):
+    d = pipeline_dir
+    old = with_version(d / "images.chim", 1, tmp_path / "v1.chim")
+    fails_cleanly(capsys, ["train", "--images", old, "--out", str(tmp_path / "m.ckpt")],
+                  EXIT_VERSION, "v1")
+    fails_cleanly(capsys, ["decode", "--images", old, "--codec", str(d / "codec.json"),
+                           "--geometry-from", str(d / "data.jsonl"),
+                           "--out", str(tmp_path / "dec.jsonl")], EXIT_VERSION, "v1")
+    assert not any(tmp_path.glob("m.ckpt")) and not any(tmp_path.glob("dec.jsonl"))
+
+
+def test_resampler_with_k1_returns_stored_matrices(pipeline_dir, tmp_path):
+    d = pipeline_dir
+    res, out = tmp_path / "res.ckpt", tmp_path / "s.chim"
+    assert run(["--seed", "3", "train", "--images", str(d / "images.chim"),
+                "--backend", "resampler", "--k", "1", "--out", str(res)]) == 0
+    assert run(["--seed", "5", "sample", "--model", str(res),
+                "--conditions-from", str(d / "data.jsonl"), "--out", str(out)]) == 0
+    matrices, conds = io.read_images(d / "images.chim")
+    samples, sample_conds = io.read_images(out)
+    np.testing.assert_array_equal(sample_conds, conds)
+    # the one nearest stored condition is the training row itself (the first
+    # of any links sharing a condition)
+    first = [np.flatnonzero((conds == c).all(axis=1))[0] for c in conds]
+    assert samples.tobytes() == matrices[first].tobytes()
+
+
+@pytest.mark.parametrize("per_cond", ["0", "-1"])
+def test_sample_rejects_nonpositive_per_cond(pipeline_dir, tmp_path, capsys, per_cond):
+    fails_cleanly(capsys, ["sample", "--model", str(pipeline_dir / "resampler.ckpt"),
                            "--conditions-from", str(pipeline_dir / "data.jsonl"),
-                           "--out", str(tmp_path / "s.chim")], EXIT_VERSION, "v1")
+                           f"--per-cond={per_cond}", "--out", str(tmp_path / "s.chim")],
+                  EXIT_BAD_DATA, "--per-cond")
     assert not (tmp_path / "s.chim").exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--dist-bin-width", "0"), ("--dist-bin-width", "nan"), ("--dist-bin-width", "-25"),
+    ("--dist-bin-width", "inf"), ("--angle-bin-width", "-2"), ("--angle-bin-width", "0"),
+    ("--angle-bin-width", "nan"),
+])
+def test_eval_rejects_bad_bin_widths(pipeline_dir, tmp_path, capsys, flag, value):
+    d = pipeline_dir
+    fails_cleanly(capsys, ["eval", "--model", str(d / "decoded.jsonl"),
+                           "--data", str(d / "data.jsonl"), f"{flag}={value}",
+                           "--outdir", str(tmp_path / "reports")],
+                  EXIT_BAD_DATA, flag[2:].replace("-", "_"))
+    assert not (tmp_path / "reports").exists()
 
 
 def test_eval_reports_nan_at_a_height_without_model_paths(pipeline_dir, tmp_path):
@@ -200,14 +258,30 @@ def test_eval_runs_warning_free(pipeline_dir, tmp_path):
             (d / "reports" / name).read_bytes()
 
 
-@pytest.mark.parametrize("header", [{"entries": []}, {"meta": {"backend": "resampler"}},
-                                    [], {"meta": {}, "entries": [{"name": "x"}]}])
+@pytest.mark.parametrize("header", [
+    {"entries": []}, {"meta": {"backend": "resampler"}}, [],
+    {"meta": {}, "entries": [{"name": "x"}]},
+    # whole files: shorter than the 12-byte preamble, and a header not UTF-8
+    pytest.param(b"WGPC\x03\x00", id="short-file"),
+    pytest.param(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, 4) + b"\xff{}\xfe",
+                 id="header-not-utf8"),
+    pytest.param({"meta": {}, "entries": [{"name": "x", "shape": "ab"}]}, id="shape-str"),
+    pytest.param({"meta": {}, "entries": 5}, id="entries-not-list"),
+    pytest.param({"meta": {}, "entries": [5]}, id="entry-not-object"),
+    pytest.param({"meta": [], "entries": []}, id="meta-list"),
+    pytest.param({"meta": "resampler", "entries": []}, id="meta-str"),
+    pytest.param({"meta": {"backend": "wgan-gp", "nets": 5}, "entries": []},
+                 id="meta-field-type"),
+])
 def test_checkpoint_header_gaps_are_format_errors(tmp_path, capsys, header):
     run(["--seed", "1", "gen-data", "--links", "20", "--out", str(tmp_path / "d.jsonl")])
     capsys.readouterr()
-    raw = json.dumps(header).encode()
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, len(raw)) + raw)
+    if isinstance(header, bytes):
+        bad.write_bytes(header)
+    else:
+        raw = json.dumps(header).encode()
+        bad.write_bytes(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, len(raw)) + raw)
     assert run(["sample", "--model", str(bad), "--conditions-from", str(tmp_path / "d.jsonl"),
                 "--out", str(tmp_path / "s.chim")]) == EXIT_BAD_FILE
     err = capsys.readouterr().err
@@ -236,8 +310,9 @@ def test_encode_realizations_are_consecutive_encode_calls(tmp_path):
     table, codec = LinkTable.from_links(io.read_dataset(data)), io.read_codec(codec_path)
     rng = substream(5, "padding")
     (a, conds), (b, _) = codec.encode(table, rng), codec.encode(table, rng)
-    images, got_conds = io.read_images(out)
-    np.testing.assert_array_equal(images, np.concatenate([a, b]).astype(np.float32))
+    matrices, got_conds = io.read_images(out)
+    assert matrices.shape == (80, 8, 25)
+    np.testing.assert_array_equal(matrices, np.concatenate([a, b]).astype(np.float32))
     np.testing.assert_array_equal(got_conds, np.concatenate([conds, conds]))
 
 
@@ -287,9 +362,9 @@ def test_encode_rejects_receiver_at_ground(tmp_path, capsys):
 
 
 def test_train_rejects_nonfinite_pixels(tmp_path, capsys):
-    images = np.zeros((8, 64, 50), dtype=np.float32)
-    images[3, 10, 10] = np.nan
-    io.write_images(tmp_path / "i.chim", images, np.ones((8, 2)))
+    matrices = np.zeros((8, 8, 25), dtype=np.float32)
+    matrices[3, 5, 10] = np.nan
+    io.write_images(tmp_path / "i.chim", matrices, np.ones((8, 2)))
     for backend in ("wgan-gp", "resampler"):
         fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"), "--batch-size", "4",
                                "--backend", backend, "--out", str(tmp_path / "m.ckpt")],
@@ -301,7 +376,7 @@ def test_train_rejects_images_that_are_not_64x50(tmp_path, capsys):
     images = np.random.default_rng(0).uniform(-1, 1, (300, 2, 2)).astype(np.float32)
     io.write_images(tmp_path / "i.chim", images, np.ones((300, 2)))
     fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"),
-                           "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA, "64x50")
+                           "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA, "8x25")
     assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -333,8 +408,8 @@ def test_gen_data_out_of_range_physics_are_data_errors(tmp_path, capsys, flag, v
     ("--beta2", "1"), ("--output-gain", "nan"), ("--output-gain", "inf"),
 ])
 def test_train_rejects_bad_hyperparameters(tmp_path, capsys, flag, value):
-    images = np.random.default_rng(0).uniform(-1, 1, (8, 64, 50)).astype(np.float32)
-    io.write_images(tmp_path / "i.chim", images, np.ones((8, 2)))
+    matrices = np.random.default_rng(0).uniform(-1, 1, (8, 8, 25)).astype(np.float32)
+    io.write_images(tmp_path / "i.chim", matrices, np.ones((8, 2)))
     fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"), "--batch-size", "4",
                            f"{flag}={value}", "--log", str(tmp_path / "log.csv"),
                            "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA)

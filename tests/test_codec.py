@@ -1,4 +1,6 @@
-"""Image codec: padding, re-referencing, scaling, tiling, decode."""
+"""Channel codec: padding, re-referencing, scaling, decode, and the 64x50 rendering."""
+
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from chanimg.codec import (
     AOD,
     DECODE_CHUNK,
     DLY,
-    UNTILE_CHUNK,
     LS,
     PL,
     PS,
@@ -18,7 +19,6 @@ from chanimg.codec import (
     FeatureScaler,
     fit_codec,
     tile,
-    untile,
 )
 from chanimg.core import (
     SPEED_OF_LIGHT,
@@ -103,24 +103,23 @@ def reference_prescale(virtual_ranges, eps, links, rng):
 
 
 def reference_encode(codec, links, rng):
-    """(images, conditions, clipped cells): reference_prescale -> scale -> tile."""
+    """(matrices, conditions, clipped cells): reference_prescale -> scale."""
     pre = reference_prescale(codec.virtual_ranges, codec.eps, links, rng)
     lo = codec.scaler.feature_min[:, None]
     hi = codec.scaler.feature_max[:, None]
-    images = np.empty((len(links), 64, 50))
+    matrices = np.empty((len(links), 8, 25))
     clipped = 0
     for i, m in enumerate(pre):
         clipped += int(np.count_nonzero((m < lo) | (m > hi)))
-        scaled = np.clip(2.0 * (m - lo) / (hi - lo) - 1.0, -1.0, 1.0)
-        images[i] = np.kron(scaled, np.ones((8, 2)))
+        matrices[i] = np.clip(2.0 * (m - lo) / (hi - lo) - 1.0, -1.0, 1.0)
     conds = np.array([[geometry(lk.tx, lk.rx)[0], lk.rx[2]] for lk in links])
-    return images, conds, clipped
+    return matrices, conds, clipped
 
 
 def prescaled(codec, links, rng):
-    """encode's matrices before scaling, recovered through untile and unscale."""
-    images, _ = codec.encode(LinkTable.from_links(links), rng)
-    return codec.scaler.unscale(untile(images))
+    """encode's matrices before scaling, recovered through unscale."""
+    matrices, _ = codec.encode(LinkTable.from_links(links), rng)
+    return codec.scaler.unscale(matrices)
 
 
 # -- padding -------------------------------------------------------------------
@@ -285,56 +284,16 @@ def test_tile_replicates_blocks():
     assert np.all(img[:, 2:] == 0.0)
 
 
-def test_untile_tile_bit_exact():
+def test_tile_renders_a_stack_as_kron_blocks():
     rng = np.random.default_rng(9)
     vals = rng.uniform(-1, 1, size=(200, 8, 25))
-    images = tile(vals)
-    np.testing.assert_array_equal(images, np.kron(vals, np.ones((8, 2))))
-    assert np.array_equal(untile(images), vals)
-
-
-def test_untile_noise_attenuation():
-    rng = np.random.default_rng(10)
-    vals = rng.uniform(-0.9, 0.9, size=(8, 25))
-    noisy = tile(vals) + rng.uniform(-0.01, 0.01, size=(64, 50))
-    assert np.max(np.abs(untile(noisy) - vals)) <= 0.01
-
-
-def test_untile_rejects_bad_shape():
-    with pytest.raises(DataError):
-        untile(np.zeros((63, 50)))
+    np.testing.assert_array_equal(tile(vals), np.kron(vals, np.ones((8, 2))))
 
 
 def test_tile_rejects_bad_shape():
     for shape in ((8, 24), (3, 2, 2), (25, 8)):
         with pytest.raises(DataError, match="8x25"):
             tile(np.zeros(shape))
-
-
-def untile_whole_stack(image):
-    """Reference untile: one float64 copy of the whole stack, then the sums."""
-    image = np.asarray(image, dtype=np.float64)
-    b = image.reshape(*image.shape[:-2], 8, 8, 25, 2)
-    s = b[..., 0] + b[..., 1]
-    s = s[..., 0::2, :] + s[..., 1::2, :]
-    s = s[..., 0::2, :] + s[..., 1::2, :]
-    s = s[..., 0, :] + s[..., 1, :]
-    return s / 16.0
-
-
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("lead", [(), (1,), (UNTILE_CHUNK,), (2 * UNTILE_CHUNK + 3,),
-                                  (3, UNTILE_CHUNK // 2 + 1), (0,)])
-def test_blocked_untile_matches_whole_stack_bitwise(dtype, lead):
-    rng = np.random.default_rng(11)
-    images = rng.uniform(-1, 1, size=(*lead, 64, 50)).astype(dtype)
-    got = untile(images)
-    ref = untile_whole_stack(images)
-    assert got.dtype == np.float64 and got.shape == (*lead, 8, 25)
-    assert got.tobytes() == ref.tobytes()
-    # a strided view untiles to the same bits as its copy
-    if images.ndim == 3 and len(images) > 2:
-        assert untile(images[::2]).tobytes() == untile_whole_stack(images[::2]).tobytes()
 
 
 # -- encode ------------------------------------------------------------------------
@@ -355,10 +314,10 @@ def test_encode_matches_per_link_reference(dataset, codec):
     # every cell, virtual and link-state cells included, bit for bit
     links = encode_cases(dataset)
     enc = ChannelImageCodec.from_dict(codec.to_dict())
-    images, conds = enc.encode(LinkTable.from_links(links), substream(16, "x"))
+    matrices, conds = enc.encode(LinkTable.from_links(links), substream(16, "x"))
     want, want_conds, clipped = reference_encode(codec, links, substream(16, "x"))
-    assert images.dtype == np.float64
-    np.testing.assert_array_equal(images, want)
+    assert matrices.dtype == np.float64
+    np.testing.assert_array_equal(matrices, want)
     np.testing.assert_array_equal(conds, want_conds)
     assert enc.scaler.n_clipped == clipped
 
@@ -366,9 +325,9 @@ def test_encode_matches_per_link_reference(dataset, codec):
 def test_encode_counts_clipped_cells(wide):
     # aod of a full link runs from -120 to 120 deg, all above a -170 deg max
     wide.scaler.feature_max[AOD] = -170.0
-    images, _ = wide.encode(LinkTable.from_links([make_link(25)]), substream(19, "x"))
+    matrices, _ = wide.encode(LinkTable.from_links([make_link(25)]), substream(19, "x"))
     assert wide.scaler.n_clipped == 25
-    assert np.all(images[0, 8 * AOD:8 * (AOD + 1)] == 1.0)
+    assert np.all(matrices[0, AOD] == 1.0)
     wide.encode(LinkTable.from_links([make_link(25)]), substream(20, "x"))
     assert wide.scaler.n_clipped == 50
 
@@ -376,9 +335,9 @@ def test_encode_counts_clipped_cells(wide):
 # -- full encode/decode -----------------------------------------------------------
 
 
-def decode_stack(codec, images, links):
-    """Decode images[i] against the geometry of links[i]."""
-    return codec.decode(images, LinkTable.from_links(links))
+def decode_stack(codec, matrices, links):
+    """Decode matrices[i] against the geometry of links[i]."""
+    return codec.decode(matrices, LinkTable.from_links(links))
 
 
 def geometry_table(tx, rx, carrier_freq):
@@ -387,14 +346,14 @@ def geometry_table(tx, rx, carrier_freq):
                                 for a, b, f in zip(tx, rx, carrier_freq))
 
 
-def decode_one(codec, image, link):
-    return decode_stack(codec, np.asarray(image)[None], [link])[0]
+def decode_one(codec, matrix, link):
+    return decode_stack(codec, np.asarray(matrix)[None], [link])[0]
 
 
 def test_roundtrip_surrogate_links(dataset, table, codec):
-    images, _ = codec.encode(table, substream(12, "roundtrip"))
+    matrices, _ = codec.encode(table, substream(12, "roundtrip"))
     worst = np.zeros(7)
-    for lk, dec in zip(dataset, decode_stack(codec, images, dataset)):
+    for lk, dec in zip(dataset, decode_stack(codec, matrices, dataset)):
         assert dec.link_state is lk.link_state
         assert dec.n_paths == lk.n_paths  # no virtual survivors, no real losses
         a = np.stack([p.as_array() for p in lk.paths])
@@ -406,49 +365,48 @@ def test_roundtrip_surrogate_links(dataset, table, codec):
 
 
 def test_roundtrip_los_first_path_exact(dataset, table, codec):
-    images, _ = codec.encode(table, substream(13, "los"))
-    for lk, dec in zip(dataset, decode_stack(codec, images, dataset)):
+    matrices, _ = codec.encode(table, substream(13, "los"))
+    for lk, dec in zip(dataset, decode_stack(codec, matrices, dataset)):
         if lk.link_state is LinkState.LOS:
             np.testing.assert_array_equal(dec.paths[0].as_array(), lk.paths[0].as_array())
 
 
 def test_decode_negative_last_row_is_nlos(codec):
     link = make_link(10)
-    images, _ = codec.encode(LinkTable.from_links([link]), substream(14, "x"))
-    dec = decode_one(codec, images[0], link)
+    matrices, _ = codec.encode(LinkTable.from_links([link]), substream(14, "x"))
+    dec = decode_one(codec, matrices[0], link)
     assert dec.link_state is LinkState.NLOS
 
 
 def test_decode_all_paths_above_threshold_is_outage(codec):
-    # craft an image whose decoded pathloss is ~185 dB everywhere
+    # craft a matrix whose decoded pathloss is ~185 dB everywhere
     link = make_link(10)
     _, d3 = geometry(link.tx, link.rx)
     vals = np.zeros((8, 25))
     vals[PL] = 185.0 - fspl(d3, link.carrier_freq)
     vals[DLY] = 1.0
     vals[LS] = -0.995
-    img = tile(codec.scaler.scale(vals))
-    dec = decode_one(codec, img, link)
+    dec = decode_one(codec, codec.scaler.scale(vals), link)
     assert dec.link_state is LinkState.OUTAGE
     assert dec.n_paths == 0
 
 
 def test_decode_rejects_nonfinite(codec):
-    img = np.zeros((64, 50))
-    img[5, 5] = np.nan
+    mat = np.zeros((8, 25))
+    mat[5, 5] = np.nan
     with pytest.raises(FormatError):
-        codec.decode(img[None], geometry_table([(0, 0, 30)], [(10, 10, 1.6)], [12e9]))
-    # a bad image past the first internal block is caught too
+        codec.decode(mat[None], geometry_table([(0, 0, 30)], [(10, 10, 1.6)], [12e9]))
+    # a bad matrix past the first internal block is caught too
     n = DECODE_CHUNK + 2
-    stack = np.zeros((n, 64, 50))
-    stack[-1] = img
+    stack = np.zeros((n, 8, 25))
+    stack[-1] = mat
     with pytest.raises(FormatError):
         codec.decode(stack, geometry_table([(0, 0, 30)] * n, [(10, 10, 1.6)] * n, [12e9] * n))
 
 
-def reference_decode(codec, image, tx, rx, carrier_freq, stats):
-    """Per-image decode, written column by column as the definition reads."""
-    values = codec.scaler.unscale(untile(np.asarray(image, dtype=np.float64)))
+def reference_decode(codec, matrix, tx, rx, carrier_freq, stats):
+    """Per-matrix decode, written column by column as the definition reads."""
+    values = codec.scaler.unscale(np.asarray(matrix, dtype=np.float64))
     _, dist3d = geometry(tx, rx)
     values[PL] += fspl(dist3d, carrier_freq)
     base_delay = dist3d / SPEED_OF_LIGHT
@@ -490,16 +448,15 @@ def test_stacked_decode_matches_per_image_reference():
     mats[0, LS] = -0.5  # ... and no LOS column written over them
     mats[1, LS] = 0.5  # clear LOS vote
     mats[2, LS] = -0.5  # clear NLOS vote
-    images = tile(mats)
     tx = np.column_stack([rng.uniform(-200, 200, (n, 2)), np.full(n, 30.0)])
     rx = np.column_stack([rng.uniform(-200, 200, (n, 2)), rng.choice([1.6, 30.0, 60.0], n)])
     freq = rng.choice([3.5e9, 12e9, 28e9], n)
 
     geo = geometry_table(tx, rx, freq)
-    got = stacked.decode(images, geo)
-    ones = [single.decode(images[i:i + 1], geo.take([i]))[0] for i in range(n)]
+    got = stacked.decode(mats, geo)
+    ones = [single.decode(mats[i:i + 1], geo.take([i]))[0] for i in range(n)]
     stats = {"delay_floored": 0, "pathloss_floored": 0}
-    want = [reference_decode(ref, images[i], tuple(tx[i]), tuple(rx[i]), float(freq[i]),
+    want = [reference_decode(ref, mats[i], tuple(tx[i]), tuple(rx[i]), float(freq[i]),
                              stats)
             for i in range(n)]
     assert [repr(r) for r in got] == [repr(r) for r in want]  # repr keeps every bit
@@ -518,7 +475,14 @@ def test_stacked_decode_matches_per_image_reference():
 
 def test_decode_rejects_mismatched_geometry(codec):
     with pytest.raises(DataError):
-        codec.decode(np.zeros((2, 64, 50)), geometry_table([(0, 0, 30)], [(10, 10, 1.6)], [12e9]))
+        codec.decode(np.zeros((2, 8, 25)), geometry_table([(0, 0, 30)], [(10, 10, 1.6)], [12e9]))
+
+
+@pytest.mark.parametrize("shape", [(1, 64, 50), (8, 25), (1, 8, 24), (1, 25, 8), (1, 1, 8, 25)])
+def test_decode_rejects_stack_that_is_not_8x25(codec, shape):
+    geo = geometry_table([(0, 0, 30)], [(10, 10, 1.6)], [12e9])
+    with pytest.raises(DataError, match=f"got shape {re.escape(str(shape))}"):
+        codec.decode(np.zeros(shape), geo)
 
 
 def test_decode_los_vote_on_vertical_link_is_geometry_error(codec):
@@ -528,18 +492,18 @@ def test_decode_los_vote_on_vertical_link_is_geometry_error(codec):
     assert np.all(np.isnan(geo.los[1])) and not np.any(np.isnan(geo.los[0]))
     vals = np.zeros((2, 8, 25))  # every column 0 dB above free space: all kept
     vals[:, LS] = -0.995
-    nlos = codec.decode(tile(codec.scaler.scale(vals)), geo)
+    nlos = codec.decode(codec.scaler.scale(vals), geo)
     assert [lk.link_state for lk in nlos] == [LinkState.NLOS] * 2
     vals[:, LS] = 0.995
-    with pytest.raises(GeometryError, match="image 1"):
-        codec.decode(tile(codec.scaler.scale(vals)), geo)
+    with pytest.raises(GeometryError, match="matrix 1"):
+        codec.decode(codec.scaler.scale(vals), geo)
 
 
 def test_decode_sanitizes_gan_style_output(codec):
-    # arbitrary in-range pixels must decode to a valid link record
+    # arbitrary in-range cells must decode to a valid link record
     rng = np.random.default_rng(15)
-    img = rng.uniform(-1, 1, size=(64, 50))
-    dec = codec.decode(img[None], geometry_table([(0.0, 0.0, 30.0)], [(100.0, 50.0, 1.6)],
+    mat = rng.uniform(-1, 1, size=(8, 25))
+    dec = codec.decode(mat[None], geometry_table([(0.0, 0.0, 30.0)], [(100.0, 50.0, 1.6)],
                                                  [12e9]))[0]
     for p in dec.paths:
         assert -180.0 < p.aod <= 180.0 and -180.0 < p.aoa <= 180.0
@@ -558,8 +522,8 @@ def test_codec_json_roundtrip(codec):
 def test_encode_images_in_range(dataset, table, codec):
     rng = substream(18, "x")
     for _ in range(2):
-        images, conds = codec.encode(table, rng)
-        assert images.shape == (len(dataset), 64, 50)
-        assert np.all(images >= -1.0) and np.all(images <= 1.0)
+        matrices, conds = codec.encode(table, rng)
+        assert matrices.shape == (len(dataset), 8, 25)
+        assert np.all(matrices >= -1.0) and np.all(matrices <= 1.0)
         for lk, c in zip(dataset, conds):
             assert c[0] == geometry(lk.tx, lk.rx)[0] and c[1] == lk.rx[2]

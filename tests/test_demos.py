@@ -26,6 +26,21 @@ def test_demo_runs(demo):
     run_demo(demo)
 
 
+# the round-trip bounds perfbench puts on `chanimg report` (degrees for angles
+# and phase)
+ROUNDTRIP_TOL = {"pathloss dB": 1e-6, "delay s": 1e-12, "aod deg": 1e-6, "zod deg": 1e-6,
+                 "aoa deg": 1e-6, "zoa deg": 1e-6, "phase deg": 1e-6}
+
+
+def test_channel_image_demo_renders_blocks_and_round_trips():
+    out = run_demo("02_channel_images.py")
+    assert "block is constant: True" in out, out
+    errors = dict(re.findall(r"^  (\w+ \w+) +(\S+)$", out, flags=re.MULTILINE))
+    assert errors.keys() == ROUNDTRIP_TOL.keys(), out
+    for label, bound in ROUNDTRIP_TOL.items():
+        assert float(errors[label]) <= bound, (label, out)
+
+
 def test_toy_wgan_recovers_each_condition_mean():
     out = run_demo("03_train_toy_wgan.py")
     means = re.findall(r"sample mean ([+-]\d\.\d+) \(target ([+-]\d\.\d)\)", out)

@@ -74,14 +74,25 @@ def test_codec_rejects_garbage(tmp_path):
 
 def test_images_roundtrip(tmp_path):
     rng = np.random.default_rng(0)
-    images = rng.uniform(-1, 1, (6, 64, 50)).astype(np.float32)
+    matrices = rng.uniform(-1, 1, (6, 8, 25)).astype(np.float32)
     conds = rng.uniform(1, 500, (6, 2))
     p = tmp_path / "imgs.chim"
-    io.write_images(p, images, conds, seed=1)
+    io.write_images(p, matrices, conds, seed=1)
     bi, bc = io.read_images(p)
-    np.testing.assert_array_equal(bi, images)
+    np.testing.assert_array_equal(bi, matrices)
     np.testing.assert_array_equal(bc, conds)
     assert p.read_bytes()[:4] == b"CHIM"
+    assert struct.unpack_from("<4I", p.read_bytes(), 4) == (io.IMAGES_VERSION, 6, 8, 25)
+    assert p.stat().st_size == 20 + 6 * (8 * 25 * 4 + 2 * 8)
+
+
+def test_images_roundtrip_of_zero_matrices(tmp_path):
+    p = tmp_path / "empty.chim"
+    io.write_images(p, np.zeros((0, 8, 25)), np.zeros((0, 2)))
+    assert p.stat().st_size == 20
+    matrices, conds = io.read_images(p)
+    assert matrices.shape == (0, 8, 25) and matrices.dtype == np.float32
+    assert conds.shape == (0, 2)
 
 
 def test_images_rejects_bad_magic(tmp_path):
@@ -101,12 +112,13 @@ def test_images_rejects_future_version(tmp_path):
 def test_images_rejects_truncation(tmp_path):
     rng = np.random.default_rng(1)
     p = tmp_path / "t.chim"
-    io.write_images(p, rng.uniform(size=(3, 64, 50)), rng.uniform(size=(3, 2)))
+    io.write_images(p, rng.uniform(size=(3, 8, 25)), rng.uniform(size=(3, 2)))
     data = p.read_bytes()
     # short payload, extra bytes, a header cut short, and a header whose
     # count claims far more than the file holds (rejected before allocating)
     for bad in (data[:-10], data + b"\x00", data[:12],
-                data[:4] + struct.pack("<4I", 1, 2**32 - 1, 2**16, 2**16) + data[20:]):
+                data[:4] + struct.pack("<4I", io.IMAGES_VERSION, 2**32 - 1, 2**16, 2**16)
+                + data[20:]):
         p.write_bytes(bad)
         with pytest.raises(FormatError, match="truncated"):
             io.read_images(p)
@@ -132,13 +144,13 @@ def test_wgan_checkpoint_roundtrip(tmp_path):
 
 def test_resampler_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(4)
-    model = EmpiricalResampler(rng.uniform(-1, 1, (10, 64, 50)),
+    model = EmpiricalResampler(rng.uniform(-1, 1, (10, 8, 25)),
                                rng.uniform(1, 400, (10, 2)), k=4)
     p = tmp_path / "res.ckpt"
     io.write_resampler_checkpoint(p, model, seed=4)
     backend, back = io.read_model_checkpoint(p)
     assert backend == "resampler" and back.k == 4
-    np.testing.assert_array_equal(back.images, model.images)
+    np.testing.assert_array_equal(back.matrices, model.matrices)
     out_a = model.sample([100.0, 30.0], 5, seed=9)
     out_b = back.sample([100.0, 30.0], 5, seed=9)
     np.testing.assert_array_equal(out_a, out_b)
