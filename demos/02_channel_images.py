@@ -38,12 +38,13 @@ block = image[0:8, 0:2]
 print(f"rendered image {image.shape}; top-left 8x2 block is constant: "
       f"{bool(np.all(block == matrix[0, 0]))}")
 
-# decode takes a stack of matrices and a table with one geometry row per matrix
-decoded = codec.decode(matrices, table)[0]
-print(f"\ndecoded: state={decoded.link_state.value} paths={decoded.n_paths} "
+# decode takes a stack of matrices and a table with one geometry row per
+# matrix, and returns the decoded table
+decoded = codec.decode(matrices, table)
+print(f"\ndecoded: state={decoded.state[0].value} paths={decoded.counts[0]} "
       f"(virtual columns stripped)")
-orig = np.stack([p.as_array() for p in link.paths])
-back = np.stack([p.as_array() for p in decoded.paths])
+orig = table.paths[0, :table.counts[0]]
+back = decoded.paths[0, :decoded.counts[0]]
 err = np.abs(orig - back).max(axis=0)
 labels = ("pathloss dB", "delay s", "aod deg", "zod deg", "aoa deg", "zoa deg", "phase deg")
 print("worst per-feature round-trip error:")

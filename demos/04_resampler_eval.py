@@ -33,7 +33,7 @@ matrices = model.sample(tiled, len(tiled), seed=12)
 decoded = codec.decode(matrices, held.take(np.arange(len(matrices)) % len(held)))
 print(f"decoded {len(decoded)} resampled links; comparing against held-out data")
 
-report = compare_datasets(LinkTable.from_links(decoded), held, DEFAULT_HEIGHTS)
+report = compare_datasets(decoded, held, DEFAULT_HEIGHTS)
 print(f"\n{'height':>7} {'KS(pl)':>7} {'KS(dly)':>8} {'KS(aoa)':>8} {'KS(phase)':>9} {'LOS gap':>8}")
 for h in DEFAULT_HEIGHTS:
     e = report[h]

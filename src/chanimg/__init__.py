@@ -15,9 +15,7 @@ from .core import (
     LinkState,
     LinkTable,
     PathParams,
-    fspl,
-    geometry,
-    los_params,
+    closed_forms,
 )
 from .codec import ChannelImageCodec, FeatureScaler, fit_codec, tile
 from .surrogate import SurrogateConfig, generate_dataset, train_test_split
@@ -31,9 +29,7 @@ __all__ = [
     "LinkRecord",
     "LinkState",
     "LinkTable",
-    "geometry",
-    "fspl",
-    "los_params",
+    "closed_forms",
     "SurrogateConfig",
     "generate_dataset",
     "train_test_split",

@@ -39,7 +39,7 @@ from .genmodel import (
     train_wgan_gp,
 )
 from .rng import substream
-from .stats import compare_datasets
+from .stats import RMS_FEATURES, compare_datasets
 from .surrogate import DEFAULT_HEIGHTS, SurrogateConfig, generate_dataset
 
 EXIT_UNEXPECTED = 1
@@ -48,6 +48,16 @@ EXIT_BAD_FILE = 3
 EXIT_VERSION = 4
 EXIT_BAD_DATA = 5
 EXIT_DIVERGED = 6
+# (error class, kind, exit code) of each error a stage may raise; the first match wins
+EXIT_CODES = (
+    (UsageError, "usage", EXIT_USAGE),
+    (TrainingDivergedError, "diverged", EXIT_DIVERGED),
+    (VersionError, "version", EXIT_VERSION),
+    (FormatError, "format", EXIT_BAD_FILE),
+    ((DataError, GeometryError), "data", EXIT_BAD_DATA),
+    (OSError, "io", EXIT_BAD_FILE),
+    (ChanimgError, "other", EXIT_UNEXPECTED),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -152,14 +162,14 @@ def _cmd_gen_data(args) -> int:
         num_tx=args.num_tx, num_rx_per_height=per_height, heights=heights,
         area=(w, d), carrier_freq=args.freq, seed=args.seed,
         los_probability=args.los_probability)
-    links = generate_dataset(cfg)[: args.links]
-    io.write_dataset(args.out, links, seed=args.seed)
-    print(f"wrote {len(links)} links to {args.out}")
+    table = LinkTable.from_links(generate_dataset(cfg)[: args.links])
+    io.write_table(args.out, table, seed=args.seed)
+    print(f"wrote {len(table)} links to {args.out}")
     return 0
 
 
 def _cmd_fit_codec(args) -> int:
-    table = LinkTable.from_links(io.read_dataset(args.data))
+    table = io.read_table(args.data)
     codec = fit_codec(table, substream(args.seed, "padding"))
     io.write_codec(args.out, codec, seed=args.seed)
     print(f"fitted codec on {len(table)} links -> {args.out}")
@@ -167,7 +177,7 @@ def _cmd_fit_codec(args) -> int:
 
 
 def _cmd_encode(args) -> int:
-    table = LinkTable.from_links(io.read_dataset(args.data))
+    table = io.read_table(args.data)
     codec = io.read_codec(args.codec)
     if args.realizations < 1:
         raise DataError("--realizations must be >= 1")
@@ -187,12 +197,12 @@ def _cmd_encode(args) -> int:
 def _cmd_decode(args) -> int:
     matrices, _ = io.read_images(args.images)
     codec = io.read_codec(args.codec)
-    table = LinkTable.from_links(io.read_dataset(args.geometry_from))
+    table = io.read_table(args.geometry_from)
     n = len(table)
     if len(matrices) % n:
         raise DataError(f"{len(matrices)} matrices do not repeat {n} geometry links")
     decoded = codec.decode(matrices, table.take(np.arange(len(matrices)) % n))
-    io.write_dataset(args.out, decoded, seed=args.seed)
+    io.write_table(args.out, decoded, seed=args.seed)
     print(f"decoded {len(decoded)} links -> {args.out}")
     return 0
 
@@ -226,7 +236,7 @@ def _cmd_sample(args) -> int:
     if args.per_cond < 1:
         raise DataError("--per-cond must be >= 1")
     backend, model = io.read_model_checkpoint(args.model)
-    table = LinkTable.from_links(io.read_dataset(args.conditions_from))
+    table = io.read_table(args.conditions_from)
     conds = np.tile(np.column_stack([table.dist2d, table.height]), (args.per_cond, 1))
     if backend == "wgan-gp":
         matrices = wgan_sample(model, conds, len(conds), args.seed)
@@ -238,22 +248,17 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    model = LinkTable.from_links(io.read_dataset(args.model))
-    data = LinkTable.from_links(io.read_dataset(args.data))
+    model = io.read_table(args.model)
+    data = io.read_table(args.data)
     report = compare_datasets(model, data, np.unique(data.height).tolist(),
                               dist_bin_width=args.dist_bin_width,
                               angle_bin_width=args.angle_bin_width)
     outdir = args.outdir
 
-    ks_rows = []
-    for h, entry in report.items():
-        for feat in ("pathloss", "delay"):
-            ks_rows.append([h, f"ks_{feat}", entry[f"ks_{feat}"]])
-        for feat in ("aoa", "aod", "phase"):
-            ks_rows.append([h, f"ks_uniform_{feat}", entry[f"ks_uniform_{feat}"]])
-        for feat in ("delay", "aoa", "aod", "zoa", "zod"):
-            ks_rows.append([h, f"ks_rms_{feat}", entry[f"ks_rms_{feat}"]])
-        ks_rows.append([h, "max_los_prob_gap", entry["max_los_prob_gap"]])
+    metrics = (*(f"ks_{f}" for f in ("pathloss", "delay")),
+               *(f"ks_uniform_{f}" for f in ("aoa", "aod", "phase")),
+               *(f"ks_rms_{f}" for f in RMS_FEATURES), "max_los_prob_gap")
+    ks_rows = [[h, m, entry[m]] for h, entry in report.items() for m in metrics]
     io.write_report_csv(f"{outdir}/ks.csv", "ks", args.seed,
                         ["height", "metric", "value"], ks_rows)
 
@@ -273,11 +278,9 @@ def _cmd_eval(args) -> int:
         for h, entry in report.items():
             for side in ("model", "data"):
                 pdf = entry[f"zenith_pdf_{ang}_{side}"]
-                for j in range(pdf.density.shape[1]):
-                    for i in range(pdf.density.shape[0]):
-                        if pdf.density[i, j]:
-                            rows.append([h, side, pdf.dist_edges[j], pdf.angle_edges[i],
-                                         pdf.density[i, j]])
+                for j, i in zip(*np.nonzero(pdf.density.T)):  # by distance, then angle
+                    rows.append([h, side, pdf.dist_edges[j], pdf.angle_edges[i],
+                                 pdf.density[i, j]])
         io.write_report_csv(f"{outdir}/zenith_pdf_{ang}.csv", f"zenith-pdf-{ang}",
                             args.seed,
                             ["height", "side", "dist_bin_lo", "angle_bin_lo", "density"],
@@ -287,13 +290,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    table = LinkTable.from_links(io.read_dataset(args.data))
+    table = io.read_table(args.data)
     codec = io.read_codec(args.codec)
     header = ["link", "state_ok", "n_paths_ok", "virtual_survivors",
               "err_pathloss", "err_delay", "err_aod", "err_zod", "err_aoa",
               "err_zoa", "err_phase"]
     matrices, _ = codec.encode(table, substream(args.seed, "padding"))
-    decoded = LinkTable.from_links(codec.decode(matrices, table))
+    decoded = codec.decode(matrices, table)
     state_ok = (decoded.state == table.state).astype(int).tolist()
     n_ok = decoded.counts == table.counts
     survivors = np.maximum(decoded.counts - table.counts, 0).tolist()
@@ -331,27 +334,10 @@ def run(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"chanimg: error kind=usage exit={EXIT_USAGE} msg={exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TrainingDivergedError as exc:
-        print(f"chanimg: error kind=diverged exit={EXIT_DIVERGED} msg={exc}", file=sys.stderr)
-        return EXIT_DIVERGED
-    except VersionError as exc:
-        print(f"chanimg: error kind=version exit={EXIT_VERSION} msg={exc}", file=sys.stderr)
-        return EXIT_VERSION
-    except FormatError as exc:
-        print(f"chanimg: error kind=format exit={EXIT_BAD_FILE} msg={exc}", file=sys.stderr)
-        return EXIT_BAD_FILE
-    except (DataError, GeometryError) as exc:
-        print(f"chanimg: error kind=data exit={EXIT_BAD_DATA} msg={exc}", file=sys.stderr)
-        return EXIT_BAD_DATA
-    except OSError as exc:
-        print(f"chanimg: error kind=io exit={EXIT_BAD_FILE} msg={exc}", file=sys.stderr)
-        return EXIT_BAD_FILE
-    except ChanimgError as exc:
-        print(f"chanimg: error kind=other exit={EXIT_UNEXPECTED} msg={exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
+    except (ChanimgError, OSError) as exc:
+        kind, code = next((k, c) for cls, k, c in EXIT_CODES if isinstance(exc, cls))
+        print(f"chanimg: error kind={kind} exit={code} msg={exc}", file=sys.stderr)
+        return code
 
 
 def main():

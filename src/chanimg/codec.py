@@ -1,4 +1,4 @@
-"""Invertible mapping between link records and 8x25 channel matrices.
+"""Invertible mapping between link tables and 8x25 channel matrices.
 
 Encode pipeline, run on a whole dataset at once:
   1. pad each link's #paths x 8 features to a fixed 8x25 matrix with "virtual"
@@ -34,15 +34,15 @@ Angles are kept absolute, not relative to the LOS direction: with only
 relative azimuths would make the pipeline non-invertible.
 """
 
+import dataclasses
+
 import numpy as np
 
 from .core import (
     MAX_PATHS,
     SPEED_OF_LIGHT,
-    LinkRecord,
     LinkState,
     LinkTable,
-    PathParams,
     wrap_azimuth,
     wrap_phase,
 )
@@ -185,12 +185,13 @@ class ChannelImageCodec:
 
     # -- decode ------------------------------------------------------------
 
-    def decode(self, matrices, table: LinkTable) -> list:
+    def decode(self, matrices, table: LinkTable) -> LinkTable:
         """Invert the pipeline for a stack of matrices and strip virtual paths.
 
-        matrices is (N, 8, 25) (a DataError otherwise) and table has N rows:
-        matrix i decodes against the geometry of table row i.  Returns N
-        LinkRecords in order.
+        matrices is (N, 8, 25) (a DataError otherwise, and so is N = 0) and
+        table has N rows: matrix i decodes against the geometry of table
+        row i.  Returns the decoded table: the paths, counts and states
+        decode, and every geometry column of table as it is.
 
         The link state is voted on the mean of the (un-scaled) last row;
         a LOS vote overwrites the first column with the closed-form LOS
@@ -207,13 +208,16 @@ class ChannelImageCodec:
                             f"got shape {matrices.shape}")
         if len(table) != len(matrices):
             raise DataError("decode needs one geometry row per matrix")
-        out = []
-        for start in range(0, len(matrices), DECODE_CHUNK):
-            block = slice(start, start + DECODE_CHUNK)
-            out.extend(self._decode_block(matrices[block], table.take(block), start))
-        return out
+        if not len(matrices):
+            raise DataError("empty link dataset")
+        blocks = [self._decode_block(matrices[start:start + DECODE_CHUNK],
+                                     table.take(slice(start, start + DECODE_CHUNK)), start)
+                  for start in range(0, len(matrices), DECODE_CHUNK)]
+        paths, counts, state = (np.concatenate(parts) for parts in zip(*blocks))
+        return dataclasses.replace(table, paths=paths, counts=counts, state=state)
 
-    def _decode_block(self, matrices, geo: LinkTable, start: int) -> list:
+    def _decode_block(self, matrices, geo: LinkTable, start: int):
+        """(paths (m, 25, 7), counts (m,), states (m,)) of one block."""
         matrices = np.asarray(matrices, dtype=np.float64)
         if not np.all(np.isfinite(matrices)):
             raise FormatError("channel matrix contains non-finite values")
@@ -243,22 +247,14 @@ class ChannelImageCodec:
 
         # stable sort keeps the LOS overwrite (leftmost column, minimum
         # possible delay after flooring) in first position; dropped columns
-        # sort last and are cut off by the per-link count
+        # sort last, past the per-link count, and are zeroed
         order = np.argsort(np.where(keep, values[:, DLY], np.inf), axis=-1, kind="stable")
-        cols = np.take_along_axis(values[:, :PS + 1], order[:, None, :], axis=-1)
-        counts = np.count_nonzero(keep, axis=-1).tolist()
-        rows = cols.transpose(0, 2, 1).tolist()  # (m, 25, 7) path rows
-
-        out = []
-        for i, (a, b, f) in enumerate(zip(geo.tx.tolist(), geo.rx.tolist(),
-                                          geo.carrier_freq.tolist())):
-            if counts[i] == 0:
-                state, paths = LinkState.OUTAGE, []
-            else:
-                state = LinkState.LOS if is_los[i] else LinkState.NLOS
-                paths = [PathParams(*p) for p in rows[i][:counts[i]]]
-            out.append(LinkRecord(tx=a, rx=b, carrier_freq=f, link_state=state, paths=paths))
-        return out
+        paths = np.take_along_axis(values[:, :PS + 1], order[:, None, :], axis=-1)
+        paths = paths.transpose(0, 2, 1)  # (m, 25, 7) path rows
+        counts = np.count_nonzero(keep, axis=-1)
+        paths[np.arange(MAX_PATHS) >= counts[:, None]] = 0.0
+        state = np.where(is_los, LinkState.LOS, LinkState.NLOS)
+        return paths, counts, np.where(counts == 0, LinkState.OUTAGE, state)
 
     # -- persistence --------------------------------------------------------
 

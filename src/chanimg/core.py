@@ -17,6 +17,7 @@ Conventions:
 import math
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,6 +25,8 @@ from .errors import DataError, GeometryError
 
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 MAX_PATHS = 25
+PATH_FIELDS = ("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase")
+_PATH_ROW = attrgetter(*PATH_FIELDS)
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -32,9 +35,10 @@ __all__ = [
     "PathParams",
     "LinkRecord",
     "LinkTable",
-    "geometry",
-    "fspl",
-    "los_params",
+    "PATH_FIELDS",
+    "path_rules",
+    "link_rules",
+    "closed_forms",
     "padded_paths",
     "wrap_azimuth",
     "wrap_phase",
@@ -139,80 +143,99 @@ class LinkRecord:
         return len(self.paths)
 
 
-def padded_paths(path_lists):
-    """(N, W, 7) zero-padded path features and (N,) counts, W >= MAX_PATHS.
+def path_rules(rows):
+    """[(message, mask)] of the PathParams rules over (P, 7) path rows.
 
-    Row j of link i holds its j-th path in PathParams field order.  The
-    width is fixed rather than fitted to the data, so a link's sums run
-    over the same padded row, and give the same bits, in any table.
+    Each mask is (P,) and True where a row breaks the rule, in the order
+    PathParams checks them; a row that breaks none is a valid path.
     """
-    counts = np.array([len(ps) for ps in path_lists], dtype=int)
+    finite = np.isfinite(rows[:, [0, 1, 2, 4]]).all(axis=1)  # pathloss, delay, aod, aoa
+    return [
+        ("pathloss, delay, aod and aoa must be finite", ~finite),
+        ("pathloss must be positive", ~(rows[:, 0] > 0.0)),
+        ("delay must be positive", ~(rows[:, 1] > 0.0)),
+        ("zod out of [0, 180]", ~((rows[:, 3] >= 0.0) & (rows[:, 3] <= 180.0))),
+        ("zoa out of [0, 180]", ~((rows[:, 5] >= 0.0) & (rows[:, 5] <= 180.0))),
+        ("phase out of (-360, 0]", ~((rows[:, 6] > -360.0) & (rows[:, 6] <= 0.0))),
+    ]
+
+
+def link_rules(paths, counts, state, tx, rx, carrier_freq):
+    """[(message, mask)] of the PathParams and LinkRecord rules over link columns.
+
+    The columns are those of LinkTable.from_columns.  Each mask is (N,) and
+    True where a link breaks the rule: first a rule of any of its paths
+    (path_rules), then the LinkRecord rules in the order it checks them.
+    """
+    valid = np.arange(paths.shape[1]) < counts[:, None]
+    ends = np.column_stack([tx, rx, carrier_freq])
+    return [(message, (mask.reshape(valid.shape) & valid).any(axis=1))
+            for message, mask in path_rules(paths.reshape(-1, 7))] + [
+        ("coordinates and carrier_freq must be finite", ~np.isfinite(ends).all(axis=1)),
+        ("carrier_freq must be positive", ~(carrier_freq > 0.0)),
+        ("only Outage links may have zero paths", (counts == 0) & (state != LinkState.OUTAGE)),
+        (f"at most {MAX_PATHS} paths per link", counts > MAX_PATHS),
+        ("paths must be sorted ascending by delay",
+         (valid[:, 1:] & (np.diff(paths[..., 1], axis=1) < 0.0)).any(axis=1)),
+    ]
+
+
+def closed_forms(tx, rx, carrier_freq):
+    """(dist2d, dist3d, fspl, los) of (N, 3) endpoints and (N,) carriers.
+
+    dist2d may be 0 (a vertical link).  fspl is the free-space pathloss in
+    dB, 20 log10(dist3d) + 20 log10(f) - 147.55.  los is the (N, 7)
+    line-of-sight path in PathParams field order: pathloss is the
+    free-space loss, delay is dist3d/c, the departure azimuth is the
+    two-argument arctangent of (y_tx-y_rx, x_tx-x_rx), the arrival azimuth
+    its back direction, the zenith of departure is measured from vertical
+    at the transmitter (z_rx == z_tx gives the 90 deg horizon) and the
+    zenith of arrival mirrors it.  Phase is the carrier rotation left over
+    from whole cycles, in (-360, 0].  A row is NaN where the link has no
+    such path: a vertical link (no azimuth) or a row PathParams rejects
+    (a pathloss that is not positive).
+
+    Each row depends only on its own link.  GeometryError names the first
+    link whose endpoints coincide, lie too far apart to measure, or whose
+    carrier is not positive.
+    """
+    tx, rx = np.asarray(tx, dtype=float), np.asarray(rx, dtype=float)
+    freq = np.asarray(carrier_freq, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy, dz = (tx - rx).T
+        dist2d = np.hypot(dx, dy)
+        dist3d = np.hypot(dist2d, dz)
+        for bad, why in ((dist3d == 0.0, "tx and rx coincide"),
+                         (~np.isfinite(dist3d), "tx and rx too far apart"),
+                         (~(freq > 0.0), "carrier_freq must be positive")):
+            if bad.any():
+                raise GeometryError(f"link {np.argmax(bad)}: {why}")
+        fspl = 20.0 * np.log10(dist3d) + 20.0 * np.log10(freq) - 147.55
+        delay = dist3d / SPEED_OF_LIGHT
+        aod = np.degrees(np.arctan2(dy, dx))
+        # a half turn staying inside (-180, 180]; exact in float64
+        aoa = np.where(aod > 0.0, aod - 180.0, aod + 180.0)
+        # atan2(dist2d, z_rx - z_tx) lands in [0, 180] directly, 90 when level
+        zod = np.degrees(np.arctan2(dist2d, -dz))
+        cycles = freq * delay
+        phase = -360.0 * (cycles - np.floor(cycles)) + 0.0  # +0.0 folds -0.0
+        los = np.column_stack([fspl, delay, aod, zod, aoa, 180.0 - zod, phase])
+    los[(dist2d == 0.0) | np.logical_or.reduce([m for _, m in path_rules(los)])] = np.nan
+    return dist2d, dist3d, fspl, los
+
+
+def padded_paths(cells, counts):
+    """(N, W, 7) zero-padded path rows, W >= MAX_PATHS.
+
+    cells holds the (P, 7) path rows of every link in link order, counts
+    the (N,) paths per link.  The width is fixed rather than fitted to the
+    data, so a link's sums run over the same padded row, and give the same
+    bits, in any table.
+    """
     width = max(MAX_PATHS, int(counts.max(initial=0)))
     out = np.zeros((len(counts), width, 7))
-    for i, ps in enumerate(path_lists):
-        if ps:
-            out[i, :len(ps)] = [[p.pathloss, p.delay, p.aod, p.zod, p.aoa, p.zoa, p.phase]
-                                for p in ps]
-    return out, counts
-
-
-def geometry(tx, rx):
-    """2D and 3D distances between endpoints.
-
-    Returns (dist2d, dist3d).  dist2d may be 0 (vertical link); coincident
-    endpoints raise GeometryError.
-    """
-    dx = tx[0] - rx[0]
-    dy = tx[1] - rx[1]
-    dz = tx[2] - rx[2]
-    dist2d = math.hypot(dx, dy)
-    dist3d = math.hypot(dist2d, dz)
-    if dist3d == 0.0:
-        raise GeometryError("tx and rx coincide")
-    return dist2d, dist3d
-
-
-def fspl(dist3d, freq):
-    """Free-space pathloss in dB: 20 log10(d3) + 20 log10(f) - 147.55."""
-    d = np.asarray(dist3d, dtype=float)
-    f = np.asarray(freq, dtype=float)
-    if np.any(d <= 0) or np.any(f <= 0):
-        raise GeometryError("fspl requires positive distance and frequency")
-    out = 20.0 * np.log10(d) + 20.0 * np.log10(f) - 147.55
-    return float(out) if out.ndim == 0 else out
-
-
-def los_params(tx, rx, freq) -> PathParams:
-    """Deterministic parameters of the line-of-sight path.
-
-    pathloss is the free-space loss, delay is dist3d/c, departure azimuth is
-    the two-argument arctangent of (y_tx-y_rx, x_tx-x_rx), arrival azimuth
-    is its back direction, zenith of departure is measured from vertical at
-    the transmitter (z_rx == z_tx gives the 90 deg horizon limit) and the
-    zenith of arrival mirrors it.  Phase is the carrier rotation left over
-    from whole cycles, in (-360, 0].
-    """
-    dist2d, dist3d = geometry(tx, rx)
-    if dist2d == 0.0:
-        raise GeometryError("azimuth undefined for a vertical link")
-
-    pathloss = fspl(dist3d, freq)
-    delay = dist3d / SPEED_OF_LIGHT
-
-    aod = math.degrees(math.atan2(tx[1] - rx[1], tx[0] - rx[0]))
-    # shift by one half turn staying inside (-180, 180]; exact in float64
-    aoa = aod - 180.0 if aod > 0.0 else aod + 180.0
-
-    # atan2(dist2d, dz) lands in [0, 180] directly, 90 when dz == 0
-    zod = math.degrees(math.atan2(dist2d, rx[2] - tx[2]))
-    zoa = 180.0 - zod
-
-    cycles = freq * delay
-    phase = -360.0 * (cycles - math.floor(cycles)) + 0.0  # +0.0 folds -0.0
-
-    return PathParams(
-        pathloss=pathloss, delay=delay, aod=aod, zod=zod, aoa=aoa, zoa=zoa, phase=phase
-    )
+    out[np.arange(width) < counts[:, None]] = cells
+    return out
 
 
 @dataclass
@@ -222,8 +245,7 @@ class LinkTable:
     paths holds link i's paths in its first counts[i] rows, in PathParams
     field order, zero beyond.  fspl and dist3d give the free-space pathloss
     and delay references; los is the closed-form LOS path in PathParams
-    field order, NaN where los_params raises (a vertical link, or a LOS
-    pathloss that is not positive).
+    field order, NaN where a link has none (see closed_forms).
     """
 
     paths: np.ndarray         # (N, W, 7)
@@ -238,36 +260,30 @@ class LinkTable:
     los: np.ndarray           # (N, 7)
 
     @classmethod
-    def from_links(cls, links) -> "LinkTable":
-        """The table of a non-empty link list.
+    def from_columns(cls, paths, counts, state, tx, rx, carrier_freq) -> "LinkTable":
+        """The table of non-empty link columns, with the closed forms filled in.
 
-        GeometryError names a link whose endpoints coincide.
+        An empty table is a DataError; closed_forms' GeometryError names a
+        link whose endpoints coincide.
         """
-        links = list(links)
-        n = len(links)
-        if not n:
+        if not len(counts):
             raise DataError("empty link dataset")
-        paths, counts = padded_paths([lk.paths for lk in links])
-        state = np.empty(n, dtype=object)
-        tx, rx, freq = np.empty((n, 3)), np.empty((n, 3)), np.empty(n)
-        dist2d, dist3d, fspl_db = np.empty(n), np.empty(n), np.empty(n)
-        los = np.full((n, 7), np.nan)
-        # the scalar closed forms of this module, so every reference is
-        # bit-identical to a direct call on the link
-        for i, lk in enumerate(links):
-            state[i], tx[i], rx[i], freq[i] = lk.link_state, lk.tx, lk.rx, lk.carrier_freq
-            try:
-                dist2d[i], dist3d[i] = geometry(lk.tx, lk.rx)
-            except GeometryError as exc:
-                raise GeometryError(f"link {i}: {exc}") from None
-            try:
-                ref = los_params(lk.tx, lk.rx, lk.carrier_freq)
-            except ValueError:  # no LOS azimuth, or a LOS path PathParams rejects
-                fspl_db[i] = fspl(dist3d[i], lk.carrier_freq)
-            else:
-                los[i] = ref.as_array()
-                fspl_db[i] = ref.pathloss
-        return cls(paths, counts, state, tx, rx, freq, dist2d, dist3d, fspl_db, los)
+        return cls(paths, counts, state, tx, rx, carrier_freq,
+                   *closed_forms(tx, rx, carrier_freq))
+
+    @classmethod
+    def from_links(cls, links) -> "LinkTable":
+        """The table of a non-empty link list (see from_columns)."""
+        links = list(links)
+        counts = np.array([len(lk.paths) for lk in links], dtype=int)
+        cells = np.array([_PATH_ROW(p) for lk in links for p in lk.paths],
+                         dtype=float).reshape(-1, 7)
+        state = np.array([lk.link_state for lk in links], dtype=object)
+        return cls.from_columns(
+            padded_paths(cells, counts), counts, state,
+            np.array([lk.tx for lk in links], dtype=float).reshape(-1, 3),
+            np.array([lk.rx for lk in links], dtype=float).reshape(-1, 3),
+            np.array([lk.carrier_freq for lk in links], dtype=float))
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -284,13 +300,3 @@ class LinkTable:
     def valid(self) -> np.ndarray:
         """(N, W) mask of the real path cells."""
         return np.arange(self.paths.shape[1]) < self.counts[:, None]
-
-
-def verify_los_first_path(link: LinkRecord, rtol: float = 1e-9) -> bool:
-    """True when a LOS link's first path matches the closed-form values."""
-    if link.link_state is not LinkState.LOS or not link.paths:
-        return False
-    expect = los_params(link.tx, link.rx, link.carrier_freq).as_array()
-    got = link.paths[0].as_array()
-    scale = np.maximum(np.abs(expect), 1e-30)
-    return bool(np.all(np.abs(got - expect) <= rtol * scale))

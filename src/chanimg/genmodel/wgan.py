@@ -90,7 +90,7 @@ class WganGpHyperparams:
             self.learning_rate, self.adam_beta1, self.adam_beta2, self.epochs,
             self.batch_size, self.gp_lambda, self.critic_steps_per_gen_step,
             self.noise_dim, self.embed_hidden, self.embed_dim,
-            self.generator_output_gain,
+            self.generator_output_gain, *self.hidden,
         )
         if any(v <= 0 for v in positive):
             raise DataError("all hyperparameters must be positive")

@@ -22,11 +22,13 @@ import math
 import os
 import re
 import struct
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .core import LinkRecord, LinkState, PathParams
+from .core import PATH_FIELDS, LinkState, LinkTable, link_rules, padded_paths
 from .codec import ChannelImageCodec
 from .errors import DataError, FormatError, VersionError
 from .genmodel.nn import Mlp
@@ -42,8 +44,6 @@ REPORT_VERSION = 1
 IMAGES_MAGIC = b"CHIM"
 CHECKPOINT_MAGIC = b"WGPC"
 
-_PATH_FIELDS = ("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase")
-
 
 def _require_version(kind: str, got: int, expected: int):
     if got != expected:
@@ -57,52 +57,77 @@ def _write_array(fh, array, dtype):
 
 # -- dataset JSONL ---------------------------------------------------------------
 
+_PATH_CELLS = itemgetter(*PATH_FIELDS)
+_ENDS = struct.Struct("7d")  # tx, rx, carrier_freq
+# a link's line as json.dumps writes its record: JSON's text of a finite float is its repr
+_PATH_TEXT = "{" + ", ".join(f'"{f}": %r' for f in PATH_FIELDS) + "}"
+_LINK_TEXT = ('{"tx": [%r, %r, %r], "rx": [%r, %r, %r], "carrier_freq": %r, '
+              '"link_state": "%s", "paths": [%s]}\n')
 
-def write_dataset(path, links, seed=None):
+
+def write_table(path, table: LinkTable, seed=None):
+    """Write a link table as a JSON Lines dataset, one link per line.
+
+    Numbers are the repr of Python floats, so a file that read_table read
+    writes back byte for byte.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     seed_part = f" seed={seed}" if seed is not None else ""
-    header = (f"# chanimg-dataset v{DATASET_VERSION}{seed_part}"
-              " units: coords=m freq=Hz pathloss=dB delay=s angles=deg phase=deg")
+    ends = np.column_stack([table.tx, table.rx, table.carrier_freq]).tolist()
     with path.open("w") as fh:
-        fh.write(header + "\n")
-        for lk in links:
-            rec = {
-                "tx": list(lk.tx),
-                "rx": list(lk.rx),
-                "carrier_freq": lk.carrier_freq,
-                "link_state": lk.link_state.value,
-                "paths": [{f: getattr(p, f) for f in _PATH_FIELDS} for p in lk.paths],
-            }
-            fh.write(json.dumps(rec) + "\n")
+        fh.write(f"# chanimg-dataset v{DATASET_VERSION}{seed_part}"
+                 " units: coords=m freq=Hz pathloss=dB delay=s angles=deg phase=deg\n")
+        for e, state, n, rows in zip(ends, table.state, table.counts.tolist(), table.paths):
+            paths = ", ".join([_PATH_TEXT % tuple(c) for c in rows[:n].tolist()])
+            fh.write(_LINK_TEXT % (*e, state.value, paths))
 
 
-def read_dataset(path):
+def read_table(path) -> LinkTable:
+    """The LinkTable of a JSON Lines dataset.
+
+    Each line is parsed on its own and appended to flat rows: 7 numbers per
+    link (tx, rx, carrier_freq) and 7 per path.  Array masks then apply the
+    rules of PathParams and LinkRecord to the rows.  A malformed line, a
+    value that is not a JSON number and a broken rule are FormatErrors
+    naming the file and line.
+    """
     path = Path(path)
-    links = []
-    with path.open() as fh:
-        header = fh.readline()
-        m = re.match(r"# chanimg-dataset v(\d+)\b", header)
+    ends, cells, counts, states, line_nos = bytearray(), bytearray(), [], [], []
+    with path.open("rb") as fh:
+        m = re.match(rb"# chanimg-dataset v(\d+)\b", fh.readline())
         if not m:
             raise FormatError(f"{path}: missing dataset header")
         _require_version("dataset", int(m.group(1)), DATASET_VERSION)
         for line_no, line in enumerate(fh, start=2):
             line = line.strip()
-            if not line or line.startswith("#"):
+            if not line or line.startswith(b"#"):
                 continue
             try:
                 rec = json.loads(line)
-                links.append(LinkRecord(
-                    tx=tuple(rec["tx"]),
-                    rx=tuple(rec["rx"]),
-                    carrier_freq=rec["carrier_freq"],
-                    link_state=LinkState(rec["link_state"]),
-                    paths=[PathParams(**{f: p[f] for f in _PATH_FIELDS})
-                           for p in rec["paths"]],
-                ))
-            except (KeyError, ValueError, TypeError) as exc:
+                if len(rec["tx"]) != 3 or len(rec["rx"]) != 3:
+                    raise ValueError("tx and rx must be 3D coordinates")
+                # packing as doubles rejects a value that is not a number, e.g. "12e9"
+                ends += _ENDS.pack(*rec["tx"], *rec["rx"], rec["carrier_freq"])
+                states.append(LinkState(rec["link_state"]))
+                n = len(rec["paths"])
+                cells += struct.pack(f"{7 * n}d", *chain.from_iterable(map(_PATH_CELLS,
+                                                                           rec["paths"])))
+                counts.append(n)
+            except (KeyError, ValueError, TypeError, OverflowError, RecursionError,
+                    struct.error) as exc:
                 raise FormatError(f"{path}:{line_no}: bad link record: {exc}") from exc
-    return links
+            line_nos.append(line_no)
+    counts, state = np.array(counts, dtype=int), np.array(states, dtype=object)
+    ends = np.frombuffer(ends).reshape(-1, 7)
+    paths = padded_paths(np.frombuffer(cells).reshape(-1, 7), counts)
+    rules = link_rules(paths, counts, state, ends[:, :3], ends[:, 3:6], ends[:, 6])
+    bad = np.array([mask for _, mask in rules])  # (rules, links)
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))  # the first bad line, and its first broken rule
+        raise FormatError(f"{path}:{line_nos[i]}: bad link record: "
+                          f"{rules[int(np.argmax(bad[:, i]))][0]}")
+    return LinkTable.from_columns(paths, counts, state, ends[:, :3], ends[:, 3:6], ends[:, 6])
 
 
 # -- codec JSON ------------------------------------------------------------------
@@ -240,10 +265,8 @@ def write_wgan_checkpoint(path, netp: NetworkParams, seed=None):
     }
     arrays = {"cond_min": netp.cond_min, "cond_max": netp.cond_max}
     for name in _NET_NAMES:
-        net = getattr(netp, name)
-        for l in range(net.n_layers):
-            arrays[f"{name}.{l}.W"] = net.params[2 * l]
-            arrays[f"{name}.{l}.b"] = net.params[2 * l + 1]
+        for k, param in enumerate(getattr(netp, name).params):  # W, b of each layer
+            arrays[f"{name}.{k // 2}.{'Wb'[k % 2]}"] = param
     _write_checkpoint(path, meta, arrays)
 
 
@@ -264,10 +287,8 @@ def read_model_checkpoint(path):
             nets = {}
             for name in _NET_NAMES:
                 spec = meta["nets"][name]
-                params = []
-                for l in range(len(spec["sizes"]) - 1):
-                    params.append(arrays[f"{name}.{l}.W"])
-                    params.append(arrays[f"{name}.{l}.b"])
+                params = [arrays[f"{name}.{l}.{wb}"]
+                          for l in range(len(spec["sizes"]) - 1) for wb in "Wb"]
                 nets[name] = Mlp(spec["sizes"], spec["out_act"], params,
                                  hidden_act=spec.get("hidden_act", "silu"))
             netp = NetworkParams(

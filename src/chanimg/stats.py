@@ -7,11 +7,12 @@ angles relative to the LOS direction, uniformity checks for azimuths and
 phases, and gain-weighted RMS spreads of delay and angles.
 """
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinkState, LinkTable, padded_paths
+from .core import PATH_FIELDS, LinkState, LinkTable
 from .errors import DataError
 
 __all__ = [
@@ -23,7 +24,6 @@ __all__ = [
     "link_state_prob",
     "BinnedPdf2D",
     "relative_zenith_pdf",
-    "rms_spread",
     "RmsSpreadReport",
     "rms_spread_report",
     "compare_datasets",
@@ -32,8 +32,7 @@ __all__ = [
 RMS_FEATURES = ("delay", "aoa", "aod", "zoa", "zod")
 _CIRCULAR = {"aoa", "aod"}
 # column of each path feature in LinkTable.paths and LinkTable.los
-_FEATURE_COL = {f: i for i, f in
-                enumerate(("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase"))}
+_FEATURE_COL = {f: i for i, f in enumerate(PATH_FIELDS)}
 
 
 class Ecdf:
@@ -162,45 +161,6 @@ def relative_zenith_pdf(table: LinkTable, height, dist_edges, angle_edges,
     return BinnedPdf2D(dist_edges, angle_edges, density, skipped_links=skipped)
 
 
-def rms_spread(paths, feature: str) -> float:
-    """Gain-weighted RMS spread of one feature over a link's paths.
-
-    Path gains are 10^(-pathloss/10).  Delay uses excess delay (delay minus
-    the first arrival); azimuths are unwrapped around the gain-weighted
-    circular mean before differencing so the +/-180 seam cannot inflate the
-    spread.  A single path gives 0.
-    """
-    if feature not in RMS_FEATURES:
-        raise DataError(f"unknown RMS feature: {feature}")
-    if not paths:
-        raise DataError("rms_spread needs at least one path")
-    table, counts = padded_paths([paths])
-    return float(_rms_kernel(table, counts, (feature,))[feature][0])
-
-
-def _rms_kernel(paths, counts, features) -> dict:
-    """{feature: (N,) RMS spreads} of padded (N, W, 7) paths, counts >= 1."""
-    valid = np.arange(paths.shape[1]) < counts[:, None]
-    pl = np.where(valid, paths[..., _FEATURE_COL["pathloss"]], np.inf)
-    excess = pl - pl.min(axis=1, keepdims=True)
-    gains = 10.0 ** (-excess / 10.0)  # 0 in the padding; common factor cancels
-    w = gains / gains.sum(axis=1, keepdims=True)
-    out = {}
-    for feature in features:
-        d = paths[..., _FEATURE_COL[feature]]
-        if feature == "delay":
-            d = d - np.where(valid, d, np.inf).min(axis=1, keepdims=True)
-        elif feature in _CIRCULAR:
-            # unwrap to within 180 deg of the gain-weighted circular mean
-            rad = np.radians(d)
-            mean = np.degrees(np.arctan2(np.sum(gains * np.sin(rad), axis=1, keepdims=True),
-                                         np.sum(gains * np.cos(rad), axis=1, keepdims=True)))
-            d = mean + (d - mean + 180.0) % 360.0 - 180.0
-        mean = np.sum(w * d, axis=1, keepdims=True)
-        out[feature] = np.sqrt(np.sum(w * (d - mean) ** 2, axis=1))
-    return out
-
-
 @dataclass
 class RmsSpreadReport:
     """Per-link RMS spreads (seconds for delay, degrees for angles)."""
@@ -213,9 +173,33 @@ class RmsSpreadReport:
 
 
 def rms_spread_report(table: LinkTable) -> RmsSpreadReport:
-    """RMS spreads of every link that has paths, in link order."""
+    """Gain-weighted RMS spreads of every link that has paths, in link order.
+
+    Path gains are 10^(-pathloss/10).  Delay uses excess delay (delay minus
+    the first arrival); azimuths are unwrapped around the gain-weighted
+    circular mean before differencing so the +/-180 seam cannot inflate the
+    spread.  A single path gives 0.
+    """
     t = table.take(table.counts > 0)
-    return RmsSpreadReport(**_rms_kernel(t.paths, t.counts, RMS_FEATURES))
+    valid = t.valid
+    pl = np.where(valid, t.paths[..., _FEATURE_COL["pathloss"]], np.inf)
+    excess = pl - pl.min(axis=1, keepdims=True)
+    gains = 10.0 ** (-excess / 10.0)  # 0 in the padding; common factor cancels
+    w = gains / gains.sum(axis=1, keepdims=True)
+    out = {}
+    for feature in RMS_FEATURES:
+        d = t.paths[..., _FEATURE_COL[feature]]
+        if feature == "delay":
+            d = d - np.where(valid, d, np.inf).min(axis=1, keepdims=True)
+        elif feature in _CIRCULAR:
+            # unwrap to within 180 deg of the gain-weighted circular mean
+            rad = np.radians(d)
+            mean = np.degrees(np.arctan2(np.sum(gains * np.sin(rad), axis=1, keepdims=True),
+                                         np.sum(gains * np.cos(rad), axis=1, keepdims=True)))
+            d = mean + (d - mean + 180.0) % 360.0 - 180.0
+        mean = np.sum(w * d, axis=1, keepdims=True)
+        out[feature] = np.sqrt(np.sum(w * (d - mean) ** 2, axis=1))
+    return RmsSpreadReport(**out)
 
 
 def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width: float = 25.0,
@@ -227,13 +211,21 @@ def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width:
     height where a side it reads has no path), the maximum
     absolute LOS-probability gap over shared occupied distance bins, and
     relative-zenith spread profiles for both sides.  A bin width that is
-    not positive and finite is a DataError.
+    not positive and finite, or widths whose zenith PDF grid of float64
+    bins would not fit in this machine's physical memory, are a DataError.
     """
     for name, width in (("dist_bin_width", dist_bin_width),
                         ("angle_bin_width", angle_bin_width)):
         if not 0 < width < np.inf:
             raise DataError(f"{name} must be positive and finite, got {width}")
     d_hi = float(np.concatenate([model.dist2d, data.dist2d]).max()) + dist_bin_width
+    cells = (d_hi / dist_bin_width + 1.0) * (2.0 * angle_range / angle_bin_width + 1.0)
+    grid_bytes = 8.0 * cells  # counted before any array exists; inf on underflow
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if not grid_bytes <= memory:
+        raise DataError(f"dist_bin_width {dist_bin_width} and angle_bin_width {angle_bin_width}"
+                        f" give {cells:.3g} zenith PDF bins, a {grid_bytes:.3g}-byte float64"
+                        f" grid, more than this machine's {memory:.3g} bytes of memory")
     dist_edges = np.arange(0.0, d_hi + dist_bin_width, dist_bin_width)
     angle_edges = np.arange(-angle_range, angle_range + angle_bin_width, angle_bin_width)
 

@@ -18,16 +18,13 @@ import numpy as np
 
 from .core import (
     MAX_PATHS,
-    SPEED_OF_LIGHT,
     LinkRecord,
     LinkState,
     PathParams,
-    fspl,
-    geometry,
-    los_params,
+    closed_forms,
     wrap_azimuth,
 )
-from .errors import DataError
+from .errors import DataError, GeometryError
 from .rng import substream
 
 __all__ = ["SurrogateConfig", "generate_dataset", "train_test_split"]
@@ -94,8 +91,8 @@ def _los_probability(cfg: SurrogateConfig, dist2d: float, height: float) -> floa
     return min(1.0, math.exp(-dist2d / scale))
 
 
-def _scattered_paths(cfg, rng, n, dist2d, dist3d, los):
-    """Draw n scattered paths around the link's LOS direction."""
+def _scattered_paths(cfg, rng, n, dist2d, los):
+    """Draw n scattered paths around the link's LOS direction, delay and loss."""
     decay = math.exp(-dist2d / cfg.spread_decay_m)
     az_scale = cfg.azimuth_spread_deg * decay
     zen_scale = cfg.zenith_spread_deg * decay
@@ -110,13 +107,11 @@ def _scattered_paths(cfg, rng, n, dist2d, dist3d, los):
     zoa = np.clip(los.zoa + rng.laplace(0.0, zen_scale, size=n), 0.0, 180.0)
     phase = -rng.uniform(0.0, 360.0, size=n)  # (-360, 0]
 
-    base_pl = fspl(dist3d, cfg.carrier_freq)
-    base_delay = dist3d / SPEED_OF_LIGHT
     order = np.argsort(excess_delay, kind="stable")
     return [
         PathParams(
-            pathloss=float(base_pl + excess_pl[i]),
-            delay=float(base_delay + excess_delay[i]),
+            pathloss=float(los.pathloss + excess_pl[i]),
+            delay=float(los.delay + excess_delay[i]),
             aod=float(aod[i]),
             zod=float(zod[i]),
             aoa=float(aoa[i]),
@@ -127,20 +122,18 @@ def _scattered_paths(cfg, rng, n, dist2d, dist3d, los):
     ]
 
 
-def _make_link(cfg: SurrogateConfig, tx, rx, link_index: int) -> LinkRecord:
+def _make_link(cfg: SurrogateConfig, tx, rx, link_index: int, dist2d: float,
+               los: PathParams) -> LinkRecord:
     rng = substream(cfg.seed, "link", link_index)
-    dist2d, dist3d = geometry(tx, rx)
-    los = los_params(tx, rx, cfg.carrier_freq)
-
     is_los = rng.uniform() < _los_probability(cfg, dist2d, rx[2])
     n_extra = int(rng.poisson(cfg.path_rate_base * math.exp(-dist2d / cfg.path_rate_decay_m)))
 
     if is_los:
         n_extra = min(n_extra, cfg.max_paths - 1)
-        paths = [los] + _scattered_paths(cfg, rng, n_extra, dist2d, dist3d, los)
+        paths = [los] + _scattered_paths(cfg, rng, n_extra, dist2d, los)
     else:
         n_total = min(1 + n_extra, cfg.max_paths)
-        paths = _scattered_paths(cfg, rng, n_total, dist2d, dist3d, los)
+        paths = _scattered_paths(cfg, rng, n_total, dist2d, los)
 
     if min(p.pathloss for p in paths) > cfg.outage_threshold_db:
         state = LinkState.OUTAGE
@@ -154,26 +147,33 @@ def generate_dataset(cfg: SurrogateConfig) -> list:
 
     A pure function of the config: tx positions, rx positions and every
     link's paths come from independent substreams of cfg.seed, so the output
-    is identical regardless of evaluation order.
+    is identical regardless of evaluation order.  The closed forms are
+    evaluated once over the whole grid; a link without a LOS path (a
+    vertical link, or a LOS pathloss that is not positive at a low carrier)
+    is a GeometryError naming the first one.
     """
     cfg.validate()
 
     rng_tx = substream(cfg.seed, "tx")
     tx_xy = rng_tx.uniform([0.0, 0.0], cfg.area, size=(cfg.num_tx, 2))
     tx_z = rng_tx.uniform(*cfg.tx_height_range, size=cfg.num_tx)
-    txs = [(float(x), float(y), float(z)) for (x, y), z in zip(tx_xy, tx_z)]
-
-    links = []
-    index = 0
-    for h_idx, height in enumerate(cfg.heights):
-        rng_rx = substream(cfg.seed, "rx", h_idx)
-        rx_xy = rng_rx.uniform([0.0, 0.0], cfg.area, size=(cfg.num_rx_per_height, 2))
-        for rx_x, rx_y in rx_xy:
-            rx = (float(rx_x), float(rx_y), float(height))
-            for tx in txs:
-                links.append(_make_link(cfg, tx, rx, index))
-                index += 1
-    return links
+    txs = np.column_stack([tx_xy, tx_z])
+    rxs = np.concatenate([
+        np.column_stack([substream(cfg.seed, "rx", h_idx).uniform(
+            [0.0, 0.0], cfg.area, size=(cfg.num_rx_per_height, 2)),
+            np.full(cfg.num_rx_per_height, float(height))])
+        for h_idx, height in enumerate(cfg.heights)])
+    # link index = rx index * num_tx + tx index
+    tx_all, rx_all = np.tile(txs, (len(rxs), 1)), np.repeat(rxs, cfg.num_tx, axis=0)
+    dist2d, _, fspl, los = closed_forms(tx_all, rx_all, np.full(len(rx_all), cfg.carrier_freq))
+    if np.isnan(los).any():
+        i = np.argmax(np.isnan(los[:, 0]))
+        raise GeometryError(f"link {i}: " + ("azimuth undefined for a vertical link"
+                                             if dist2d[i] == 0.0 else
+                                             f"LOS pathloss {fspl[i]} dB is not positive"))
+    return [_make_link(cfg, tuple(a), tuple(b), i, d2, PathParams(*row))
+            for i, (a, b, d2, row) in enumerate(zip(
+                tx_all.tolist(), rx_all.tolist(), dist2d.tolist(), los.tolist()))]
 
 
 def train_test_split(links, test_fraction: float, seed: int):

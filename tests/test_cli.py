@@ -1,16 +1,22 @@
 """CLI surface: determinism, composition, error exit codes."""
 
+import contextlib
+import io as stdio
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chanimg import LinkTable, io
+from chanimg import io
 from chanimg.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FILE,
@@ -27,7 +33,7 @@ def test_gen_data_byte_identical(tmp_path):
     assert run(["--seed", "7", "gen-data", "--links", "100", "--out", str(a)]) == 0
     assert run(["--seed", "7", "gen-data", "--links", "100", "--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
-    assert len(io.read_dataset(a)) == 100
+    assert len(io.read_table(a)) == 100
 
 
 def test_gen_data_seed_changes_output(tmp_path):
@@ -82,11 +88,29 @@ def test_pipeline_composes(pipeline_dir):
 def test_encode_decode_artifacts_consistent(pipeline_dir):
     d = pipeline_dir
     images, conds = io.read_images(d / "images.chim")
-    links = io.read_dataset(d / "data.jsonl")
-    assert len(images) == len(links)
-    decoded = io.read_dataset(d / "decoded.jsonl")
-    assert len(decoded) == len(links)
-    assert all(lk.tx == dk.tx and lk.rx == dk.rx for lk, dk in zip(links, decoded))
+    data = io.read_table(d / "data.jsonl")
+    assert len(images) == len(data)
+    decoded = io.read_table(d / "decoded.jsonl")
+    assert len(decoded) == len(data)
+    for name in ("tx", "rx", "carrier_freq", "dist2d", "dist3d", "fspl", "los"):
+        np.testing.assert_array_equal(getattr(decoded, name), getattr(data, name))
+
+
+def test_jsonl_artifacts_rewrite_byte_identical(pipeline_dir, tmp_path):
+    d = pipeline_dir
+    assert run(["--seed", "4", "sample", "--model", str(d / "resampler.ckpt"),
+                "--conditions-from", str(d / "data.jsonl"),
+                "--out", str(tmp_path / "samples_res.chim")]) == 0
+    assert run(["--seed", "4", "decode", "--images", str(tmp_path / "samples_res.chim"),
+                "--codec", str(d / "codec.json"), "--geometry-from", str(d / "data.jsonl"),
+                "--out", str(tmp_path / "decoded_res.jsonl")]) == 0
+    for src in (d / "data.jsonl", d / "decoded.jsonl", tmp_path / "decoded_res.jsonl"):
+        lines = src.read_text().splitlines()
+        seed = int(re.search(r" seed=(\d+) ", lines[0]).group(1))
+        io.write_table(tmp_path / "again.jsonl", io.read_table(src), seed=seed)
+        assert (tmp_path / "again.jsonl").read_bytes() == src.read_bytes(), src.name
+        # each line is the text json.dumps gives the link's record
+        assert all(json.dumps(json.loads(line)) == line for line in lines[1:]), src.name
 
 
 def test_roundtrip_report_errors_small(pipeline_dir):
@@ -188,6 +212,9 @@ def test_sample_rejects_nonpositive_per_cond(pipeline_dir, tmp_path, capsys, per
     ("--dist-bin-width", "0"), ("--dist-bin-width", "nan"), ("--dist-bin-width", "-25"),
     ("--dist-bin-width", "inf"), ("--angle-bin-width", "-2"), ("--angle-bin-width", "0"),
     ("--angle-bin-width", "nan"),
+    # positive and finite, but a zenith PDF grid no machine's memory holds
+    ("--dist-bin-width", "1e-300"), ("--dist-bin-width", "5e-324"),
+    ("--angle-bin-width", "1e-12"),
 ])
 def test_eval_rejects_bad_bin_widths(pipeline_dir, tmp_path, capsys, flag, value):
     d = pipeline_dir
@@ -196,6 +223,18 @@ def test_eval_rejects_bad_bin_widths(pipeline_dir, tmp_path, capsys, flag, value
                            "--outdir", str(tmp_path / "reports")],
                   EXIT_BAD_DATA, flag[2:].replace("-", "_"))
     assert not (tmp_path / "reports").exists()
+
+
+def test_eval_writes_reports_for_fine_feasible_bin_widths(pipeline_dir, tmp_path):
+    # 1 m by 0.1 deg: over a million bins per zenith PDF, about 10 MB each
+    out = tmp_path / "reports"
+    assert run(["--seed", "4", "eval", "--model", str(pipeline_dir / "decoded.jsonl"),
+                "--data", str(pipeline_dir / "data.jsonl"), "--dist-bin-width=1",
+                "--angle-bin-width=0.1", "--outdir", str(out)]) == 0
+    for ang in ("zod", "zoa"):
+        rows = (out / f"zenith_pdf_{ang}.csv").read_text().splitlines()[2:]
+        assert rows and all(float(r.split(",")[2]).is_integer() for r in rows)
+    assert (out / "ks.csv").exists() and (out / "los_prob.csv").exists()
 
 
 def test_eval_reports_nan_at_a_height_without_model_paths(pipeline_dir, tmp_path):
@@ -307,7 +346,7 @@ def test_encode_realizations_are_consecutive_encode_calls(tmp_path):
     run(["--seed", "5", "fit-codec", "--data", str(data), "--out", str(codec_path)])
     assert run(["--seed", "5", "encode", "--data", str(data), "--codec", str(codec_path),
                 "--realizations", "2", "--out", str(out)]) == 0
-    table, codec = LinkTable.from_links(io.read_dataset(data)), io.read_codec(codec_path)
+    table, codec = io.read_table(data), io.read_codec(codec_path)
     rng = substream(5, "padding")
     (a, conds), (b, _) = codec.encode(table, rng), codec.encode(table, rng)
     matrices, got_conds = io.read_images(out)
@@ -406,6 +445,7 @@ def test_gen_data_out_of_range_physics_are_data_errors(tmp_path, capsys, flag, v
 @pytest.mark.parametrize("flag, value", [
     ("--lr", "nan"), ("--gp-lambda", "nan"), ("--beta1", "nan"), ("--beta1", "1.5"),
     ("--beta2", "1"), ("--output-gain", "nan"), ("--output-gain", "inf"),
+    ("--hidden", "0"), ("--hidden", "-3"), ("--hidden", "16,0"),
 ])
 def test_train_rejects_bad_hyperparameters(tmp_path, capsys, flag, value):
     matrices = np.random.default_rng(0).uniform(-1, 1, (8, 8, 25)).astype(np.float32)
@@ -452,3 +492,148 @@ def test_degenerate_datasets_are_data_errors(degenerate_dir, capsys, argv, bad, 
     argv = [a.format(d=d, bad=d / bad) for a in argv]
     fails_cleanly(capsys, argv, EXIT_BAD_DATA, fragment)
     assert not any(d.glob("o.*")) and not (d / "reports").exists()
+
+
+@pytest.mark.parametrize("freq", ["1e3", "1"])
+def test_gen_data_low_carrier_is_data_error(tmp_path, capsys, freq):
+    # free-space loss is below 0 dB there, so no link has a LOS path
+    fails_cleanly(capsys, ["gen-data", "--links", "20", "--freq", freq,
+                           "--out", str(tmp_path / "d.jsonl")],
+                  EXIT_BAD_DATA, "link 0: LOS pathloss", "is not positive")
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+def test_decode_of_zero_matrices_is_data_error(degenerate_dir, tmp_path, capsys):
+    d = degenerate_dir
+    io.write_images(tmp_path / "none.chim", np.zeros((0, 8, 25)), np.zeros((0, 2)))
+    fails_cleanly(capsys, ["decode", "--images", str(tmp_path / "none.chim"),
+                           "--codec", str(d / "codec.json"),
+                           "--geometry-from", str(d / "good.jsonl"),
+                           "--out", str(tmp_path / "o.jsonl")],
+                  EXIT_BAD_DATA, "empty link dataset")
+    assert not (tmp_path / "o.jsonl").exists()
+
+
+def rec_edit(edit):
+    """A line editor applying edit to the line's parsed record."""
+    def on_line(line):
+        rec = json.loads(line)
+        edit(rec)
+        return json.dumps(rec)
+    return on_line
+
+
+def set_path(field, value):
+    return rec_edit(lambda r: r["paths"][0].update({field: value}))
+
+
+TWO_PATHS = [{"pathloss": 110.0, "delay": 2e-6, "aod": 0.0, "zod": 90.0, "aoa": 180.0,
+              "zoa": 90.0, "phase": -5.0},
+             {"pathloss": 120.0, "delay": 1e-6, "aod": 0.0, "zod": 90.0, "aoa": 180.0,
+              "zoa": 90.0, "phase": -5.0}]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda line: line[:len(line) // 2],
+    rec_edit(lambda r: r.update(carrier_freq="12e9")),
+    rec_edit(lambda r: r.update(carrier_freq=10 ** 400)),
+    rec_edit(lambda r: r.update(carrier_freq=0.0)),
+    rec_edit(lambda r: r["tx"].append(1.0)),
+    rec_edit(lambda r: r.update(rx=r["rx"][:2])),
+    rec_edit(lambda r: r.update(tx="abc")),
+    rec_edit(lambda r: r["rx"].__setitem__(0, "1.0")),
+    rec_edit(lambda r: r.pop("paths")),
+    rec_edit(lambda r: r.update(paths=5)),
+    rec_edit(lambda r: r.update(paths=[[1.0] * 7])),
+    rec_edit(lambda r: r["paths"][0].pop("phase")),
+    rec_edit(lambda r: r.update(link_state="Sideways")),
+    rec_edit(lambda r: r.update(link_state="NLOS", paths=[])),
+    rec_edit(lambda r: r.update(paths=TWO_PATHS)),
+    rec_edit(lambda r: r.update(paths=TWO_PATHS[1:] * 26)),
+    set_path("pathloss", -1.0), set_path("pathloss", None), set_path("delay", 0.0),
+    set_path("zod", 181.0), set_path("zoa", -0.5), set_path("phase", 0.5),
+    set_path("phase", -360.0),
+    lambda line: "[" + line + "]",
+    lambda line: "[" * 100_000,
+], ids=["truncated", "freq-str", "freq-huge-int", "freq-zero", "tx-4d", "rx-2d", "tx-str",
+        "rx-str-number", "no-paths", "paths-number", "path-list", "no-phase", "bad-state",
+        "nlos-without-paths", "unsorted", "26-paths", "pathloss-neg", "pathloss-null",
+        "delay-zero", "zod-181", "zoa-neg", "phase-pos", "phase-360", "record-list",
+        "nested-too-deep"])
+def test_dataset_rejects_malformed_records(tmp_path, capsys, edit):
+    data = tmp_path / "d.jsonl"
+    run(["--seed", "1", "gen-data", "--links", "20", "--out", str(data)])
+    lines = data.read_text().splitlines(keepends=True)
+    lines[2] = edit(lines[2].rstrip("\n")) + "\n"  # the second link, on line 3
+    data.write_text("".join(lines))
+    fails_cleanly(capsys, ["fit-codec", "--data", str(data), "--out", str(tmp_path / "c.json")],
+                  EXIT_BAD_FILE, f"{data}:3: bad link record")
+    assert not (tmp_path / "c.json").exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_base(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    run(["--seed", "2", "gen-data", "--links", "12", "--out", str(d / "good.jsonl")])
+    return d / "good.jsonl"
+
+
+# values no numeric or structured field takes, and none empty (an empty
+# path list is valid for an Outage link)
+JUNK = st.sampled_from(["12e9", "abc", None, "LOS?", [[1.0]], {"x": 1}, [1.0, 2.0, 3.0, 4.0]])
+PATH_KEYS = ("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase")
+
+
+@st.composite
+def mutated_line(draw, line):
+    """One dataset line made invalid: truncated, a value replaced or a key dropped."""
+    kind = draw(st.sampled_from(["truncate", "junk", "drop", "out-of-range"]))
+    if kind == "truncate":
+        return line[:draw(st.integers(1, len(line) - 1))]
+    rec = json.loads(line)
+    path = draw(st.integers(0, len(rec["paths"]) - 1)) if rec["paths"] else None
+    if kind == "out-of-range":
+        if path is None:
+            rec["carrier_freq"] = -rec["carrier_freq"]
+        else:
+            field, value = draw(st.sampled_from([
+                ("pathloss", -1.0), ("delay", -1e-9), ("zod", 180.5), ("zoa", -1.0),
+                ("phase", 1.0), ("aod", float("inf")), ("aoa", float("nan"))]))
+            rec["paths"][path][field] = value
+    else:
+        keys = ["tx", "rx", "carrier_freq", "link_state", "paths"]
+        if path is not None:
+            keys += [f"paths.{k}" for k in PATH_KEYS]
+        key = draw(st.sampled_from(keys))
+        owner = rec["paths"][path] if key.startswith("paths.") else rec
+        key = key.removeprefix("paths.")
+        if kind == "drop":
+            del owner[key]
+        else:
+            owner[key] = draw(JUNK)
+    return json.dumps(rec)
+
+
+# a fixed example set, so the suite's outcome does not vary between runs
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_datasets_fail_cleanly(fuzz_base, data):
+    """Cut the file after k links; with k > 0, make one to three of them invalid."""
+    header, *lines = fuzz_base.read_text().splitlines()
+    lines = lines[:data.draw(st.integers(0, len(lines)), label="links kept")]
+    if lines:
+        for i in data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1, max_size=3),
+                           label="mutated"):
+            lines[i] = data.draw(mutated_line(lines[i]), label=f"line {i + 2}")
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.jsonl"
+        bad.write_text("\n".join([header, *lines]) + "\n")
+        for argv in (["fit-codec", "--data", str(bad), "--out", f"{tmp}/c.json"],
+                     ["eval", "--model", str(bad), "--data", str(fuzz_base),
+                      "--outdir", f"{tmp}/reports"]):
+            err = stdio.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+                code = run(argv)
+            assert code in (EXIT_BAD_FILE, EXIT_BAD_DATA), (argv[0], code, err.getvalue())
+            assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+        assert sorted(os.listdir(tmp)) == ["bad.jsonl"]  # no stage wrote anything

@@ -26,9 +26,7 @@ from chanimg.core import (
     LinkState,
     LinkTable,
     PathParams,
-    fspl,
-    geometry,
-    los_params,
+    closed_forms,
     wrap_azimuth,
     wrap_phase,
 )
@@ -64,10 +62,20 @@ def wide(codec):
     return ChannelImageCodec(codec.virtual_ranges, FeatureScaler(WIDE_LO, WIDE_HI))
 
 
+def forms(tx, rx, freq):
+    """(dist2d, dist3d, fspl, los (7,)) of one link."""
+    d2, d3, pl, los = closed_forms([tx], [rx], [freq])
+    return float(d2[0]), float(d3[0]), float(pl[0]), los[0]
+
+
+def los_params(tx, rx, freq):
+    """The closed-form LOS path of one link."""
+    return PathParams(*forms(tx, rx, freq)[3].tolist())
+
+
 def make_link(n_paths, state=LinkState.NLOS, freq=12e9):
     tx, rx = (0.0, 0.0, 30.0), (100.0, 50.0, 1.6)
-    _, d3 = geometry(tx, rx)
-    base_pl = fspl(d3, freq)
+    _, d3, base_pl, _ = forms(tx, rx, freq)
     base_dly = d3 / SPEED_OF_LIGHT
     paths = [
         PathParams(base_pl + 1.0 + 2.0 * i, base_dly + 1e-8 * (i + 1),
@@ -96,8 +104,8 @@ def reference_prescale(virtual_ranges, eps, links, rng):
             m[row, :k] = [p.as_array()[row] for p in lk.paths]
             m[row, k:] = draws[row][i, k:]
         m[LS] = 1.0 - u[i] if lk.link_state is LinkState.LOS else -1.0 + u[i]
-        _, d3 = geometry(lk.tx, lk.rx)  # re-reference
-        m[PL] -= fspl(d3, lk.carrier_freq)
+        _, d3, base_pl, _ = forms(lk.tx, lk.rx, lk.carrier_freq)  # re-reference
+        m[PL] -= base_pl
         m[DLY] = (m[DLY] - d3 / SPEED_OF_LIGHT) * 1e7
     return out
 
@@ -112,7 +120,7 @@ def reference_encode(codec, links, rng):
     for i, m in enumerate(pre):
         clipped += int(np.count_nonzero((m < lo) | (m > hi)))
         matrices[i] = np.clip(2.0 * (m - lo) / (hi - lo) - 1.0, -1.0, 1.0)
-    conds = np.array([[geometry(lk.tx, lk.rx)[0], lk.rx[2]] for lk in links])
+    conds = np.array([[forms(lk.tx, lk.rx, lk.carrier_freq)[0], lk.rx[2]] for lk in links])
     return matrices, conds, clipped
 
 
@@ -128,8 +136,7 @@ def prescaled(codec, links, rng):
 def test_pad_full_link_adds_no_virtual_columns(wide):
     link = make_link(25)
     m = prescaled(wide, [link], substream(0, "x"))[0]
-    _, d3 = geometry(link.tx, link.rx)
-    assert np.all(m[PL] + fspl(d3, link.carrier_freq) < 180.0)
+    assert np.all(m[PL] + forms(link.tx, link.rx, link.carrier_freq)[2] < 180.0)
     real = np.stack([p.as_array() for p in link.paths], axis=1)
     np.testing.assert_allclose(m[AOD:PS + 1], real[AOD:], rtol=0, atol=1e-9)
 
@@ -137,8 +144,7 @@ def test_pad_full_link_adds_no_virtual_columns(wide):
 def test_pad_13_paths_virtual_pathloss_above_threshold(wide):
     link = make_link(13)
     m = prescaled(wide, [link], substream(1, "x"))[0]
-    _, d3 = geometry(link.tx, link.rx)
-    pl = m[PL] + fspl(d3, link.carrier_freq)
+    pl = m[PL] + forms(link.tx, link.rx, link.carrier_freq)[2]
     assert np.all(pl[13:] > 181.0 - 1e-9)
     assert np.all(pl[13:] < 190.0 + 1e-9)
     assert np.all(pl[:13] < 180.0)
@@ -157,7 +163,7 @@ def test_pad_virtual_values_inside_dataset_ranges(dataset, codec, wide):
     tol = 1e-9 * np.maximum(np.abs(lo), np.abs(hi))
     for lk, m in zip(links, prescaled(wide, links, substream(2, "x"))):
         n = lk.n_paths
-        _, d3 = geometry(lk.tx, lk.rx)
+        d3 = forms(lk.tx, lk.rx, lk.carrier_freq)[1]
         m[DLY] = m[DLY] / 1e7 + d3 / SPEED_OF_LIGHT
         for row in range(DLY, PS + 1):
             assert np.all(m[row, n:] >= lo[row] - tol[row])
@@ -191,7 +197,7 @@ def test_normalize_los_first_path_is_zero(wide):
 
 def test_normalize_delay_scaling(wide):
     link = make_link(1)
-    _, d3 = geometry(link.tx, link.rx)
+    d3 = forms(link.tx, link.rx, link.carrier_freq)[1]
     link.paths[0].delay = d3 / SPEED_OF_LIGHT + 150e-9
     m = prescaled(wide, [link], substream(6, "x"))[0]
     assert m[DLY, 0] == pytest.approx(1.5, rel=1e-9)
@@ -269,6 +275,8 @@ def test_fit_codec_empty(codec):
         fit_codec(empty, substream(0, "x"))
     with pytest.raises(DataError, match="empty"):
         codec.encode(empty, substream(0, "x"))
+    with pytest.raises(DataError, match="empty link dataset"):
+        codec.decode(np.zeros((0, 8, 25)), empty)
 
 
 # -- tiling ----------------------------------------------------------------------
@@ -336,7 +344,7 @@ def test_encode_counts_clipped_cells(wide):
 
 
 def decode_stack(codec, matrices, links):
-    """Decode matrices[i] against the geometry of links[i]."""
+    """The table of matrices[i] decoded against the geometry of links[i]."""
     return codec.decode(matrices, LinkTable.from_links(links))
 
 
@@ -347,18 +355,21 @@ def geometry_table(tx, rx, carrier_freq):
 
 
 def decode_one(codec, matrix, link):
-    return decode_stack(codec, np.asarray(matrix)[None], [link])[0]
+    """(state, (k, 7) path rows) of one matrix decoded against link's geometry."""
+    dec = decode_stack(codec, np.asarray(matrix)[None], [link])
+    return dec.state[0], dec.paths[0, :dec.counts[0]]
 
 
 def test_roundtrip_surrogate_links(dataset, table, codec):
     matrices, _ = codec.encode(table, substream(12, "roundtrip"))
-    worst = np.zeros(7)
-    for lk, dec in zip(dataset, decode_stack(codec, matrices, dataset)):
-        assert dec.link_state is lk.link_state
-        assert dec.n_paths == lk.n_paths  # no virtual survivors, no real losses
-        a = np.stack([p.as_array() for p in lk.paths])
-        b = np.stack([p.as_array() for p in dec.paths])
-        worst = np.maximum(worst, np.abs(a - b).max(axis=0))
+    dec = codec.decode(matrices, table)
+    # the geometry columns are the given table's, not recomputed
+    for name in ("tx", "rx", "carrier_freq", "dist2d", "dist3d", "fspl", "los"):
+        assert getattr(dec, name) is getattr(table, name), name
+    assert list(dec.state) == [lk.link_state for lk in dataset]
+    np.testing.assert_array_equal(dec.counts, table.counts)  # no virtual survivors
+    assert not dec.paths[~dec.valid].any()
+    worst = np.abs(dec.paths - table.paths).max(axis=(0, 1))
     assert worst[PL] <= 1e-3
     assert worst[DLY] <= 1e-12
     assert np.all(worst[[AOD, ZOD, AOA, ZOA, PS]] <= 1e-3)
@@ -366,29 +377,29 @@ def test_roundtrip_surrogate_links(dataset, table, codec):
 
 def test_roundtrip_los_first_path_exact(dataset, table, codec):
     matrices, _ = codec.encode(table, substream(13, "los"))
-    for lk, dec in zip(dataset, decode_stack(codec, matrices, dataset)):
-        if lk.link_state is LinkState.LOS:
-            np.testing.assert_array_equal(dec.paths[0].as_array(), lk.paths[0].as_array())
+    dec = codec.decode(matrices, table)
+    los = table.state == LinkState.LOS
+    assert los.any()
+    np.testing.assert_array_equal(dec.paths[los, 0], table.paths[los, 0])
 
 
 def test_decode_negative_last_row_is_nlos(codec):
     link = make_link(10)
     matrices, _ = codec.encode(LinkTable.from_links([link]), substream(14, "x"))
-    dec = decode_one(codec, matrices[0], link)
-    assert dec.link_state is LinkState.NLOS
+    state, _ = decode_one(codec, matrices[0], link)
+    assert state is LinkState.NLOS
 
 
 def test_decode_all_paths_above_threshold_is_outage(codec):
     # craft a matrix whose decoded pathloss is ~185 dB everywhere
     link = make_link(10)
-    _, d3 = geometry(link.tx, link.rx)
     vals = np.zeros((8, 25))
-    vals[PL] = 185.0 - fspl(d3, link.carrier_freq)
+    vals[PL] = 185.0 - forms(link.tx, link.rx, link.carrier_freq)[2]
     vals[DLY] = 1.0
     vals[LS] = -0.995
-    dec = decode_one(codec, codec.scaler.scale(vals), link)
-    assert dec.link_state is LinkState.OUTAGE
-    assert dec.n_paths == 0
+    state, paths = decode_one(codec, codec.scaler.scale(vals), link)
+    assert state is LinkState.OUTAGE
+    assert len(paths) == 0
 
 
 def test_decode_rejects_nonfinite(codec):
@@ -405,18 +416,18 @@ def test_decode_rejects_nonfinite(codec):
 
 
 def reference_decode(codec, matrix, tx, rx, carrier_freq, stats):
-    """Per-matrix decode, written column by column as the definition reads."""
+    """(state, (k, 7) path rows) of one matrix, column by column as the definition reads."""
     values = codec.scaler.unscale(np.asarray(matrix, dtype=np.float64))
-    _, dist3d = geometry(tx, rx)
-    values[PL] += fspl(dist3d, carrier_freq)
+    _, dist3d, base_pl, los = forms(tx, rx, carrier_freq)
+    values[PL] += base_pl
     base_delay = dist3d / SPEED_OF_LIGHT
     values[DLY] = values[DLY] / codec.delay_scale + base_delay
     is_los = float(values[LS].mean()) > 0.0
     if is_los:
-        values[:PS + 1, 0] = los_params(tx, rx, carrier_freq).as_array()
+        values[:PS + 1, 0] = los
     keep = values[PL] <= codec.outage_threshold_db
     if not np.any(keep):
-        return LinkRecord(tx, rx, carrier_freq, LinkState.OUTAGE, [])
+        return LinkState.OUTAGE, np.zeros((0, 7))
     cols = values[:, keep]
     stats["delay_floored"] += int(np.count_nonzero(cols[DLY] < base_delay))
     stats["pathloss_floored"] += int(np.count_nonzero(cols[PL] <= 0.0))
@@ -428,8 +439,7 @@ def reference_decode(codec, matrix, tx, rx, carrier_freq, stats):
     cols[ZOA] = np.clip(cols[ZOA], 0.0, 180.0)
     cols[PS] = wrap_phase(cols[PS])
     cols = cols[:, np.argsort(cols[DLY], kind="stable")]
-    paths = [PathParams(*(float(v) for v in c[:PS + 1])) for c in cols.T]
-    return LinkRecord(tx, rx, carrier_freq, LinkState.LOS if is_los else LinkState.NLOS, paths)
+    return LinkState.LOS if is_los else LinkState.NLOS, cols[:PS + 1].T
 
 
 def test_stacked_decode_matches_per_image_reference():
@@ -454,17 +464,20 @@ def test_stacked_decode_matches_per_image_reference():
 
     geo = geometry_table(tx, rx, freq)
     got = stacked.decode(mats, geo)
-    ones = [single.decode(mats[i:i + 1], geo.take([i]))[0] for i in range(n)]
+    ones = [single.decode(mats[i:i + 1], geo.take([i])) for i in range(n)]
     stats = {"delay_floored": 0, "pathloss_floored": 0}
     want = [reference_decode(ref, mats[i], tuple(tx[i]), tuple(rx[i]), float(freq[i]),
                              stats)
             for i in range(n)]
-    assert [repr(r) for r in got] == [repr(r) for r in want]  # repr keeps every bit
-    assert [repr(r) for r in ones] == [repr(r) for r in want]
+    assert not got.paths[~got.valid].any()
+    for i, (state, paths) in enumerate(want):  # every bit of every path row
+        assert got.state[i] is state and ones[i].state[0] is state
+        assert got.paths[i, :got.counts[i]].tobytes() == paths.tobytes()
+        assert ones[i].paths[0, :ones[i].counts[0]].tobytes() == paths.tobytes()
     assert stacked.stats == single.stats == stats
     assert stacked.scaler.n_clipped == single.scaler.n_clipped == ref.scaler.n_clipped > 0
 
-    states = [r.link_state for r in want]
+    states = [state for state, _ in want]
     assert states[0] is LinkState.OUTAGE and states[1] is LinkState.LOS
     assert states[2] is LinkState.NLOS
     assert stats["delay_floored"] > 0 and stats["pathloss_floored"] > 0
@@ -493,7 +506,7 @@ def test_decode_los_vote_on_vertical_link_is_geometry_error(codec):
     vals = np.zeros((2, 8, 25))  # every column 0 dB above free space: all kept
     vals[:, LS] = -0.995
     nlos = codec.decode(codec.scaler.scale(vals), geo)
-    assert [lk.link_state for lk in nlos] == [LinkState.NLOS] * 2
+    assert list(nlos.state) == [LinkState.NLOS] * 2
     vals[:, LS] = 0.995
     with pytest.raises(GeometryError, match="matrix 1"):
         codec.decode(codec.scaler.scale(vals), geo)
@@ -504,8 +517,10 @@ def test_decode_sanitizes_gan_style_output(codec):
     rng = np.random.default_rng(15)
     mat = rng.uniform(-1, 1, size=(8, 25))
     dec = codec.decode(mat[None], geometry_table([(0.0, 0.0, 30.0)], [(100.0, 50.0, 1.6)],
-                                                 [12e9]))[0]
-    for p in dec.paths:
+                                                 [12e9]))
+    assert dec.counts[0] > 0
+    for row in dec.paths[0, :dec.counts[0]]:
+        p = PathParams(*row.tolist())
         assert -180.0 < p.aod <= 180.0 and -180.0 < p.aoa <= 180.0
         assert 0.0 <= p.zod <= 180.0 and 0.0 <= p.zoa <= 180.0
         assert -360.0 < p.phase <= 0.0
@@ -526,4 +541,4 @@ def test_encode_images_in_range(dataset, table, codec):
         assert matrices.shape == (len(dataset), 8, 25)
         assert np.all(matrices >= -1.0) and np.all(matrices <= 1.0)
         for lk, c in zip(dataset, conds):
-            assert c[0] == geometry(lk.tx, lk.rx)[0] and c[1] == lk.rx[2]
+            assert c[0] == forms(lk.tx, lk.rx, lk.carrier_freq)[0] and c[1] == lk.rx[2]

@@ -1,12 +1,15 @@
 """On-disk formats: round trips, version gating, corruption handling."""
 
+import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from chanimg import LinkTable, SurrogateConfig, fit_codec, generate_dataset
 from chanimg import io
+from chanimg.core import PATH_FIELDS
 from chanimg.errors import FormatError, VersionError
 from chanimg.genmodel import EmpiricalResampler, WganGpHyperparams
 from chanimg.genmodel.wgan import build_networks
@@ -20,36 +23,42 @@ def links():
 
 def test_dataset_roundtrip(tmp_path, links):
     p = tmp_path / "data.jsonl"
-    io.write_dataset(p, links, seed=7)
-    back = io.read_dataset(p)
-    assert len(back) == len(links)
-    for a, b in zip(links, back):
-        assert a.tx == b.tx and a.rx == b.rx
-        assert a.link_state is b.link_state
-        assert [x.as_array().tolist() for x in a.paths] == \
-               [x.as_array().tolist() for x in b.paths]
-    assert p.read_text().splitlines()[0].startswith("# chanimg-dataset v1 seed=7")
+    table = LinkTable.from_links(links)
+    io.write_table(p, table, seed=7)
+    back = io.read_table(p)
+    for f in fields(table):  # every column, the closed forms included
+        a, b = getattr(table, f.name), getattr(back, f.name)
+        assert a.dtype == b.dtype, f.name
+        np.testing.assert_array_equal(b, a, err_msg=f.name)
+    lines = p.read_text().splitlines()
+    assert lines[0].startswith("# chanimg-dataset v1 seed=7")
+    # each line is what json.dumps writes for the link's record
+    for lk, line in zip(links, lines[1:]):
+        rec = {"tx": list(lk.tx), "rx": list(lk.rx), "carrier_freq": lk.carrier_freq,
+               "link_state": lk.link_state.value,
+               "paths": [dict(zip(PATH_FIELDS, p.as_array().tolist())) for p in lk.paths]}
+        assert line == json.dumps(rec)
 
 
 def test_dataset_rejects_missing_header(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"tx": [0,0,0]}\n')
     with pytest.raises(FormatError):
-        io.read_dataset(p)
+        io.read_table(p)
 
 
 def test_dataset_rejects_future_version(tmp_path):
     p = tmp_path / "future.jsonl"
     p.write_text("# chanimg-dataset v99\n")
     with pytest.raises(VersionError):
-        io.read_dataset(p)
+        io.read_table(p)
 
 
 def test_dataset_rejects_bad_record(tmp_path):
     p = tmp_path / "bad2.jsonl"
     p.write_text('# chanimg-dataset v1\n{"tx": [0,0,0]}\n')
     with pytest.raises(FormatError, match="bad link record"):
-        io.read_dataset(p)
+        io.read_table(p)
 
 
 def test_codec_roundtrip(tmp_path, links):

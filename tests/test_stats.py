@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from chanimg.core import LinkRecord, LinkState, LinkTable, PathParams, los_params
+from chanimg.core import LinkRecord, LinkState, LinkTable, PathParams, closed_forms
 from chanimg.errors import DataError
 from chanimg.stats import (
     BinnedPdf2D,
@@ -13,7 +13,6 @@ from chanimg.stats import (
     ks_uniform,
     link_state_prob,
     relative_zenith_pdf,
-    rms_spread,
     rms_spread_report,
     uniformity_check,
 )
@@ -26,6 +25,17 @@ def make_path(pathloss, delay=1e-6, aod=0.0, zod=90.0, aoa=180.0, zoa=90.0, phas
 def make_link(state=LinkState.NLOS, paths=None, rx_h=1.6, dist=100.0):
     paths = paths or [make_path(100.0)]
     return LinkRecord((0.0, 0.0, 30.0), (dist, 0.0, rx_h), 12e9, state, paths)
+
+
+def los_params(tx, rx, freq):
+    """The closed-form LOS path of one link."""
+    return PathParams(*closed_forms([tx], [rx], [freq])[3][0].tolist())
+
+
+def rms_spread(paths, feature):
+    """The RMS spread of one link's paths, through rms_spread_report."""
+    return float(getattr(rms_spread_report(LinkTable.from_links([make_link(paths=paths)])),
+                         feature)[0])
 
 
 # -- ecdf / KS ---------------------------------------------------------------
@@ -314,8 +324,3 @@ def test_rms_report_shapes():
     for f in ("delay", "aoa", "aod", "zoa", "zod"):
         assert getattr(rep, f).shape == (2,)
         assert np.all(getattr(rep, f) >= 0.0)
-
-
-def test_rms_unknown_feature():
-    with pytest.raises(DataError):
-        rms_spread([make_path(100.0)], "pathloss")

@@ -3,15 +3,8 @@
 import numpy as np
 import pytest
 
-from chanimg.core import (
-    SPEED_OF_LIGHT,
-    LinkState,
-    fspl,
-    geometry,
-    los_params,
-    verify_los_first_path,
-)
-from chanimg.errors import DataError
+from chanimg.core import SPEED_OF_LIGHT, LinkState, LinkTable
+from chanimg.errors import DataError, GeometryError
 from chanimg.surrogate import SurrogateConfig, generate_dataset, train_test_split
 
 
@@ -41,9 +34,9 @@ def test_different_seed_differs():
 def test_forced_los():
     links = generate_dataset(small_config(los_probability=1.0))
     assert all(lk.link_state is LinkState.LOS for lk in links)
-    for lk in links:  # first path bit-exact equal to the closed form
-        expect = los_params(lk.tx, lk.rx, lk.carrier_freq).as_array()
-        assert lk.paths[0].as_array().tolist() == expect.tolist()
+    # first path bit-exact equal to the closed form of the link's table row
+    expect = LinkTable.from_links(links).los
+    assert [lk.paths[0].as_array().tolist() for lk in links] == expect.tolist()
 
 
 def test_forced_nlos():
@@ -53,10 +46,9 @@ def test_forced_nlos():
 
 def test_path_invariants():
     links = generate_dataset(small_config())
-    for lk in links:
+    table = LinkTable.from_links(links)
+    for lk, d3, base_pl in zip(links, table.dist3d, table.fspl):
         assert 1 <= lk.n_paths <= 25
-        _, d3 = geometry(lk.tx, lk.rx)
-        base_pl = fspl(d3, lk.carrier_freq)
         base_dly = d3 / SPEED_OF_LIGHT
         for p in lk.paths:
             assert p.delay >= base_dly  # no negative excess delay
@@ -68,9 +60,11 @@ def test_path_invariants():
 
 def test_los_first_path_exact():
     links = generate_dataset(small_config())
-    for lk in links:
-        if lk.link_state is LinkState.LOS:
-            assert verify_los_first_path(lk, rtol=1e-12)
+    table = LinkTable.from_links(links)
+    los = [i for i, lk in enumerate(links) if lk.link_state is LinkState.LOS]
+    assert los
+    for i in los:
+        np.testing.assert_array_equal(links[i].paths[0].as_array(), table.los[i])
 
 
 def test_phase_uniformity():
@@ -88,6 +82,13 @@ def test_los_fraction_increases_with_height():
         assert len(sel) >= 1000
         frac[h] = np.mean([lk.link_state is LinkState.LOS for lk in sel])
     assert frac[120.0] > frac[1.6]
+
+
+@pytest.mark.parametrize("freq", [1e3, 1.0])
+def test_low_carrier_without_a_los_path_is_rejected(freq):
+    # free-space loss at 1 kHz is below 0 dB over the whole 500 m area
+    with pytest.raises(GeometryError, match=r"^link 0: LOS pathloss -\d.* dB is not positive"):
+        generate_dataset(small_config(carrier_freq=freq))
 
 
 def test_zero_links_rejected():
