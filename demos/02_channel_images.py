@@ -1,4 +1,4 @@
-"""From link records to channel matrices and back, losslessly.
+"""From a link table to channel matrices and back, losslessly.
 
 Generates a small surrogate dataset, fits the codec (virtual-path ranges +
 Min-Max scaler), encodes one link into its 8x25 channel matrix, renders the
@@ -9,15 +9,15 @@ Run:  python3 demos/02_channel_images.py
 
 import numpy as np
 
-from chanimg import LinkTable, SurrogateConfig, fit_codec, generate_dataset, tile
+from chanimg import SurrogateConfig, fit_codec, generate_dataset, tile
 from chanimg.rng import substream
 
 cfg = SurrogateConfig(num_tx=5, num_rx_per_height=20, seed=42)
-links = generate_dataset(cfg)
-print(f"surrogate dataset: {len(links)} links, "
-      f"{np.mean([lk.n_paths for lk in links]):.1f} paths/link on average")
+dataset = generate_dataset(cfg)  # a LinkTable: padded path arrays, one row per link
+print(f"surrogate dataset: {len(dataset)} links, "
+      f"{dataset.counts.mean():.1f} paths/link on average")
 
-codec = fit_codec(LinkTable.from_links(links), substream(42, "padding"))
+codec = fit_codec(dataset, substream(42, "padding"))
 print("fitted per-feature scaler ranges (min/max):")
 for name, lo, hi in zip(("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase", "state"),
                         codec.scaler.feature_min, codec.scaler.feature_max):
@@ -25,11 +25,10 @@ for name, lo, hi in zip(("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase
 
 # encode takes a link table and returns a stack of scaled 8x25 matrices plus
 # their (dist2d, height) conditions
-link = max(links, key=lambda lk: lk.n_paths)
-table = LinkTable.from_links([link])
+table = dataset.take([np.argmax(dataset.counts)])  # the link with the most paths
 matrices, conds = codec.encode(table, substream(7, "demo"))
 matrix = matrices[0]
-print(f"\nencoded a {link.link_state.value} link with {link.n_paths} paths "
+print(f"\nencoded a {table.state[0].value} link with {table.counts[0]} paths "
       f"-> matrix {matrix.shape}, value range [{matrix.min():.3f}, {matrix.max():.3f}]")
 
 # the paper's channel image renders each matrix cell as a constant 8x2 block

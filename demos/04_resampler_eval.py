@@ -12,14 +12,13 @@ Run:  python3 demos/04_resampler_eval.py   (a few seconds)
 
 import numpy as np
 
-from chanimg import LinkTable, SurrogateConfig, fit_codec, generate_dataset, train_test_split
+from chanimg import SurrogateConfig, fit_codec, generate_dataset, train_test_split
 from chanimg.genmodel import EmpiricalResampler
 from chanimg.rng import substream
 from chanimg.stats import compare_datasets
 from chanimg.surrogate import DEFAULT_HEIGHTS
 
-links = generate_dataset(SurrogateConfig(seed=11))
-train, held = (LinkTable.from_links(part) for part in train_test_split(links, 0.2, seed=11))
+train, held = train_test_split(generate_dataset(SurrogateConfig(seed=11)), 0.2, seed=11)
 codec = fit_codec(train, substream(11, "padding"))
 print(f"{len(train)} training links, {len(held)} held-out links")
 

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import io
 from .codec import MATRIX_SHAPE, fit_codec
-from .core import LinkTable
 from .errors import (
     ChanimgError,
     DataError,
@@ -162,7 +161,7 @@ def _cmd_gen_data(args) -> int:
         num_tx=args.num_tx, num_rx_per_height=per_height, heights=heights,
         area=(w, d), carrier_freq=args.freq, seed=args.seed,
         los_probability=args.los_probability)
-    table = LinkTable.from_links(generate_dataset(cfg)[: args.links])
+    table = generate_dataset(cfg).take(slice(0, args.links))
     io.write_table(args.out, table, seed=args.seed)
     print(f"wrote {len(table)} links to {args.out}")
     return 0
@@ -300,9 +299,11 @@ def _cmd_report(args) -> int:
     state_ok = (decoded.state == table.state).astype(int).tolist()
     n_ok = decoded.counts == table.counts
     survivors = np.maximum(decoded.counts - table.counts, 0).tolist()
-    # per-feature max over the real paths, NaN where the path counts differ
-    errs = np.where(table.valid[..., None], np.abs(decoded.paths - table.paths),
-                    -np.inf).max(axis=1)
+    # per-feature max over the real paths (one block, in place), NaN where the counts differ
+    diff = decoded.paths - table.paths
+    np.abs(diff, out=diff)
+    diff[~table.valid] = -np.inf
+    errs = diff.max(axis=1)
     errs[~(n_ok & (table.counts > 0))] = np.nan
     worst = np.fmax.reduce(errs, axis=0, initial=0.0)
     rows = [[i, state_ok[i], int(n_ok[i]), survivors[i], *errs[i]] for i in range(len(table))]

@@ -32,10 +32,14 @@ __all__ = ["Mlp", "AdamState", "adam_step", "count_params"]
 
 
 def _sigmoid(a):
-    """Logistic function; exp only sees -|a|, so it never overflows."""
+    """Logistic function; exp only sees -|a|, so it never overflows.
+
+    1/d where a >= 0 and e/d elsewhere: e <= 1, so the maximum with the
+    mask picks the numerator without a data-dependent branch.
+    """
     e = np.exp(-np.abs(a))
     d = 1.0 + e
-    return np.where(a >= 0, 1.0 / d, e / d)
+    return np.maximum(e, a >= 0) / d
 
 
 def _act_prime(kind, a, h, s):

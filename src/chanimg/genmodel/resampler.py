@@ -46,24 +46,29 @@ class EmpiricalResampler:
         """(m, k) indices of the k nearest stored conditions per query row.
 
         Neighbours are ordered by (squared normalized distance, index), the
-        order of a full lexsort, so ties resolve deterministically.
+        order of a full lexsort, so ties resolve deterministically.  The
+        (chunk, N) blocks are allocated once: no short-lived ones to place.
         """
         q = (queries - self.cond_min) / self._span
         out = np.empty((len(q), self.k), dtype=np.intp)
+        d2 = np.empty((min(len(q), QUERY_CHUNK), len(self._nx)))
+        work, far = np.empty_like(d2), np.empty(d2.shape, dtype=bool)
         for start in range(0, len(q), QUERY_CHUNK):
-            qx = q[start:start + QUERY_CHUNK, 0:1]
-            qy = q[start:start + QUERY_CHUNK, 1:2]
-            d2 = (self._nx - qx) ** 2 + (self._ny - qy) ** 2  # (c, N)
-            cand = np.argpartition(d2, self.k - 1, axis=1)[:, :self.k]
-            cand_d2 = np.take_along_axis(d2, cand, axis=1)
-            order = np.lexsort((cand, cand_d2), axis=1)
-            nb = np.take_along_axis(cand, order, axis=1)
-            # argpartition picks an arbitrary subset of the conditions tied
-            # at the k-th distance; rows with such ties redo the full sort
-            kth = np.take_along_axis(d2, nb[:, -1:], axis=1)
-            for r in np.flatnonzero(np.count_nonzero(d2 <= kth, axis=1) != self.k):
-                nb[r] = np.lexsort((np.arange(d2.shape[1]), d2[r]))[:self.k]
-            out[start:start + len(nb)] = nb
+            c = min(QUERY_CHUNK, len(q) - start)
+            dd, ww, ff = d2[:c], work[:c], far[:c]
+            np.square(np.subtract(self._nx, q[start:start + c, 0:1], out=dd), out=dd)
+            np.square(np.subtract(self._ny, q[start:start + c, 1:2], out=ww), out=ww)
+            dd += ww  # (c, N)
+            np.copyto(ww, dd)
+            ww.partition(self.k - 1, axis=1)
+            # every condition not beyond the k-th distance is a candidate, so
+            # the ties at that distance are all in; a NaN row keeps them all
+            np.logical_not(np.greater(dd, ww[:, self.k - 1:self.k], out=ff), out=ff)
+            flat = np.flatnonzero(ff)  # grouped by row, by index within one
+            rows, cols = np.divmod(flat, dd.shape[1])
+            order = np.lexsort((dd.ravel()[flat], rows))  # stable: ties keep index order
+            first = np.searchsorted(rows, np.arange(c))
+            out[start:start + c] = cols[order[first[:, None] + np.arange(self.k)]]
         return out
 
     def sample(self, cond, n: int, seed: int) -> np.ndarray:

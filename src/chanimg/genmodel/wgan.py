@@ -439,6 +439,7 @@ def sample(netp: NetworkParams, cond, n: int, seed: int) -> np.ndarray:
     out = np.empty((n, *netp.image_shape))
     for start in range(0, n, 1024):
         stop = min(start + 1024, n)
-        y, _, _ = generator_forward(netp, z[start:stop], c[start:stop])
+        # drop the forward caches now: held into the next chunk, they double the peak
+        y = generator_forward(netp, z[start:stop], c[start:stop])[0]
         out[start:stop] = y.reshape(stop - start, *netp.image_shape)
     return out

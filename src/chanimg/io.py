@@ -145,7 +145,7 @@ def read_codec(path) -> ChannelImageCodec:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if doc.get("format") != "chanimg-codec":
         raise FormatError(f"{path}: not a codec file")
@@ -227,7 +227,7 @@ def _read_checkpoint(path):
     offset = 4 + 8
     try:
         doc = json.loads(raw[offset:offset + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from exc
     offset += header_len
     if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)

@@ -12,18 +12,11 @@ with distance, and excess pathloss grows slowly with excess delay.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    MAX_PATHS,
-    LinkRecord,
-    LinkState,
-    PathParams,
-    closed_forms,
-    wrap_azimuth,
-)
+from .core import MAX_PATHS, LinkState, LinkTable, closed_forms, path_rules, wrap_azimuth
 from .errors import DataError, GeometryError
 from .rng import substream
 
@@ -91,66 +84,17 @@ def _los_probability(cfg: SurrogateConfig, dist2d: float, height: float) -> floa
     return min(1.0, math.exp(-dist2d / scale))
 
 
-def _scattered_paths(cfg, rng, n, dist2d, los):
-    """Draw n scattered paths around the link's LOS direction, delay and loss."""
-    decay = math.exp(-dist2d / cfg.spread_decay_m)
-    az_scale = cfg.azimuth_spread_deg * decay
-    zen_scale = cfg.zenith_spread_deg * decay
-
-    excess_delay = rng.exponential(cfg.excess_delay_mean_s, size=n)
-    excess_pl = np.abs(rng.normal(0.0, cfg.excess_pl_sigma_db, size=n))
-    excess_pl += cfg.excess_pl_per_ns_db * excess_delay * 1e9
-
-    aod = wrap_azimuth(los.aod + rng.laplace(0.0, az_scale, size=n))
-    aoa = wrap_azimuth(los.aoa + rng.laplace(0.0, az_scale, size=n))
-    zod = np.clip(los.zod + rng.laplace(0.0, zen_scale, size=n), 0.0, 180.0)
-    zoa = np.clip(los.zoa + rng.laplace(0.0, zen_scale, size=n), 0.0, 180.0)
-    phase = -rng.uniform(0.0, 360.0, size=n)  # (-360, 0]
-
-    order = np.argsort(excess_delay, kind="stable")
-    return [
-        PathParams(
-            pathloss=float(los.pathloss + excess_pl[i]),
-            delay=float(los.delay + excess_delay[i]),
-            aod=float(aod[i]),
-            zod=float(zod[i]),
-            aoa=float(aoa[i]),
-            zoa=float(zoa[i]),
-            phase=float(phase[i]),
-        )
-        for i in order
-    ]
-
-
-def _make_link(cfg: SurrogateConfig, tx, rx, link_index: int, dist2d: float,
-               los: PathParams) -> LinkRecord:
-    rng = substream(cfg.seed, "link", link_index)
-    is_los = rng.uniform() < _los_probability(cfg, dist2d, rx[2])
-    n_extra = int(rng.poisson(cfg.path_rate_base * math.exp(-dist2d / cfg.path_rate_decay_m)))
-
-    if is_los:
-        n_extra = min(n_extra, cfg.max_paths - 1)
-        paths = [los] + _scattered_paths(cfg, rng, n_extra, dist2d, los)
-    else:
-        n_total = min(1 + n_extra, cfg.max_paths)
-        paths = _scattered_paths(cfg, rng, n_total, dist2d, los)
-
-    if min(p.pathloss for p in paths) > cfg.outage_threshold_db:
-        state = LinkState.OUTAGE
-    else:
-        state = LinkState.LOS if is_los else LinkState.NLOS
-    return LinkRecord(tx=tx, rx=rx, carrier_freq=cfg.carrier_freq, link_state=state, paths=paths)
-
-
-def generate_dataset(cfg: SurrogateConfig) -> list:
-    """Generate the full tx x rx x height grid of links.
+def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
+    """The LinkTable of the full tx x rx x height grid of links.
 
     A pure function of the config: tx positions, rx positions and every
     link's paths come from independent substreams of cfg.seed, so the output
     is identical regardless of evaluation order.  The closed forms are
     evaluated once over the whole grid; a link without a LOS path (a
     vertical link, or a LOS pathloss that is not positive at a low carrier)
-    is a GeometryError naming the first one.
+    is a GeometryError naming the first one.  A link's scattered paths sit
+    around its LOS direction, delay and loss, sorted by delay behind the
+    LOS path of a LOS link.
     """
     cfg.validate()
 
@@ -165,24 +109,66 @@ def generate_dataset(cfg: SurrogateConfig) -> list:
         for h_idx, height in enumerate(cfg.heights)])
     # link index = rx index * num_tx + tx index
     tx_all, rx_all = np.tile(txs, (len(rxs), 1)), np.repeat(rxs, cfg.num_tx, axis=0)
-    dist2d, _, fspl, los = closed_forms(tx_all, rx_all, np.full(len(rx_all), cfg.carrier_freq))
+    freq = np.full(len(rx_all), float(cfg.carrier_freq))
+    dist2d, dist3d, fspl, los = closed_forms(tx_all, rx_all, freq)
     if np.isnan(los).any():
         i = np.argmax(np.isnan(los[:, 0]))
         raise GeometryError(f"link {i}: " + ("azimuth undefined for a vertical link"
                                              if dist2d[i] == 0.0 else
                                              f"LOS pathloss {fspl[i]} dB is not positive"))
-    return [_make_link(cfg, tuple(a), tuple(b), i, d2, PathParams(*row))
-            for i, (a, b, d2, row) in enumerate(zip(
-                tx_all.tolist(), rx_all.tolist(), dist2d.tolist(), los.tolist()))]
+
+    # per link, only the draws: each link's substream is read in a fixed order
+    is_los, n_scattered, draws = [], [], []
+    for i, (d2, h) in enumerate(zip(dist2d.tolist(), rx_all[:, 2].tolist())):
+        rng = substream(cfg.seed, "link", i)
+        los_link = rng.uniform() < _los_probability(cfg, d2, h)
+        n_extra = int(rng.poisson(cfg.path_rate_base * math.exp(-d2 / cfg.path_rate_decay_m)))
+        n = min(n_extra, cfg.max_paths - 1) if los_link else min(1 + n_extra, cfg.max_paths)
+        decay = math.exp(-d2 / cfg.spread_decay_m)
+        az_scale, zen_scale = cfg.azimuth_spread_deg * decay, cfg.zenith_spread_deg * decay
+        is_los.append(los_link)
+        n_scattered.append(n)
+        draws.append((rng.exponential(cfg.excess_delay_mean_s, n),
+                      rng.normal(0.0, cfg.excess_pl_sigma_db, n),
+                      rng.laplace(0.0, az_scale, n), rng.laplace(0.0, az_scale, n),
+                      rng.laplace(0.0, zen_scale, n), rng.laplace(0.0, zen_scale, n),
+                      rng.uniform(0.0, 360.0, n)))
+    is_los, n_scattered = np.array(is_los), np.array(n_scattered)
+    excess_delay, normal, l_aod, l_aoa, l_zod, l_zoa, phase = map(np.concatenate, zip(*draws))
+
+    # then one pass over every scattered path
+    link = np.repeat(np.arange(len(rx_all)), n_scattered)
+    base = los[link]
+    excess_pl = np.abs(normal)
+    excess_pl += cfg.excess_pl_per_ns_db * excess_delay * 1e9
+    rows = np.column_stack([
+        base[:, 0] + excess_pl, base[:, 1] + excess_delay,
+        wrap_azimuth(base[:, 2] + l_aod), np.clip(base[:, 3] + l_zod, 0.0, 180.0),
+        wrap_azimuth(base[:, 4] + l_aoa), np.clip(base[:, 5] + l_zoa, 0.0, 180.0),
+        -phase])  # (-360, 0]
+    for message, bad in path_rules(rows):  # e.g. a spread knob so large a value overflows
+        if bad.any():
+            raise DataError(f"link {link[np.argmax(bad)]}: {message}")
+    counts = n_scattered + is_los
+    valid = np.arange(MAX_PATHS) < counts[:, None]
+    paths = np.zeros((len(counts), MAX_PATHS, 7))
+    paths[is_los, 0] = los[is_los]
+    scattered = valid.copy()
+    scattered[:, 0] &= ~is_los  # a LOS link's first slot holds its LOS path
+    paths[scattered] = rows[np.lexsort((excess_delay, link))]
+
+    outage = np.where(valid, paths[..., 0], np.inf).min(axis=1) > cfg.outage_threshold_db
+    state = np.where(outage, LinkState.OUTAGE, np.where(is_los, LinkState.LOS, LinkState.NLOS))
+    return LinkTable(paths, counts, state, tx_all, rx_all, freq, dist2d, dist3d, fspl, los)
 
 
-def train_test_split(links, test_fraction: float, seed: int):
-    """Deterministic shuffle split into (train, test)."""
+def train_test_split(table: LinkTable, test_fraction: float, seed: int):
+    """Deterministic shuffle split of a table into (train, test) tables.
+
+    Each part keeps the table's link order.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise DataError("test_fraction must be in (0, 1)")
-    order = substream(seed, "split").permutation(len(links))
-    n_test = max(1, int(round(test_fraction * len(links))))
-    test_idx = set(order[:n_test].tolist())
-    train = [links[i] for i in range(len(links)) if i not in test_idx]
-    test = [links[i] for i in sorted(test_idx)]
-    return train, test
+    order = substream(seed, "split").permutation(len(table))
+    n_test = max(1, int(round(test_fraction * len(table))))
+    return table.take(np.sort(order[n_test:])), table.take(np.sort(order[:n_test]))

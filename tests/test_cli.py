@@ -327,6 +327,29 @@ def test_checkpoint_header_gaps_are_format_errors(tmp_path, capsys, header):
     assert err.count("\n") == 1 and err.startswith("chanimg: error kind=format exit=3")
 
 
+DEEP_JSON = b"[" * 100000  # nested deeper than json.loads can recurse
+
+
+def test_over_deep_codec_is_format_error(pipeline_dir, tmp_path, capsys):
+    deep = tmp_path / "deep.json"
+    deep.write_bytes(DEEP_JSON)
+    fails_cleanly(capsys, ["encode", "--data", str(pipeline_dir / "data.jsonl"),
+                           "--codec", str(deep), "--out", str(tmp_path / "i.chim")],
+                  EXIT_BAD_FILE, "deep.json: not valid JSON")
+    assert not (tmp_path / "i.chim").exists()
+
+
+def test_over_deep_checkpoint_header_is_format_error(pipeline_dir, tmp_path, capsys):
+    deep = tmp_path / "deep.ckpt"
+    deep.write_bytes(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, len(DEEP_JSON))
+                     + DEEP_JSON)
+    fails_cleanly(capsys, ["sample", "--model", str(deep),
+                           "--conditions-from", str(pipeline_dir / "data.jsonl"),
+                           "--out", str(tmp_path / "s.chim")],
+                  EXIT_BAD_FILE, "deep.ckpt: corrupt checkpoint header")
+    assert not (tmp_path / "s.chim").exists()
+
+
 def test_decode_rejects_mismatched_counts(tmp_path):
     run(["--seed", "1", "gen-data", "--links", "40", "--out", str(tmp_path / "a.jsonl")])
     run(["--seed", "1", "gen-data", "--links", "30", "--out", str(tmp_path / "b.jsonl")])

@@ -36,13 +36,17 @@ from chanimg.surrogate import SurrogateConfig, generate_dataset
 
 
 @pytest.fixture(scope="module")
-def dataset():
+def table():
     return generate_dataset(SurrogateConfig(num_tx=5, num_rx_per_height=20, seed=11))
 
 
 @pytest.fixture(scope="module")
-def table(dataset):
-    return LinkTable.from_links(dataset)
+def dataset(table):
+    """The table's links as LinkRecords, the input of the per-link references."""
+    return [LinkRecord(tx, rx, f, state, [PathParams(*row) for row in rows[:n]])
+            for tx, rx, f, state, n, rows in zip(
+                table.tx.tolist(), table.rx.tolist(), table.carrier_freq.tolist(),
+                table.state, table.counts.tolist(), table.paths.tolist())]
 
 
 @pytest.fixture(scope="module")

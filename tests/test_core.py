@@ -305,8 +305,8 @@ def test_link_table_rows_are_the_scalar_closed_forms():
     assert np.isnan(table.los[1:3]).all() and table.fspl[2] < 0.0
     assert not np.isnan(table.los[[0, 3]]).any()
     for seed in (7, 9):
-        check_against_reference(LinkTable.from_links(
-            generate_dataset(SurrogateConfig(num_rx_per_height=20, seed=seed))))
+        check_against_reference(
+            generate_dataset(SurrogateConfig(num_rx_per_height=20, seed=seed)))
     sub = table.take([3, 0])
     assert sub.counts.tolist() == [0, 2] and sub.height.tolist() == [60.0, 1.6]
 

@@ -160,6 +160,19 @@ def test_sigmoid_matches_masked_reference(dtype):
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_sigmoid_bits_match_two_branch_where(dtype):
+    # the branchless numerator gives the bits of choosing between 1/d and e/d
+    edges = [0.0, -0.0, 800.0, -800.0, np.inf, -np.inf, np.nan]
+    a = np.concatenate([edges, np.random.default_rng(21).normal(0.0, 20.0, 500)]).astype(dtype)
+    e = np.exp(-np.abs(a))
+    d = 1.0 + e
+    want = np.where(a >= 0, 1.0 / d, e / d)
+    got = nn._sigmoid(a)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize("batch", [3, 64])
 def test_column_ranges_are_columns_of_full_result(dtype, batch):
     # the training shapes (critic input = 3,200 image + 32 embedding columns,
@@ -524,8 +537,10 @@ def test_resampler_picks_match_bruteforce_reference():
     res = EmpiricalResampler(images, conds, k=7)
     n = QUERY_CHUNK + 45  # more queries than one chunk
     queries = np.concatenate([conds[rng.integers(0, 300, n - 20)],
-                              rng.uniform(0, 130, (20, 2))])
-    got = res.sample(queries, n, seed=5)[:, 0, 0].astype(int)
+                              rng.uniform(0, 130, (20, 2)),
+                              # a NaN query is at no distance; the lexsort keeps index order
+                              [[np.nan, 10.0], [np.inf, 0.0], [-np.inf, np.nan]]])
+    got = res.sample(queries, len(queries), seed=5)[:, 0, 0].astype(int)
     np.testing.assert_array_equal(got, reference_picks(conds, queries, 7, seed=5))
 
     # the single-pair path draws every pick from one neighbour list

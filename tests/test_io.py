@@ -7,7 +7,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from chanimg import LinkTable, SurrogateConfig, fit_codec, generate_dataset
+from chanimg import SurrogateConfig, fit_codec, generate_dataset
 from chanimg import io
 from chanimg.core import PATH_FIELDS
 from chanimg.errors import FormatError, VersionError
@@ -17,13 +17,12 @@ from chanimg.rng import substream
 
 
 @pytest.fixture(scope="module")
-def links():
+def table():
     return generate_dataset(SurrogateConfig(num_tx=2, num_rx_per_height=5, seed=7))
 
 
-def test_dataset_roundtrip(tmp_path, links):
+def test_dataset_roundtrip(tmp_path, table):
     p = tmp_path / "data.jsonl"
-    table = LinkTable.from_links(links)
     io.write_table(p, table, seed=7)
     back = io.read_table(p)
     for f in fields(table):  # every column, the closed forms included
@@ -32,11 +31,14 @@ def test_dataset_roundtrip(tmp_path, links):
         np.testing.assert_array_equal(b, a, err_msg=f.name)
     lines = p.read_text().splitlines()
     assert lines[0].startswith("# chanimg-dataset v1 seed=7")
+    assert len(lines) == 1 + len(table)
     # each line is what json.dumps writes for the link's record
-    for lk, line in zip(links, lines[1:]):
-        rec = {"tx": list(lk.tx), "rx": list(lk.rx), "carrier_freq": lk.carrier_freq,
-               "link_state": lk.link_state.value,
-               "paths": [dict(zip(PATH_FIELDS, p.as_array().tolist())) for p in lk.paths]}
+    for i, line in enumerate(lines[1:]):
+        rec = {"tx": table.tx[i].tolist(), "rx": table.rx[i].tolist(),
+               "carrier_freq": float(table.carrier_freq[i]),
+               "link_state": table.state[i].value,
+               "paths": [dict(zip(PATH_FIELDS, row))
+                         for row in table.paths[i, :table.counts[i]].tolist()]}
         assert line == json.dumps(rec)
 
 
@@ -61,8 +63,8 @@ def test_dataset_rejects_bad_record(tmp_path):
         io.read_table(p)
 
 
-def test_codec_roundtrip(tmp_path, links):
-    codec = fit_codec(LinkTable.from_links(links), substream(7, "padding"))
+def test_codec_roundtrip(tmp_path, table):
+    codec = fit_codec(table, substream(7, "padding"))
     p = tmp_path / "codec.json"
     io.write_codec(p, codec, seed=7)
     back = io.read_codec(p)
