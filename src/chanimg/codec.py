@@ -35,6 +35,7 @@ relative azimuths would make the pipeline non-invertible.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -110,10 +111,6 @@ class FeatureScaler:
             "feature_min": self.feature_min.tolist(),
             "feature_max": self.feature_max.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureScaler":
-        return cls(d["feature_min"], d["feature_max"])
 
 
 def tile(values: np.ndarray) -> np.ndarray:
@@ -270,16 +267,40 @@ class ChannelImageCodec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelImageCodec":
-        codec = cls(
-            np.stack([d["virtual_min"], d["virtual_max"]], axis=1),
-            FeatureScaler.from_dict(d),
-            eps=d["epsilon"],
-        )
+        """The codec of a to_dict document.
+
+        Each of the four range lists must hold 8 finite numbers, with
+        finite spans, and epsilon must be a number in (0, 1); anything else
+        is a FormatError.
+        """
+        rows = {key: _range_list(d, key)
+                for key in ("virtual_min", "virtual_max", "feature_min", "feature_max")}
+        for lo, hi in (("virtual_min", "virtual_max"), ("feature_min", "feature_max")):
+            if not all(math.isfinite(b - a) for a, b in zip(rows[lo], rows[hi])):
+                raise FormatError(f"{lo} to {hi} spans more than a float holds")
+        eps = d["epsilon"]
+        if not (type(eps) in (int, float) and 0.0 < eps < 1.0):
+            raise FormatError(f"epsilon must be a number in (0, 1), got {eps!r}")
+        codec = cls(np.stack([rows["virtual_min"], rows["virtual_max"]], axis=1),
+                    FeatureScaler(rows["feature_min"], rows["feature_max"]), eps=eps)
         if d["delay_scale"] != codec.delay_scale:
             raise FormatError("unsupported delay_scale in codec file")
         if d["outage_threshold_db"] != codec.outage_threshold_db:
             raise FormatError("unsupported outage threshold in codec file")
         return codec
+
+
+def _range_list(d: dict, key: str) -> list:
+    """A codec range list as 8 finite floats; FormatError otherwise."""
+    values = d[key]
+    try:
+        if isinstance(values, list) and all(type(v) in (int, float) for v in values):  # no bool
+            values = [float(v) for v in values]
+            if len(values) == N_FEATURES and all(map(math.isfinite, values)):
+                return values
+    except OverflowError:  # an integer too large for a float
+        pass
+    raise FormatError(f"{key} must be a list of {N_FEATURES} finite numbers, got {d[key]!r}")
 
 
 def fit_codec(table: LinkTable, rng, eps: float = LINK_STATE_EPS) -> ChannelImageCodec:

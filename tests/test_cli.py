@@ -660,3 +660,207 @@ def test_fuzzed_datasets_fail_cleanly(fuzz_base, data):
             assert code in (EXIT_BAD_FILE, EXIT_BAD_DATA), (argv[0], code, err.getvalue())
             assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
         assert sorted(os.listdir(tmp)) == ["bad.jsonl"]  # no stage wrote anything
+
+
+# -- codec and checkpoint files ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def model_base(fuzz_base):
+    """fuzz_base's codec, matrices, a tiny WGAN-GP checkpoint and a resampler checkpoint."""
+    d, data = fuzz_base.parent, str(fuzz_base)
+    for argv in (["fit-codec", "--data", data, "--out", d / "codec.json"],
+                 ["encode", "--data", data, "--codec", d / "codec.json",
+                  "--out", d / "images.chim"],
+                 ["train", "--images", d / "images.chim", "--epochs", "1", "--batch-size", "8",
+                  "--hidden", "8", "--noise-dim", "4", "--out", d / "model.ckpt"],
+                 ["train", "--images", d / "images.chim", "--backend", "resampler", "--k", "3",
+                  "--out", d / "res.ckpt"]):
+        assert run(["--seed", "2", *map(str, argv)]) == 0
+    return d
+
+
+def fails_without_output(argv, bad):
+    """Each stage exits 3, 4 or 5 with one stderr line, and writes nothing beside bad."""
+    for args in argv:
+        err = stdio.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(stdio.StringIO()):
+            code = run(args)
+        assert code in (EXIT_BAD_FILE, EXIT_VERSION, EXIT_BAD_DATA), (args[0], code,
+                                                                       err.getvalue())
+        assert err.getvalue().count("\n") == 1 and "Traceback" not in err.getvalue()
+    assert os.listdir(bad.parent) == [bad.name]
+
+
+def codec_stages(base, bad, out):
+    return [["encode", "--data", str(base / "good.jsonl"), "--codec", str(bad),
+             "--out", f"{out}/i.chim"],
+            ["decode", "--images", str(base / "images.chim"), "--codec", str(bad),
+             "--geometry-from", str(base / "good.jsonl"), "--out", f"{out}/d.jsonl"]]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc.update(virtual_min=doc["virtual_min"][:5]),
+    lambda doc: doc.update(feature_min="x"),
+    lambda doc: doc.update(epsilon="a"),
+    lambda doc: doc["virtual_min"].__setitem__(2, float("nan")),
+    lambda doc: doc.update(epsilon=5),
+    lambda doc: [doc],
+    lambda doc: doc.update(version=True),
+], ids=["virtual_min-5", "feature_min-str", "epsilon-str", "virtual_min-nan", "epsilon-5",
+        "top-level-array", "version-true"])
+def test_malformed_codec_is_format_error(model_base, tmp_path, capsys, edit):
+    doc = json.loads((model_base / "codec.json").read_text())
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(edit(doc) or doc))
+    for argv in codec_stages(model_base, bad, tmp_path):
+        fails_cleanly(capsys, argv, EXIT_BAD_FILE, f"{bad}: ")
+    assert os.listdir(tmp_path) == ["bad.json"]
+
+
+CODEC_RANGES = ("virtual_min", "virtual_max", "feature_min", "feature_max")
+CODEC_KEYS = ("format", "version", "epsilon", "delay_scale", "outage_threshold_db",
+              *CODEC_RANGES)
+# no value here is valid in any codec field
+CODEC_JUNK = st.sampled_from(["12e9", "x", None, True, [], [1.0], {"x": 1}, float("nan"),
+                              float("inf"), -float("inf")])
+
+
+@st.composite
+def mutated_codec(draw, text):
+    """A codec file made invalid: truncated, a field or range entry replaced, a key dropped."""
+    kind = draw(st.sampled_from(["truncate", "field", "entry", "length", "drop"]))
+    if kind == "truncate":  # the closing brace goes too
+        return text[:draw(st.integers(0, len(text) - 2))]
+    doc = json.loads(text)
+    key = draw(st.sampled_from(CODEC_RANGES if kind in ("entry", "length") else CODEC_KEYS))
+    if kind == "field":
+        doc[key] = draw(st.one_of(CODEC_JUNK, st.sampled_from([0, 1, 5, -0.01]))
+                        if key == "epsilon" else CODEC_JUNK)
+    elif kind == "entry":
+        doc[key][draw(st.integers(0, 7))] = draw(CODEC_JUNK)
+    elif kind == "length":
+        doc[key] = doc[key][:draw(st.integers(0, 7))] or doc[key] + [1.0]
+    else:
+        del doc[key]
+    return json.dumps(doc, indent=2)
+
+
+# a fixed example set, so the suite's outcome does not vary between runs
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_codecs_fail_cleanly(model_base, data):
+    text = (model_base / "codec.json").read_text()
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.json"
+        bad.write_text(data.draw(mutated_codec(text), label="codec"))
+        fails_without_output(codec_stages(model_base, bad, tmp), bad)
+
+
+def checkpoint_parts(raw):
+    """(header, payload) of a WGPC file's bytes."""
+    (n,) = struct.unpack_from("<I", raw, 8)
+    return json.loads(raw[12:12 + n]), raw[12 + n:]
+
+
+def checkpoint_bytes(header, payload):
+    raw = json.dumps(header).encode()
+    return b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, len(raw)) + raw + payload
+
+
+def sample_stage(base, bad, out):
+    return [["sample", "--model", str(bad), "--conditions-from", str(base / "good.jsonl"),
+             "--out", f"{out}/s.chim"]]
+
+
+def resampler_shape(header):
+    header["entries"][0]["shape"] = [12, 25, 8]  # the 8x25 matrices read transposed
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("model", lambda h: h["meta"].update(noise_dim=5)),
+    ("model", lambda h: h["meta"].update(image_shape=[8, 24])),
+    ("model", lambda h: h["meta"]["nets"]["generator"].update(sizes=[36, 9, 200])),
+    ("model", lambda h: h["meta"]["nets"]["critic"].update(sizes=[232, 8, 2])),
+    ("model", lambda h: h["meta"]["nets"]["generator"].update(out_act="relu")),
+    ("res", resampler_shape),
+], ids=["noise_dim", "image_shape", "hidden-size", "output-size", "out_act",
+        "resampler-25x8"])
+def test_checkpoint_header_contradicting_arrays_is_format_error(model_base, tmp_path, capsys,
+                                                               name, edit):
+    header, payload = checkpoint_parts((model_base / f"{name}.ckpt").read_bytes())
+    edit(header)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(checkpoint_bytes(header, payload))
+    fails_cleanly(capsys, *sample_stage(model_base, bad, tmp_path), EXIT_BAD_FILE, f"{bad}: ")
+    assert os.listdir(tmp_path) == ["bad.ckpt"]
+
+
+CKPT_JUNK = st.sampled_from(["x", None, [], {"x": 1}, 2.5, -1, 0, True])
+NET_KEYS = ("gen_embed", "generator", "critic_embed", "critic")
+
+
+@st.composite
+def mutated_checkpoint(draw, raw):
+    """A checkpoint made invalid: cut or extended, a header field replaced or dropped, an
+    array's entry renamed or reshaped, or one of its numbers made non-finite."""
+    kind = draw(st.sampled_from(["truncate", "extend", "version", "field", "drop", "entry",
+                                 "nonfinite"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "extend":
+        return raw + bytes(draw(st.integers(1, 16)))
+    if kind == "version":
+        return raw[:4] + struct.pack("<I", draw(st.sampled_from([0, 1, 2, 4, 2**31]))) + raw[8:]
+    header, payload = checkpoint_parts(raw)
+    meta = header["meta"]
+    if kind == "nonfinite":
+        cells = np.frombuffer(payload, dtype="<f8").copy()
+        cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(
+            [np.nan, np.inf, -np.inf]))
+        return checkpoint_bytes(header, cells.tobytes())
+    if kind == "entry":
+        entry = draw(st.sampled_from(header["entries"]))
+        shape = entry["shape"]
+        change = draw(st.sampled_from(["rename", "grow", "shrink"]
+                                      + (["transpose"] if shape[::-1] != shape else [])))
+        if change == "rename":
+            entry["name"] += "x"
+        elif change == "transpose":
+            entry["shape"] = shape[::-1]
+        else:
+            shape[0] += 1 if change == "grow" else -1
+        return checkpoint_bytes(header, payload)
+    if meta["backend"] == "resampler":
+        owner, key = meta, draw(st.sampled_from(["backend", "k"]))
+    else:
+        net = draw(st.sampled_from(NET_KEYS))
+        owner, key = draw(st.sampled_from(
+            [(meta, "backend"), (meta, "noise_dim"), (meta, "image_shape"), (meta, "nets"),
+             (meta["nets"], net), *((meta["nets"][net], k) for k in ("sizes", "out_act",
+                                                                    "hidden_act"))]))
+    if kind == "drop" and key != "hidden_act":  # a missing hidden_act reads as silu
+        del owner[key]
+    elif key == "sizes" and draw(st.booleans()):
+        sizes = owner[key]
+        sizes[draw(st.integers(0, len(sizes) - 1))] += draw(st.sampled_from([-1, 1]))
+    elif key == "image_shape":
+        owner[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from([[25, 8], [8, 24], [200],
+                                                                 [8, 25, 1]])))
+    elif key == "noise_dim":
+        owner[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from([3, 5])))
+    else:
+        owner[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from(["relu", "gan"])))
+    return checkpoint_bytes(header, payload)
+
+
+# a fixed example set, so the suite's outcome does not vary between runs
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_checkpoints_fail_cleanly(model_base, data):
+    name = data.draw(st.sampled_from(["model", "res"]), label="checkpoint")
+    raw = (model_base / f"{name}.ckpt").read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.ckpt"
+        bad.write_bytes(data.draw(mutated_checkpoint(raw), label="mutated"))
+        fails_without_output(sample_stage(model_base, bad, tmp), bad)
