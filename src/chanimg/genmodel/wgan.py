@@ -87,15 +87,16 @@ class WganGpHyperparams:
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         positive = (
-            self.learning_rate, self.adam_beta1, self.adam_beta2, self.epochs,
+            self.learning_rate, self.epochs,
             self.batch_size, self.gp_lambda, self.critic_steps_per_gen_step,
             self.noise_dim, self.embed_hidden, self.embed_dim,
             self.generator_output_gain, *self.hidden,
         )
         if any(v <= 0 for v in positive):
             raise DataError("all hyperparameters must be positive")
-        if not (self.adam_beta1 < 1.0 and self.adam_beta2 < 1.0):
-            raise DataError("Adam betas must lie in (0, 1)")
+        # beta1 = 0 is the Adam setting of the WGAN-GP paper (Gulrajani et al. 2017)
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
+            raise DataError("Adam beta1 must lie in [0, 1) and beta2 in (0, 1)")
         if len(self.image_shape) < 2:
             raise DataError("image_shape must be (rows, cols)")
         if self.output_init not in ("fan_in", "data_mean", "data_moments"):

@@ -3,7 +3,9 @@
 Every format carries a major version; readers reject unknown majors.
 
   - dataset:    JSON Lines, one link per line, '#'-comment header with
-                version, units and the generating seed.  write_table also
+                version, units and the generating seed.  The text is
+                formatted by up to one process per usable CPU, and the
+                bytes are the same for any count.  write_table also
                 writes the binary sidecar X.jsonl.ltab beside X.jsonl:
                 "LTAB", u32 version, the SHA-256 of the JSONL bytes as
                 written, the SHA-256 of the payload, u64 links N and paths
@@ -39,6 +41,9 @@ import math
 import os
 import re
 import struct
+import tempfile
+import threading
+import warnings
 from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
@@ -83,7 +88,8 @@ _ENDS = struct.Struct("7d")  # tx, rx, carrier_freq
 _PATH_TEXT = "{" + ", ".join(f'"{f}": %r' for f in PATH_FIELDS) + "}"
 _LINK_TEXT = ('{"tx": [%r, %r, %r], "rx": [%r, %r, %r], "carrier_freq": %r, '
               '"link_state": "%s", "paths": [%s]}\n')
-_TEXT_BLOCK = 512  # lines per encoded, hashed and written block of dataset text
+_TEXT_BLOCK = 128  # lines per formatted, hashed and written block of dataset text
+_TEXT_PART = 512  # links per text process at least
 
 # the binary sidecar: magic, u32 version, SHA-256 of the JSONL bytes, SHA-256
 # of the payload, u64 link count N and path count P
@@ -106,27 +112,128 @@ def write_table(path, table: LinkTable, seed=None):
     """Write a link table as a JSON Lines dataset, one link per line, and its sidecar.
 
     Numbers are the repr of Python floats, so a file that read_table read
-    writes back byte for byte.  The sidecar, path + ".ltab", holds the same
-    columns in binary, keyed by the SHA-256 of the text as written; it is
-    written to a temporary name and renamed into place.
+    writes back byte for byte.  The text is formatted by up to one process
+    per usable CPU (see _write_text), with the same bytes for any count.
+    The sidecar, path + ".ltab", holds the same columns in binary, keyed by
+    the SHA-256 of the text as written; it is written to a temporary name
+    and renamed into place.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     seed_part = f" seed={seed}" if seed is not None else ""
-    ends = np.column_stack([table.tx, table.rx, table.carrier_freq])
-    lines = chain(
-        [f"# chanimg-dataset v{DATASET_VERSION}{seed_part}"
-         " units: coords=m freq=Hz pathloss=dB delay=s angles=deg phase=deg\n"],
-        (_LINK_TEXT % (*e, state.value,
-                       ", ".join([_PATH_TEXT % tuple(c) for c in rows[:n].tolist()]))
-         for e, state, n, rows in zip(ends.tolist(), table.state, table.counts.tolist(),
-                                      table.paths)))
-    text = hashlib.sha256()
-    with path.open("wb") as fh:
-        while block := "".join(islice(lines, _TEXT_BLOCK)).encode():
-            text.update(block)
-            fh.write(block)
-    _write_ltab(path, text.digest(), table, ends)
+    header = (f"# chanimg-dataset v{DATASET_VERSION}{seed_part}"
+              " units: coords=m freq=Hz pathloss=dB delay=s angles=deg phase=deg\n")
+    workers = max(1, min(_text_processes(), -(-len(table) // _TEXT_PART)))
+    _write_ltab(path, _write_text(path, header, table, workers), table)
+
+
+def _text_processes() -> int:
+    """How many processes may format dataset text: one per usable CPU.
+
+    One where there is no os.fork, or where other Python threads run: a
+    forked child would inherit any lock such a thread held.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _link_lines(table: LinkTable, lo, hi):
+    """The lines of links lo..hi-1: the text json.dumps writes for their records."""
+    part = table.take(slice(lo, hi))
+    ends = np.column_stack([part.tx, part.rx, part.carrier_freq])
+    return (_LINK_TEXT % (*e, state.value,
+                          ", ".join([_PATH_TEXT % tuple(c) for c in rows[:n].tolist()]))
+            for e, state, n, rows in zip(ends.tolist(), part.state, part.counts.tolist(),
+                                         part.paths))
+
+
+def _write_lines(out, lines, digest=None):
+    """Write lines to out in blocks of _TEXT_BLOCK, feeding each block to digest if given."""
+    while block := "".join(islice(lines, _TEXT_BLOCK)).encode():
+        if digest is not None:
+            digest.update(block)
+        out.write(block)
+
+
+def _part_bounds(counts, workers):
+    """workers + 1 link bounds of contiguous parts holding near-equal lines plus paths."""
+    weight = np.concatenate([[0], np.cumsum(counts + 1)])
+    return np.searchsorted(weight, weight[-1] * np.arange(workers + 1) // workers,
+                           side="right") - 1
+
+
+def _start_part(out, table, lo, hi):
+    """Fork a child that writes the lines of links lo..hi-1 to out, and return its pid.
+
+    None when the fork failed and the lines were written here instead.  The
+    child leaves through os._exit, so it flushes no buffer it inherited.
+    """
+    try:
+        # Python 3.12+ warns of fork in a process with threads.  The only ones
+        # here are native (BLAS's idle workers; see _text_processes), and the
+        # child only formats text and writes its own file
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:  # no process to spare
+        pid = None
+    if not pid:  # the child, or no child: write the part here
+        code = 1
+        try:
+            _write_lines(out, _link_lines(table, lo, hi))
+            out.flush()
+            code = 0
+        finally:
+            if pid == 0:
+                os._exit(code)
+    return pid
+
+
+def _write_text(path, header, table: LinkTable, workers) -> bytes:
+    """Write the header and the table's lines to path; the SHA-256 of the bytes.
+
+    The links are cut into `workers` contiguous parts (_part_bounds).  A
+    forked child writes each part after the first to an unlinked temporary
+    file beside path while this process writes the header and the first
+    part; the parts are then appended in order, every byte through the one
+    digest, so the file does not depend on `workers`.  A child that fails
+    is an OSError naming path.  On any failure path is removed, and so is
+    the sidecar of the dataset it replaced; a path that cannot be opened is
+    left as it is.
+    """
+    bounds = _part_bounds(table.counts, workers).tolist()
+    digest, parts = hashlib.sha256(), []  # (temporary file, pid or None) of parts 1, 2, ...
+    fh = path.open("wb")
+    try:
+        with fh:
+            try:
+                for lo, hi in zip(bounds[1:-1], bounds[2:]):
+                    out = tempfile.TemporaryFile(dir=path.parent)
+                    parts.append((out, _start_part(out, table, lo, hi)))
+                _write_lines(fh, chain([header], _link_lines(table, 0, bounds[1])), digest)
+            finally:  # every child is waited for, whatever failed here
+                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                         for _, pid in parts if pid is not None]
+            if any(codes):
+                raise OSError(f"{path}: a dataset text writer exited with "
+                              f"{next(c for c in codes if c)}")
+            for out, _ in parts:
+                out.seek(0)
+                _hash_copy(out, digest, fh)
+    except BaseException:
+        # the first parts alone would read as a whole dataset, and an old
+        # sidecar would describe a dataset that is gone
+        path.unlink(missing_ok=True)
+        _ltab_path(path).unlink(missing_ok=True)
+        raise
+    finally:
+        for out, _ in parts:
+            out.close()
+    return digest.digest()
 
 
 def read_table(path) -> LinkTable:
@@ -163,6 +270,8 @@ def read_table(path) -> LinkTable:
                 ends += _ENDS.pack(*rec["tx"], *rec["rx"], rec["carrier_freq"])
                 states.append(LinkState(rec["link_state"]))
                 n = len(rec["paths"])
+                if n > MAX_PATHS:  # before padded_paths sizes every link by this line
+                    raise ValueError(f"at most {MAX_PATHS} paths per link, got {n}")
                 cells += struct.pack(f"{7 * n}d", *chain.from_iterable(map(_PATH_CELLS,
                                                                            rec["paths"])))
                 counts.append(n)
@@ -192,10 +301,11 @@ def _broken_rule(paths, counts, state, ends):
     return i, rules[int(np.argmax(bad[:, i]))][0]
 
 
-def _write_ltab(path, text_digest: bytes, table: LinkTable, ends):
+def _write_ltab(path, text_digest: bytes, table: LinkTable):
     """Write the sidecar of the dataset at path, whose bytes hash to text_digest."""
     n, p = len(table), int(table.counts.sum())
     payload = _ltab_payload(n, p)
+    ends = np.column_stack([table.tx, table.rx, table.carrier_freq])
     for column, values in zip(payload, (table.counts, [_STATE_CODES[s] for s in table.state],
                                         ends, table.paths[table.valid])):
         column[...] = values
@@ -211,15 +321,23 @@ def _write_ltab(path, text_digest: bytes, table: LinkTable, ends):
     os.replace(tmp, side)
 
 
-def _sha256_of(fh) -> bytes:
-    """SHA-256 of the rest of a binary file, read through one 64 KiB buffer.
+def _hash_copy(src, digest, dst=None):
+    """Feed the rest of a binary file to digest through one 64 KiB buffer, copying it to dst.
 
     (hashlib.file_digest reads through 256 KiB; with it, encode's peak RSS
     on a 5,000-link dataset sat 0.2 MB higher.)
     """
-    digest, buf = hashlib.sha256(), bytearray(1 << 16)
-    while n := fh.readinto(buf):
+    buf = bytearray(1 << 16)
+    while n := src.readinto(buf):
         digest.update(memoryview(buf)[:n])
+        if dst is not None:
+            dst.write(memoryview(buf)[:n])
+
+
+def _sha256_of(fh) -> bytes:
+    """SHA-256 of the rest of a binary file."""
+    digest = hashlib.sha256()
+    _hash_copy(fh, digest)
     return digest.digest()
 
 

@@ -68,9 +68,9 @@ def ks_uniform(samples, low: float, high: float) -> float:
 
 def uniformity_check(samples, kind: str) -> float:
     """KS distance of azimuths against U(-180, 180] or phases against U(-360, 0]."""
-    if kind in ("aoa", "aod", "azimuth"):
+    if kind in ("aoa", "aod"):
         return ks_uniform(samples, -180.0, 180.0)
-    if kind in ("phase", "ps"):
+    if kind == "phase":
         return ks_uniform(samples, -360.0, 0.0)
     raise DataError(f"unknown uniformity kind: {kind}")
 

@@ -280,16 +280,68 @@ def test_exit_codes(tmp_path):
         == EXIT_BAD_DATA
 
 
-def test_eval_runs_warning_free(pipeline_dir, tmp_path):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+def cli_env():
+    """The environment of a `python -m chanimg.cli` child that imports this tree."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(Path(__file__).resolve().parent.parent / "src"),
                     os.environ.get("PYTHONPATH")) if p))
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs CPU affinity and two usable CPUs")
+def test_dataset_bytes_do_not_depend_on_usable_cpus(tmp_path):
+    """gen-data and decode write the same .jsonl and .ltab bytes on one CPU as on all."""
+    cpu = min(os.sched_getaffinity(0))
+    # unpinned, a child formats 1,200 links (up to 3 parts of 512) with 2 or more processes
+    count = subprocess.run([sys.executable, "-c", "from chanimg import io; "
+                            "print(io._text_processes())"], env=cli_env(), check=True,
+                           timeout=300, capture_output=True, text=True).stdout
+    assert int(count) >= 2
+
+    def cli(pinned, *argv):
+        subprocess.run([sys.executable, "-W", "error", "-m", "chanimg.cli", "--seed", "5",
+                        *map(str, argv)], env=cli_env(), check=True, timeout=300,
+                       capture_output=True,
+                       preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None)
+
+    for tag, pinned in (("all", False), ("one", True)):
+        cli(pinned, "gen-data", "--links", "1200", "--out", tmp_path / tag / "data.jsonl")
+    d = tmp_path / "all"
+    assert run(["fit-codec", "--data", str(d / "data.jsonl"), "--out", str(d / "codec.json")]) == 0
+    assert run(["encode", "--data", str(d / "data.jsonl"), "--codec", str(d / "codec.json"),
+                "--out", str(d / "images.chim")]) == 0
+    for tag, pinned in (("all", False), ("one", True)):
+        cli(pinned, "decode", "--images", d / "images.chim", "--codec", d / "codec.json",
+            "--geometry-from", d / "data.jsonl", "--out", tmp_path / tag / "decoded.jsonl")
+    for name in ("data.jsonl", "decoded.jsonl"):
+        for suffix in ("", io.LTAB_SUFFIX):
+            one = (tmp_path / "one" / (name + suffix)).read_bytes()
+            assert one == (d / (name + suffix)).read_bytes(), name + suffix
+
+
+def test_failing_text_writer_is_a_file_error(tmp_path, capsys, monkeypatch):
+    parent, link_lines = os.getpid(), io._link_lines
+
+    def fails_in_a_child(*args):
+        if os.getpid() != parent:
+            raise RuntimeError("formatting failed")
+        return link_lines(*args)
+
+    monkeypatch.setattr(io, "_text_processes", lambda: 2)
+    monkeypatch.setattr(io, "_link_lines", fails_in_a_child)
+    out = tmp_path / "d.jsonl"
+    fails_cleanly(capsys, ["gen-data", "--links", "600", "--out", str(out)], EXIT_BAD_FILE,
+                  f"kind=io exit=3 msg={out}: a dataset text writer exited with 1")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_runs_warning_free(pipeline_dir, tmp_path):
     d = pipeline_dir
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "chanimg.cli", "--seed", "4", "eval",
          "--model", str(d / "decoded.jsonl"), "--data", str(d / "data.jsonl"),
          "--outdir", str(tmp_path / "reports")],
-        env=env, capture_output=True, text=True, timeout=300)
+        env=cli_env(), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     for name in ("ks.csv", "los_prob.csv", "zenith_pdf_zod.csv", "zenith_pdf_zoa.csv"):
@@ -467,7 +519,8 @@ def test_gen_data_out_of_range_physics_are_data_errors(tmp_path, capsys, flag, v
 
 @pytest.mark.parametrize("flag, value", [
     ("--lr", "nan"), ("--gp-lambda", "nan"), ("--beta1", "nan"), ("--beta1", "1.5"),
-    ("--beta2", "1"), ("--output-gain", "nan"), ("--output-gain", "inf"),
+    ("--beta1", "-0.1"), ("--beta1", "1"), ("--beta2", "1"), ("--beta2", "0"),
+    ("--output-gain", "nan"), ("--output-gain", "inf"),
     ("--hidden", "0"), ("--hidden", "-3"), ("--hidden", "16,0"),
 ])
 def test_train_rejects_bad_hyperparameters(tmp_path, capsys, flag, value):
@@ -477,6 +530,16 @@ def test_train_rejects_bad_hyperparameters(tmp_path, capsys, flag, value):
                            f"{flag}={value}", "--log", str(tmp_path / "log.csv"),
                            "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA)
     assert not (tmp_path / "m.ckpt").exists() and not (tmp_path / "log.csv").exists()
+
+
+def test_train_accepts_beta1_zero(tmp_path):
+    """beta1 = 0 is the Adam setting of the WGAN-GP paper (Gulrajani et al. 2017)."""
+    matrices = np.random.default_rng(0).uniform(-1, 1, (8, 8, 25)).astype(np.float32)
+    io.write_images(tmp_path / "i.chim", matrices, np.ones((8, 2)))
+    assert run(["train", "--images", str(tmp_path / "i.chim"), "--batch-size", "4",
+                "--epochs", "1", "--hidden", "8", "--beta1", "0",
+                "--out", str(tmp_path / "m.ckpt")]) == 0
+    assert io.read_model_checkpoint(tmp_path / "m.ckpt")[0] == "wgan-gp"
 
 
 @pytest.fixture(scope="module")

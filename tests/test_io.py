@@ -1,9 +1,12 @@
 """On-disk formats: round trips, version gating, corruption handling."""
 
+import hashlib
 import json
 import os
 import re
 import struct
+import threading
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -36,15 +39,17 @@ def test_dataset_roundtrip(tmp_path, table):
         np.testing.assert_array_equal(b, a, err_msg=f.name)
     lines = p.read_text().splitlines()
     assert lines[0].startswith("# chanimg-dataset v1 seed=7")
-    assert len(lines) == 1 + len(table)
-    # each line is what json.dumps writes for the link's record
-    for i, line in enumerate(lines[1:]):
-        rec = {"tx": table.tx[i].tolist(), "rx": table.rx[i].tolist(),
-               "carrier_freq": float(table.carrier_freq[i]),
-               "link_state": table.state[i].value,
-               "paths": [dict(zip(PATH_FIELDS, row))
-                         for row in table.paths[i, :table.counts[i]].tolist()]}
-        assert line == json.dumps(rec)
+    assert lines[1:] == json_lines(table)
+
+
+def json_lines(table):
+    """What json.dumps writes for each link's record."""
+    return [json.dumps({"tx": table.tx[i].tolist(), "rx": table.rx[i].tolist(),
+                        "carrier_freq": float(table.carrier_freq[i]),
+                        "link_state": table.state[i].value,
+                        "paths": [dict(zip(PATH_FIELDS, row))
+                                  for row in table.paths[i, :table.counts[i]].tolist()]})
+            for i in range(len(table))]
 
 
 def test_dataset_rejects_missing_header(tmp_path):
@@ -66,6 +71,31 @@ def test_dataset_rejects_bad_record(tmp_path):
     p.write_text('# chanimg-dataset v1\n{"tx": [0,0,0]}\n')
     with pytest.raises(FormatError, match="bad link record"):
         io.read_table(p)
+
+
+def test_overlong_line_is_rejected_before_padding(tmp_path, table):
+    good = tmp_path / "good.jsonl"
+    io.write_table(good, table)
+    Path(f"{good}{io.LTAB_SUFFIX}").unlink()
+    lines = good.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[1])
+    rec["paths"] = rec["paths"][:1] * 5000
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(lines[0] + json.dumps(rec) + "\n" + "".join(lines[2:]))
+    tracemalloc.start()
+    try:
+        io.read_table(good)
+        good_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with pytest.raises(FormatError) as err:
+            io.read_table(bad)
+        bad_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(err.value) == f"{bad}:2: bad link record: at most 25 paths per link, got 5000"
+    # json.loads of the line costs about 5x its bytes; padding every link to
+    # it would cost 50 x 5000 x 56 B = 14 MB more
+    assert bad_peak < good_peak + 6 * (bad.stat().st_size - good.stat().st_size)
 
 
 # -- the binary sidecar ------------------------------------------------------------
@@ -242,6 +272,124 @@ def test_sidecar_and_parse_give_the_written_columns(tmp_path_factory, table):
     p = tmp_path_factory.mktemp("ltab") / "t.jsonl"
     io.write_table(p, table)
     assert outcome(p) == parsed(p) == columns(table)
+
+
+# -- the split text writer ---------------------------------------------------------
+
+
+def split_table(name):
+    """edge_table() (smaller than one text block), or 2,100 links (17 blocks) repeating it."""
+    edge = edge_table()
+    return edge if name == "small" else edge.take(np.tile(np.arange(3), 700))
+
+
+@pytest.mark.parametrize("name", ["small", "blocks"])
+def test_split_text_is_the_same_bytes(tmp_path, name):
+    table, header = split_table(name), "# chanimg-dataset v1\n"
+    texts = {}
+    for workers in (1, 2, 3):
+        p = tmp_path / f"{workers}.jsonl"
+        digest = io._write_text(p, header, table, workers)
+        texts[workers] = p.read_bytes()
+        assert hashlib.sha256(texts[workers]).digest() == digest
+    assert texts[1].decode().splitlines() == [header[:-1], *json_lines(table)]
+    assert texts[2] == texts[1] and texts[3] == texts[1]
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["1.jsonl", "2.jsonl", "3.jsonl"]
+    # some part starts or ends at an Outage link without paths
+    cuts = [b for w in (2, 3) for b in io._part_bounds(table.counts, w)[1:-1].tolist()]
+    assert any(table.counts[b] == 0 or table.counts[b - 1] == 0
+               for b in cuts if 0 < b < len(table))
+
+
+def test_part_bounds_balance_lines_and_paths():
+    counts = np.array([0, MAX_PATHS, 1] * 700)
+    for workers in (1, 2, 3, 8):
+        bounds = io._part_bounds(counts, workers).tolist()
+        assert bounds[0] == 0 and bounds[-1] == len(counts) and len(bounds) == workers + 1
+        for lo, hi in zip(bounds, bounds[1:]):  # within one link of an equal share
+            assert abs((counts[lo:hi] + 1).sum() - (counts + 1).sum() / workers) <= MAX_PATHS + 2
+    assert io._part_bounds(np.array([], dtype=int), 1).tolist() == [0, 0]
+
+
+def test_failed_fork_formats_the_part_here(tmp_path, monkeypatch):
+    def no_fork():
+        raise OSError("no process to spare")
+
+    table = split_table("blocks")
+    io._write_text(tmp_path / "forked.jsonl", "# h\n", table, 3)
+    monkeypatch.setattr(io.os, "fork", no_fork)
+    io._write_text(tmp_path / "here.jsonl", "# h\n", table, 3)
+    assert (tmp_path / "here.jsonl").read_bytes() == (tmp_path / "forked.jsonl").read_bytes()
+
+
+@pytest.mark.parametrize("where", ["child", "parent"])
+def test_failing_text_writer_leaves_nothing(tmp_path, monkeypatch, where):
+    parent, link_lines = os.getpid(), io._link_lines
+
+    def fails(*args):
+        if (os.getpid() == parent) == (where == "parent"):
+            raise RuntimeError("formatting failed")
+        return link_lines(*args)
+
+    p = tmp_path / "data.jsonl"
+    io.write_table(p, edge_table())  # an earlier dataset, overwritten below
+    monkeypatch.setattr(io, "_text_processes", lambda: 2)
+    monkeypatch.setattr(io, "_link_lines", fails)
+    error, message = (OSError, f"{p}: a dataset text writer exited with 1") \
+        if where == "child" else (RuntimeError, "formatting failed")
+    with pytest.raises(error, match=re.escape(message)):
+        io.write_table(p, split_table("blocks"))
+    # no dataset, part or sidecar (the earlier dataset's included) left behind
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ChildProcessError):  # and every child was waited for
+        os.waitpid(-1, os.WNOHANG)
+
+
+def dataset_bytes(p):
+    return p.read_bytes(), Path(f"{p}{io.LTAB_SUFFIX}").read_bytes()
+
+
+def test_dataset_that_cannot_be_opened_is_left_as_it_is(tmp_path, monkeypatch):
+    p = tmp_path / "data.jsonl"
+    io.write_table(p, edge_table())
+    before, path_open = dataset_bytes(p), Path.open
+
+    def refuses(self, mode="r", *args, **kwargs):
+        if self == p and "w" in mode:
+            raise PermissionError(13, "Permission denied", str(self))
+        return path_open(self, mode, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", refuses)
+    with pytest.raises(PermissionError):
+        io.write_table(p, split_table("blocks"))
+    monkeypatch.undo()
+    assert dataset_bytes(p) == before
+
+
+@pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                    reason="root may write a read-only file")
+def test_read_only_dataset_survives_write_table(tmp_path):
+    p = tmp_path / "data.jsonl"
+    io.write_table(p, edge_table())
+    before = dataset_bytes(p)
+    p.chmod(0o444)
+    with pytest.raises(PermissionError):
+        io.write_table(p, split_table("blocks"))
+    assert dataset_bytes(p) == before
+
+
+def test_text_is_formatted_here_beside_python_threads(monkeypatch):
+    assert io._text_processes() >= 1
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:  # a forked child would inherit any lock the thread held
+        assert io._text_processes() == 1
+    finally:
+        release.set()
+        thread.join()
+    monkeypatch.delattr(os, "fork")  # a platform without fork
+    assert io._text_processes() == 1
 
 
 def test_codec_roundtrip(tmp_path, table):

@@ -111,8 +111,9 @@ def test_uniformity_check_kinds():
     ph = -rng.uniform(0, 360, n)
     assert uniformity_check(az, "aod") < 0.02
     assert uniformity_check(ph, "phase") < 0.02
-    with pytest.raises(DataError):
-        uniformity_check(az, "zod")
+    for kind in ("zod", "azimuth", "ps"):  # the old aliases are gone
+        with pytest.raises(DataError, match=f"unknown uniformity kind: {kind}"):
+            uniformity_check(az, kind)
 
 
 # -- link state probability ----------------------------------------------------
