@@ -16,47 +16,139 @@ second derivatives exist everywhere.
 
 The forward cache holds, per layer l, the input h[l] (h[-1] is the
 output), the pre-activation a[l] and, for silu layers, the sigmoid s[l] of
-a[l] (None for other layers).  The backward and tangent passes read their
-activation derivatives from it and never recompute a sigmoid.  backward,
+a[l] (None for other layers).  The first and second activation derivatives
+are added to it ("d1", "d2") when a later pass first reads them, so each
+is computed once per forward however many passes read it.  backward,
 input_grad and grad_of_jvp form the input-side product only for the input
 columns the caller asks for.
+
+Scratch contract.  Every pass takes an optional Scratch and writes its
+arrays (cache entries, derivatives, results and every temporary but a
+few small ones such as boolean masks) into memory taken from it; without
+one, numpy allocates them afresh.  The arithmetic, and so every output
+bit, is the same either way.  A Scratch is a stack: arrays taken from
+it, including those a pass returns or adds to a cache, stay valid until
+the scratch is rewound past them, by reset() or by leaving a frame()
+that was entered before they were taken.  The next pass on the rewound
+scratch overwrites them.  backward and grad_of_jvp write the parameter
+gradients into out, when given, instead.
 """
 
+import math
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import TrainingDivergedError
 
-__all__ = ["Mlp", "AdamState", "adam_step", "count_params"]
+__all__ = ["Mlp", "Scratch", "AdamState", "adam_step", "count_params"]
 
 
-def _sigmoid(a):
+class Scratch:
+    """Work memory that one training step after another reuses.
+
+    A stack over a list of byte chunks: take() hands out the next free
+    block of the current chunk, or of the first later chunk it fits in,
+    adding a chunk only when none does; reset() and leaving frame() rewind.
+    A step takes the same blocks in the same order each time, so its first
+    run adds every chunk it needs and later runs add none.
+    """
+
+    CHUNK = 1 << 20  # bytes; smaller blocks share a chunk
+    ALIGN = 64  # bytes; each block starts a multiple of this into its chunk
+
+    def __init__(self):
+        self._chunks = []
+        self._at = (0, 0)  # (chunk, byte offset) of the next free block
+
+    def take(self, shape, dtype):
+        """An uninitialised array in the next free block."""
+        dtype = np.dtype(dtype)
+        nbytes = math.prod(shape) * dtype.itemsize
+        i, off = self._at
+        while i < len(self._chunks) and off + nbytes > len(self._chunks[i]):
+            i, off = i + 1, 0
+        if i == len(self._chunks):
+            self._chunks.append(np.empty(max(nbytes, self.CHUNK), np.uint8))
+        self._at = (i, off + -(-nbytes // self.ALIGN) * self.ALIGN)
+        return self._chunks[i][off:off + nbytes].view(dtype).reshape(shape)
+
+    def reset(self):
+        """Rewind to the start: every array taken so far may be overwritten."""
+        self._at = (0, 0)
+
+    @contextmanager
+    def frame(self):
+        """Rewind on exit to where the scratch stood on entry."""
+        at = self._at
+        try:
+            yield
+        finally:
+            self._at = at
+
+
+def take(scratch, shape, dtype):
+    """scratch.take(shape, dtype), or a fresh array when scratch is None."""
+    return np.empty(shape, dtype) if scratch is None else scratch.take(shape, dtype)
+
+
+def frame(scratch):
+    """scratch.frame(), or no rewinding when scratch is None."""
+    return nullcontext() if scratch is None else scratch.frame()
+
+
+def _matmul(x, y, scratch):
+    """x @ y into an array taken from scratch."""
+    return np.matmul(x, y, out=take(scratch, (x.shape[0], y.shape[1]), x.dtype))
+
+
+def _sigmoid(a, out=None, d=None):
     """Logistic function; exp only sees -|a|, so it never overflows.
 
     1/d where a >= 0 and e/d elsewhere: e <= 1, so the maximum with the
-    mask picks the numerator without a data-dependent branch.
+    mask picks the numerator without a data-dependent branch.  The result
+    is written to out and the denominator d = 1 + e to d (fresh if None).
     """
-    e = np.exp(-np.abs(a))
-    d = 1.0 + e
-    return np.maximum(e, a >= 0) / d
+    e = np.abs(a, out=out)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    d = np.add(e, 1.0, out=d)
+    np.maximum(e, a >= 0, out=e)
+    return np.divide(e, d, out=e)
 
 
-def _act_prime(kind, a, h, s):
-    """First derivative of the activation; h = act(a), s = sigmoid(a) for silu."""
+def _act_prime(kind, a, h, s, out):
+    """First derivative of a tanh or silu activation, into out.
+
+    h = act(a) and s = sigmoid(a) for silu: 1 - h h, or s (1 + a (1 - s)).
+    """
     if kind == "tanh":
-        return 1.0 - h * h
-    if kind == "silu":
-        return s * (1.0 + a * (1.0 - s))
-    return 1.0
+        np.multiply(h, h, out=out)
+        return np.subtract(1.0, out, out=out)
+    np.subtract(1.0, s, out=out)
+    out *= a
+    out += 1.0
+    out *= s
+    return out
 
 
-def _act_second(kind, a, h, s):
+def _act_second(kind, a, h, s, prime, out, tmp):
+    """Second derivative of a tanh or silu activation, into out; tmp is scratch.
+
+    -2 h (1 - h h), with prime = 1 - h h, or s (1 - s) (2 + a (1 - 2 s)).
+    """
     if kind == "tanh":
-        return -2.0 * h * (1.0 - h * h)
-    if kind == "silu":
-        return s * (1.0 - s) * (2.0 + a * (1.0 - 2.0 * s))
-    return 0.0
+        np.multiply(h, -2.0, out=out)
+        out *= prime
+        return out
+    np.multiply(s, 2.0, out=out)
+    np.subtract(1.0, out, out=out)
+    out *= a
+    out += 2.0
+    np.subtract(1.0, s, out=tmp)
+    tmp *= s
+    return np.multiply(tmp, out, out=out)
 
 
 class Mlp:
@@ -102,56 +194,84 @@ class Mlp:
             net.params.append(np.zeros(fan_out, dtype=dtype))
         return net
 
+    def _grads(self, scratch, out):
+        return out if out is not None else [take(scratch, p.shape, p.dtype)
+                                            for p in self.params]
+
     # -- plain passes --------------------------------------------------------
 
-    def forward(self, x):
+    def forward(self, x, scratch=None):
         """Returns (output (B, sizes[-1]), cache {"h", "a", "s"}; see module doc)."""
         h = [np.asarray(x, dtype=self.dtype)]
         a_list, s_list = [], []
         for l in range(self.n_layers):
             w, b = self.params[2 * l], self.params[2 * l + 1]
-            a = h[-1] @ w.T + b
-            kind, s = self._kind(l), None
+            a = _matmul(h[-1], w.T, scratch)
+            a += b
+            kind, s, out = self._kind(l), None, a
+            if kind != "linear":
+                out = take(scratch, a.shape, a.dtype)
             if kind == "silu":
-                s = _sigmoid(a)
-                out = a * s
-            else:
-                out = np.tanh(a) if kind == "tanh" else a
+                # out holds the sigmoid's denominator until it receives a * s
+                s = _sigmoid(a, take(scratch, a.shape, a.dtype), d=out)
+                np.multiply(a, s, out=out)
+            elif kind == "tanh":
+                np.tanh(a, out=out)
             a_list.append(a)
             s_list.append(s)
             h.append(out)
         return h[-1], {"h": h, "a": a_list, "s": s_list}
 
-    def _prime(self, cache, l):
-        return _act_prime(self._kind(l), cache["a"][l], cache["h"][l + 1], cache["s"][l])
+    def _deriv(self, cache, l, order, scratch):
+        """Activation derivative of order 1 or 2 at layer l, kept in the cache."""
+        kind = self._kind(l)
+        if kind == "linear":
+            return 1.0 if order == 1 else 0.0
+        memo = cache.setdefault(f"d{order}", [None] * self.n_layers)
+        if memo[l] is None:
+            a, h, s = cache["a"][l], cache["h"][l + 1], cache["s"][l]
+            out = take(scratch, a.shape, a.dtype)
+            if order == 1:
+                memo[l] = _act_prime(kind, a, h, s, out)
+            else:
+                prime = self._deriv(cache, l, 1, scratch)
+                with frame(scratch):
+                    memo[l] = _act_second(kind, a, h, s, prime, out,
+                                          take(scratch, a.shape, a.dtype))
+        return memo[l]
 
-    def backward(self, cache, d_out, with_param_grads=True, in_cols=slice(None)):
+    def backward(self, cache, d_out, with_param_grads=True, in_cols=slice(None),
+                 scratch=None, out=None):
         """Backprop d_out (B, out) through the cached forward.
 
         Returns (grads matching self.params or None, d_input), where d_input
-        holds only the input columns in_cols (all of them by default).
+        holds only the input columns in_cols (all of them by default).  The
+        grads go to out when given.
         """
         h = cache["h"]
-        grads = [None] * len(self.params) if with_param_grads else None
+        grads = self._grads(scratch, out) if with_param_grads else None
         d_out = np.asarray(d_out, dtype=self.dtype)
-        da = d_out * self._prime(cache, self.n_layers - 1)
+        da = np.multiply(d_out, self._deriv(cache, self.n_layers - 1, 1, scratch),
+                         out=take(scratch, d_out.shape, d_out.dtype))
         for l in range(self.n_layers - 1, -1, -1):
             w = self.params[2 * l]
             if with_param_grads:
-                grads[2 * l] = da.T @ h[l]
-                grads[2 * l + 1] = da.sum(axis=0)
+                np.matmul(da.T, h[l], out=grads[2 * l])
+                np.sum(da, axis=0, out=grads[2 * l + 1])
             if l == 0:
-                return grads, da @ w[:, in_cols]
-            da = (da @ w) * self._prime(cache, l - 1)
+                return grads, _matmul(da, w[:, in_cols], scratch)
+            da = _matmul(da, w, scratch)
+            da *= self._deriv(cache, l - 1, 1, scratch)
 
-    def input_grad(self, cache, d_out, in_cols=slice(None)):
+    def input_grad(self, cache, d_out, in_cols=slice(None), scratch=None):
         """d_input (columns in_cols) only; skips parameter gradients."""
-        _, dx = self.backward(cache, d_out, with_param_grads=False, in_cols=in_cols)
+        _, dx = self.backward(cache, d_out, with_param_grads=False, in_cols=in_cols,
+                              scratch=scratch)
         return dx
 
     # -- tangent machinery for the gradient penalty ---------------------------
 
-    def jvp(self, cache, v):
+    def jvp(self, cache, v, scratch=None):
         """Forward-mode pass along input tangent v; parameters carry zero tangent.
 
         Returns (a_dots, h_dots): the pre-activation tangent of every layer,
@@ -161,40 +281,47 @@ class Mlp:
         h_dots = [np.asarray(v, dtype=self.dtype)]
         a_dots = []
         for l in range(self.n_layers):
-            ad = h_dots[-1] @ self.params[2 * l].T
+            ad = _matmul(h_dots[-1], self.params[2 * l].T, scratch)
             a_dots.append(ad)
-            h_dots.append(self._prime(cache, l) * ad)
+            h_dots.append(np.multiply(self._deriv(cache, l, 1, scratch), ad,
+                                      out=take(scratch, ad.shape, ad.dtype)))
         return a_dots, h_dots
 
-    def grad_of_jvp(self, cache, v, r_out, in_cols=slice(None)):
+    def grad_of_jvp(self, cache, v, r_out, in_cols=slice(None), scratch=None, out=None):
         """Parameter gradient of sum_b r_out_b . out_tangent_b.
 
         cache is the primal forward cache and v the input tangent.  Only
         linear-output networks are supported (the critic).  Returns
         (grads, d_input_primal), the latter for the input columns in_cols
         only; it continues into whatever produced the primal input (e.g.
-        the condition embedding).
+        the condition embedding).  The grads go to out when given.
         """
         if self.out_act != "linear":
             raise ValueError("grad_of_jvp supports linear-output networks only")
         h = cache["h"]
-        a_dots, h_dots = self.jvp(cache, v)
+        a_dots, h_dots = self.jvp(cache, v, scratch)
 
-        grads = [None] * len(self.params)
+        grads = self._grads(scratch, out)
         r_ad = np.asarray(r_out, dtype=self.dtype)  # d/d(a_dot), last layer
         r_a = np.zeros_like(r_ad)
         for l in range(self.n_layers - 1, -1, -1):
             w = self.params[2 * l]
-            grads[2 * l] = r_a.T @ h[l] + r_ad.T @ h_dots[l]
-            grads[2 * l + 1] = r_a.sum(axis=0)
+            np.matmul(r_a.T, h[l], out=grads[2 * l])
+            grads[2 * l] += _matmul(r_ad.T, h_dots[l], scratch)
+            np.sum(r_a, axis=0, out=grads[2 * l + 1])
             if l == 0:
-                return grads, r_a @ w[:, in_cols]
-            r_h = r_a @ w
-            r_hd = r_ad @ w
-            s1 = self._prime(cache, l - 1)
-            s2 = _act_second(self._kind(l - 1), cache["a"][l - 1], h[l], cache["s"][l - 1])
-            r_ad = s1 * r_hd
-            r_a = s2 * a_dots[l - 1] * r_hd + s1 * r_h
+                return grads, _matmul(r_a, w[:, in_cols], scratch)
+            r_h = _matmul(r_a, w, scratch)
+            r_hd = _matmul(r_ad, w, scratch)
+            s1 = self._deriv(cache, l - 1, 1, scratch)
+            s2 = self._deriv(cache, l - 1, 2, scratch)
+            # r_a = s2 * a_dot * r_hd + s1 * r_h and r_ad = s1 * r_hd, in place
+            r_a = a_dots[l - 1]
+            r_a *= s2
+            r_a *= r_hd
+            r_h *= s1
+            r_a += r_h
+            r_ad = np.multiply(r_hd, s1, out=r_hd)
 
     # -- bookkeeping ----------------------------------------------------------
 

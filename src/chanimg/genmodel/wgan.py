@@ -35,7 +35,7 @@ import numpy as np
 from ..codec import MATRIX_SHAPE
 from ..errors import DataError, TrainingDivergedError
 from ..rng import substream
-from .nn import AdamState, Mlp, adam_step, count_params
+from .nn import AdamState, Mlp, Scratch, adam_step, count_params, frame, take
 
 __all__ = [
     "WganGpHyperparams",
@@ -192,70 +192,85 @@ def calibrate_output_layer(netp: NetworkParams, mode: str, mu, sd, z, cond_norm)
 # -- losses -------------------------------------------------------------------
 
 
-def _critic_apply(netp: NetworkParams, x_flat, cond_norm):
+def _critic_apply(netp: NetworkParams, x_flat, cond_norm, scratch=None):
     """Critic value on (image, condition); returns scores and the body cache."""
-    emb, _ = netp.critic_embed.forward(cond_norm)
-    u = np.concatenate([x_flat, emb], axis=1)
-    return netp.critic.forward(u)
+    emb, _ = netp.critic_embed.forward(cond_norm, scratch)
+    return netp.critic.forward(_stack_columns(x_flat, emb, netp.critic.dtype, scratch),
+                               scratch)
 
 
-def _interpolates(real, fake, u):
-    """u * real + (1 - u) * fake; the second product is added in place."""
-    x = u * real
-    x += (1.0 - u) * fake
-    return x
+def _stack_columns(x, emb, dtype, scratch):
+    """[x, emb] along the columns, in an array taken from scratch."""
+    out = take(scratch, (len(x), x.shape[1] + emb.shape[1]), dtype)
+    out[:, :x.shape[1]] = x
+    out[:, x.shape[1]:] = emb
+    return out
 
 
-def _gp_terms(netp, x_hat, emb):
-    """Per-sample gradient norms of the critic w.r.t. the matrix input."""
-    f, cache = netp.critic.forward(np.concatenate([x_hat, emb], axis=1))
-    g_img = netp.critic.input_grad(cache, np.ones_like(f), slice(0, x_hat.shape[1]))
-    s = np.sqrt(np.sum(g_img * g_img, axis=1))
-    return s, g_img, cache
+def _interpolates(real, fake, u, out, tmp):
+    """u * real + (1 - u) * fake into out; tmp receives the second product."""
+    np.multiply(u, real, out=out)
+    out += np.multiply(1.0 - u, fake, out=tmp)
 
 
-def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lambda: float):
+def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lambda: float,
+                          scratch=None):
     """Loss parts plus gradients aligned with netp.critic_params().
 
     The parts are "total", "wasserstein" (mean f(fake) - mean f(real)),
     "gp" (the lambda-weighted penalty) and "gp_norm" (the mean input-gradient
-    norm at the interpolates, which the penalty pulls towards 1).
+    norm at the interpolates, which the penalty pulls towards 1).  Every
+    array is taken from scratch (see nn): the Wasserstein pass's memory is
+    rewound once its backward has returned, and the penalty pass reuses it.
     """
-    dt = netp.critic.dtype
+    critic, dt = netp.critic, netp.critic.dtype
     real = np.asarray(real, dtype=dt).reshape(len(real), -1)
     fake = np.asarray(fake, dtype=dt).reshape(len(fake), -1)
     u = np.asarray(u, dtype=dt)
     b, d = real.shape
-    emb, emb_cache = netp.critic_embed.forward(cond_norm)
+    emb, emb_cache = netp.critic_embed.forward(cond_norm, scratch)
+    grads = [take(scratch, p.shape, dt) for p in critic.params]
+    gp_grads = [take(scratch, p.shape, dt) for p in critic.params]
+    d_emb = take(scratch, emb.shape, dt)
 
     # Wasserstein part: one pass over the stacked inputs [real, emb; fake, emb]
-    u_all = np.empty((2 * b, d + emb.shape[1]), dtype=dt)
-    u_all[:b, :d] = real
-    u_all[b:, :d] = fake
-    u_all[:b, d:] = emb
-    u_all[b:, d:] = emb
-    f_all, cache_all = netp.critic.forward(u_all)
-    wasserstein = float(f_all[b:].mean() - f_all[:b].mean())
-    d_out = np.full((2 * b, 1), 1.0 / b, dtype=dt)
-    d_out[:b] = -1.0 / b
-    # only the embedding columns of the input gradient are read
-    grads, d_emb_all = netp.critic.backward(cache_all, d_out, in_cols=slice(d, None))
-    d_emb = d_emb_all[:b] + d_emb_all[b:]
+    with frame(scratch):
+        u_all = take(scratch, (2 * b, d + emb.shape[1]), dt)
+        u_all[:b, :d] = real
+        u_all[b:, :d] = fake
+        u_all[:b, d:] = emb
+        u_all[b:, d:] = emb
+        f_all, cache_all = critic.forward(u_all, scratch)
+        wasserstein = float(f_all[b:].mean() - f_all[:b].mean())
+        d_out = np.full((2 * b, 1), 1.0 / b, dtype=dt)
+        d_out[:b] = -1.0 / b
+        # only the embedding columns of the input gradient are read
+        _, d_emb_all = critic.backward(cache_all, d_out, in_cols=slice(d, None),
+                                       scratch=scratch, out=grads)
+        np.add(d_emb_all[:b], d_emb_all[b:], out=d_emb)
 
     # gradient penalty: needs second derivatives through the input gradient
-    x_hat = _interpolates(real, fake, u)
-    s, g_img, cache_h = _gp_terms(netp, x_hat, emb)
-    gp = gp_lambda * float(np.mean((s - 1.0) ** 2))
+    with frame(scratch):
+        x_hat = take(scratch, (b, d + emb.shape[1]), dt)
+        _interpolates(real, fake, u, x_hat[:, :d], take(scratch, (b, d), dt))
+        x_hat[:, d:] = emb
+        f, cache_h = critic.forward(x_hat, scratch)
+        g_img = critic.input_grad(cache_h, np.ones_like(f), slice(0, d), scratch)
+        s = np.sqrt(np.sum(np.multiply(g_img, g_img, out=take(scratch, g_img.shape, dt)),
+                           axis=1))
+        gp = gp_lambda * float(np.mean((s - 1.0) ** 2))
 
-    s_safe = np.maximum(s, 1e-12)
-    coef = (gp_lambda * 2.0 * (s - 1.0) / (s_safe * b))[:, None].astype(dt)
-    tangent = np.zeros((b, d + emb.shape[1]), dtype=dt)
-    tangent[:, :d] = g_img
-    gp_grads, d_emb_gp = netp.critic.grad_of_jvp(cache_h, tangent, coef, slice(d, None))
-    d_emb += d_emb_gp
+        s_safe = np.maximum(s, 1e-12)
+        coef = (gp_lambda * 2.0 * (s - 1.0) / (s_safe * b))[:, None].astype(dt)
+        tangent = take(scratch, x_hat.shape, dt)
+        tangent[:, :d] = g_img
+        tangent[:, d:] = 0.0
+        _, d_emb_gp = critic.grad_of_jvp(cache_h, tangent, coef, slice(d, None), scratch,
+                                         out=gp_grads)
+        d_emb += d_emb_gp
     for gw, gg in zip(grads, gp_grads):
         gw += gg
-    emb_grads, _ = netp.critic_embed.backward(emb_cache, d_emb)
+    emb_grads, _ = netp.critic_embed.backward(emb_cache, d_emb, scratch=scratch)
 
     total = wasserstein + gp
     if not math.isfinite(total):
@@ -264,25 +279,27 @@ def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lamb
     return parts, emb_grads + grads
 
 
-def generator_forward(netp: NetworkParams, z, cond_norm):
-    emb, emb_cache = netp.gen_embed.forward(cond_norm)
-    y, cache = netp.generator.forward(np.concatenate([z, emb], axis=1))
+def generator_forward(netp: NetworkParams, z, cond_norm, scratch=None):
+    emb, emb_cache = netp.gen_embed.forward(cond_norm, scratch)
+    y, cache = netp.generator.forward(
+        _stack_columns(z, emb, netp.generator.dtype, scratch), scratch)
     return y, emb_cache, cache
 
 
-def generator_loss_and_grads(netp: NetworkParams, z, cond_norm):
+def generator_loss_and_grads(netp: NetworkParams, z, cond_norm, scratch=None):
+    """-mean f(G(z, c)) and its gradients aligned with netp.generator_params()."""
     b = z.shape[0]
-    y, emb_cache, gen_cache = generator_forward(netp, z, cond_norm)
-    f, critic_cache = _critic_apply(netp, y, cond_norm)
+    y, emb_cache, gen_cache = generator_forward(netp, z, cond_norm, scratch)
+    f, critic_cache = _critic_apply(netp, y, cond_norm, scratch)
     loss = float(-f.mean())
 
     # critic params frozen: only the matrix columns of its input gradient count
     d_y = netp.critic.input_grad(
         critic_cache, np.full((b, 1), -1.0 / b, dtype=netp.critic.dtype),
-        slice(0, y.shape[1]))
+        slice(0, y.shape[1]), scratch)
     gen_grads, d_emb = netp.generator.backward(
-        gen_cache, d_y, in_cols=slice(netp.noise_dim, None))
-    emb_grads, _ = netp.gen_embed.backward(emb_cache, d_emb)
+        gen_cache, d_y, in_cols=slice(netp.noise_dim, None), scratch=scratch)
+    emb_grads, _ = netp.gen_embed.backward(emb_cache, d_emb, scratch=scratch)
     if not math.isfinite(loss):
         raise TrainingDivergedError(-1, "non-finite generator loss")
     return loss, emb_grads + gen_grads
@@ -326,7 +343,7 @@ class ArrayBatches:
 
 @dataclass
 class TrainingLog:
-    """Per-critic-step losses plus model bookkeeping."""
+    """Per-critic-step losses and gradient norms plus model bookkeeping."""
 
     steps: list = field(default_factory=list)
     critic_losses: list = field(default_factory=list)
@@ -334,13 +351,24 @@ class TrainingLog:
     gp_terms: list = field(default_factory=list)
     wasserstein: list = field(default_factory=list)  # mean f(fake) - mean f(real)
     gp_norms: list = field(default_factory=list)  # mean ||grad_m f|| at the interpolates
+    # global L2 norms of the gradients Adam is given; NaN when no generator step
+    critic_grad_norms: list = field(default_factory=list)
+    gen_grad_norms: list = field(default_factory=list)
     param_counts: dict = field(default_factory=dict)
 
+    COLUMNS = ("step", "critic_loss", "gen_loss", "gp_term", "wasserstein", "gp_norm",
+               "critic_grad_norm", "gen_grad_norm")
+
     def rows(self):
-        for s, c, g, p, w, n in zip(self.steps, self.critic_losses, self.gen_losses,
-                                    self.gp_terms, self.wasserstein, self.gp_norms):
-            yield {"step": s, "critic_loss": c, "gen_loss": g, "gp_term": p,
-                   "wasserstein": w, "gp_norm": n}
+        for row in zip(self.steps, self.critic_losses, self.gen_losses, self.gp_terms,
+                       self.wasserstein, self.gp_norms, self.critic_grad_norms,
+                       self.gen_grad_norms):
+            yield dict(zip(self.COLUMNS, row))
+
+
+def _global_norm(grads) -> float:
+    """L2 norm of all gradient arrays taken together."""
+    return math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
 
 
 # -- training -------------------------------------------------------------------
@@ -383,6 +411,9 @@ def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
     log = TrainingLog(param_counts=netp.param_counts())
 
     dt = np.dtype(hyper.dtype)
+    # one scratch for the whole run: after the first steps no step allocates
+    # its large arrays, and the critic step's passes share memory (see nn)
+    scratch = Scratch()
     step = 0
     for epoch in range(hyper.epochs):
         order_rng = substream(seed, "batching", epoch)
@@ -392,19 +423,25 @@ def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
             x = x.astype(dt, copy=False)
             c = netp.normalize_conditions(c_raw).astype(dt, copy=False)
 
+            scratch.reset()
             z = substream(seed, "noise", step).standard_normal((b, hyper.noise_dim))
-            fake, _, _ = generator_forward(netp, z.astype(dt), c)
+            fake = scratch.take((b, netp.image_dim), dt)
+            with scratch.frame():  # the generator's caches are dead once fake is copied
+                np.copyto(fake, generator_forward(netp, z.astype(dt), c, scratch)[0])
             u = substream(seed, "gp", step).uniform(size=(b, 1))
             parts, grads = critic_loss_and_grads(
-                netp, x, fake, c, u, hyper.gp_lambda)
+                netp, x, fake, c, u, hyper.gp_lambda, scratch)
+            critic_grad_norm = _global_norm(grads)
             adam_step(netp.critic_params(), grads, opt_c,
                       hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
 
-            gen_loss = math.nan
+            gen_loss = gen_grad_norm = math.nan
             if step % hyper.critic_steps_per_gen_step == 0:
+                scratch.reset()
                 z2 = substream(seed, "noise-gen", step).standard_normal(
                     (b, hyper.noise_dim)).astype(dt)
-                gen_loss, ggrads = generator_loss_and_grads(netp, z2, c)
+                gen_loss, ggrads = generator_loss_and_grads(netp, z2, c, scratch)
+                gen_grad_norm = _global_norm(ggrads)
                 adam_step(netp.generator_params(), ggrads, opt_g,
                           hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
 
@@ -414,6 +451,8 @@ def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
             log.gp_terms.append(parts["gp"])
             log.wasserstein.append(parts["wasserstein"])
             log.gp_norms.append(parts["gp_norm"])
+            log.critic_grad_norms.append(critic_grad_norm)
+            log.gen_grad_norms.append(gen_grad_norm)
     return netp, log
 
 

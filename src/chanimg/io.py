@@ -44,7 +44,7 @@ import struct
 import tempfile
 import threading
 import warnings
-from itertools import chain, islice
+from itertools import chain, count, islice
 from operator import itemgetter
 from pathlib import Path
 
@@ -88,6 +88,9 @@ _ENDS = struct.Struct("7d")  # tx, rx, carrier_freq
 _PATH_TEXT = "{" + ", ".join(f'"{f}": %r' for f in PATH_FIELDS) + "}"
 _LINK_TEXT = ('{"tx": [%r, %r, %r], "rx": [%r, %r, %r], "carrier_freq": %r, '
               '"link_state": "%s", "paths": [%s]}\n')
+# longest dataset line read_table parses: write_table's longest, 25 paths with
+# every number a 24-character repr, is 6,300 bytes with its newline
+MAX_LINE_BYTES = 1 << 16
 _TEXT_BLOCK = 128  # lines per formatted, hashed and written block of dataset text
 _TEXT_PART = 512  # links per text process at least
 
@@ -243,13 +246,14 @@ def read_table(path) -> LinkTable:
     parsing.  Otherwise each line is parsed on its own and appended to flat
     rows: 7 numbers per link (tx, rx, carrier_freq) and 7 per path.  Either
     way, array masks then apply the rules of PathParams and LinkRecord to
-    the rows.  A malformed line, a value that is not a JSON number and a
-    broken rule are FormatErrors naming the file and line.
+    the rows.  A malformed line, a line longer than MAX_LINE_BYTES, a value
+    that is not a JSON number and a broken rule are FormatErrors naming the
+    file and line.
     """
     path = Path(path)
     ends, cells, counts, states, line_nos = bytearray(), bytearray(), [], [], []
     with path.open("rb") as fh:
-        header = fh.readline()
+        header = _bounded_line(fh, path, 1, "dataset header")
         m = re.match(rb"# chanimg-dataset v(\d+)\b", header)
         if not m:
             raise FormatError(f"{path}: missing dataset header")
@@ -258,7 +262,10 @@ def read_table(path) -> LinkTable:
         if table is not None:
             return table
         fh.seek(len(header))
-        for line_no, line in enumerate(fh, start=2):
+        for line_no in count(2):
+            line = _bounded_line(fh, path, line_no, "link record")
+            if not line:
+                break
             line = line.strip()
             if not line or line.startswith(b"#"):
                 continue
@@ -286,6 +293,18 @@ def read_table(path) -> LinkTable:
     if broken:
         raise FormatError(f"{path}:{line_nos[broken[0]]}: bad link record: {broken[1]}")
     return LinkTable.from_columns(paths, counts, state, ends[:, :3], ends[:, 3:6], ends[:, 6])
+
+
+def _bounded_line(fh, path, line_no, kind) -> bytes:
+    """fh's next line, b"" at the end; a longer line than MAX_LINE_BYTES is a FormatError.
+
+    The read stops one byte past the limit, so such a line is never held whole.
+    """
+    line = fh.readline(MAX_LINE_BYTES + 1)
+    if len(line) > MAX_LINE_BYTES:
+        raise FormatError(f"{path}:{line_no}: bad {kind}: line longer than "
+                          f"{MAX_LINE_BYTES} bytes")
+    return line
 
 
 def _broken_rule(paths, counts, state, ends):
@@ -630,7 +649,6 @@ def write_training_log(path, log, seed=None):
                  f" generator_params={log.param_counts.get('generator')}"
                  f" critic_params={log.param_counts.get('critic')}\n")
         writer = csv.writer(fh)
-        columns = ["step", "critic_loss", "gen_loss", "gp_term", "wasserstein", "gp_norm"]
-        writer.writerow(columns)
+        writer.writerow(log.COLUMNS)
         for row in log.rows():
-            writer.writerow([row[c] for c in columns])
+            writer.writerow(row.values())

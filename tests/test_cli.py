@@ -3,6 +3,7 @@
 import contextlib
 import io as stdio
 import json
+import math
 import os
 import re
 import struct
@@ -136,12 +137,16 @@ def test_eval_report_format(pipeline_dir):
 def test_training_log_format(pipeline_dir):
     lines = (pipeline_dir / "train_log.csv").read_text().splitlines()
     assert "generator_params=" in lines[0] and "critic_params=" in lines[0]
-    assert lines[1] == "step,critic_loss,gen_loss,gp_term,wasserstein,gp_norm"
+    assert lines[1] == ("step,critic_loss,gen_loss,gp_term,wasserstein,gp_norm,"
+                        "critic_grad_norm,gen_grad_norm")
     assert len(lines) > 2
     for row in lines[2:]:
-        _, total, _, gp, wasserstein, gp_norm = (float(v) for v in row.split(","))
+        _, total, gen_loss, gp, wasserstein, gp_norm, critic_gn, gen_gn = (
+            float(v) for v in row.split(","))
         assert total == pytest.approx(wasserstein + gp, rel=1e-12, abs=1e-15)
-        assert gp_norm > 0
+        assert gp_norm > 0 and critic_gn > 0
+        # a generator step logs both its loss and its gradient norm, others neither
+        assert math.isnan(gen_gn) == math.isnan(gen_loss)
 
 
 def test_wgan_models_and_samples_the_matrix(pipeline_dir):
@@ -641,11 +646,12 @@ TWO_PATHS = [{"pathloss": 110.0, "delay": 2e-6, "aod": 0.0, "zod": 90.0, "aoa": 
     set_path("phase", -360.0),
     lambda line: "[" + line + "]",
     lambda line: "[" * 100_000,
+    lambda line: "[" * 50_000,  # within the line limit: json.loads's RecursionError
 ], ids=["truncated", "freq-str", "freq-huge-int", "freq-zero", "tx-4d", "rx-2d", "tx-str",
         "rx-str-number", "no-paths", "paths-number", "path-list", "no-phase", "bad-state",
         "nlos-without-paths", "unsorted", "26-paths", "pathloss-neg", "pathloss-null",
         "delay-zero", "zod-181", "zoa-neg", "phase-pos", "phase-360", "record-list",
-        "nested-too-deep"])
+        "nested-too-deep", "nested-too-deep-short"])
 def test_dataset_rejects_malformed_records(tmp_path, capsys, edit):
     data = tmp_path / "d.jsonl"
     run(["--seed", "1", "gen-data", "--links", "20", "--out", str(data)])

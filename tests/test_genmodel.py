@@ -1,6 +1,7 @@
 """Generative backends: optimizer, losses, training loop, resampler."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -172,22 +173,23 @@ def test_sigmoid_bits_match_two_branch_where(dtype):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("dtype", [np.float64, np.float32])
-@pytest.mark.parametrize("batch", [3, 64])
-def test_column_ranges_are_columns_of_full_result(dtype, batch):
-    # the training shapes (critic input = 3,200 image + 32 embedding columns,
-    # generator input = 64 noise + 32 embedding columns): bit-identical
-    # checkpoints rely on a column range leaving each column's sums unchanged
+def check_column_ranges(critic_sizes, generator_sizes, dtype, batch):
+    """A column range of each input-side product equals those columns of the full one.
+
+    Bit-identical checkpoints rely on it: backward, input_grad and
+    grad_of_jvp form only the input columns the caller reads.
+    """
+    d = critic_sizes[0] - 32  # matrix columns; the embedding takes the last 32
     rng = np.random.default_rng(21)
-    critic = Mlp.init([3232, 256, 256, 1], "linear", rng, dtype=dtype)
-    generator = Mlp.init([96, 256, 256, 3200], "tanh", rng, dtype=dtype)
-    x = rng.uniform(-1, 1, (batch, 3232)).astype(dtype)
-    v = rng.standard_normal((batch, 3232)).astype(dtype)
+    critic = Mlp.init(critic_sizes, "linear", rng, dtype=dtype)
+    generator = Mlp.init(generator_sizes, "tanh", rng, dtype=dtype)
+    x = rng.uniform(-1, 1, (batch, critic_sizes[0])).astype(dtype)
+    v = rng.standard_normal((batch, critic_sizes[0])).astype(dtype)
     r = rng.standard_normal((batch, 1)).astype(dtype)
     _, cache = critic.forward(x)
     full_grads, full = critic.backward(cache, r)
     full_gp, full_gp_in = critic.grad_of_jvp(cache, v, r)
-    for cols in (slice(3200, None), slice(0, 3200)):
+    for cols in (slice(d, None), slice(0, d)):
         grads, part = critic.backward(cache, r, in_cols=cols)
         np.testing.assert_array_equal(part, full[:, cols])
         for a, b in zip(grads, full_grads):
@@ -203,6 +205,106 @@ def test_column_ranges_are_columns_of_full_result(dtype, batch):
     _, full = generator.backward(cache, d_y)
     _, part = generator.backward(cache, d_y, in_cols=slice(64, None))
     np.testing.assert_array_equal(part, full[:, 64:])
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("batch", [3, 64])
+def test_column_ranges_are_columns_of_full_result(dtype, batch):
+    # the shapes of the former 64x50-image model: critic input = 3,200 image
+    # + 32 embedding columns, generator output = 3,200 pixels
+    check_column_ranges([3232, 256, 256, 1], [96, 256, 256, 3200], dtype, batch)
+
+
+@pytest.mark.parametrize(("dtype", "batch"), [
+    (np.float64, 3), (np.float64, 64), (np.float64, 256), (np.float32, 64), (np.float32, 256)])
+def test_column_ranges_at_the_training_shapes(dtype, batch):
+    # critic input = 200 matrix + 32 embedding columns, generator input = 64
+    # noise + 32 embedding columns and output = 200 matrix cells; 256 rows is
+    # the training batch.  float32 below 32 rows is not covered: there
+    # OpenBLAS 0.3.31 sums a column range in another order than the full
+    # product, so a float32 run at such a batch does not reproduce the bits
+    # of computing every column (see CHANGES.md)
+    check_column_ranges([232, 256, 256, 1], [96, 256, 256, 200], dtype, batch)
+
+
+# -- the scratch -------------------------------------------------------------------
+
+
+def step_inputs(rng, b, noise_dim=64):
+    """(real, fake, cond_norm, u, z) of one training step on 8x25 matrices."""
+    return (rng.uniform(-1, 1, (b, 8, 25)), rng.uniform(-1, 1, (b, 8, 25)),
+            rng.uniform(-1, 1, (b, 2)), rng.uniform(size=(b, 1)),
+            rng.standard_normal((b, noise_dim)))
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("act", ["silu", "tanh"])
+def test_scratch_steps_match_fresh_arrays(dtype, act):
+    # three consecutive steps on one scratch with the batch size changing
+    # between them: a stale shape, or a live array that a later take
+    # overwrote, would change a bit of some loss part or gradient
+    hyper = WganGpHyperparams(hidden=(48, 40), hidden_act=act, dtype=dtype)
+    netp = build_networks(hyper, [10.0, 1.6], [500.0, 30.0], substream(31, "init"))
+    rng = np.random.default_rng(32)
+    scratch = nn.Scratch()
+    for b in (64, 40, 96):
+        real, fake, cond, u, z = (a.astype(dtype) for a in step_inputs(rng, b))
+        want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
+        scratch.reset()
+        parts, got = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, scratch)
+        assert parts == want_parts
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+        want_loss, want = generator_loss_and_grads(netp, z, cond)
+        scratch.reset()
+        loss, got = generator_loss_and_grads(netp, z, cond, scratch)
+        assert loss == want_loss
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            np.testing.assert_array_equal(g, w)
+
+
+def test_training_steps_allocate_little_after_the_first():
+    # the default model at B=256: without a scratch a critic step allocates
+    # about 20 MB of temporaries; with one, only small arrays remain
+    hyper = WganGpHyperparams()
+    netp = build_networks(hyper, [10.0, 1.6], [500.0, 30.0], substream(33, "init"))
+    real, fake, cond, u, z = step_inputs(np.random.default_rng(34), 256)
+    scratch = nn.Scratch()
+    steps = (lambda: critic_loss_and_grads(netp, real, fake, cond, u, 10.0, scratch),
+             lambda: generator_loss_and_grads(netp, z, cond, scratch))
+    for step in steps:  # the first run of each adds the chunks it needs
+        scratch.reset()
+        step()
+    tracemalloc.start()
+    try:
+        for _ in range(2):
+            for step in steps:
+                scratch.reset()
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                step()
+                assert tracemalloc.get_traced_memory()[1] - before <= 4 * 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_scratch_frame_rewinds_and_reuses():
+    scratch = nn.Scratch()
+    keep = scratch.take((3, 5), np.float64)
+    with scratch.frame():
+        inner = scratch.take((1000,), np.float32)
+    again = scratch.take((10,), np.float32)
+    assert np.shares_memory(inner, again) and not np.shares_memory(keep, again)
+    big = scratch.take((nn.Scratch.CHUNK,), np.uint8)  # no room left: a new chunk
+    assert not np.shares_memory(big, keep) and not np.shares_memory(big, again)
+    scratch.reset()
+    assert np.shares_memory(scratch.take((2,), np.float64), keep)
+    assert nn.take(None, (2, 3), np.float32).shape == (2, 3)
 
 
 # -- value-only reference losses ------------------------------------------------------
@@ -375,6 +477,12 @@ def test_training_log_contents():
         assert total == pytest.approx(w + gp, rel=1e-12, abs=1e-15)
     assert all(n > 0 and math.isfinite(n) for n in log.gp_norms)
     assert [row["gp_norm"] for row in log.rows()] == log.gp_norms
+    # gradient norms: every critic step, and the generator steps only
+    assert all(n > 0 and math.isfinite(n) for n in log.critic_grad_norms)
+    assert [math.isnan(n) for n in log.gen_grad_norms] == [True, False, True, False]
+    assert all(n > 0 for n in log.gen_grad_norms[1::2])
+    assert [row["critic_grad_norm"] for row in log.rows()] == log.critic_grad_norms
+    assert list(next(log.rows())) == list(log.COLUMNS)
 
 
 def test_default_model_is_the_channel_matrix():

@@ -79,23 +79,46 @@ def test_overlong_line_is_rejected_before_padding(tmp_path, table):
     Path(f"{good}{io.LTAB_SUFFIX}").unlink()
     lines = good.read_text().splitlines(keepends=True)
     rec = json.loads(lines[1])
-    rec["paths"] = rec["paths"][:1] * 5000
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text(lines[0] + json.dumps(rec) + "\n" + "".join(lines[2:]))
+
+    def with_first_line_paths(n):
+        bad = tmp_path / f"bad{n}.jsonl"
+        bad.write_text(lines[0] + json.dumps({**rec, "paths": rec["paths"][:1] * n}) + "\n"
+                       + "".join(lines[2:]))
+        return bad
+
+    few, many = with_first_line_paths(26), with_first_line_paths(40_000)
+    assert few.stat().st_size - good.stat().st_size < io.MAX_LINE_BYTES
+    assert many.stat().st_size > 50 * io.MAX_LINE_BYTES
     tracemalloc.start()
     try:
         io.read_table(good)
         good_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        with pytest.raises(FormatError) as err:
-            io.read_table(bad)
-        bad_peak = tracemalloc.get_traced_memory()[1]
+        peaks = []
+        for bad in (few, many):
+            tracemalloc.reset_peak()
+            with pytest.raises(FormatError) as err:
+                io.read_table(bad)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            if bad is few:
+                assert str(err.value) == (f"{bad}:2: bad link record: "
+                                          "at most 25 paths per link, got 26")
     finally:
         tracemalloc.stop()
-    assert str(err.value) == f"{bad}:2: bad link record: at most 25 paths per link, got 5000"
-    # json.loads of the line costs about 5x its bytes; padding every link to
-    # it would cost 50 x 5000 x 56 B = 14 MB more
-    assert bad_peak < good_peak + 6 * (bad.stat().st_size - good.stat().st_size)
+    # a line within the byte limit is parsed, then rejected by its path count
+    # before padding every link to it would cost 50 x 26 x 56 B more
+    assert peaks[0] < good_peak + 6 * (few.stat().st_size - good.stat().st_size)
+    # a longer line (here about 6 MB) is rejected after reading one byte past
+    # the limit, so memory does not grow with the line
+    assert str(err.value) == (f"{many}:2: bad link record: "
+                              f"line longer than {io.MAX_LINE_BYTES} bytes")
+    assert peaks[1] < good_peak + 4 * io.MAX_LINE_BYTES
+
+
+def test_overlong_header_is_rejected(tmp_path):
+    p = tmp_path / "long_header.jsonl"
+    p.write_text("# chanimg-dataset v1 " + "x" * io.MAX_LINE_BYTES + "\n")
+    with pytest.raises(FormatError, match=f"{p}:1: bad dataset header: line longer than"):
+        io.read_table(p)
 
 
 # -- the binary sidecar ------------------------------------------------------------
