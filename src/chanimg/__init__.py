@@ -6,7 +6,12 @@ one as the paper's 64x50 "channel image") through an invertible pipeline
 conditional generative model learns their distribution given (2D distance,
 receiver height), and decoded samples are validated statistically against
 the source data.
+
+The codec and surrogate names are imported on first access (PEP 562), so
+importing a submodule such as chanimg.cli loads only what it uses.
 """
+
+import importlib
 
 from .core import (
     MAX_PATHS,
@@ -17,8 +22,34 @@ from .core import (
     PathParams,
     closed_forms,
 )
-from .codec import ChannelImageCodec, FeatureScaler, fit_codec, tile
-from .surrogate import SurrogateConfig, generate_dataset, train_test_split
+
+
+def _lazy_exports(namespace: dict, exports: dict):
+    """A module __getattr__ (PEP 562) that imports each export on first access.
+
+    exports maps a name to (module, attribute), the module relative to the
+    namespace's package.  The value is then kept in the namespace, where a
+    caller may also replace it.
+    """
+    def __getattr__(name):
+        if name in namespace:
+            return namespace[name]
+        try:
+            module, attribute = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {namespace['__name__']!r} has no attribute {name!r}") from None
+        value = getattr(importlib.import_module(module, namespace["__package__"]), attribute)
+        namespace[name] = value
+        return value
+    return __getattr__
+
+
+__getattr__ = _lazy_exports(globals(), {
+    name: (module, name) for module, names in (
+        (".codec", ("ChannelImageCodec", "FeatureScaler", "fit_codec", "tile")),
+        (".surrogate", ("SurrogateConfig", "generate_dataset", "train_test_split")),
+    ) for name in names})
 
 __version__ = "0.1.0"
 

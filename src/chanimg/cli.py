@@ -12,6 +12,9 @@ distinct exit codes:
 
     2 usage, 3 malformed file, 4 format version mismatch,
     5 invalid data/geometry/config, 6 training diverged, 1 unexpected
+
+Each stage imports the modules it runs when it starts, so a stage loads
+only those: gen-data loads no codec, networks or statistics.
 """
 
 import argparse
@@ -19,8 +22,8 @@ import sys
 
 import numpy as np
 
-from . import io
-from .codec import MATRIX_SHAPE, fit_codec
+from . import _lazy_exports, io
+from .core import MATRIX_SHAPE
 from .errors import (
     ChanimgError,
     DataError,
@@ -30,16 +33,6 @@ from .errors import (
     UsageError,
     VersionError,
 )
-from .genmodel import (
-    ArrayBatches,
-    EmpiricalResampler,
-    WganGpHyperparams,
-    sample as wgan_sample,
-    train_wgan_gp,
-)
-from .rng import substream
-from .stats import RMS_FEATURES, compare_datasets
-from .surrogate import DEFAULT_HEIGHTS, SurrogateConfig, generate_dataset
 
 EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
@@ -58,6 +51,17 @@ EXIT_CODES = (
     (ChanimgError, "other", EXIT_UNEXPECTED),
 )
 
+# The layer functions the stages call, imported on first use (PEP 562).
+# Each is looked up on this module when a stage calls it, so a caller may
+# wrap it here, as perfbench's tracer does.
+__getattr__ = _layer = _lazy_exports(globals(), {
+    "generate_dataset": (".surrogate", "generate_dataset"),
+    "fit_codec": (".codec", "fit_codec"),
+    "train_wgan_gp": (".genmodel.wgan", "train_wgan_gp"),
+    "wgan_sample": (".genmodel.wgan", "sample"),
+    "compare_datasets": (".stats", "compare_datasets"),
+})
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -71,7 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--links", type=int, default=5000,
                    help="approximate dataset size (rounded up to the tx/rx grid, then cut)")
     p.add_argument("--num-tx", type=int, default=10)
-    p.add_argument("--heights", type=str, default=",".join(str(h) for h in DEFAULT_HEIGHTS))
+    p.add_argument("--heights", type=str, default=None,
+                   help="comma-separated receiver heights in m (default: the surrogate's)")
     p.add_argument("--area", type=str, default="500,500", help="width,depth in meters")
     p.add_argument("--freq", type=float, default=12e9)
     p.add_argument("--los-probability", type=float, default=None,
@@ -152,7 +157,9 @@ def _number_list(text: str, flag: str, kind=float, count=None) -> tuple:
 
 
 def _cmd_gen_data(args) -> int:
-    heights = _number_list(args.heights, "--heights")
+    from .surrogate import DEFAULT_HEIGHTS, SurrogateConfig
+
+    heights = DEFAULT_HEIGHTS if args.heights is None else _number_list(args.heights, "--heights")
     w, d = _number_list(args.area, "--area", count=2)
     if args.links <= 0 or args.num_tx <= 0:
         raise DataError("--links and --num-tx must be positive")
@@ -161,21 +168,25 @@ def _cmd_gen_data(args) -> int:
         num_tx=args.num_tx, num_rx_per_height=per_height, heights=heights,
         area=(w, d), carrier_freq=args.freq, seed=args.seed,
         los_probability=args.los_probability)
-    table = generate_dataset(cfg).take(slice(0, args.links))
+    table = _layer("generate_dataset")(cfg).take(slice(0, args.links))
     io.write_table(args.out, table, seed=args.seed)
     print(f"wrote {len(table)} links to {args.out}")
     return 0
 
 
 def _cmd_fit_codec(args) -> int:
+    from .rng import substream
+
     table = io.read_table(args.data)
-    codec = fit_codec(table, substream(args.seed, "padding"))
+    codec = _layer("fit_codec")(table, substream(args.seed, "padding"))
     io.write_codec(args.out, codec, seed=args.seed)
     print(f"fitted codec on {len(table)} links -> {args.out}")
     return 0
 
 
 def _cmd_encode(args) -> int:
+    from .rng import substream
+
     table = io.read_table(args.data)
     codec = io.read_codec(args.codec)
     if args.realizations < 1:
@@ -209,10 +220,14 @@ def _cmd_decode(args) -> int:
 def _cmd_train(args) -> int:
     matrices, conds = io.read_images(args.images)
     if args.backend == "resampler":
+        from .genmodel.resampler import EmpiricalResampler
+
         model = EmpiricalResampler(matrices.astype(np.float64), conds, k=args.k)
         io.write_resampler_checkpoint(args.out, model, seed=args.seed)
         print(f"stored resampler over {len(matrices)} matrices -> {args.out}")
         return 0
+    from .genmodel.wgan import ArrayBatches, WganGpHyperparams
+
     hyper = WganGpHyperparams(
         learning_rate=args.lr, adam_beta1=args.beta1, adam_beta2=args.beta2,
         epochs=args.epochs, batch_size=args.batch_size, gp_lambda=args.gp_lambda,
@@ -220,8 +235,8 @@ def _cmd_train(args) -> int:
         hidden=_number_list(args.hidden, "--hidden", kind=int),
         generator_output_gain=args.output_gain,
         output_init=args.output_init, dtype=args.dtype)
-    netp, log = train_wgan_gp(ArrayBatches(matrices, conds, hyper.batch_size),
-                              hyper, args.seed)
+    netp, log = _layer("train_wgan_gp")(ArrayBatches(matrices, conds, hyper.batch_size),
+                                        hyper, args.seed)
     io.write_wgan_checkpoint(args.out, netp, seed=args.seed)
     if args.log:
         io.write_training_log(args.log, log, seed=args.seed)
@@ -238,7 +253,7 @@ def _cmd_sample(args) -> int:
     table = io.read_table(args.conditions_from)
     conds = np.tile(np.column_stack([table.dist2d, table.height]), (args.per_cond, 1))
     if backend == "wgan-gp":
-        matrices = wgan_sample(model, conds, len(conds), args.seed)
+        matrices = _layer("wgan_sample")(model, conds, len(conds), args.seed)
     else:
         matrices = model.sample(conds, len(conds), args.seed)
     io.write_images(args.out, matrices, conds, seed=args.seed)
@@ -247,11 +262,13 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    from .stats import RMS_FEATURES
+
     model = io.read_table(args.model)
     data = io.read_table(args.data)
-    report = compare_datasets(model, data, np.unique(data.height).tolist(),
-                              dist_bin_width=args.dist_bin_width,
-                              angle_bin_width=args.angle_bin_width)
+    report = _layer("compare_datasets")(model, data, np.unique(data.height).tolist(),
+                                        dist_bin_width=args.dist_bin_width,
+                                        angle_bin_width=args.angle_bin_width)
     outdir = args.outdir
 
     metrics = (*(f"ks_{f}" for f in ("pathloss", "delay")),
@@ -289,6 +306,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .rng import substream
+
     table = io.read_table(args.data)
     codec = io.read_codec(args.codec)
     header = ["link", "state_ok", "n_paths_ok", "virtual_survivors",
@@ -334,6 +353,8 @@ def run(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code) if exc.code else 0
     try:
+        if args.seed < 0:  # SeedSequence takes no negative entropy
+            raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
     except (ChanimgError, OSError) as exc:
         kind, code = next((k, c) for cls, k, c in EXIT_CODES if isinstance(exc, cls))

@@ -40,6 +40,7 @@ import math
 import numpy as np
 
 from .core import (
+    MATRIX_SHAPE,
     MAX_PATHS,
     SPEED_OF_LIGHT,
     LinkState,
@@ -59,10 +60,9 @@ __all__ = [
 ]
 
 FEATURES = ("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase", "link_state")
-N_FEATURES = 8
+N_FEATURES = MATRIX_SHAPE[0]
 PL, DLY, AOD, ZOD, AOA, ZOA, PS, LS = range(N_FEATURES)
 
-MATRIX_SHAPE = (N_FEATURES, MAX_PATHS)  # the encoded form: features x paths
 V_REP, H_REP = 8, 2  # pixel rows / columns per cell of the 64x50 rendering
 
 DELAY_SCALE = 1e7

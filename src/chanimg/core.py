@@ -26,11 +26,14 @@ from .errors import DataError, GeometryError
 SPEED_OF_LIGHT = 299792458.0  # m/s, exact
 MAX_PATHS = 25
 PATH_FIELDS = ("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase")
+# the codec's encoded form: a row per path field plus the link-state row, a column per path
+MATRIX_SHAPE = (len(PATH_FIELDS) + 1, MAX_PATHS)
 _PATH_ROW = attrgetter(*PATH_FIELDS)
 
 __all__ = [
     "SPEED_OF_LIGHT",
     "MAX_PATHS",
+    "MATRIX_SHAPE",
     "LinkState",
     "PathParams",
     "LinkRecord",

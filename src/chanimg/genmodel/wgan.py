@@ -1,7 +1,7 @@
 """Conditional Wasserstein GAN with gradient penalty over channel matrices.
 
 The model works on the codec's scaled (8, 25) channel matrix
-(codec.MATRIX_SHAPE), the form that CHIM files store and decode reads.
+(core.MATRIX_SHAPE), the form that CHIM files store and decode reads.
 The paper's 64x50 channel image is a rendering of it (codec.tile, each
 cell an 8x2 pixel block) and carries no further values.  The CLI trains on
 the matrices it reads and writes the samples as they come.
@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..codec import MATRIX_SHAPE
+from ..core import MATRIX_SHAPE
 from ..errors import DataError, TrainingDivergedError
-from ..rng import substream
+from ..rng import substream, substreams
 from .nn import AdamState, Mlp, Scratch, adam_step, count_params, frame, take
 
 __all__ = [
@@ -333,11 +333,12 @@ class ArrayBatches:
         x = _to_preimage(self.images.astype(np.float64).reshape(len(self.images), -1))
         return x.mean(axis=0), x.std(axis=0)
 
-    def epoch_batches(self, order_rng):
+    def epoch_batches(self, order_rng, dtype):
+        """(flattened images in dtype, raw conditions) of each full batch of one epoch."""
         idx = order_rng.permutation(len(self.images))
         for start in range(0, len(idx) - self.batch_size + 1, self.batch_size):
             take = idx[start:start + self.batch_size]
-            x = self.images[take].astype(np.float64).reshape(len(take), -1)
+            x = self.images[take].astype(dtype, copy=False).reshape(len(take), -1)
             yield x, self.conditions[take]
 
 
@@ -417,10 +418,9 @@ def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
     step = 0
     for epoch in range(hyper.epochs):
         order_rng = substream(seed, "batching", epoch)
-        for x, c_raw in data.epoch_batches(order_rng):
+        for x, c_raw in data.epoch_batches(order_rng, dt):
             step += 1
             b = x.shape[0]
-            x = x.astype(dt, copy=False)
             c = netp.normalize_conditions(c_raw).astype(dt, copy=False)
 
             scratch.reset()
@@ -474,8 +474,10 @@ def sample(netp: NetworkParams, cond, n: int, seed: int) -> np.ndarray:
     dt = netp.generator.dtype
     c = netp.normalize_conditions(cond).astype(dt)
 
-    z = np.stack([substream(seed, "sampling", i).standard_normal(netp.noise_dim)
-                  for i in range(n)]).astype(dt)
+    z = np.empty((n, netp.noise_dim))
+    for z_i, rng in zip(z, substreams(seed, "sampling", n=n)):
+        rng.standard_normal(out=z_i)
+    z = z.astype(dt, copy=False)
     out = np.empty((n, *netp.image_shape))
     for start in range(0, n, 1024):
         stop = min(start + 1024, n)

@@ -34,6 +34,8 @@ Every format carries a major version; readers reject unknown majors.
                 seed, then a regular header row
 """
 
+from __future__ import annotations
+
 import csv
 import hashlib
 import json
@@ -47,15 +49,26 @@ import warnings
 from itertools import chain, count, islice
 from operator import itemgetter
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import MAX_PATHS, PATH_FIELDS, LinkState, LinkTable, link_rules, padded_paths
-from .codec import MATRIX_SHAPE, ChannelImageCodec
+from .core import (
+    MATRIX_SHAPE,
+    MAX_PATHS,
+    PATH_FIELDS,
+    LinkState,
+    LinkTable,
+    link_rules,
+    padded_paths,
+)
 from .errors import DataError, FormatError, VersionError
-from .genmodel.nn import Mlp
-from .genmodel.resampler import EmpiricalResampler
-from .genmodel.wgan import NetworkParams
+
+if TYPE_CHECKING:  # the codec and the networks are imported by the functions that build them
+    from .codec import ChannelImageCodec
+    from .genmodel.nn import Mlp
+    from .genmodel.resampler import EmpiricalResampler
+    from .genmodel.wgan import NetworkParams
 
 DATASET_VERSION = 1
 CODEC_VERSION = 1
@@ -410,6 +423,8 @@ def write_codec(path, codec: ChannelImageCodec, seed=None):
 
 
 def read_codec(path) -> ChannelImageCodec:
+    from .codec import ChannelImageCodec
+
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -560,6 +575,8 @@ def _count(v) -> bool:
 
 def _read_mlp(path, name, spec, arrays) -> Mlp:
     """The network stored as name; FormatError unless its arrays have its sizes' shapes."""
+    from .genmodel.nn import Mlp
+
     sizes = spec["sizes"]
     if not (isinstance(sizes, list) and len(sizes) >= 2 and all(map(_count, sizes))):
         raise FormatError(f"{path}: {name} sizes {sizes!r} are not two or more positive integers")
@@ -578,6 +595,8 @@ def _read_mlp(path, name, spec, arrays) -> Mlp:
 
 def _read_wgan(path, meta, arrays) -> NetworkParams:
     """The networks of a WGAN-GP checkpoint, checked against each other and the matrix."""
+    from .genmodel.wgan import NetworkParams
+
     nets = {name: _read_mlp(path, name, meta["nets"][name], arrays) for name in _NET_NAMES}
     noise_dim = meta["noise_dim"]
     if meta["image_shape"] != list(MATRIX_SHAPE) or not _count(noise_dim):
@@ -601,6 +620,8 @@ def _read_wgan(path, meta, arrays) -> NetworkParams:
 
 
 def _read_resampler(path, meta, arrays) -> EmpiricalResampler:
+    from .genmodel.resampler import EmpiricalResampler
+
     matrices, conditions, k = arrays["matrices"], arrays["conditions"], meta["k"]
     if matrices.shape[1:] != MATRIX_SHAPE or conditions.shape != (len(matrices), 2):
         raise FormatError(f"{path}: resampler holds {matrices.shape} matrices and "

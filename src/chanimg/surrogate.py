@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import MAX_PATHS, LinkState, LinkTable, closed_forms, path_rules, wrap_azimuth
 from .errors import DataError, GeometryError
-from .rng import substream
+from .rng import substream, substreams
 
 __all__ = ["SurrogateConfig", "generate_dataset", "train_test_split"]
 
@@ -119,8 +119,8 @@ def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
 
     # per link, only the draws: each link's substream is read in a fixed order
     is_los, n_scattered, draws = [], [], []
-    for i, (d2, h) in enumerate(zip(dist2d.tolist(), rx_all[:, 2].tolist())):
-        rng = substream(cfg.seed, "link", i)
+    for rng, d2, h in zip(substreams(cfg.seed, "link", n=len(dist2d)),
+                          dist2d.tolist(), rx_all[:, 2].tolist()):
         los_link = rng.uniform() < _los_probability(cfg, d2, h)
         n_extra = int(rng.poisson(cfg.path_rate_base * math.exp(-d2 / cfg.path_rate_decay_m)))
         n = min(n_extra, cfg.max_paths - 1) if los_link else min(1 + n_extra, cfg.max_paths)

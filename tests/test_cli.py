@@ -324,6 +324,57 @@ def test_dataset_bytes_do_not_depend_on_usable_cpus(tmp_path):
             assert one == (d / (name + suffix)).read_bytes(), name + suffix
 
 
+# runs `python -m chanimg.cli ARGS`, then prints the chanimg modules it loaded
+STAGE_MODULES = """
+import runpy, sys
+try:
+    runpy.run_module("chanimg.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    if exc.code:
+        raise
+print(" ".join(m for m in sys.modules if m.startswith("chanimg")))
+"""
+NETWORKS = ("chanimg.genmodel.nn", "chanimg.genmodel.wgan")
+NOT_MODELS = ("chanimg.genmodel", "chanimg.stats", "chanimg.surrogate")
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["gen-data", "--links", "30", "--out", "{out}/d.jsonl"],
+     ("chanimg.codec", "chanimg.genmodel", "chanimg.stats")),
+    (["fit-codec", "--data", "{d}/data.jsonl", "--out", "{out}/c.json"], NOT_MODELS),
+    (["encode", "--data", "{d}/data.jsonl", "--codec", "{d}/codec.json",
+      "--out", "{out}/i.chim"], NOT_MODELS),
+    (["train", "--images", "{d}/images.chim", "--backend", "resampler", "--out", "{out}/r.ckpt"],
+     ("chanimg.codec", "chanimg.stats", "chanimg.surrogate", *NETWORKS)),
+    (["train", "--images", "{d}/images.chim", "--epochs", "1", "--batch-size", "64",
+      "--hidden", "8", "--noise-dim", "4", "--out", "{out}/m.ckpt"],
+     ("chanimg.codec", "chanimg.stats", "chanimg.surrogate", "chanimg.genmodel.resampler")),
+    (["sample", "--model", "{d}/resampler.ckpt", "--conditions-from", "{d}/data.jsonl",
+      "--out", "{out}/s.chim"], ("chanimg.codec", "chanimg.stats", "chanimg.surrogate",
+                                 *NETWORKS)),
+    (["sample", "--model", "{d}/model.ckpt", "--conditions-from", "{d}/data.jsonl",
+      "--out", "{out}/s.chim"], ("chanimg.codec", "chanimg.stats", "chanimg.surrogate",
+                                 "chanimg.genmodel.resampler")),
+    (["decode", "--images", "{d}/samples.chim", "--codec", "{d}/codec.json",
+      "--geometry-from", "{d}/data.jsonl", "--out", "{out}/d.jsonl"],
+     (*NOT_MODELS, "chanimg.rng")),
+    (["eval", "--model", "{d}/decoded.jsonl", "--data", "{d}/data.jsonl",
+      "--outdir", "{out}/reports"],
+     ("chanimg.codec", "chanimg.genmodel", "chanimg.surrogate", "chanimg.rng")),
+    (["report", "--data", "{d}/data.jsonl", "--codec", "{d}/codec.json",
+      "--out", "{out}/r.csv"], NOT_MODELS),
+], ids=["gen-data", "fit-codec", "encode", "train-resampler", "train-wgan", "sample-resampler",
+        "sample-wgan", "decode", "eval", "report"])
+def test_stage_loads_only_its_modules(pipeline_dir, tmp_path, argv, absent):
+    argv = [a.format(d=pipeline_dir, out=tmp_path) for a in argv]
+    out = subprocess.run([sys.executable, "-W", "error", "-c", STAGE_MODULES, "--seed", "4",
+                          *argv], env=cli_env(), check=True, timeout=300,
+                         capture_output=True, text=True).stdout
+    loaded = set(out.splitlines()[-1].split())
+    assert "chanimg.io" in loaded
+    assert not loaded & set(absent), sorted(loaded & set(absent))
+
+
 def test_failing_text_writer_is_a_file_error(tmp_path, capsys, monkeypatch):
     parent, link_lines = os.getpid(), io._link_lines
 
@@ -502,6 +553,26 @@ def test_train_rejects_images_that_are_not_64x50(tmp_path, capsys):
 def test_gen_data_unparsable_heights_is_usage_error(tmp_path, capsys):
     fails_cleanly(capsys, ["gen-data", "--heights", "a,b", "--out", str(tmp_path / "d.jsonl")],
                   EXIT_USAGE, "--heights")
+
+
+def test_negative_seed_is_usage_error(tmp_path, capsys):
+    fails_cleanly(capsys, ["--seed", "-1", "gen-data", "--links", "20",
+                           "--out", str(tmp_path / "d.jsonl")], EXIT_USAGE, "--seed")
+    assert not (tmp_path / "d.jsonl").exists()
+
+
+@pytest.mark.parametrize("seed", [2**32, 2**64 + 3])
+def test_seeds_beyond_32_bits_run(pipeline_dir, tmp_path, seed):
+    """gen-data seeds one stream per link, sample one per sample."""
+    for s in (seed, seed + 1):
+        assert run(["--seed", str(s), "gen-data", "--links", "40",
+                    "--out", str(tmp_path / f"{s}.jsonl")]) == 0
+        assert run(["--seed", str(s), "sample", "--model", str(pipeline_dir / "model.ckpt"),
+                    "--conditions-from", str(tmp_path / f"{s}.jsonl"),
+                    "--out", str(tmp_path / f"{s}.chim")]) == 0
+    for suffix in (".jsonl", ".chim"):
+        assert ((tmp_path / f"{seed}{suffix}").read_bytes()
+                != (tmp_path / f"{seed + 1}{suffix}").read_bytes())
 
 
 @pytest.mark.parametrize("flags", [["--num-tx", "0"], ["--num-tx", "-3"], ["--links", "-1"]])

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from chanimg import io
 from chanimg.errors import DataError, TrainingDivergedError
 from chanimg.genmodel import nn
 from chanimg.genmodel import (
@@ -24,6 +25,7 @@ from chanimg.genmodel.wgan import (
     NetworkParams,
     build_networks,
     critic_loss_and_grads,
+    generator_forward,
     generator_loss_and_grads,
 )
 from chanimg.rng import substream
@@ -507,6 +509,29 @@ def test_training_drops_last_partial_batch():
     assert log.steps == [1]  # 100 -> one full batch of 64, remainder dropped
 
 
+class Float64Batches(ArrayBatches):
+    """Batches made float64 first, then cast to the training dtype."""
+
+    def epoch_batches(self, order_rng, dtype):
+        for x, c in super().epoch_batches(order_rng, np.float64):
+            yield x.astype(dtype), c
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("seed", [7, 9])
+def test_batches_in_the_training_dtype_write_the_same_checkpoint(tmp_path, dtype, seed):
+    """float32 matrices cast once to the training dtype: the float64 round trip was exact."""
+    rng = np.random.default_rng(seed)
+    images = rng.uniform(-1, 1, (96, 8, 25)).astype(np.float32)
+    conds = np.column_stack([rng.uniform(10, 500, 96), rng.choice([1.6, 30.0], 96)])
+    hyper = WganGpHyperparams(hidden=(16, 16), noise_dim=8, epochs=2, batch_size=32,
+                              critic_steps_per_gen_step=2, dtype=dtype)
+    for name, batches in (("direct", ArrayBatches), ("round-trip", Float64Batches)):
+        netp, _ = train_wgan_gp(batches(images, conds, 32), hyper, seed)
+        io.write_wgan_checkpoint(tmp_path / name, netp, seed=seed)
+    assert (tmp_path / "direct").read_bytes() == (tmp_path / "round-trip").read_bytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_array_batches_rejects_nonfinite(bad):
     images, conds = toy_data(n=8)
@@ -557,6 +582,16 @@ def test_sample_per_index_stability():
     a = sample(netp, [100.0, 1.6], 3, seed=1)
     b = sample(netp, [100.0, 1.6], 10, seed=1)
     np.testing.assert_array_equal(a, b[:3])
+
+
+@pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3])
+def test_sample_noise_is_each_samples_substream(seed):
+    netp, _ = tiny_netp()
+    cond = np.column_stack([np.linspace(10.0, 400.0, 5), np.full(5, 1.6)])
+    z = np.stack([substream(seed, "sampling", i).standard_normal(netp.noise_dim)
+                  for i in range(5)])
+    want = generator_forward(netp, z, netp.normalize_conditions(cond))[0]
+    assert sample(netp, cond, 5, seed).tobytes() == want.reshape(5, 2, 2).tobytes()
 
 
 def test_sample_rejects_corrupt_params():

@@ -103,6 +103,8 @@ def reference_dataset(cfg):
     {"outage_threshold_db": 110.0},  # Outage links appear
     {"path_rate_base": 200.0},  # the 25-path cap is hit
     {"seed": 9, "num_tx": 3, "heights": (1.6, 45.0)},
+    {"seed": 2**32},  # seeds of more than one 32-bit word
+    {"seed": 2**64 + 3},
 ])
 def test_table_matches_per_link_reference(kw):
     cfg = small_config(**kw)
