@@ -211,7 +211,9 @@ def _cmd_decode(args) -> int:
     n = len(table)
     if len(matrices) % n:
         raise DataError(f"{len(matrices)} matrices do not repeat {n} geometry links")
-    decoded = codec.decode(matrices, table.take(np.arange(len(matrices)) % n))
+    if len(matrices) != n:
+        table = table.take(np.arange(len(matrices)) % n)
+    decoded = codec.decode(matrices, table)
     io.write_table(args.out, decoded, seed=args.seed)
     print(f"decoded {len(decoded)} links -> {args.out}")
     return 0
@@ -252,10 +254,12 @@ def _cmd_sample(args) -> int:
     backend, model = io.read_model_checkpoint(args.model)
     table = io.read_table(args.conditions_from)
     conds = np.tile(np.column_stack([table.dist2d, table.height]), (args.per_cond, 1))
+    # filled block by block in the CHIM payload's dtype, so no float64 copy is held
+    matrices = np.empty((len(conds), *MATRIX_SHAPE), dtype=np.float32)
     if backend == "wgan-gp":
-        matrices = _layer("wgan_sample")(model, conds, len(conds), args.seed)
+        _layer("wgan_sample")(model, conds, len(conds), args.seed, out=matrices)
     else:
-        matrices = model.sample(conds, len(conds), args.seed)
+        model.sample(conds, len(conds), args.seed, out=matrices)
     io.write_images(args.out, matrices, conds, seed=args.seed)
     print(f"sampled {len(matrices)} matrices ({args.per_cond} per condition) -> {args.out}")
     return 0
@@ -266,7 +270,11 @@ def _cmd_eval(args) -> int:
 
     model = io.read_table(args.model)
     data = io.read_table(args.data)
-    report = _layer("compare_datasets")(model, data, np.unique(data.height).tolist(),
+    # np.unique's sort and mask, without the numpy.ma modules np.unique imports
+    heights = np.sort(data.height)
+    first = np.ones(len(heights), dtype=bool)
+    np.not_equal(heights[1:], heights[:-1], out=first[1:])
+    report = _layer("compare_datasets")(model, data, heights[first].tolist(),
                                         dist_bin_width=args.dist_bin_width,
                                         angle_bin_width=args.angle_bin_width)
     outdir = args.outdir
@@ -318,8 +326,9 @@ def _cmd_report(args) -> int:
     state_ok = (decoded.state == table.state).astype(int).tolist()
     n_ok = decoded.counts == table.counts
     survivors = np.maximum(decoded.counts - table.counts, 0).tolist()
-    # per-feature max over the real paths (one block, in place), NaN where the counts differ
-    diff = decoded.paths - table.paths
+    # per-feature max over the real paths, formed in place in the decoded paths,
+    # which nothing reads after this; NaN where the counts differ
+    diff = np.subtract(decoded.paths, table.paths, out=decoded.paths)
     np.abs(diff, out=diff)
     diff[~table.valid] = -np.inf
     errs = diff.max(axis=1)

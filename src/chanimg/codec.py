@@ -91,13 +91,24 @@ class FeatureScaler:
                 raise DataError(f"degenerate feature '{FEATURES[i]}': max <= min")
         self.n_clipped = 0
 
-    def scale(self, values: np.ndarray) -> np.ndarray:
-        """Scale raw feature rows (works on (..., 8, 25) stacks)."""
+    def scale(self, values: np.ndarray, out=None) -> np.ndarray:
+        """Scale raw feature rows (works on (..., 8, 25) stacks).
+
+        The result is written into out when it is given, which may be
+        values itself (encode scales its padded matrices in place), and
+        into a new float64 array otherwise; values is then left as it is.
+        Either way the steps are subtract, x2, divide by the span, -1 and
+        clip, so the bytes do not depend on out.
+        """
         lo = self.feature_min[:, None]
         hi = self.feature_max[:, None]
-        self.n_clipped += int(np.count_nonzero((values < lo) | (values > hi)))
-        x = 2.0 * (values - lo) / (hi - lo) - 1.0
-        return np.clip(x, -1.0, 1.0)
+        # lo < hi, so no cell is counted twice
+        self.n_clipped += int(np.count_nonzero(values < lo)) + int(np.count_nonzero(values > hi))
+        x = np.subtract(values, lo, out=out)
+        x *= 2.0
+        x /= hi - lo
+        x -= 1.0
+        return np.clip(x, -1.0, 1.0, out=x)
 
     def unscale(self, x: np.ndarray) -> np.ndarray:
         self.n_clipped += int(np.count_nonzero((x < -1.0) | (x > 1.0)))
@@ -177,8 +188,8 @@ class ChannelImageCodec:
         if low.size:
             raise DataError(f"link {low[0]}: receiver height {table.height[low[0]]} "
                             "is not positive")
-        matrices = self.scaler.scale(_prescale(table, self.virtual_ranges, self.eps, rng))
-        return matrices, np.column_stack([table.dist2d, table.height])
+        values = _prescale(table, self.virtual_ranges, self.eps, rng)
+        return self.scaler.scale(values, out=values), np.column_stack([table.dist2d, table.height])
 
     # -- decode ------------------------------------------------------------
 
@@ -207,14 +218,17 @@ class ChannelImageCodec:
             raise DataError("decode needs one geometry row per matrix")
         if not len(matrices):
             raise DataError("empty link dataset")
-        blocks = [self._decode_block(matrices[start:start + DECODE_CHUNK],
-                                     table.take(slice(start, start + DECODE_CHUNK)), start)
-                  for start in range(0, len(matrices), DECODE_CHUNK)]
-        paths, counts, state = (np.concatenate(parts) for parts in zip(*blocks))
+        n = len(matrices)
+        paths = np.empty((n, MAX_PATHS, PS + 1))
+        counts, state = np.empty(n, dtype=np.intp), np.empty(n, dtype=object)
+        for start in range(0, n, DECODE_CHUNK):
+            block = slice(start, start + DECODE_CHUNK)
+            self._decode_block(matrices[block], table.take(block), start,
+                               paths[block], counts[block], state[block])
         return dataclasses.replace(table, paths=paths, counts=counts, state=state)
 
-    def _decode_block(self, matrices, geo: LinkTable, start: int):
-        """(paths (m, 25, 7), counts (m,), states (m,)) of one block."""
+    def _decode_block(self, matrices, geo: LinkTable, start: int, paths, counts, state):
+        """Decode one block into its rows of paths (m, 25, 7), counts (m,) and state (m,)."""
         matrices = np.asarray(matrices, dtype=np.float64)
         if not np.all(np.isfinite(matrices)):
             raise FormatError("channel matrix contains non-finite values")
@@ -246,12 +260,13 @@ class ChannelImageCodec:
         # possible delay after flooring) in first position; dropped columns
         # sort last, past the per-link count, and are zeroed
         order = np.argsort(np.where(keep, values[:, DLY], np.inf), axis=-1, kind="stable")
-        paths = np.take_along_axis(values[:, :PS + 1], order[:, None, :], axis=-1)
-        paths = paths.transpose(0, 2, 1)  # (m, 25, 7) path rows
-        counts = np.count_nonzero(keep, axis=-1)
+        # (m, 7, 25) sorted features, stored as (m, 25, 7) path rows
+        paths[...] = np.take_along_axis(values[:, :PS + 1], order[:, None, :],
+                                        axis=-1).transpose(0, 2, 1)
+        counts[...] = np.count_nonzero(keep, axis=-1)
         paths[np.arange(MAX_PATHS) >= counts[:, None]] = 0.0
-        state = np.where(is_los, LinkState.LOS, LinkState.NLOS)
-        return paths, counts, np.where(counts == 0, LinkState.OUTAGE, state)
+        state[...] = np.where(counts == 0, LinkState.OUTAGE,
+                              np.where(is_los, LinkState.LOS, LinkState.NLOS))
 
     # -- persistence --------------------------------------------------------
 

@@ -14,7 +14,7 @@ from ..rng import substream
 
 __all__ = ["EmpiricalResampler"]
 
-QUERY_CHUNK = 256  # queries per distance block; bounds the (chunk, N) work arrays
+QUERY_CHUNK = 32  # queries per distance block; bounds the (chunk, N) work arrays
 
 
 class EmpiricalResampler:
@@ -42,15 +42,15 @@ class EmpiricalResampler:
         self._nx = np.ascontiguousarray(norm[:, 0])
         self._ny = np.ascontiguousarray(norm[:, 1])
 
-    def _nearest(self, queries) -> np.ndarray:
-        """(m, k) indices of the k nearest stored conditions per query row.
+    def _nearest_blocks(self, queries):
+        """Yield (start, (c, k) indices of the k nearest stored conditions) per query block.
 
-        Neighbours are ordered by (squared normalized distance, index), the
-        order of a full lexsort, so ties resolve deterministically.  The
-        (chunk, N) blocks are allocated once: no short-lived ones to place.
+        Blocks hold QUERY_CHUNK query rows, the last one fewer.  Neighbours
+        are ordered by (squared normalized distance, index), the order of a
+        full lexsort, so ties resolve deterministically.  The (chunk, N)
+        work arrays are allocated once, for every block.
         """
         q = (queries - self.cond_min) / self._span
-        out = np.empty((len(q), self.k), dtype=np.intp)
         d2 = np.empty((min(len(q), QUERY_CHUNK), len(self._nx)))
         work, far = np.empty_like(d2), np.empty(d2.shape, dtype=bool)
         for start in range(0, len(q), QUERY_CHUNK):
@@ -68,25 +68,36 @@ class EmpiricalResampler:
             rows, cols = np.divmod(flat, dd.shape[1])
             order = np.lexsort((dd.ravel()[flat], rows))  # stable: ties keep index order
             first = np.searchsorted(rows, np.arange(c))
-            out[start:start + c] = cols[order[first[:, None] + np.arange(self.k)]]
-        return out
+            yield start, cols[order[first[:, None] + np.arange(self.k)]]
 
-    def sample(self, cond, n: int, seed: int) -> np.ndarray:
+    def sample(self, cond, n: int, seed: int, out=None) -> np.ndarray:
         """n stored matrices resampled near the condition(s).
 
         cond is one (dist2d, height) pair, or an (n, 2) array pairing one
-        condition per output matrix.
+        condition per output matrix.  The picks are gathered QUERY_CHUNK at
+        a time.  out, when given, is an (n, *matrix shape) array that
+        receives each block, cast to out's dtype (the CLI passes float32,
+        the CHIM payload's), and is returned; otherwise the matrices are
+        returned as a new array of the stored matrices' dtype.
         """
+        shape = (n, *self.matrices.shape[1:])
+        if out is None:
+            out = np.empty(shape, dtype=self.matrices.dtype)
+        elif out.shape != shape:
+            raise DataError(f"sample fills an array of shape {shape}, got {out.shape}")
         if n == 0:
-            return self.matrices[:0].copy()
+            return out
         cond = np.asarray(cond, dtype=np.float64)
-        rng = substream(seed, "resampler")
+        if cond.ndim != 1 and cond.shape != (n, 2):
+            raise DataError("cond must be one pair or an (n, 2) array")
+        draws = substream(seed, "resampler").integers(self.k, size=n)
         if cond.ndim == 1:
-            nb = self._nearest(cond[None, :])
-            picks = nb[0, rng.integers(self.k, size=n)]
+            _, nb = next(self._nearest_blocks(cond[None, :]))
+            picks = nb[0, draws]
+            for start in range(0, n, QUERY_CHUNK):
+                out[start:start + QUERY_CHUNK] = self.matrices[picks[start:start + QUERY_CHUNK]]
         else:
-            if cond.shape != (n, 2):
-                raise DataError("cond must be one pair or an (n, 2) array")
-            nb = self._nearest(cond)
-            picks = nb[np.arange(n), rng.integers(self.k, size=n)]
-        return self.matrices[picks]  # fancy indexing already copies
+            for start, nb in self._nearest_blocks(cond):
+                c = len(nb)
+                out[start:start + c] = self.matrices[nb[np.arange(c), draws[start:start + c]]]
+        return out

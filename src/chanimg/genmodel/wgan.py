@@ -46,6 +46,9 @@ __all__ = [
     "sample",
 ]
 
+SAMPLE_CHUNK = 256  # samples per generator forward in sample; bounds its working memory
+
+
 @dataclass
 class WganGpHyperparams:
     """Training knobs; defaults follow the reported recipe.
@@ -456,16 +459,26 @@ def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
     return netp, log
 
 
-def sample(netp: NetworkParams, cond, n: int, seed: int) -> np.ndarray:
+def sample(netp: NetworkParams, cond, n: int, seed: int, out=None) -> np.ndarray:
     """n channel matrices under the given condition(s), in [-1, 1].
 
     cond is one (dist2d, height) pair applied to every sample, or an (n, 2)
     array pairing one condition per sample.  Sample i depends only on
     (seed, i) and its condition, so subsets are stable.
+
+    The generator runs on SAMPLE_CHUNK samples at a time.  out, when given,
+    is an (n, *image_shape) array that receives each block as it is made,
+    cast to out's dtype (the CLI passes float32, the CHIM payload's), and
+    is returned; otherwise the samples are returned as a new float64 array.
     """
     netp.check_finite()
+    shape = (n, *netp.image_shape)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise DataError(f"sample fills an array of shape {shape}, got {out.shape}")
     if n == 0:
-        return np.zeros((0, *netp.image_shape))
+        return out
     cond = np.asarray(cond, dtype=np.float64)
     if cond.ndim == 1:
         cond = np.broadcast_to(cond, (n, 2))
@@ -474,14 +487,15 @@ def sample(netp: NetworkParams, cond, n: int, seed: int) -> np.ndarray:
     dt = netp.generator.dtype
     c = netp.normalize_conditions(cond).astype(dt)
 
-    z = np.empty((n, netp.noise_dim))
-    for z_i, rng in zip(z, substreams(seed, "sampling", n=n)):
-        rng.standard_normal(out=z_i)
-    z = z.astype(dt, copy=False)
-    out = np.empty((n, *netp.image_shape))
-    for start in range(0, n, 1024):
-        stop = min(start + 1024, n)
-        # drop the forward caches now: held into the next chunk, they double the peak
-        y = generator_forward(netp, z[start:stop], c[start:stop])[0]
+    noise = substreams(seed, "sampling", n=n)
+    z = np.empty((min(n, SAMPLE_CHUNK), netp.noise_dim))
+    scratch = Scratch()
+    for start in range(0, n, SAMPLE_CHUNK):
+        stop = min(start + SAMPLE_CHUNK, n)
+        zz = z[:stop - start]
+        for z_i, rng in zip(zz, noise):  # zz first: no stream is drawn past the block
+            rng.standard_normal(out=z_i)
+        scratch.reset()
+        y = generator_forward(netp, zz.astype(dt, copy=False), c[start:stop], scratch)[0]
         out[start:stop] = y.reshape(stop - start, *netp.image_shape)
     return out

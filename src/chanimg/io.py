@@ -112,6 +112,7 @@ _TEXT_PART = 512  # links per text process at least
 _LTAB = struct.Struct("<4sI32s32s2Q")
 _STATES = np.array(list(LinkState), dtype=object)  # the sidecar's state codes
 _STATE_CODES = {state: code for code, state in enumerate(_STATES)}
+_LTAB_LINKS = 512  # links per hashed and written block of sidecar path rows
 
 
 def _ltab_path(path) -> Path:
@@ -334,22 +335,28 @@ def _broken_rule(paths, counts, state, ends):
 
 
 def _write_ltab(path, text_digest: bytes, table: LinkTable):
-    """Write the sidecar of the dataset at path, whose bytes hash to text_digest."""
+    """Write the sidecar of the dataset at path, whose bytes hash to text_digest.
+
+    The payload is hashed as it is written, the path rows _LTAB_LINKS links
+    at a time, so no copy of all of them is made; the header, which holds
+    the payload digest, then replaces its placeholder.
+    """
     n, p = len(table), int(table.counts.sum())
-    payload = _ltab_payload(n, p)
-    ends = np.column_stack([table.tx, table.rx, table.carrier_freq])
-    for column, values in zip(payload, (table.counts, [_STATE_CODES[s] for s in table.state],
-                                        ends, table.paths[table.valid])):
-        column[...] = values
+    links = (table.counts.astype("<i8", copy=False),
+             np.array([_STATE_CODES[s] for s in table.state], dtype="u1"),
+             np.column_stack([table.tx, table.rx, table.carrier_freq]).astype("<f8", copy=False))
+    blocks = (table.take(slice(lo, lo + _LTAB_LINKS)) for lo in range(0, n, _LTAB_LINKS))
+    rows = (np.ascontiguousarray(b.paths[b.valid], dtype="<f8") for b in blocks)
     digest = hashlib.sha256()
-    for column in payload:
-        digest.update(column)
     side = _ltab_path(path)
     tmp = side.with_name(side.name + ".tmp")
     with tmp.open("wb") as fh:
-        fh.write(_LTAB.pack(LTAB_MAGIC, LTAB_VERSION, text_digest, digest.digest(), n, p))
-        for column in payload:
+        fh.write(bytes(_LTAB.size))
+        for column in chain(links, rows):
+            digest.update(column)
             fh.write(column)
+        fh.seek(0)
+        fh.write(_LTAB.pack(LTAB_MAGIC, LTAB_VERSION, text_digest, digest.digest(), n, p))
     os.replace(tmp, side)
 
 
@@ -504,38 +511,48 @@ def _write_checkpoint(path, meta: dict, arrays: dict):
 
 
 def _read_checkpoint(path):
+    """(meta, {name: float64 array}) of a WGPC file.
+
+    The arrays are read straight into place, as read_images does, after
+    the header has sized each one against the file.
+    """
     path = Path(path)
-    raw = path.read_bytes()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"{path}: not a checkpoint file")
-    if len(raw) < 4 + 8:
-        raise FormatError(f"{path}: truncated checkpoint header")
-    version, header_len = struct.unpack_from("<2I", raw, 4)
-    _require_version("checkpoint", version, CHECKPOINT_VERSION)
-    offset = 4 + 8
-    try:
-        doc = json.loads(raw[offset:offset + header_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from exc
-    offset += header_len
-    if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
-            and isinstance(doc.get("entries"), list)):
-        raise FormatError(f"{path}: checkpoint header lacks a 'meta' object or 'entries' list")
-    arrays = {}
-    for entry in doc["entries"]:
-        shape = entry.get("shape") if isinstance(entry, dict) else None
-        if not (isinstance(shape, list) and isinstance(entry.get("name"), str)
-                and all(isinstance(d, int) and d >= 0 for d in shape)):
-            raise FormatError(f"{path}: bad checkpoint entry {entry!r}")
-        name, shape = entry["name"], tuple(shape)
-        n = math.prod(shape)
-        if offset + 8 * n > len(raw):
-            raise FormatError(f"{path}: truncated checkpoint payload")
-        arrays[name] = np.frombuffer(
-            raw, dtype="<f8", count=n, offset=offset).reshape(shape).copy()
-        offset += 8 * n
-    if offset != len(raw):
-        raise FormatError(f"{path}: {len(raw) - offset} bytes follow the checkpoint payload")
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(4 + 8)
+        if head[:4] != CHECKPOINT_MAGIC:
+            raise FormatError(f"{path}: not a checkpoint file")
+        if len(head) < 4 + 8:
+            raise FormatError(f"{path}: truncated checkpoint header")
+        version, header_len = struct.unpack_from("<2I", head, 4)
+        _require_version("checkpoint", version, CHECKPOINT_VERSION)
+        offset = len(head)
+        try:  # a header_len past the end reads what there is
+            doc = json.loads(fh.read(min(header_len, size - offset)).decode())
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from exc
+        offset += header_len
+        if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
+                and isinstance(doc.get("entries"), list)):
+            raise FormatError(f"{path}: checkpoint header lacks a 'meta' object "
+                              "or 'entries' list")
+        arrays = {}
+        for entry in doc["entries"]:
+            shape = entry.get("shape") if isinstance(entry, dict) else None
+            if not (isinstance(shape, list) and isinstance(entry.get("name"), str)
+                    and all(type(d) is int and d >= 0 for d in shape)):  # no bool
+                raise FormatError(f"{path}: bad checkpoint entry {entry!r}")
+            n = math.prod(shape)
+            # sized from the header before anything is allocated
+            if offset + 8 * n > size:
+                raise FormatError(f"{path}: truncated checkpoint payload")
+            array = np.empty(shape, dtype="<f8")
+            if fh.readinto(array) != array.nbytes:
+                raise FormatError(f"{path}: truncated checkpoint payload")
+            arrays[entry["name"]] = array
+            offset += 8 * n
+    if offset != size:
+        raise FormatError(f"{path}: {size - offset} bytes follow the checkpoint payload")
     return doc["meta"], arrays
 
 

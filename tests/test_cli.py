@@ -332,7 +332,7 @@ try:
 except SystemExit as exc:
     if exc.code:
         raise
-print(" ".join(m for m in sys.modules if m.startswith("chanimg")))
+print(" ".join(m for m in sys.modules if m.startswith(("chanimg", "numpy.ma"))))
 """
 NETWORKS = ("chanimg.genmodel.nn", "chanimg.genmodel.wgan")
 NOT_MODELS = ("chanimg.genmodel", "chanimg.stats", "chanimg.surrogate")
@@ -372,7 +372,8 @@ def test_stage_loads_only_its_modules(pipeline_dir, tmp_path, argv, absent):
                          capture_output=True, text=True).stdout
     loaded = set(out.splitlines()[-1].split())
     assert "chanimg.io" in loaded
-    assert not loaded & set(absent), sorted(loaded & set(absent))
+    # numpy.ma costs 9-17 ms of imports, and np.unique would load it
+    assert not loaded & {*absent, "numpy.ma"}, sorted(loaded & {*absent, "numpy.ma"})
 
 
 def test_failing_text_writer_is_a_file_error(tmp_path, capsys, monkeypatch):
@@ -405,6 +406,9 @@ def test_eval_runs_warning_free(pipeline_dir, tmp_path):
             (d / "reports" / name).read_bytes()
 
 
+BOOL_SHAPE = json.dumps({"meta": {}, "entries": [{"name": "x", "shape": [True]}]}).encode()
+
+
 @pytest.mark.parametrize("header", [
     {"entries": []}, {"meta": {"backend": "resampler"}}, [],
     {"meta": {}, "entries": [{"name": "x"}]},
@@ -413,6 +417,9 @@ def test_eval_runs_warning_free(pipeline_dir, tmp_path):
     pytest.param(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, 4) + b"\xff{}\xfe",
                  id="header-not-utf8"),
     pytest.param({"meta": {}, "entries": [{"name": "x", "shape": "ab"}]}, id="shape-str"),
+    # a shape of [true], with the one number it would size
+    pytest.param(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, len(BOOL_SHAPE))
+                 + BOOL_SHAPE + bytes(8), id="shape-bool"),
     pytest.param({"meta": {}, "entries": 5}, id="entries-not-list"),
     pytest.param({"meta": {}, "entries": [5]}, id="entry-not-object"),
     pytest.param({"meta": [], "entries": []}, id="meta-list"),
@@ -484,6 +491,26 @@ def test_encode_realizations_are_consecutive_encode_calls(tmp_path):
     assert matrices.shape == (80, 8, 25)
     np.testing.assert_array_equal(matrices, np.concatenate([a, b]).astype(np.float32))
     np.testing.assert_array_equal(got_conds, np.concatenate([conds, conds]))
+
+
+def test_decode_pairs_matrix_i_with_link_i_mod_n(pipeline_dir, tmp_path):
+    d = pipeline_dir
+    samples, decoded = tmp_path / "s.chim", tmp_path / "d.jsonl"
+    assert run(["--seed", "6", "sample", "--model", str(d / "model.ckpt"), "--per-cond", "2",
+                "--conditions-from", str(d / "data.jsonl"), "--out", str(samples)]) == 0
+    assert run(["decode", "--images", str(samples), "--codec", str(d / "codec.json"),
+                "--geometry-from", str(d / "data.jsonl"), "--out", str(decoded)]) == 0
+    table, codec, got = (io.read_table(d / "data.jsonl"), io.read_codec(d / "codec.json"),
+                         io.read_table(decoded))
+    matrices, _ = io.read_images(samples)
+    n = len(table)
+    for half in (slice(0, n), slice(n, 2 * n)):
+        want = codec.decode(matrices[half], table)
+        part = got.take(half)
+        assert part.paths.tobytes() == want.paths.tobytes()
+        assert part.counts.tolist() == want.counts.tolist()
+        assert part.state.tolist() == want.state.tolist()
+        assert part.tx.tobytes() == table.tx.tobytes()
 
 
 def fails_cleanly(capsys, argv, code, *fragments):
@@ -936,6 +963,34 @@ def test_checkpoint_header_contradicting_arrays_is_format_error(model_base, tmp_
     assert os.listdir(tmp_path) == ["bad.ckpt"]
 
 
+def grow_first_entry(raw):
+    header, payload = checkpoint_parts(raw)
+    header["entries"][0]["shape"][0] += 1
+    return checkpoint_bytes(header, payload)
+
+
+def header_past_the_end(raw):
+    return raw[:8] + struct.pack("<I", len(raw)) + raw[12:]
+
+
+@pytest.mark.parametrize("name, damage, fragment", [
+    ("res", lambda raw: raw[:-8], "truncated checkpoint payload"),
+    ("model", lambda raw: raw[:-1], "truncated checkpoint payload"),
+    ("res", grow_first_entry, "truncated checkpoint payload"),
+    ("res", lambda raw: raw + bytes(8), "8 bytes follow the checkpoint payload"),
+    ("model", lambda raw: raw + b"\xff", "1 bytes follow the checkpoint payload"),
+    ("res", header_past_the_end, "corrupt checkpoint header"),
+], ids=["cut-one-number", "cut-one-byte", "header-says-more", "eight-trailing-bytes",
+        "one-trailing-byte", "header-past-the-end"])
+def test_checkpoint_payload_must_fill_the_file(model_base, tmp_path, capsys, name, damage,
+                                               fragment):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(damage((model_base / f"{name}.ckpt").read_bytes()))
+    fails_cleanly(capsys, *sample_stage(model_base, bad, tmp_path), EXIT_BAD_FILE,
+                  f"{bad}: {fragment}")
+    assert os.listdir(tmp_path) == ["bad.ckpt"]
+
+
 CKPT_JUNK = st.sampled_from(["x", None, [], {"x": 1}, 2.5, -1, 0, True])
 NET_KEYS = ("gen_embed", "generator", "critic_embed", "critic")
 
@@ -1004,3 +1059,115 @@ def test_fuzzed_checkpoints_fail_cleanly(model_base, data):
         bad = Path(tmp) / "bad.ckpt"
         bad.write_bytes(data.draw(mutated_checkpoint(raw), label="mutated"))
         fails_without_output(sample_stage(model_base, bad, tmp), bad)
+
+
+# -- channel matrix files ------------------------------------------------------------
+
+
+@st.composite
+def damaged_images(draw, raw):
+    """CHIM bytes cut, extended, with a header byte changed, a header count
+    rewritten or a matrix cell made non-finite: each is a file no stage may read."""
+    kind = draw(st.sampled_from(["truncate", "extend", "flip", "count", "nonfinite"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "extend":
+        return raw + draw(st.binary(min_size=1, max_size=16))
+    if kind == "flip":  # magic, version, count, rows or cols
+        raw = bytearray(raw)
+        raw[draw(st.integers(0, 19))] ^= draw(st.integers(1, 255))
+        return bytes(raw)
+    count, rows, cols = struct.unpack_from("<3I", raw, 8)
+    if kind == "count":
+        at = draw(st.sampled_from([8, 12, 16]))
+        old = struct.unpack_from("<I", raw, at)[0]
+        value = draw(st.one_of(st.sampled_from([0, 1, old - 1, old + 1, 2**32 - 1]),
+                               st.integers(0, 2**32 - 1)).filter(lambda v: v != old))
+        return raw[:at] + struct.pack("<I", value) + raw[at + 4:]
+    at = 20 + 4 * draw(st.integers(0, count * rows * cols - 1))
+    value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return raw[:at] + struct.pack("<f", value) + raw[at + 4:]
+
+
+# a fixed example set, so the suite's outcome does not vary between runs
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_images_fail_cleanly(model_base, data):
+    raw = (model_base / "images.chim").read_bytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / "bad.chim"
+        bad.write_bytes(data.draw(damaged_images(raw), label="damaged"))
+        fails_without_output(
+            [["decode", "--images", str(bad), "--codec", str(model_base / "codec.json"),
+              "--geometry-from", str(model_base / "good.jsonl"), "--out", f"{tmp}/d.jsonl"],
+             ["train", "--images", str(bad), "--backend", "resampler", "--out",
+              f"{tmp}/r.ckpt"]], bad)
+
+
+# -- stage memory --------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def large_pipeline(tmp_path_factory):
+    """5,000 links with their codec, matrices, a resampler and a default-size WGAN-GP."""
+    from chanimg.genmodel import WganGpHyperparams
+    from chanimg.genmodel.wgan import build_networks
+
+    d = tmp_path_factory.mktemp("large")
+    for argv in (["gen-data", "--links", "5000", "--out", d / "data.jsonl"],
+                 ["fit-codec", "--data", d / "data.jsonl", "--out", d / "codec.json"],
+                 ["encode", "--data", d / "data.jsonl", "--codec", d / "codec.json",
+                  "--out", d / "images.chim"],
+                 ["train", "--images", d / "images.chim", "--backend", "resampler",
+                  "--out", d / "res.ckpt"]):
+        assert run(["--seed", "7", *map(str, argv)]) == 0
+    _, conds = io.read_images(d / "images.chim")
+    netp = build_networks(WganGpHyperparams(), conds.min(axis=0), conds.max(axis=0),
+                          substream(7, "init"))
+    io.write_wgan_checkpoint(d / "wgan.ckpt", netp)
+    return d
+
+
+# A child's ru_maxrss starts at the RSS of the process it was forked from,
+# so each stage is started by a small Python process that reports it.
+PEAK_RSS = """
+import os, sys
+pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+_, status, usage = os.wait4(pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def peak_rss_mb(argv):
+    """ru_maxrss in MB of a `python argv` process that succeeds."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_RSS, *argv], capture_output=True,
+                          text=True, timeout=300, env=dict(cli_env(), OPENBLAS_NUM_THREADS="1"))
+    code, kb = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0, proc.stderr
+    return kb / 1024
+
+
+@pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn")
+def test_read_side_stages_hold_no_full_size_copy(large_pipeline, tmp_path):
+    # peak RSS above a bare `import numpy` process, in MB, measured on a
+    # 2-core Linux host with numpy 2.4: sample 31.0 (resampler) and 28.8
+    # (WGAN-GP), decode 29.3 and report 35.9; each bound adds 3 MB.  The
+    # same stages read 49.8, 51.1, 42.8 and 42.2 while they held float64
+    # samples, (256, N) distance blocks, 1,024-row forwards, a list of
+    # decode blocks and a copy of every sidecar path row
+    d, out = large_pipeline, tmp_path
+    bounds = {"sample-resampler": 34.0, "sample-wgan": 32.0, "decode": 32.5, "report": 39.0}
+    stages = {
+        "sample-resampler": ["sample", "--model", d / "res.ckpt", "--conditions-from",
+                             d / "data.jsonl", "--out", out / "s_res.chim"],
+        "sample-wgan": ["sample", "--model", d / "wgan.ckpt", "--conditions-from",
+                        d / "data.jsonl", "--out", out / "s_wgan.chim"],
+        "decode": ["decode", "--images", out / "s_wgan.chim", "--codec", d / "codec.json",
+                   "--geometry-from", d / "data.jsonl", "--out", out / "decoded.jsonl"],
+        "report": ["report", "--data", d / "data.jsonl", "--codec", d / "codec.json",
+                   "--out", out / "roundtrip.csv"],
+    }
+    base = peak_rss_mb(["-c", "import numpy"])
+    above = {stage: peak_rss_mb(["-m", "chanimg.cli", "--seed", "8", *map(str, argv)]) - base
+             for stage, argv in stages.items()}
+    assert all(above[stage] < bound for stage, bound in bounds.items()), above

@@ -211,6 +211,49 @@ def test_damaged_sidecar_reads_as_the_parse(written, table, tmp_path, damage):
     assert (sorted(os.listdir(tmp_path)), side.read_bytes()) == before  # read_table never writes
 
 
+@st.composite
+def damaged_sidecar(draw, raw):
+    """Sidecar bytes cut, extended, with one byte changed or with N and P rewritten."""
+    kind = draw(st.sampled_from(["truncate", "extend", "flip", "counts"]))
+    if kind == "truncate":
+        return raw[:draw(st.integers(0, len(raw) - 1))]
+    if kind == "extend":
+        return raw + draw(st.binary(min_size=1, max_size=16))
+    if kind == "flip":
+        raw = bytearray(raw)
+        raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
+        return bytes(raw)
+    n, p = struct.unpack_from("<2Q", raw, 72)
+    shift = draw(st.integers(-3, 3).filter(bool))
+    counts = draw(st.sampled_from([
+        (n + 56 * shift, p - 65 * shift),  # the same payload size, split otherwise
+        (n + shift, p), (n, p + shift), (draw(st.integers(0, 2**64 - 1)), p),
+        (n, draw(st.integers(0, 2**64 - 1)))]))
+    if counts == (n, p) or min(counts) < 0:
+        counts = (n + 1, p)
+    return raw[:72] + struct.pack("<2Q", *counts) + raw[88:]
+
+
+@pytest.fixture(scope="module")
+def sidecar_base(tmp_path_factory, table):
+    p = tmp_path_factory.mktemp("ltab-fuzz") / "data.jsonl"
+    io.write_table(p, table, seed=7)
+    return p
+
+
+# a fixed example set, so the suite's outcome does not vary between runs
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_sidecars_read_as_the_parse(sidecar_base, table, data):
+    side = Path(f"{sidecar_base}{io.LTAB_SUFFIX}")
+    good = side.read_bytes()
+    try:
+        side.write_bytes(data.draw(damaged_sidecar(good), label="sidecar"))
+        assert outcome(sidecar_base) == parsed(sidecar_base) == columns(table)
+    finally:
+        side.write_bytes(good)
+
+
 def edit_digit(text):
     """The carrier of the first link, 12 GHz, read as 22 GHz."""
     return text.replace('"carrier_freq": 12', '"carrier_freq": 22', 1)
@@ -297,6 +340,27 @@ def test_sidecar_and_parse_give_the_written_columns(tmp_path_factory, table):
     assert outcome(p) == parsed(p) == columns(table)
 
 
+def traced_peak(fn):
+    """Bytes fn allocates above what was held when it started, at the most (tracemalloc)."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_sidecar_of_5000_links_is_written_in_blocks(tmp_path):
+    # measured: 0.71 MB, the (N, 7) link rows and one block of path rows;
+    # gathering every path row and copying it into the payload took 4.8 MB
+    table = generate_dataset(SurrogateConfig(num_tx=10, num_rx_per_height=100, seed=7))
+    assert len(table) == 5000
+    peak = traced_peak(lambda: io._write_ltab(tmp_path / "t.jsonl", bytes(32), table))
+    assert peak < 56 * len(table) + 2**20
+
+
 # -- the split text writer ---------------------------------------------------------
 
 
@@ -322,6 +386,26 @@ def test_split_text_is_the_same_bytes(tmp_path, name):
     cuts = [b for w in (2, 3) for b in io._part_bounds(table.counts, w)[1:-1].tolist()]
     assert any(table.counts[b] == 0 or table.counts[b - 1] == 0
                for b in cuts if 0 < b < len(table))
+
+
+@pytest.mark.parametrize("name", ["small", "blocks"])
+def test_sidecar_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, name):
+    table = split_table(name)
+    sides = []
+    for links in (1, 7, io._LTAB_LINKS, 10**6):
+        monkeypatch.setattr(io, "_LTAB_LINKS", links)
+        p = tmp_path / f"{links}.jsonl"
+        io.write_table(p, table)
+        sides.append(Path(f"{p}{io.LTAB_SUFFIX}").read_bytes())
+    assert sides[1:] == sides[:-1]
+    n, p = len(table), int(table.counts.sum())
+    want = (table.counts.astype("<i8").tobytes()
+            + bytes(list(LinkState).index(s) for s in table.state)  # LOS, NLOS, Outage
+            + np.column_stack([table.tx, table.rx, table.carrier_freq]).tobytes()
+            + table.paths[table.valid].tobytes())
+    assert sides[0][88:] == want
+    assert sides[0][40:72] == hashlib.sha256(want).digest()
+    assert struct.unpack_from("<2Q", sides[0], 72) == (n, p)
 
 
 def test_part_bounds_balance_lines_and_paths():
@@ -516,6 +600,21 @@ def test_resampler_checkpoint_roundtrip(tmp_path):
     out_a = model.sample([100.0, 30.0], 5, seed=9)
     out_b = back.sample([100.0, 30.0], 5, seed=9)
     np.testing.assert_array_equal(out_a, out_b)
+
+
+def test_checkpoint_arrays_are_read_in_place(tmp_path):
+    # an 8 MB resampler: the arrays and the header, not the file's bytes as
+    # well (reading the bytes and copying the arrays out took 15.4 MB)
+    rng = np.random.default_rng(5)
+    model = EmpiricalResampler(rng.uniform(-1, 1, (5000, 8, 25)),
+                               rng.uniform(1, 400, (5000, 2)))
+    p = tmp_path / "res.ckpt"
+    io.write_resampler_checkpoint(p, model)
+    assert p.stat().st_size > 8e6
+    assert traced_peak(lambda: io._read_checkpoint(p)) < p.stat().st_size + 2**20
+    _, back = io.read_model_checkpoint(p)
+    assert back.matrices.tobytes() == model.matrices.tobytes()
+    assert back.conditions.tobytes() == model.conditions.tobytes()
 
 
 def test_checkpoint_rejects_future_version(tmp_path):
