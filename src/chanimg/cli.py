@@ -19,6 +19,7 @@ only those: gen-data loads no codec, networks or statistics.
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -212,7 +213,8 @@ def _cmd_decode(args) -> int:
     if len(matrices) % n:
         raise DataError(f"{len(matrices)} matrices do not repeat {n} geometry links")
     if len(matrices) != n:
-        table = table.take(np.arange(len(matrices)) % n)
+        # decode replaces the paths, so only the geometry is repeated
+        table = replace(table, paths=table.paths[:, :0]).take(np.arange(len(matrices)) % n)
     decoded = codec.decode(matrices, table)
     io.write_table(args.out, decoded, seed=args.seed)
     print(f"decoded {len(decoded)} links -> {args.out}")
@@ -224,7 +226,7 @@ def _cmd_train(args) -> int:
     if args.backend == "resampler":
         from .genmodel.resampler import EmpiricalResampler
 
-        model = EmpiricalResampler(matrices.astype(np.float64), conds, k=args.k)
+        model = EmpiricalResampler(matrices, conds, k=args.k)
         io.write_resampler_checkpoint(args.out, model, seed=args.seed)
         print(f"stored resampler over {len(matrices)} matrices -> {args.out}")
         return 0

@@ -2,34 +2,37 @@
 
 Every format carries a major version; readers reject unknown majors.
 
+  - container:  the layout of the binary formats: the 4-byte magic, a u32
+                version, a u32 JSON header length and the SHA-256 of every
+                later byte; the JSON header {"meta": {...}, "entries":
+                [{"name", "dtype", "shape"}, ...]}; then the arrays in entry
+                order, C-ordered and little-endian, each <f4, <f8, <i8 or
+                |u1.  Written to a temporary name, then renamed into place.
   - dataset:    JSON Lines, one link per line, '#'-comment header with
                 version, units and the generating seed.  The text is
                 formatted by up to one process per usable CPU, and the
                 bytes are the same for any count.  write_table also
-                writes the binary sidecar X.jsonl.ltab beside X.jsonl:
-                "LTAB", u32 version, the SHA-256 of the JSONL bytes as
-                written, the SHA-256 of the payload, u64 links N and paths
-                P, then the payload: N int64 path counts, N uint8 state
-                codes (LOS, NLOS, Outage), (N, 7) float64 tx/rx/carrier rows
-                and (P, 7) float64 path rows, little-endian.  read_table
-                takes the columns from it only when it is whole (magic,
-                version, size, payload digest) and the JSONL's current
-                bytes hash to its text digest, and the columns then keep
-                every rule; otherwise it parses the text.  The JSONL is
-                the record: a sidecar is safe to delete, and read_table
-                never writes one.
+                writes the sidecar X.jsonl.ltab, an "LTAB" v2 container:
+                meta seed and text_sha256 (of the JSONL bytes as written);
+                entries counts (N,) <i8, codes (N,) |u1 (LOS, NLOS,
+                Outage), ends (N, 7) <f8 tx/rx/carrier and paths (P, 7)
+                <f8.  read_table takes the columns from it only when it
+                reads whole, matches the JSONL's current bytes and keeps
+                every rule; otherwise it parses the text.  The JSONL is the
+                record: a sidecar is safe to delete, and read_table never
+                writes one.
   - codec:      JSON bundle of virtual-path ranges and scaler parameters;
                 each range list holds 8 finite numbers and epsilon lies in
                 (0, 1)
-  - images:     binary "CHIM" v2: magic, u32 version/count/rows/cols, float32
-                8x25 channel matrices, then one float64 (dist2d, height) pair
-                per matrix.  Matrix i of a file derived from a dataset pairs
-                with link i % n_links (realizations/samples are stored as
-                repeated blocks of the full dataset).
-  - checkpoint: binary "WGPC" v3: magic, u32 version, u32 header length, JSON
-                header (metadata + named array table), float64 payload.  The
-                header's network sizes, noise_dim and image_shape must agree
-                with the arrays and map to one 8x25 matrix
+  - images:     "CHIM" v3 container: meta seed; entries matrices (N, rows,
+                cols) <f4 and conditions (N, 2) <f8 (dist2d, height).
+                Matrix i of a file derived from a dataset pairs with link
+                i % n_links (realizations/samples are stored as repeated
+                blocks of the full dataset).
+  - checkpoint: "WGPC" v4 container: meta backend, seed and the backend's
+                settings, which must agree with the arrays and map to one
+                8x25 matrix; entries <f8, but for the resampler's (N, 8, 25)
+                matrices, which keep their dtype (<f4 from the CLI)
   - reports:    CSV with a '#'-comment identifying the metric, version and
                 seed, then a regular header row
 """
@@ -72,10 +75,10 @@ if TYPE_CHECKING:  # the codec and the networks are imported by the functions th
 
 DATASET_VERSION = 1
 CODEC_VERSION = 1
-IMAGES_VERSION = 2  # v2: 8x25 matrices, not their 64x50 tiled images
-CHECKPOINT_VERSION = 3  # v3: the resampler stores 8x25 matrices, not 64x50 images
+IMAGES_VERSION = 3  # v3: the container
+CHECKPOINT_VERSION = 4  # v4: the container, the resampler's matrices in their own dtype
 REPORT_VERSION = 1
-LTAB_VERSION = 1  # the dataset sidecar
+LTAB_VERSION = 2  # the dataset sidecar; v2: the container
 
 IMAGES_MAGIC = b"CHIM"
 CHECKPOINT_MAGIC = b"WGPC"
@@ -83,14 +86,112 @@ LTAB_MAGIC = b"LTAB"
 LTAB_SUFFIX = ".ltab"
 
 
-def _require_version(kind: str, got: int, expected: int):
+def _require_version(path, kind: str, got: int, expected: int):
     if got != expected:
-        raise VersionError(f"{kind} format v{got} not supported (expected v{expected})")
+        raise VersionError(f"{path}: {kind} format v{got} not supported (expected v{expected})")
 
 
-def _write_array(fh, array, dtype):
-    """Write an array's bytes in C order without a bytes copy of the payload."""
-    fh.write(np.ascontiguousarray(array, dtype=dtype))
+# -- binary container --------------------------------------------------------------
+
+# magic, version, JSON header length, SHA-256 of every byte after the prefix
+_PREFIX = struct.Struct("<4sII32s")
+_DTYPES = ("<f4", "<f8", "<i8", "|u1")  # the dtypes a container array may have
+
+
+def _whole(name, array, dtype):
+    """The container entry of one array, written in dtype."""
+    return name, dtype, array.shape, (array,)
+
+
+def _write_container(path, magic, version, meta, entries):
+    """Write meta and the arrays of entries to path as a container, hashed as written.
+
+    entries are (name, dtype, shape, blocks): the blocks give the array's
+    values in C order, each cast to dtype (a copy only where that differs).
+    The file is written to path + ".tmp", removed on any failure, so a file
+    already at path keeps its bytes until the new one replaces it whole.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    header = json.dumps({"meta": meta, "entries": [
+        {"name": name, "dtype": dtype, "shape": list(shape)}
+        for name, dtype, shape, _ in entries]}).encode()
+    digest, tmp = hashlib.sha256(header), path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("wb") as fh:
+            fh.write(bytes(_PREFIX.size))
+            fh.write(header)
+            for _, dtype, _, blocks in entries:
+                for block in blocks:
+                    block = np.ascontiguousarray(block, dtype=dtype)
+                    digest.update(block)
+                    fh.write(block)
+            fh.seek(0)
+            fh.write(_PREFIX.pack(magic, version, len(header), digest.digest()))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _read_container(path, magic, version):
+    """(meta, {name: array}) of the container at path, checked whole.
+
+    Every entry is sized against the file before anything is allocated;
+    each array is then read straight into place and hashed there.
+    """
+    path, kind = Path(path), magic.decode()
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(_PREFIX.size)
+        if len(prefix) < 8 or prefix[:4] != magic:
+            raise FormatError(f"{path}: not a {kind} file")
+        _require_version(path, kind, int.from_bytes(prefix[4:8], "little"), version)
+        if len(prefix) < _PREFIX.size:
+            raise FormatError(f"{path}: truncated {kind} prefix")
+        _, _, header_len, want = _PREFIX.unpack(prefix)
+        if header_len > size - _PREFIX.size:
+            raise FormatError(f"{path}: corrupt {kind} header: {header_len} bytes, "
+                              f"past the end of the file")
+        raw = fh.read(header_len)
+        try:
+            doc = json.loads(raw.decode())
+        # ValueError: not UTF-8, not JSON, or an integer of more digits than int() reads
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"{path}: corrupt {kind} header: {exc}") from exc
+        if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
+                and isinstance(doc.get("entries"), list)):
+            raise FormatError(f"{path}: {kind} header lacks a 'meta' object or 'entries' list")
+        entries = doc["entries"]
+        for e in entries:
+            if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                    and e.get("dtype") in _DTYPES and isinstance(e.get("shape"), list)
+                    and all(type(d) is int and d >= 0 for d in e["shape"])):  # no bool
+                raise FormatError(f"{path}: bad {kind} entry {e!r}")
+        if len({e["name"] for e in entries}) != len(entries):
+            raise FormatError(f"{path}: {kind} entries repeat a name")
+        left = size - _PREFIX.size - header_len
+        left -= sum(math.prod(e["shape"]) * np.dtype(e["dtype"]).itemsize for e in entries)
+        if left:
+            raise FormatError(f"{path}: truncated {kind} payload" if left < 0 else
+                              f"{path}: {left} bytes follow the {kind} payload")
+        digest, arrays = hashlib.sha256(raw), {}
+        for e in entries:
+            try:
+                array = arrays[e["name"]] = np.empty(e["shape"], dtype=e["dtype"])
+            except ValueError as exc:  # an empty shape with more dimensions than numpy's
+                raise FormatError(f"{path}: bad {kind} entry {e!r}: {exc}") from exc
+            if fh.readinto(array) != array.nbytes:  # the file shrank since it was sized
+                raise FormatError(f"{path}: truncated {kind} payload")
+            digest.update(array)
+    if digest.digest() != want:
+        raise FormatError(f"{path}: {kind} bytes do not match their SHA-256")
+    return doc["meta"], arrays
+
+
+def _layout(arrays) -> dict:
+    """{name: (dtype, shape)} of a container's arrays."""
+    return {name: (a.dtype.str, a.shape) for name, a in arrays.items()}
 
 
 # -- dataset JSONL ---------------------------------------------------------------
@@ -107,9 +208,6 @@ MAX_LINE_BYTES = 1 << 16
 _TEXT_BLOCK = 128  # lines per formatted, hashed and written block of dataset text
 _TEXT_PART = 512  # links per text process at least
 
-# the binary sidecar: magic, u32 version, SHA-256 of the JSONL bytes, SHA-256
-# of the payload, u64 link count N and path count P
-_LTAB = struct.Struct("<4sI32s32s2Q")
 _STATES = np.array(list(LinkState), dtype=object)  # the sidecar's state codes
 _STATE_CODES = {state: code for code, state in enumerate(_STATES)}
 _LTAB_LINKS = 512  # links per hashed and written block of sidecar path rows
@@ -119,12 +217,6 @@ def _ltab_path(path) -> Path:
     return Path(f"{path}{LTAB_SUFFIX}")
 
 
-def _ltab_payload(n, p):
-    """Empty (counts, state codes, (N, 7) link rows, (P, 7) path rows) of a sidecar."""
-    return (np.empty(n, dtype="<i8"), np.empty(n, dtype="u1"),
-            np.empty((n, 7), dtype="<f8"), np.empty((p, 7), dtype="<f8"))
-
-
 def write_table(path, table: LinkTable, seed=None):
     """Write a link table as a JSON Lines dataset, one link per line, and its sidecar.
 
@@ -132,8 +224,7 @@ def write_table(path, table: LinkTable, seed=None):
     writes back byte for byte.  The text is formatted by up to one process
     per usable CPU (see _write_text), with the same bytes for any count.
     The sidecar, path + ".ltab", holds the same columns in binary, keyed by
-    the SHA-256 of the text as written; it is written to a temporary name
-    and renamed into place.
+    the SHA-256 of the text as written (see _write_ltab).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -141,7 +232,7 @@ def write_table(path, table: LinkTable, seed=None):
     header = (f"# chanimg-dataset v{DATASET_VERSION}{seed_part}"
               " units: coords=m freq=Hz pathloss=dB delay=s angles=deg phase=deg\n")
     workers = max(1, min(_text_processes(), -(-len(table) // _TEXT_PART)))
-    _write_ltab(path, _write_text(path, header, table, workers), table)
+    _write_ltab(path, _write_text(path, header, table, workers), table, seed)
 
 
 def _text_processes() -> int:
@@ -271,7 +362,7 @@ def read_table(path) -> LinkTable:
         m = re.match(rb"# chanimg-dataset v(\d+)\b", header)
         if not m:
             raise FormatError(f"{path}: missing dataset header")
-        _require_version("dataset", int(m.group(1)), DATASET_VERSION)
+        _require_version(path, "dataset", int(m.group(1)), DATASET_VERSION)
         table = _read_ltab(path, fh)
         if table is not None:
             return table
@@ -334,30 +425,20 @@ def _broken_rule(paths, counts, state, ends):
     return i, rules[int(np.argmax(bad[:, i]))][0]
 
 
-def _write_ltab(path, text_digest: bytes, table: LinkTable):
+def _write_ltab(path, text_digest: bytes, table: LinkTable, seed=None):
     """Write the sidecar of the dataset at path, whose bytes hash to text_digest.
 
-    The payload is hashed as it is written, the path rows _LTAB_LINKS links
-    at a time, so no copy of all of them is made; the header, which holds
-    the payload digest, then replaces its placeholder.
+    The path rows are written _LTAB_LINKS links at a time, so no copy of
+    all of them is made.
     """
-    n, p = len(table), int(table.counts.sum())
-    links = (table.counts.astype("<i8", copy=False),
-             np.array([_STATE_CODES[s] for s in table.state], dtype="u1"),
-             np.column_stack([table.tx, table.rx, table.carrier_freq]).astype("<f8", copy=False))
-    blocks = (table.take(slice(lo, lo + _LTAB_LINKS)) for lo in range(0, n, _LTAB_LINKS))
-    rows = (np.ascontiguousarray(b.paths[b.valid], dtype="<f8") for b in blocks)
-    digest = hashlib.sha256()
-    side = _ltab_path(path)
-    tmp = side.with_name(side.name + ".tmp")
-    with tmp.open("wb") as fh:
-        fh.write(bytes(_LTAB.size))
-        for column in chain(links, rows):
-            digest.update(column)
-            fh.write(column)
-        fh.seek(0)
-        fh.write(_LTAB.pack(LTAB_MAGIC, LTAB_VERSION, text_digest, digest.digest(), n, p))
-    os.replace(tmp, side)
+    blocks = (table.take(slice(lo, lo + _LTAB_LINKS)) for lo in range(0, len(table), _LTAB_LINKS))
+    _write_container(_ltab_path(path), LTAB_MAGIC, LTAB_VERSION,
+                     {"seed": seed, "text_sha256": text_digest.hex()}, [
+        _whole("counts", table.counts, "<i8"),
+        _whole("codes", np.array([_STATE_CODES[s] for s in table.state], dtype="u1"), "|u1"),
+        _whole("ends", np.column_stack([table.tx, table.rx, table.carrier_freq]), "<f8"),
+        ("paths", "<f8", (int(table.counts.sum()), 7), (b.paths[b.valid] for b in blocks)),
+    ])
 
 
 def _hash_copy(src, digest, dst=None):
@@ -373,42 +454,28 @@ def _hash_copy(src, digest, dst=None):
             dst.write(memoryview(buf)[:n])
 
 
-def _sha256_of(fh) -> bytes:
-    """SHA-256 of the rest of a binary file."""
-    digest = hashlib.sha256()
-    _hash_copy(fh, digest)
-    return digest.digest()
-
-
 def _read_ltab(path, fh):
     """The table of path's sidecar, or None when the dataset must be parsed.
 
-    The sidecar is used only when its magic, version and size are right,
-    its payload hashes to its payload digest, the JSONL's bytes (fh, read
-    from the start) hash to its text digest, and its columns keep every
-    rule.  The arrays are read straight into place, as read_images does.
+    The sidecar is used only when it reads whole as an LTAB container of
+    the current version with the sidecar's entries, the JSONL's bytes (fh,
+    read from the start) hash to its text_sha256, and its columns keep
+    every rule.
     """
     try:
-        with _ltab_path(path).open("rb") as side:
-            head = side.read(_LTAB.size)
-            if len(head) != _LTAB.size:
-                return None
-            magic, version, text_digest, payload_digest, n, p = _LTAB.unpack(head)
-            # sized from the header before anything is allocated
-            if (magic != LTAB_MAGIC or version != LTAB_VERSION
-                    or os.fstat(side.fileno()).st_size != _LTAB.size + 65 * n + 56 * p):
-                return None
-            payload, digest = _ltab_payload(n, p), hashlib.sha256()
-            for column in payload:
-                if side.readinto(column) != column.nbytes:
-                    return None
-                digest.update(column)
-    except OSError:  # no sidecar, or one that cannot be read
+        meta, arrays = _read_container(_ltab_path(path), LTAB_MAGIC, LTAB_VERSION)
+    except (OSError, FormatError):  # none, unreadable, damaged or of another version
         return None
+    n, p = (len(arrays[k]) if k in arrays and arrays[k].ndim else -1 for k in ("counts", "paths"))
+    if _layout(arrays) != {"counts": ("<i8", (n,)), "codes": ("|u1", (n,)),
+                           "ends": ("<f8", (n, 7)), "paths": ("<f8", (p, 7))}:
+        return None
+    text = hashlib.sha256()
     fh.seek(0)
-    if digest.digest() != payload_digest or _sha256_of(fh) != text_digest:
+    _hash_copy(fh, text)
+    if meta.get("text_sha256") != text.hexdigest():
         return None
-    counts, codes, ends, cells = payload
+    counts, codes, ends, cells = (arrays[k] for k in ("counts", "codes", "ends", "paths"))
     if (codes.max(initial=0) >= len(_STATES) or counts.min(initial=0) < 0
             or counts.max(initial=0) > MAX_PATHS or counts.sum() != p):
         return None
@@ -442,7 +509,7 @@ def read_codec(path) -> ChannelImageCodec:
     version = doc.get("version", -1)
     if type(version) is not int:  # true would pass for 1
         raise FormatError(f"{path}: codec version {version!r} is not an integer")
-    _require_version("codec", version, CODEC_VERSION)
+    _require_version(path, "codec", version, CODEC_VERSION)
     try:
         return ChannelImageCodec.from_dict(doc)
     except KeyError as exc:
@@ -457,103 +524,24 @@ def read_codec(path) -> ChannelImageCodec:
 def write_images(path, matrices, conditions, seed=None):
     matrices = np.asarray(matrices)
     conditions = np.asarray(conditions, dtype=np.float64)
-    if matrices.ndim != 3 or len(matrices) != len(conditions):
+    if matrices.ndim != 3 or conditions.shape != (len(matrices), 2):
         raise DataError("need (N, rows, cols) matrices and matching (N, 2) conditions")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as fh:
-        fh.write(IMAGES_MAGIC)
-        fh.write(struct.pack("<4I", IMAGES_VERSION, *matrices.shape))
-        _write_array(fh, matrices, "<f4")
-        _write_array(fh, conditions, "<f8")
+    _write_container(path, IMAGES_MAGIC, IMAGES_VERSION, {"seed": seed}, [
+        _whole("matrices", matrices, "<f4"), _whole("conditions", conditions, "<f8")])
 
 
 def read_images(path):
-    """(matrices (N, rows, cols) float32, conditions (N, 2) float64) of a CHIM file.
-
-    The payloads are read straight into their arrays, so the values are
-    held once.
-    """
-    path = Path(path)
-    with path.open("rb") as fh:
-        head = fh.read(4 + 16)
-        if head[:4] != IMAGES_MAGIC:
-            raise FormatError(f"{path}: not a channel matrix file")
-        if len(head) < 4 + 16:
-            raise FormatError(f"{path}: truncated matrix file")
-        version, count, rows, cols = struct.unpack_from("<4I", head, 4)
-        _require_version("images", version, IMAGES_VERSION)
-        # sized from the header before anything is allocated
-        if os.fstat(fh.fileno()).st_size != len(head) + count * (rows * cols * 4 + 2 * 8):
-            raise FormatError(f"{path}: truncated matrix file")
-        matrices = np.empty((count, rows, cols), dtype="<f4")
-        conditions = np.empty((count, 2), dtype="<f8")
-        for array in (matrices, conditions):
-            if fh.readinto(array) != array.nbytes:
-                raise FormatError(f"{path}: truncated matrix file")
-    return matrices, conditions
+    """(matrices (N, rows, cols) float32, conditions (N, 2) float64) of a CHIM file."""
+    _, arrays = _read_container(path, IMAGES_MAGIC, IMAGES_VERSION)
+    matrices = arrays.get("matrices")
+    n, rows, cols = matrices.shape if matrices is not None and matrices.ndim == 3 else (-1,) * 3
+    if _layout(arrays) != {"matrices": ("<f4", (n, rows, cols)), "conditions": ("<f8", (n, 2))}:
+        raise FormatError(f"{path}: CHIM entries are not (N, rows, cols) <f4 matrices "
+                          "and (N, 2) <f8 conditions")
+    return matrices, arrays["conditions"]
 
 
 # -- model checkpoints -------------------------------------------------------------
-
-
-def _write_checkpoint(path, meta: dict, arrays: dict):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    entries = [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()]
-    header = json.dumps({"meta": meta, "entries": entries}).encode()
-    with path.open("wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<2I", CHECKPOINT_VERSION, len(header)))
-        fh.write(header)
-        for v in arrays.values():
-            _write_array(fh, v, "<f8")
-
-
-def _read_checkpoint(path):
-    """(meta, {name: float64 array}) of a WGPC file.
-
-    The arrays are read straight into place, as read_images does, after
-    the header has sized each one against the file.
-    """
-    path = Path(path)
-    with path.open("rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(4 + 8)
-        if head[:4] != CHECKPOINT_MAGIC:
-            raise FormatError(f"{path}: not a checkpoint file")
-        if len(head) < 4 + 8:
-            raise FormatError(f"{path}: truncated checkpoint header")
-        version, header_len = struct.unpack_from("<2I", head, 4)
-        _require_version("checkpoint", version, CHECKPOINT_VERSION)
-        offset = len(head)
-        try:  # a header_len past the end reads what there is
-            doc = json.loads(fh.read(min(header_len, size - offset)).decode())
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise FormatError(f"{path}: corrupt checkpoint header: {exc}") from exc
-        offset += header_len
-        if not (isinstance(doc, dict) and isinstance(doc.get("meta"), dict)
-                and isinstance(doc.get("entries"), list)):
-            raise FormatError(f"{path}: checkpoint header lacks a 'meta' object "
-                              "or 'entries' list")
-        arrays = {}
-        for entry in doc["entries"]:
-            shape = entry.get("shape") if isinstance(entry, dict) else None
-            if not (isinstance(shape, list) and isinstance(entry.get("name"), str)
-                    and all(type(d) is int and d >= 0 for d in shape)):  # no bool
-                raise FormatError(f"{path}: bad checkpoint entry {entry!r}")
-            n = math.prod(shape)
-            # sized from the header before anything is allocated
-            if offset + 8 * n > size:
-                raise FormatError(f"{path}: truncated checkpoint payload")
-            array = np.empty(shape, dtype="<f8")
-            if fh.readinto(array) != array.nbytes:
-                raise FormatError(f"{path}: truncated checkpoint payload")
-            arrays[entry["name"]] = array
-            offset += 8 * n
-    if offset != size:
-        raise FormatError(f"{path}: {size - offset} bytes follow the checkpoint payload")
-    return doc["meta"], arrays
 
 
 _NET_NAMES = ("gen_embed", "generator", "critic_embed", "critic")
@@ -574,15 +562,17 @@ def write_wgan_checkpoint(path, netp: NetworkParams, seed=None):
     for name in _NET_NAMES:
         for k, param in enumerate(getattr(netp, name).params):  # W, b of each layer
             arrays[f"{name}.{k // 2}.{'Wb'[k % 2]}"] = param
-    _write_checkpoint(path, meta, arrays)
+    # float32 training is also stored as float64
+    _write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta,
+                     [_whole(k, v, "<f8") for k, v in arrays.items()])
 
 
 def write_resampler_checkpoint(path, model: EmpiricalResampler, seed=None):
-    meta = {"backend": "resampler", "seed": seed, "k": model.k}
-    _write_checkpoint(path, meta, {
-        "matrices": np.asarray(model.matrices, dtype=np.float64),
-        "conditions": model.conditions,
-    })
+    matrices = model.matrices
+    _write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                     {"backend": "resampler", "seed": seed, "k": model.k}, [
+        _whole("matrices", matrices, "<f4" if matrices.dtype == np.float32 else "<f8"),
+        _whole("conditions", model.conditions, "<f8")])
 
 
 def _count(v) -> bool:
@@ -614,6 +604,8 @@ def _read_wgan(path, meta, arrays) -> NetworkParams:
     """The networks of a WGAN-GP checkpoint, checked against each other and the matrix."""
     from .genmodel.wgan import NetworkParams
 
+    if any(a.dtype != "<f8" for a in arrays.values()):
+        raise FormatError(f"{path}: wgan-gp arrays are not all <f8")
     nets = {name: _read_mlp(path, name, meta["nets"][name], arrays) for name in _NET_NAMES}
     noise_dim = meta["noise_dim"]
     if meta["image_shape"] != list(MATRIX_SHAPE) or not _count(noise_dim):
@@ -640,9 +632,10 @@ def _read_resampler(path, meta, arrays) -> EmpiricalResampler:
     from .genmodel.resampler import EmpiricalResampler
 
     matrices, conditions, k = arrays["matrices"], arrays["conditions"], meta["k"]
-    if matrices.shape[1:] != MATRIX_SHAPE or conditions.shape != (len(matrices), 2):
+    if (matrices.shape[1:] != MATRIX_SHAPE or conditions.shape != (len(matrices), 2)
+            or matrices.dtype.kind != "f" or conditions.dtype != "<f8"):
         raise FormatError(f"{path}: resampler holds {matrices.shape} matrices and "
-                          f"{conditions.shape} conditions, not (N, 8, 25) and (N, 2)")
+                          f"{conditions.shape} conditions, not (N, 8, 25) and (N, 2) floats")
     if not _count(k):
         raise FormatError(f"{path}: resampler k {k!r} is not a positive integer")
     return EmpiricalResampler(matrices, conditions, k=k)
@@ -654,7 +647,7 @@ def read_model_checkpoint(path):
     A header that disagrees with its arrays, or whose networks do not map
     noise and conditions to one 8x25 matrix, is a FormatError.
     """
-    meta, arrays = _read_checkpoint(path)
+    meta, arrays = _read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     backend = meta.get("backend")
     if backend not in ("wgan-gp", "resampler"):
         raise FormatError(f"{path}: unknown backend {backend!r}")

@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,8 +26,10 @@ from chanimg.cli import (
     EXIT_VERSION,
     run,
 )
+from chanimg.genmodel import EmpiricalResampler
 from chanimg.genmodel import sample as wgan_sample
 from chanimg.rng import substream
+from containers import arrays, seal, split
 
 
 def test_gen_data_byte_identical(tmp_path):
@@ -186,6 +189,50 @@ def test_v1_images_are_version_errors(pipeline_dir, tmp_path, capsys):
                            "--geometry-from", str(d / "data.jsonl"),
                            "--out", str(tmp_path / "dec.jsonl")], EXIT_VERSION, "v1")
     assert not any(tmp_path.glob("m.ckpt")) and not any(tmp_path.glob("dec.jsonl"))
+
+
+def test_previous_binary_formats_are_version_errors(pipeline_dir, tmp_path, capsys):
+    d = pipeline_dir
+    matrices, conds = io.read_images(d / "images.chim")
+    v2 = tmp_path / "v2.chim"  # magic, u32 version, count, rows and cols, then the arrays
+    v2.write_bytes(b"CHIM" + struct.pack("<4I", 2, *matrices.shape) + matrices.tobytes()
+                   + conds.tobytes())
+    header = json.dumps({"meta": {"backend": "resampler", "seed": 3, "k": 10}, "entries": [
+        {"name": "matrices", "shape": list(matrices.shape)},
+        {"name": "conditions", "shape": list(conds.shape)}]}).encode()
+    v3 = tmp_path / "v3.ckpt"  # magic, u32 version, u32 header length, header, float64 arrays
+    v3.write_bytes(b"WGPC" + struct.pack("<2I", 3, len(header)) + header
+                   + matrices.astype("<f8").tobytes() + conds.tobytes())
+    fails_cleanly(capsys, ["train", "--images", str(v2), "--backend", "resampler",
+                           "--out", str(tmp_path / "m.ckpt")], EXIT_VERSION,
+                  f"{v2}: CHIM format v2 not supported (expected v{io.IMAGES_VERSION})")
+    fails_cleanly(capsys, ["decode", "--images", str(v2), "--codec", str(d / "codec.json"),
+                           "--geometry-from", str(d / "data.jsonl"),
+                           "--out", str(tmp_path / "dec.jsonl")], EXIT_VERSION, "CHIM format v2")
+    fails_cleanly(capsys, ["sample", "--model", str(v3), "--conditions-from",
+                           str(d / "data.jsonl"), "--out", str(tmp_path / "s.chim")],
+                  EXIT_VERSION,
+                  f"{v3}: WGPC format v3 not supported (expected v{io.CHECKPOINT_VERSION})")
+    assert sorted(os.listdir(tmp_path)) == ["v2.chim", "v3.ckpt"]
+
+
+def test_resampler_stores_the_float32_matrices(pipeline_dir, tmp_path):
+    d = pipeline_dir
+    entries = split((d / "resampler.ckpt").read_bytes())[2]["entries"]
+    assert {e["name"]: e["dtype"] for e in entries} == {"matrices": "<f4", "conditions": "<f8"}
+    matrices, conds = io.read_images(d / "images.chim")
+    _, model = io.read_model_checkpoint(d / "resampler.ckpt")
+    assert model.matrices.dtype == np.float32
+    assert model.matrices.tobytes() == matrices.tobytes()
+    # a float64 resampler of the same matrices samples the same file
+    io.write_resampler_checkpoint(tmp_path / "f8.ckpt", EmpiricalResampler(
+        matrices.astype(np.float64), conds, k=10), seed=3)
+    for name in ("resampler", "f8"):
+        model = d / "resampler.ckpt" if name == "resampler" else tmp_path / "f8.ckpt"
+        assert run(["--seed", "5", "sample", "--model", str(model), "--per-cond", "2",
+                    "--conditions-from", str(d / "data.jsonl"),
+                    "--out", str(tmp_path / f"{name}.chim")]) == 0
+    assert (tmp_path / "resampler.chim").read_bytes() == (tmp_path / "f8.chim").read_bytes()
 
 
 def test_resampler_with_k1_returns_stored_matrices(pipeline_dir, tmp_path):
@@ -406,20 +453,18 @@ def test_eval_runs_warning_free(pipeline_dir, tmp_path):
             (d / "reports" / name).read_bytes()
 
 
-BOOL_SHAPE = json.dumps({"meta": {}, "entries": [{"name": "x", "shape": [True]}]}).encode()
+BOOL_SHAPE = {"meta": {}, "entries": [{"name": "x", "dtype": "<f8", "shape": [True]}]}
 
 
 @pytest.mark.parametrize("header", [
     {"entries": []}, {"meta": {"backend": "resampler"}}, [],
     {"meta": {}, "entries": [{"name": "x"}]},
-    # whole files: shorter than the 12-byte preamble, and a header not UTF-8
+    # whole files: shorter than the magic and version, and a header not UTF-8
     pytest.param(b"WGPC\x03\x00", id="short-file"),
-    pytest.param(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, 4) + b"\xff{}\xfe",
-                 id="header-not-utf8"),
+    pytest.param(seal(b"WGPC", io.CHECKPOINT_VERSION, b"\xff{}\xfe"), id="header-not-utf8"),
     pytest.param({"meta": {}, "entries": [{"name": "x", "shape": "ab"}]}, id="shape-str"),
     # a shape of [true], with the one number it would size
-    pytest.param(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, len(BOOL_SHAPE))
-                 + BOOL_SHAPE + bytes(8), id="shape-bool"),
+    pytest.param(seal(b"WGPC", io.CHECKPOINT_VERSION, BOOL_SHAPE, bytes(8)), id="shape-bool"),
     pytest.param({"meta": {}, "entries": 5}, id="entries-not-list"),
     pytest.param({"meta": {}, "entries": [5]}, id="entry-not-object"),
     pytest.param({"meta": [], "entries": []}, id="meta-list"),
@@ -431,11 +476,8 @@ def test_checkpoint_header_gaps_are_format_errors(tmp_path, capsys, header):
     run(["--seed", "1", "gen-data", "--links", "20", "--out", str(tmp_path / "d.jsonl")])
     capsys.readouterr()
     bad = tmp_path / "bad.ckpt"
-    if isinstance(header, bytes):
-        bad.write_bytes(header)
-    else:
-        raw = json.dumps(header).encode()
-        bad.write_bytes(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, len(raw)) + raw)
+    bad.write_bytes(header if isinstance(header, bytes)
+                    else seal(b"WGPC", io.CHECKPOINT_VERSION, header))
     assert run(["sample", "--model", str(bad), "--conditions-from", str(tmp_path / "d.jsonl"),
                 "--out", str(tmp_path / "s.chim")]) == EXIT_BAD_FILE
     err = capsys.readouterr().err
@@ -456,12 +498,11 @@ def test_over_deep_codec_is_format_error(pipeline_dir, tmp_path, capsys):
 
 def test_over_deep_checkpoint_header_is_format_error(pipeline_dir, tmp_path, capsys):
     deep = tmp_path / "deep.ckpt"
-    deep.write_bytes(b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, len(DEEP_JSON))
-                     + DEEP_JSON)
+    deep.write_bytes(seal(b"WGPC", io.CHECKPOINT_VERSION, DEEP_JSON))
     fails_cleanly(capsys, ["sample", "--model", str(deep),
                            "--conditions-from", str(pipeline_dir / "data.jsonl"),
                            "--out", str(tmp_path / "s.chim")],
-                  EXIT_BAD_FILE, "deep.ckpt: corrupt checkpoint header")
+                  EXIT_BAD_FILE, "deep.ckpt: corrupt WGPC header")
     assert not (tmp_path / "s.chim").exists()
 
 
@@ -924,15 +965,11 @@ def test_fuzzed_codecs_fail_cleanly(model_base, data):
         fails_without_output(codec_stages(model_base, bad, tmp), bad)
 
 
-def checkpoint_parts(raw):
-    """(header, payload) of a WGPC file's bytes."""
-    (n,) = struct.unpack_from("<I", raw, 8)
-    return json.loads(raw[12:12 + n]), raw[12 + n:]
-
-
-def checkpoint_bytes(header, payload):
-    raw = json.dumps(header).encode()
-    return b"WGPC" + struct.pack("<2I", io.CHECKPOINT_VERSION, len(raw)) + raw + payload
+def reseal(raw, edit):
+    """raw, a container's bytes, sealed again after edit(header) changed its header."""
+    magic, version, header, payload = split(raw)
+    edit(header)
+    return seal(magic, version, header, payload)
 
 
 def sample_stage(base, bad, out):
@@ -951,22 +988,23 @@ def resampler_shape(header):
     ("model", lambda h: h["meta"]["nets"]["critic"].update(sizes=[232, 8, 2])),
     ("model", lambda h: h["meta"]["nets"]["generator"].update(out_act="relu")),
     ("res", resampler_shape),
+    # the same bytes read as integers
+    ("model", lambda h: h["entries"][0].update(dtype="<i8")),
+    ("res", lambda h: h["entries"][1].update(dtype="<i8")),
 ], ids=["noise_dim", "image_shape", "hidden-size", "output-size", "out_act",
-        "resampler-25x8"])
+        "resampler-25x8", "wgan-int64", "resampler-int64-conditions"])
 def test_checkpoint_header_contradicting_arrays_is_format_error(model_base, tmp_path, capsys,
                                                                name, edit):
-    header, payload = checkpoint_parts((model_base / f"{name}.ckpt").read_bytes())
-    edit(header)
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(checkpoint_bytes(header, payload))
+    bad.write_bytes(reseal((model_base / f"{name}.ckpt").read_bytes(), edit))
     fails_cleanly(capsys, *sample_stage(model_base, bad, tmp_path), EXIT_BAD_FILE, f"{bad}: ")
     assert os.listdir(tmp_path) == ["bad.ckpt"]
 
 
 def grow_first_entry(raw):
-    header, payload = checkpoint_parts(raw)
-    header["entries"][0]["shape"][0] += 1
-    return checkpoint_bytes(header, payload)
+    def grow(header):
+        header["entries"][0]["shape"][0] += 1
+    return reseal(raw, grow)
 
 
 def header_past_the_end(raw):
@@ -974,12 +1012,12 @@ def header_past_the_end(raw):
 
 
 @pytest.mark.parametrize("name, damage, fragment", [
-    ("res", lambda raw: raw[:-8], "truncated checkpoint payload"),
-    ("model", lambda raw: raw[:-1], "truncated checkpoint payload"),
-    ("res", grow_first_entry, "truncated checkpoint payload"),
-    ("res", lambda raw: raw + bytes(8), "8 bytes follow the checkpoint payload"),
-    ("model", lambda raw: raw + b"\xff", "1 bytes follow the checkpoint payload"),
-    ("res", header_past_the_end, "corrupt checkpoint header"),
+    ("res", lambda raw: raw[:-8], "truncated WGPC payload"),
+    ("model", lambda raw: raw[:-1], "truncated WGPC payload"),
+    ("res", grow_first_entry, "truncated WGPC payload"),
+    ("res", lambda raw: raw + bytes(8), "8 bytes follow the WGPC payload"),
+    ("model", lambda raw: raw + b"\xff", "1 bytes follow the WGPC payload"),
+    ("res", header_past_the_end, "corrupt WGPC header"),
 ], ids=["cut-one-number", "cut-one-byte", "header-says-more", "eight-trailing-bytes",
         "one-trailing-byte", "header-past-the-end"])
 def test_checkpoint_payload_must_fill_the_file(model_base, tmp_path, capsys, name, damage,
@@ -1006,14 +1044,16 @@ def mutated_checkpoint(draw, raw):
     if kind == "extend":
         return raw + bytes(draw(st.integers(1, 16)))
     if kind == "version":
-        return raw[:4] + struct.pack("<I", draw(st.sampled_from([0, 1, 2, 4, 2**31]))) + raw[8:]
-    header, payload = checkpoint_parts(raw)
+        return raw[:4] + struct.pack("<I", draw(st.sampled_from([0, 1, 2, 3, 5, 2**31]))) \
+            + raw[8:]
+    magic, version, header, payload = split(raw)
     meta = header["meta"]
     if kind == "nonfinite":
-        cells = np.frombuffer(payload, dtype="<f8").copy()
+        payload, named = arrays(header, payload)
+        cells = named[draw(st.sampled_from(sorted(named)))].reshape(-1)
         cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from(
             [np.nan, np.inf, -np.inf]))
-        return checkpoint_bytes(header, cells.tobytes())
+        return seal(magic, version, header, bytes(payload))
     if kind == "entry":
         entry = draw(st.sampled_from(header["entries"]))
         shape = entry["shape"]
@@ -1025,7 +1065,7 @@ def mutated_checkpoint(draw, raw):
             entry["shape"] = shape[::-1]
         else:
             shape[0] += 1 if change == "grow" else -1
-        return checkpoint_bytes(header, payload)
+        return seal(magic, version, header, payload)
     if meta["backend"] == "resampler":
         owner, key = meta, draw(st.sampled_from(["backend", "k"]))
     else:
@@ -1046,7 +1086,7 @@ def mutated_checkpoint(draw, raw):
         owner[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from([3, 5])))
     else:
         owner[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from(["relu", "gan"])))
-    return checkpoint_bytes(header, payload)
+    return seal(magic, version, header, payload)
 
 
 # a fixed example set, so the suite's outcome does not vary between runs
@@ -1066,27 +1106,30 @@ def test_fuzzed_checkpoints_fail_cleanly(model_base, data):
 
 @st.composite
 def damaged_images(draw, raw):
-    """CHIM bytes cut, extended, with a header byte changed, a header count
-    rewritten or a matrix cell made non-finite: each is a file no stage may read."""
+    """CHIM bytes cut, extended, with a prefix or header byte changed, or resealed with a
+    shape rewritten or a matrix cell made non-finite: each is a file no stage may read."""
     kind = draw(st.sampled_from(["truncate", "extend", "flip", "count", "nonfinite"]))
     if kind == "truncate":
         return raw[:draw(st.integers(0, len(raw) - 1))]
     if kind == "extend":
         return raw + draw(st.binary(min_size=1, max_size=16))
-    if kind == "flip":  # magic, version, count, rows or cols
+    magic, version, header, payload = split(raw)
+    if kind == "flip":  # magic, version, header length, digest or header
         raw = bytearray(raw)
-        raw[draw(st.integers(0, 19))] ^= draw(st.integers(1, 255))
+        raw[draw(st.integers(0, len(raw) - len(payload) - 1))] ^= draw(st.integers(1, 255))
         return bytes(raw)
-    count, rows, cols = struct.unpack_from("<3I", raw, 8)
     if kind == "count":
-        at = draw(st.sampled_from([8, 12, 16]))
-        old = struct.unpack_from("<I", raw, at)[0]
-        value = draw(st.one_of(st.sampled_from([0, 1, old - 1, old + 1, 2**32 - 1]),
-                               st.integers(0, 2**32 - 1)).filter(lambda v: v != old))
-        return raw[:at] + struct.pack("<I", value) + raw[at + 4:]
-    at = 20 + 4 * draw(st.integers(0, count * rows * cols - 1))
-    value = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
-    return raw[:at] + struct.pack("<f", value) + raw[at + 4:]
+        shape = header["entries"][draw(st.integers(0, 1))]["shape"]
+        at = draw(st.integers(0, len(shape) - 1))
+        old = shape[at]
+        shape[at] = draw(st.one_of(st.sampled_from([0, 1, old - 1, old + 1, 2**32 - 1]),
+                                   st.integers(0, 2**32 - 1)).filter(lambda v: v != old))
+        return seal(magic, version, header, payload)
+    payload, named = arrays(header, payload)
+    cells = named["matrices"].reshape(-1)
+    cells[draw(st.integers(0, len(cells) - 1))] = draw(st.sampled_from([np.nan, np.inf,
+                                                                         -np.inf]))
+    return seal(magic, version, header, bytes(payload))
 
 
 # a fixed example set, so the suite's outcome does not vary between runs
@@ -1171,3 +1214,31 @@ def test_read_side_stages_hold_no_full_size_copy(large_pipeline, tmp_path):
     above = {stage: peak_rss_mb(["-m", "chanimg.cli", "--seed", "8", *map(str, argv)]) - base
              for stage, argv in stages.items()}
     assert all(above[stage] < bound for stage, bound in bounds.items()), above
+
+
+def test_decode_repeats_only_the_geometry(large_pipeline, tmp_path):
+    d = large_pipeline
+    for per_cond in ("1", "2"):
+        assert run(["--seed", "8", "sample", "--model", str(d / "res.ckpt"), "--per-cond",
+                    per_cond, "--conditions-from", str(d / "data.jsonl"),
+                    "--out", str(tmp_path / f"s{per_cond}.chim")]) == 0
+    peaks = {}
+    for per_cond in ("1", "2"):
+        tracemalloc.start()
+        try:
+            assert run(["--seed", "8", "decode", "--images", str(tmp_path / f"s{per_cond}.chim"),
+                        "--codec", str(d / "codec.json"), "--geometry-from",
+                        str(d / "data.jsonl"), "--out", str(tmp_path / f"d{per_cond}.jsonl")]) == 0
+            peaks[per_cond] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    # the bytes of decoding against every geometry column repeated
+    matrices, _ = io.read_images(tmp_path / "s2.chim")
+    table = io.read_table(d / "data.jsonl")
+    decoded = io.read_codec(d / "codec.json").decode(
+        matrices, table.take(np.arange(len(matrices)) % len(table)))
+    io.write_table(tmp_path / "want.jsonl", decoded, seed=8)
+    assert (tmp_path / "d2.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
+    # measured: 20.7 MB traced for 5,000 matrices, 26.0 MB for 10,000; 40.0 MB
+    # while the geometry's (2N, 25, 7) paths, 14 MB, were repeated as well
+    assert peaks["2"] - peaks["1"] < table.paths.nbytes, peaks

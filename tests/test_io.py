@@ -22,6 +22,7 @@ from chanimg.errors import FormatError, VersionError
 from chanimg.genmodel import EmpiricalResampler, WganGpHyperparams
 from chanimg.genmodel.wgan import build_networks
 from chanimg.rng import substream
+from containers import PREFIX, seal, split
 
 
 @pytest.fixture(scope="module")
@@ -161,18 +162,26 @@ def written(tmp_path, table):
 
 
 def test_write_table_writes_a_current_sidecar(written, table, monkeypatch):
-    side = Path(f"{written}{io.LTAB_SUFFIX}").read_bytes()
+    magic, version, header, payload = split(Path(f"{written}{io.LTAB_SUFFIX}").read_bytes())
     n, p = len(table), int(table.counts.sum())
-    assert side[:8] == b"LTAB" + struct.pack("<I", io.LTAB_VERSION)
-    assert struct.unpack_from("<2Q", side, 72) == (n, p)
-    assert len(side) == 88 + 65 * n + 56 * p
+    assert (magic, version) == (b"LTAB", io.LTAB_VERSION)
+    assert header["meta"] == {"seed": 7,
+                              "text_sha256": hashlib.sha256(written.read_bytes()).hexdigest()}
+    assert [(e["name"], e["dtype"], e["shape"]) for e in header["entries"]] == [
+        ("counts", "<i8", [n]), ("codes", "|u1", [n]), ("ends", "<f8", [n, 7]),
+        ("paths", "<f8", [p, 7])]
+    assert len(payload) == 65 * n + 56 * p
     assert not any(written.parent.glob("*.tmp"))
 
-    def no_parse(_):
-        raise AssertionError("the dataset was parsed")
+    loads, texts = json.loads, []
 
-    monkeypatch.setattr(json, "loads", no_parse)
+    def recording(text):
+        texts.append(text)
+        return loads(text)
+
+    monkeypatch.setattr(json, "loads", recording)
     assert columns(io.read_table(written)) == columns(table)
+    assert len(texts) == 1  # the sidecar's header, and no dataset line
 
 
 def flip_bit(offset):
@@ -187,19 +196,33 @@ def future_version(raw, other):
     return raw[:4] + struct.pack("<I", io.LTAB_VERSION + 1) + raw[8:]
 
 
+def huge_count(raw, other):
+    """Resealed with P far past the file's size, rejected before anything is allocated."""
+    magic, version, header, payload = split(raw)
+    header["entries"][3]["shape"][0] = 2**40
+    return seal(magic, version, header, payload)
+
+
+def v1_sidecar(raw, other):
+    """The same columns in the v1 layout: magic, u32 version, the text and payload
+    SHA-256, u64 N and P, then the payload."""
+    _, _, header, payload = split(raw)
+    n, p = header["entries"][0]["shape"][0], header["entries"][3]["shape"][0]
+    return struct.pack("<4sI32s32s2Q", b"LTAB", 1, bytes.fromhex(header["meta"]["text_sha256"]),
+                       hashlib.sha256(payload).digest(), n, p) + payload
+
+
 @pytest.mark.parametrize("damage", [
     lambda raw, other: raw[:-1], lambda raw, other: raw[:len(raw) // 2],
     lambda raw, other: raw[:87], lambda raw, other: b"",
     lambda raw, other: raw + b"\0",
-    # magic, version, text digest, payload digest, N, P, a count, the last cell's
-    # lowest mantissa byte and its sign
+    # magic, version, header length, digest, three header bytes, the last
+    # cell's lowest mantissa byte and its sign
     *(flip_bit(i) for i in (0, 4, 8, 40, 72, 80, 88, -8, -1)),
-    lambda raw, other: other, future_version,
-    # a count far past the file's size, rejected before anything is allocated
-    lambda raw, other: raw[:72] + struct.pack("<Q", 2**40) + raw[80:],
+    lambda raw, other: other, future_version, huge_count, v1_sidecar,
 ], ids=["cut-1", "cut-half", "cut-header", "empty", "extra-byte",
         *(f"bit-{i}" for i in (0, 4, 8, 40, 72, 80, 88, -8, -1)), "foreign", "future-version",
-        "huge-count"])
+        "huge-count", "v1"])
 def test_damaged_sidecar_reads_as_the_parse(written, table, tmp_path, damage):
     other = tmp_path / "other.jsonl"
     io.write_table(other, generate_dataset(SurrogateConfig(num_tx=2, num_rx_per_height=4,
@@ -213,7 +236,7 @@ def test_damaged_sidecar_reads_as_the_parse(written, table, tmp_path, damage):
 
 @st.composite
 def damaged_sidecar(draw, raw):
-    """Sidecar bytes cut, extended, with one byte changed or with N and P rewritten."""
+    """Sidecar bytes cut, extended, with one byte changed, or resealed with N and P rewritten."""
     kind = draw(st.sampled_from(["truncate", "extend", "flip", "counts"]))
     if kind == "truncate":
         return raw[:draw(st.integers(0, len(raw) - 1))]
@@ -223,7 +246,9 @@ def damaged_sidecar(draw, raw):
         raw = bytearray(raw)
         raw[draw(st.integers(0, len(raw) - 1))] ^= draw(st.integers(1, 255))
         return bytes(raw)
-    n, p = struct.unpack_from("<2Q", raw, 72)
+    magic, version, header, payload = split(raw)
+    shapes = {e["name"]: e["shape"] for e in header["entries"]}
+    n, p = shapes["counts"][0], shapes["paths"][0]
     shift = draw(st.integers(-3, 3).filter(bool))
     counts = draw(st.sampled_from([
         (n + 56 * shift, p - 65 * shift),  # the same payload size, split otherwise
@@ -231,7 +256,10 @@ def damaged_sidecar(draw, raw):
         (n, draw(st.integers(0, 2**64 - 1)))]))
     if counts == (n, p) or min(counts) < 0:
         counts = (n + 1, p)
-    return raw[:72] + struct.pack("<2Q", *counts) + raw[88:]
+    for name in ("counts", "codes", "ends"):
+        shapes[name][0] = counts[0]
+    shapes["paths"][0] = counts[1]
+    return seal(magic, version, header, payload)
 
 
 @pytest.fixture(scope="module")
@@ -403,9 +431,10 @@ def test_sidecar_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, na
             + bytes(list(LinkState).index(s) for s in table.state)  # LOS, NLOS, Outage
             + np.column_stack([table.tx, table.rx, table.carrier_freq]).tobytes()
             + table.paths[table.valid].tobytes())
-    assert sides[0][88:] == want
-    assert sides[0][40:72] == hashlib.sha256(want).digest()
-    assert struct.unpack_from("<2Q", sides[0], 72) == (n, p)
+    _, _, header, payload = split(sides[0])
+    assert payload == want
+    assert sides[0][12:44] == hashlib.sha256(sides[0][44:]).digest()
+    assert [e["shape"][0] for e in header["entries"]] == [n, n, n, p]
 
 
 def test_part_bounds_balance_lines_and_paths():
@@ -528,15 +557,18 @@ def test_images_roundtrip(tmp_path):
     bi, bc = io.read_images(p)
     np.testing.assert_array_equal(bi, matrices)
     np.testing.assert_array_equal(bc, conds)
-    assert p.read_bytes()[:4] == b"CHIM"
-    assert struct.unpack_from("<4I", p.read_bytes(), 4) == (io.IMAGES_VERSION, 6, 8, 25)
-    assert p.stat().st_size == 20 + 6 * (8 * 25 * 4 + 2 * 8)
+    magic, version, header, payload = split(p.read_bytes())
+    assert (magic, version) == (b"CHIM", io.IMAGES_VERSION)
+    assert header == {"meta": {"seed": 1}, "entries": [
+        {"name": "matrices", "dtype": "<f4", "shape": [6, 8, 25]},
+        {"name": "conditions", "dtype": "<f8", "shape": [6, 2]}]}
+    assert payload == matrices.tobytes() + conds.tobytes()
 
 
 def test_images_roundtrip_of_zero_matrices(tmp_path):
     p = tmp_path / "empty.chim"
     io.write_images(p, np.zeros((0, 8, 25)), np.zeros((0, 2)))
-    assert p.stat().st_size == 20
+    assert split(p.read_bytes())[3] == b""
     matrices, conds = io.read_images(p)
     assert matrices.shape == (0, 8, 25) and matrices.dtype == np.float32
     assert conds.shape == (0, 2)
@@ -551,8 +583,8 @@ def test_images_rejects_bad_magic(tmp_path):
 
 def test_images_rejects_future_version(tmp_path):
     p = tmp_path / "v9.chim"
-    p.write_bytes(b"CHIM" + struct.pack("<4I", 9, 0, 64, 50))
-    with pytest.raises(VersionError):
+    p.write_bytes(seal(b"CHIM", 9, {"meta": {}, "entries": []}))
+    with pytest.raises(VersionError, match=f"{p}: CHIM format v9 not supported"):
         io.read_images(p)
 
 
@@ -561,13 +593,16 @@ def test_images_rejects_truncation(tmp_path):
     p = tmp_path / "t.chim"
     io.write_images(p, rng.uniform(size=(3, 8, 25)), rng.uniform(size=(3, 2)))
     data = p.read_bytes()
-    # short payload, extra bytes, a header cut short, and a header whose
-    # count claims far more than the file holds (rejected before allocating)
-    for bad in (data[:-10], data + b"\x00", data[:12],
-                data[:4] + struct.pack("<4I", io.IMAGES_VERSION, 2**32 - 1, 2**16, 2**16)
-                + data[20:]):
+    magic, version, header, payload = split(data)
+    header["entries"][0]["shape"] = [2**32 - 1, 2**16, 2**16]
+    # short payload, extra bytes, a prefix cut short, and a header whose
+    # shape claims far more than the file holds (rejected before allocating)
+    for bad, message in ((data[:-10], "truncated CHIM payload"),
+                         (data + b"\x00", "1 bytes follow the CHIM payload"),
+                         (data[:12], "truncated CHIM prefix"),
+                         (seal(magic, version, header, payload), "truncated CHIM payload")):
         p.write_bytes(bad)
-        with pytest.raises(FormatError, match="truncated"):
+        with pytest.raises(FormatError, match=f"{p}: {message}"):
             io.read_images(p)
 
 
@@ -596,7 +631,9 @@ def test_resampler_checkpoint_roundtrip(tmp_path):
     io.write_resampler_checkpoint(p, model, seed=4)
     backend, back = io.read_model_checkpoint(p)
     assert backend == "resampler" and back.k == 4
-    np.testing.assert_array_equal(back.matrices, model.matrices)
+    assert [e["dtype"] for e in split(p.read_bytes())[2]["entries"]] == ["<f8", "<f8"]
+    assert back.matrices.dtype == np.float64
+    assert back.matrices.tobytes() == model.matrices.tobytes()
     out_a = model.sample([100.0, 30.0], 5, seed=9)
     out_b = back.sample([100.0, 30.0], 5, seed=9)
     np.testing.assert_array_equal(out_a, out_b)
@@ -611,7 +648,8 @@ def test_checkpoint_arrays_are_read_in_place(tmp_path):
     p = tmp_path / "res.ckpt"
     io.write_resampler_checkpoint(p, model)
     assert p.stat().st_size > 8e6
-    assert traced_peak(lambda: io._read_checkpoint(p)) < p.stat().st_size + 2**20
+    assert traced_peak(lambda: io._read_container(p, io.CHECKPOINT_MAGIC, io.CHECKPOINT_VERSION)) \
+        < p.stat().st_size + 2**20
     _, back = io.read_model_checkpoint(p)
     assert back.matrices.tobytes() == model.matrices.tobytes()
     assert back.conditions.tobytes() == model.conditions.tobytes()
@@ -619,8 +657,8 @@ def test_checkpoint_arrays_are_read_in_place(tmp_path):
 
 def test_checkpoint_rejects_future_version(tmp_path):
     p = tmp_path / "v9.ckpt"
-    p.write_bytes(b"WGPC" + struct.pack("<2I", 9, 2) + b"{}")
-    with pytest.raises(VersionError):
+    p.write_bytes(seal(b"WGPC", 9, {"meta": {}, "entries": []}))
+    with pytest.raises(VersionError, match=f"{p}: WGPC format v9 not supported"):
         io.read_model_checkpoint(p)
 
 
@@ -629,6 +667,115 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     p.write_bytes(b"XXXX" + b"\x00" * 16)
     with pytest.raises(FormatError):
         io.read_model_checkpoint(p)
+
+
+# -- the one container -------------------------------------------------------------
+
+
+KINDS = [(b"CHIM", io.IMAGES_VERSION), (b"WGPC", io.CHECKPOINT_VERSION),
+         (b"LTAB", io.LTAB_VERSION)]
+
+
+def one_entry(dtype="<f8", shape=(2,)):
+    return {"meta": {}, "entries": [{"name": "x", "dtype": dtype, "shape": list(shape)}]}
+
+
+def empty_then_two(shape):
+    """An entry of shape, which holds no values, then one of the file's 2 numbers."""
+    return {"meta": {}, "entries": [{"name": "x", "dtype": "<f8", "shape": shape},
+                                    {"name": "y", "dtype": "<f8", "shape": [2]}]}
+
+
+@pytest.mark.parametrize("magic, version", KINDS, ids=[k.decode() for k, _ in KINDS])
+@pytest.mark.parametrize("header, message", [
+    (one_entry("|O"), "bad {kind} entry"), (one_entry(">f8"), "bad {kind} entry"),
+    (one_entry("<f2"), "bad {kind} entry"), (one_entry(shape=[True, 2]), "bad {kind} entry"),
+    (one_entry(shape=[-1, 2]), "bad {kind} entry"),
+    (one_entry(shape=[2**20, 2**20]), "truncated {kind} payload"),
+    (empty_then_two([0, 2**70]), "bad {kind} entry"),
+    (empty_then_two([0] * 70), "bad {kind} entry"),
+    (None, "corrupt {kind} header: 2147483648 bytes, past the end of the file"),
+    ({"meta": {}, "entries": [one_entry()["entries"][0]] * 2}, "{kind} entries repeat a name"),
+    (b'{"meta": {"seed": ' + b"1" * 5000 + b'}, "entries": []}', "corrupt {kind} header"),
+], ids=["object", "big-endian", "half", "bool-dim", "negative-dim", "2**40-elements",
+        "empty-2**70", "70-dims", "header-past-the-end", "repeated-name", "5000-digits"])
+def test_bad_header_is_a_format_error_before_allocating(tmp_path, magic, version, header,
+                                                         message):
+    p = tmp_path / "bad.bin"
+    if header is None:  # a header length past the end of a 60-byte file
+        p.write_bytes(PREFIX.pack(magic, version, 2**31, bytes(32)) + bytes(16))
+    else:
+        p.write_bytes(seal(magic, version, header, bytes(16)))
+
+    def read():
+        with pytest.raises(FormatError, match=re.escape(f"{p}: " + message.format(
+                kind=magic.decode()))):
+            io._read_container(p, magic, version)
+
+    assert traced_peak(read) < 2**20
+
+
+def test_digest_covers_the_header_and_every_array(tmp_path):
+    p = tmp_path / "m.chim"
+    io.write_images(p, np.ones((2, 8, 25)), np.ones((2, 2)), seed=5)
+    raw = p.read_bytes()
+    # the seed, read as 4, the last matrix cell and the last condition
+    for at in (raw.index(b'"seed": 5') + 8, len(raw) - 33, len(raw) - 1):
+        bad = bytearray(raw)
+        bad[at] ^= 1
+        p.write_bytes(bytes(bad))
+        with pytest.raises(FormatError, match=f"{p}: CHIM bytes do not match their SHA-256"):
+            io.read_images(p)
+
+
+def kind_writers(tmp_path, seed):
+    """{kind: (path, write(path))} of one small file of each container kind."""
+    rng = np.random.default_rng(3)
+    matrices = rng.uniform(-1, 1, (4, 8, 25)).astype(np.float32)
+    conds = rng.uniform(1, 400, (4, 2))
+    return {
+        "CHIM": (tmp_path / "m.chim", lambda p: io.write_images(p, matrices, conds, seed=seed)),
+        "WGPC": (tmp_path / "r.ckpt", lambda p: io.write_resampler_checkpoint(
+            p, EmpiricalResampler(matrices, conds, k=2), seed=seed)),
+        "LTAB": (tmp_path / "d.jsonl.ltab", lambda p: io._write_ltab(
+            p.with_suffix(""), bytes(32), edge_table(), seed=seed)),
+    }
+
+
+def test_same_arrays_give_the_same_bytes_with_their_seed(tmp_path):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    for kind, (path, write) in kind_writers(tmp_path, seed=11).items():
+        first, second = tmp_path / "a" / path.name, tmp_path / "b" / f"other{path.suffix}"
+        write(first)
+        write(second)
+        assert first.read_bytes() == second.read_bytes(), kind  # no path, time or pid
+        assert split(first.read_bytes())[2]["meta"]["seed"] == 11, kind
+    data = tmp_path / "data.jsonl"
+    io.write_table(data, edge_table(), seed=12)
+    assert split(Path(f"{data}{io.LTAB_SUFFIX}").read_bytes())[2]["meta"]["seed"] == 12
+
+
+@pytest.mark.parametrize("kind", ["CHIM", "WGPC", "LTAB"])
+def test_failed_write_leaves_the_old_file_and_no_tmp(tmp_path, monkeypatch, kind):
+    path, write = kind_writers(tmp_path, seed=5)[kind]
+    write(path)
+    before, whole = sorted(os.listdir(tmp_path)), io._whole
+
+    def failing(name, array, dtype):
+        name, dtype, shape, blocks = whole(name, array, dtype)
+
+        def fail():
+            yield from blocks
+            raise RuntimeError("no more blocks")
+        return name, dtype, shape, fail()
+
+    old = path.read_bytes()
+    monkeypatch.setattr(io, "_whole", failing)
+    with pytest.raises(RuntimeError, match="no more blocks"):
+        write(path)
+    assert path.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_report_csv(tmp_path):
