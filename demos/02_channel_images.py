@@ -13,7 +13,7 @@ from chanimg import SurrogateConfig, fit_codec, generate_dataset, tile
 from chanimg.rng import substream
 
 cfg = SurrogateConfig(num_tx=5, num_rx_per_height=20, seed=42)
-dataset = generate_dataset(cfg)  # a LinkTable: padded path arrays, one row per link
+dataset = generate_dataset(cfg)  # a LinkTable: every link's path rows, and one row per link
 print(f"surrogate dataset: {len(dataset)} links, "
       f"{dataset.counts.mean():.1f} paths/link on average")
 
@@ -42,8 +42,9 @@ print(f"rendered image {image.shape}; top-left 8x2 block is constant: "
 decoded = codec.decode(matrices, table)
 print(f"\ndecoded: state={decoded.state[0].value} paths={decoded.counts[0]} "
       f"(virtual columns stripped)")
-orig = table.paths[0, :table.counts[0]]
-back = decoded.paths[0, :decoded.counts[0]]
+# a table holds only real paths: link i's are paths[offsets[i]:offsets[i + 1]],
+# and this one-link table's are all of them
+orig, back = table.paths, decoded.paths
 err = np.abs(orig - back).max(axis=0)
 labels = ("pathloss dB", "delay s", "aod deg", "zod deg", "aoa deg", "zoa deg", "phase deg")
 print("worst per-feature round-trip error:")

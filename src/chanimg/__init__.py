@@ -16,10 +16,8 @@ import importlib
 from .core import (
     MAX_PATHS,
     SPEED_OF_LIGHT,
-    LinkRecord,
     LinkState,
     LinkTable,
-    PathParams,
     closed_forms,
 )
 
@@ -56,8 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "SPEED_OF_LIGHT",
     "MAX_PATHS",
-    "PathParams",
-    "LinkRecord",
     "LinkState",
     "LinkTable",
     "closed_forms",

@@ -196,9 +196,7 @@ def _cmd_encode(args) -> int:
     n = len(table)
     matrices = np.empty((args.realizations * n, *MATRIX_SHAPE), dtype=np.float32)
     for r in range(args.realizations):
-        # unpacking straight into the float32 output drops each float64
-        # block before the next realization is drawn
-        matrices[r * n:(r + 1) * n], conds = codec.encode(table, rng)
+        _, conds = codec.encode(table, rng, out=matrices[r * n:(r + 1) * n])
     io.write_images(args.out, matrices, np.tile(conds, (args.realizations, 1)), seed=args.seed)
     print(f"encoded {len(matrices)} matrices ({args.realizations} realization(s) "
           f"of {n} links) -> {args.out}")
@@ -214,7 +212,8 @@ def _cmd_decode(args) -> int:
         raise DataError(f"{len(matrices)} matrices do not repeat {n} geometry links")
     if len(matrices) != n:
         # decode replaces the paths, so only the geometry is repeated
-        table = replace(table, paths=table.paths[:, :0]).take(np.arange(len(matrices)) % n)
+        table = replace(table, paths=table.paths[:0], counts=np.zeros_like(table.counts)
+                        ).take(np.arange(len(matrices)) % n)
     decoded = codec.decode(matrices, table)
     io.write_table(args.out, decoded, seed=args.seed)
     print(f"decoded {len(decoded)} links -> {args.out}")
@@ -328,13 +327,13 @@ def _cmd_report(args) -> int:
     state_ok = (decoded.state == table.state).astype(int).tolist()
     n_ok = decoded.counts == table.counts
     survivors = np.maximum(decoded.counts - table.counts, 0).tolist()
-    # per-feature max over the real paths, formed in place in the decoded paths,
-    # which nothing reads after this; NaN where the counts differ
-    diff = np.subtract(decoded.paths, table.paths, out=decoded.paths)
-    np.abs(diff, out=diff)
-    diff[~table.valid] = -np.inf
-    errs = diff.max(axis=1)
-    errs[~(n_ok & (table.counts > 0))] = np.nan
+    # per-feature max over the real paths of each link whose count decodes;
+    # NaN for the others
+    same = n_ok & (table.counts > 0)
+    want = table.take(same)
+    diff = np.abs(decoded.take(same).paths - want.paths)
+    errs = np.full((len(table), diff.shape[1]), np.nan)
+    errs[same] = np.maximum.reduceat(diff, want.offsets[:-1])
     worst = np.fmax.reduce(errs, axis=0, initial=0.0)
     rows = [[i, state_ok[i], int(n_ok[i]), survivors[i], *errs[i]] for i in range(len(table))]
     io.write_report_csv(args.out, "roundtrip", args.seed, header, rows)

@@ -21,7 +21,9 @@ reads it.
 The padding draws come from one rng in a fixed order: a (N, 25) block of
 virtual pathloss, then one (N, 25) block per row from delay to phase (cells
 of real paths draw too and discard the value), then one link-state draw per
-link.
+link.  Encode and fit_codec pad one feature row of every link at a time,
+and decode one block of links at a time, so no stage holds a padded copy
+of the whole table.
 
 Decode runs the exact inverse (inverse scaling, add the references back),
 votes the link state on the mean of the last row, overwrites the first
@@ -91,17 +93,22 @@ class FeatureScaler:
                 raise DataError(f"degenerate feature '{FEATURES[i]}': max <= min")
         self.n_clipped = 0
 
-    def scale(self, values: np.ndarray, out=None) -> np.ndarray:
-        """Scale raw feature rows (works on (..., 8, 25) stacks).
+    def _bounds(self, rows):
+        """(min, max) of the feature rows, shaped to broadcast over their cells."""
+        return self.feature_min[rows, None], self.feature_max[rows, None]
 
-        The result is written into out when it is given, which may be
-        values itself (encode scales its padded matrices in place), and
-        into a new float64 array otherwise; values is then left as it is.
-        Either way the steps are subtract, x2, divide by the span, -1 and
-        clip, so the bytes do not depend on out.
+    def scale(self, values: np.ndarray, rows=slice(None), out=None) -> np.ndarray:
+        """Scale raw feature rows: (..., 8, 25) stacks, or the cells of rows.
+
+        rows picks the features values holds on its next-to-last axis; one
+        row index takes values whose last axis is that row's cells.  The
+        result is written into out when it is given, which may be values
+        itself (encode scales its padded rows in place), and into a new
+        float64 array otherwise; values is then left as it is.  Either way
+        the steps are subtract, x2, divide by the span, -1 and clip, so the
+        bytes do not depend on out.
         """
-        lo = self.feature_min[:, None]
-        hi = self.feature_max[:, None]
+        lo, hi = self._bounds(rows)
         # lo < hi, so no cell is counted twice
         self.n_clipped += int(np.count_nonzero(values < lo)) + int(np.count_nonzero(values > hi))
         x = np.subtract(values, lo, out=out)
@@ -110,11 +117,11 @@ class FeatureScaler:
         x -= 1.0
         return np.clip(x, -1.0, 1.0, out=x)
 
-    def unscale(self, x: np.ndarray) -> np.ndarray:
+    def unscale(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """The raw feature rows of scaled ones; rows as in scale."""
         self.n_clipped += int(np.count_nonzero((x < -1.0) | (x > 1.0)))
         x = np.clip(x, -1.0, 1.0)
-        lo = self.feature_min[:, None]
-        hi = self.feature_max[:, None]
+        lo, hi = self._bounds(rows)
         return lo + (x + 1.0) * 0.5 * (hi - lo)
 
     def to_dict(self) -> dict:
@@ -138,28 +145,35 @@ def _require_paths(table: LinkTable):
         raise DataError(f"link {int(np.argmin(table.counts))} has zero paths; cannot encode it")
 
 
-def _prescale(table: LinkTable, virtual_ranges, eps: float, rng) -> np.ndarray:
-    """Padded, re-referenced (N, 8, 25) matrices, before Min-Max scaling.
+def _prescaled(table: LinkTable, virtual_ranges, eps: float, rng):
+    """Yield (row, (N, 25) values) of the padded, re-referenced matrices, row by row.
 
-    Virtual delay/angle/phase values are uniform inside the dataset-wide
-    real ranges; virtual pathloss is uniform in (181, 190) dB, strictly
-    above the outage threshold.  Pathloss is re-referenced to FSPL and
-    delay to the LOS delay, times 1e7.  The last row carries the link state,
-    in (1-eps, 1] for LOS and [-1, -1+eps) otherwise, across all columns.
+    The rows come in the draw order: pathloss, delay to phase, then the
+    link state.  Virtual delay/angle/phase values are uniform inside the
+    dataset-wide real ranges; virtual pathloss is uniform in (181, 190) dB,
+    strictly above the outage threshold.  Pathloss is re-referenced to FSPL
+    and delay to the LOS delay, times 1e7.  The last row carries the link
+    state, in (1-eps, 1] for LOS and [-1, -1+eps) otherwise, across all
+    columns.  The values are before Min-Max scaling.
     """
     n = len(table)
-    raw = table.paths.transpose(0, 2, 1)  # (N, 7, 25)
-    virt = ~table.valid
-    values = np.empty((n, N_FEATURES, MAX_PATHS))
-    values[:, PL] = np.where(virt, rng.uniform(VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH, (n, MAX_PATHS)),
-                             raw[:, PL]) - table.fspl[:, None]
-    for row in range(DLY, PS + 1):
-        lo, hi = virtual_ranges[row]
-        values[:, row] = np.where(virt, rng.uniform(lo, hi, (n, MAX_PATHS)), raw[:, row])
-    values[:, DLY] = (values[:, DLY] - table.dist3d[:, None] / SPEED_OF_LIGHT) * DELAY_SCALE
+    # the flat (N * 25) cell of each path row: its link's row, then its place there
+    cells = np.arange(len(table.paths)) + np.repeat(
+        np.arange(n) * MAX_PATHS - table.offsets[:-1], table.counts)
+    for row in range(PS + 1):
+        lo, hi = (VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH) if row == PL else virtual_ranges[row]
+        values = rng.uniform(lo, hi, (n, MAX_PATHS))
+        np.put(values, cells, table.paths[:, row])
+        if row == PL:
+            values -= table.fspl[:, None]
+        elif row == DLY:
+            values -= table.dist3d[:, None] / SPEED_OF_LIGHT
+            values *= DELAY_SCALE
+        yield row, values
     u = rng.uniform(0.0, eps, size=n)
-    values[:, LS] = np.where(table.state == LinkState.LOS, 1.0 - u, -1.0 + u)[:, None]
-    return values
+    values = np.empty((n, MAX_PATHS))
+    values[:] = np.where(table.state == LinkState.LOS, 1.0 - u, -1.0 + u)[:, None]
+    yield LS, values
 
 
 class ChannelImageCodec:
@@ -175,21 +189,27 @@ class ChannelImageCodec:
 
     # -- encode ------------------------------------------------------------
 
-    def encode(self, table: LinkTable, rng):
-        """(matrices (N, 8, 25) float64, conditions (N, 2)) of a link table.
+    def encode(self, table: LinkTable, rng, out=None):
+        """(matrices (N, 8, 25), conditions (N, 2)) of a link table.
 
         One padding realization is drawn from rng; conditions are each
-        link's (dist2d, receiver height).  Clipped cells count in
-        self.scaler.n_clipped.  An empty table, a link without paths and
-        a receiver at height <= 0 are DataErrors.
+        link's (dist2d, receiver height).  The matrices are written into out
+        when it is given and into a new float64 array otherwise; each row is
+        scaled in float64 and then stored, so a float32 out holds the
+        float64 matrices' values rounded once.  Clipped cells count in
+        self.scaler.n_clipped.  An empty table, a link without paths and a
+        receiver at height <= 0 are DataErrors.
         """
         _require_paths(table)
         low = np.flatnonzero(table.height <= 0.0)
         if low.size:
             raise DataError(f"link {low[0]}: receiver height {table.height[low[0]]} "
                             "is not positive")
-        values = _prescale(table, self.virtual_ranges, self.eps, rng)
-        return self.scaler.scale(values, out=values), np.column_stack([table.dist2d, table.height])
+        if out is None:
+            out = np.empty((len(table), *MATRIX_SHAPE))
+        for row, values in _prescaled(table, self.virtual_ranges, self.eps, rng):
+            out[:, row] = self.scaler.scale(values, row, out=values)
+        return out, np.column_stack([table.dist2d, table.height])
 
     # -- decode ------------------------------------------------------------
 
@@ -219,30 +239,55 @@ class ChannelImageCodec:
         if not len(matrices):
             raise DataError("empty link dataset")
         n = len(matrices)
-        paths = np.empty((n, MAX_PATHS, PS + 1))
-        counts, state = np.empty(n, dtype=np.intp), np.empty(n, dtype=object)
-        for start in range(0, n, DECODE_CHUNK):
-            block = slice(start, start + DECODE_CHUNK)
-            self._decode_block(matrices[block], table.take(block), start,
-                               paths[block], counts[block], state[block])
-        return dataclasses.replace(table, paths=paths, counts=counts, state=state)
+        blocks = [slice(i, min(n, i + DECODE_CHUNK)) for i in range(0, n, DECODE_CHUNK)]
+        # a first pass over the pathloss and link-state rows sizes the output
+        # rows; the second counts every clipped cell, once
+        clipped, counts = self.scaler.n_clipped, np.empty(n, dtype=np.intp)
+        for block in blocks:
+            _, pathloss = self._vote(matrices[block], table.take(block), block.start)
+            counts[block] = np.count_nonzero(pathloss <= self.outage_threshold_db, axis=-1)
+        self.scaler.n_clipped = clipped
+        decoded = dataclasses.replace(table, paths=np.empty((counts.sum(), PS + 1)),
+                                      counts=counts, state=np.empty(n, dtype=object))
+        offsets = decoded.offsets
+        for block in blocks:
+            self._decode_block(matrices[block], table.take(block), block.start,
+                               decoded.paths[offsets[block.start]:offsets[block.stop]],
+                               decoded.state[block])
+        return decoded
 
-    def _decode_block(self, matrices, geo: LinkTable, start: int, paths, counts, state):
-        """Decode one block into its rows of paths (m, 25, 7), counts (m,) and state (m,)."""
+    def _vote(self, matrices, geo: LinkTable, start: int):
+        """(is_los (m,), pathloss (m, 25) dB) of one block of matrices.
+
+        is_los is the link-state vote; pathloss is the un-scaled pathloss
+        row with the free-space loss added back and, on a LOS vote, the
+        closed-form LOS path's in the first column.  A non-finite cell and a
+        LOS vote on a link without a LOS path are errors naming the block's
+        first such matrix.
+        """
         matrices = np.asarray(matrices, dtype=np.float64)
         if not np.all(np.isfinite(matrices)):
             raise FormatError("channel matrix contains non-finite values")
-        values = self.scaler.unscale(matrices)  # (m, 8, 25)
-        is_los = values[:, LS].mean(axis=-1) > 0.0
+        is_los = self.scaler.unscale(matrices[:, LS], LS).mean(axis=-1) > 0.0
         no_los = np.flatnonzero(is_los & np.isnan(geo.los[:, PL]))
         if no_los.size:
             raise GeometryError(f"matrix {start + no_los[0]}: LOS vote on a link "
                                 "without a closed-form LOS path")
+        pathloss = self.scaler.unscale(matrices[:, PL], PL)
+        pathloss += geo.fspl[:, None]
+        pathloss[is_los, 0] = geo.los[is_los, PL]
+        return is_los, pathloss
 
+    def _decode_block(self, matrices, geo: LinkTable, start: int, paths, state):
+        """Decode one block into its path rows (counts.sum(), 7) and its state (m,)."""
+        matrices = np.asarray(matrices, dtype=np.float64)
+        is_los, pathloss = self._vote(matrices, geo, start)
+        values = np.empty((len(matrices), PS + 1, MAX_PATHS))  # (m, 7, 25)
+        values[:, PL] = pathloss
+        values[:, DLY:] = self.scaler.unscale(matrices[:, DLY:PS + 1], slice(DLY, PS + 1))
         base_delay = geo.dist3d / SPEED_OF_LIGHT
-        values[:, PL] += geo.fspl[:, None]
         values[:, DLY] = values[:, DLY] / self.delay_scale + base_delay[:, None]
-        values[is_los, :PS + 1, 0] = geo.los[is_los]
+        values[is_los, DLY:, 0] = geo.los[is_los, DLY:]
 
         keep = values[:, PL] <= self.outage_threshold_db  # (m, 25)
         self.stats["delay_floored"] += int(np.count_nonzero(
@@ -258,13 +303,12 @@ class ChannelImageCodec:
 
         # stable sort keeps the LOS overwrite (leftmost column, minimum
         # possible delay after flooring) in first position; dropped columns
-        # sort last, past the per-link count, and are zeroed
+        # sort last, past the per-link count
         order = np.argsort(np.where(keep, values[:, DLY], np.inf), axis=-1, kind="stable")
-        # (m, 7, 25) sorted features, stored as (m, 25, 7) path rows
-        paths[...] = np.take_along_axis(values[:, :PS + 1], order[:, None, :],
-                                        axis=-1).transpose(0, 2, 1)
-        counts[...] = np.count_nonzero(keep, axis=-1)
-        paths[np.arange(MAX_PATHS) >= counts[:, None]] = 0.0
+        counts = np.count_nonzero(keep, axis=-1)
+        # (m, 7, 25) sorted features as (m, 25, 7) path rows, the kept ones first
+        rows = np.take_along_axis(values, order[:, None, :], axis=-1).transpose(0, 2, 1)
+        paths[...] = rows[np.arange(MAX_PATHS) < counts[:, None]]
         state[...] = np.where(counts == 0, LinkState.OUTAGE,
                               np.where(is_los, LinkState.LOS, LinkState.NLOS))
 
@@ -328,11 +372,11 @@ def fit_codec(table: LinkTable, rng, eps: float = LINK_STATE_EPS) -> ChannelImag
     values are in-range by construction.
     """
     _require_paths(table)
-    cells = table.paths[table.valid]  # (paths, 7)
     ranges = np.empty((N_FEATURES, 2))
-    ranges[:PS + 1, 0] = cells.min(axis=0)
-    ranges[:PS + 1, 1] = cells.max(axis=0)
+    ranges[:PS + 1, 0] = table.paths.min(axis=0)
+    ranges[:PS + 1, 1] = table.paths.max(axis=0)
     ranges[LS] = (-1.0, 1.0)
-    values = _prescale(table, ranges, eps, rng)
-    return ChannelImageCodec(ranges, FeatureScaler(values.min(axis=(0, 2)),
-                                                   values.max(axis=(0, 2))), eps)
+    lo, hi = np.empty(N_FEATURES), np.empty(N_FEATURES)
+    for row, values in _prescaled(table, ranges, eps, rng):
+        lo[row], hi[row] = values.min(), values.max()
+    return ChannelImageCodec(ranges, FeatureScaler(lo, hi), eps)

@@ -16,11 +16,11 @@ Every format carries a major version; readers reject unknown majors.
                 meta seed and text_sha256 (of the JSONL bytes as written);
                 entries counts (N,) <i8, codes (N,) |u1 (LOS, NLOS,
                 Outage), ends (N, 7) <f8 tx/rx/carrier and paths (P, 7)
-                <f8.  read_table takes the columns from it only when it
-                reads whole, matches the JSONL's current bytes and keeps
-                every rule; otherwise it parses the text.  The JSONL is the
-                record: a sidecar is safe to delete, and read_table never
-                writes one.
+                <f8, the table's path rows as they are.  read_table takes
+                the columns from it only when it reads whole, matches the
+                JSONL's current bytes and keeps every rule; otherwise it
+                parses the text.  The JSONL is the record: a sidecar is
+                safe to delete, and read_table never writes one.
   - codec:      JSON bundle of virtual-path ranges and scaler parameters;
                 each range list holds 8 finite numbers and epsilon lies in
                 (0, 1)
@@ -63,7 +63,6 @@ from .core import (
     LinkState,
     LinkTable,
     link_rules,
-    padded_paths,
 )
 from .errors import DataError, FormatError, VersionError
 
@@ -210,7 +209,6 @@ _TEXT_PART = 512  # links per text process at least
 
 _STATES = np.array(list(LinkState), dtype=object)  # the sidecar's state codes
 _STATE_CODES = {state: code for code, state in enumerate(_STATES)}
-_LTAB_LINKS = 512  # links per hashed and written block of sidecar path rows
 
 
 def _ltab_path(path) -> Path:
@@ -253,10 +251,10 @@ def _link_lines(table: LinkTable, lo, hi):
     """The lines of links lo..hi-1: the text json.dumps writes for their records."""
     part = table.take(slice(lo, hi))
     ends = np.column_stack([part.tx, part.rx, part.carrier_freq])
-    return (_LINK_TEXT % (*e, state.value,
-                          ", ".join([_PATH_TEXT % tuple(c) for c in rows[:n].tolist()]))
-            for e, state, n, rows in zip(ends.tolist(), part.state, part.counts.tolist(),
-                                         part.paths))
+    offsets = part.offsets.tolist()
+    return (_LINK_TEXT % (*e, state.value, ", ".join([_PATH_TEXT % tuple(c)
+                                                      for c in part.paths[a:b].tolist()]))
+            for e, state, a, b in zip(ends.tolist(), part.state, offsets, offsets[1:]))
 
 
 def _write_lines(out, lines, digest=None):
@@ -350,10 +348,10 @@ def read_table(path) -> LinkTable:
     A current sidecar (see _read_ltab) supplies the columns without
     parsing.  Otherwise each line is parsed on its own and appended to flat
     rows: 7 numbers per link (tx, rx, carrier_freq) and 7 per path.  Either
-    way, array masks then apply the rules of PathParams and LinkRecord to
-    the rows.  A malformed line, a line longer than MAX_LINE_BYTES, a value
-    that is not a JSON number and a broken rule are FormatErrors naming the
-    file and line.
+    way, the array masks of core.link_rules then check the rows.  A
+    malformed line, a line longer than MAX_LINE_BYTES, a value that is not
+    a JSON number and a broken rule are FormatErrors naming the file and
+    line.
     """
     path = Path(path)
     ends, cells, counts, states, line_nos = bytearray(), bytearray(), [], [], []
@@ -362,7 +360,11 @@ def read_table(path) -> LinkTable:
         m = re.match(rb"# chanimg-dataset v(\d+)\b", header)
         if not m:
             raise FormatError(f"{path}: missing dataset header")
-        _require_version(path, "dataset", int(m.group(1)), DATASET_VERSION)
+        try:
+            version = int(m.group(1))
+        except ValueError as exc:  # more digits than int() converts
+            raise FormatError(f"{path}:1: bad dataset header: {exc}") from exc
+        _require_version(path, "dataset", version, DATASET_VERSION)
         table = _read_ltab(path, fh)
         if table is not None:
             return table
@@ -382,7 +384,7 @@ def read_table(path) -> LinkTable:
                 ends += _ENDS.pack(*rec["tx"], *rec["rx"], rec["carrier_freq"])
                 states.append(LinkState(rec["link_state"]))
                 n = len(rec["paths"])
-                if n > MAX_PATHS:  # before padded_paths sizes every link by this line
+                if n > MAX_PATHS:  # named with its count, before its rows are packed
                     raise ValueError(f"at most {MAX_PATHS} paths per link, got {n}")
                 cells += struct.pack(f"{7 * n}d", *chain.from_iterable(map(_PATH_CELLS,
                                                                            rec["paths"])))
@@ -392,8 +394,7 @@ def read_table(path) -> LinkTable:
                 raise FormatError(f"{path}:{line_no}: bad link record: {exc}") from exc
             line_nos.append(line_no)
     counts, state = np.array(counts, dtype=int), np.array(states, dtype=object)
-    ends = np.frombuffer(ends).reshape(-1, 7)
-    paths = padded_paths(np.frombuffer(cells).reshape(-1, 7), counts)
+    ends, paths = np.frombuffer(ends).reshape(-1, 7), np.frombuffer(cells).reshape(-1, 7)
     broken = _broken_rule(paths, counts, state, ends)
     if broken:
         raise FormatError(f"{path}:{line_nos[broken[0]]}: bad link record: {broken[1]}")
@@ -426,18 +427,13 @@ def _broken_rule(paths, counts, state, ends):
 
 
 def _write_ltab(path, text_digest: bytes, table: LinkTable, seed=None):
-    """Write the sidecar of the dataset at path, whose bytes hash to text_digest.
-
-    The path rows are written _LTAB_LINKS links at a time, so no copy of
-    all of them is made.
-    """
-    blocks = (table.take(slice(lo, lo + _LTAB_LINKS)) for lo in range(0, len(table), _LTAB_LINKS))
+    """Write the sidecar of the dataset at path, whose bytes hash to text_digest."""
     _write_container(_ltab_path(path), LTAB_MAGIC, LTAB_VERSION,
                      {"seed": seed, "text_sha256": text_digest.hex()}, [
         _whole("counts", table.counts, "<i8"),
         _whole("codes", np.array([_STATE_CODES[s] for s in table.state], dtype="u1"), "|u1"),
         _whole("ends", np.column_stack([table.tx, table.rx, table.carrier_freq]), "<f8"),
-        ("paths", "<f8", (int(table.counts.sum()), 7), (b.paths[b.valid] for b in blocks)),
+        _whole("paths", table.paths, "<f8"),
     ])
 
 
@@ -475,11 +471,10 @@ def _read_ltab(path, fh):
     _hash_copy(fh, text)
     if meta.get("text_sha256") != text.hexdigest():
         return None
-    counts, codes, ends, cells = (arrays[k] for k in ("counts", "codes", "ends", "paths"))
-    if (codes.max(initial=0) >= len(_STATES) or counts.min(initial=0) < 0
-            or counts.max(initial=0) > MAX_PATHS or counts.sum() != p):
+    counts, codes, ends, paths = (arrays[k] for k in ("counts", "codes", "ends", "paths"))
+    if codes.max(initial=0) >= len(_STATES) or counts.min(initial=0) < 0 or counts.sum() != p:
         return None
-    state, paths = _STATES[codes], padded_paths(cells, counts)
+    state = _STATES[codes]
     if _broken_rule(paths, counts, state, ends):
         return None
     return LinkTable.from_columns(paths, counts, state, ends[:, :3], ends[:, 3:6], ends[:, 6])
@@ -501,8 +496,10 @@ def read_codec(path) -> ChannelImageCodec:
 
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    # ValueError: not UTF-8, not JSON, or an integer of more digits than int() reads;
+    # RecursionError: nested too deep
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or doc.get("format") != "chanimg-codec":
         raise FormatError(f"{path}: not a codec file")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PATH_FIELDS, LinkState, LinkTable
+from .core import MAX_PATHS, PATH_FIELDS, LinkState, LinkTable
 from .errors import DataError
 
 __all__ = [
@@ -150,9 +150,8 @@ def relative_zenith_pdf(table: LinkTable, height, dist_edges, angle_edges,
     ref = table.los[:, col]
     skipped = int(np.count_nonzero(used & np.isnan(ref)))
     t = table.take(used & ~np.isnan(ref))
-    valid = t.valid
-    rels = (t.paths[..., col] - t.los[:, col, None])[valid]
-    dists = np.broadcast_to(t.dist2d[:, None], valid.shape)[valid]
+    rels = t.paths[:, col] - np.repeat(t.los[:, col], t.counts)
+    dists = np.repeat(t.dist2d, t.counts)
 
     hist, _, _ = np.histogram2d(rels, dists, bins=(angle_edges, dist_edges))
     total = hist.sum(axis=0)
@@ -179,16 +178,25 @@ def rms_spread_report(table: LinkTable) -> RmsSpreadReport:
     the first arrival); azimuths are unwrapped around the gain-weighted
     circular mean before differencing so the +/-180 seam cannot inflate the
     spread.  A single path gives 0.
+
+    Each feature is padded to a (links, MAX_PATHS) block, so a link's sums
+    run over the same padded row, and give the same bits, in any table.
     """
     t = table.take(table.counts > 0)
-    valid = t.valid
-    pl = np.where(valid, t.paths[..., _FEATURE_COL["pathloss"]], np.inf)
+    valid = np.arange(MAX_PATHS) < t.counts[:, None]
+
+    def padded(feature, fill):
+        out = np.full(valid.shape, fill)
+        out[valid] = t.paths[:, _FEATURE_COL[feature]]
+        return out
+
+    pl = padded("pathloss", np.inf)
     excess = pl - pl.min(axis=1, keepdims=True)
     gains = 10.0 ** (-excess / 10.0)  # 0 in the padding; common factor cancels
     w = gains / gains.sum(axis=1, keepdims=True)
     out = {}
     for feature in RMS_FEATURES:
-        d = t.paths[..., _FEATURE_COL[feature]]
+        d = padded(feature, 0.0)
         if feature == "delay":
             d = d - np.where(valid, d, np.inf).min(axis=1, keepdims=True)
         elif feature in _CIRCULAR:
@@ -234,7 +242,7 @@ def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width:
         m, d = model.take(model.height == h), data.take(data.height == h)
         entry = {"n_model_links": len(m), "n_data_links": len(d)}
         # every path of every link, link by link
-        pool_m, pool_d = m.paths[m.valid], d.paths[d.valid]
+        pool_m, pool_d = m.paths, d.paths
         # a side without any path here (e.g. all Outage) has no distribution: NaN
         for feat in ("pathloss", "delay"):
             col = _FEATURE_COL[feat]

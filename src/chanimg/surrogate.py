@@ -117,8 +117,9 @@ def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
                                              if dist2d[i] == 0.0 else
                                              f"LOS pathloss {fspl[i]} dB is not positive"))
 
-    # per link, only the draws: each link's substream is read in a fixed order
-    is_los, n_scattered, draws = [], [], []
+    # per link, only the draws: each link's substream is read in a fixed order,
+    # and each field's draws are appended to one byte buffer
+    is_los, n_scattered, draws = [], [], [bytearray() for _ in range(7)]
     for rng, d2, h in zip(substreams(cfg.seed, "link", n=len(dist2d)),
                           dist2d.tolist(), rx_all[:, 2].tolist()):
         los_link = rng.uniform() < _los_probability(cfg, d2, h)
@@ -128,36 +129,43 @@ def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
         az_scale, zen_scale = cfg.azimuth_spread_deg * decay, cfg.zenith_spread_deg * decay
         is_los.append(los_link)
         n_scattered.append(n)
-        draws.append((rng.exponential(cfg.excess_delay_mean_s, n),
-                      rng.normal(0.0, cfg.excess_pl_sigma_db, n),
-                      rng.laplace(0.0, az_scale, n), rng.laplace(0.0, az_scale, n),
-                      rng.laplace(0.0, zen_scale, n), rng.laplace(0.0, zen_scale, n),
-                      rng.uniform(0.0, 360.0, n)))
+        for buf, draw in zip(draws, (
+                rng.exponential(cfg.excess_delay_mean_s, n),
+                rng.normal(0.0, cfg.excess_pl_sigma_db, n),
+                rng.laplace(0.0, az_scale, n), rng.laplace(0.0, az_scale, n),
+                rng.laplace(0.0, zen_scale, n), rng.laplace(0.0, zen_scale, n),
+                rng.uniform(0.0, 360.0, n))):
+            buf += draw.tobytes()
     is_los, n_scattered = np.array(is_los), np.array(n_scattered)
-    excess_delay, normal, l_aod, l_aoa, l_zod, l_zoa, phase = map(np.concatenate, zip(*draws))
+    excess_delay, normal, l_aod, l_aoa, l_zod, l_zoa, phase = map(np.frombuffer, draws)
 
-    # then one pass over every scattered path
+    # then one pass over every scattered path, each written to its row of the
+    # output: a link's rows are its LOS path, if any, then its scattered paths
+    # by delay
+    counts = n_scattered + is_los
+    first = np.cumsum(counts) - counts  # each link's first row
+    paths = np.empty((int(counts.sum()), 7))
+    paths[first[is_los]] = los[is_los]
     link = np.repeat(np.arange(len(rx_all)), n_scattered)
-    base = los[link]
+    to = np.empty(len(link), dtype=np.intp)
+    to[np.lexsort((excess_delay, link))] = (np.arange(len(link))
+                                            + np.repeat(np.cumsum(is_los), n_scattered))
     excess_pl = np.abs(normal)
     excess_pl += cfg.excess_pl_per_ns_db * excess_delay * 1e9
-    rows = np.column_stack([
-        base[:, 0] + excess_pl, base[:, 1] + excess_delay,
-        wrap_azimuth(base[:, 2] + l_aod), np.clip(base[:, 3] + l_zod, 0.0, 180.0),
-        wrap_azimuth(base[:, 4] + l_aoa), np.clip(base[:, 5] + l_zoa, 0.0, 180.0),
-        -phase])  # (-360, 0]
-    for message, bad in path_rules(rows):  # e.g. a spread knob so large a value overflows
+    paths[to, 0] = los[link, 0] + excess_pl
+    paths[to, 1] = los[link, 1] + excess_delay
+    paths[to, 2] = wrap_azimuth(los[link, 2] + l_aod)
+    paths[to, 3] = np.clip(los[link, 3] + l_zod, 0.0, 180.0)
+    paths[to, 4] = wrap_azimuth(los[link, 4] + l_aoa)
+    paths[to, 5] = np.clip(los[link, 5] + l_zoa, 0.0, 180.0)
+    paths[to, 6] = -phase  # (-360, 0]
+    for message, bad in path_rules(paths):  # e.g. a spread knob so large a value overflows
         if bad.any():
-            raise DataError(f"link {link[np.argmax(bad)]}: {message}")
-    counts = n_scattered + is_los
-    valid = np.arange(MAX_PATHS) < counts[:, None]
-    paths = np.zeros((len(counts), MAX_PATHS, 7))
-    paths[is_los, 0] = los[is_los]
-    scattered = valid.copy()
-    scattered[:, 0] &= ~is_los  # a LOS link's first slot holds its LOS path
-    paths[scattered] = rows[np.lexsort((excess_delay, link))]
+            row = np.argmax(bad)
+            raise DataError(f"link {np.searchsorted(first + counts, row, side='right')}: "
+                            f"{message}")
 
-    outage = np.where(valid, paths[..., 0], np.inf).min(axis=1) > cfg.outage_threshold_db
+    outage = np.minimum.reduceat(paths[:, 0], first) > cfg.outage_threshold_db
     state = np.where(outage, LinkState.OUTAGE, np.where(is_los, LinkState.LOS, LinkState.NLOS))
     return LinkTable(paths, counts, state, tx_all, rx_all, freq, dist2d, dist3d, fspl, los)
 

@@ -506,6 +506,28 @@ def test_over_deep_checkpoint_header_is_format_error(pipeline_dir, tmp_path, cap
     assert not (tmp_path / "s.chim").exists()
 
 
+@pytest.mark.parametrize("raw", [
+    # json.loads converts an integer through int(), which refuses more than 4,300 digits
+    b'{"format": "chanimg-codec", "version": ' + b"1" * 5000 + b"}",
+    b"\xff\xfe{}",  # not UTF-8
+], ids=["5000-digit-integer", "not-utf8"])
+def test_unreadable_codec_is_format_error(pipeline_dir, tmp_path, capsys, raw):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    fails_cleanly(capsys, ["encode", "--data", str(pipeline_dir / "data.jsonl"),
+                           "--codec", str(bad), "--out", str(tmp_path / "i.chim")],
+                  EXIT_BAD_FILE, "bad.json: not valid JSON")
+    assert not (tmp_path / "i.chim").exists()
+
+
+def test_dataset_version_of_5000_digits_is_format_error(tmp_path, capsys):
+    bad = tmp_path / "bigv.jsonl"
+    bad.write_text("# chanimg-dataset v" + "9" * 5000 + "\n")
+    fails_cleanly(capsys, ["fit-codec", "--data", str(bad), "--out", str(tmp_path / "c.json")],
+                  EXIT_BAD_FILE, "bigv.jsonl:1: bad dataset header")
+    assert not (tmp_path / "c.json").exists()
+
+
 def test_decode_rejects_mismatched_counts(tmp_path):
     run(["--seed", "1", "gen-data", "--links", "40", "--out", str(tmp_path / "a.jsonl")])
     run(["--seed", "1", "gen-data", "--links", "30", "--out", str(tmp_path / "b.jsonl")])
@@ -1192,15 +1214,22 @@ def peak_rss_mb(argv):
 
 @pytest.mark.skipif(not hasattr(os, "posix_spawn"), reason="needs os.posix_spawn")
 def test_read_side_stages_hold_no_full_size_copy(large_pipeline, tmp_path):
-    # peak RSS above a bare `import numpy` process, in MB, measured on a
-    # 2-core Linux host with numpy 2.4: sample 31.0 (resampler) and 28.8
-    # (WGAN-GP), decode 29.3 and report 35.9; each bound adds 3 MB.  The
-    # same stages read 49.8, 51.1, 42.8 and 42.2 while they held float64
-    # samples, (256, N) distance blocks, 1,024-row forwards, a list of
-    # decode blocks and a copy of every sidecar path row
+    # peak RSS above a bare `import numpy` process, in MB, measured (5 runs,
+    # the largest) on a 2-core Linux host with numpy 2.4: gen-data 16.5,
+    # fit-codec 15.0, encode 18.7, sample 22.4 (resampler) and 24.1
+    # (WGAN-GP), decode 24.4 and report 29.7; each bound adds 3 MB.  While
+    # every table padded its links to 25 path rows the same stages read 31.9,
+    # 29.2, 31.1, 27.2, 28.9, 29.4 and 35.9; before that, the read side held
+    # float64 samples, (256, N) distance blocks, 1,024-row forwards, a list
+    # of decode blocks and a copy of every sidecar path row
     d, out = large_pipeline, tmp_path
-    bounds = {"sample-resampler": 34.0, "sample-wgan": 32.0, "decode": 32.5, "report": 39.0}
+    bounds = {"gen-data": 19.5, "fit-codec": 18.0, "encode": 21.7, "sample-resampler": 25.4,
+              "sample-wgan": 27.1, "decode": 27.4, "report": 32.7}
     stages = {
+        "gen-data": ["gen-data", "--links", "5000", "--out", out / "data.jsonl"],
+        "fit-codec": ["fit-codec", "--data", d / "data.jsonl", "--out", out / "codec.json"],
+        "encode": ["encode", "--data", d / "data.jsonl", "--codec", d / "codec.json",
+                   "--out", out / "images.chim"],
         "sample-resampler": ["sample", "--model", d / "res.ckpt", "--conditions-from",
                              d / "data.jsonl", "--out", out / "s_res.chim"],
         "sample-wgan": ["sample", "--model", d / "wgan.ckpt", "--conditions-from",
@@ -1239,6 +1268,8 @@ def test_decode_repeats_only_the_geometry(large_pipeline, tmp_path):
         matrices, table.take(np.arange(len(matrices)) % len(table)))
     io.write_table(tmp_path / "want.jsonl", decoded, seed=8)
     assert (tmp_path / "d2.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
-    # measured: 20.7 MB traced for 5,000 matrices, 26.0 MB for 10,000; 40.0 MB
-    # while the geometry's (2N, 25, 7) paths, 14 MB, were repeated as well
-    assert peaks["2"] - peaks["1"] < table.paths.nbytes, peaks
+    # measured: 10.5 MB traced for 5,000 matrices and 15.9 MB for 10,000, whose
+    # second half (4 MB) and its decoded path rows (1.8 MB) are the difference;
+    # repeating the geometry's path rows as well would add 1.8 MB more.  With
+    # padded paths: 20.7 and 26.0 MB, and 40.0 MB while those were repeated
+    assert peaks["2"] - peaks["1"] < matrices.nbytes / 2 + table.paths.nbytes, peaks

@@ -21,19 +21,11 @@ from chanimg.codec import (
     fit_codec,
     tile,
 )
-from chanimg.core import (
-    SPEED_OF_LIGHT,
-    LinkRecord,
-    LinkState,
-    LinkTable,
-    PathParams,
-    closed_forms,
-    wrap_azimuth,
-    wrap_phase,
-)
+from chanimg.core import SPEED_OF_LIGHT, LinkState, closed_forms, wrap_azimuth, wrap_phase
 from chanimg.errors import DataError, FormatError, GeometryError
 from chanimg.rng import substream
 from chanimg.surrogate import SurrogateConfig, generate_dataset
+from tables import link, link_table, table_links
 
 
 @pytest.fixture(scope="module")
@@ -43,11 +35,8 @@ def table():
 
 @pytest.fixture(scope="module")
 def dataset(table):
-    """The table's links as LinkRecords, the input of the per-link references."""
-    return [LinkRecord(tx, rx, f, state, [PathParams(*row) for row in rows[:n]])
-            for tx, rx, f, state, n, rows in zip(
-                table.tx.tolist(), table.rx.tolist(), table.carrier_freq.tolist(),
-                table.state, table.counts.tolist(), table.paths.tolist())]
+    """The table's links, the input of the per-link references."""
+    return table_links(table)
 
 
 @pytest.fixture(scope="module")
@@ -74,8 +63,8 @@ def forms(tx, rx, freq):
 
 
 def los_params(tx, rx, freq):
-    """The closed-form LOS path of one link."""
-    return PathParams(*forms(tx, rx, freq)[3].tolist())
+    """The closed-form LOS path row of one link."""
+    return forms(tx, rx, freq)[3]
 
 
 def make_link(n_paths, state=LinkState.NLOS, freq=12e9):
@@ -83,12 +72,11 @@ def make_link(n_paths, state=LinkState.NLOS, freq=12e9):
     _, d3, base_pl, _ = forms(tx, rx, freq)
     base_dly = d3 / SPEED_OF_LIGHT
     paths = [
-        PathParams(base_pl + 1.0 + 2.0 * i, base_dly + 1e-8 * (i + 1),
-                   -120.0 + 10.0 * i, 80.0 + i, 60.0 - 10.0 * i, 100.0 - i,
-                   -10.0 * (i + 1))
+        [base_pl + 1.0 + 2.0 * i, base_dly + 1e-8 * (i + 1),
+         -120.0 + 10.0 * i, 80.0 + i, 60.0 - 10.0 * i, 100.0 - i, -10.0 * (i + 1)]
         for i in range(n_paths)
     ]
-    return LinkRecord(tx, rx, freq, state, paths)
+    return link(tx, rx, freq, state, paths)
 
 
 def reference_prescale(virtual_ranges, eps, links, rng):
@@ -103,10 +91,10 @@ def reference_prescale(virtual_ranges, eps, links, rng):
     u = rng.uniform(0.0, eps, size=n)
     out = np.empty((n, 8, 25))
     for i, lk in enumerate(links):
-        k = lk.n_paths
+        k = len(lk.paths)
         m = out[i]
         for row in range(PS + 1):  # pad
-            m[row, :k] = [p.as_array()[row] for p in lk.paths]
+            m[row, :k] = lk.paths[:, row]
             m[row, k:] = draws[row][i, k:]
         m[LS] = 1.0 - u[i] if lk.link_state is LinkState.LOS else -1.0 + u[i]
         _, d3, base_pl, _ = forms(lk.tx, lk.rx, lk.carrier_freq)  # re-reference
@@ -131,7 +119,7 @@ def reference_encode(codec, links, rng):
 
 def prescaled(codec, links, rng):
     """encode's matrices before scaling, recovered through unscale."""
-    matrices, _ = codec.encode(LinkTable.from_links(links), rng)
+    matrices, _ = codec.encode(link_table(links), rng)
     return codec.scaler.unscale(matrices)
 
 
@@ -142,7 +130,7 @@ def test_pad_full_link_adds_no_virtual_columns(wide):
     link = make_link(25)
     m = prescaled(wide, [link], substream(0, "x"))[0]
     assert np.all(m[PL] + forms(link.tx, link.rx, link.carrier_freq)[2] < 180.0)
-    real = np.stack([p.as_array() for p in link.paths], axis=1)
+    real = link.paths.T
     np.testing.assert_allclose(m[AOD:PS + 1], real[AOD:], rtol=0, atol=1e-9)
 
 
@@ -157,8 +145,7 @@ def test_pad_13_paths_virtual_pathloss_above_threshold(wide):
 
 def test_pad_virtual_values_inside_dataset_ranges(dataset, codec, wide):
     # brute-force scan of the dataset is the oracle for the ranges
-    cols = np.concatenate(
-        [np.stack([p.as_array() for p in lk.paths], axis=1) for lk in dataset], axis=1)
+    cols = np.concatenate([lk.paths.T for lk in dataset], axis=1)
     lo, hi = cols.min(axis=1), cols.max(axis=1)
     np.testing.assert_array_equal(codec.virtual_ranges[:LS, 0], lo)
     np.testing.assert_array_equal(codec.virtual_ranges[:LS, 1], hi)
@@ -167,7 +154,7 @@ def test_pad_virtual_values_inside_dataset_ranges(dataset, codec, wide):
     links = [make_link(n) for n in (1, 7, 24)]
     tol = 1e-9 * np.maximum(np.abs(lo), np.abs(hi))
     for lk, m in zip(links, prescaled(wide, links, substream(2, "x"))):
-        n = lk.n_paths
+        n = len(lk.paths)
         d3 = forms(lk.tx, lk.rx, lk.carrier_freq)[1]
         m[DLY] = m[DLY] / 1e7 + d3 / SPEED_OF_LIGHT
         for row in range(DLY, PS + 1):
@@ -184,9 +171,9 @@ def test_pad_link_state_row(wide):
 
 
 def test_pad_rejects_empty_and_oversized(codec):
-    empty = LinkRecord((0, 0, 1), (1, 0, 1), 12e9, LinkState.OUTAGE, [])
+    empty = link((0, 0, 1), (1, 0, 1), 12e9, LinkState.OUTAGE)
     with pytest.raises(DataError, match="link 1 has zero paths"):
-        codec.encode(LinkTable.from_links([make_link(3), empty]), substream(4, "x"))
+        codec.encode(link_table([make_link(3), empty]), substream(4, "x"))
 
 
 # -- normalization ---------------------------------------------------------------
@@ -194,8 +181,8 @@ def test_pad_rejects_empty_and_oversized(codec):
 
 def test_normalize_los_first_path_is_zero(wide):
     tx, rx, f = (0.0, 0.0, 25.0), (200.0, 10.0, 1.6), 12e9
-    link = LinkRecord(tx, rx, f, LinkState.LOS, [los_params(tx, rx, f)])
-    m = prescaled(wide, [link], substream(5, "x"))[0]
+    los = link(tx, rx, f, LinkState.LOS, [los_params(tx, rx, f)])
+    m = prescaled(wide, [los], substream(5, "x"))[0]
     assert m[PL, 0] == 0.0
     assert m[DLY, 0] == 0.0
 
@@ -203,7 +190,7 @@ def test_normalize_los_first_path_is_zero(wide):
 def test_normalize_delay_scaling(wide):
     link = make_link(1)
     d3 = forms(link.tx, link.rx, link.carrier_freq)[1]
-    link.paths[0].delay = d3 / SPEED_OF_LIGHT + 150e-9
+    link.paths[0, DLY] = d3 / SPEED_OF_LIGHT + 150e-9
     m = prescaled(wide, [link], substream(6, "x"))[0]
     assert m[DLY, 0] == pytest.approx(1.5, rel=1e-9)
 
@@ -236,10 +223,10 @@ def test_scaler_single_matrix_fit():
     # link per state is the smallest dataset that fits
     los = make_link(7, state=LinkState.LOS)
     with pytest.raises(DataError, match="link_state"):
-        fit_codec(LinkTable.from_links([los]), substream(7, "x"))
+        fit_codec(link_table([los]), substream(7, "x"))
     links = [los, make_link(3)]
-    two = fit_codec(LinkTable.from_links(links), substream(7, "x"))
-    real = np.stack([p.as_array() for p in los.paths], axis=1)  # holds both links' paths
+    two = fit_codec(link_table(links), substream(7, "x"))
+    real = los.paths.T  # holds both links' paths
     np.testing.assert_array_equal(two.virtual_ranges[:LS, 0], real.min(axis=1))
     np.testing.assert_array_equal(two.virtual_ranges[:LS, 1], real.max(axis=1))
     m = reference_prescale(two.virtual_ranges, two.eps, links, substream(7, "x"))
@@ -290,8 +277,8 @@ def test_scaler_rejects_degenerate_feature():
 
 def test_fit_codec_empty(codec):
     with pytest.raises(DataError, match="empty"):
-        LinkTable.from_links([])
-    empty = LinkTable.from_links([make_link(3)]).take([])
+        link_table([])
+    empty = link_table([make_link(3)]).take([])
     with pytest.raises(DataError, match="empty"):
         fit_codec(empty, substream(0, "x"))
     with pytest.raises(DataError, match="empty"):
@@ -331,9 +318,9 @@ def test_tile_rejects_bad_shape():
 def encode_cases(dataset):
     """The dataset plus a full 25-path and 1-path link in each state."""
     tx, rx, f = (0.0, 0.0, 25.0), (200.0, 10.0, 1.6), 12e9
-    los_1 = LinkRecord(tx, rx, f, LinkState.LOS, [los_params(tx, rx, f)])
+    los_1 = link(tx, rx, f, LinkState.LOS, [los_params(tx, rx, f)])
     links = [*dataset, make_link(25), make_link(25, state=LinkState.LOS), make_link(1), los_1]
-    counts = {lk.n_paths for lk in links}
+    counts = {len(lk.paths) for lk in links}
     states = {lk.link_state for lk in links}
     assert {1, 25} <= counts and {LinkState.LOS, LinkState.NLOS} <= states
     return links
@@ -343,7 +330,7 @@ def test_encode_matches_per_link_reference(dataset, codec):
     # every cell, virtual and link-state cells included, bit for bit
     links = encode_cases(dataset)
     enc = ChannelImageCodec.from_dict(codec.to_dict())
-    matrices, conds = enc.encode(LinkTable.from_links(links), substream(16, "x"))
+    matrices, conds = enc.encode(link_table(links), substream(16, "x"))
     want, want_conds, clipped = reference_encode(codec, links, substream(16, "x"))
     assert matrices.dtype == np.float64
     np.testing.assert_array_equal(matrices, want)
@@ -354,10 +341,10 @@ def test_encode_matches_per_link_reference(dataset, codec):
 def test_encode_counts_clipped_cells(wide):
     # aod of a full link runs from -120 to 120 deg, all above a -170 deg max
     wide.scaler.feature_max[AOD] = -170.0
-    matrices, _ = wide.encode(LinkTable.from_links([make_link(25)]), substream(19, "x"))
+    matrices, _ = wide.encode(link_table([make_link(25)]), substream(19, "x"))
     assert wide.scaler.n_clipped == 25
     assert np.all(matrices[0, AOD] == 1.0)
-    wide.encode(LinkTable.from_links([make_link(25)]), substream(20, "x"))
+    wide.encode(link_table([make_link(25)]), substream(20, "x"))
     assert wide.scaler.n_clipped == 50
 
 
@@ -366,19 +353,18 @@ def test_encode_counts_clipped_cells(wide):
 
 def decode_stack(codec, matrices, links):
     """The table of matrices[i] decoded against the geometry of links[i]."""
-    return codec.decode(matrices, LinkTable.from_links(links))
+    return codec.decode(matrices, link_table(links))
 
 
 def geometry_table(tx, rx, carrier_freq):
     """A table of path-less links holding just the given geometry rows."""
-    return LinkTable.from_links(LinkRecord(a, b, f, LinkState.OUTAGE, [])
-                                for a, b, f in zip(tx, rx, carrier_freq))
+    return link_table(link(a, b, f, LinkState.OUTAGE) for a, b, f in zip(tx, rx, carrier_freq))
 
 
 def decode_one(codec, matrix, link):
     """(state, (k, 7) path rows) of one matrix decoded against link's geometry."""
     dec = decode_stack(codec, np.asarray(matrix)[None], [link])
-    return dec.state[0], dec.paths[0, :dec.counts[0]]
+    return dec.state[0], dec.paths
 
 
 def test_roundtrip_surrogate_links(dataset, table, codec):
@@ -389,8 +375,7 @@ def test_roundtrip_surrogate_links(dataset, table, codec):
         assert getattr(dec, name) is getattr(table, name), name
     assert list(dec.state) == [lk.link_state for lk in dataset]
     np.testing.assert_array_equal(dec.counts, table.counts)  # no virtual survivors
-    assert not dec.paths[~dec.valid].any()
-    worst = np.abs(dec.paths - table.paths).max(axis=(0, 1))
+    worst = np.abs(dec.paths - table.paths).max(axis=0)
     assert worst[PL] <= 1e-3
     assert worst[DLY] <= 1e-12
     assert np.all(worst[[AOD, ZOD, AOA, ZOA, PS]] <= 1e-3)
@@ -401,12 +386,13 @@ def test_roundtrip_los_first_path_exact(dataset, table, codec):
     dec = codec.decode(matrices, table)
     los = table.state == LinkState.LOS
     assert los.any()
-    np.testing.assert_array_equal(dec.paths[los, 0], table.paths[los, 0])
+    first = table.offsets[:-1][los]
+    np.testing.assert_array_equal(dec.paths[first], table.paths[first])
 
 
 def test_decode_negative_last_row_is_nlos(codec):
     link = make_link(10)
-    matrices, _ = codec.encode(LinkTable.from_links([link]), substream(14, "x"))
+    matrices, _ = codec.encode(link_table([link]), substream(14, "x"))
     state, _ = decode_one(codec, matrices[0], link)
     assert state is LinkState.NLOS
 
@@ -490,11 +476,12 @@ def test_stacked_decode_matches_per_image_reference():
     want = [reference_decode(ref, mats[i], tuple(tx[i]), tuple(rx[i]), float(freq[i]),
                              stats)
             for i in range(n)]
-    assert not got.paths[~got.valid].any()
+    offsets = got.offsets
+    assert len(got.paths) == offsets[-1]
     for i, (state, paths) in enumerate(want):  # every bit of every path row
         assert got.state[i] is state and ones[i].state[0] is state
-        assert got.paths[i, :got.counts[i]].tobytes() == paths.tobytes()
-        assert ones[i].paths[0, :ones[i].counts[0]].tobytes() == paths.tobytes()
+        assert got.paths[offsets[i]:offsets[i + 1]].tobytes() == paths.tobytes()
+        assert ones[i].paths.tobytes() == paths.tobytes()
     assert stacked.stats == single.stats == stats
     assert stacked.scaler.n_clipped == single.scaler.n_clipped == ref.scaler.n_clipped > 0
 
@@ -539,12 +526,13 @@ def test_decode_sanitizes_gan_style_output(codec):
     mat = rng.uniform(-1, 1, size=(8, 25))
     dec = codec.decode(mat[None], geometry_table([(0.0, 0.0, 30.0)], [(100.0, 50.0, 1.6)],
                                                  [12e9]))
-    assert dec.counts[0] > 0
-    for row in dec.paths[0, :dec.counts[0]]:
-        p = PathParams(*row.tolist())
-        assert -180.0 < p.aod <= 180.0 and -180.0 < p.aoa <= 180.0
-        assert 0.0 <= p.zod <= 180.0 and 0.0 <= p.zoa <= 180.0
-        assert -360.0 < p.phase <= 0.0
+    assert dec.counts[0] > 0 and len(dec.paths) == dec.counts[0]
+    assert np.all(dec.paths[:, [PL, DLY]] > 0.0) and np.all(np.diff(dec.paths[:, DLY]) >= 0.0)
+    for az in (AOD, AOA):
+        assert np.all((-180.0 < dec.paths[:, az]) & (dec.paths[:, az] <= 180.0))
+    for zen in (ZOD, ZOA):
+        assert np.all((0.0 <= dec.paths[:, zen]) & (dec.paths[:, zen] <= 180.0))
+    assert np.all((-360.0 < dec.paths[:, PS]) & (dec.paths[:, PS] <= 0.0))
 
 
 def test_codec_json_roundtrip(codec):
@@ -566,13 +554,14 @@ def test_encode_images_in_range(dataset, table, codec):
 
 
 def test_decode_of_5000_matrices_holds_its_output_once():
-    # measured: 8.4 MB, the 6.75 MB output (paths, counts, states) and one
-    # 256-matrix block; joining a list of blocks took 13.5 MB
+    # measured: 3.8 MB, the 1.9 MB output (path rows, counts, states) and one
+    # 256-matrix block; 8.4 MB while the output was padded to 25 rows per
+    # link, and 13.5 MB while a list of padded blocks was joined
     table = generate_dataset(SurrogateConfig(num_tx=10, num_rx_per_height=100, seed=7))
     assert len(table) == 5000
     codec = fit_codec(table, substream(7, "padding"))
     matrices = codec.encode(table, substream(7, "padding"))[0].astype(np.float32)
-    output = len(table) * (table.paths[0].nbytes + 16)
+    output = table.paths.nbytes + 16 * len(table)  # the round trip keeps every path
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

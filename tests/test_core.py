@@ -1,26 +1,26 @@
 """Geometry, free-space loss and LOS closed forms."""
 
 import math
-import re
+from collections import namedtuple
 
 import numpy as np
 import pytest
 
 from chanimg.core import (
+    MAX_PATHS,
     PATH_FIELDS,
     SPEED_OF_LIGHT,
-    LinkRecord,
     LinkState,
-    LinkTable,
-    PathParams,
     closed_forms,
     link_rules,
-    padded_paths,
     wrap_azimuth,
     wrap_phase,
 )
 from chanimg.errors import DataError, GeometryError
 from chanimg.surrogate import SurrogateConfig, generate_dataset
+from tables import columns, link, link_table, reference_rule
+
+Path = namedtuple("Path", PATH_FIELDS)
 
 
 def reference_closed_forms(tx, rx, freq):
@@ -51,7 +51,7 @@ def one(tx, rx, freq=12e9):
 
 
 def los_path(tx, rx, freq=12e9):
-    return PathParams(*one(tx, rx, freq)[3].tolist())
+    return Path(*one(tx, rx, freq)[3].tolist())
 
 
 def test_geometry_planar():
@@ -215,33 +215,48 @@ def test_wrap_helpers():
     np.testing.assert_allclose(arr, [180.0, 90.0])
 
 
+def broken_rules(links):
+    """[messages of the rules each link breaks], from link_rules' masks."""
+    rules = link_rules(*columns(links))
+    return [[message for message, mask in rules if mask[i]] for i in range(len(links))]
+
+
+OK_PATH = dict(pathloss=100.0, delay=1e-6, aod=10.0, zod=90.0, aoa=-170.0, zoa=90.0,
+               phase=-10.0)
+
+
 def test_pathparams_validation():
-    ok = dict(pathloss=100.0, delay=1e-6, aod=10.0, zod=90.0, aoa=-170.0, zoa=90.0, phase=-10.0)
-    PathParams(**ok)
-    for bad in [dict(pathloss=-1.0), dict(delay=0.0), dict(zod=181.0),
-                dict(zoa=-0.1), dict(phase=1.0), dict(phase=-360.0)]:
-        with pytest.raises(ValueError):
-            PathParams(**{**ok, **bad})
+    def rules_of(**edit):
+        row = [{**OK_PATH, **edit}[f] for f in PATH_FIELDS]
+        return broken_rules([link((0, 0, 10), (50, 0, 1.6), 12e9, LinkState.NLOS, [row])])[0]
+
+    assert rules_of() == []
+    for bad, rule in [(dict(pathloss=-1.0), "pathloss must be positive"),
+                      (dict(delay=0.0), "delay must be positive"),
+                      (dict(zod=181.0), "zod out of [0, 180]"),
+                      (dict(zoa=-0.1), "zoa out of [0, 180]"),
+                      (dict(phase=1.0), "phase out of (-360, 0]"),
+                      (dict(phase=-360.0), "phase out of (-360, 0]")]:
+        assert rules_of(**bad) == [rule], bad
 
 
 def test_linkrecord_validation():
-    p = PathParams(100.0, 1e-6, 0.0, 90.0, 180.0, 90.0, -5.0)
-    q = PathParams(110.0, 2e-6, 0.0, 90.0, 180.0, 90.0, -5.0)
-    LinkRecord((0, 0, 10), (50, 0, 1.6), 12e9, LinkState.NLOS, [p, q])
-    with pytest.raises(ValueError):  # unsorted delays
-        LinkRecord((0, 0, 10), (50, 0, 1.6), 12e9, LinkState.NLOS, [q, p])
-    with pytest.raises(ValueError):  # zero paths only for outage
-        LinkRecord((0, 0, 10), (50, 0, 1.6), 12e9, LinkState.NLOS, [])
-    LinkRecord((0, 0, 10), (50, 0, 1.6), 12e9, LinkState.OUTAGE, [])
-    with pytest.raises(ValueError):  # too many paths
-        LinkRecord((0, 0, 10), (50, 0, 1.6), 12e9, LinkState.NLOS,
-                   [PathParams(100.0, (i + 1) * 1e-6, 0.0, 90.0, 0.0, 90.0, -5.0)
-                    for i in range(26)])
+    p = [100.0, 1e-6, 0.0, 90.0, 180.0, 90.0, -5.0]
+    q = [110.0, 2e-6, 0.0, 90.0, 180.0, 90.0, -5.0]
+    many = [[100.0, (i + 1) * 1e-6, 0.0, 90.0, 0.0, 90.0, -5.0] for i in range(26)]
+    geo = ((0, 0, 10), (50, 0, 1.6), 12e9)
+    assert broken_rules([link(*geo, LinkState.NLOS, [p, q]), link(*geo, LinkState.NLOS, [q, p]),
+                         link(*geo, LinkState.NLOS), link(*geo, LinkState.OUTAGE),
+                         link(*geo, LinkState.NLOS, many),
+                         link(*geo, LinkState.NLOS, many[:25])]) == [
+        [], ["paths must be sorted ascending by delay"],
+        ["only Outage links may have zero paths"], [],
+        [f"at most {MAX_PATHS} paths per link"], []]
 
 
 def _edit_path(field, value, k=0):
-    def edit(link):
-        link["paths"][k][PATH_FIELDS.index(field)] = value
+    def edit(lk):
+        lk["paths"][k][PATH_FIELDS.index(field)] = value
     return edit
 
 
@@ -250,53 +265,41 @@ def _edit_path(field, value, k=0):
     _edit_path("delay", 0.0), _edit_path("aod", math.inf), _edit_path("aoa", -math.inf),
     _edit_path("zod", 181.0), _edit_path("zoa", -0.1), _edit_path("phase", 1.0),
     _edit_path("phase", -360.0), _edit_path("delay", 3e-6, k=0),
-    lambda link: link.update(tx=(0.0, math.nan, 10.0)),
-    lambda link: link.update(carrier_freq=0.0),
-    lambda link: link.update(paths=[]),
-    lambda link: link.update(paths=[], link_state=LinkState.OUTAGE),
-    lambda link: link.update(paths=[[100.0, (i + 1) * 1e-6, 0.0, 90.0, 0.0, 90.0, -5.0]
-                                    for i in range(26)]),
+    lambda lk: lk.update(tx=(0.0, math.nan, 10.0)),
+    lambda lk: lk.update(carrier_freq=0.0),
+    lambda lk: lk.update(paths=[]),
+    lambda lk: lk.update(paths=[], link_state=LinkState.OUTAGE),
+    lambda lk: lk.update(paths=[[100.0, (i + 1) * 1e-6, 0.0, 90.0, 0.0, 90.0, -5.0]
+                                for i in range(26)]),
 ], ids=["valid", "pathloss-nan", "pathloss-neg", "delay-zero", "aod-inf", "aoa-inf",
         "zod-181", "zoa-neg", "phase-pos", "phase-360", "unsorted", "tx-nan", "freq-zero",
         "nlos-without-paths", "outage-without-paths", "26-paths"])
 def test_link_rules_are_the_scalar_rules(edit):
-    # the array rules (read_table) and the scalar ones (PathParams and
-    # LinkRecord) reject the same links, for the same first reason
-    link = dict(tx=(0.0, 0.0, 10.0), rx=(50.0, 0.0, 1.6), carrier_freq=12e9,
-                link_state=LinkState.NLOS,
-                paths=[[100.0, 1e-6, 10.0, 90.0, -170.0, 90.0, -5.0],
-                       [110.0, 2e-6, 20.0, 80.0, -160.0, 100.0, -50.0]])
+    # the array rules (read_table) and the per-link reference reject the
+    # same links, for the same first reason
+    fields = dict(tx=(0.0, 0.0, 10.0), rx=(50.0, 0.0, 1.6), carrier_freq=12e9,
+                  link_state=LinkState.NLOS,
+                  paths=[[100.0, 1e-6, 10.0, 90.0, -170.0, 90.0, -5.0],
+                         [110.0, 2e-6, 20.0, 80.0, -160.0, 100.0, -50.0]])
     if edit:
-        edit(link)
-    try:
-        LinkRecord(link["tx"], link["rx"], link["carrier_freq"], link["link_state"],
-                   [PathParams(*p) for p in link["paths"]])
-        scalar = None
-    except ValueError as exc:
-        scalar = str(exc)
-    counts = np.array([len(link["paths"])])
-    flagged = [message for message, mask in link_rules(
-        padded_paths(np.array(link["paths"], dtype=float).reshape(-1, 7), counts), counts,
-        np.array([link["link_state"]], dtype=object), np.array([link["tx"]]),
-        np.array([link["rx"]]), np.array([link["carrier_freq"]])) if mask[0]]
-    assert (scalar is None) == (not flagged)
-    if flagged:  # the scalar message also gives the value; both name the rule
-        rule = re.sub(r"(, got|:) \S+$", "", scalar)
-        assert set(re.findall(r"\w+", rule)) <= set(re.findall(r"\w+", flagged[0])), rule
+        edit(fields)
+    lk = link(**fields)
+    flagged = broken_rules([lk])[0]
+    assert (flagged[0] if flagged else None) == reference_rule(lk)
 
 
 def test_link_table_rows_are_the_scalar_closed_forms():
-    p = PathParams(120.0, 1e-6, 10.0, 80.0, -170.0, 100.0, -5.0)
+    p = [120.0, 1e-6, 10.0, 80.0, -170.0, 100.0, -5.0]
     links = [
-        LinkRecord((0, 0, 30), (120, 40, 1.6), 12e9, LinkState.NLOS, [p, p]),
-        LinkRecord((5, 5, 30), (5, 5, 1.6), 28e9, LinkState.LOS, [p]),  # vertical
-        LinkRecord((0, 0, 30), (100, 0, 1.6), 1.0, LinkState.NLOS, [p]),  # LOS pathloss < 0
-        LinkRecord((0, 0, 30), (-50, 10, 60.0), 3.5e9, LinkState.OUTAGE, []),
+        link((0, 0, 30), (120, 40, 1.6), 12e9, LinkState.NLOS, [p, p]),
+        link((5, 5, 30), (5, 5, 1.6), 28e9, LinkState.LOS, [p]),  # vertical
+        link((0, 0, 30), (100, 0, 1.6), 1.0, LinkState.NLOS, [p]),  # LOS pathloss < 0
+        link((0, 0, 30), (-50, 10, 60.0), 3.5e9, LinkState.OUTAGE),
     ]
-    table = LinkTable.from_links(links)
+    table = link_table(links)
     assert len(table) == 4 and table.counts.tolist() == [2, 1, 1, 0]
-    np.testing.assert_array_equal(table.paths[0, :2], [p.as_array()] * 2)
-    assert not table.paths[0, 2:].any() and not table.paths[3].any()
+    assert table.offsets.tolist() == [0, 2, 3, 4, 4]
+    np.testing.assert_array_equal(table.paths, [p] * 4)
     assert list(table.state) == [lk.link_state for lk in links]
     for i, lk in enumerate(links):
         assert table.height[i] == lk.rx[2] and tuple(table.tx[i]) == lk.tx
@@ -309,12 +312,13 @@ def test_link_table_rows_are_the_scalar_closed_forms():
             generate_dataset(SurrogateConfig(num_rx_per_height=20, seed=seed)))
     sub = table.take([3, 0])
     assert sub.counts.tolist() == [0, 2] and sub.height.tolist() == [60.0, 1.6]
+    np.testing.assert_array_equal(sub.paths, [p] * 2)
 
 
 def test_link_table_rejects_empty_and_coincident_datasets():
     with pytest.raises(DataError, match="empty"):
-        LinkTable.from_links([])
-    ok = LinkRecord((0, 0, 30), (120, 40, 1.6), 12e9, LinkState.OUTAGE, [])
-    same = LinkRecord((1, 2, 3), (1, 2, 3), 12e9, LinkState.OUTAGE, [])
+        link_table([])
+    ok = link((0, 0, 30), (120, 40, 1.6), 12e9, LinkState.OUTAGE)
+    same = link((1, 2, 3), (1, 2, 3), 12e9, LinkState.OUTAGE)
     with pytest.raises(GeometryError, match="link 2: tx and rx coincide"):
-        LinkTable.from_links([ok, ok, same])
+        link_table([ok, ok, same])

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from chanimg import SurrogateConfig, fit_codec, generate_dataset
 from chanimg import io
-from chanimg.core import MAX_PATHS, PATH_FIELDS, LinkState, LinkTable, padded_paths
+from chanimg.core import MAX_PATHS, PATH_FIELDS, LinkState, LinkTable
 from chanimg.errors import FormatError, VersionError
 from chanimg.genmodel import EmpiricalResampler, WganGpHyperparams
 from chanimg.genmodel.wgan import build_networks
@@ -45,11 +45,12 @@ def test_dataset_roundtrip(tmp_path, table):
 
 def json_lines(table):
     """What json.dumps writes for each link's record."""
+    offsets = table.offsets
     return [json.dumps({"tx": table.tx[i].tolist(), "rx": table.rx[i].tolist(),
                         "carrier_freq": float(table.carrier_freq[i]),
                         "link_state": table.state[i].value,
-                        "paths": [dict(zip(PATH_FIELDS, row))
-                                  for row in table.paths[i, :table.counts[i]].tolist()]})
+                        "paths": [dict(zip(PATH_FIELDS, row)) for row in
+                                  table.paths[offsets[i]:offsets[i + 1]].tolist()]})
             for i in range(len(table))]
 
 
@@ -314,7 +315,7 @@ def test_edited_dataset_reads_as_the_parse(written, table, edit):
 
 def test_table_breaking_a_rule_reads_as_the_parse(tmp_path, table):
     bad = replace(table, paths=table.paths.copy())
-    bad.paths[3, 0, 3] = 180.5  # a zenith of departure past the nadir
+    bad.paths[table.offsets[3], 3] = 180.5  # link 3's first zenith of departure, past the nadir
     p = tmp_path / "bad.jsonl"
     io.write_table(p, bad)
     assert outcome(p) == parsed(p) == f"{p}:5: bad link record: zod out of [0, 180]"
@@ -341,8 +342,7 @@ def link_tables(draw):
     tx = np.array([[draw(number(-500.0, 500.0)) for _ in range(2)] + [draw(number(0.0, 30.0))]
                    for _ in counts])
     rx = tx + [[draw(number(-500.0, 500.0)), draw(number(-500.0, 500.0)), 1.5] for _ in counts]
-    counts = np.array(counts, dtype=int)
-    return LinkTable.from_columns(padded_paths(np.array(rows).reshape(-1, 7), counts), counts,
+    return LinkTable.from_columns(np.array(rows).reshape(-1, 7), np.array(counts, dtype=int),
                                   state, tx, rx, np.full(n, 12e9))
 
 
@@ -353,7 +353,7 @@ def edge_table():
     rows[:, 1] += np.arange(MAX_PATHS + 1) * 1e-9
     tx = np.array([[-0.0, 0.0, 10.0], [5.0, -0.0, 10.0], [0.0, 0.0, -0.0]])
     return LinkTable.from_columns(
-        padded_paths(rows, counts), counts,
+        rows, counts,
         np.array([LinkState.OUTAGE, LinkState.NLOS, LinkState.LOS], dtype=object),
         tx, tx + [[30.0, -0.0, 1.5]], np.full(3, 12e9))
 
@@ -381,8 +381,9 @@ def traced_peak(fn):
 
 
 def test_sidecar_of_5000_links_is_written_in_blocks(tmp_path):
-    # measured: 0.71 MB, the (N, 7) link rows and one block of path rows;
-    # gathering every path row and copying it into the payload took 4.8 MB
+    # measured: 0.28 MB, the (N, 7) link rows; the path rows are written as
+    # the table holds them.  Gathering every padded path row and copying it
+    # into the payload took 4.8 MB, and gathering 512 links at a time 0.71 MB
     table = generate_dataset(SurrogateConfig(num_tx=10, num_rx_per_height=100, seed=7))
     assert len(table) == 5000
     peak = traced_peak(lambda: io._write_ltab(tmp_path / "t.jsonl", bytes(32), table))
@@ -418,10 +419,11 @@ def test_split_text_is_the_same_bytes(tmp_path, name):
 
 @pytest.mark.parametrize("name", ["small", "blocks"])
 def test_sidecar_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, name):
+    # the text is hashed block by block as it is written, into the sidecar's meta
     table = split_table(name)
     sides = []
-    for links in (1, 7, io._LTAB_LINKS, 10**6):
-        monkeypatch.setattr(io, "_LTAB_LINKS", links)
+    for links in (1, 7, io._TEXT_BLOCK, 10**6):
+        monkeypatch.setattr(io, "_TEXT_BLOCK", links)
         p = tmp_path / f"{links}.jsonl"
         io.write_table(p, table)
         sides.append(Path(f"{p}{io.LTAB_SUFFIX}").read_bytes())
@@ -430,7 +432,7 @@ def test_sidecar_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, na
     want = (table.counts.astype("<i8").tobytes()
             + bytes(list(LinkState).index(s) for s in table.state)  # LOS, NLOS, Outage
             + np.column_stack([table.tx, table.rx, table.carrier_freq]).tobytes()
-            + table.paths[table.valid].tobytes())
+            + table.paths.tobytes())
     _, _, header, payload = split(sides[0])
     assert payload == want
     assert sides[0][12:44] == hashlib.sha256(sides[0][44:]).digest()

@@ -1,10 +1,12 @@
 """Evaluation metrics against scipy oracles and hand-computed values."""
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
 from scipy import stats as sps
 
-from chanimg.core import LinkRecord, LinkState, LinkTable, PathParams, closed_forms
+from chanimg.core import PATH_FIELDS, LinkState, closed_forms
 from chanimg.errors import DataError
 from chanimg.stats import (
     BinnedPdf2D,
@@ -16,26 +18,28 @@ from chanimg.stats import (
     rms_spread_report,
     uniformity_check,
 )
+from tables import link, link_table
+
+Path = namedtuple("Path", PATH_FIELDS)
 
 
 def make_path(pathloss, delay=1e-6, aod=0.0, zod=90.0, aoa=180.0, zoa=90.0, phase=-5.0):
-    return PathParams(pathloss, delay, aod, zod, aoa, zoa, phase)
+    return Path(pathloss, delay, aod, zod, aoa, zoa, phase)
 
 
 def make_link(state=LinkState.NLOS, paths=None, rx_h=1.6, dist=100.0):
-    paths = paths or [make_path(100.0)]
-    return LinkRecord((0.0, 0.0, 30.0), (dist, 0.0, rx_h), 12e9, state, paths)
+    paths = [make_path(100.0)] if paths is None else paths
+    return link((0.0, 0.0, 30.0), (dist, 0.0, rx_h), 12e9, state, paths)
 
 
 def los_params(tx, rx, freq):
     """The closed-form LOS path of one link."""
-    return PathParams(*closed_forms([tx], [rx], [freq])[3][0].tolist())
+    return Path(*closed_forms([tx], [rx], [freq])[3][0].tolist())
 
 
 def rms_spread(paths, feature):
     """The RMS spread of one link's paths, through rms_spread_report."""
-    return float(getattr(rms_spread_report(LinkTable.from_links([make_link(paths=paths)])),
-                         feature)[0])
+    return float(getattr(rms_spread_report(link_table([make_link(paths=paths)])), feature)[0])
 
 
 # -- ecdf / KS ---------------------------------------------------------------
@@ -121,7 +125,7 @@ def test_uniformity_check_kinds():
 
 def test_link_state_prob_all_los():
     links = [make_link(LinkState.LOS, dist=d) for d in (10, 60, 110)]
-    out = link_state_prob(LinkTable.from_links(links), 1.6, [0, 50, 100, 150])
+    out = link_state_prob(link_table(links), 1.6, [0, 50, 100, 150])
     np.testing.assert_array_equal(out.counts, [1, 1, 1])
     assert np.all(out.p_los[out.occupied] == 1.0)
     assert np.all(out.p_outage[out.occupied] == 0.0)
@@ -130,7 +134,7 @@ def test_link_state_prob_all_los():
 def test_link_state_prob_single_outage_bin():
     links = [make_link(LinkState.OUTAGE,
                        paths=[make_path(185.0)], dist=75.0)]
-    out = link_state_prob(LinkTable.from_links(links), 1.6, [0, 50, 100])
+    out = link_state_prob(link_table(links), 1.6, [0, 50, 100])
     assert out.counts.tolist() == [0, 1]
     assert np.isnan(out.p_los[0])  # empty bin absent, not zero
     assert out.p_outage[1] == 1.0
@@ -139,7 +143,7 @@ def test_link_state_prob_single_outage_bin():
 
 def test_link_state_prob_filters_height():
     links = [make_link(LinkState.LOS, rx_h=1.6), make_link(LinkState.NLOS, rx_h=30.0)]
-    out = link_state_prob(LinkTable.from_links(links), 1.6, [0, 200])
+    out = link_state_prob(link_table(links), 1.6, [0, 200])
     assert out.counts.sum() == 1 and out.p_los[0] == 1.0
 
 
@@ -150,9 +154,9 @@ def test_relative_zenith_pure_los_mass_at_zero():
     links = []
     for d in (40.0, 120.0, 260.0):
         tx, rx = (0.0, 0.0, 30.0), (d, 0.0, 1.6)
-        links.append(LinkRecord(tx, rx, 12e9, LinkState.LOS,
+        links.append(link(tx, rx, 12e9, LinkState.LOS,
                                 [los_params(tx, rx, 12e9)]))
-    pdf = relative_zenith_pdf(LinkTable.from_links(links), 1.6, [0, 100, 200, 300],
+    pdf = relative_zenith_pdf(link_table(links), 1.6, [0, 100, 200, 300],
                               np.arange(-91, 92, 2.0))
     zero_bin = np.searchsorted(pdf.angle_edges, 0.0, side="right") - 1
     for j in range(3):
@@ -164,8 +168,8 @@ def test_relative_zenith_offset_path():
     tx, rx = (0.0, 0.0, 30.0), (100.0, 0.0, 1.6)
     ref = los_params(tx, rx, 12e9)
     p = make_path(120.0, zod=ref.zod + 10.0)
-    links = [LinkRecord(tx, rx, 12e9, LinkState.NLOS, [p])]
-    pdf = relative_zenith_pdf(LinkTable.from_links(links), 1.6, [0, 200], np.arange(-90, 91, 2.0))
+    links = [link(tx, rx, 12e9, LinkState.NLOS, [p])]
+    pdf = relative_zenith_pdf(link_table(links), 1.6, [0, 200], np.arange(-90, 91, 2.0))
     centers = 0.5 * (pdf.angle_edges[:-1] + pdf.angle_edges[1:])
     hot = np.flatnonzero(pdf.density[:, 0])
     assert len(hot) == 1 and abs(centers[hot[0]] - 10.0) <= 1.0
@@ -173,15 +177,15 @@ def test_relative_zenith_offset_path():
 
 def test_relative_zenith_skips_outage():
     links = [make_link(LinkState.OUTAGE, paths=[make_path(185.0)])]
-    pdf = relative_zenith_pdf(LinkTable.from_links(links), 1.6, [0, 200], np.arange(-90, 91, 2.0))
+    pdf = relative_zenith_pdf(link_table(links), 1.6, [0, 200], np.arange(-90, 91, 2.0))
     assert pdf.density.sum() == 0.0
 
 
 def test_relative_zenith_skips_and_counts_vertical_links():
     tx = (0.0, 0.0, 30.0)
-    vertical = LinkRecord(tx, (0.0, 0.0, 1.6), 12e9, LinkState.NLOS, [make_path(120.0)])
-    slanted = LinkRecord(tx, (100.0, 0.0, 1.6), 12e9, LinkState.NLOS, [make_path(120.0)])
-    table = LinkTable.from_links([vertical, slanted, vertical])
+    vertical = link(tx, (0.0, 0.0, 1.6), 12e9, LinkState.NLOS, [make_path(120.0)])
+    slanted = link(tx, (100.0, 0.0, 1.6), 12e9, LinkState.NLOS, [make_path(120.0)])
+    table = link_table([vertical, slanted, vertical])
     pdf = relative_zenith_pdf(table, 1.6, [0, 200], np.arange(-90, 91, 2.0), angle="zoa")
     assert pdf.skipped_links == 2
     assert pdf.density.sum() == pytest.approx(1.0)  # the slanted link alone
@@ -196,8 +200,8 @@ def test_binned_pdf_columns_sum_to_one_or_zero():
         ref = los_params(tx, rx, 12e9)
         paths = [make_path(100.0 + i, zod=np.clip(ref.zod + rng.normal(0, 8), 0, 180))
                  for i in range(rng.integers(1, 6))]
-        links.append(LinkRecord(tx, rx, 12e9, LinkState.NLOS, paths))
-    pdf = relative_zenith_pdf(LinkTable.from_links(links), 1.6, np.arange(0, 500, 50.0),
+        links.append(link(tx, rx, 12e9, LinkState.NLOS, paths))
+    pdf = relative_zenith_pdf(link_table(links), 1.6, np.arange(0, 500, 50.0),
                               np.arange(-90, 91, 2.0))
     sums = pdf.density.sum(axis=0)
     assert np.all((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0))
@@ -280,9 +284,9 @@ def test_rms_azimuth_seam_safety():
 
 
 def reference_rms(paths, feature):
-    """Per-link gain-weighted RMS spread with 1D sums and dot products."""
-    pl = np.array([p.pathloss for p in paths])
-    d = np.array([getattr(p, feature) for p in paths])
+    """Per-link gain-weighted RMS spread of (k, 7) path rows, with 1D sums and dot products."""
+    pl = paths[:, PATH_FIELDS.index("pathloss")]
+    d = paths[:, PATH_FIELDS.index(feature)]
     gains = 10.0 ** (-(pl - pl.min()) / 10.0)
     if feature == "delay":
         d = d - d.min()
@@ -298,7 +302,7 @@ def reference_rms(paths, feature):
 def test_rms_report_matches_per_link_reference():
     rng = np.random.default_rng(9)
     # an outage link without paths is left out of the report
-    links = [LinkRecord((0.0, 0.0, 30.0), (50.0, 0.0, 1.6), 12e9, LinkState.OUTAGE, [])]
+    links = [link((0.0, 0.0, 30.0), (50.0, 0.0, 1.6), 12e9, LinkState.OUTAGE, [])]
     for i in range(300):
         n = 1 if i % 10 == 0 else int(rng.integers(2, 26))
         # every third link straddles the +/-180 azimuth seam
@@ -308,7 +312,7 @@ def test_rms_report_matches_per_link_reference():
                            aoa=-az[j], zoa=rng.uniform(0, 180))
                  for j, d in enumerate(np.sort(rng.uniform(1e-7, 2e-6, n)))]
         links.append(make_link(paths=paths))
-    rep = rms_spread_report(LinkTable.from_links(links))
+    rep = rms_spread_report(link_table(links))
     for f in ("delay", "aoa", "aod", "zoa", "zod"):
         want = np.array([reference_rms(lk.paths, f) for lk in links[1:]])
         got = getattr(rep, f)
@@ -321,7 +325,7 @@ def test_rms_report_matches_per_link_reference():
 def test_rms_report_shapes():
     links = [make_link(paths=[make_path(100.0), make_path(110.0, delay=2e-6)]),
              make_link()]
-    rep = rms_spread_report(LinkTable.from_links(links))
+    rep = rms_spread_report(link_table(links))
     for f in ("delay", "aoa", "aod", "zoa", "zod"):
         assert getattr(rep, f).shape == (2,)
         assert np.all(getattr(rep, f) >= 0.0)

@@ -1,23 +1,19 @@
 """Surrogate dataset generator: determinism, invariants, qualitative trends."""
 
 import math
+from collections import namedtuple
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from chanimg.core import (
-    SPEED_OF_LIGHT,
-    LinkRecord,
-    LinkState,
-    LinkTable,
-    PathParams,
-    closed_forms,
-    wrap_azimuth,
-)
+from chanimg.core import PATH_FIELDS, SPEED_OF_LIGHT, LinkState, closed_forms, wrap_azimuth
 from chanimg.errors import DataError, GeometryError
 from chanimg.rng import substream
 from chanimg.surrogate import SurrogateConfig, generate_dataset, train_test_split
+from tables import link, link_table
+
+Path = namedtuple("Path", PATH_FIELDS)
 
 
 def small_config(**kw):
@@ -27,7 +23,7 @@ def small_config(**kw):
 
 
 # -- the per-link reference generator ---------------------------------------------
-# One LinkRecord per link, built path by path from the link's own substream:
+# One link at a time, built path by path from the link's own substream:
 # generate_dataset must give the table of these links bit for bit.
 
 
@@ -55,9 +51,8 @@ def reference_scattered_paths(cfg, rng, n, dist2d, los):
     phase = -rng.uniform(0.0, 360.0, size=n)  # (-360, 0]
 
     order = np.argsort(excess_delay, kind="stable")
-    return [PathParams(float(los.pathloss + excess_pl[i]), float(los.delay + excess_delay[i]),
-                       float(aod[i]), float(zod[i]), float(aoa[i]), float(zoa[i]),
-                       float(phase[i]))
+    return [Path(float(los.pathloss + excess_pl[i]), float(los.delay + excess_delay[i]),
+                 float(aod[i]), float(zod[i]), float(aoa[i]), float(zoa[i]), float(phase[i]))
             for i in order]
 
 
@@ -75,11 +70,11 @@ def reference_link(cfg, tx, rx, link_index, dist2d, los):
         state = LinkState.OUTAGE
     else:
         state = LinkState.LOS if is_los else LinkState.NLOS
-    return LinkRecord(tx=tx, rx=rx, carrier_freq=cfg.carrier_freq, link_state=state, paths=paths)
+    return link(tx, rx, cfg.carrier_freq, state, paths)
 
 
 def reference_dataset(cfg):
-    """The links of the tx x rx x height grid, one LinkRecord at a time."""
+    """The links of the tx x rx x height grid, one at a time."""
     rng_tx = substream(cfg.seed, "tx")
     tx_xy = rng_tx.uniform([0.0, 0.0], cfg.area, size=(cfg.num_tx, 2))
     tx_z = rng_tx.uniform(*cfg.tx_height_range, size=cfg.num_tx)
@@ -91,7 +86,7 @@ def reference_dataset(cfg):
         for h_idx, height in enumerate(cfg.heights)])
     tx_all, rx_all = np.tile(txs, (len(rxs), 1)), np.repeat(rxs, cfg.num_tx, axis=0)
     dist2d, _, _, los = closed_forms(tx_all, rx_all, np.full(len(rx_all), cfg.carrier_freq))
-    return [reference_link(cfg, tuple(a), tuple(b), i, d2, PathParams(*row))
+    return [reference_link(cfg, tuple(a), tuple(b), i, d2, Path(*row))
             for i, (a, b, d2, row) in enumerate(zip(
                 tx_all.tolist(), rx_all.tolist(), dist2d.tolist(), los.tolist()))]
 
@@ -109,7 +104,7 @@ def reference_dataset(cfg):
 def test_table_matches_per_link_reference(kw):
     cfg = small_config(**kw)
     got = generate_dataset(cfg)
-    want = LinkTable.from_links(reference_dataset(cfg))
+    want = link_table(reference_dataset(cfg))
     for f in fields(want):  # paths, counts, states, endpoints and closed forms
         a, b = getattr(got, f.name), getattr(want, f.name)
         assert a.dtype == b.dtype and a.shape == b.shape, f.name
@@ -148,7 +143,7 @@ def test_forced_los():
     table = generate_dataset(small_config(los_probability=1.0))
     assert all(s is LinkState.LOS for s in table.state)
     # first path bit-exact equal to the closed form of the link's table row
-    assert table.paths[:, 0].tolist() == table.los.tolist()
+    assert table.paths[table.offsets[:-1]].tolist() == table.los.tolist()
 
 
 def test_forced_nlos():
@@ -159,26 +154,27 @@ def test_forced_nlos():
 def test_path_invariants():
     table = generate_dataset(small_config())
     assert ((table.counts >= 1) & (table.counts <= 25)).all()
+    offsets = table.offsets
+    assert len(table.paths) == offsets[-1]
     for i, (d3, base_pl) in enumerate(zip(table.dist3d, table.fspl)):
-        paths = table.paths[i, :table.counts[i]]
+        paths = table.paths[offsets[i]:offsets[i + 1]]
         base_dly = d3 / SPEED_OF_LIGHT
         assert (paths[:, 1] >= base_dly).all()  # no negative excess delay
         assert (paths[:, 0] >= base_pl - 1e-9).all()  # no gain below free space
         assert ((paths[:, 6] > -360.0) & (paths[:, 6] <= 0.0)).all()
         assert paths[:, 1].tolist() == sorted(paths[:, 1].tolist())
-    assert not table.paths[~table.valid].any()  # zero beyond each link's paths
 
 
 def test_los_first_path_exact():
     table = generate_dataset(small_config())
     los = np.flatnonzero(table.state == LinkState.LOS)
     assert los.size
-    np.testing.assert_array_equal(table.paths[los, 0], table.los[los])
+    np.testing.assert_array_equal(table.paths[table.offsets[los]], table.los[los])
 
 
 def test_phase_uniformity():
     table = generate_dataset(small_config(num_rx_per_height=100))
-    phases = table.paths[table.valid][:, 6]
+    phases = table.paths[:, 6]
     hist, _ = np.histogram(phases, bins=8, range=(-360.0, 0.0))
     assert hist.min() > 0.7 * hist.mean()
 
