@@ -47,7 +47,8 @@ EXIT_CODES = (
     (TrainingDivergedError, "diverged", EXIT_DIVERGED),
     (VersionError, "version", EXIT_VERSION),
     (FormatError, "format", EXIT_BAD_FILE),
-    ((DataError, GeometryError), "data", EXIT_BAD_DATA),
+    # a count so large that an array of it cannot be allocated
+    ((DataError, GeometryError, MemoryError), "data", EXIT_BAD_DATA),
     (OSError, "io", EXIT_BAD_FILE),
     (ChanimgError, "other", EXIT_UNEXPECTED),
 )
@@ -322,21 +323,29 @@ def _cmd_report(args) -> int:
     header = ["link", "state_ok", "n_paths_ok", "virtual_survivors",
               "err_pathloss", "err_delay", "err_aod", "err_zod", "err_aoa",
               "err_zoa", "err_phase"]
-    matrices, _ = codec.encode(table, substream(args.seed, "padding"))
-    decoded = codec.decode(matrices, table)
-    state_ok = (decoded.state == table.state).astype(int).tolist()
-    n_ok = decoded.counts == table.counts
-    survivors = np.maximum(decoded.counts - table.counts, 0).tolist()
-    # per-feature max over the real paths of each link whose count decodes;
-    # NaN for the others
-    same = n_ok & (table.counts > 0)
-    want = table.take(same)
-    diff = np.abs(decoded.take(same).paths - want.paths)
-    errs = np.full((len(table), diff.shape[1]), np.nan)
-    errs[same] = np.maximum.reduceat(diff, want.offsets[:-1])
-    worst = np.fmax.reduce(errs, axis=0, initial=0.0)
-    rows = [[i, state_ok[i], int(n_ok[i]), survivors[i], *errs[i]] for i in range(len(table))]
-    io.write_report_csv(args.out, "roundtrip", args.seed, header, rows)
+    worst = np.zeros(len(header) - 4)
+
+    def rows():
+        # one padding block of links at a time: encode, decode, compare, so
+        # no (N, 8, 25) stack or whole decoded table is held
+        for links, matrices in codec.encode_blocks(table, substream(args.seed, "padding")):
+            real = table.take(links)
+            decoded = codec.decode(matrices, real)
+            state_ok = (decoded.state == real.state).astype(int).tolist()
+            n_ok = decoded.counts == real.counts
+            survivors = np.maximum(decoded.counts - real.counts, 0).tolist()
+            # per-feature max over the real paths of each link whose count
+            # decodes; NaN for the others
+            same = n_ok & (real.counts > 0)
+            want = real.take(same)
+            diff = np.abs(decoded.take(same).paths - want.paths)
+            errs = np.full((len(real), len(worst)), np.nan)
+            errs[same] = np.maximum.reduceat(diff, want.offsets[:-1])
+            np.fmax(worst, np.fmax.reduce(errs, axis=0, initial=0.0), out=worst)
+            for i in range(len(real)):
+                yield [links.start + i, state_ok[i], int(n_ok[i]), survivors[i], *errs[i]]
+
+    io.write_report_csv(args.out, "roundtrip", args.seed, header, rows())
     print("round-trip worst-case errors "
           "(pathloss dB, delay s, aod, zod, aoa, zoa, phase deg): "
           + " ".join(f"{v:.3e}" for v in worst))
@@ -366,7 +375,7 @@ def run(argv=None) -> int:
         if args.seed < 0:  # SeedSequence takes no negative entropy
             raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
-    except (ChanimgError, OSError) as exc:
+    except (ChanimgError, OSError, MemoryError) as exc:
         kind, code = next((k, c) for cls, k, c in EXIT_CODES if isinstance(exc, cls))
         print(f"chanimg: error kind={kind} exit={code} msg={exc}", file=sys.stderr)
         return code

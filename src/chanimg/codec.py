@@ -1,6 +1,6 @@
 """Invertible mapping between link tables and 8x25 channel matrices.
 
-Encode pipeline, run on a whole dataset at once:
+Encode pipeline, run over a dataset one block of links at a time:
   1. pad each link's #paths x 8 features to a fixed 8x25 matrix with "virtual"
      paths: non-pathloss features drawn uniformly inside the dataset's real
      ranges, virtual pathloss drawn in (181, 190) dB so anything above the
@@ -18,12 +18,15 @@ store it, the generative backends model it and decode reads it.  The
 rendered image carries no value the matrix lacks, so no stage stores or
 reads it.
 
-The padding draws come from one rng in a fixed order: a (N, 25) block of
-virtual pathloss, then one (N, 25) block per row from delay to phase (cells
-of real paths draw too and discard the value), then one link-state draw per
-link.  Encode and fit_codec pad one feature row of every link at a time,
-and decode one block of links at a time, so no stage holds a padded copy
-of the whole table.
+The padding draws come from one rng in a fixed, row-major order: a (N, 25)
+block of virtual pathloss, then one (N, 25) block per row from delay to
+phase (cells of real paths draw too and discard the value), then one
+link-state draw per link.  They are taken block by block: each row draws
+from its own copy of rng, moved forward once to the row's first cell, so
+encode and fit_codec pad ENCODE_BLOCK links at a time and read the same
+draws as a pass over the whole table.  Decode inverts one block of links at
+a time, and the CLI's round-trip report encodes, decodes and compares one
+padding block at a time, so no stage holds a padded copy of the whole table.
 
 Decode runs the exact inverse (inverse scaling, add the references back),
 votes the link state on the mean of the last row, overwrites the first
@@ -36,6 +39,7 @@ Angles are kept absolute, not relative to the LOS direction: with only
 relative azimuths would make the pipeline non-invertible.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -71,6 +75,7 @@ DELAY_SCALE = 1e7
 OUTAGE_THRESHOLD_DB = 180.0
 VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH = 181.0, 190.0
 LINK_STATE_EPS = 0.01
+ENCODE_BLOCK = 256  # links per padding block; bounds encode's and fit_codec's working memory
 DECODE_CHUNK = 256  # matrices per decode block; bounds decode's working memory
 
 
@@ -97,18 +102,16 @@ class FeatureScaler:
         """(min, max) of the feature rows, shaped to broadcast over their cells."""
         return self.feature_min[rows, None], self.feature_max[rows, None]
 
-    def scale(self, values: np.ndarray, rows=slice(None), out=None) -> np.ndarray:
-        """Scale raw feature rows: (..., 8, 25) stacks, or the cells of rows.
+    def scale(self, values: np.ndarray, out=None) -> np.ndarray:
+        """Scale raw (..., 8, 25) feature stacks.
 
-        rows picks the features values holds on its next-to-last axis; one
-        row index takes values whose last axis is that row's cells.  The
-        result is written into out when it is given, which may be values
-        itself (encode scales its padded rows in place), and into a new
+        The result is written into out when it is given, which may be values
+        itself (encode scales its padded blocks in place), and into a new
         float64 array otherwise; values is then left as it is.  Either way
         the steps are subtract, x2, divide by the span, -1 and clip, so the
         bytes do not depend on out.
         """
-        lo, hi = self._bounds(rows)
+        lo, hi = self._bounds(slice(None))
         # lo < hi, so no cell is counted twice
         self.n_clipped += int(np.count_nonzero(values < lo)) + int(np.count_nonzero(values > hi))
         x = np.subtract(values, lo, out=out)
@@ -118,7 +121,11 @@ class FeatureScaler:
         return np.clip(x, -1.0, 1.0, out=x)
 
     def unscale(self, x: np.ndarray, rows=slice(None)) -> np.ndarray:
-        """The raw feature rows of scaled ones; rows as in scale."""
+        """The raw feature rows of scaled ones.
+
+        rows picks the features x holds on its next-to-last axis; one row
+        index takes x whose last axis is that row's cells.
+        """
         self.n_clipped += int(np.count_nonzero((x < -1.0) | (x > 1.0)))
         x = np.clip(x, -1.0, 1.0)
         lo, hi = self._bounds(rows)
@@ -145,35 +152,61 @@ def _require_paths(table: LinkTable):
         raise DataError(f"link {int(np.argmin(table.counts))} has zero paths; cannot encode it")
 
 
-def _prescaled(table: LinkTable, virtual_ranges, eps: float, rng):
-    """Yield (row, (N, 25) values) of the padded, re-referenced matrices, row by row.
+def _forward(rng, draws: int):
+    """rng with its PCG64 moved on as if draws doubles had been drawn; returns rng.
 
-    The rows come in the draw order: pathloss, delay to phase, then the
-    link state.  Virtual delay/angle/phase values are uniform inside the
-    dataset-wide real ranges; virtual pathloss is uniform in (181, 190) dB,
-    strictly above the outage threshold.  Pathloss is re-referenced to FSPL
-    and delay to the LOS delay, times 1e7.  The last row carries the link
-    state, in (1-eps, 1] for LOS and [-1, -1+eps) otherwise, across all
-    columns.  The values are before Min-Max scaling.
+    A PCG64 uniform double takes one 64-bit output.  advance drops the
+    buffered 32-bit half-word, which drawing doubles keeps, so it is put back.
+    """
+    if not isinstance(rng.bit_generator, np.random.PCG64):
+        raise TypeError(f"padding draws need a PCG64 Generator, got {rng.bit_generator!r}")
+    state = rng.bit_generator.state
+    rng.bit_generator.advance(draws)
+    rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": state["has_uint32"],
+                               "uinteger": state["uinteger"]}
+    return rng
+
+
+def _prescaled(table: LinkTable, virtual_ranges, eps: float, rng):
+    """Yield (links, (m, 8, 25) values) of the padded, re-referenced matrices, block by block.
+
+    links is the slice of table's links a block holds, ENCODE_BLOCK at a
+    time in table order.  Virtual delay/angle/phase values are uniform
+    inside the dataset-wide real ranges; virtual pathloss is uniform in
+    (181, 190) dB, strictly above the outage threshold.  Pathloss is
+    re-referenced to FSPL and delay to the LOS delay, times 1e7.  The last
+    row carries the link state, in (1-eps, 1] for LOS and [-1, -1+eps)
+    otherwise, across all columns.  The values are before Min-Max scaling.
+
+    The draws are row-major over the whole table, taken block by block:
+    row r's cells are draws (r N + i) 25 .. (r N + i) 25 + 24 of rng for
+    link i, and link i's state draw is 7 N 25 + i.  Each row draws from its
+    own copy of rng, moved forward once to the row's first cell, so a block
+    reads the same draws as a whole-table pass.  rng itself is moved past
+    all 7 N 25 + N draws.  rng must be a PCG64 Generator (a TypeError
+    otherwise): one uniform double is one 64-bit output of it.
     """
     n = len(table)
-    # the flat (N * 25) cell of each path row: its link's row, then its place there
-    cells = np.arange(len(table.paths)) + np.repeat(
-        np.arange(n) * MAX_PATHS - table.offsets[:-1], table.counts)
-    for row in range(PS + 1):
-        lo, hi = (VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH) if row == PL else virtual_ranges[row]
-        values = rng.uniform(lo, hi, (n, MAX_PATHS))
-        np.put(values, cells, table.paths[:, row])
-        if row == PL:
-            values -= table.fspl[:, None]
-        elif row == DLY:
-            values -= table.dist3d[:, None] / SPEED_OF_LIGHT
-            values *= DELAY_SCALE
-        yield row, values
-    u = rng.uniform(0.0, eps, size=n)
-    values = np.empty((n, MAX_PATHS))
-    values[:] = np.where(table.state == LinkState.LOS, 1.0 - u, -1.0 + u)[:, None]
-    yield LS, values
+    streams = [_forward(copy.deepcopy(rng), row * n * MAX_PATHS) for row in range(LS + 1)]
+    _forward(rng, LS * n * MAX_PATHS + n)
+    offsets = table.offsets
+    for start in range(0, n, ENCODE_BLOCK):
+        links = slice(start, min(n, start + ENCODE_BLOCK))
+        m, counts = links.stop - start, table.counts[links]
+        values = np.empty((m, N_FEATURES, MAX_PATHS))
+        for row in range(PS + 1):
+            lo, hi = (VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH) if row == PL else virtual_ranges[row]
+            values[:, row] = streams[row].uniform(lo, hi, (m, MAX_PATHS))
+        # each real path row over its link's leading columns
+        link = np.repeat(np.arange(m), counts)
+        column = np.arange(len(link)) - (offsets[links] - offsets[start])[link]
+        values[link, :PS + 1, column] = table.paths[offsets[start]:offsets[links.stop]]
+        values[:, PL] -= table.fspl[links, None]
+        values[:, DLY] -= table.dist3d[links, None] / SPEED_OF_LIGHT
+        values[:, DLY] *= DELAY_SCALE
+        u = streams[LS].uniform(0.0, eps, size=m)
+        values[:, LS] = np.where(table.state[links] == LinkState.LOS, 1.0 - u, -1.0 + u)[:, None]
+        yield links, values
 
 
 class ChannelImageCodec:
@@ -194,22 +227,32 @@ class ChannelImageCodec:
 
         One padding realization is drawn from rng; conditions are each
         link's (dist2d, receiver height).  The matrices are written into out
-        when it is given and into a new float64 array otherwise; each row is
-        scaled in float64 and then stored, so a float32 out holds the
+        when it is given and into a new float64 array otherwise; each block
+        is scaled in float64 and then stored, so a float32 out holds the
         float64 matrices' values rounded once.  Clipped cells count in
         self.scaler.n_clipped.  An empty table, a link without paths and a
         receiver at height <= 0 are DataErrors.
+        """
+        if out is None:
+            out = np.empty((len(table), *MATRIX_SHAPE))
+        for links, matrices in self.encode_blocks(table, rng):
+            out[links] = matrices
+        return out, np.column_stack([table.dist2d, table.height])
+
+    def encode_blocks(self, table: LinkTable, rng):
+        """Yield (links, (m, 8, 25) float64 matrices) of the table, block by block.
+
+        links is the slice of the table the block's matrices encode, in
+        table order; the blocks together are encode's matrices, from the
+        same draws, with the same clip counts and DataErrors.
         """
         _require_paths(table)
         low = np.flatnonzero(table.height <= 0.0)
         if low.size:
             raise DataError(f"link {low[0]}: receiver height {table.height[low[0]]} "
                             "is not positive")
-        if out is None:
-            out = np.empty((len(table), *MATRIX_SHAPE))
-        for row, values in _prescaled(table, self.virtual_ranges, self.eps, rng):
-            out[:, row] = self.scaler.scale(values, row, out=values)
-        return out, np.column_stack([table.dist2d, table.height])
+        for links, values in _prescaled(table, self.virtual_ranges, self.eps, rng):
+            yield links, self.scaler.scale(values, out=values)
 
     # -- decode ------------------------------------------------------------
 
@@ -376,7 +419,9 @@ def fit_codec(table: LinkTable, rng, eps: float = LINK_STATE_EPS) -> ChannelImag
     ranges[:PS + 1, 0] = table.paths.min(axis=0)
     ranges[:PS + 1, 1] = table.paths.max(axis=0)
     ranges[LS] = (-1.0, 1.0)
-    lo, hi = np.empty(N_FEATURES), np.empty(N_FEATURES)
-    for row, values in _prescaled(table, ranges, eps, rng):
-        lo[row], hi[row] = values.min(), values.max()
+    lo, hi = np.full(N_FEATURES, np.inf), np.full(N_FEATURES, -np.inf)
+    for _, values in _prescaled(table, ranges, eps, rng):
+        # over the links first: elementwise over contiguous (8, 25) slabs
+        np.minimum(lo, values.min(axis=0).min(axis=-1), out=lo)
+        np.maximum(hi, values.max(axis=0).max(axis=-1), out=hi)
     return ChannelImageCodec(ranges, FeatureScaler(lo, hi), eps)

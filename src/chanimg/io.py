@@ -39,6 +39,7 @@ Every format carries a major version; readers reject unknown majors.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import json
@@ -102,35 +103,46 @@ def _whole(name, array, dtype):
     return name, dtype, array.shape, (array,)
 
 
+@contextlib.contextmanager
+def _replacing(path, mode, **kwargs):
+    """Open path + ".tmp" for writing; leaving the block moves it onto path.
+
+    On any failure the temporary file is removed, so a file already at path
+    keeps its bytes until the new one replaces it whole.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open(mode, **kwargs) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _write_container(path, magic, version, meta, entries):
     """Write meta and the arrays of entries to path as a container, hashed as written.
 
     entries are (name, dtype, shape, blocks): the blocks give the array's
     values in C order, each cast to dtype (a copy only where that differs).
-    The file is written to path + ".tmp", removed on any failure, so a file
-    already at path keeps its bytes until the new one replaces it whole.
+    The file replaces path whole (see _replacing).
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     header = json.dumps({"meta": meta, "entries": [
         {"name": name, "dtype": dtype, "shape": list(shape)}
         for name, dtype, shape, _ in entries]}).encode()
-    digest, tmp = hashlib.sha256(header), path.with_name(path.name + ".tmp")
-    try:
-        with tmp.open("wb") as fh:
-            fh.write(bytes(_PREFIX.size))
-            fh.write(header)
-            for _, dtype, _, blocks in entries:
-                for block in blocks:
-                    block = np.ascontiguousarray(block, dtype=dtype)
-                    digest.update(block)
-                    fh.write(block)
-            fh.seek(0)
-            fh.write(_PREFIX.pack(magic, version, len(header), digest.digest()))
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    digest = hashlib.sha256(header)
+    with _replacing(path, "wb") as fh:
+        fh.write(bytes(_PREFIX.size))
+        fh.write(header)
+        for _, dtype, _, blocks in entries:
+            for block in blocks:
+                block = np.ascontiguousarray(block, dtype=dtype)
+                digest.update(block)
+                fh.write(block)
+        fh.seek(0)
+        fh.write(_PREFIX.pack(magic, version, len(header), digest.digest()))
 
 
 def _read_container(path, magic, version):
@@ -659,10 +671,12 @@ def read_model_checkpoint(path):
 
 
 def write_report_csv(path, name: str, seed, header, rows):
-    """rows: iterable of sequences aligned with header."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    """rows: iterable of sequences aligned with header, written as they come.
+
+    The file replaces path whole (see _replacing), so rows may raise part
+    way and leave no partial report.
+    """
+    with _replacing(path, "w", newline="") as fh:
         fh.write(f"# chanimg-report v{REPORT_VERSION} name={name} seed={seed}\n")
         writer = csv.writer(fh)
         writer.writerow(header)

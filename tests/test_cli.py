@@ -30,6 +30,8 @@ from chanimg.genmodel import EmpiricalResampler
 from chanimg.genmodel import sample as wgan_sample
 from chanimg.rng import substream
 from containers import arrays, seal, split
+from tables import table_links
+from test_codec import reference_encode
 
 
 def test_gen_data_byte_identical(tmp_path):
@@ -126,6 +128,51 @@ def test_roundtrip_report_errors_small(pipeline_dir):
     state_ok = np.array([int(row.split(",")[1]) for row in rows])
     paths_ok = np.array([int(row.split(",")[2]) for row in rows])
     assert state_ok.all() and paths_ok.all()
+
+
+ROUNDTRIP_HEADER = ["link", "state_ok", "n_paths_ok", "virtual_survivors", "err_pathloss",
+                    "err_delay", "err_aod", "err_zod", "err_aoa", "err_zoa", "err_phase"]
+
+
+def reference_report(path, data, codec_path, seed):
+    """The round-trip report of the whole table at once, compared link by link.
+
+    reference_encode pads the whole table, one decode inverts every matrix,
+    and each link's row holds the per-feature max error over its paths, NaN
+    where the decoded path count differs.
+    """
+    table, codec = io.read_table(data), io.read_codec(codec_path)
+    links = table_links(table)
+    matrices, _, _ = reference_encode(codec, links, substream(seed, "padding"))
+    decoded = codec.decode(matrices, table)
+    rows = []
+    for i, lk in enumerate(links):
+        got, k = decoded.paths[decoded.offsets[i]:decoded.offsets[i + 1]], len(lk.paths)
+        errs = np.abs(got - lk.paths).max(axis=0) if len(got) == k else np.full(7, np.nan)
+        rows.append([i, int(decoded.state[i] == lk.link_state), int(len(got) == k),
+                     max(len(got) - k, 0), *errs])
+    io.write_report_csv(path, "roundtrip", seed, ROUNDTRIP_HEADER, rows)
+
+
+# one short block, one full block, one link over, three blocks and a ragged 3;
+# the clipping codec decodes virtual paths of some links, whose rows read NaN
+@pytest.mark.parametrize("clip", [False, True], ids=["fitted", "clipping"])
+@pytest.mark.parametrize("n", [5, 7, 8, 24])
+def test_report_blocks_match_the_whole_table_reference(tmp_path, monkeypatch, n, clip):
+    monkeypatch.setattr("chanimg.codec.ENCODE_BLOCK", 7)
+    data, codec_path = tmp_path / "d.jsonl", tmp_path / "c.json"
+    assert run(["--seed", "5", "gen-data", "--links", str(n), "--out", str(data)]) == 0
+    assert run(["--seed", "5", "fit-codec", "--data", str(data), "--out", str(codec_path)]) == 0
+    if clip:  # virtual pathloss decodes to at most 180 dB where the free-space loss is low
+        codec = io.read_codec(codec_path)
+        codec.scaler.feature_max[0] = 180.0 - np.median(io.read_table(data).fspl)
+        io.write_codec(codec_path, codec)
+    assert run(["--seed", "8", "report", "--data", str(data), "--codec", str(codec_path),
+                "--out", str(tmp_path / "got.csv")]) == 0
+    reference_report(tmp_path / "want.csv", data, codec_path, 8)
+    got = (tmp_path / "got.csv").read_text()
+    assert got == (tmp_path / "want.csv").read_text()
+    assert len(got.splitlines()) == n + 2 and ("nan" in got) == clip
 
 
 def test_eval_report_format(pipeline_dir):
@@ -663,6 +710,23 @@ def test_seeds_beyond_32_bits_run(pipeline_dir, tmp_path, seed):
     for suffix in (".jsonl", ".chim"):
         assert ((tmp_path / f"{seed}{suffix}").read_bytes()
                 != (tmp_path / f"{seed + 1}{suffix}").read_bytes())
+
+
+# Each count asks for an array of more than the 128 TiB a 64-bit Linux process
+# can address, so the allocation fails at once whatever the host's memory
+# and overcommit policy, and no test touches real memory.
+@pytest.mark.parametrize("argv, out", [
+    (["gen-data", "--links", str(10**15)], "d.jsonl"),
+    (["encode", "--data", "{d}/data.jsonl", "--codec", "{d}/codec.json",
+      "--realizations", str(10**12)], "i.chim"),
+    (["sample", "--model", "{d}/resampler.ckpt", "--conditions-from", "{d}/data.jsonl",
+      "--per-cond", str(10**12)], "s.chim"),
+], ids=["gen-data-links", "encode-realizations", "sample-per-cond"])
+def test_counts_too_large_to_allocate_are_data_errors(pipeline_dir, tmp_path, capsys, argv, out):
+    argv = [a.format(d=pipeline_dir) for a in argv]
+    fails_cleanly(capsys, [*argv, "--out", str(tmp_path / out)], EXIT_BAD_DATA,
+                  "Unable to allocate")
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("flags", [["--num-tx", "0"], ["--num-tx", "-3"], ["--links", "-1"]])
@@ -1216,15 +1280,18 @@ def peak_rss_mb(argv):
 def test_read_side_stages_hold_no_full_size_copy(large_pipeline, tmp_path):
     # peak RSS above a bare `import numpy` process, in MB, measured (5 runs,
     # the largest) on a 2-core Linux host with numpy 2.4: gen-data 16.5,
-    # fit-codec 15.0, encode 18.7, sample 22.4 (resampler) and 24.1
-    # (WGAN-GP), decode 24.4 and report 29.7; each bound adds 3 MB.  While
-    # every table padded its links to 25 path rows the same stages read 31.9,
-    # 29.2, 31.1, 27.2, 28.9, 29.4 and 35.9; before that, the read side held
-    # float64 samples, (256, N) distance blocks, 1,024-row forwards, a list
-    # of decode blocks and a copy of every sidecar path row
+    # fit-codec 12.9, encode 16.8, sample 22.4 (resampler) and 24.1
+    # (WGAN-GP), decode 24.4 and report 15.1; each bound adds 3 MB.  While
+    # fit-codec, encode and report padded one feature row of every link at a
+    # time, and report held encode's whole float64 stack, those three read
+    # 15.0, 18.7 and 29.7.  While every table padded its links to 25 path
+    # rows the stages read 31.9, 29.2, 31.1, 27.2, 28.9, 29.4 and 35.9;
+    # before that, the read side held float64 samples, (256, N) distance
+    # blocks, 1,024-row forwards, a list of decode blocks and a copy of every
+    # sidecar path row
     d, out = large_pipeline, tmp_path
-    bounds = {"gen-data": 19.5, "fit-codec": 18.0, "encode": 21.7, "sample-resampler": 25.4,
-              "sample-wgan": 27.1, "decode": 27.4, "report": 32.7}
+    bounds = {"gen-data": 19.5, "fit-codec": 15.9, "encode": 19.8, "sample-resampler": 25.4,
+              "sample-wgan": 27.1, "decode": 27.4, "report": 18.1}
     stages = {
         "gen-data": ["gen-data", "--links", "5000", "--out", out / "data.jsonl"],
         "fit-codec": ["fit-codec", "--data", d / "data.jsonl", "--out", out / "codec.json"],

@@ -348,6 +348,32 @@ def test_encode_counts_clipped_cells(wide):
     assert wide.scaler.n_clipped == 50
 
 
+# one short block, one full block, one link over, three blocks and a ragged 3
+@pytest.mark.parametrize("n", [5, 7, 8, 24])
+def test_padding_blocks_draw_the_whole_table_reference(dataset, codec, monkeypatch, n):
+    monkeypatch.setattr("chanimg.codec.ENCODE_BLOCK", 7)
+    links = dataset[:n]
+    enc = ChannelImageCodec.from_dict(codec.to_dict())
+    rng, ref = substream(16, "x"), substream(16, "x")
+    for r in (rng, ref):  # a buffered 32-bit half-word the padding draws must keep
+        r.integers(2**32, dtype=np.uint32)
+    matrices, _ = enc.encode(link_table(links), rng)
+    want, _, clipped = reference_encode(codec, links, ref)
+    np.testing.assert_array_equal(matrices, want)
+    assert enc.scaler.n_clipped == clipped
+    assert rng.bit_generator.state == ref.bit_generator.state
+    fitted = fit_codec(link_table(links), substream(17, "x"))
+    stack = reference_prescale(fitted.virtual_ranges, fitted.eps, links, substream(17, "x"))
+    np.testing.assert_array_equal(fitted.scaler.feature_min, stack.min(axis=(0, 2)))
+    np.testing.assert_array_equal(fitted.scaler.feature_max, stack.max(axis=(0, 2)))
+
+
+def test_padding_draws_need_a_pcg64_generator(table, codec):
+    # the blocks skip ahead by whole 64-bit outputs, which only PCG64 is read as here
+    with pytest.raises(TypeError, match="PCG64"):
+        codec.encode(table, np.random.Generator(np.random.MT19937(1)))
+
+
 # -- full encode/decode -----------------------------------------------------------
 
 
