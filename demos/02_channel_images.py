@@ -17,7 +17,7 @@ dataset = generate_dataset(cfg)  # a LinkTable: every link's path rows, and one 
 print(f"surrogate dataset: {len(dataset)} links, "
       f"{dataset.counts.mean():.1f} paths/link on average")
 
-codec = fit_codec(dataset, substream(42, "padding"))
+codec = fit_codec(dataset)
 print("fitted per-feature scaler ranges (min/max):")
 for name, lo, hi in zip(("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase", "state"),
                         codec.scaler.feature_min, codec.scaler.feature_max):

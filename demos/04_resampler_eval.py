@@ -19,7 +19,7 @@ from chanimg.stats import compare_datasets
 from chanimg.surrogate import DEFAULT_HEIGHTS
 
 train, held = train_test_split(generate_dataset(SurrogateConfig(seed=11)), 0.2, seed=11)
-codec = fit_codec(train, substream(11, "padding"))
+codec = fit_codec(train)
 print(f"{len(train)} training links, {len(held)} held-out links")
 
 model = EmpiricalResampler(*codec.encode(train, substream(11, "encode")), k=50)

@@ -177,10 +177,8 @@ def _cmd_gen_data(args) -> int:
 
 
 def _cmd_fit_codec(args) -> int:
-    from .rng import substream
-
     table = io.read_table(args.data)
-    codec = _layer("fit_codec")(table, substream(args.seed, "padding"))
+    codec = _layer("fit_codec")(table)
     io.write_codec(args.out, codec, seed=args.seed)
     print(f"fitted codec on {len(table)} links -> {args.out}")
     return 0

@@ -8,8 +8,8 @@ Encode pipeline, run over a dataset one block of links at a time:
   2. re-reference pathloss to free-space loss and delay to the LOS delay
      (times 1e7 so delays land in a workable numeric range), and encode the
      link state as a value near +1 (LOS) or -1 (NLOS/Outage);
-  3. Min-Max scale each feature row into [-1, 1] with ranges fitted over
-     the whole padded tensor;
+  3. Min-Max scale each feature row into [-1, 1] with ranges that span the
+     real cells and every value a virtual cell can take;
   4. render (display only): tile shows a matrix as the paper's 64x50
      channel image, each cell an 8x2 pixel block.
 
@@ -18,15 +18,12 @@ store it, the generative backends model it and decode reads it.  The
 rendered image carries no value the matrix lacks, so no stage stores or
 reads it.
 
-The padding draws come from one rng in a fixed, row-major order: a (N, 25)
-block of virtual pathloss, then one (N, 25) block per row from delay to
-phase (cells of real paths draw too and discard the value), then one
-link-state draw per link.  They are taken block by block: each row draws
-from its own copy of rng, moved forward once to the row's first cell, so
-encode and fit_codec pad ENCODE_BLOCK links at a time and read the same
-draws as a pass over the whole table.  Decode inverts one block of links at
-a time, and the CLI's round-trip report encodes, decodes and compares one
-padding block at a time, so no stage holds a padded copy of the whole table.
+Each link takes 8 x 25 uniform draws from rng in turn (real cells draw too
+and discard theirs), so the draws do not depend on how many links are
+padded at once.  Encode and decode work BLOCK links at a time, and the
+CLI's round-trip report compares one block at a time, so no stage holds a
+padded copy of the whole table.  fit_codec draws nothing: its bounds are the
+draws' own expressions at the smallest and largest uniform double.
 
 Decode runs the exact inverse (inverse scaling, add the references back),
 votes the link state on the mean of the last row, overwrites the first
@@ -39,7 +36,6 @@ Angles are kept absolute, not relative to the LOS direction: with only
 relative azimuths would make the pipeline non-invertible.
 """
 
-import copy
 import dataclasses
 import math
 
@@ -75,8 +71,8 @@ DELAY_SCALE = 1e7
 OUTAGE_THRESHOLD_DB = 180.0
 VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH = 181.0, 190.0
 LINK_STATE_EPS = 0.01
-ENCODE_BLOCK = 256  # links per padding block; bounds encode's and fit_codec's working memory
-DECODE_CHUNK = 256  # matrices per decode block; bounds decode's working memory
+BLOCK = 256  # links per encode and decode block; bounds their working memory
+U_MAX = 1.0 - 2.0**-53  # the largest double a Generator's random() returns
 
 
 class FeatureScaler:
@@ -152,51 +148,45 @@ def _require_paths(table: LinkTable):
         raise DataError(f"link {int(np.argmin(table.counts))} has zero paths; cannot encode it")
 
 
-def _forward(rng, draws: int):
-    """rng with its PCG64 moved on as if draws doubles had been drawn; returns rng.
+def _virtual_band(virtual_ranges):
+    """(low (8,), span (8,)) of the padding draws, row by row.
 
-    A PCG64 uniform double takes one 64-bit output.  advance drops the
-    buffered 32-bit half-word, which drawing doubles keeps, so it is put back.
+    A virtual cell of row r is low[r] + span[r] u for a uniform u in [0, 1):
+    pathloss in (181, 190) dB, the rows from delay to phase inside the real
+    ranges.  The link-state row keeps u itself (low 0, span 1).
     """
-    if not isinstance(rng.bit_generator, np.random.PCG64):
-        raise TypeError(f"padding draws need a PCG64 Generator, got {rng.bit_generator!r}")
-    state = rng.bit_generator.state
-    rng.bit_generator.advance(draws)
-    rng.bit_generator.state = {**rng.bit_generator.state, "has_uint32": state["has_uint32"],
-                               "uinteger": state["uinteger"]}
-    return rng
+    low = np.array(virtual_ranges[:, 0])
+    span = virtual_ranges[:, 1] - low
+    low[PL], span[PL] = VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH - VIRTUAL_PL_LOW
+    low[LS], span[LS] = 0.0, 1.0
+    return low, span
 
 
 def _prescaled(table: LinkTable, virtual_ranges, eps: float, rng):
     """Yield (links, (m, 8, 25) values) of the padded, re-referenced matrices, block by block.
 
-    links is the slice of table's links a block holds, ENCODE_BLOCK at a
-    time in table order.  Virtual delay/angle/phase values are uniform
-    inside the dataset-wide real ranges; virtual pathloss is uniform in
-    (181, 190) dB, strictly above the outage threshold.  Pathloss is
-    re-referenced to FSPL and delay to the LOS delay, times 1e7.  The last
-    row carries the link state, in (1-eps, 1] for LOS and [-1, -1+eps)
-    otherwise, across all columns.  The values are before Min-Max scaling.
+    links is the slice of table's links a block holds, BLOCK at a time in
+    table order.  A virtual cell is low + span u of its own uniform draw u
+    (see _virtual_band), so virtual pathloss lies strictly above the outage
+    threshold.  Pathloss is re-referenced to FSPL and delay to the LOS
+    delay, times 1e7.  The last row carries the link state across all
+    columns, 1 - eps u for LOS and -1 + eps u otherwise, with the u of the
+    row's first cell.  The values are before Min-Max scaling.
 
-    The draws are row-major over the whole table, taken block by block:
-    row r's cells are draws (r N + i) 25 .. (r N + i) 25 + 24 of rng for
-    link i, and link i's state draw is 7 N 25 + i.  Each row draws from its
-    own copy of rng, moved forward once to the row's first cell, so a block
-    reads the same draws as a whole-table pass.  rng itself is moved past
-    all 7 N 25 + N draws.  rng must be a PCG64 Generator (a TypeError
-    otherwise): one uniform double is one 64-bit output of it.
+    Each block draws rng.random, 200 doubles per link, link after link, so
+    the draws do not depend on the block size, and consecutive calls on one
+    rng draw consecutive realizations.
     """
-    n = len(table)
-    streams = [_forward(copy.deepcopy(rng), row * n * MAX_PATHS) for row in range(LS + 1)]
-    _forward(rng, LS * n * MAX_PATHS + n)
-    offsets = table.offsets
-    for start in range(0, n, ENCODE_BLOCK):
-        links = slice(start, min(n, start + ENCODE_BLOCK))
+    n, offsets = len(table), table.offsets
+    # per cell of a link's 200: one pass over whole links is faster than 7 passes over rows
+    low, span = (np.repeat(x, MAX_PATHS) for x in _virtual_band(virtual_ranges))
+    for start in range(0, n, BLOCK):
+        links = slice(start, min(n, start + BLOCK))
         m, counts = links.stop - start, table.counts[links]
-        values = np.empty((m, N_FEATURES, MAX_PATHS))
-        for row in range(PS + 1):
-            lo, hi = (VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH) if row == PL else virtual_ranges[row]
-            values[:, row] = streams[row].uniform(lo, hi, (m, MAX_PATHS))
+        values = rng.random((m, N_FEATURES * MAX_PATHS))
+        values *= span
+        values += low
+        values = values.reshape(m, N_FEATURES, MAX_PATHS)
         # each real path row over its link's leading columns
         link = np.repeat(np.arange(m), counts)
         column = np.arange(len(link)) - (offsets[links] - offsets[start])[link]
@@ -204,8 +194,8 @@ def _prescaled(table: LinkTable, virtual_ranges, eps: float, rng):
         values[:, PL] -= table.fspl[links, None]
         values[:, DLY] -= table.dist3d[links, None] / SPEED_OF_LIGHT
         values[:, DLY] *= DELAY_SCALE
-        u = streams[LS].uniform(0.0, eps, size=m)
-        values[:, LS] = np.where(table.state[links] == LinkState.LOS, 1.0 - u, -1.0 + u)[:, None]
+        u = eps * values[:, LS, :1]
+        values[:, LS] = np.where(table.state[links, None] == LinkState.LOS, 1.0 - u, -1.0 + u)
         yield links, values
 
 
@@ -282,7 +272,7 @@ class ChannelImageCodec:
         if not len(matrices):
             raise DataError("empty link dataset")
         n = len(matrices)
-        blocks = [slice(i, min(n, i + DECODE_CHUNK)) for i in range(0, n, DECODE_CHUNK)]
+        blocks = [slice(i, min(n, i + BLOCK)) for i in range(0, n, BLOCK)]
         # a first pass over the pathloss and link-state rows sizes the output
         # rows; the second counts every clipped cell, once
         clipped, counts = self.scaler.n_clipped, np.empty(n, dtype=np.intp)
@@ -405,23 +395,32 @@ def _range_list(d: dict, key: str) -> list:
     raise FormatError(f"{key} must be a list of {N_FEATURES} finite numbers, got {d[key]!r}")
 
 
-def fit_codec(table: LinkTable, rng, eps: float = LINK_STATE_EPS) -> ChannelImageCodec:
-    """Fit virtual-path ranges and the feature scaler on a link table.
+def fit_codec(table: LinkTable) -> ChannelImageCodec:
+    """Fit virtual-path ranges and the feature scaler on a link table, in closed form.
 
     The virtual ranges are the min/max of each feature over the real paths
     (the pathloss row is informational, the link-state row nominally
-    (-1, 1)).  The scaler is fitted after padding and re-referencing, with
-    one padding realization drawn from rng in encode's order, so virtual
-    values are in-range by construction.
+    (-1, 1)).  Each scaler row spans the re-referenced real cells and the
+    extremes of the virtual cells: _prescaled's own float expressions at
+    u = 0 and u = U_MAX, re-referenced to the extreme FSPL and LOS delay.
+    Rounding keeps them monotone in u and in the reference, so no padding
+    realization clips.
     """
     _require_paths(table)
     ranges = np.empty((N_FEATURES, 2))
     ranges[:PS + 1, 0] = table.paths.min(axis=0)
     ranges[:PS + 1, 1] = table.paths.max(axis=0)
     ranges[LS] = (-1.0, 1.0)
-    lo, hi = np.full(N_FEATURES, np.inf), np.full(N_FEATURES, -np.inf)
-    for _, values in _prescaled(table, ranges, eps, rng):
-        # over the links first: elementwise over contiguous (8, 25) slabs
-        np.minimum(lo, values.min(axis=0).min(axis=-1), out=lo)
-        np.maximum(hi, values.max(axis=0).max(axis=-1), out=hi)
-    return ChannelImageCodec(ranges, FeatureScaler(lo, hi), eps)
+    low, span = _virtual_band(ranges)
+    top = low + span * U_MAX
+    # angles and phase: the real range and the band's top (rounding may set
+    # it an ulp apart); the link-state row keeps (-1, 1)
+    lo, hi = np.minimum(ranges[:, 0], low), np.maximum(ranges[:, 1], top)
+    base = table.dist3d / SPEED_OF_LIGHT
+    pathloss = table.paths[:, PL] - np.repeat(table.fspl, table.counts)
+    delay = (table.paths[:, DLY] - np.repeat(base, table.counts)) * DELAY_SCALE
+    lo[PL] = min(pathloss.min(), low[PL] - table.fspl.max())
+    hi[PL] = max(pathloss.max(), top[PL] - table.fspl.min())
+    lo[DLY] = min(delay.min(), (low[DLY] - base.max()) * DELAY_SCALE)
+    hi[DLY] = max(delay.max(), (top[DLY] - base.min()) * DELAY_SCALE)
+    return ChannelImageCodec(ranges, FeatureScaler(lo, hi))

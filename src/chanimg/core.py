@@ -120,7 +120,8 @@ def closed_forms(tx, rx, carrier_freq):
     dB, 20 log10(dist3d) + 20 log10(f) - 147.55.  los is the (N, 7)
     line-of-sight path in PATH_FIELDS order: pathloss is the
     free-space loss, delay is dist3d/c, the departure azimuth is the
-    two-argument arctangent of (y_tx-y_rx, x_tx-x_rx), the arrival azimuth
+    two-argument arctangent of (y_tx-y_rx, x_tx-x_rx), with -180 deg (a dy
+    of -0.0, or one too small to count) read as 180, the arrival azimuth
     its back direction, the zenith of departure is measured from vertical
     at the transmitter (z_rx == z_tx gives the 90 deg horizon) and the
     zenith of arrival mirrors it.  Phase is the carrier rotation left over
@@ -145,7 +146,7 @@ def closed_forms(tx, rx, carrier_freq):
                 raise GeometryError(f"link {np.argmax(bad)}: {why}")
         fspl = 20.0 * np.log10(dist3d) + 20.0 * np.log10(freq) - 147.55
         delay = dist3d / SPEED_OF_LIGHT
-        aod = np.degrees(np.arctan2(dy, dx))
+        aod = wrap_azimuth(np.degrees(np.arctan2(dy, dx)))
         # a half turn staying inside (-180, 180]; exact in float64
         aoa = np.where(aod > 0.0, aod - 180.0, aod + 180.0)
         # atan2(dist2d, z_rx - z_tx) lands in [0, 180] directly, 90 when level

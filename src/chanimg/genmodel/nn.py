@@ -323,12 +323,6 @@ class Mlp:
             r_a += r_h
             r_ad = np.multiply(r_hd, s1, out=r_hd)
 
-    # -- bookkeeping ----------------------------------------------------------
-
-    def copy(self) -> "Mlp":
-        return Mlp(self.sizes, self.out_act, [p.copy() for p in self.params],
-                   hidden_act=self.hidden_act)
-
 
 def count_params(*nets) -> int:
     return sum(p.size for net in nets for p in net.params)

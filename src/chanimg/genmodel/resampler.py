@@ -88,16 +88,12 @@ class EmpiricalResampler:
         if n == 0:
             return out
         cond = np.asarray(cond, dtype=np.float64)
-        if cond.ndim != 1 and cond.shape != (n, 2):
+        if cond.ndim == 1:
+            cond = np.broadcast_to(cond, (n, 2))
+        if cond.shape != (n, 2):
             raise DataError("cond must be one pair or an (n, 2) array")
         draws = substream(seed, "resampler").integers(self.k, size=n)
-        if cond.ndim == 1:
-            _, nb = next(self._nearest_blocks(cond[None, :]))
-            picks = nb[0, draws]
-            for start in range(0, n, QUERY_CHUNK):
-                out[start:start + QUERY_CHUNK] = self.matrices[picks[start:start + QUERY_CHUNK]]
-        else:
-            for start, nb in self._nearest_blocks(cond):
-                c = len(nb)
-                out[start:start + c] = self.matrices[nb[np.arange(c), draws[start:start + c]]]
+        for start, nb in self._nearest_blocks(cond):
+            c = len(nb)
+            out[start:start + c] = self.matrices[nb[np.arange(c), draws[start:start + c]]]
         return out

@@ -496,11 +496,11 @@ def _read_ltab(path, fh):
 
 
 def write_codec(path, codec: ChannelImageCodec, seed=None):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """codec's JSON document, replacing path whole (see _replacing)."""
     doc = {"format": "chanimg-codec", "version": CODEC_VERSION, "seed": seed}
     doc.update(codec.to_dict())
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    with _replacing(path, "w") as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def read_codec(path) -> ChannelImageCodec:
@@ -684,9 +684,8 @@ def write_report_csv(path, name: str, seed, header, rows):
 
 
 def write_training_log(path, log, seed=None):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as fh:
+    """log's rows under its header, replacing path whole (see _replacing)."""
+    with _replacing(path, "w", newline="") as fh:
         fh.write(f"# chanimg-report v{REPORT_VERSION} name=training-log seed={seed}"
                  f" generator_params={log.param_counts.get('generator')}"
                  f" critic_params={log.param_counts.get('critic')}\n")

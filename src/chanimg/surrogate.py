@@ -39,7 +39,6 @@ class SurrogateConfig:
     area: tuple = (500.0, 500.0)
     carrier_freq: float = 12e9
     seed: int = 0
-    max_paths: int = MAX_PATHS
     outage_threshold_db: float = 180.0
 
     # LOS probability: exp(-dist2d / (base + per_height * h)), or a fixed override
@@ -65,8 +64,6 @@ class SurrogateConfig:
         # chained comparisons with math.inf also reject NaN
         if not self.heights or not all(0 < h < math.inf for h in self.heights):
             raise DataError("heights must be non-empty, positive and finite")
-        if self.max_paths != MAX_PATHS:
-            raise DataError(f"max_paths must be {MAX_PATHS} to match the channel matrix")
         if not all(0 < x < math.inf for x in self.area):
             raise DataError("area dimensions must be positive and finite")
         if not 0 < self.carrier_freq < math.inf:
@@ -124,7 +121,7 @@ def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
                           dist2d.tolist(), rx_all[:, 2].tolist()):
         los_link = rng.uniform() < _los_probability(cfg, d2, h)
         n_extra = int(rng.poisson(cfg.path_rate_base * math.exp(-d2 / cfg.path_rate_decay_m)))
-        n = min(n_extra, cfg.max_paths - 1) if los_link else min(1 + n_extra, cfg.max_paths)
+        n = min(n_extra, MAX_PATHS - 1) if los_link else min(1 + n_extra, MAX_PATHS)
         decay = math.exp(-d2 / cfg.spread_decay_m)
         az_scale, zen_scale = cfg.azimuth_spread_deg * decay, cfg.zenith_spread_deg * decay
         is_los.append(los_link)

@@ -159,7 +159,7 @@ def reference_report(path, data, codec_path, seed):
 @pytest.mark.parametrize("clip", [False, True], ids=["fitted", "clipping"])
 @pytest.mark.parametrize("n", [5, 7, 8, 24])
 def test_report_blocks_match_the_whole_table_reference(tmp_path, monkeypatch, n, clip):
-    monkeypatch.setattr("chanimg.codec.ENCODE_BLOCK", 7)
+    monkeypatch.setattr("chanimg.codec.BLOCK", 7)
     data, codec_path = tmp_path / "d.jsonl", tmp_path / "c.json"
     assert run(["--seed", "5", "gen-data", "--links", str(n), "--out", str(data)]) == 0
     assert run(["--seed", "5", "fit-codec", "--data", str(data), "--out", str(codec_path)]) == 0

@@ -5,11 +5,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from chanimg.codec import (
     AOA,
     AOD,
-    DECODE_CHUNK,
+    BLOCK,
     DLY,
     LS,
     PL,
@@ -41,7 +43,7 @@ def dataset(table):
 
 @pytest.fixture(scope="module")
 def codec(table):
-    return fit_codec(table, substream(11, "padding"))
+    return fit_codec(table)
 
 
 # scaler ranges wide enough that no test link clips, symmetric so that 0 maps
@@ -82,25 +84,56 @@ def make_link(n_paths, state=LinkState.NLOS, freq=12e9):
 def reference_prescale(virtual_ranges, eps, links, rng):
     """Per-link pad -> re-reference, written as the definition reads.
 
-    Draws in encode's order: a (N, 25) block of virtual pathloss, one (N, 25)
-    block per row from delay to phase, then one link-state value per link.
+    Draws link by link: each link takes one (8, 25) block of uniforms u; a
+    virtual cell of row r is lo + (hi - lo) u of its own u, with (lo, hi)
+    = (181, 190) dB for pathloss and the virtual range otherwise, and the
+    link-state jitter is eps times the u of the last row's first cell.
     """
-    n = len(links)
-    draws = [rng.uniform(181.0, 190.0, size=(n, 25))]
-    draws += [rng.uniform(*virtual_ranges[row], size=(n, 25)) for row in range(DLY, PS + 1)]
-    u = rng.uniform(0.0, eps, size=n)
-    out = np.empty((n, 8, 25))
+    out = np.empty((len(links), 8, 25))
     for i, lk in enumerate(links):
+        u = rng.random((8, 25))
         k = len(lk.paths)
         m = out[i]
         for row in range(PS + 1):  # pad
+            lo, hi = (181.0, 190.0) if row == PL else virtual_ranges[row]
             m[row, :k] = lk.paths[:, row]
-            m[row, k:] = draws[row][i, k:]
-        m[LS] = 1.0 - u[i] if lk.link_state is LinkState.LOS else -1.0 + u[i]
+            m[row, k:] = lo + (hi - lo) * u[row, k:]
+        jitter = eps * u[LS, 0]
+        m[LS] = 1.0 - jitter if lk.link_state is LinkState.LOS else -1.0 + jitter
         _, d3, base_pl, _ = forms(lk.tx, lk.rx, lk.carrier_freq)  # re-reference
         m[PL] -= base_pl
         m[DLY] = (m[DLY] - d3 / SPEED_OF_LIGHT) * 1e7
     return out
+
+
+LARGEST_DRAW = 1.0 - 2.0**-53  # the largest double Generator.random returns
+
+
+class ConstantDraws:
+    """A stand-in rng whose every uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, size):
+        return np.full(size, self.u)
+
+
+def reference_fit(links, eps=0.01):
+    """(feature_min, feature_max) of the scaler, as the definition reads.
+
+    The prescaled cells of every link, and of every link cut to its first
+    path (so each link's virtual cells are there), at the smallest and the
+    largest uniform draw; the link-state row is the nominal (-1, 1).
+    """
+    cols = np.concatenate([lk.paths for lk in links])
+    ranges = np.column_stack([cols.min(axis=0), cols.max(axis=0)])
+    links = [*links, *(lk._replace(paths=lk.paths[:1]) for lk in links)]
+    cells = np.concatenate([reference_prescale(ranges, eps, links, ConstantDraws(u))
+                            for u in (0.0, LARGEST_DRAW)])
+    lo, hi = cells.min(axis=(0, 2)), cells.max(axis=(0, 2))
+    lo[LS], hi[LS] = -1.0, 1.0
+    return lo, hi
 
 
 def reference_encode(codec, links, rng):
@@ -211,27 +244,24 @@ def test_scaler_endpoints_exact():
 
 
 def test_scaler_fit_matches_bruteforce(dataset, codec):
-    # the fixture's codec was fitted on one realization drawn from this stream
-    stack = reference_prescale(codec.virtual_ranges, codec.eps, dataset,
-                               substream(11, "padding"))
-    np.testing.assert_array_equal(codec.scaler.feature_min, stack.min(axis=(0, 2)))
-    np.testing.assert_array_equal(codec.scaler.feature_max, stack.max(axis=(0, 2)))
+    lo, hi = reference_fit(dataset)
+    np.testing.assert_array_equal(codec.scaler.feature_min, lo)
+    np.testing.assert_array_equal(codec.scaler.feature_max, hi)
 
 
 def test_scaler_single_matrix_fit():
-    # one link's link-state row is constant, so its scaler is degenerate; one
-    # link per state is the smallest dataset that fits
+    # the link-state row is nominal, so one link fits; one path leaves its
+    # delay (and angles) a single value, a degenerate scaler
+    with pytest.raises(DataError, match="delay"):
+        fit_codec(link_table([make_link(1)]))
     los = make_link(7, state=LinkState.LOS)
-    with pytest.raises(DataError, match="link_state"):
-        fit_codec(link_table([los]), substream(7, "x"))
-    links = [los, make_link(3)]
-    two = fit_codec(link_table(links), substream(7, "x"))
-    real = los.paths.T  # holds both links' paths
-    np.testing.assert_array_equal(two.virtual_ranges[:LS, 0], real.min(axis=1))
-    np.testing.assert_array_equal(two.virtual_ranges[:LS, 1], real.max(axis=1))
-    m = reference_prescale(two.virtual_ranges, two.eps, links, substream(7, "x"))
-    np.testing.assert_array_equal(two.scaler.feature_min, m.min(axis=(0, 2)))
-    np.testing.assert_array_equal(two.scaler.feature_max, m.max(axis=(0, 2)))
+    one = fit_codec(link_table([los]))
+    real = los.paths.T
+    np.testing.assert_array_equal(one.virtual_ranges[:LS, 0], real.min(axis=1))
+    np.testing.assert_array_equal(one.virtual_ranges[:LS, 1], real.max(axis=1))
+    lo, hi = reference_fit([los])
+    np.testing.assert_array_equal(one.scaler.feature_min, lo)
+    np.testing.assert_array_equal(one.scaler.feature_max, hi)
 
 
 def test_scaler_roundtrip_property():
@@ -280,7 +310,7 @@ def test_fit_codec_empty(codec):
         link_table([])
     empty = link_table([make_link(3)]).take([])
     with pytest.raises(DataError, match="empty"):
-        fit_codec(empty, substream(0, "x"))
+        fit_codec(empty)
     with pytest.raises(DataError, match="empty"):
         codec.encode(empty, substream(0, "x"))
     with pytest.raises(DataError, match="empty link dataset"):
@@ -351,27 +381,88 @@ def test_encode_counts_clipped_cells(wide):
 # one short block, one full block, one link over, three blocks and a ragged 3
 @pytest.mark.parametrize("n", [5, 7, 8, 24])
 def test_padding_blocks_draw_the_whole_table_reference(dataset, codec, monkeypatch, n):
-    monkeypatch.setattr("chanimg.codec.ENCODE_BLOCK", 7)
+    monkeypatch.setattr("chanimg.codec.BLOCK", 7)
     links = dataset[:n]
     enc = ChannelImageCodec.from_dict(codec.to_dict())
     rng, ref = substream(16, "x"), substream(16, "x")
-    for r in (rng, ref):  # a buffered 32-bit half-word the padding draws must keep
-        r.integers(2**32, dtype=np.uint32)
     matrices, _ = enc.encode(link_table(links), rng)
     want, _, clipped = reference_encode(codec, links, ref)
     np.testing.assert_array_equal(matrices, want)
-    assert enc.scaler.n_clipped == clipped
+    assert enc.scaler.n_clipped == clipped == 0
     assert rng.bit_generator.state == ref.bit_generator.state
-    fitted = fit_codec(link_table(links), substream(17, "x"))
-    stack = reference_prescale(fitted.virtual_ranges, fitted.eps, links, substream(17, "x"))
-    np.testing.assert_array_equal(fitted.scaler.feature_min, stack.min(axis=(0, 2)))
-    np.testing.assert_array_equal(fitted.scaler.feature_max, stack.max(axis=(0, 2)))
 
 
-def test_padding_draws_need_a_pcg64_generator(table, codec):
-    # the blocks skip ahead by whole 64-bit outputs, which only PCG64 is read as here
-    with pytest.raises(TypeError, match="PCG64"):
-        codec.encode(table, np.random.Generator(np.random.MT19937(1)))
+def test_padding_draws_take_any_generator(dataset, table, codec):
+    rng, ref = (np.random.Generator(np.random.MT19937(1)) for _ in range(2))
+    matrices, _ = codec.encode(table, rng)
+    np.testing.assert_array_equal(matrices, reference_encode(codec, dataset, ref)[0])
+    dec = codec.decode(matrices, table)
+    assert list(dec.state) == list(table.state)
+    np.testing.assert_array_equal(dec.counts, table.counts)
+    worst = np.abs(dec.paths - table.paths).max(axis=0)
+    assert worst[PL] <= 1e-3 and worst[DLY] <= 1e-12
+    assert np.all(worst[[AOD, ZOD, AOA, ZOA, PS]] <= 1e-3)
+
+
+def test_extreme_draws_clip_nothing(table, codec):
+    for u in (0.0, LARGEST_DRAW):
+        enc = ChannelImageCodec.from_dict(codec.to_dict())
+        matrices, _ = enc.encode(table, ConstantDraws(u))
+        assert enc.scaler.n_clipped == 0
+        if u == LARGEST_DRAW:  # the largest draw reaches each fitted maximum
+            np.testing.assert_array_equal(matrices[:, :PS + 1].max(axis=(0, 2)), 1.0)
+
+
+@st.composite
+def codec_tables(draw):
+    """Tables of 1-40 LOS and NLOS links with 1-25 paths each, that decode to themselves.
+
+    A LOS link's first path is its closed-form LOS path.  The other paths
+    have distinct whole-nanosecond excess delays and pathloss at most 40 dB
+    above free space, and their angles keep clear of the wrap points, so
+    decode's sort and wraps keep them as they are.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    links = []
+    for _ in range(draw(st.integers(1, 40))):
+        x, y = draw(st.floats(-250.0, 250.0)), draw(st.floats(-250.0, 250.0))
+        dx, dy = draw(st.floats(1.0, 400.0)), draw(st.floats(-400.0, 400.0))
+        tx = (x, y, draw(st.floats(10.0, 60.0)))
+        rx = (x + dx, y + dy, draw(st.sampled_from([1.6, 30.0, 60.0])))
+        freq = draw(st.sampled_from([3.5e9, 12e9, 28e9]))
+        state = draw(st.sampled_from([LinkState.LOS, LinkState.NLOS]))
+        n = draw(st.integers(1, 25))
+        _, d3, base_pl, los = forms(tx, rx, freq)
+        paths = np.column_stack([
+            base_pl + rng.uniform(0.0, 40.0, n),
+            d3 / SPEED_OF_LIGHT + np.sort(rng.choice(np.arange(1, 2001), n, replace=False)) * 1e-9,
+            rng.uniform(-179.0, 179.0, n), rng.uniform(1.0, 179.0, n),
+            rng.uniform(-179.0, 179.0, n), rng.uniform(1.0, 179.0, n),
+            rng.uniform(-359.0, -1.0, n)])
+        if state is LinkState.LOS:
+            paths[0] = los
+        links.append(link(tx, rx, freq, state, paths))
+    return link_table(links)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(table=codec_tables())
+def test_fitted_codec_clips_no_realization(table):
+    # a feature of a single value over the real paths has a degenerate scaler
+    assume(np.all(np.ptp(table.paths[:, DLY:], axis=0) > 0.0))
+    codec = fit_codec(table)
+    for seed in (1, 2):
+        rng = substream(seed, "padding")
+        for _ in range(3):
+            matrices, _ = codec.encode(table, rng)
+            assert codec.scaler.n_clipped == 0
+            assert np.all((-1.0 <= matrices) & (matrices <= 1.0))
+            dec = codec.decode(matrices, table)
+            assert list(dec.state) == list(table.state)
+            np.testing.assert_array_equal(dec.counts, table.counts)
+            worst = np.abs(dec.paths - table.paths).max(axis=0)
+            assert worst[PL] <= 1e-3 and worst[DLY] <= 1e-12
+            assert np.all(worst[[AOD, ZOD, AOA, ZOA, PS]] <= 1e-3)
 
 
 # -- full encode/decode -----------------------------------------------------------
@@ -441,7 +532,7 @@ def test_decode_rejects_nonfinite(codec):
     with pytest.raises(FormatError):
         codec.decode(mat[None], geometry_table([(0, 0, 30)], [(10, 10, 1.6)], [12e9]))
     # a bad matrix past the first internal block is caught too
-    n = DECODE_CHUNK + 2
+    n = BLOCK + 2
     stack = np.zeros((n, 8, 25))
     stack[-1] = mat
     with pytest.raises(FormatError):
@@ -485,7 +576,7 @@ def test_stacked_decode_matches_per_image_reference():
     stacked, single, ref = (ChannelImageCodec.from_dict(doc) for _ in range(3))
 
     rng = np.random.default_rng(21)
-    n = DECODE_CHUNK + 7  # crosses an internal block boundary
+    n = BLOCK + 7  # crosses an internal block boundary
     mats = rng.uniform(-1.1, 1.1, size=(n, 8, 25))  # some cells out of range
     mats[0, PL] = 1.0  # every column above the outage threshold ...
     mats[0, LS] = -0.5  # ... and no LOS column written over them
@@ -585,7 +676,7 @@ def test_decode_of_5000_matrices_holds_its_output_once():
     # link, and 13.5 MB while a list of padded blocks was joined
     table = generate_dataset(SurrogateConfig(num_tx=10, num_rx_per_height=100, seed=7))
     assert len(table) == 5000
-    codec = fit_codec(table, substream(7, "padding"))
+    codec = fit_codec(table)
     matrices = codec.encode(table, substream(7, "padding"))[0].astype(np.float32)
     output = table.paths.nbytes + 16 * len(table)  # the round trip keeps every path
     tracemalloc.start()

@@ -37,6 +37,7 @@ def reference_closed_forms(tx, rx, freq):
         return dist2d, dist3d, fspl, None
     delay = dist3d / SPEED_OF_LIGHT
     aod = math.degrees(math.atan2(dy, dx))
+    aod = 180.0 if aod == -180.0 else aod
     aoa = aod - 180.0 if aod > 0.0 else aod + 180.0
     zod = math.degrees(math.atan2(dist2d, rx[2] - tx[2]))
     cycles = freq * delay
@@ -131,6 +132,13 @@ def test_los_phase_in_range():
     tx, rx, rng = random_links(1, 300, 0, 500)
     los = closed_forms(tx, rx, rng.uniform(1e9, 30e9, 300))[3]
     assert np.all((-360.0 < los[:, 6]) & (los[:, 6] <= 0.0))
+
+
+def test_los_aod_behind_the_tx_is_plus_180():
+    # dy = -0.0 - 0.0 is -0.0, and atan2(-0.0, x < 0) is -pi
+    for tx in ((0.0, -0.0, 30.0), (0.0, -1e-300, 30.0)):
+        p = los_path(tx, (100.0, 0.0, 1.6))
+        assert (p.aod, p.aoa) == (180.0, 0.0)
 
 
 def test_los_aoa_is_aod_back_direction():

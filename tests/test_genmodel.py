@@ -686,9 +686,11 @@ def test_resampler_picks_match_bruteforce_reference():
     got = res.sample(queries, len(queries), seed=5)[:, 0, 0].astype(int)
     np.testing.assert_array_equal(got, reference_picks(conds, queries, 7, seed=5))
 
-    # the single-pair path draws every pick from one neighbour list
-    got = res.sample(conds[3], 50, seed=6)[:, 0, 0].astype(int)
-    np.testing.assert_array_equal(got, reference_picks(conds, [conds[3]] * 50, 7, seed=6))
+    # a single pair is that pair for every pick, to the byte
+    got = res.sample(conds[3], 50, seed=6)
+    assert got.tobytes() == res.sample(np.broadcast_to(conds[3], (50, 2)), 50, seed=6).tobytes()
+    np.testing.assert_array_equal(got[:, 0, 0].astype(int),
+                                  reference_picks(conds, [conds[3]] * 50, 7, seed=6))
 
     # one vector draw yields the same values as that many scalar draws
     a, b = substream(9, "resampler"), substream(9, "resampler")

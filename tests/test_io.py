@@ -20,7 +20,7 @@ from chanimg import io
 from chanimg.core import MAX_PATHS, PATH_FIELDS, LinkState, LinkTable
 from chanimg.errors import FormatError, VersionError
 from chanimg.genmodel import EmpiricalResampler, WganGpHyperparams
-from chanimg.genmodel.wgan import build_networks
+from chanimg.genmodel.wgan import TrainingLog, build_networks
 from chanimg.rng import substream
 from containers import PREFIX, seal, split
 
@@ -531,7 +531,7 @@ def test_text_is_formatted_here_beside_python_threads(monkeypatch):
 
 
 def test_codec_roundtrip(tmp_path, table):
-    codec = fit_codec(table, substream(7, "padding"))
+    codec = fit_codec(table)
     p = tmp_path / "codec.json"
     io.write_codec(p, codec, seed=7)
     back = io.read_codec(p)
@@ -787,3 +787,22 @@ def test_report_csv(tmp_path):
     assert lines[0] == "# chanimg-report v1 name=demo seed=5"
     assert lines[1] == "a,b"
     assert lines[2:] == ["1,2", "3,4"]
+
+
+def test_failed_training_log_leaves_the_old_log_and_no_tmp(tmp_path):
+    class FailingLog(TrainingLog):
+        def rows(self):
+            yield next(super().rows())
+            raise RuntimeError("no more rows")
+
+    columns = {name: [1.0, 2.0] for name in ("critic_losses", "gen_losses", "gp_terms",
+                                               "wasserstein", "gp_norms", "critic_grad_norms",
+                                               "gen_grad_norms")}
+    p = tmp_path / "train_log.csv"
+    io.write_training_log(p, TrainingLog(steps=[1, 2], **columns), seed=3)
+    before, old = sorted(os.listdir(tmp_path)), p.read_bytes()
+    assert len(old.splitlines()) == 4
+    with pytest.raises(RuntimeError, match="no more rows"):
+        io.write_training_log(p, FailingLog(steps=[5, 6], **columns), seed=4)
+    assert p.read_bytes() == old
+    assert sorted(os.listdir(tmp_path)) == before

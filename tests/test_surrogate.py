@@ -7,7 +7,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from chanimg.core import PATH_FIELDS, SPEED_OF_LIGHT, LinkState, closed_forms, wrap_azimuth
+from chanimg.core import (
+    MAX_PATHS,
+    PATH_FIELDS,
+    SPEED_OF_LIGHT,
+    LinkState,
+    closed_forms,
+    wrap_azimuth,
+)
 from chanimg.errors import DataError, GeometryError
 from chanimg.rng import substream
 from chanimg.surrogate import SurrogateConfig, generate_dataset, train_test_split
@@ -61,10 +68,10 @@ def reference_link(cfg, tx, rx, link_index, dist2d, los):
     is_los = rng.uniform() < reference_los_probability(cfg, dist2d, rx[2])
     n_extra = int(rng.poisson(cfg.path_rate_base * math.exp(-dist2d / cfg.path_rate_decay_m)))
     if is_los:
-        n_extra = min(n_extra, cfg.max_paths - 1)
+        n_extra = min(n_extra, MAX_PATHS - 1)
         paths = [los] + reference_scattered_paths(cfg, rng, n_extra, dist2d, los)
     else:
-        n_total = min(1 + n_extra, cfg.max_paths)
+        n_total = min(1 + n_extra, MAX_PATHS)
         paths = reference_scattered_paths(cfg, rng, n_total, dist2d, los)
     if min(p.pathloss for p in paths) > cfg.outage_threshold_db:
         state = LinkState.OUTAGE
@@ -211,8 +218,6 @@ def test_zero_links_rejected():
 def test_bad_config_rejected():
     with pytest.raises(DataError):
         generate_dataset(small_config(heights=()))
-    with pytest.raises(DataError):
-        generate_dataset(small_config(max_paths=10))
     with pytest.raises(DataError):
         generate_dataset(small_config(area=(0.0, 100.0)))
 
