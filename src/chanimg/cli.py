@@ -116,7 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--critic-steps", type=int, default=5)
     p.add_argument("--noise-dim", type=int, default=64)
     p.add_argument("--hidden", type=str, default="256,256")
-    p.add_argument("--output-gain", type=float, default=1.0)
     p.add_argument("--output-init", choices=("fan_in", "data_mean", "data_moments"),
                    default="fan_in",
                    help="start the generator output layer at data statistics")
@@ -235,16 +234,14 @@ def _cmd_train(args) -> int:
         epochs=args.epochs, batch_size=args.batch_size, gp_lambda=args.gp_lambda,
         critic_steps_per_gen_step=args.critic_steps, noise_dim=args.noise_dim,
         hidden=_number_list(args.hidden, "--hidden", kind=int),
-        generator_output_gain=args.output_gain,
         output_init=args.output_init, dtype=args.dtype)
-    netp, log = _layer("train_wgan_gp")(ArrayBatches(matrices, conds, hyper.batch_size),
-                                        hyper, args.seed)
+    netp, log = _layer("train_wgan_gp")(ArrayBatches(matrices, conds), hyper, args.seed)
     io.write_wgan_checkpoint(args.out, netp, seed=args.seed)
     if args.log:
         io.write_training_log(args.log, log, seed=args.seed)
     counts = log.param_counts
     print(f"trained wgan-gp ({counts['generator']} generator / {counts['critic']} critic "
-          f"parameters, {log.steps[-1] if log.steps else 0} critic steps) -> {args.out}")
+          f"parameters, {log.steps[-1]} critic steps) -> {args.out}")
     return 0
 
 

@@ -10,9 +10,9 @@ pass (jvp) and a reverse pass through it (grad_of_jvp).  Together they
 differentiate scalars of the form sum_b coef_b * (v_b . grad_x f(x_b)) with
 respect to the parameters, which is exactly what the gradient penalty of a
 Wasserstein critic needs: the penalty depends on the input gradient of the
-critic, so its parameter gradient requires second derivatives.  Hidden
-activations are therefore restricted to smooth choices (tanh, silu) whose
-second derivatives exist everywhere.
+critic, so its parameter gradient requires second derivatives.  Every
+hidden layer is therefore silu, smooth with second derivatives everywhere;
+the output layer, linear or tanh, is differentiated once only.
 
 The forward cache holds, per layer l, the input h[l] (h[-1] is the
 output), the pre-activation a[l] and, for silu layers, the sigmoid s[l] of
@@ -133,15 +133,8 @@ def _act_prime(kind, a, h, s, out):
     return out
 
 
-def _act_second(kind, a, h, s, prime, out, tmp):
-    """Second derivative of a tanh or silu activation, into out; tmp is scratch.
-
-    -2 h (1 - h h), with prime = 1 - h h, or s (1 - s) (2 + a (1 - 2 s)).
-    """
-    if kind == "tanh":
-        np.multiply(h, -2.0, out=out)
-        out *= prime
-        return out
+def _act_second(a, s, out, tmp):
+    """Second derivative of silu, s (1 - s) (2 + a (1 - 2 s)), into out; tmp is scratch."""
     np.multiply(s, 2.0, out=out)
     np.subtract(1.0, out, out=out)
     out *= a
@@ -152,21 +145,17 @@ def _act_second(kind, a, h, s, prime, out, tmp):
 
 
 class Mlp:
-    """Fully connected network with smooth hidden activations.
+    """Fully connected network with silu hidden layers.
 
     params is a flat list [W0, b0, W1, b1, ...] with W of shape (out, in).
-    hidden_act applies to all but the last layer; out_act is 'linear' or
-    'tanh'.
+    out_act, the last layer's activation, is 'linear' or 'tanh'.
     """
 
-    def __init__(self, sizes, out_act="linear", params=None, hidden_act="silu"):
+    def __init__(self, sizes, out_act="linear", params=None):
         if out_act not in ("linear", "tanh"):
             raise ValueError("out_act must be 'linear' or 'tanh'")
-        if hidden_act not in ("tanh", "silu"):
-            raise ValueError("hidden_act must be 'tanh' or 'silu'")
         self.sizes = list(sizes)
         self.out_act = out_act
-        self.hidden_act = hidden_act
         self.n_layers = len(sizes) - 1
         self.params = params if params is not None else []
 
@@ -175,21 +164,15 @@ class Mlp:
         return self.params[0].dtype if self.params else np.dtype(np.float64)
 
     def _kind(self, layer) -> str:
-        return self.hidden_act if layer < self.n_layers - 1 else self.out_act
+        return "silu" if layer < self.n_layers - 1 else self.out_act
 
     @classmethod
-    def init(cls, sizes, out_act, rng, hidden_act="silu", gains=None,
-             dtype=np.float64) -> "Mlp":
-        """Uniform fan-in init: W ~ U(+/- gain/sqrt(fan_in)), zero biases.
-
-        gains: one scale per layer (default sqrt(3), i.e. unit weight
-        variance 1/fan_in).
-        """
-        net = cls(sizes, out_act, hidden_act=hidden_act)
-        gains = gains or [np.sqrt(3.0)] * net.n_layers
+    def init(cls, sizes, out_act, rng, dtype=np.float64) -> "Mlp":
+        """Uniform fan-in init, W ~ U(+/- sqrt(3 / fan_in)) of variance 1/fan_in; zero biases."""
+        net = cls(sizes, out_act)
         for l in range(net.n_layers):
             fan_in, fan_out = sizes[l], sizes[l + 1]
-            a = gains[l] / np.sqrt(fan_in)
+            a = np.sqrt(3.0) / np.sqrt(fan_in)
             net.params.append(rng.uniform(-a, a, size=(fan_out, fan_in)).astype(dtype))
             net.params.append(np.zeros(fan_out, dtype=dtype))
         return net
@@ -233,11 +216,9 @@ class Mlp:
             out = take(scratch, a.shape, a.dtype)
             if order == 1:
                 memo[l] = _act_prime(kind, a, h, s, out)
-            else:
-                prime = self._deriv(cache, l, 1, scratch)
+            else:  # only hidden, silu, layers are differentiated twice
                 with frame(scratch):
-                    memo[l] = _act_second(kind, a, h, s, prime, out,
-                                          take(scratch, a.shape, a.dtype))
+                    memo[l] = _act_second(a, s, out, take(scratch, a.shape, a.dtype))
         return memo[l]
 
     def backward(self, cache, d_out, with_param_grads=True, in_cols=slice(None),

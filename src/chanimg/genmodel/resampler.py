@@ -88,7 +88,7 @@ class EmpiricalResampler:
         if n == 0:
             return out
         cond = np.asarray(cond, dtype=np.float64)
-        if cond.ndim == 1:
+        if cond.shape == (2,):
             cond = np.broadcast_to(cond, (n, 2))
         if cond.shape != (n, 2):
             raise DataError("cond must be one pair or an (n, 2) array")

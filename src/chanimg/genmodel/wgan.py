@@ -11,6 +11,10 @@ Generator and critic are dense networks (nn.Mlp) in float64 or float32
 is normalized to [-1, 1] by dataset bounds and embedded through a small
 fully connected network on each side; the embedding concatenates with
 the noise vector (generator) or the flattened matrix (critic) at the input.
+network_sizes states the architecture once, for build_networks and the
+checkpoint reader: only the noise width and the hidden widths are
+settings.  Every hidden layer is silu, the embeddings and the generator
+end in tanh, and the critic's score is linear.
 
 The critic objective is the textbook penalty in the space the model
 samples, the matrix m:
@@ -40,6 +44,7 @@ from .nn import AdamState, Mlp, Scratch, adam_step, count_params, frame, take
 __all__ = [
     "WganGpHyperparams",
     "NetworkParams",
+    "network_sizes",
     "TrainingLog",
     "ArrayBatches",
     "train_wgan_gp",
@@ -47,6 +52,21 @@ __all__ = [
 ]
 
 SAMPLE_CHUNK = 256  # samples per generator forward in sample; bounds its working memory
+PIXELS = math.prod(MATRIX_SHAPE)  # the 200 values a channel matrix holds
+EMBED_DIM = 32  # width of each condition embedding and of its one hidden layer
+# output activation of each network, by the name the checkpoint stores it under
+OUT_ACT = {"gen_embed": "tanh", "generator": "tanh", "critic_embed": "tanh",
+           "critic": "linear"}
+
+
+def network_sizes(noise_dim: int, hidden) -> dict:
+    """{name: layer sizes} of the four networks, in their init order."""
+    return {
+        "gen_embed": [2, EMBED_DIM, EMBED_DIM],
+        "generator": [noise_dim + EMBED_DIM, *hidden, PIXELS],
+        "critic_embed": [2, EMBED_DIM, EMBED_DIM],
+        "critic": [PIXELS + EMBED_DIM, *hidden, 1],
+    }
 
 
 @dataclass
@@ -63,45 +83,38 @@ class WganGpHyperparams:
     adam_beta2: float = 0.9
     epochs: int = 10
     batch_size: int = 256
-    image_shape: tuple = MATRIX_SHAPE
     gp_lambda: float = 10.0
     critic_steps_per_gen_step: int = 5
     noise_dim: int = 64
 
-    # architecture (small on purpose; parameter counts land in the log)
+    # hidden widths of generator and critic (small on purpose; parameter
+    # counts land in the log); network_sizes fixes every other width
     hidden: tuple = (256, 256)
-    embed_hidden: int = 32
-    embed_dim: int = 32
-    hidden_act: str = "silu"
     # training arithmetic; checkpoints are always written as float64
     dtype: str = "float64"
     # init shaping of the generator output layer:
-    #   fan_in       - plain uniform fan-in init (gain below applies)
+    #   fan_in       - plain uniform fan-in init
     #   data_mean    - output bias starts at arctanh(mean training matrix)
     #   data_moments - bias as above plus per-pixel weight rescaling so the
     #                  initial output marginals match the training data's
     #                  (one calibration forward pass on noise at init)
-    generator_output_gain: float = 1.0
     output_init: str = "fan_in"
 
     def validate(self):
-        for name in ("learning_rate", "adam_beta1", "adam_beta2", "gp_lambda",
-                     "generator_output_gain"):
+        for name in ("learning_rate", "adam_beta1", "adam_beta2", "gp_lambda"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         positive = (
             self.learning_rate, self.epochs,
             self.batch_size, self.gp_lambda, self.critic_steps_per_gen_step,
-            self.noise_dim, self.embed_hidden, self.embed_dim,
-            self.generator_output_gain, *self.hidden,
+            self.noise_dim, *self.hidden,
         )
-        if any(v <= 0 for v in positive):
-            raise DataError("all hyperparameters must be positive")
+        if not self.hidden or any(v <= 0 for v in positive):
+            raise DataError("all hyperparameters must be positive, with one hidden width "
+                            "or more")
         # beta1 = 0 is the Adam setting of the WGAN-GP paper (Gulrajani et al. 2017)
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
             raise DataError("Adam beta1 must lie in [0, 1) and beta2 in (0, 1)")
-        if len(self.image_shape) < 2:
-            raise DataError("image_shape must be (rows, cols)")
         if self.output_init not in ("fan_in", "data_mean", "data_moments"):
             raise DataError("output_init must be fan_in, data_mean or data_moments")
         if self.dtype not in ("float64", "float32"):
@@ -119,11 +132,6 @@ class NetworkParams:
     cond_min: np.ndarray
     cond_max: np.ndarray
     noise_dim: int
-    image_shape: tuple = MATRIX_SHAPE
-
-    @property
-    def image_dim(self) -> int:
-        return int(np.prod(self.image_shape))
 
     def generator_params(self):
         return self.gen_embed.params + self.generator.params
@@ -151,27 +159,11 @@ class NetworkParams:
 
 
 def build_networks(hyper: WganGpHyperparams, cond_min, cond_max, rng) -> NetworkParams:
-    image_dim = int(np.prod(hyper.image_shape))
-    e = hyper.embed_dim
-    gen_sizes = [hyper.noise_dim + e, *hyper.hidden, image_dim]
-    critic_sizes = [image_dim + e, *hyper.hidden, 1]
-
-    base = np.sqrt(3.0)
-    gen_gains = [base] * (len(gen_sizes) - 2) + [base * hyper.generator_output_gain]
-    act = hyper.hidden_act
-    dt = np.dtype(hyper.dtype)
-
-    return NetworkParams(
-        gen_embed=Mlp.init([2, hyper.embed_hidden, e], "tanh", rng, hidden_act=act, dtype=dt),
-        generator=Mlp.init(gen_sizes, "tanh", rng, hidden_act=act, gains=gen_gains, dtype=dt),
-        critic_embed=Mlp.init([2, hyper.embed_hidden, e], "tanh", rng, hidden_act=act,
-                              dtype=dt),
-        critic=Mlp.init(critic_sizes, "linear", rng, hidden_act=act, dtype=dt),
-        cond_min=np.asarray(cond_min, dtype=np.float64),
-        cond_max=np.asarray(cond_max, dtype=np.float64),
-        noise_dim=hyper.noise_dim,
-        image_shape=tuple(hyper.image_shape),
-    )
+    nets = {name: Mlp.init(sizes, OUT_ACT[name], rng, dtype=np.dtype(hyper.dtype))
+            for name, sizes in network_sizes(hyper.noise_dim, hyper.hidden).items()}
+    return NetworkParams(**nets, cond_min=np.asarray(cond_min, dtype=np.float64),
+                         cond_max=np.asarray(cond_max, dtype=np.float64),
+                         noise_dim=hyper.noise_dim)
 
 
 def calibrate_output_layer(netp: NetworkParams, mode: str, mu, sd, z, cond_norm):
@@ -319,7 +311,7 @@ def _to_preimage(x):
 class ArrayBatches:
     """Minibatches over materialized (images, conditions) arrays."""
 
-    def __init__(self, images, conditions, batch_size: int):
+    def __init__(self, images, conditions):
         self.images = np.asarray(images)
         self.conditions = np.asarray(conditions, dtype=np.float64)
         if len(self.images) != len(self.conditions):
@@ -330,17 +322,16 @@ class ArrayBatches:
         if not (np.isfinite([self.images.min(), self.images.max()]).all()
                 and np.isfinite(self.conditions).all()):
             raise DataError("training images or conditions contain non-finite values")
-        self.batch_size = batch_size
 
     def preimage_moments(self):
         x = _to_preimage(self.images.astype(np.float64).reshape(len(self.images), -1))
         return x.mean(axis=0), x.std(axis=0)
 
-    def epoch_batches(self, order_rng, dtype):
+    def epoch_batches(self, order_rng, batch_size, dtype):
         """(flattened images in dtype, raw conditions) of each full batch of one epoch."""
         idx = order_rng.permutation(len(self.images))
-        for start in range(0, len(idx) - self.batch_size + 1, self.batch_size):
-            take = idx[start:start + self.batch_size]
+        for start in range(0, len(idx) - batch_size + 1, batch_size):
+            take = idx[start:start + batch_size]
             x = self.images[take].astype(dtype, copy=False).reshape(len(take), -1)
             yield x, self.conditions[take]
 
@@ -382,20 +373,18 @@ def _dims(shape) -> str:
     return "x".join(str(d) for d in shape)
 
 
-def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
+def train_wgan_gp(data: ArrayBatches, hyper: WganGpHyperparams, seed: int):
     """Train on channel matrices; returns (NetworkParams, TrainingLog).
 
-    data is an ArrayBatches source or a (matrices, conditions) pair whose
-    samples have shape hyper.image_shape (a DataError otherwise).
-    Deterministic for fixed seed and thread count: batch order, noise,
-    interpolation draws and init each use a named substream of the seed.
+    data's samples must be 8x25 matrices (a DataError otherwise), and it is
+    cut into batches of hyper.batch_size.  Deterministic for fixed seed and
+    thread count: batch order, noise, interpolation draws and init each use
+    a named substream of the seed.
     """
     hyper.validate()
-    if isinstance(data, tuple):
-        data = ArrayBatches(data[0], data[1], hyper.batch_size)
-    if data.images.shape[1:] != tuple(hyper.image_shape):
+    if data.images.shape[1:] != MATRIX_SHAPE:
         raise DataError(f"training samples have shape {_dims(data.images.shape[1:])}, "
-                        f"the model expects {_dims(hyper.image_shape)}")
+                        f"the model expects {_dims(MATRIX_SHAPE)}")
     if len(data.images) < hyper.batch_size:
         raise DataError("dataset smaller than one batch; nothing to train on")
 
@@ -421,14 +410,14 @@ def train_wgan_gp(data, hyper: WganGpHyperparams, seed: int):
     step = 0
     for epoch in range(hyper.epochs):
         order_rng = substream(seed, "batching", epoch)
-        for x, c_raw in data.epoch_batches(order_rng, dt):
+        for x, c_raw in data.epoch_batches(order_rng, hyper.batch_size, dt):
             step += 1
             b = x.shape[0]
             c = netp.normalize_conditions(c_raw).astype(dt, copy=False)
 
             scratch.reset()
             z = substream(seed, "noise", step).standard_normal((b, hyper.noise_dim))
-            fake = scratch.take((b, netp.image_dim), dt)
+            fake = scratch.take((b, PIXELS), dt)
             with scratch.frame():  # the generator's caches are dead once fake is copied
                 np.copyto(fake, generator_forward(netp, z.astype(dt), c, scratch)[0])
             u = substream(seed, "gp", step).uniform(size=(b, 1))
@@ -467,12 +456,12 @@ def sample(netp: NetworkParams, cond, n: int, seed: int, out=None) -> np.ndarray
     (seed, i) and its condition, so subsets are stable.
 
     The generator runs on SAMPLE_CHUNK samples at a time.  out, when given,
-    is an (n, *image_shape) array that receives each block as it is made,
+    is an (n, 8, 25) array that receives each block as it is made,
     cast to out's dtype (the CLI passes float32, the CHIM payload's), and
     is returned; otherwise the samples are returned as a new float64 array.
     """
     netp.check_finite()
-    shape = (n, *netp.image_shape)
+    shape = (n, *MATRIX_SHAPE)
     if out is None:
         out = np.empty(shape)
     elif out.shape != shape:
@@ -480,22 +469,26 @@ def sample(netp: NetworkParams, cond, n: int, seed: int, out=None) -> np.ndarray
     if n == 0:
         return out
     cond = np.asarray(cond, dtype=np.float64)
-    if cond.ndim == 1:
+    if cond.shape == (2,):
         cond = np.broadcast_to(cond, (n, 2))
     if cond.shape != (n, 2):
         raise DataError("cond must be one pair or an (n, 2) array")
     dt = netp.generator.dtype
-    c = netp.normalize_conditions(cond).astype(dt)
+    # every generator pass is over SAMPLE_CHUNK rows, the last block padded
+    # with rows whose output is dropped: BLAS may round a row of a product
+    # differently at another row count, and sample i must not depend on n
+    c = np.zeros((-(-n // SAMPLE_CHUNK) * SAMPLE_CHUNK, 2), dtype=dt)
+    c[:n] = netp.normalize_conditions(cond)
 
     noise = substreams(seed, "sampling", n=n)
-    z = np.empty((min(n, SAMPLE_CHUNK), netp.noise_dim))
+    z = np.zeros((SAMPLE_CHUNK, netp.noise_dim))
     scratch = Scratch()
     for start in range(0, n, SAMPLE_CHUNK):
-        stop = min(start + SAMPLE_CHUNK, n)
-        zz = z[:stop - start]
-        for z_i, rng in zip(zz, noise):  # zz first: no stream is drawn past the block
+        m = min(SAMPLE_CHUNK, n - start)
+        for z_i, rng in zip(z[:m], noise):  # z first: no stream is drawn past the block
             rng.standard_normal(out=z_i)
         scratch.reset()
-        y = generator_forward(netp, zz.astype(dt, copy=False), c[start:stop], scratch)[0]
-        out[start:stop] = y.reshape(stop - start, *netp.image_shape)
+        y = generator_forward(netp, z.astype(dt, copy=False), c[start:start + SAMPLE_CHUNK],
+                              scratch)[0]
+        out[start:start + m] = y[:m].reshape(m, *MATRIX_SHAPE)
     return out

@@ -29,10 +29,11 @@ Every format carries a major version; readers reject unknown majors.
                 Matrix i of a file derived from a dataset pairs with link
                 i % n_links (realizations/samples are stored as repeated
                 blocks of the full dataset).
-  - checkpoint: "WGPC" v4 container: meta backend, seed and the backend's
-                settings, which must agree with the arrays and map to one
-                8x25 matrix; entries <f8, but for the resampler's (N, 8, 25)
-                matrices, which keep their dtype (<f4 from the CLI)
+  - checkpoint: "WGPC" v5 container: meta backend, seed and the backend's
+                settings: noise_dim and hidden for wgan-gp, whose
+                genmodel.wgan.network_sizes give every array's shape, and k
+                for the resampler; entries <f8, but for the resampler's
+                (N, 8, 25) matrices, which keep their dtype (<f4 from the CLI)
   - reports:    CSV with a '#'-comment identifying the metric, version and
                 seed, then a regular header row
 """
@@ -69,14 +70,13 @@ from .errors import DataError, FormatError, VersionError
 
 if TYPE_CHECKING:  # the codec and the networks are imported by the functions that build them
     from .codec import ChannelImageCodec
-    from .genmodel.nn import Mlp
     from .genmodel.resampler import EmpiricalResampler
     from .genmodel.wgan import NetworkParams
 
 DATASET_VERSION = 1
 CODEC_VERSION = 1
 IMAGES_VERSION = 3  # v3: the container
-CHECKPOINT_VERSION = 4  # v4: the container, the resampler's matrices in their own dtype
+CHECKPOINT_VERSION = 5  # v5: the wgan-gp meta holds only noise_dim and hidden
 REPORT_VERSION = 1
 LTAB_VERSION = 2  # the dataset sidecar; v2: the container
 
@@ -553,22 +553,13 @@ def read_images(path):
 # -- model checkpoints -------------------------------------------------------------
 
 
-_NET_NAMES = ("gen_embed", "generator", "critic_embed", "critic")
-
-
 def write_wgan_checkpoint(path, netp: NetworkParams, seed=None):
-    meta = {
-        "backend": "wgan-gp",
-        "seed": seed,
-        "noise_dim": netp.noise_dim,
-        "image_shape": list(netp.image_shape),
-        "nets": {name: {"sizes": getattr(netp, name).sizes,
-                        "out_act": getattr(netp, name).out_act,
-                        "hidden_act": getattr(netp, name).hidden_act}
-                 for name in _NET_NAMES},
-    }
+    from .genmodel.wgan import OUT_ACT  # the networks' names, in their init order
+
+    meta = {"backend": "wgan-gp", "seed": seed, "noise_dim": netp.noise_dim,
+            "hidden": netp.critic.sizes[1:-1]}
     arrays = {"cond_min": netp.cond_min, "cond_max": netp.cond_max}
-    for name in _NET_NAMES:
+    for name in OUT_ACT:
         for k, param in enumerate(getattr(netp, name).params):  # W, b of each layer
             arrays[f"{name}.{k // 2}.{'Wb'[k % 2]}"] = param
     # float32 training is also stored as float64
@@ -589,50 +580,33 @@ def _count(v) -> bool:
     return type(v) is int and v > 0
 
 
-def _read_mlp(path, name, spec, arrays) -> Mlp:
-    """The network stored as name; FormatError unless its arrays have its sizes' shapes."""
-    from .genmodel.nn import Mlp
-
-    sizes = spec["sizes"]
-    if not (isinstance(sizes, list) and len(sizes) >= 2 and all(map(_count, sizes))):
-        raise FormatError(f"{path}: {name} sizes {sizes!r} are not two or more positive integers")
-    params = []
-    for l, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
-        for wb, shape in (("W", (fan_out, fan_in)), ("b", (fan_out,))):
-            params.append(arrays[f"{name}.{l}.{wb}"])
-            if params[-1].shape != shape:
-                raise FormatError(f"{path}: {name}.{l}.{wb} has shape {params[-1].shape}, "
-                                  f"its sizes give {shape}")
-    try:
-        return Mlp(sizes, spec["out_act"], params, hidden_act=spec.get("hidden_act", "silu"))
-    except ValueError as exc:  # an unknown activation
-        raise FormatError(f"{path}: {name}: {exc}") from exc
-
-
 def _read_wgan(path, meta, arrays) -> NetworkParams:
-    """The networks of a WGAN-GP checkpoint, checked against each other and the matrix."""
-    from .genmodel.wgan import NetworkParams
+    """The networks of a WGAN-GP checkpoint; each array must have the shape its settings give."""
+    from .genmodel.nn import Mlp
+    from .genmodel.wgan import OUT_ACT, NetworkParams, network_sizes
 
     if any(a.dtype != "<f8" for a in arrays.values()):
         raise FormatError(f"{path}: wgan-gp arrays are not all <f8")
-    nets = {name: _read_mlp(path, name, meta["nets"][name], arrays) for name in _NET_NAMES}
-    noise_dim = meta["noise_dim"]
-    if meta["image_shape"] != list(MATRIX_SHAPE) or not _count(noise_dim):
-        raise FormatError(f"{path}: image_shape {meta['image_shape']!r} is not "
-                          f"{list(MATRIX_SHAPE)} or noise_dim {noise_dim!r} is not positive")
-    pixels = math.prod(MATRIX_SHAPE)
-    g, c = nets["gen_embed"].sizes[-1], nets["critic_embed"].sizes[-1]  # embedding widths
-    for name, want in (("gen_embed", (2, g)), ("generator", (noise_dim + g, pixels)),
-                       ("critic_embed", (2, c)), ("critic", (pixels + c, 1))):
-        got = (nets[name].sizes[0], nets[name].sizes[-1])
-        if got != want:
-            raise FormatError(f"{path}: {name} maps {got[0]} to {got[1]} values, "
-                              f"not {want[0]} to {want[1]}")
+    noise_dim, hidden = meta["noise_dim"], meta["hidden"]
+    if not (_count(noise_dim) and isinstance(hidden, list) and hidden
+            and all(map(_count, hidden))):
+        raise FormatError(f"{path}: noise_dim {noise_dim!r} is not a positive integer "
+                          f"or hidden {hidden!r} not a list of them")
+    nets = {}
+    for name, sizes in network_sizes(noise_dim, hidden).items():
+        params = []
+        for l, (fan_in, fan_out) in enumerate(zip(sizes, sizes[1:])):
+            for wb, shape in (("W", (fan_out, fan_in)), ("b", (fan_out,))):
+                params.append(arrays[f"{name}.{l}.{wb}"])
+                if params[-1].shape != shape:
+                    raise FormatError(f"{path}: {name}.{l}.{wb} has shape {params[-1].shape}, "
+                                      f"noise_dim and hidden give {shape}")
+        nets[name] = Mlp(sizes, OUT_ACT[name], params)
     for key in ("cond_min", "cond_max"):
         if arrays[key].shape != (2,) or not np.isfinite(arrays[key]).all():
             raise FormatError(f"{path}: {key} is not 2 finite numbers")
     netp = NetworkParams(cond_min=arrays["cond_min"], cond_max=arrays["cond_max"],
-                         noise_dim=noise_dim, image_shape=MATRIX_SHAPE, **nets)
+                         noise_dim=noise_dim, **nets)
     netp.check_finite()
     return netp
 
@@ -653,8 +627,8 @@ def _read_resampler(path, meta, arrays) -> EmpiricalResampler:
 def read_model_checkpoint(path):
     """Returns ("wgan-gp", NetworkParams) or ("resampler", EmpiricalResampler).
 
-    A header that disagrees with its arrays, or whose networks do not map
-    noise and conditions to one 8x25 matrix, is a FormatError.
+    A header whose settings do not give the shape of each array the model
+    reads is a FormatError.
     """
     meta, arrays = _read_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION)
     backend = meta.get("backend")

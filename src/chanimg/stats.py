@@ -33,6 +33,7 @@ RMS_FEATURES = ("delay", "aoa", "aod", "zoa", "zod")
 _CIRCULAR = {"aoa", "aod"}
 # column of each path feature in LinkTable.paths and LinkTable.los
 _FEATURE_COL = {f: i for i, f in enumerate(PATH_FIELDS)}
+ZENITH_SPAN = 90.0  # deg; compare_datasets bins relative zenith angles over [-90, 90]
 
 
 class Ecdf:
@@ -174,7 +175,7 @@ class RmsSpreadReport:
 def rms_spread_report(table: LinkTable) -> RmsSpreadReport:
     """Gain-weighted RMS spreads of every link that has paths, in link order.
 
-    Path gains are 10^(-pathloss/10).  Delay uses excess delay (delay minus
+    Path powers are 10^(-pathloss/10).  Delay uses excess delay (delay minus
     the first arrival); azimuths are unwrapped around the gain-weighted
     circular mean before differencing so the +/-180 seam cannot inflate the
     spread.  A single path gives 0.
@@ -192,8 +193,8 @@ def rms_spread_report(table: LinkTable) -> RmsSpreadReport:
 
     pl = padded("pathloss", np.inf)
     excess = pl - pl.min(axis=1, keepdims=True)
-    gains = 10.0 ** (-excess / 10.0)  # 0 in the padding; common factor cancels
-    w = gains / gains.sum(axis=1, keepdims=True)
+    power = 10.0 ** (-excess / 10.0)  # 0 in the padding; common factor cancels
+    w = power / power.sum(axis=1, keepdims=True)
     out = {}
     for feature in RMS_FEATURES:
         d = padded(feature, 0.0)
@@ -202,8 +203,8 @@ def rms_spread_report(table: LinkTable) -> RmsSpreadReport:
         elif feature in _CIRCULAR:
             # unwrap to within 180 deg of the gain-weighted circular mean
             rad = np.radians(d)
-            mean = np.degrees(np.arctan2(np.sum(gains * np.sin(rad), axis=1, keepdims=True),
-                                         np.sum(gains * np.cos(rad), axis=1, keepdims=True)))
+            mean = np.degrees(np.arctan2(np.sum(power * np.sin(rad), axis=1, keepdims=True),
+                                         np.sum(power * np.cos(rad), axis=1, keepdims=True)))
             d = mean + (d - mean + 180.0) % 360.0 - 180.0
         mean = np.sum(w * d, axis=1, keepdims=True)
         out[feature] = np.sqrt(np.sum(w * (d - mean) ** 2, axis=1))
@@ -211,7 +212,7 @@ def rms_spread_report(table: LinkTable) -> RmsSpreadReport:
 
 
 def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width: float = 25.0,
-                     angle_bin_width: float = 2.0, angle_range: float = 90.0) -> dict:
+                     angle_bin_width: float = 2.0) -> dict:
     """Model-vs-data divergence report, per receiver height.
 
     Returns {height: {metric: value}} with KS distances for pathloss and
@@ -227,7 +228,7 @@ def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width:
         if not 0 < width < np.inf:
             raise DataError(f"{name} must be positive and finite, got {width}")
     d_hi = float(np.concatenate([model.dist2d, data.dist2d]).max()) + dist_bin_width
-    cells = (d_hi / dist_bin_width + 1.0) * (2.0 * angle_range / angle_bin_width + 1.0)
+    cells = (d_hi / dist_bin_width + 1.0) * (2.0 * ZENITH_SPAN / angle_bin_width + 1.0)
     grid_bytes = 8.0 * cells  # counted before any array exists; inf on underflow
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if not grid_bytes <= memory:
@@ -235,12 +236,12 @@ def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width:
                         f" give {cells:.3g} zenith PDF bins, a {grid_bytes:.3g}-byte float64"
                         f" grid, more than this machine's {memory:.3g} bytes of memory")
     dist_edges = np.arange(0.0, d_hi + dist_bin_width, dist_bin_width)
-    angle_edges = np.arange(-angle_range, angle_range + angle_bin_width, angle_bin_width)
+    angle_edges = np.arange(-ZENITH_SPAN, ZENITH_SPAN + angle_bin_width, angle_bin_width)
 
     report = {}
     for h in heights:
         m, d = model.take(model.height == h), data.take(data.height == h)
-        entry = {"n_model_links": len(m), "n_data_links": len(d)}
+        entry = {}
         # every path of every link, link by link
         pool_m, pool_d = m.paths, d.paths
         # a side without any path here (e.g. all Outage) has no distribution: NaN

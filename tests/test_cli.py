@@ -202,8 +202,9 @@ def test_training_log_format(pipeline_dir):
 def test_wgan_models_and_samples_the_matrix(pipeline_dir):
     d = pipeline_dir
     backend, netp = io.read_model_checkpoint(d / "model.ckpt")
-    assert backend == "wgan-gp" and netp.image_shape == (8, 25)
-    assert netp.generator.sizes[-1] == 200 and netp.critic.sizes[0] == 200 + 32
+    assert backend == "wgan-gp"
+    assert netp.generator.sizes == [8 + 32, 16, 16, 200]
+    assert netp.critic.sizes == [200 + 32, 16, 16, 1]
     samples, conds = io.read_images(d / "samples.chim")
     assert samples.shape == (300, 8, 25)
     # sample stores the generator's matrices as they come, in float32
@@ -219,7 +220,8 @@ def with_version(path, version, out):
 
 
 def test_v1_checkpoint_is_version_error(pipeline_dir, tmp_path, capsys):
-    for version in (1, 2):
+    # v4 stated every network's sizes and activations in its header
+    for version in (1, 2, 4):
         old = with_version(pipeline_dir / "model.ckpt", version, tmp_path / f"v{version}.ckpt")
         fails_cleanly(capsys, ["sample", "--model", old,
                                "--conditions-from", str(pipeline_dir / "data.jsonl"),
@@ -516,7 +518,7 @@ BOOL_SHAPE = {"meta": {}, "entries": [{"name": "x", "dtype": "<f8", "shape": [Tr
     pytest.param({"meta": {}, "entries": [5]}, id="entry-not-object"),
     pytest.param({"meta": [], "entries": []}, id="meta-list"),
     pytest.param({"meta": "resampler", "entries": []}, id="meta-str"),
-    pytest.param({"meta": {"backend": "wgan-gp", "nets": 5}, "entries": []},
+    pytest.param({"meta": {"backend": "wgan-gp", "noise_dim": 4, "hidden": 5}, "entries": []},
                  id="meta-field-type"),
 ])
 def test_checkpoint_header_gaps_are_format_errors(tmp_path, capsys, header):
@@ -750,7 +752,6 @@ def test_gen_data_out_of_range_physics_are_data_errors(tmp_path, capsys, flag, v
 @pytest.mark.parametrize("flag, value", [
     ("--lr", "nan"), ("--gp-lambda", "nan"), ("--beta1", "nan"), ("--beta1", "1.5"),
     ("--beta1", "-0.1"), ("--beta1", "1"), ("--beta2", "1"), ("--beta2", "0"),
-    ("--output-gain", "nan"), ("--output-gain", "inf"),
     ("--hidden", "0"), ("--hidden", "-3"), ("--hidden", "16,0"),
 ])
 def test_train_rejects_bad_hyperparameters(tmp_path, capsys, flag, value):
@@ -1067,18 +1068,29 @@ def resampler_shape(header):
     header["entries"][0]["shape"] = [12, 25, 8]  # the 8x25 matrices read transposed
 
 
+def wgan_meta(**fields):
+    """An edit setting fields of a wgan-gp header, whose networks take 4 noise values
+    and one hidden layer of 8."""
+    return lambda h: h["meta"].update(fields)
+
+
 @pytest.mark.parametrize("name, edit", [
-    ("model", lambda h: h["meta"].update(noise_dim=5)),
-    ("model", lambda h: h["meta"].update(image_shape=[8, 24])),
-    ("model", lambda h: h["meta"]["nets"]["generator"].update(sizes=[36, 9, 200])),
-    ("model", lambda h: h["meta"]["nets"]["critic"].update(sizes=[232, 8, 2])),
-    ("model", lambda h: h["meta"]["nets"]["generator"].update(out_act="relu")),
+    ("model", wgan_meta(noise_dim=5)),
+    ("model", wgan_meta(hidden=[256])),
+    # a layer where the file has its output layer, and a layer more
+    ("model", wgan_meta(hidden=[8, 9])),
+    ("model", wgan_meta(hidden=[256, 9])),
+    ("model", wgan_meta(hidden=[])),
+    ("model", wgan_meta(hidden=[0])),
+    ("model", wgan_meta(hidden=[True])),
+    ("model", wgan_meta(hidden="256")),
     ("res", resampler_shape),
     # the same bytes read as integers
     ("model", lambda h: h["entries"][0].update(dtype="<i8")),
     ("res", lambda h: h["entries"][1].update(dtype="<i8")),
-], ids=["noise_dim", "image_shape", "hidden-size", "output-size", "out_act",
-        "resampler-25x8", "wgan-int64", "resampler-int64-conditions"])
+], ids=["noise_dim", "hidden-size", "output-size", "hidden-layers", "hidden-empty",
+        "hidden-zero", "hidden-bool", "hidden-str", "resampler-25x8", "wgan-int64",
+        "resampler-int64-conditions"])
 def test_checkpoint_header_contradicting_arrays_is_format_error(model_base, tmp_path, capsys,
                                                                name, edit):
     bad = tmp_path / "bad.ckpt"
@@ -1116,7 +1128,6 @@ def test_checkpoint_payload_must_fill_the_file(model_base, tmp_path, capsys, nam
 
 
 CKPT_JUNK = st.sampled_from(["x", None, [], {"x": 1}, 2.5, -1, 0, True])
-NET_KEYS = ("gen_embed", "generator", "critic_embed", "critic")
 
 
 @st.composite
@@ -1130,7 +1141,7 @@ def mutated_checkpoint(draw, raw):
     if kind == "extend":
         return raw + bytes(draw(st.integers(1, 16)))
     if kind == "version":
-        return raw[:4] + struct.pack("<I", draw(st.sampled_from([0, 1, 2, 3, 5, 2**31]))) \
+        return raw[:4] + struct.pack("<I", draw(st.sampled_from([0, 1, 2, 3, 4, 2**31]))) \
             + raw[8:]
     magic, version, header, payload = split(raw)
     meta = header["meta"]
@@ -1152,26 +1163,17 @@ def mutated_checkpoint(draw, raw):
         else:
             shape[0] += 1 if change == "grow" else -1
         return seal(magic, version, header, payload)
-    if meta["backend"] == "resampler":
-        owner, key = meta, draw(st.sampled_from(["backend", "k"]))
-    else:
-        net = draw(st.sampled_from(NET_KEYS))
-        owner, key = draw(st.sampled_from(
-            [(meta, "backend"), (meta, "noise_dim"), (meta, "image_shape"), (meta, "nets"),
-             (meta["nets"], net), *((meta["nets"][net], k) for k in ("sizes", "out_act",
-                                                                    "hidden_act"))]))
-    if kind == "drop" and key != "hidden_act":  # a missing hidden_act reads as silu
-        del owner[key]
-    elif key == "sizes" and draw(st.booleans()):
-        sizes = owner[key]
-        sizes[draw(st.integers(0, len(sizes) - 1))] += draw(st.sampled_from([-1, 1]))
-    elif key == "image_shape":
-        owner[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from([[25, 8], [8, 24], [200],
-                                                                 [8, 25, 1]])))
+    key = draw(st.sampled_from(["backend", "k"] if meta["backend"] == "resampler"
+                               else ["backend", "noise_dim", "hidden"]))
+    if kind == "drop":
+        del meta[key]
+    elif key == "hidden":  # the file's networks have one hidden layer of 8
+        meta[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from([[0], [True], ["8"], [7], [9],
+                                                                 [8, 8], [8, 200]])))
     elif key == "noise_dim":
-        owner[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from([3, 5])))
+        meta[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from([3, 5])))
     else:
-        owner[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from(["relu", "gan"])))
+        meta[key] = draw(st.one_of(CKPT_JUNK, st.sampled_from(["relu", "gan"])))
     return seal(magic, version, header, payload)
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from chanimg import io
 from chanimg.errors import DataError, TrainingDivergedError
-from chanimg.genmodel import nn
+from chanimg.genmodel import nn, wgan
 from chanimg.genmodel import (
     AdamState,
     ArrayBatches,
@@ -22,15 +22,15 @@ from chanimg.genmodel import (
 )
 from chanimg.genmodel.resampler import QUERY_CHUNK
 from chanimg.genmodel.wgan import (
-    NetworkParams,
     build_networks,
     critic_loss_and_grads,
     generator_forward,
     generator_loss_and_grads,
+    network_sizes,
 )
 from chanimg.rng import substream
 
-TINY = dict(image_shape=(2, 2), hidden=(6, 5), embed_hidden=4, embed_dim=3, noise_dim=4)
+TINY = dict(hidden=(6, 5), noise_dim=4)
 
 
 def tiny_netp(seed=0, **kw):
@@ -240,12 +240,12 @@ def step_inputs(rng, b, noise_dim=64):
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
-@pytest.mark.parametrize("act", ["silu", "tanh"])
+@pytest.mark.parametrize("act", ["silu"])  # every hidden layer's, named in the test id
 def test_scratch_steps_match_fresh_arrays(dtype, act):
     # three consecutive steps on one scratch with the batch size changing
     # between them: a stale shape, or a live array that a later take
     # overwrote, would change a bit of some loss part or gradient
-    hyper = WganGpHyperparams(hidden=(48, 40), hidden_act=act, dtype=dtype)
+    hyper = WganGpHyperparams(hidden=(48, 40), dtype=dtype)
     netp = build_networks(hyper, [10.0, 1.6], [500.0, 30.0], substream(31, "init"))
     rng = np.random.default_rng(32)
     scratch = nn.Scratch()
@@ -349,8 +349,8 @@ def test_zero_critic_loss_is_lambda():
     for p in netp.critic.params:
         p[:] = 0.0
     rng = np.random.default_rng(0)
-    real = rng.uniform(-1, 1, (8, 4))
-    fake = rng.uniform(-1, 1, (8, 4))
+    real = rng.uniform(-1, 1, (8, 200))
+    fake = rng.uniform(-1, 1, (8, 200))
     cond = rng.uniform(-1, 1, (8, 2))
     u = rng.uniform(size=(8, 1))
     for lam in (1.0, 10.0):
@@ -361,7 +361,7 @@ def test_zero_critic_loss_is_lambda():
 
 def test_unit_linear_critic_has_zero_gp():
     netp, _ = tiny_netp()
-    d = 4
+    d = 200
     w = np.zeros((1, d + netp.critic_embed.sizes[-1]))
     w[0, :d] = np.random.default_rng(1).normal(size=d)
     w[0, :d] /= np.linalg.norm(w[0, :d])
@@ -376,13 +376,14 @@ def test_unit_linear_critic_has_zero_gp():
 
 
 def test_critic_gradcheck_tiny():
-    # 4-pixel images through the full conditional loss: analytic gradients
-    # match central differences, including the second-order penalty path
+    # 8x25 matrices through the full conditional loss of a network with
+    # small hidden layers: analytic gradients match central differences,
+    # including the second-order penalty path
     netp, _ = tiny_netp(seed=3)
     rng = np.random.default_rng(4)
     b = 3
-    real = rng.uniform(-1, 1, (b, 4))
-    fake = rng.uniform(-1, 1, (b, 4))
+    real = rng.uniform(-1, 1, (b, 200))
+    fake = rng.uniform(-1, 1, (b, 200))
     cond = rng.uniform(-1, 1, (b, 2))
     u = rng.uniform(size=(b, 1))
     parts, grads = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
@@ -391,7 +392,11 @@ def test_critic_gradcheck_tiny():
     for key in ref:
         assert parts[key] == pytest.approx(ref[key], rel=1e-12, abs=1e-15), key
     params = netp.critic_params()
-    h = 1e-6
+    # the loss is about 7.6, so at h = 1e-6 its float64 rounding (~1e-9 in
+    # the difference quotient) swamps gradients near 1e-6; at 1e-5 the
+    # worst relative error is 1.5e-5, with the truncation error still far
+    # below the bound
+    h = 1e-5
     for pi, p in enumerate(params):
         it = np.nditer(p, flags=["multi_index"])
         for _ in it:
@@ -444,7 +449,7 @@ def test_gp_interpolates_on_segment():
 # -- training loop -------------------------------------------------------------------
 
 
-def toy_data(n=256, shape=(2, 2)):
+def toy_data(n=256, shape=(8, 25)):
     rng = np.random.default_rng(8)
     images = rng.uniform(-0.5, 0.5, (n, *shape))
     conds = np.column_stack([rng.uniform(10, 500, n), rng.choice([1.6, 30.0], n)])
@@ -455,20 +460,20 @@ def test_training_deterministic():
     images, conds = toy_data()
     hyper = WganGpHyperparams(**TINY, epochs=2, batch_size=64)
 
-    netp1, log1 = train_wgan_gp((images, conds), hyper, seed=9)
-    netp2, log2 = train_wgan_gp((images, conds), hyper, seed=9)
+    netp1, log1 = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=9)
+    netp2, log2 = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=9)
     assert log1.critic_losses == log2.critic_losses
     assert log1.gen_losses[4] == log2.gen_losses[4]
     for a, b in zip(netp1.generator_params(), netp2.generator_params()):
         np.testing.assert_array_equal(a, b)
-    netp3, log3 = train_wgan_gp((images, conds), hyper, seed=10)
+    netp3, log3 = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=10)
     assert log1.critic_losses != log3.critic_losses
 
 
 def test_training_log_contents():
     images, conds = toy_data()
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64, critic_steps_per_gen_step=2)
-    netp, log = train_wgan_gp((images, conds), hyper, seed=11)
+    netp, log = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=11)
     assert log.steps == [1, 2, 3, 4]  # 256/64 batches, last batch kept (exact split)
     assert all(np.isfinite(log.critic_losses))
     assert math.isnan(log.gen_losses[0]) and math.isfinite(log.gen_losses[1])
@@ -487,33 +492,51 @@ def test_training_log_contents():
     assert list(next(log.rows())) == list(log.COLUMNS)
 
 
-def test_default_model_is_the_channel_matrix():
-    assert WganGpHyperparams().image_shape == (8, 25)
-    assert NetworkParams.__dataclass_fields__["image_shape"].default == (8, 25)
+@pytest.mark.parametrize("hidden", [(256, 256), (6, 5), (7,)])
+def test_networks_map_noise_and_condition_to_the_matrix(hidden):
+    # every network's sizes are network_sizes', and the generator makes the
+    # 200 values of one 8x25 matrix from noise and a 32-wide embedding
+    netp, hyper = tiny_netp(hidden=hidden)
+    sizes = network_sizes(hyper.noise_dim, hidden)
+    assert sizes["generator"] == [4 + 32, *hidden, 200]
+    assert sizes["critic"] == [200 + 32, *hidden, 1]
+    assert sizes["gen_embed"] == sizes["critic_embed"] == [2, 32, 32]
+    for name, want in sizes.items():
+        assert getattr(netp, name).sizes == want
+        assert all(p.dtype == np.float64 for p in getattr(netp, name).params)
+    cond = np.random.default_rng(1).uniform(-1, 1, (3, 2))
+    y = generator_forward(netp, np.zeros((3, 4)), cond)[0]
+    assert y.shape == (3, 200)
+    assert sample(netp, [100.0, 1.6], 3, seed=0).shape == (3, 8, 25)
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 1)])
+@pytest.mark.parametrize("shape", [(2, 3), (3, 2), (4,), (2, 2, 1), (25, 8)])
 def test_training_rejects_samples_of_another_shape(shape):
     images, conds = toy_data(n=64, shape=shape)
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=16)
-    with pytest.raises(DataError, match="shape"):
-        train_wgan_gp((images, conds), hyper, seed=0)
-    with pytest.raises(DataError, match="shape"):
-        train_wgan_gp(ArrayBatches(images, conds, 16), hyper, seed=0)
+    with pytest.raises(DataError, match="shape .* the model expects 8x25"):
+        train_wgan_gp(ArrayBatches(images, conds), hyper, seed=0)
+
+
+def test_hyperparameters_need_a_hidden_layer():
+    # a checkpoint's hidden widths are a non-empty list: training makes no
+    # network that no reader would load
+    with pytest.raises(DataError, match="hidden"):
+        WganGpHyperparams(hidden=()).validate()
 
 
 def test_training_drops_last_partial_batch():
     images, conds = toy_data(n=100)
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64)
-    _, log = train_wgan_gp((images, conds), hyper, seed=12)
+    _, log = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=12)
     assert log.steps == [1]  # 100 -> one full batch of 64, remainder dropped
 
 
 class Float64Batches(ArrayBatches):
     """Batches made float64 first, then cast to the training dtype."""
 
-    def epoch_batches(self, order_rng, dtype):
-        for x, c in super().epoch_batches(order_rng, np.float64):
+    def epoch_batches(self, order_rng, batch_size, dtype):
+        for x, c in super().epoch_batches(order_rng, batch_size, np.float64):
             yield x.astype(dtype), c
 
 
@@ -527,7 +550,7 @@ def test_batches_in_the_training_dtype_write_the_same_checkpoint(tmp_path, dtype
     hyper = WganGpHyperparams(hidden=(16, 16), noise_dim=8, epochs=2, batch_size=32,
                               critic_steps_per_gen_step=2, dtype=dtype)
     for name, batches in (("direct", ArrayBatches), ("round-trip", Float64Batches)):
-        netp, _ = train_wgan_gp(batches(images, conds, 32), hyper, seed)
+        netp, _ = train_wgan_gp(batches(images, conds), hyper, seed)
         io.write_wgan_checkpoint(tmp_path / name, netp, seed=seed)
     assert (tmp_path / "direct").read_bytes() == (tmp_path / "round-trip").read_bytes()
 
@@ -537,30 +560,30 @@ def test_array_batches_rejects_nonfinite(bad):
     images, conds = toy_data(n=8)
     images[3, 1, 0] = bad
     with pytest.raises(DataError, match="non-finite"):
-        ArrayBatches(images, conds, 4)
+        ArrayBatches(images, conds)
     images, conds = toy_data(n=8)
     conds[5, 1] = bad
     with pytest.raises(DataError, match="non-finite"):
-        ArrayBatches(images, conds, 4)
+        ArrayBatches(images, conds)
 
 
 def test_training_rejects_small_dataset():
     images, conds = toy_data(n=16)
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64)
-    with pytest.raises(DataError):
-        train_wgan_gp((images, conds), hyper, seed=0)
+    with pytest.raises(DataError, match="smaller than one batch"):
+        train_wgan_gp(ArrayBatches(images, conds), hyper, seed=0)
 
 
 def test_collapse_to_constant_image():
-    # identical images: with enough steps the generator mean lands on them
+    # identical matrices: with enough steps (100 epochs of 8 batches) the
+    # generator mean lands on them
     rng = np.random.default_rng(13)
-    target = rng.uniform(-0.6, 0.6, size=(2, 2))
-    images = np.broadcast_to(target, (512, 2, 2)).copy()
+    target = rng.uniform(-0.6, 0.6, size=(8, 25))
+    images = np.broadcast_to(target, (512, 8, 25)).copy()
     conds = np.tile([[100.0, 1.6]], (512, 1))
-    hyper = WganGpHyperparams(image_shape=(2, 2), hidden=(32, 32), embed_hidden=8,
-                              embed_dim=4, noise_dim=8, learning_rate=1e-3,
-                              epochs=400, batch_size=64, gp_lambda=1.0)
-    netp, _ = train_wgan_gp((images, conds), hyper, seed=14)
+    hyper = WganGpHyperparams(hidden=(32, 32), noise_dim=8, learning_rate=1e-3,
+                              epochs=100, batch_size=64, gp_lambda=1.0)
+    netp, _ = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=14)
     out = sample(netp, [100.0, 1.6], 512, seed=15)
     assert np.abs(out.mean(axis=0) - target).max() < 0.05
 
@@ -571,27 +594,33 @@ def test_collapse_to_constant_image():
 def test_sample_shapes_and_range():
     netp, _ = tiny_netp()
     out = sample(netp, [100.0, 1.6], 7, seed=0)
-    assert out.shape == (7, 2, 2)
+    assert out.shape == (7, 8, 25)
     assert np.all(np.abs(out) <= 1.0)
-    assert sample(netp, [100.0, 1.6], 0, seed=0).shape == (0, 2, 2)
+    assert sample(netp, [100.0, 1.6], 0, seed=0).shape == (0, 8, 25)
 
 
 def test_sample_per_index_stability():
-    # sample i depends on (seed, i): prefixes of a larger draw are identical
+    # sample i depends on (seed, i): prefixes of a larger draw are identical,
+    # also where a last block of a few rows meets a full one
     netp, _ = tiny_netp()
     a = sample(netp, [100.0, 1.6], 3, seed=1)
     b = sample(netp, [100.0, 1.6], 10, seed=1)
     np.testing.assert_array_equal(a, b[:3])
+    c = sample(netp, [100.0, 1.6], 300, seed=1)
+    np.testing.assert_array_equal(b, c[:10])
+    np.testing.assert_array_equal(sample(netp, [100.0, 1.6], 260, seed=1), c[:260])
 
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3])
 def test_sample_noise_is_each_samples_substream(seed):
+    # sample i is row i of a generator pass over one SAMPLE_CHUNK-row block
     netp, _ = tiny_netp()
     cond = np.column_stack([np.linspace(10.0, 400.0, 5), np.full(5, 1.6)])
-    z = np.stack([substream(seed, "sampling", i).standard_normal(netp.noise_dim)
-                  for i in range(5)])
-    want = generator_forward(netp, z, netp.normalize_conditions(cond))[0]
-    assert sample(netp, cond, 5, seed).tobytes() == want.reshape(5, 2, 2).tobytes()
+    z, c = np.zeros((wgan.SAMPLE_CHUNK, netp.noise_dim)), np.zeros((wgan.SAMPLE_CHUNK, 2))
+    z[:5] = [substream(seed, "sampling", i).standard_normal(netp.noise_dim) for i in range(5)]
+    c[:5] = netp.normalize_conditions(cond)
+    want = generator_forward(netp, z, c)[0][:5]
+    assert sample(netp, cond, 5, seed).tobytes() == want.reshape(5, 8, 25).tobytes()
 
 
 def test_sample_rejects_corrupt_params():
@@ -605,9 +634,11 @@ def test_sample_condition_shapes():
     netp, _ = tiny_netp()
     conds = np.tile([[50.0, 1.6]], (4, 1))
     out = sample(netp, conds, 4, seed=2)
-    assert out.shape == (4, 2, 2)
-    with pytest.raises(DataError):
-        sample(netp, conds, 3, seed=2)
+    assert out.shape == (4, 8, 25)
+    # only a pair is broadcast; any other shape than (n, 2) is a DataError
+    for bad in (conds[:3], [1.0, 2.0, 3.0], np.ones((4, 3)), [1.0], conds[:, :, None]):
+        with pytest.raises(DataError, match="one pair or an"):
+            sample(netp, bad, 4, seed=2)
 
 
 # -- resampler -------------------------------------------------------------------
@@ -641,8 +672,9 @@ def test_resampler_deterministic_and_validated():
     assert per_row.shape == (8, 2, 2)
     with pytest.raises(DataError):
         EmpiricalResampler(images[:0], conds[:0])
-    with pytest.raises(DataError):
-        res.sample(conds[:3], 8, seed=0)
+    for bad in (conds[:3], [1.0, 2.0, 3.0], np.ones((8, 3)), [1.0], conds[:8, :, None]):
+        with pytest.raises(DataError, match="one pair or an"):
+            res.sample(bad, 8, seed=0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -725,7 +757,7 @@ def test_sample_into_float32_is_the_cast_result(n):
 
 
 def test_samples_do_not_depend_on_the_block_size(monkeypatch):
-    from chanimg.genmodel import resampler, wgan
+    from chanimg.genmodel import resampler
 
     cond = np.column_stack([np.linspace(10.0, 500.0, 700), np.resize([1.6, 30.0], 700)])
     want = [draw(cond, 700, 5).tobytes() for _, draw in block_backends()]

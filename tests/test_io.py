@@ -609,15 +609,19 @@ def test_images_rejects_truncation(tmp_path):
 
 
 def test_wgan_checkpoint_roundtrip(tmp_path):
-    hyper = WganGpHyperparams(hidden=(6, 5), embed_hidden=4, embed_dim=3, noise_dim=4)
+    hyper = WganGpHyperparams(hidden=(6, 5), noise_dim=4)
     netp = build_networks(hyper, [5.0, 1.6], [400.0, 120.0], substream(3, "init"))
     p = tmp_path / "model.ckpt"
     io.write_wgan_checkpoint(p, netp, seed=3)
+    # the header states the two settings; the reader derives every size from them
+    assert split(p.read_bytes())[2]["meta"] == {"backend": "wgan-gp", "seed": 3,
+                                                "noise_dim": 4, "hidden": [6, 5]}
     backend, back = io.read_model_checkpoint(p)
     assert backend == "wgan-gp"
     assert back.noise_dim == netp.noise_dim
-    assert back.image_shape == netp.image_shape
-    assert back.critic.hidden_act == netp.critic.hidden_act
+    for name in ("gen_embed", "generator", "critic_embed", "critic"):
+        want, got = getattr(netp, name), getattr(back, name)
+        assert (got.sizes, got.out_act) == (want.sizes, want.out_act), name
     np.testing.assert_array_equal(back.cond_min, netp.cond_min)
     for a, b in zip(netp.generator_params() + netp.critic_params(),
                     back.generator_params() + back.critic_params()):
