@@ -1,9 +1,10 @@
 """Dense networks with hand-written differentiation.
 
 Parameters are float64 or float32 (Mlp.init's dtype) on plain numpy
-arrays, and every pass runs in the parameters' dtype.  That keeps training
-deterministic for a fixed seed and thread count and lets every float64
-gradient be checked against central finite differences.
+arrays, and every pass runs in the parameters' dtype.  A pass reads only
+its arguments, so its bits do not depend on which thread runs it: training
+is deterministic for a fixed seed at a given BLAS thread count, and every
+float64 gradient can be checked against central finite differences.
 
 Besides the usual forward/backward pair, Mlp exposes a forward-mode tangent
 pass (jvp) and a reverse pass through it (grad_of_jvp).  Together they
@@ -30,8 +31,8 @@ bit, is the same either way.  A Scratch is a stack: arrays taken from
 it, including those a pass returns or adds to a cache, stay valid until
 the scratch is rewound past them, by reset() or by leaving a frame()
 that was entered before they were taken.  The next pass on the rewound
-scratch overwrites them.  backward and grad_of_jvp write the parameter
-gradients into out, when given, instead.
+scratch overwrites them.  When given out, backward writes the parameter
+gradients into it instead, and grad_of_jvp adds them to it.
 """
 
 import math
@@ -275,33 +276,41 @@ class Mlp:
         linear-output networks are supported (the critic).  Returns
         (grads, d_input_primal), the latter for the input columns in_cols
         only; it continues into whatever produced the primal input (e.g.
-        the condition embedding).  The grads go to out when given.
+        the condition embedding).  The grads are added to out when given,
+        one layer at a time, so no second full set of gradients is held.
         """
         if self.out_act != "linear":
             raise ValueError("grad_of_jvp supports linear-output networks only")
         h = cache["h"]
         a_dots, h_dots = self.jvp(cache, v, scratch)
 
-        grads = self._grads(scratch, out)
+        if out is None:
+            out = self._grads(scratch, None)
+            for g in out:
+                g.fill(0.0)
         r_ad = np.asarray(r_out, dtype=self.dtype)  # d/d(a_dot), last layer
         r_a = np.zeros_like(r_ad)
         for l in range(self.n_layers - 1, -1, -1):
             w = self.params[2 * l]
-            np.matmul(r_a.T, h[l], out=grads[2 * l])
-            grads[2 * l] += _matmul(r_ad.T, h_dots[l], scratch)
-            np.sum(r_a, axis=0, out=grads[2 * l + 1])
+            with frame(scratch):
+                g = _matmul(r_a.T, h[l], scratch)
+                out[2 * l] += g
+                out[2 * l] += np.matmul(r_ad.T, h_dots[l], out=g)
+                out[2 * l + 1] += np.sum(r_a, axis=0, out=take(scratch, w.shape[:1], w.dtype))
             if l == 0:
-                return grads, _matmul(r_a, w[:, in_cols], scratch)
-            r_h = _matmul(r_a, w, scratch)
-            r_hd = _matmul(r_ad, w, scratch)
+                return out, _matmul(r_a, w[:, in_cols], scratch)
             s1 = self._deriv(cache, l - 1, 1, scratch)
             s2 = self._deriv(cache, l - 1, 2, scratch)
-            # r_a = s2 * a_dot * r_hd + s1 * r_h and r_ad = s1 * r_hd, in place
-            r_a = a_dots[l - 1]
-            r_a *= s2
-            r_a *= r_hd
-            r_h *= s1
-            r_a += r_h
+            # h_dots[l] is read only by the product above, so r_hd may take its place
+            r_hd = np.matmul(r_ad, w, out=h_dots[l])
+            with frame(scratch):
+                # r_a = s2 * a_dot * r_hd + s1 * r_h and r_ad = s1 * r_hd, in place
+                r_h = _matmul(r_a, w, scratch)
+                r_a = a_dots[l - 1]
+                r_a *= s2
+                r_a *= r_hd
+                r_h *= s1
+                r_a += r_h
             r_ad = np.multiply(r_hd, s1, out=r_hd)
 
 

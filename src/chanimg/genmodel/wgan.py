@@ -32,10 +32,13 @@ checked in the test suite.
 """
 
 import math
+import numbers
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import usable_cpus
 from ..core import MATRIX_SHAPE
 from ..errors import DataError, TrainingDivergedError
 from ..rng import substream, substreams
@@ -47,11 +50,16 @@ __all__ = [
     "network_sizes",
     "TrainingLog",
     "ArrayBatches",
+    "RowBlocks",
     "train_wgan_gp",
     "sample",
 ]
 
 SAMPLE_CHUNK = 256  # samples per generator forward in sample; bounds its working memory
+# training splits each pass into two row blocks when batch size x critic
+# weights reaches this: below it the interpreter's per-call cost outweighs
+# the matrix products, and a second block, threaded or not, costs time
+SPLIT_WORK = 2**23
 PIXELS = math.prod(MATRIX_SHAPE)  # the 200 values a channel matrix holds
 EMBED_DIM = 32  # width of each condition embedding and of its one hidden layer
 # output activation of each network, by the name the checkpoint stores it under
@@ -104,6 +112,11 @@ class WganGpHyperparams:
         for name in ("learning_rate", "adam_beta1", "adam_beta2", "gp_lambda"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite, got {getattr(self, name)}")
+        for name in ("epochs", "batch_size", "critic_steps_per_gen_step", "noise_dim"):
+            if not _is_int(getattr(self, name)):
+                raise DataError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        if not isinstance(self.hidden, (tuple, list)) or not all(map(_is_int, self.hidden)):
+            raise DataError(f"hidden must be a list of integer widths, got {self.hidden!r}")
         positive = (
             self.learning_rate, self.epochs,
             self.batch_size, self.gp_lambda, self.critic_steps_per_gen_step,
@@ -119,6 +132,11 @@ class WganGpHyperparams:
             raise DataError("output_init must be fan_in, data_mean or data_moments")
         if self.dtype not in ("float64", "float32"):
             raise DataError("dtype must be float64 or float32")
+
+
+def _is_int(v) -> bool:
+    """An integer that is not a bool (a bool is an int to Python)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -184,7 +202,87 @@ def calibrate_output_layer(netp: NetworkParams, mode: str, mu, sd, z, cond_norm)
         w *= (np.asarray(sd) / current)[:, None]
 
 
+# -- row blocks -----------------------------------------------------------------
+
+
+class RowBlocks:
+    """Runs a pass over a batch as fixed row blocks, each on its own nn.Scratch.
+
+    A b-row batch is cut into one block per scratch, rows [i b // n,
+    (i + 1) b // n) of n, and an empty block is left out: two scratches cut
+    rows [0, b // 2) and [b // 2, b), or make one block when b = 1.  A
+    scratch of None gives its block fresh arrays.  The passes below
+    normalize each block by the whole batch size and add the blocks'
+    results in block order, so their bits do not depend on which thread
+    runs a block.
+
+    threaded=True runs the blocks after the first on one worker thread
+    while the caller runs the first: numpy releases the interpreter lock in
+    BLAS and in its ufunc loops, so the blocks overlap on two CPUs.  The
+    worker starts on the first such pass; close(), or leaving a with
+    statement, joins it.
+    """
+
+    def __init__(self, scratches=(None, None), threaded=False):
+        self.scratches = tuple(scratches)
+        self._worker = None
+        if threaded and len(self.scratches) > 1:
+            # imported here: a stage that runs no worker does not load it
+            from concurrent.futures import ThreadPoolExecutor
+
+            self._worker = ThreadPoolExecutor(1, thread_name_prefix="chanimg-rows")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        if self._worker is not None:
+            self._worker.shutdown()
+
+    def reset(self):
+        """Rewind every block's scratch: its arrays may be overwritten."""
+        for scratch in self.scratches:
+            if scratch is not None:
+                scratch.reset()
+
+    def map(self, fn, b):
+        """[fn(rows, scratch) for each block's row slice and scratch], in block order."""
+        n = len(self.scratches)
+        cuts = [i * b // n for i in range(n + 1)]
+        rows = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+        blocks = list(zip(rows, self.scratches))
+        if self._worker is None or len(blocks) == 1:
+            return [fn(*block) for block in blocks]
+        later = self._worker.submit(lambda: [fn(*block) for block in blocks[1:]])
+        try:
+            first = fn(*blocks[0])
+        finally:
+            later.exception()  # waits: the later blocks write their scratch until they return
+        return [first, *later.result()]
+
+
+def _add_blocks(results):
+    """[loss sums] and gradients of every block, added in block order.
+
+    The sums are added as floats and the gradients into the first block's
+    arrays, which are returned.
+    """
+    (sums, grads), *rest = results
+    for more_sums, more_grads in rest:
+        sums = [a + m for a, m in zip(sums, more_sums)]
+        for g, m in zip(grads, more_grads):
+            g += m
+    return sums, grads
+
+
 # -- losses -------------------------------------------------------------------
+#
+# Each public pass below is one call on the calling thread that runs its row
+# blocks through a RowBlocks (by default two blocks on fresh arrays).  The
+# block functions are private, so a block never enters a public name.
 
 
 def _critic_apply(netp: NetworkParams, x_flat, cond_norm, scratch=None):
@@ -209,95 +307,148 @@ def _interpolates(real, fake, u, out, tmp):
 
 
 def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lambda: float,
-                          scratch=None):
+                          blocks=None):
     """Loss parts plus gradients aligned with netp.critic_params().
 
     The parts are "total", "wasserstein" (mean f(fake) - mean f(real)),
     "gp" (the lambda-weighted penalty) and "gp_norm" (the mean input-gradient
-    norm at the interpolates, which the penalty pulls towards 1).  Every
-    array is taken from scratch (see nn): the Wasserstein pass's memory is
-    rewound once its backward has returned, and the penalty pass reuses it.
+    norm at the interpolates, which the penalty pulls towards 1).  The rows
+    run as blocks (a RowBlocks; see _critic_block), and the gradients
+    returned are arrays of the first block's scratch.
     """
-    critic, dt = netp.critic, netp.critic.dtype
+    dt = netp.critic.dtype
     real = np.asarray(real, dtype=dt).reshape(len(real), -1)
     fake = np.asarray(fake, dtype=dt).reshape(len(fake), -1)
     u = np.asarray(u, dtype=dt)
-    b, d = real.shape
+    b = len(real)
+    if blocks is None:
+        blocks = RowBlocks()
+    (w_sum, gp_sum, norm_sum), grads = _add_blocks(blocks.map(
+        lambda rows, scratch: _critic_block(netp, real[rows], fake[rows], cond_norm[rows],
+                                            u[rows], gp_lambda, b, scratch), b))
+    wasserstein, gp = w_sum / b, gp_lambda * gp_sum / b
+    total = wasserstein + gp
+    if not math.isfinite(total):
+        raise TrainingDivergedError(-1, "non-finite critic loss")
+    return ({"total": total, "wasserstein": wasserstein, "gp": gp, "gp_norm": norm_sum / b},
+            grads)
+
+
+def _critic_block(netp: NetworkParams, real, fake, cond_norm, u, gp_lambda, b, scratch):
+    """One row block's share of the critic loss of a b-row batch.
+
+    Returns the block's [sum f(fake) - sum f(real), sum (s - 1)^2, sum s],
+    s the input-gradient norm at each interpolate, and the gradients of its
+    rows' terms of the whole-batch loss.  Every array is taken from scratch
+    (see nn): the Wasserstein pass's memory is rewound once its backward has
+    returned, and the penalty pass reuses it.
+    """
+    critic, dt = netp.critic, netp.critic.dtype
+    n, d = real.shape
     emb, emb_cache = netp.critic_embed.forward(cond_norm, scratch)
     grads = [take(scratch, p.shape, dt) for p in critic.params]
-    gp_grads = [take(scratch, p.shape, dt) for p in critic.params]
     d_emb = take(scratch, emb.shape, dt)
 
     # Wasserstein part: one pass over the stacked inputs [real, emb; fake, emb]
     with frame(scratch):
-        u_all = take(scratch, (2 * b, d + emb.shape[1]), dt)
-        u_all[:b, :d] = real
-        u_all[b:, :d] = fake
-        u_all[:b, d:] = emb
-        u_all[b:, d:] = emb
+        u_all = take(scratch, (2 * n, d + emb.shape[1]), dt)
+        u_all[:n, :d] = real
+        u_all[n:, :d] = fake
+        u_all[:n, d:] = emb
+        u_all[n:, d:] = emb
         f_all, cache_all = critic.forward(u_all, scratch)
-        wasserstein = float(f_all[b:].mean() - f_all[:b].mean())
-        d_out = np.full((2 * b, 1), 1.0 / b, dtype=dt)
-        d_out[:b] = -1.0 / b
+        w_sum = float(f_all[n:].sum() - f_all[:n].sum())
+        d_out = np.full((2 * n, 1), 1.0 / b, dtype=dt)
+        d_out[:n] = -1.0 / b
         # only the embedding columns of the input gradient are read
         _, d_emb_all = critic.backward(cache_all, d_out, in_cols=slice(d, None),
                                        scratch=scratch, out=grads)
-        np.add(d_emb_all[:b], d_emb_all[b:], out=d_emb)
+        np.add(d_emb_all[:n], d_emb_all[n:], out=d_emb)
 
-    # gradient penalty: needs second derivatives through the input gradient
+    # gradient penalty: needs second derivatives through the input gradient,
+    # whose parameter gradients grad_of_jvp adds to grads
     with frame(scratch):
-        x_hat = take(scratch, (b, d + emb.shape[1]), dt)
-        _interpolates(real, fake, u, x_hat[:, :d], take(scratch, (b, d), dt))
+        x_hat = take(scratch, (n, d + emb.shape[1]), dt)
+        with frame(scratch):
+            _interpolates(real, fake, u, x_hat[:, :d], take(scratch, (n, d), dt))
         x_hat[:, d:] = emb
         f, cache_h = critic.forward(x_hat, scratch)
         g_img = critic.input_grad(cache_h, np.ones_like(f), slice(0, d), scratch)
-        s = np.sqrt(np.sum(np.multiply(g_img, g_img, out=take(scratch, g_img.shape, dt)),
-                           axis=1))
-        gp = gp_lambda * float(np.mean((s - 1.0) ** 2))
-
+        with frame(scratch):
+            s = np.sqrt(np.sum(np.multiply(g_img, g_img, out=take(scratch, g_img.shape, dt)),
+                               axis=1))
         s_safe = np.maximum(s, 1e-12)
         coef = (gp_lambda * 2.0 * (s - 1.0) / (s_safe * b))[:, None].astype(dt)
         tangent = take(scratch, x_hat.shape, dt)
         tangent[:, :d] = g_img
         tangent[:, d:] = 0.0
         _, d_emb_gp = critic.grad_of_jvp(cache_h, tangent, coef, slice(d, None), scratch,
-                                         out=gp_grads)
+                                         out=grads)
         d_emb += d_emb_gp
-    for gw, gg in zip(grads, gp_grads):
-        gw += gg
     emb_grads, _ = netp.critic_embed.backward(emb_cache, d_emb, scratch=scratch)
-
-    total = wasserstein + gp
-    if not math.isfinite(total):
-        raise TrainingDivergedError(-1, "non-finite critic loss")
-    parts = {"total": total, "wasserstein": wasserstein, "gp": gp, "gp_norm": float(s.mean())}
-    return parts, emb_grads + grads
+    return [w_sum, float(np.sum((s - 1.0) ** 2)), float(s.sum())], emb_grads + grads
 
 
-def generator_forward(netp: NetworkParams, z, cond_norm, scratch=None):
+def _generate(netp: NetworkParams, z, cond_norm, scratch):
+    """The generator pass on one row block: (output, embedding cache, body cache)."""
     emb, emb_cache = netp.gen_embed.forward(cond_norm, scratch)
     y, cache = netp.generator.forward(
         _stack_columns(z, emb, netp.generator.dtype, scratch), scratch)
     return y, emb_cache, cache
 
 
-def generator_loss_and_grads(netp: NetworkParams, z, cond_norm, scratch=None):
-    """-mean f(G(z, c)) and its gradients aligned with netp.generator_params()."""
-    b = z.shape[0]
-    y, emb_cache, gen_cache = generator_forward(netp, z, cond_norm, scratch)
-    f, critic_cache = _critic_apply(netp, y, cond_norm, scratch)
-    loss = float(-f.mean())
+def generator_forward(netp: NetworkParams, z, cond_norm, blocks=None, out=None):
+    """G(z, c), a (b, 200) array with one row per noise row, into out (fresh when None).
 
-    # critic params frozen: only the matrix columns of its input gradient count
-    d_y = netp.critic.input_grad(
-        critic_cache, np.full((b, 1), -1.0 / b, dtype=netp.critic.dtype),
-        slice(0, y.shape[1]), scratch)
+    The rows run as blocks (a RowBlocks), each inside a frame of its
+    scratch, so every scratch stands where it stood once this returns.
+    """
+    b = len(z)
+    if out is None:
+        out = np.empty((b, PIXELS), netp.generator.dtype)
+    if blocks is None:
+        blocks = RowBlocks()
+
+    def block(rows, scratch):
+        with frame(scratch):
+            out[rows] = _generate(netp, z[rows], cond_norm[rows], scratch)[0]
+
+    blocks.map(block, b)
+    return out
+
+
+def generator_loss_and_grads(netp: NetworkParams, z, cond_norm, blocks=None):
+    """-mean f(G(z, c)) and its gradients aligned with netp.generator_params().
+
+    The rows run as blocks (a RowBlocks), and the gradients returned are
+    arrays of the first block's scratch.
+    """
+    b = len(z)
+    if blocks is None:
+        blocks = RowBlocks()
+    (f_sum,), grads = _add_blocks(blocks.map(
+        lambda rows, scratch: _generator_block(netp, z[rows], cond_norm[rows], b, scratch), b))
+    loss = -f_sum / b
+    if not math.isfinite(loss):
+        raise TrainingDivergedError(-1, "non-finite generator loss")
+    return loss, grads
+
+
+def _generator_block(netp: NetworkParams, z, cond_norm, b, scratch):
+    """One row block's [sum f(G(z, c))] and the gradients of its rows' terms of -mean f."""
+    y, emb_cache, gen_cache = _generate(netp, z, cond_norm, scratch)
+    d_y = take(scratch, y.shape, y.dtype)
+    with frame(scratch):  # the critic's arrays are dead once d_y is copied out
+        f, critic_cache = _critic_apply(netp, y, cond_norm, scratch)
+        f_sum = float(f.sum())
+        # critic params frozen: only the matrix columns of its input gradient count
+        np.copyto(d_y, netp.critic.input_grad(
+            critic_cache, np.full((len(z), 1), -1.0 / b, dtype=netp.critic.dtype),
+            slice(0, y.shape[1]), scratch))
     gen_grads, d_emb = netp.generator.backward(
         gen_cache, d_y, in_cols=slice(netp.noise_dim, None), scratch=scratch)
     emb_grads, _ = netp.gen_embed.backward(emb_cache, d_emb, scratch=scratch)
-    if not math.isfinite(loss):
-        raise TrainingDivergedError(-1, "non-finite generator loss")
-    return loss, emb_grads + gen_grads
+    return [f_sum], emb_grads + gen_grads
 
 
 # -- data feeding ---------------------------------------------------------------
@@ -369,6 +520,22 @@ def _global_norm(grads) -> float:
 # -- training -------------------------------------------------------------------
 
 
+def _blas_threads() -> int:
+    """How many threads BLAS runs a product on, by OpenBLAS's rule.
+
+    OpenBLAS, the BLAS of numpy's wheels, reads the first of these
+    variables that is set to a positive count when it loads, and otherwise
+    starts one thread per usable CPU.  The row-block worker runs only on a
+    CPU that those threads leave free: beside a threaded BLAS it slows
+    training down.
+    """
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "").strip()
+        if value.isdigit() and int(value) > 0:
+            return int(value)
+    return usable_cpus()
+
+
 def _dims(shape) -> str:
     return "x".join(str(d) for d in shape)
 
@@ -377,9 +544,10 @@ def train_wgan_gp(data: ArrayBatches, hyper: WganGpHyperparams, seed: int):
     """Train on channel matrices; returns (NetworkParams, TrainingLog).
 
     data's samples must be 8x25 matrices (a DataError otherwise), and it is
-    cut into batches of hyper.batch_size.  Deterministic for fixed seed and
-    thread count: batch order, noise, interpolation draws and init each use
-    a named substream of the seed.
+    cut into batches of hyper.batch_size.  Deterministic for a fixed seed:
+    batch order, noise, interpolation draws and init each use a named
+    substream of the seed, and the bits are the same whether or not the
+    second row block runs on a worker thread (see RowBlocks).
     """
     hyper.validate()
     if data.images.shape[1:] != MATRIX_SHAPE:
@@ -404,47 +572,50 @@ def train_wgan_gp(data: ArrayBatches, hyper: WganGpHyperparams, seed: int):
     log = TrainingLog(param_counts=netp.param_counts())
 
     dt = np.dtype(hyper.dtype)
-    # one scratch for the whole run: after the first steps no step allocates
-    # its large arrays, and the critic step's passes share memory (see nn)
-    scratch = Scratch()
-    step = 0
-    for epoch in range(hyper.epochs):
-        order_rng = substream(seed, "batching", epoch)
-        for x, c_raw in data.epoch_batches(order_rng, hyper.batch_size, dt):
-            step += 1
-            b = x.shape[0]
-            c = netp.normalize_conditions(c_raw).astype(dt, copy=False)
+    fake = np.empty((hyper.batch_size, PIXELS), dt)
+    # each row block keeps one scratch for the whole run: after the first
+    # steps no step allocates its large arrays, and the critic step's passes
+    # share memory (see nn).  The split depends only on the sizes, so the
+    # bits do not depend on whether the second block runs on the worker
+    split = hyper.batch_size * count_params(netp.critic) >= SPLIT_WORK
+    scratches = (Scratch(), Scratch()) if split else (Scratch(),)
+    with RowBlocks(scratches, threaded=usable_cpus() > _blas_threads()) as blocks:
+        step = 0
+        for epoch in range(hyper.epochs):
+            order_rng = substream(seed, "batching", epoch)
+            for x, c_raw in data.epoch_batches(order_rng, hyper.batch_size, dt):
+                step += 1
+                b = x.shape[0]
+                c = netp.normalize_conditions(c_raw).astype(dt, copy=False)
 
-            scratch.reset()
-            z = substream(seed, "noise", step).standard_normal((b, hyper.noise_dim))
-            fake = scratch.take((b, PIXELS), dt)
-            with scratch.frame():  # the generator's caches are dead once fake is copied
-                np.copyto(fake, generator_forward(netp, z.astype(dt), c, scratch)[0])
-            u = substream(seed, "gp", step).uniform(size=(b, 1))
-            parts, grads = critic_loss_and_grads(
-                netp, x, fake, c, u, hyper.gp_lambda, scratch)
-            critic_grad_norm = _global_norm(grads)
-            adam_step(netp.critic_params(), grads, opt_c,
-                      hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
-
-            gen_loss = gen_grad_norm = math.nan
-            if step % hyper.critic_steps_per_gen_step == 0:
-                scratch.reset()
-                z2 = substream(seed, "noise-gen", step).standard_normal(
-                    (b, hyper.noise_dim)).astype(dt)
-                gen_loss, ggrads = generator_loss_and_grads(netp, z2, c, scratch)
-                gen_grad_norm = _global_norm(ggrads)
-                adam_step(netp.generator_params(), ggrads, opt_g,
+                blocks.reset()
+                z = substream(seed, "noise", step).standard_normal((b, hyper.noise_dim))
+                generator_forward(netp, z.astype(dt), c, blocks, out=fake)
+                u = substream(seed, "gp", step).uniform(size=(b, 1))
+                parts, grads = critic_loss_and_grads(
+                    netp, x, fake, c, u, hyper.gp_lambda, blocks)
+                critic_grad_norm = _global_norm(grads)
+                adam_step(netp.critic_params(), grads, opt_c,
                           hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
 
-            log.steps.append(step)
-            log.critic_losses.append(parts["total"])
-            log.gen_losses.append(gen_loss)
-            log.gp_terms.append(parts["gp"])
-            log.wasserstein.append(parts["wasserstein"])
-            log.gp_norms.append(parts["gp_norm"])
-            log.critic_grad_norms.append(critic_grad_norm)
-            log.gen_grad_norms.append(gen_grad_norm)
+                gen_loss = gen_grad_norm = math.nan
+                if step % hyper.critic_steps_per_gen_step == 0:
+                    blocks.reset()
+                    z2 = substream(seed, "noise-gen", step).standard_normal(
+                        (b, hyper.noise_dim)).astype(dt)
+                    gen_loss, ggrads = generator_loss_and_grads(netp, z2, c, blocks)
+                    gen_grad_norm = _global_norm(ggrads)
+                    adam_step(netp.generator_params(), ggrads, opt_g,
+                              hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
+
+                log.steps.append(step)
+                log.critic_losses.append(parts["total"])
+                log.gen_losses.append(gen_loss)
+                log.gp_terms.append(parts["gp"])
+                log.wasserstein.append(parts["wasserstein"])
+                log.gp_norms.append(parts["gp_norm"])
+                log.critic_grad_norms.append(critic_grad_norm)
+                log.gen_grad_norms.append(gen_grad_norm)
     return netp, log
 
 
@@ -483,12 +654,13 @@ def sample(netp: NetworkParams, cond, n: int, seed: int, out=None) -> np.ndarray
     noise = substreams(seed, "sampling", n=n)
     z = np.zeros((SAMPLE_CHUNK, netp.noise_dim))
     scratch = Scratch()
+    y = scratch.take((SAMPLE_CHUNK, PIXELS), dt)  # below every frame generator_forward rewinds
+    blocks = RowBlocks((scratch,))  # one block: each pass is over all SAMPLE_CHUNK rows
     for start in range(0, n, SAMPLE_CHUNK):
         m = min(SAMPLE_CHUNK, n - start)
         for z_i, rng in zip(z[:m], noise):  # z first: no stream is drawn past the block
             rng.standard_normal(out=z_i)
-        scratch.reset()
-        y = generator_forward(netp, z.astype(dt, copy=False), c[start:start + SAMPLE_CHUNK],
-                              scratch)[0]
+        generator_forward(netp, z.astype(dt, copy=False), c[start:start + SAMPLE_CHUNK],
+                          blocks, out=y)
         out[start:start + m] = y[:m].reshape(m, *MATRIX_SHAPE)
     return out

@@ -58,6 +58,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import usable_cpus
 from .core import (
     MATRIX_SHAPE,
     MAX_PATHS,
@@ -253,10 +254,7 @@ def _text_processes() -> int:
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+    return usable_cpus()
 
 
 def _link_lines(table: LinkTable, lo, hi):

@@ -1,6 +1,8 @@
 """Generative backends: optimizer, losses, training loop, resampler."""
 
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -242,32 +244,96 @@ def step_inputs(rng, b, noise_dim=64):
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("act", ["silu"])  # every hidden layer's, named in the test id
 def test_scratch_steps_match_fresh_arrays(dtype, act):
-    # three consecutive steps on one scratch with the batch size changing
-    # between them: a stale shape, or a live array that a later take
-    # overwrote, would change a bit of some loss part or gradient
+    # three consecutive steps on one scratch per row block, the second block
+    # on the worker thread, with the batch size changing between them: a
+    # stale shape, or a live array that a later take overwrote, would change
+    # a bit of some loss part or gradient.  A short switch interval makes the
+    # two threads interleave often
     hyper = WganGpHyperparams(hidden=(48, 40), dtype=dtype)
     netp = build_networks(hyper, [10.0, 1.6], [500.0, 30.0], substream(31, "init"))
     rng = np.random.default_rng(32)
-    scratch = nn.Scratch()
-    for b in (64, 40, 96):
-        real, fake, cond, u, z = (a.astype(dtype) for a in step_inputs(rng, b))
-        want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
-        scratch.reset()
-        parts, got = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, scratch)
-        assert parts == want_parts
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        check_blocked_steps_match_fresh_arrays(netp, dtype, rng)
+    finally:
+        sys.setswitchinterval(interval)
 
-        want_loss, want = generator_loss_and_grads(netp, z, cond)
-        scratch.reset()
-        loss, got = generator_loss_and_grads(netp, z, cond, scratch)
-        assert loss == want_loss
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype
-            np.testing.assert_array_equal(g, w)
+
+def check_blocked_steps_match_fresh_arrays(netp, dtype, rng):
+    with wgan.RowBlocks((nn.Scratch(), nn.Scratch()), threaded=True) as blocks:
+        for b in (64, 41, 96):
+            real, fake, cond, u, z = (a.astype(dtype) for a in step_inputs(rng, b))
+            want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
+            blocks.reset()
+            parts, got = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, blocks)
+            assert parts == want_parts
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+            want_loss, want = generator_loss_and_grads(netp, z, cond)
+            blocks.reset()
+            loss, got = generator_loss_and_grads(netp, z, cond, blocks)
+            assert loss == want_loss
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype
+                np.testing.assert_array_equal(g, w)
+
+            blocks.reset()
+            y = generator_forward(netp, z, cond, blocks)
+            assert y.tobytes() == generator_forward(netp, z, cond).tobytes()
+
+
+def assert_close_to_scale(got, want, rel=1e-12):
+    """got within rel of want, elementwise or of want's largest magnitude."""
+    np.testing.assert_allclose(got, want, rtol=rel, atol=rel * np.abs(want).max())
+
+
+@pytest.mark.parametrize("b", [1, 2, 33, 256])
+def test_row_blocks_add_up_to_one_block(b):
+    # the batch as two row blocks, each normalized by the whole batch, sums
+    # to the batch as one block within float64 rounding; BLAS may round a
+    # row differently at another row count, so single cells near zero are
+    # compared against their array's scale
+    hyper = WganGpHyperparams(hidden=(48, 40))
+    netp = build_networks(hyper, [10.0, 1.6], [500.0, 30.0], substream(35, "init"))
+    real, fake, cond, u, z = step_inputs(np.random.default_rng(36), b)
+    one = wgan.RowBlocks((None,))
+
+    parts, grads = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
+    want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, one)
+    assert parts.keys() == want_parts.keys()
+    for key in parts:
+        assert parts[key] == pytest.approx(want_parts[key], rel=1e-12), key
+    for g, w in zip(grads, want, strict=True):
+        assert_close_to_scale(g, w)
+
+    loss, grads = generator_loss_and_grads(netp, z, cond)
+    want_loss, want = generator_loss_and_grads(netp, z, cond, one)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    for g, w in zip(grads, want, strict=True):
+        assert_close_to_scale(g, w)
+    assert_close_to_scale(generator_forward(netp, z, cond), generator_forward(netp, z, cond, one))
+
+
+def test_row_blocks_cut_halves_and_raise_the_workers_error():
+    seen = []
+    with wgan.RowBlocks(threaded=True) as blocks:
+        assert blocks.map(lambda rows, scratch: (rows, scratch), 7) == \
+            [(slice(0, 3), None), (slice(3, 7), None)]
+        assert blocks.map(lambda rows, scratch: rows, 1) == [slice(0, 1)]
+
+        def fail_second(rows, scratch):
+            seen.append(rows)
+            if rows.start:
+                raise ValueError("second block")
+
+        with pytest.raises(ValueError, match="second block"):
+            blocks.map(fail_second, 4)
+    assert sorted(seen, key=lambda r: r.start) == [slice(0, 2), slice(2, 4)]
 
 
 def test_training_steps_allocate_little_after_the_first():
@@ -276,17 +342,17 @@ def test_training_steps_allocate_little_after_the_first():
     hyper = WganGpHyperparams()
     netp = build_networks(hyper, [10.0, 1.6], [500.0, 30.0], substream(33, "init"))
     real, fake, cond, u, z = step_inputs(np.random.default_rng(34), 256)
-    scratch = nn.Scratch()
-    steps = (lambda: critic_loss_and_grads(netp, real, fake, cond, u, 10.0, scratch),
-             lambda: generator_loss_and_grads(netp, z, cond, scratch))
+    blocks = wgan.RowBlocks((nn.Scratch(), nn.Scratch()))
+    steps = (lambda: critic_loss_and_grads(netp, real, fake, cond, u, 10.0, blocks),
+             lambda: generator_loss_and_grads(netp, z, cond, blocks))
     for step in steps:  # the first run of each adds the chunks it needs
-        scratch.reset()
+        blocks.reset()
         step()
     tracemalloc.start()
     try:
         for _ in range(2):
             for step in steps:
-                scratch.reset()
+                blocks.reset()
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 step()
@@ -505,7 +571,7 @@ def test_networks_map_noise_and_condition_to_the_matrix(hidden):
         assert getattr(netp, name).sizes == want
         assert all(p.dtype == np.float64 for p in getattr(netp, name).params)
     cond = np.random.default_rng(1).uniform(-1, 1, (3, 2))
-    y = generator_forward(netp, np.zeros((3, 4)), cond)[0]
+    y = generator_forward(netp, np.zeros((3, 4)), cond)
     assert y.shape == (3, 200)
     assert sample(netp, [100.0, 1.6], 3, seed=0).shape == (3, 8, 25)
 
@@ -523,6 +589,30 @@ def test_hyperparameters_need_a_hidden_layer():
     # network that no reader would load
     with pytest.raises(DataError, match="hidden"):
         WganGpHyperparams(hidden=()).validate()
+
+
+@pytest.mark.parametrize(("field", "value"), [
+    ("epochs", 2.0), ("epochs", True), ("epochs", "3"),
+    ("batch_size", 16.0), ("batch_size", True), ("batch_size", np.float64(16)),
+    ("critic_steps_per_gen_step", 5.0), ("critic_steps_per_gen_step", True),
+    ("noise_dim", 8.0), ("noise_dim", np.True_),
+    ("hidden", (2.5,)), ("hidden", (16, True)), ("hidden", 16), ("hidden", "16"),
+])
+def test_hyperparameters_need_integer_counts(field, value):
+    # each would pass a sign check and then fail inside numpy or range, or
+    # (True) train with a count of 1
+    with pytest.raises(DataError, match=field):
+        WganGpHyperparams(**{field: value}).validate()
+    images, conds = toy_data(n=64)
+    with pytest.raises(DataError, match=field):
+        train_wgan_gp(ArrayBatches(images, conds),
+                      WganGpHyperparams(**{**TINY, "epochs": 1, "batch_size": 16, field: value}),
+                      seed=0)
+
+
+def test_hyperparameters_take_numpy_integers():
+    WganGpHyperparams(epochs=np.int64(2), batch_size=np.int32(16), hidden=[np.int64(8)],
+                      noise_dim=np.uint8(4)).validate()
 
 
 def test_training_drops_last_partial_batch():
@@ -553,6 +643,65 @@ def test_batches_in_the_training_dtype_write_the_same_checkpoint(tmp_path, dtype
         netp, _ = train_wgan_gp(batches(images, conds), hyper, seed)
         io.write_wgan_checkpoint(tmp_path / name, netp, seed=seed)
     assert (tmp_path / "direct").read_bytes() == (tmp_path / "round-trip").read_bytes()
+
+
+def worker_training(monkeypatch, cpus):
+    """Make train_wgan_gp split every batch of two rows or more into two row
+    blocks, with the worker on (cpus=2, BLAS on one thread) or off (cpus=1).
+    Returns the names of the threads that ran a critic block."""
+    monkeypatch.setattr(wgan, "SPLIT_WORK", 0)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(wgan, "usable_cpus", lambda: cpus)
+    threads = set()
+    critic_block = wgan._critic_block
+
+    def recorded(*args):
+        threads.add(threading.current_thread().name)
+        return critic_block(*args)
+
+    monkeypatch.setattr(wgan, "_critic_block", recorded)
+    return threads
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+@pytest.mark.parametrize("seed", [7, 9])
+@pytest.mark.parametrize("batch", [33, 1])
+def test_training_bytes_do_not_depend_on_the_worker(tmp_path, monkeypatch, dtype, seed, batch):
+    rng = np.random.default_rng(seed)
+    n = 3 * batch + 1  # the last batch is dropped
+    images = rng.uniform(-1, 1, (n, 8, 25)).astype(np.float32)
+    conds = np.column_stack([rng.uniform(10, 500, n), rng.choice([1.6, 30.0], n)])
+    hyper = WganGpHyperparams(hidden=(16, 16), noise_dim=8, epochs=2, batch_size=batch,
+                              critic_steps_per_gen_step=2, dtype=dtype)
+    written = []
+    for cpus in (2, 1):
+        threads = worker_training(monkeypatch, cpus)
+        netp, log = train_wgan_gp(ArrayBatches(images, conds), hyper, seed)
+        # a batch of one row is one block, which the calling thread runs
+        assert (len(threads) == 2) == (cpus == 2 and batch > 1)
+        io.write_wgan_checkpoint(tmp_path / "m.ckpt", netp, seed=seed)
+        io.write_training_log(tmp_path / "log.csv", log, seed=seed)
+        written.append([(tmp_path / name).read_bytes() for name in ("m.ckpt", "log.csv")])
+    assert written[0] == written[1]
+
+
+def test_training_joins_its_worker(monkeypatch):
+    # as it returns and as it raises, train_wgan_gp leaves no thread behind
+    threads = worker_training(monkeypatch, 2)
+    images, conds = toy_data()
+    hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64)
+    before = threading.active_count()
+    train_wgan_gp(ArrayBatches(images, conds), hyper, seed=0)
+    assert len(threads) == 2
+    assert threading.active_count() == before
+    # a step of 1e300 sends the critic's loss to inf or NaN on step 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(TrainingDivergedError):
+            train_wgan_gp(ArrayBatches(images, conds),
+                          WganGpHyperparams(**TINY, epochs=1, batch_size=64,
+                                            learning_rate=1e300), seed=0)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -619,7 +768,7 @@ def test_sample_noise_is_each_samples_substream(seed):
     z, c = np.zeros((wgan.SAMPLE_CHUNK, netp.noise_dim)), np.zeros((wgan.SAMPLE_CHUNK, 2))
     z[:5] = [substream(seed, "sampling", i).standard_normal(netp.noise_dim) for i in range(5)]
     c[:5] = netp.normalize_conditions(cond)
-    want = generator_forward(netp, z, c)[0][:5]
+    want = generator_forward(netp, z, c, wgan.RowBlocks((None,)))[:5]
     assert sample(netp, cond, 5, seed).tobytes() == want.reshape(5, 8, 25).tobytes()
 
 

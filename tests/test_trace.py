@@ -18,26 +18,55 @@ from chanimg import io
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
 
-def test_traced_train_counts_the_critic_flops(tmp_path):
+def self_times(spans):
+    """Each [name, parent index, start, end] span's duration minus its direct children's."""
+    times = [end - start for _, _, start, end in spans]
+    for _, parent, start, end in spans:
+        if parent >= 0:
+            times[parent] -= end - start
+    return times
+
+
+def traced_train(tmp_path, n, batch, hidden):
+    """Spans of one traced train epoch over n random matrices, checked against the FLOP count."""
     rng = np.random.default_rng(0)
-    conds = np.column_stack([rng.uniform(10, 500, 64), rng.choice([1.6, 30.0], 64)])
-    io.write_images(tmp_path / "i.chim", rng.uniform(-1, 1, (64, 8, 25)), conds)
+    conds = np.column_stack([rng.uniform(10, 500, n), rng.choice([1.6, 30.0], n)])
+    io.write_images(tmp_path / "i.chim", rng.uniform(-1, 1, (n, 8, 25)), conds)
     spans = tmp_path / "spans.json"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
         p for p in (str(TRACER.parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, str(TRACER), "--spans", str(spans), "--",
          "--seed", "1", "train", "--images", str(tmp_path / "i.chim"), "--epochs", "1",
-         "--batch-size", "16", "--hidden", "8", "--out", str(tmp_path / "m.ckpt")],
+         "--batch-size", str(batch), "--hidden", ",".join(map(str, hidden)),
+         "--out", str(tmp_path / "m.ckpt")],
         env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(spans.read_text())
     assert doc["rc"] == 0
-    # 64 matrices in batches of 16: 4 critic steps on a [232, 8, 1] critic
-    # behind a [2, 32, 32] condition embedding (the tracer imports no chanimg)
+    # one critic span per critic step: the row blocks run inside it, and no
+    # wrapped layer is entered from the worker thread, whose spans would
+    # nest under whatever the calling thread had open
+    steps = n // batch
+    names = [name for name, *_ in doc["spans"]]
+    assert names.count("genmodel.wgan.critic_loss_and_grads") == steps
+    assert min(self_times(doc["spans"])) >= 0.0
+    # the critic sits behind a [2, 32, 32] condition embedding (the tracer
+    # imports no chanimg)
     critic_step_flops = runpy.run_path(str(TRACER))["critic_step_flops"]
     assert doc["counters"]["genmodel.wgan.critic_loss_and_grads.flops"] == \
-        4 * critic_step_flops([232, 8, 1], [2, 32, 32], 16) > 0
+        steps * critic_step_flops([232, *hidden, 1], [2, 32, 32], batch) > 0
     assert not [t for t in doc["absent"] if "genmodel" in t]
-    assert {"cli.train", "genmodel.wgan.train_wgan_gp", "genmodel.nn.adam_step"} <= \
-        {name for name, *_ in doc["spans"]}
+    assert {"cli.train", "genmodel.wgan.train_wgan_gp", "genmodel.nn.adam_step"} <= set(names)
+
+
+def test_traced_train_counts_the_critic_flops(tmp_path):
+    # 64 matrices in batches of 16 on a [232, 8, 1] critic: one row block per pass
+    traced_train(tmp_path, 64, 16, [8])
+
+
+def test_traced_train_in_two_row_blocks(tmp_path):
+    # 512 matrices in batches of 256 on the default [232, 256, 256, 1]
+    # critic: two row blocks per pass, the second on the worker thread
+    # where two CPUs are usable
+    traced_train(tmp_path, 512, 256, [256, 256])
