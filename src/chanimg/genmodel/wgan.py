@@ -57,8 +57,12 @@ __all__ = [
 
 SAMPLE_CHUNK = 256  # samples per generator forward in sample; bounds its working memory
 # training splits each pass into two row blocks when batch size x critic
-# weights reaches this: below it the interpreter's per-call cost outweighs
-# the matrix products, and a second block, threaded or not, costs time
+# weights reaches this.  The worker's two blocks over one block's time
+# (training medians, 2-vCPU host, BLAS on one thread, second vCPU free):
+# 1.07-1.96 at 0.5-6.0 M (hidden 32 to 128), 0.85-1.26 at 8-10 M (hidden
+# 128 and 256: no clear winner), 0.67-0.92 from 11 M (the default model
+# at batch 256 is 32 M).  A 64-wide critic gains from 6 M.  Without the
+# worker, two blocks take 1.04-1.20 of one block's time
 SPLIT_WORK = 2**23
 PIXELS = math.prod(MATRIX_SHAPE)  # the 200 values a channel matrix holds
 EMBED_DIM = 32  # width of each condition embedding and of its one hidden layer
@@ -208,25 +212,26 @@ def calibrate_output_layer(netp: NetworkParams, mode: str, mu, sd, z, cond_norm)
 class RowBlocks:
     """Runs a pass over a batch as fixed row blocks, each on its own nn.Scratch.
 
-    A b-row batch is cut into one block per scratch, rows [i b // n,
-    (i + 1) b // n) of n, and an empty block is left out: two scratches cut
-    rows [0, b // 2) and [b // 2, b), or make one block when b = 1.  A
-    scratch of None gives its block fresh arrays.  The passes below
-    normalize each block by the whole batch size and add the blocks'
+    One scratch makes one block of every row.  Two scratches cut a b-row
+    batch into rows [0, b // 2) and [b // 2, b), or make one block when
+    b = 1.  A scratch of None gives its block fresh arrays.  The passes
+    below normalize each block by the whole batch size and add the blocks'
     results in block order, so their bits do not depend on which thread
     runs a block.
 
-    threaded=True runs the blocks after the first on one worker thread
-    while the caller runs the first: numpy releases the interpreter lock in
-    BLAS and in its ufunc loops, so the blocks overlap on two CPUs.  The
-    worker starts on the first such pass; close(), or leaving a with
-    statement, joins it.
+    threaded=True runs the second block on a worker thread while the
+    caller runs the first: numpy releases the interpreter lock in BLAS and
+    in its ufunc loops, so the blocks overlap on two CPUs.  The worker
+    starts on the first such pass; close(), or leaving a with statement,
+    joins it.
     """
 
-    def __init__(self, scratches=(None, None), threaded=False):
+    def __init__(self, scratches=(None,), threaded=False):
         self.scratches = tuple(scratches)
+        if len(self.scratches) not in (1, 2):
+            raise ValueError("RowBlocks takes one or two scratches")
         self._worker = None
-        if threaded and len(self.scratches) > 1:
+        if threaded and len(self.scratches) == 2:
             # imported here: a stage that runs no worker does not load it
             from concurrent.futures import ThreadPoolExecutor
 
@@ -250,18 +255,18 @@ class RowBlocks:
 
     def map(self, fn, b):
         """[fn(rows, scratch) for each block's row slice and scratch], in block order."""
-        n = len(self.scratches)
-        cuts = [i * b // n for i in range(n + 1)]
-        rows = [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-        blocks = list(zip(rows, self.scratches))
-        if self._worker is None or len(blocks) == 1:
-            return [fn(*block) for block in blocks]
-        later = self._worker.submit(lambda: [fn(*block) for block in blocks[1:]])
+        half = b // 2 if len(self.scratches) == 2 else 0
+        if half == 0:
+            return [fn(slice(0, b), self.scratches[0])]
+        first, second = self.scratches
+        if self._worker is None:
+            return [fn(slice(0, half), first), fn(slice(half, b), second)]
+        later = self._worker.submit(fn, slice(half, b), second)
         try:
-            first = fn(*blocks[0])
+            head = fn(slice(0, half), first)
         finally:
-            later.exception()  # waits: the later blocks write their scratch until they return
-        return [first, *later.result()]
+            later.exception()  # waits: the second block writes its scratch until it returns
+        return [head, later.result()]
 
 
 def _add_blocks(results):
@@ -281,7 +286,7 @@ def _add_blocks(results):
 # -- losses -------------------------------------------------------------------
 #
 # Each public pass below is one call on the calling thread that runs its row
-# blocks through a RowBlocks (by default two blocks on fresh arrays).  The
+# blocks through a RowBlocks (by default one block on fresh arrays).  The
 # block functions are private, so a block never enters a public name.
 
 
@@ -513,8 +518,12 @@ class TrainingLog:
 
 
 def _global_norm(grads) -> float:
-    """L2 norm of all gradient arrays taken together."""
-    return math.sqrt(sum(float(np.vdot(g, g)) for g in grads))
+    """L2 norm of all gradient arrays taken together.
+
+    Summed by numpy's pairwise sum: BLAS's dot splits its sum across BLAS's
+    threads, so its last bit would depend on their number.
+    """
+    return math.sqrt(sum(float(np.square(g).sum()) for g in grads))
 
 
 # -- training -------------------------------------------------------------------
@@ -525,15 +534,19 @@ def _blas_threads() -> int:
 
     OpenBLAS, the BLAS of numpy's wheels, reads the first of these
     variables that is set to a positive count when it loads, and otherwise
-    starts one thread per usable CPU.  The row-block worker runs only on a
-    CPU that those threads leave free: beside a threaded BLAS it slows
-    training down.
+    starts one thread per usable CPU.
     """
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         value = os.environ.get(name, "").strip()
         if value.isdigit() and int(value) > 0:
             return int(value)
     return usable_cpus()
+
+
+# read once, as numpy, imported above, has loaded OpenBLAS.  The row-block
+# worker runs only beside a one-thread BLAS: beside a threaded one it made
+# training slower
+_BLAS_THREADS = _blas_threads()
 
 
 def _dims(shape) -> str:
@@ -579,7 +592,8 @@ def train_wgan_gp(data: ArrayBatches, hyper: WganGpHyperparams, seed: int):
     # bits do not depend on whether the second block runs on the worker
     split = hyper.batch_size * count_params(netp.critic) >= SPLIT_WORK
     scratches = (Scratch(), Scratch()) if split else (Scratch(),)
-    with RowBlocks(scratches, threaded=usable_cpus() > _blas_threads()) as blocks:
+    threaded = usable_cpus() >= 2 and _BLAS_THREADS == 1
+    with RowBlocks(scratches, threaded) as blocks:
         step = 0
         for epoch in range(hyper.epochs):
             order_rng = substream(seed, "batching", epoch)

@@ -261,10 +261,11 @@ def test_scratch_steps_match_fresh_arrays(dtype, act):
 
 
 def check_blocked_steps_match_fresh_arrays(netp, dtype, rng):
+    fresh = wgan.RowBlocks((None, None))
     with wgan.RowBlocks((nn.Scratch(), nn.Scratch()), threaded=True) as blocks:
         for b in (64, 41, 96):
             real, fake, cond, u, z = (a.astype(dtype) for a in step_inputs(rng, b))
-            want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
+            want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, fresh)
             blocks.reset()
             parts, got = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, blocks)
             assert parts == want_parts
@@ -273,7 +274,7 @@ def check_blocked_steps_match_fresh_arrays(netp, dtype, rng):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
 
-            want_loss, want = generator_loss_and_grads(netp, z, cond)
+            want_loss, want = generator_loss_and_grads(netp, z, cond, fresh)
             blocks.reset()
             loss, got = generator_loss_and_grads(netp, z, cond, blocks)
             assert loss == want_loss
@@ -284,7 +285,7 @@ def check_blocked_steps_match_fresh_arrays(netp, dtype, rng):
 
             blocks.reset()
             y = generator_forward(netp, z, cond, blocks)
-            assert y.tobytes() == generator_forward(netp, z, cond).tobytes()
+            assert y.tobytes() == generator_forward(netp, z, cond, fresh).tobytes()
 
 
 def assert_close_to_scale(got, want, rel=1e-12):
@@ -301,27 +302,28 @@ def test_row_blocks_add_up_to_one_block(b):
     hyper = WganGpHyperparams(hidden=(48, 40))
     netp = build_networks(hyper, [10.0, 1.6], [500.0, 30.0], substream(35, "init"))
     real, fake, cond, u, z = step_inputs(np.random.default_rng(36), b)
-    one = wgan.RowBlocks((None,))
+    two = wgan.RowBlocks((None, None))
 
-    parts, grads = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
-    want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, one)
+    parts, grads = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, two)
+    want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
     assert parts.keys() == want_parts.keys()
     for key in parts:
         assert parts[key] == pytest.approx(want_parts[key], rel=1e-12), key
     for g, w in zip(grads, want, strict=True):
         assert_close_to_scale(g, w)
 
-    loss, grads = generator_loss_and_grads(netp, z, cond)
-    want_loss, want = generator_loss_and_grads(netp, z, cond, one)
+    loss, grads = generator_loss_and_grads(netp, z, cond, two)
+    want_loss, want = generator_loss_and_grads(netp, z, cond)
     assert loss == pytest.approx(want_loss, rel=1e-12)
     for g, w in zip(grads, want, strict=True):
         assert_close_to_scale(g, w)
-    assert_close_to_scale(generator_forward(netp, z, cond), generator_forward(netp, z, cond, one))
+    assert_close_to_scale(generator_forward(netp, z, cond, two), generator_forward(netp, z, cond))
 
 
 def test_row_blocks_cut_halves_and_raise_the_workers_error():
     seen = []
-    with wgan.RowBlocks(threaded=True) as blocks:
+    assert wgan.RowBlocks().map(lambda rows, scratch: rows, 7) == [slice(0, 7)]
+    with wgan.RowBlocks((None, None), threaded=True) as blocks:
         assert blocks.map(lambda rows, scratch: (rows, scratch), 7) == \
             [(slice(0, 3), None), (slice(3, 7), None)]
         assert blocks.map(lambda rows, scratch: rows, 1) == [slice(0, 1)]
@@ -452,7 +454,9 @@ def test_critic_gradcheck_tiny():
     fake = rng.uniform(-1, 1, (b, 200))
     cond = rng.uniform(-1, 1, (b, 2))
     u = rng.uniform(size=(b, 1))
-    parts, grads = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
+    # two row blocks: the gradients checked are the sum of the blocks'
+    two = wgan.RowBlocks((None, None))
+    parts, grads = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, two)
     ref = critic_loss(netp, real, fake, cond, u, 10.0)
     assert parts.keys() == ref.keys()
     for key in ref:
@@ -483,7 +487,7 @@ def test_generator_gradcheck_tiny():
     rng = np.random.default_rng(6)
     z = rng.standard_normal((3, 4))
     cond = rng.uniform(-1, 1, (3, 2))
-    _, grads = generator_loss_and_grads(netp, z, cond)
+    _, grads = generator_loss_and_grads(netp, z, cond, wgan.RowBlocks((None, None)))
     h = 1e-6
     for pi, p in enumerate(netp.generator_params()):
         it = np.nditer(p, flags=["multi_index"])
@@ -645,12 +649,13 @@ def test_batches_in_the_training_dtype_write_the_same_checkpoint(tmp_path, dtype
     assert (tmp_path / "direct").read_bytes() == (tmp_path / "round-trip").read_bytes()
 
 
-def worker_training(monkeypatch, cpus):
+def worker_training(monkeypatch, cpus, blas_threads=1):
     """Make train_wgan_gp split every batch of two rows or more into two row
-    blocks, with the worker on (cpus=2, BLAS on one thread) or off (cpus=1).
-    Returns the names of the threads that ran a critic block."""
+    blocks, on cpus usable CPUs beside a BLAS of blas_threads threads: the
+    worker is on at cpus=2 and off at cpus=1.  Returns the names of the
+    threads that ran a critic block."""
     monkeypatch.setattr(wgan, "SPLIT_WORK", 0)
-    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.setattr(wgan, "_BLAS_THREADS", blas_threads)
     monkeypatch.setattr(wgan, "usable_cpus", lambda: cpus)
     threads = set()
     critic_block = wgan._critic_block
@@ -683,6 +688,16 @@ def test_training_bytes_do_not_depend_on_the_worker(tmp_path, monkeypatch, dtype
         io.write_training_log(tmp_path / "log.csv", log, seed=seed)
         written.append([(tmp_path / name).read_bytes() for name in ("m.ckpt", "log.csv")])
     assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("cpus, blas_threads, worker", [
+    (2, 1, True), (4, 1, True), (1, 1, False), (4, 2, False), (2, 2, False)])
+def test_worker_runs_only_beside_a_one_thread_blas(monkeypatch, cpus, blas_threads, worker):
+    threads = worker_training(monkeypatch, cpus, blas_threads)
+    images, conds = toy_data()
+    train_wgan_gp(ArrayBatches(images, conds),
+                  WganGpHyperparams(**TINY, epochs=1, batch_size=64), seed=0)
+    assert (len(threads) == 2) == worker
 
 
 def test_training_joins_its_worker(monkeypatch):
@@ -768,7 +783,7 @@ def test_sample_noise_is_each_samples_substream(seed):
     z, c = np.zeros((wgan.SAMPLE_CHUNK, netp.noise_dim)), np.zeros((wgan.SAMPLE_CHUNK, 2))
     z[:5] = [substream(seed, "sampling", i).standard_normal(netp.noise_dim) for i in range(5)]
     c[:5] = netp.normalize_conditions(cond)
-    want = generator_forward(netp, z, c, wgan.RowBlocks((None,)))[:5]
+    want = generator_forward(netp, z, c)[:5]
     assert sample(netp, cond, 5, seed).tobytes() == want.reshape(5, 8, 25).tobytes()
 
 

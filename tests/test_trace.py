@@ -27,20 +27,32 @@ def self_times(spans):
     return times
 
 
+def train_env(blas_threads):
+    """The environment of a child that imports this tree, with BLAS on blas_threads threads."""
+    return dict(os.environ, OPENBLAS_NUM_THREADS=str(blas_threads), PYTHONPATH=os.pathsep.join(
+        p for p in (str(TRACER.parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
+
+
+def train_argv(tmp_path, tag, batch, hidden):
+    """A train stage of one epoch on tmp_path/i.chim, writing tmp_path/tag.ckpt and .csv."""
+    return ["--seed", "1", "train", "--images", str(tmp_path / "i.chim"), "--epochs", "1",
+            "--batch-size", str(batch), "--hidden", ",".join(map(str, hidden)),
+            "--out", str(tmp_path / f"{tag}.ckpt"), "--log", str(tmp_path / f"{tag}.csv")]
+
+
 def traced_train(tmp_path, n, batch, hidden):
-    """Spans of one traced train epoch over n random matrices, checked against the FLOP count."""
+    """Spans of one traced train epoch over n random matrices, checked against the FLOP count.
+
+    BLAS runs on one thread, so the row-block worker runs where two CPUs
+    are usable; the model and log are tmp_path/traced.ckpt and .csv."""
     rng = np.random.default_rng(0)
     conds = np.column_stack([rng.uniform(10, 500, n), rng.choice([1.6, 30.0], n)])
     io.write_images(tmp_path / "i.chim", rng.uniform(-1, 1, (n, 8, 25)), conds)
     spans = tmp_path / "spans.json"
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        p for p in (str(TRACER.parent.parent / "src"), os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, str(TRACER), "--spans", str(spans), "--",
-         "--seed", "1", "train", "--images", str(tmp_path / "i.chim"), "--epochs", "1",
-         "--batch-size", str(batch), "--hidden", ",".join(map(str, hidden)),
-         "--out", str(tmp_path / "m.ckpt")],
-        env=env, capture_output=True, text=True, timeout=300)
+         *train_argv(tmp_path, "traced", batch, hidden)],
+        env=train_env(1), capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(spans.read_text())
     assert doc["rc"] == 0
@@ -70,3 +82,12 @@ def test_traced_train_in_two_row_blocks(tmp_path):
     # critic: two row blocks per pass, the second on the worker thread
     # where two CPUs are usable
     traced_train(tmp_path, 512, 256, [256, 256])
+    # untraced, beside a two-thread BLAS (no worker), the same model and log:
+    # neither the split of the products nor the gradient norms' sums depend
+    # on the threads
+    subprocess.run([sys.executable, "-m", "chanimg.cli",
+                    *train_argv(tmp_path, "plain", 256, [256, 256])],
+                   env=train_env(2), check=True, capture_output=True, timeout=300)
+    for suffix in (".ckpt", ".csv"):
+        assert (tmp_path / ("plain" + suffix)).read_bytes() == \
+            (tmp_path / ("traced" + suffix)).read_bytes(), suffix
