@@ -31,9 +31,9 @@ column with the closed-form LOS path when the vote is LOS, and strips every
 column whose pathloss exceeds the outage threshold.  Every step is exact up
 to float64 rounding, so decode(encode(link)) recovers the real paths.
 
-Angles are kept absolute, not relative to the LOS direction: with only
-(dist2d, height) as conditions the LOS azimuth is not recoverable, so
-relative azimuths would make the pipeline non-invertible.
+Azimuths are kept absolute for now.  Relative to the LOS bearing they
+would still invert: decode takes the geometry table, and core.closed_forms
+gives each link's bearing.
 """
 
 import dataclasses
@@ -162,7 +162,7 @@ def _virtual_band(virtual_ranges):
     return low, span
 
 
-def _prescaled(table: LinkTable, virtual_ranges, eps: float, rng):
+def _prescaled(table: LinkTable, virtual_ranges, rng):
     """Yield (links, (m, 8, 25) values) of the padded, re-referenced matrices, block by block.
 
     links is the slice of table's links a block holds, BLOCK at a time in
@@ -170,8 +170,9 @@ def _prescaled(table: LinkTable, virtual_ranges, eps: float, rng):
     (see _virtual_band), so virtual pathloss lies strictly above the outage
     threshold.  Pathloss is re-referenced to FSPL and delay to the LOS
     delay, times 1e7.  The last row carries the link state across all
-    columns, 1 - eps u for LOS and -1 + eps u otherwise, with the u of the
-    row's first cell.  The values are before Min-Max scaling.
+    columns, 1 - eps u for LOS and -1 + eps u otherwise, eps being
+    LINK_STATE_EPS and u the draw of the row's first cell.  The values are
+    before Min-Max scaling.
 
     Each block draws rng.random, 200 doubles per link, link after link, so
     the draws do not depend on the block size, and consecutive calls on one
@@ -194,7 +195,7 @@ def _prescaled(table: LinkTable, virtual_ranges, eps: float, rng):
         values[:, PL] -= table.fspl[links, None]
         values[:, DLY] -= table.dist3d[links, None] / SPEED_OF_LIGHT
         values[:, DLY] *= DELAY_SCALE
-        u = eps * values[:, LS, :1]
+        u = LINK_STATE_EPS * values[:, LS, :1]
         values[:, LS] = np.where(table.state[links, None] == LinkState.LOS, 1.0 - u, -1.0 + u)
         yield links, values
 
@@ -202,12 +203,9 @@ def _prescaled(table: LinkTable, virtual_ranges, eps: float, rng):
 class ChannelImageCodec:
     """Fitted encode/decode bundle: virtual ranges + feature scaler."""
 
-    def __init__(self, virtual_ranges, scaler: FeatureScaler, eps: float = LINK_STATE_EPS):
+    def __init__(self, virtual_ranges, scaler: FeatureScaler):
         self.virtual_ranges = np.asarray(virtual_ranges, dtype=np.float64)
         self.scaler = scaler
-        self.eps = float(eps)
-        self.delay_scale = DELAY_SCALE
-        self.outage_threshold_db = OUTAGE_THRESHOLD_DB
         self.stats = {"delay_floored": 0, "pathloss_floored": 0}
 
     # -- encode ------------------------------------------------------------
@@ -241,7 +239,7 @@ class ChannelImageCodec:
         if low.size:
             raise DataError(f"link {low[0]}: receiver height {table.height[low[0]]} "
                             "is not positive")
-        for links, values in _prescaled(table, self.virtual_ranges, self.eps, rng):
+        for links, values in _prescaled(table, self.virtual_ranges, rng):
             yield links, self.scaler.scale(values, out=values)
 
     # -- decode ------------------------------------------------------------
@@ -278,7 +276,7 @@ class ChannelImageCodec:
         clipped, counts = self.scaler.n_clipped, np.empty(n, dtype=np.intp)
         for block in blocks:
             _, pathloss = self._vote(matrices[block], table.take(block), block.start)
-            counts[block] = np.count_nonzero(pathloss <= self.outage_threshold_db, axis=-1)
+            counts[block] = np.count_nonzero(pathloss <= OUTAGE_THRESHOLD_DB, axis=-1)
         self.scaler.n_clipped = clipped
         decoded = dataclasses.replace(table, paths=np.empty((counts.sum(), PS + 1)),
                                       counts=counts, state=np.empty(n, dtype=object))
@@ -319,10 +317,10 @@ class ChannelImageCodec:
         values[:, PL] = pathloss
         values[:, DLY:] = self.scaler.unscale(matrices[:, DLY:PS + 1], slice(DLY, PS + 1))
         base_delay = geo.dist3d / SPEED_OF_LIGHT
-        values[:, DLY] = values[:, DLY] / self.delay_scale + base_delay[:, None]
+        values[:, DLY] = values[:, DLY] / DELAY_SCALE + base_delay[:, None]
         values[is_los, DLY:, 0] = geo.los[is_los, DLY:]
 
-        keep = values[:, PL] <= self.outage_threshold_db  # (m, 25)
+        keep = values[:, PL] <= OUTAGE_THRESHOLD_DB  # (m, 25)
         self.stats["delay_floored"] += int(np.count_nonzero(
             keep & (values[:, DLY] < base_delay[:, None])))
         self.stats["pathloss_floored"] += int(np.count_nonzero(keep & (values[:, PL] <= 0.0)))
@@ -349,9 +347,6 @@ class ChannelImageCodec:
 
     def to_dict(self) -> dict:
         return {
-            "epsilon": self.eps,
-            "delay_scale": self.delay_scale,
-            "outage_threshold_db": self.outage_threshold_db,
             "virtual_min": self.virtual_ranges[:, 0].tolist(),
             "virtual_max": self.virtual_ranges[:, 1].tolist(),
             **self.scaler.to_dict(),
@@ -362,24 +357,15 @@ class ChannelImageCodec:
         """The codec of a to_dict document.
 
         Each of the four range lists must hold 8 finite numbers, with
-        finite spans, and epsilon must be a number in (0, 1); anything else
-        is a FormatError.
+        finite spans; anything else is a FormatError.
         """
         rows = {key: _range_list(d, key)
                 for key in ("virtual_min", "virtual_max", "feature_min", "feature_max")}
         for lo, hi in (("virtual_min", "virtual_max"), ("feature_min", "feature_max")):
             if not all(math.isfinite(b - a) for a, b in zip(rows[lo], rows[hi])):
                 raise FormatError(f"{lo} to {hi} spans more than a float holds")
-        eps = d["epsilon"]
-        if not (type(eps) in (int, float) and 0.0 < eps < 1.0):
-            raise FormatError(f"epsilon must be a number in (0, 1), got {eps!r}")
-        codec = cls(np.stack([rows["virtual_min"], rows["virtual_max"]], axis=1),
-                    FeatureScaler(rows["feature_min"], rows["feature_max"]), eps=eps)
-        if d["delay_scale"] != codec.delay_scale:
-            raise FormatError("unsupported delay_scale in codec file")
-        if d["outage_threshold_db"] != codec.outage_threshold_db:
-            raise FormatError("unsupported outage threshold in codec file")
-        return codec
+        return cls(np.stack([rows["virtual_min"], rows["virtual_max"]], axis=1),
+                   FeatureScaler(rows["feature_min"], rows["feature_max"]))
 
 
 def _range_list(d: dict, key: str) -> list:

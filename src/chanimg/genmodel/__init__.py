@@ -7,7 +7,12 @@ matrices and serves as a codec-isolating baseline.  Each name is imported
 on first access, so the resampler loads without the networks.
 """
 
+import numbers
+
+import numpy as np
+
 from .. import _lazy_exports
+from ..errors import DataError
 
 __all__ = [
     "Mlp",
@@ -28,3 +33,34 @@ __getattr__ = _lazy_exports(globals(), {
         (".wgan", ("ArrayBatches", "NetworkParams", "WganGpHyperparams", "sample",
                    "train_wgan_gp")),
     ) for name in names})
+
+
+def is_int(v) -> bool:
+    """An integer that is not a bool (a bool is an int to Python)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def sample_request(cond, n, shape, dtype, out):
+    """(conditions (n, 2), out) of a backend's request for n matrices of shape.
+
+    cond is one (dist2d, height) pair for every sample, or an (n, 2) array
+    pairing one condition per sample.  out, when given, must be an
+    (n, *shape) array; otherwise a new one of dtype is made.  An n that is
+    not a non-negative integer, a cond of any other shape or with a value
+    that is not finite, and an out of another shape are DataErrors.
+    """
+    if not is_int(n) or n < 0:
+        raise DataError(f"n must be a non-negative integer, got {n!r}")
+    shape = (n, *shape)
+    if out is None:
+        out = np.empty(shape, dtype)
+    elif out.shape != shape:
+        raise DataError(f"sample fills an array of shape {shape}, got {out.shape}")
+    cond = np.asarray(cond, dtype=np.float64)
+    if cond.shape == (2,):
+        cond = np.broadcast_to(cond, (n, 2))
+    if cond.shape != (n, 2):
+        raise DataError("cond must be one pair or an (n, 2) array")
+    if not np.isfinite(cond).all():
+        raise DataError("cond holds a value that is not finite")
+    return cond, out

@@ -11,6 +11,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..rng import substream
+from . import is_int, sample_request
 
 __all__ = ["EmpiricalResampler"]
 
@@ -31,9 +32,9 @@ class EmpiricalResampler:
         if not (np.isfinite([self.matrices.min(), self.matrices.max()]).all()
                 and np.isfinite(self.conditions).all()):
             raise DataError("resampler matrices or conditions contain non-finite values")
+        if not is_int(k) or k < 1:
+            raise DataError(f"k must be a positive integer, got {k!r}")
         self.k = int(min(k, len(self.matrices)))
-        if self.k < 1:
-            raise DataError("k must be >= 1")
         self.cond_min = self.conditions.min(axis=0)
         self.cond_max = self.conditions.max(axis=0)
         span = self.cond_max - self.cond_min
@@ -62,7 +63,7 @@ class EmpiricalResampler:
             np.copyto(ww, dd)
             ww.partition(self.k - 1, axis=1)
             # every condition not beyond the k-th distance is a candidate, so
-            # the ties at that distance are all in; a NaN row keeps them all
+            # the ties at that distance are all in
             np.logical_not(np.greater(dd, ww[:, self.k - 1:self.k], out=ff), out=ff)
             flat = np.flatnonzero(ff)  # grouped by row, by index within one
             rows, cols = np.divmod(flat, dd.shape[1])
@@ -80,18 +81,7 @@ class EmpiricalResampler:
         the CHIM payload's), and is returned; otherwise the matrices are
         returned as a new array of the stored matrices' dtype.
         """
-        shape = (n, *self.matrices.shape[1:])
-        if out is None:
-            out = np.empty(shape, dtype=self.matrices.dtype)
-        elif out.shape != shape:
-            raise DataError(f"sample fills an array of shape {shape}, got {out.shape}")
-        if n == 0:
-            return out
-        cond = np.asarray(cond, dtype=np.float64)
-        if cond.shape == (2,):
-            cond = np.broadcast_to(cond, (n, 2))
-        if cond.shape != (n, 2):
-            raise DataError("cond must be one pair or an (n, 2) array")
+        cond, out = sample_request(cond, n, self.matrices.shape[1:], self.matrices.dtype, out)
         draws = substream(seed, "resampler").integers(self.k, size=n)
         for start, nb in self._nearest_blocks(cond):
             c = len(nb)

@@ -32,7 +32,6 @@ checked in the test suite.
 """
 
 import math
-import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -42,6 +41,7 @@ from .. import usable_cpus
 from ..core import MATRIX_SHAPE
 from ..errors import DataError, TrainingDivergedError
 from ..rng import substream, substreams
+from . import is_int, sample_request
 from .nn import AdamState, Mlp, Scratch, adam_step, count_params, frame, take
 
 __all__ = [
@@ -117,9 +117,9 @@ class WganGpHyperparams:
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("epochs", "batch_size", "critic_steps_per_gen_step", "noise_dim"):
-            if not _is_int(getattr(self, name)):
+            if not is_int(getattr(self, name)):
                 raise DataError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not isinstance(self.hidden, (tuple, list)) or not all(map(_is_int, self.hidden)):
+        if not isinstance(self.hidden, (tuple, list)) or not all(map(is_int, self.hidden)):
             raise DataError(f"hidden must be a list of integer widths, got {self.hidden!r}")
         positive = (
             self.learning_rate, self.epochs,
@@ -136,11 +136,6 @@ class WganGpHyperparams:
             raise DataError("output_init must be fan_in, data_mean or data_moments")
         if self.dtype not in ("float64", "float32"):
             raise DataError("dtype must be float64 or float32")
-
-
-def _is_int(v) -> bool:
-    """An integer that is not a bool (a bool is an int to Python)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass
@@ -646,18 +641,7 @@ def sample(netp: NetworkParams, cond, n: int, seed: int, out=None) -> np.ndarray
     is returned; otherwise the samples are returned as a new float64 array.
     """
     netp.check_finite()
-    shape = (n, *MATRIX_SHAPE)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise DataError(f"sample fills an array of shape {shape}, got {out.shape}")
-    if n == 0:
-        return out
-    cond = np.asarray(cond, dtype=np.float64)
-    if cond.shape == (2,):
-        cond = np.broadcast_to(cond, (n, 2))
-    if cond.shape != (n, 2):
-        raise DataError("cond must be one pair or an (n, 2) array")
+    cond, out = sample_request(cond, n, MATRIX_SHAPE, np.float64, out)
     dt = netp.generator.dtype
     # every generator pass is over SAMPLE_CHUNK rows, the last block padded
     # with rows whose output is dropped: BLAS may round a row of a product

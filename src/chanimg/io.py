@@ -2,12 +2,15 @@
 
 Every format carries a major version; readers reject unknown majors.
 
+Every file is written to path + ".tmp" and renamed onto path (_replacing),
+so a failed write leaves the file already at path as it was.
+
   - container:  the layout of the binary formats: the 4-byte magic, a u32
                 version, a u32 JSON header length and the SHA-256 of every
                 later byte; the JSON header {"meta": {...}, "entries":
                 [{"name", "dtype", "shape"}, ...]}; then the arrays in entry
                 order, C-ordered and little-endian, each <f4, <f8, <i8 or
-                |u1.  Written to a temporary name, then renamed into place.
+                |u1.
   - dataset:    JSON Lines, one link per line, '#'-comment header with
                 version, units and the generating seed.  The text is
                 formatted by up to one process per usable CPU, and the
@@ -21,9 +24,9 @@ Every format carries a major version; readers reject unknown majors.
                 JSONL's current bytes and keeps every rule; otherwise it
                 parses the text.  The JSONL is the record: a sidecar is
                 safe to delete, and read_table never writes one.
-  - codec:      JSON bundle of virtual-path ranges and scaler parameters;
-                each range list holds 8 finite numbers and epsilon lies in
-                (0, 1)
+  - codec:      JSON document of the fitted ranges: format, version, seed
+                and the four lists virtual_min/max and feature_min/max, each
+                of 8 finite numbers (codec.py fixes every other constant)
   - images:     "CHIM" v3 container: meta seed; entries matrices (N, rows,
                 cols) <f4 and conditions (N, 2) <f8 (dist2d, height).
                 Matrix i of a file derived from a dataset pairs with link
@@ -75,7 +78,7 @@ if TYPE_CHECKING:  # the codec and the networks are imported by the functions th
     from .genmodel.wgan import NetworkParams
 
 DATASET_VERSION = 1
-CODEC_VERSION = 1
+CODEC_VERSION = 2  # v2: only the fitted ranges
 IMAGES_VERSION = 3  # v3: the container
 CHECKPOINT_VERSION = 5  # v5: the wgan-gp meta holds only noise_dim and hidden
 REPORT_VERSION = 1
@@ -235,10 +238,12 @@ def write_table(path, table: LinkTable, seed=None):
     writes back byte for byte.  The text is formatted by up to one process
     per usable CPU (see _write_text), with the same bytes for any count.
     The sidecar, path + ".ltab", holds the same columns in binary, keyed by
-    the SHA-256 of the text as written (see _write_ltab).
+    the SHA-256 of the text as written (see _write_ltab).  Each file
+    replaces its path whole (see _replacing), the text first, so a failure
+    leaves the dataset and sidecar already there as they were, or a new
+    text beside a sidecar whose key no longer matches it.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     seed_part = f" seed={seed}" if seed is not None else ""
     header = (f"# chanimg-dataset v{DATASET_VERSION}{seed_part}"
               " units: coords=m freq=Hz pathloss=dB delay=s angles=deg phase=deg\n")
@@ -317,15 +322,13 @@ def _write_text(path, header, table: LinkTable, workers) -> bytes:
     file beside path while this process writes the header and the first
     part; the parts are then appended in order, every byte through the one
     digest, so the file does not depend on `workers`.  A child that fails
-    is an OSError naming path.  On any failure path is removed, and so is
-    the sidecar of the dataset it replaced; a path that cannot be opened is
-    left as it is.
+    is an OSError naming path.  The text replaces path whole (see
+    _replacing), so on any failure a dataset already there keeps its bytes.
     """
     bounds = _part_bounds(table.counts, workers).tolist()
     digest, parts = hashlib.sha256(), []  # (temporary file, pid or None) of parts 1, 2, ...
-    fh = path.open("wb")
     try:
-        with fh:
+        with _replacing(path, "wb") as fh:
             try:
                 for lo, hi in zip(bounds[1:-1], bounds[2:]):
                     out = tempfile.TemporaryFile(dir=path.parent)
@@ -340,12 +343,6 @@ def _write_text(path, header, table: LinkTable, workers) -> bytes:
             for out, _ in parts:
                 out.seek(0)
                 _hash_copy(out, digest, fh)
-    except BaseException:
-        # the first parts alone would read as a whole dataset, and an old
-        # sidecar would describe a dataset that is gone
-        path.unlink(missing_ok=True)
-        _ltab_path(path).unlink(missing_ok=True)
-        raise
     finally:
         for out, _ in parts:
             out.close()

@@ -1,6 +1,7 @@
 """CLI surface: determinism, composition, error exit codes."""
 
 import contextlib
+import inspect
 import io as stdio
 import json
 import math
@@ -11,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +28,7 @@ from chanimg.cli import (
     EXIT_VERSION,
     run,
 )
+from chanimg.errors import DataError
 from chanimg.genmodel import EmpiricalResampler
 from chanimg.genmodel import sample as wgan_sample
 from chanimg.rng import substream
@@ -480,12 +483,16 @@ def test_failing_text_writer_is_a_file_error(tmp_path, capsys, monkeypatch):
             raise RuntimeError("formatting failed")
         return link_lines(*args)
 
+    out = tmp_path / "d.jsonl"
+    assert run(["gen-data", "--links", "20", "--out", str(out)]) == 0  # an earlier dataset
+    before = [(tmp_path / name).read_bytes() for name in ("d.jsonl", "d.jsonl.ltab")]
     monkeypatch.setattr(io, "_text_processes", lambda: 2)
     monkeypatch.setattr(io, "_link_lines", fails_in_a_child)
-    out = tmp_path / "d.jsonl"
     fails_cleanly(capsys, ["gen-data", "--links", "600", "--out", str(out)], EXIT_BAD_FILE,
                   f"kind=io exit=3 msg={out}: a dataset text writer exited with 1")
-    assert list(tmp_path.iterdir()) == []
+    # kept whole, beside no temporary or part file
+    assert [(tmp_path / name).read_bytes() for name in ("d.jsonl", "d.jsonl.ltab")] == before
+    assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "d.jsonl.ltab"]
 
 
 def test_eval_runs_warning_free(pipeline_dir, tmp_path):
@@ -773,6 +780,39 @@ def test_train_accepts_beta1_zero(tmp_path):
     assert io.read_model_checkpoint(tmp_path / "m.ckpt")[0] == "wgan-gp"
 
 
+class Trained(Exception):
+    """Stops a train stage once it has built its hyperparameters."""
+
+
+def test_train_defaults_are_the_librarys(tmp_path, monkeypatch):
+    from chanimg import cli
+    from chanimg.genmodel.wgan import WganGpHyperparams
+
+    def train_wgan_gp(data, hyper, seed):
+        raise Trained(hyper)
+
+    monkeypatch.setattr(cli, "train_wgan_gp", train_wgan_gp, raising=False)
+    matrices = np.random.default_rng(0).uniform(-1, 1, (8, 8, 25)).astype(np.float32)
+    io.write_images(tmp_path / "i.chim", matrices, np.ones((8, 2)))
+    argv = ["train", "--images", str(tmp_path / "i.chim"), "--out", str(tmp_path / "m.ckpt")]
+    with pytest.raises(Trained) as trained:
+        run(argv)
+    assert trained.value.args[0] == WganGpHyperparams()
+    train = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["train"]
+    assert train.parse_args(argv[1:]).k == \
+        inspect.signature(EmpiricalResampler).parameters["k"].default
+    # the choices are exactly the values validate accepts
+    choices = {a.dest: a.choices for a in train._actions if a.choices}
+    assert set(choices) == {"backend", "output_init", "dtype"}
+    for field in ("output_init", "dtype"):
+        for value in choices[field]:
+            replace(WganGpHyperparams(), **{field: value}).validate()
+        for value in {"", "fan-in", "FAN_IN", "float16", "float", *choices["output_init"],
+                      *choices["dtype"]} - set(choices[field]):
+            with pytest.raises(DataError, match=field):
+                replace(WganGpHyperparams(), **{field: value}).validate()
+
+
 @pytest.fixture(scope="module")
 def degenerate_dir(tmp_path_factory):
     """A dataset with its codec, images and resampler; bad.jsonl is a copy
@@ -994,16 +1034,29 @@ def codec_stages(base, bad, out):
              "--geometry-from", str(base / "good.jsonl"), "--out", f"{out}/d.jsonl"]]
 
 
+def test_v1_codec_is_version_error(model_base, tmp_path, capsys):
+    # v1 also held the three constants codec.py fixes
+    doc = json.loads((model_base / "codec.json").read_text())
+    assert list(doc) == ["format", "version", "seed", *CODEC_RANGES]
+    doc.update(version=1, epsilon=0.01, delay_scale=1e7, outage_threshold_db=180.0)
+    old = tmp_path / "v1.json"
+    old.write_text(json.dumps(doc, indent=2))
+    report = ["report", "--data", str(model_base / "good.jsonl"), "--codec", str(old),
+              "--out", f"{tmp_path}/r.csv"]
+    for argv in [*codec_stages(model_base, old, tmp_path), report]:
+        fails_cleanly(capsys, argv, EXIT_VERSION,
+                      f"{old}: codec format v1 not supported (expected v2)")
+    assert os.listdir(tmp_path) == ["v1.json"]
+
+
 @pytest.mark.parametrize("edit", [
     lambda doc: doc.update(virtual_min=doc["virtual_min"][:5]),
     lambda doc: doc.update(feature_min="x"),
-    lambda doc: doc.update(epsilon="a"),
     lambda doc: doc["virtual_min"].__setitem__(2, float("nan")),
-    lambda doc: doc.update(epsilon=5),
     lambda doc: [doc],
     lambda doc: doc.update(version=True),
-], ids=["virtual_min-5", "feature_min-str", "epsilon-str", "virtual_min-nan", "epsilon-5",
-        "top-level-array", "version-true"])
+], ids=["virtual_min-5", "feature_min-str", "virtual_min-nan", "top-level-array",
+        "version-true"])
 def test_malformed_codec_is_format_error(model_base, tmp_path, capsys, edit):
     doc = json.loads((model_base / "codec.json").read_text())
     bad = tmp_path / "bad.json"
@@ -1014,8 +1067,7 @@ def test_malformed_codec_is_format_error(model_base, tmp_path, capsys, edit):
 
 
 CODEC_RANGES = ("virtual_min", "virtual_max", "feature_min", "feature_max")
-CODEC_KEYS = ("format", "version", "epsilon", "delay_scale", "outage_threshold_db",
-              *CODEC_RANGES)
+CODEC_KEYS = ("format", "version", *CODEC_RANGES)
 # no value here is valid in any codec field
 CODEC_JUNK = st.sampled_from(["12e9", "x", None, True, [], [1.0], {"x": 1}, float("nan"),
                               float("inf"), -float("inf")])
@@ -1030,8 +1082,7 @@ def mutated_codec(draw, text):
     doc = json.loads(text)
     key = draw(st.sampled_from(CODEC_RANGES if kind in ("entry", "length") else CODEC_KEYS))
     if kind == "field":
-        doc[key] = draw(st.one_of(CODEC_JUNK, st.sampled_from([0, 1, 5, -0.01]))
-                        if key == "epsilon" else CODEC_JUNK)
+        doc[key] = draw(CODEC_JUNK)
     elif kind == "entry":
         doc[key][draw(st.integers(0, 7))] = draw(CODEC_JUNK)
     elif kind == "length":

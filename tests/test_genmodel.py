@@ -1,10 +1,13 @@
 """Generative backends: optimizer, losses, training loop, resampler."""
 
 import math
+import re
+import statistics
 import sys
 import threading
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -526,6 +529,75 @@ def toy_data(n=256, shape=(8, 25)):
     return images, conds
 
 
+def reference_preimage_moments(images):
+    """Per-pixel mean and population std of arctanh(pixel clipped to +-0.995), value by value."""
+    pixels = [[math.atanh(min(max(v, -0.995), 0.995)) for v in col]
+              for col in images.reshape(len(images), -1).T.tolist()]
+    return (np.array([statistics.fmean(col) for col in pixels]),
+            np.array([statistics.pstdev(col) for col in pixels]))
+
+
+def test_preimage_moments_are_the_clipped_arctanh_moments():
+    images, conds = toy_data(n=40)
+    images[0, 0, :3] = (-1.0, 0.999, 1.0)  # clipped to -+0.995
+    mu, sd = ArrayBatches(images.astype(np.float32), conds).preimage_moments()
+    want_mu, want_sd = reference_preimage_moments(images.astype(np.float32))
+    np.testing.assert_allclose(mu, want_mu, rtol=1e-12, atol=1e-15)
+    np.testing.assert_allclose(sd, want_sd, rtol=1e-12)
+
+
+class Calibrated(Exception):
+    """Stops train_wgan_gp once it has calibrated the generator's output layer."""
+
+
+@pytest.mark.parametrize("mode", ["data_mean", "data_moments"])
+def test_output_init_starts_at_the_datas_preimage_moments(monkeypatch, mode):
+    images, conds = toy_data(n=300)
+    hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64, output_init=mode)
+    fan_in = build_networks(replace(hyper, output_init="fan_in"), conds.min(axis=0),
+                            conds.max(axis=0), substream(4, "init"))
+    calibrate = wgan.calibrate_output_layer
+
+    def calibrate_and_stop(netp, mode, mu, sd, z, cond_norm):
+        calibrate(netp, mode, mu, sd, z, cond_norm)
+        raise Calibrated(netp, z, cond_norm)
+
+    monkeypatch.setattr(wgan, "calibrate_output_layer", calibrate_and_stop)
+    with pytest.raises(Calibrated) as calibrated:
+        train_wgan_gp(ArrayBatches(images, conds), hyper, seed=4)
+    netp, z, cond_norm = calibrated.value.args
+    want_mu, want_sd = reference_preimage_moments(images)
+    np.testing.assert_allclose(netp.generator.params[-1], want_mu, rtol=1e-12, atol=1e-15)
+    # the output bias, and in data_moments the output weights, are all that differ from fan_in
+    changed = 1 if mode == "data_mean" else 2
+    for got, want in zip(netp.generator_params()[:-changed] + netp.critic_params(),
+                         fan_in.generator_params()[:-changed] + fan_in.critic_params()):
+        assert got.tobytes() == want.tobytes()
+    if mode == "data_moments":  # the pre-tanh spread over the calibration batch is the data's
+        _, cache = netp.generator.forward(
+            np.concatenate([z, netp.gen_embed.forward(cond_norm)[0]], axis=1))
+        np.testing.assert_allclose(cache["a"][-1].std(axis=0), want_sd, rtol=1e-12)
+    else:
+        assert netp.generator.params[-2].tobytes() == fan_in.generator.params[-2].tobytes()
+
+
+def test_fan_in_training_calibrates_nothing(tmp_path, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a fan_in run calibrated its output layer")
+
+    images, conds = toy_data()
+    hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64)
+    written = []
+    for patched in (False, True):
+        if patched:
+            monkeypatch.setattr(wgan, "calibrate_output_layer", refuse)
+            monkeypatch.setattr(ArrayBatches, "preimage_moments", refuse)
+        netp, _ = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=4)
+        io.write_wgan_checkpoint(tmp_path / "m.ckpt", netp, seed=4)
+        written.append((tmp_path / "m.ckpt").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_training_deterministic():
     images, conds = toy_data()
     hyper = WganGpHyperparams(**TINY, epochs=2, batch_size=64)
@@ -853,6 +925,19 @@ def test_resampler_rejects_nonfinite(bad):
         EmpiricalResampler(images, conds)
 
 
+@pytest.mark.parametrize("k", [2.7, 3.0, True, "3", None, 0, -1])
+def test_resampler_k_is_a_positive_integer(k):
+    images, conds = toy_data(n=8)
+    with pytest.raises(DataError, match=re.escape(f"k must be a positive integer, got {k!r}")):
+        EmpiricalResampler(images, conds, k=k)
+
+
+def test_resampler_k_takes_numpy_integers_and_caps_at_the_dataset():
+    images, conds = toy_data(n=8)
+    assert EmpiricalResampler(images, conds, k=np.int64(3)).k == 3
+    assert EmpiricalResampler(images, conds, k=50).k == 8
+
+
 def reference_picks(conds, queries, k, seed):
     """Per-query full (distance, index) lexsort and one scalar draw per query."""
     lo = conds.min(axis=0)
@@ -876,9 +961,7 @@ def test_resampler_picks_match_bruteforce_reference():
     res = EmpiricalResampler(images, conds, k=7)
     n = QUERY_CHUNK + 45  # more queries than one chunk
     queries = np.concatenate([conds[rng.integers(0, 300, n - 20)],
-                              rng.uniform(0, 130, (20, 2)),
-                              # a NaN query is at no distance; the lexsort keeps index order
-                              [[np.nan, 10.0], [np.inf, 0.0], [-np.inf, np.nan]]])
+                              rng.uniform(0, 130, (20, 2))])
     got = res.sample(queries, len(queries), seed=5)[:, 0, 0].astype(int)
     np.testing.assert_array_equal(got, reference_picks(conds, queries, 7, seed=5))
 
@@ -918,6 +1001,25 @@ def test_sample_into_float32_is_the_cast_result(n):
             assert out.tobytes() == want.astype(np.float32).tobytes(), name
         with pytest.raises(DataError, match="sample fills an array of shape"):
             draw(cond, n, 5, out=np.empty((n + 1, 8, 25), dtype=np.float32))
+
+
+@pytest.mark.parametrize("backend", [0, 1], ids=["wgan", "resampler"])
+def test_sample_requests_are_checked(backend):
+    name, draw = block_backends()[backend]
+    conds = np.tile([[100.0, 1.6]], (3, 1))
+    for bad in ([np.nan, 1.6], [100.0, np.inf], [[100.0, 1.6], [-np.inf, 1.6], [1.0, 1.6]]):
+        with pytest.raises(DataError, match="cond holds a value that is not finite"):
+            draw(bad, 3, 5)
+    bad = conds.copy()
+    bad[2, 1] = np.nan  # past the first sample too
+    with pytest.raises(DataError, match="cond holds a value that is not finite"):
+        draw(bad, 3, 5)
+    for n in (-1, 2.0, 3.0, True, "3", None):
+        message = f"n must be a non-negative integer, got {n!r}"
+        with pytest.raises(DataError, match=re.escape(message)):
+            draw(conds[:1], n, 5)
+    assert draw(conds, np.int64(3), 5).tobytes() == draw(conds, 3, 5).tobytes(), name
+    assert draw(conds[:0], 0, 5).shape == (0, 8, 25), name
 
 
 def test_samples_do_not_depend_on_the_block_size(monkeypatch):

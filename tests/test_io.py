@@ -460,6 +460,10 @@ def test_failed_fork_formats_the_part_here(tmp_path, monkeypatch):
     assert (tmp_path / "here.jsonl").read_bytes() == (tmp_path / "forked.jsonl").read_bytes()
 
 
+def dataset_bytes(p):
+    return p.read_bytes(), Path(f"{p}{io.LTAB_SUFFIX}").read_bytes()
+
+
 @pytest.mark.parametrize("where", ["child", "parent"])
 def test_failing_text_writer_leaves_nothing(tmp_path, monkeypatch, where):
     parent, link_lines = os.getpid(), io._link_lines
@@ -470,21 +474,19 @@ def test_failing_text_writer_leaves_nothing(tmp_path, monkeypatch, where):
         return link_lines(*args)
 
     p = tmp_path / "data.jsonl"
-    io.write_table(p, edge_table())  # an earlier dataset, overwritten below
+    io.write_table(p, edge_table())  # an earlier dataset, kept whole below
+    before = dataset_bytes(p)
     monkeypatch.setattr(io, "_text_processes", lambda: 2)
     monkeypatch.setattr(io, "_link_lines", fails)
     error, message = (OSError, f"{p}: a dataset text writer exited with 1") \
         if where == "child" else (RuntimeError, "formatting failed")
     with pytest.raises(error, match=re.escape(message)):
         io.write_table(p, split_table("blocks"))
-    # no dataset, part or sidecar (the earlier dataset's included) left behind
-    assert list(tmp_path.iterdir()) == []
+    # the earlier dataset and its sidecar as they were, and no temporary or part file
+    assert dataset_bytes(p) == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.ltab"]
     with pytest.raises(ChildProcessError):  # and every child was waited for
         os.waitpid(-1, os.WNOHANG)
-
-
-def dataset_bytes(p):
-    return p.read_bytes(), Path(f"{p}{io.LTAB_SUFFIX}").read_bytes()
 
 
 def test_dataset_that_cannot_be_opened_is_left_as_it_is(tmp_path, monkeypatch):
@@ -493,7 +495,7 @@ def test_dataset_that_cannot_be_opened_is_left_as_it_is(tmp_path, monkeypatch):
     before, path_open = dataset_bytes(p), Path.open
 
     def refuses(self, mode="r", *args, **kwargs):
-        if self == p and "w" in mode:
+        if self.name == f"{p.name}.tmp" and "w" in mode:
             raise PermissionError(13, "Permission denied", str(self))
         return path_open(self, mode, *args, **kwargs)
 
@@ -502,18 +504,30 @@ def test_dataset_that_cannot_be_opened_is_left_as_it_is(tmp_path, monkeypatch):
         io.write_table(p, split_table("blocks"))
     monkeypatch.undo()
     assert dataset_bytes(p) == before
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.ltab"]
 
 
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
                     reason="root may write a read-only file")
 def test_read_only_dataset_survives_write_table(tmp_path):
-    p = tmp_path / "data.jsonl"
+    # like every artifact, a dataset is replaced whole by a rename in its
+    # directory: a read-only directory keeps it, a read-only file does not
+    d = tmp_path / "d"
+    p, other = d / "data.jsonl", tmp_path / "other.jsonl"
     io.write_table(p, edge_table())
+    io.write_table(other, split_table("blocks"))
     before = dataset_bytes(p)
     p.chmod(0o444)
-    with pytest.raises(PermissionError):
-        io.write_table(p, split_table("blocks"))
-    assert dataset_bytes(p) == before
+    d.chmod(0o555)
+    try:
+        with pytest.raises(PermissionError):
+            io.write_table(p, split_table("blocks"))
+        assert dataset_bytes(p) == before
+        assert sorted(f.name for f in d.iterdir()) == ["data.jsonl", "data.jsonl.ltab"]
+    finally:
+        d.chmod(0o755)
+    io.write_table(p, split_table("blocks"))
+    assert dataset_bytes(p) == dataset_bytes(other)
 
 
 def test_text_is_formatted_here_beside_python_threads(monkeypatch):
