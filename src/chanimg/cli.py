@@ -202,12 +202,20 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_decode(args) -> int:
-    matrices, _ = io.read_images(args.images)
+    matrices, conditions = io.read_images(args.images)
     codec = io.read_codec(args.codec)
     table = io.read_table(args.geometry_from)
     n = len(table)
     if len(matrices) % n:
         raise DataError(f"{len(matrices)} matrices do not repeat {n} geometry links")
+    # matrix i was drawn at link i % n's condition: both are closed forms of its coordinates
+    geometry = np.column_stack([table.dist2d, table.height])
+    moved = (conditions.reshape(-1, n, 2) != geometry).any(axis=2).ravel()
+    if moved.any():
+        i = int(np.argmax(moved))
+        raise DataError(f"matrix {i} holds condition (dist2d, height) = "
+                        f"{tuple(conditions[i].tolist())}, but geometry link {i % n} "
+                        f"has {tuple(geometry[i % n].tolist())}")
     if len(matrices) != n:
         # decode replaces the paths, so only the geometry is repeated
         table = replace(table, paths=table.paths[:0], counts=np.zeros_like(table.counts)

@@ -12,9 +12,14 @@ so a failed write leaves the file already at path as it was.
                 order, C-ordered and little-endian, each <f4, <f8, <i8 or
                 |u1.
   - dataset:    JSON Lines, one link per line, '#'-comment header with
-                version, units and the generating seed.  The text is
-                formatted by up to one process per usable CPU, and the
-                bytes are the same for any count.  write_table also
+                version, units and the generating seed.  A line is the
+                text json.dumps writes for the link's record, each number
+                its float's repr.  The numbers of a block of links are
+                formatted in array passes (floattext: shortest digits by
+                Schubfach, then repr's layout; repr itself only for
+                subnormals) and set in the fixed text of their rows.  The
+                text is formatted by up to one process per usable CPU, and
+                the bytes are the same for any count.  write_table also
                 writes the sidecar X.jsonl.ltab, an "LTAB" v2 container:
                 meta seed and text_sha256 (of the JSONL bytes as written);
                 entries counts (N,) <i8, codes (N,) |u1 (LOS, NLOS,
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -54,7 +60,7 @@ import struct
 import tempfile
 import threading
 import warnings
-from itertools import chain, count, islice
+from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -213,14 +219,10 @@ def _layout(arrays) -> dict:
 
 _PATH_CELLS = itemgetter(*PATH_FIELDS)
 _ENDS = struct.Struct("7d")  # tx, rx, carrier_freq
-# a link's line as json.dumps writes its record: JSON's text of a finite float is its repr
-_PATH_TEXT = "{" + ", ".join(f'"{f}": %r' for f in PATH_FIELDS) + "}"
-_LINK_TEXT = ('{"tx": [%r, %r, %r], "rx": [%r, %r, %r], "carrier_freq": %r, '
-              '"link_state": "%s", "paths": [%s]}\n')
 # longest dataset line read_table parses: write_table's longest, 25 paths with
 # every number a 24-character repr, is 6,300 bytes with its newline
 MAX_LINE_BYTES = 1 << 16
-_TEXT_BLOCK = 128  # lines per formatted, hashed and written block of dataset text
+_TEXT_BLOCK = 512  # rows of 7 numbers per formatted, hashed and written block of text
 _TEXT_PART = 512  # links per text process at least
 
 _STATES = np.array(list(LinkState), dtype=object)  # the sidecar's state codes
@@ -234,14 +236,16 @@ def _ltab_path(path) -> Path:
 def write_table(path, table: LinkTable, seed=None):
     """Write a link table as a JSON Lines dataset, one link per line, and its sidecar.
 
-    Numbers are the repr of Python floats, so a file that read_table read
-    writes back byte for byte.  The text is formatted by up to one process
-    per usable CPU (see _write_text), with the same bytes for any count.
-    The sidecar, path + ".ltab", holds the same columns in binary, keyed by
-    the SHA-256 of the text as written (see _write_ltab).  Each file
-    replaces its path whole (see _replacing), the text first, so a failure
-    leaves the dataset and sidecar already there as they were, or a new
-    text beside a sidecar whose key no longer matches it.
+    The lines are the text json.dumps writes for the links' records, so
+    every number is the repr of its Python float (made in array passes,
+    see _text_blocks), and a file that read_table read writes back byte
+    for byte.  The text is formatted by up to one process per usable CPU
+    (see _write_text), with the same bytes for any count.  The sidecar,
+    path + ".ltab", holds the same columns in binary, keyed by the SHA-256
+    of the text as written (see _write_ltab).  Each file replaces its path
+    whole (see _replacing), the text first, so a failure leaves the
+    dataset and sidecar already there as they were, or a new text beside
+    a sidecar whose key no longer matches it.
     """
     path = Path(path)
     seed_part = f" seed={seed}" if seed is not None else ""
@@ -262,19 +266,88 @@ def _text_processes() -> int:
     return usable_cpus()
 
 
-def _link_lines(table: LinkTable, lo, hi):
-    """The lines of links lo..hi-1: the text json.dumps writes for their records."""
-    part = table.take(slice(lo, hi))
-    ends = np.column_stack([part.tx, part.rx, part.carrier_freq])
-    offsets = part.offsets.tolist()
-    return (_LINK_TEXT % (*e, state.value, ", ".join([_PATH_TEXT % tuple(c)
-                                                      for c in part.paths[a:b].tolist()]))
-            for e, state, a, b in zip(ends.tolist(), part.state, offsets, offsets[1:]))
+def _text_blocks(table: LinkTable, lo, hi):
+    """The text of links lo..hi-1, the lines json.dumps writes for their records, in blocks.
+
+    An iterator of bytes.  Each block holds whole links: at most
+    _TEXT_BLOCK rows of 7 numbers (a link's tx, rx and carrier_freq, or one
+    of its paths), or one link.  The formatter (floattext, with its table)
+    and the row templates are loaded when the iterator is made, so a
+    process that forks after making one hands them to its children.
+    """
+    _templates()
+    rows = np.concatenate([[0], np.cumsum(table.counts[lo:hi] + 1)])
+    bounds = [0]
+    while bounds[-1] < hi - lo:
+        a = bounds[-1]
+        bounds.append(max(a + 1, int(np.searchsorted(rows, rows[a] + _TEXT_BLOCK,
+                                                     side="right")) - 1))
+    return (_block_text(table.take(slice(lo + a, lo + b))) for a, b in zip(bounds, bounds[1:]))
 
 
-def _write_lines(out, lines, digest=None):
-    """Write lines to out in blocks of _TEXT_BLOCK, feeding each block to digest if given."""
-    while block := "".join(islice(lines, _TEXT_BLOCK)).encode():
+def _block_text(part: LinkTable) -> bytes:
+    """The lines of part's links: each number's repr set in the fixed text of its row.
+
+    The rows of 7 numbers, each link's followed by its paths', are laid
+    out on copies of their kind's template (see _templates) with each
+    number's chars in its slot, a last row closes the last line, and the
+    zeros that pad the fragments and slots are dropped.
+    """
+    from .floattext import shortest
+
+    templates, slots = _templates()
+    heads = np.arange(len(part)) + part.offsets[:-1]  # each link's row
+    numbers = np.empty((len(heads) + len(part.paths), 7))
+    path_rows = np.ones(len(numbers), dtype=bool)
+    path_rows[heads] = False
+    numbers[heads] = np.column_stack([part.tx, part.rx, part.carrier_freq])
+    numbers[path_rows] = part.paths
+    n = len(_STATES)
+    kind = np.full(len(numbers) + 1, 2 * n + 1)  # a path after a path
+    kind[heads[part.counts > 0] + 1] = 2 * n  # a link's first path
+    kind[heads] = [_STATE_CODES[s] + n for s in part.state]  # a link after a line
+    kind[0] -= n  # the block's first line
+    kind[-1] = 2 * n + 2  # the close of the last line
+    canvas = templates[kind]
+    chars = shortest(numbers.ravel())[0].reshape(len(numbers), 7, -1)
+    for k, at in enumerate(slots):
+        canvas[:-1, at:at + chars.shape[2]] = chars[:, k]
+    return canvas.tobytes().translate(None, b"\0")
+
+
+@functools.cache
+def _templates():
+    """(templates, slots): each kind of row's fixed text, padded with zeros, and its number slots.
+
+    A template holds the row's 8 fragments, each padded to the widest
+    fragment at its place, with a slot of floattext.SLOT zeros between
+    two fragments for each number; slots lists their first columns.  The
+    kinds: a link's row, by state code, as a block's first line and as a
+    later line (closing the line before); a link's first path and a later
+    path; and the close of a block's last line.
+    """
+    from .floattext import SLOT
+
+    link = ['{"tx": [', ", ", ", ", '], "rx": [', ", ", ", ", '], "carrier_freq": ']
+    path = ['{"pathloss": ', *(f', "{f}": ' for f in PATH_FIELDS[1:]), "}"]
+    ends = [f', "link_state": "{s.value}", "paths": [' for s in _STATES]
+    kinds = ([[*link, e] for e in ends] + [["]}\n" + link[0], *link[1:], e] for e in ends]
+             + [path, [", " + path[0], *path[1:]], ["]}\n"] + [""] * 7])
+    widths = [max(len(kind[i]) for kind in kinds) for i in range(8)]
+    templates = np.zeros((len(kinds), sum(widths) + 7 * SLOT), dtype=np.uint8)
+    at, slots = 0, []
+    for i, width in enumerate(widths):
+        for row, kind in zip(templates, kinds):
+            row[at:at + len(kind[i])] = list(kind[i].encode())
+        at += width
+        slots.append(at)
+        at += SLOT
+    return templates, slots[:7]
+
+
+def _write_blocks(out, blocks, digest=None):
+    """Write byte blocks to out, feeding each to digest if given."""
+    for block in blocks:
         if digest is not None:
             digest.update(block)
         out.write(block)
@@ -305,7 +378,7 @@ def _start_part(out, table, lo, hi):
     if not pid:  # the child, or no child: write the part here
         code = 1
         try:
-            _write_lines(out, _link_lines(table, lo, hi))
+            _write_blocks(out, _text_blocks(table, lo, hi))
             out.flush()
             code = 0
         finally:
@@ -326,6 +399,7 @@ def _write_text(path, header, table: LinkTable, workers) -> bytes:
     _replacing), so on any failure a dataset already there keeps its bytes.
     """
     bounds = _part_bounds(table.counts, workers).tolist()
+    first = _text_blocks(table, 0, bounds[1])  # before the forks, which inherit its formatter
     digest, parts = hashlib.sha256(), []  # (temporary file, pid or None) of parts 1, 2, ...
     try:
         with _replacing(path, "wb") as fh:
@@ -333,7 +407,7 @@ def _write_text(path, header, table: LinkTable, workers) -> bytes:
                 for lo, hi in zip(bounds[1:-1], bounds[2:]):
                     out = tempfile.TemporaryFile(dir=path.parent)
                     parts.append((out, _start_part(out, table, lo, hi)))
-                _write_lines(fh, chain([header], _link_lines(table, 0, bounds[1])), digest)
+                _write_blocks(fh, chain([header.encode()], first), digest)
             finally:  # every child is waited for, whatever failed here
                 codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                          for _, pid in parts if pid is not None]

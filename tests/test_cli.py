@@ -476,18 +476,18 @@ def test_stage_loads_only_its_modules(pipeline_dir, tmp_path, argv, absent):
 
 
 def test_failing_text_writer_is_a_file_error(tmp_path, capsys, monkeypatch):
-    parent, link_lines = os.getpid(), io._link_lines
+    parent, text_blocks = os.getpid(), io._text_blocks
 
     def fails_in_a_child(*args):
         if os.getpid() != parent:
             raise RuntimeError("formatting failed")
-        return link_lines(*args)
+        return text_blocks(*args)
 
     out = tmp_path / "d.jsonl"
     assert run(["gen-data", "--links", "20", "--out", str(out)]) == 0  # an earlier dataset
     before = [(tmp_path / name).read_bytes() for name in ("d.jsonl", "d.jsonl.ltab")]
     monkeypatch.setattr(io, "_text_processes", lambda: 2)
-    monkeypatch.setattr(io, "_link_lines", fails_in_a_child)
+    monkeypatch.setattr(io, "_text_blocks", fails_in_a_child)
     fails_cleanly(capsys, ["gen-data", "--links", "600", "--out", str(out)], EXIT_BAD_FILE,
                   f"kind=io exit=3 msg={out}: a dataset text writer exited with 1")
     # kept whole, beside no temporary or part file
@@ -630,6 +630,31 @@ def test_decode_pairs_matrix_i_with_link_i_mod_n(pipeline_dir, tmp_path):
         assert part.counts.tolist() == want.counts.tolist()
         assert part.state.tolist() == want.state.tolist()
         assert part.tx.tobytes() == table.tx.tobytes()
+
+
+def test_decode_rejects_conditions_of_other_links(pipeline_dir, tmp_path, capsys):
+    # samples.chim was drawn at data.jsonl's conditions; other.jsonl has as many links
+    d, other = pipeline_dir, tmp_path / "other.jsonl"
+    assert run(["--seed", "5", "gen-data", "--links", "300", "--heights", "1.6,30",
+                "--out", str(other)]) == 0
+    matrices, conds = io.read_images(d / "samples.chim")
+    table, data = io.read_table(other), io.read_table(d / "data.jsonl")
+    argv = ["decode", "--codec", str(d / "codec.json"), "--out", str(tmp_path / "o.jsonl")]
+    fails_cleanly(capsys, [*argv, "--images", str(d / "samples.chim"), "--geometry-from",
+                           str(other)], EXIT_BAD_DATA,
+                  f"matrix 0 holds condition (dist2d, height) = {tuple(conds[0].tolist())}, "
+                  f"but geometry link 0 has {(float(table.dist2d[0]), float(table.height[0]))}")
+    # a condition moved in the second repetition (--per-cond 2) names its matrix and link
+    n = len(data)
+    moved = np.tile(conds, (2, 1))
+    moved[n + 5, 1] += 1.0
+    io.write_images(tmp_path / "s2.chim", np.tile(matrices, (2, 1, 1)), moved)
+    fails_cleanly(capsys, [*argv, "--images", str(tmp_path / "s2.chim"), "--geometry-from",
+                           str(d / "data.jsonl")], EXIT_BAD_DATA,
+                  f"matrix {n + 5} holds",
+                  f"geometry link 5 has {(float(data.dist2d[5]), float(data.height[5]))}")
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["other.jsonl", "other.jsonl.ltab",
+                                                         "s2.chim"]
 
 
 def fails_cleanly(capsys, argv, code, *fragments):

@@ -347,10 +347,22 @@ def link_tables(draw):
 
 
 def edge_table():
-    """An Outage link without paths, a 25-path link and a 1-path LOS link, with -0.0 cells."""
+    """An Outage link without paths, a 25-path link and a 1-path LOS link.
+
+    Its cells hold the edges of the number text: -0.0 and 0.0, a subnormal
+    delay, and values on both sides of 1e-4 and of 1e16, where repr turns
+    from positional text to an exponent.
+    """
     counts = np.array([0, MAX_PATHS, 1])
     rows = np.tile([100.0, 1e-6, -0.0, -0.0, 90.0, 0.0, -0.0], (MAX_PATHS + 1, 1))
     rows[:, 1] += np.arange(MAX_PATHS + 1) * 1e-9
+    rows[0, 1] = 5e-324
+    below, top = 9.999999999999999e-05, 9999999999999998.0  # the floats next to 1e-4, 1e16
+    rows[1:3, 0] = 1e-4, below  # pathloss
+    rows[3:5, 2] = 1e16, top  # aod
+    rows[5:7, 4] = -1e16, -top  # aoa
+    rows[7:9, [3, 5]] = 1e-4, below  # zod, zoa
+    rows[9:11, 6] = -1e-4, -below  # phase
     tx = np.array([[-0.0, 0.0, 10.0], [5.0, -0.0, 10.0], [0.0, 0.0, -0.0]])
     return LinkTable.from_columns(
         rows, counts,
@@ -365,6 +377,7 @@ def edge_table():
 def test_sidecar_and_parse_give_the_written_columns(tmp_path_factory, table):
     p = tmp_path_factory.mktemp("ltab") / "t.jsonl"
     io.write_table(p, table)
+    assert p.read_text().splitlines()[1:] == json_lines(table)
     assert outcome(p) == parsed(p) == columns(table)
 
 
@@ -466,18 +479,18 @@ def dataset_bytes(p):
 
 @pytest.mark.parametrize("where", ["child", "parent"])
 def test_failing_text_writer_leaves_nothing(tmp_path, monkeypatch, where):
-    parent, link_lines = os.getpid(), io._link_lines
+    parent, text_blocks = os.getpid(), io._text_blocks
 
     def fails(*args):
         if (os.getpid() == parent) == (where == "parent"):
             raise RuntimeError("formatting failed")
-        return link_lines(*args)
+        return text_blocks(*args)
 
     p = tmp_path / "data.jsonl"
     io.write_table(p, edge_table())  # an earlier dataset, kept whole below
     before = dataset_bytes(p)
     monkeypatch.setattr(io, "_text_processes", lambda: 2)
-    monkeypatch.setattr(io, "_link_lines", fails)
+    monkeypatch.setattr(io, "_text_blocks", fails)
     error, message = (OSError, f"{p}: a dataset text writer exited with 1") \
         if where == "child" else (RuntimeError, "formatting failed")
     with pytest.raises(error, match=re.escape(message)):
