@@ -62,17 +62,21 @@ _G1, _G0 = _g_table()
 
 
 def _mulhi(a, b):
-    """The high 64 bits of each 128-bit product a b, through 32-bit limbs."""
-    a0, a1, b0, b1 = a & _MASK32, a >> 32, b & _MASK32, b >> 32
+    """The high 64 bits of each 128-bit product a b, from the 32-bit limbs (lo, hi) of each."""
+    (a0, a1), (b0, b1) = a, b
     p01, p10 = a0 * b1, a1 * b0
     mid = ((a0 * b0) >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
     return a1 * b1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
 
 
+def _limbs(a):
+    return a & _MASK32, a >> 32
+
+
 def _shifted(product, g, shift, add):
-    """The 128-bit (hi, lo) of product plus (add) or less g 2^shift, for shifts of 1 to 63."""
+    """The 128-bit (hi, lo) of product plus (add) or less g 2^shift; shift = (s, 64 - s)."""
     hi, lo = product
-    d_hi, d_lo = g >> (64 - shift), g << shift
+    d_hi, d_lo = g >> shift[1], g << shift[0]
     if add:
         lo = lo + d_lo
         return hi + d_hi + (lo < d_lo), lo
@@ -103,29 +107,31 @@ def _schubfach(bits):
     irregular = (c == np.uint64(_C_MIN)) & (bq > 1)
     # k = floor(log10(2^q)), or of 3/4 2^q where irregular
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
-    g1, g0 = _G1[k - _K_MIN], _G0[k - _K_MIN]
-    cp = c << (h + np.uint64(2))
-    g0cp, g1cp = (_mulhi(g0, cp), g0 * cp), (_mulhi(g1, cp), g1 * cp)
+    h = (q + _flog2pow10(-k) + 3).astype(np.uint64)  # h + 1: cb and cb +- 2 are shifted by h
+    k_at = k - _K_MIN
+    g1, g0 = _G1[k_at], _G0[k_at]
+    cp = c << (h + np.uint64(1))
+    cp_limbs = _limbs(cp)
+    g0cp = _mulhi(_limbs(g0), cp_limbs), g0 * cp
+    g1cp = _mulhi(_limbs(g1), cp_limbs), g1 * cp
     vb = _rop(g0cp[0], *g1cp)
-    # cb - 2 (cb - 1 where irregular) and cb + 2, shifted by h as cb is
-    low, high = h + np.uint64(1) - irregular, h + np.uint64(1)
+    # cb - 2 (cb - 1 where irregular) and cb + 2
+    low = h - irregular
+    low = low, 64 - low
+    high = h, 64 - h
     vbl = _rop(_shifted(g0cp, g0, low, False)[0], *_shifted(g1cp, g1, low, False))
     vbr = _rop(_shifted(g0cp, g0, high, True)[0], *_shifted(g1cp, g1, high, True))
     out = c & np.uint64(1)  # an odd c leaves out the ends of its rounding interval
     vbl += out
     vbr -= out
     s = vb >> np.uint64(2)
-    t = s + 1
-    sp10 = s // 10 * 10
-    tp10 = sp10 + 10
-    # a digit fewer where exactly one of the two decimals next to v lies in its interval
-    upin, wpin = vbl <= sp10 << np.uint64(2), tp10 << np.uint64(2) <= vbr
-    uin, win = vbl <= s << np.uint64(2), t << np.uint64(2) <= vbr
-    mid = (s + t) << np.uint64(1)
-    f = np.where(uin != win, np.where(uin, s, t),
-                 np.where((vb < mid) | ((vb == mid) & (s & np.uint64(1) == 0)), s, t))
-    return np.where(upin != wpin, np.where(upin, sp10, tp10), f), k
+    s4, sp40 = s << np.uint64(2), s // 10 * 40  # u = s and u' = 10 floor(s / 10), times 4
+    # a digit fewer where exactly one of u' and u' + 10 lies in the interval
+    upin, wpin = vbl <= sp40, sp40 + 40 <= vbr
+    # else u or u + 1: the one in it, or the closer, an even u on a tie
+    uin, win = vbl <= s4, s4 + 4 <= vbr
+    up = np.where(uin != win, win, (vb > s4 + 2) | ((vb == s4 + 2) & (s & np.uint64(1) == 1)))
+    return np.where(upin != wpin, (sp40 >> np.uint64(2)) + wpin * np.uint64(10), s + up), k
 
 
 def _strip_zeros(f, e):
@@ -230,8 +236,7 @@ def shortest(values):
     source = np.empty((n, 4), dtype="<u8")
     lead = f // _POW10[16]
     f -= lead * _POW10[16]
-    source[:, 0] = _digit_chars(f // _POW10[8])
-    source[:, 1] = _digit_chars(f % _POW10[8])
+    source[:, :2] = _digit_chars(np.column_stack([f // _POW10[8], f % _POW10[8]]))
     source[:, 2] = np.take(_EXP_HIGH, x) | lead | np.uint64(_CONST)
     source[:, 3] = np.take(_EXP_LOW, x) | (np.take(negative, order) * np.uint64(ord("-") << 8))
     source = source.view(np.uint8)

@@ -222,7 +222,7 @@ _ENDS = struct.Struct("7d")  # tx, rx, carrier_freq
 # longest dataset line read_table parses: write_table's longest, 25 paths with
 # every number a 24-character repr, is 6,300 bytes with its newline
 MAX_LINE_BYTES = 1 << 16
-_TEXT_BLOCK = 512  # rows of 7 numbers per formatted, hashed and written block of text
+_TEXT_BLOCK = 1024  # rows of 7 numbers per formatted, hashed and written block of text
 _TEXT_PART = 512  # links per text process at least
 
 _STATES = np.array(list(LinkState), dtype=object)  # the sidecar's state codes
