@@ -269,20 +269,18 @@ def _text_processes() -> int:
 def _text_blocks(table: LinkTable, lo, hi):
     """The text of links lo..hi-1, the lines json.dumps writes for their records, in blocks.
 
-    An iterator of bytes.  Each block holds whole links: at most
-    _TEXT_BLOCK rows of 7 numbers (a link's tx, rx and carrier_freq, or one
-    of its paths), or one link.  The formatter (floattext, with its table)
-    and the row templates are loaded when the iterator is made, so a
-    process that forks after making one hands them to its children.
+    An iterator of bytes.  Each block holds whole links and an equal share
+    of the part's rows of 7 numbers (a link's tx, rx and carrier_freq, or
+    one of its paths), about _TEXT_BLOCK rows (see _part_bounds).  The
+    formatter (floattext, with its table) and the row templates are
+    loaded when the iterator is made, so a process that forks after making
+    one hands them to its children.
     """
     _templates()
-    rows = np.concatenate([[0], np.cumsum(table.counts[lo:hi] + 1)])
-    bounds = [0]
-    while bounds[-1] < hi - lo:
-        a = bounds[-1]
-        bounds.append(max(a + 1, int(np.searchsorted(rows, rows[a] + _TEXT_BLOCK,
-                                                     side="right")) - 1))
-    return (_block_text(table.take(slice(lo + a, lo + b))) for a, b in zip(bounds, bounds[1:]))
+    counts = table.counts[lo:hi]
+    blocks = -(-int(counts.sum() + len(counts)) // _TEXT_BLOCK)
+    bounds = (_part_bounds(counts, max(blocks, 1)) + lo).tolist()
+    return (_block_text(table.take(slice(a, b))) for a, b in zip(bounds, bounds[1:]) if a < b)
 
 
 def _block_text(part: LinkTable) -> bytes:
@@ -293,15 +291,13 @@ def _block_text(part: LinkTable) -> bytes:
     number's chars in its slot, a last row closes the last line, and the
     zeros that pad the fragments and slots are dropped.
     """
-    from .floattext import shortest
+    from .floattext import SLOT, shortest
 
     templates, slots = _templates()
-    heads = np.arange(len(part)) + part.offsets[:-1]  # each link's row
-    numbers = np.empty((len(heads) + len(part.paths), 7))
-    path_rows = np.ones(len(numbers), dtype=bool)
-    path_rows[heads] = False
-    numbers[heads] = np.column_stack([part.tx, part.rx, part.carrier_freq])
-    numbers[path_rows] = part.paths
+    starts = part.offsets[:-1]
+    numbers = np.insert(part.paths, starts, np.column_stack([part.tx, part.rx,
+                                                             part.carrier_freq]), axis=0)
+    heads = np.arange(len(part)) + starts  # each link's row
     n = len(_STATES)
     kind = np.full(len(numbers) + 1, 2 * n + 1)  # a path after a path
     kind[heads[part.counts > 0] + 1] = 2 * n  # a link's first path
@@ -309,9 +305,9 @@ def _block_text(part: LinkTable) -> bytes:
     kind[0] -= n  # the block's first line
     kind[-1] = 2 * n + 2  # the close of the last line
     canvas = templates[kind]
-    chars = shortest(numbers.ravel())[0].reshape(len(numbers), 7, -1)
+    chars = shortest(numbers.ravel())[0].reshape(len(numbers), 7, SLOT)
     for k, at in enumerate(slots):
-        canvas[:-1, at:at + chars.shape[2]] = chars[:, k]
+        canvas[:-1, at:at + SLOT] = chars[:, k]
     return canvas.tobytes().translate(None, b"\0")
 
 
@@ -353,10 +349,10 @@ def _write_blocks(out, blocks, digest=None):
         out.write(block)
 
 
-def _part_bounds(counts, workers):
-    """workers + 1 link bounds of contiguous parts holding near-equal lines plus paths."""
+def _part_bounds(counts, parts):
+    """parts + 1 link bounds of contiguous parts holding near-equal lines plus paths."""
     weight = np.concatenate([[0], np.cumsum(counts + 1)])
-    return np.searchsorted(weight, weight[-1] * np.arange(workers + 1) // workers,
+    return np.searchsorted(weight, weight[-1] * np.arange(parts + 1) // parts,
                            side="right") - 1
 
 
