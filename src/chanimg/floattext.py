@@ -13,10 +13,11 @@ a row of char slots.  Three passes make them:
     shortest mode, ties to even).
   - layout: Python's rule for repr, positional where 1e-4 <= |v| < 1e16
     (with ".0" on an integral value) and d.ddde+XX otherwise.  The text
-    of a value is fixed by its sign, digit count and decimal-point
-    position (or exponent sign and width), so the values are grouped by
-    those and each group's text is gathered through one uint8 index
-    vector from a row of its digit chars and the other chars it may use.
+    of |v| is fixed by its digit count and decimal-point position (or
+    exponent sign and width), so the values are grouped by those, and
+    each group's text, its sign char first, is gathered through one uint8
+    index vector from rows of each value's digit chars, sign char and the
+    other chars a text may use.
   - the rest: zeros take the array path ("0.0", "-0.0"); subnormals and
     non-finite values, which a valid link table never holds, are
     formatted by repr one at a time.
@@ -107,18 +108,19 @@ def _schubfach(bits):
     irregular = (c == np.uint64(_C_MIN)) & (bq > 1)
     # k = floor(log10(2^q)), or of 3/4 2^q where irregular
     k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
-    h = (q + _flog2pow10(-k) + 3).astype(np.uint64)  # h + 1: cb and cb +- 2 are shifted by h
+    h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
     k_at = k - _K_MIN
     g1, g0 = _G1[k_at], _G0[k_at]
-    cp = c << (h + np.uint64(1))
+    cp = c << (h + np.uint64(2))  # cb 2^h, cb = 4 c
     cp_limbs = _limbs(cp)
     g0cp = _mulhi(_limbs(g0), cp_limbs), g0 * cp
     g1cp = _mulhi(_limbs(g1), cp_limbs), g1 * cp
     vb = _rop(g0cp[0], *g1cp)
-    # cb - 2 (cb - 1 where irregular) and cb + 2
-    low = h - irregular
+    # the interval's ends: cb - 2 (cb - 1 where irregular) and cb + 2, times 2^h
+    low = h + np.uint64(1) - irregular
     low = low, 64 - low
-    high = h, 64 - h
+    high = h + np.uint64(1)
+    high = high, 64 - high
     vbl = _rop(_shifted(g0cp, g0, low, False)[0], *_shifted(g1cp, g1, low, False))
     vbr = _rop(_shifted(g0cp, g0, high, True)[0], *_shifted(g1cp, g1, high, True))
     out = c & np.uint64(1)  # an odd c leaves out the ends of its rounding interval
