@@ -357,12 +357,12 @@ def edge_table():
     rows = np.tile([100.0, 1e-6, -0.0, -0.0, 90.0, 0.0, -0.0], (MAX_PATHS + 1, 1))
     rows[:, 1] += np.arange(MAX_PATHS + 1) * 1e-9
     rows[0, 1] = 5e-324
-    below, top = 9.999999999999999e-05, 9999999999999998.0  # the floats next to 1e-4, 1e16
-    rows[1:3, 0] = 1e-4, below  # pathloss
-    rows[3:5, 2] = 1e16, top  # aod
-    rows[5:7, 4] = -1e16, -top  # aoa
-    rows[7:9, [3, 5]] = 1e-4, below  # zod, zoa
-    rows[9:11, 6] = -1e-4, -below  # phase
+    under_4, under_16 = 9.999999999999999e-05, 9999999999999998.0  # just below 1e-4, 1e16
+    rows[1:3, 0] = 1e-4, under_4  # pathloss
+    rows[3:5, 2] = 1e16, under_16  # aod
+    rows[5:7, 4] = -1e16, -under_16  # aoa
+    rows[7:9, [3, 5]] = 1e-4, under_4  # zod, zoa
+    rows[9:11, 6] = -1e-4, -under_4  # phase
     tx = np.array([[-0.0, 0.0, 10.0], [5.0, -0.0, 10.0], [0.0, 0.0, -0.0]])
     return LinkTable.from_columns(
         rows, counts,
