@@ -435,33 +435,35 @@ print(" ".join(m for m in sys.modules if m.startswith(("chanimg", "numpy.ma"))))
 """
 NETWORKS = ("chanimg.genmodel.nn", "chanimg.genmodel.wgan")
 NOT_MODELS = ("chanimg.genmodel", "chanimg.stats", "chanimg.surrogate")
+TEXT = "chanimg.floattext"  # the dataset writer's number formatter
 
 
 @pytest.mark.parametrize("argv, absent", [
     (["gen-data", "--links", "30", "--out", "{out}/d.jsonl"],
      ("chanimg.codec", "chanimg.genmodel", "chanimg.stats")),
-    (["fit-codec", "--data", "{d}/data.jsonl", "--out", "{out}/c.json"], NOT_MODELS),
+    (["fit-codec", "--data", "{d}/data.jsonl", "--out", "{out}/c.json"], (*NOT_MODELS, TEXT)),
     (["encode", "--data", "{d}/data.jsonl", "--codec", "{d}/codec.json",
-      "--out", "{out}/i.chim"], NOT_MODELS),
+      "--out", "{out}/i.chim"], (*NOT_MODELS, TEXT)),
     (["train", "--images", "{d}/images.chim", "--backend", "resampler", "--out", "{out}/r.ckpt"],
-     ("chanimg.codec", "chanimg.stats", "chanimg.surrogate", *NETWORKS)),
+     ("chanimg.codec", "chanimg.stats", "chanimg.surrogate", *NETWORKS, TEXT)),
     (["train", "--images", "{d}/images.chim", "--epochs", "1", "--batch-size", "64",
       "--hidden", "8", "--noise-dim", "4", "--out", "{out}/m.ckpt"],
-     ("chanimg.codec", "chanimg.stats", "chanimg.surrogate", "chanimg.genmodel.resampler")),
+     ("chanimg.codec", "chanimg.stats", "chanimg.surrogate", "chanimg.genmodel.resampler",
+      TEXT)),
     (["sample", "--model", "{d}/resampler.ckpt", "--conditions-from", "{d}/data.jsonl",
       "--out", "{out}/s.chim"], ("chanimg.codec", "chanimg.stats", "chanimg.surrogate",
-                                 *NETWORKS)),
+                                 *NETWORKS, TEXT)),
     (["sample", "--model", "{d}/model.ckpt", "--conditions-from", "{d}/data.jsonl",
       "--out", "{out}/s.chim"], ("chanimg.codec", "chanimg.stats", "chanimg.surrogate",
-                                 "chanimg.genmodel.resampler")),
+                                 "chanimg.genmodel.resampler", TEXT)),
     (["decode", "--images", "{d}/samples.chim", "--codec", "{d}/codec.json",
       "--geometry-from", "{d}/data.jsonl", "--out", "{out}/d.jsonl"],
      (*NOT_MODELS, "chanimg.rng")),
     (["eval", "--model", "{d}/decoded.jsonl", "--data", "{d}/data.jsonl",
       "--outdir", "{out}/reports"],
-     ("chanimg.codec", "chanimg.genmodel", "chanimg.surrogate", "chanimg.rng")),
+     ("chanimg.codec", "chanimg.genmodel", "chanimg.surrogate", "chanimg.rng", TEXT)),
     (["report", "--data", "{d}/data.jsonl", "--codec", "{d}/codec.json",
-      "--out", "{out}/r.csv"], NOT_MODELS),
+      "--out", "{out}/r.csv"], (*NOT_MODELS, TEXT)),
 ], ids=["gen-data", "fit-codec", "encode", "train-resampler", "train-wgan", "sample-resampler",
         "sample-wgan", "decode", "eval", "report"])
 def test_stage_loads_only_its_modules(pipeline_dir, tmp_path, argv, absent):
