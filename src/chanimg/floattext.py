@@ -107,7 +107,7 @@ def _schubfach(bits):
     # the gap below a power of two is half the gap above, but not below the least normal
     irregular = (c == np.uint64(_C_MIN)) & (bq > 1)
     # k = floor(log10(2^q)), or of 3/4 2^q where irregular
-    k = (q * 661_971_961_083 - irregular * 274_743_187_321) >> 41
+    k = (q * 661_971_961_083 - np.where(irregular, 274_743_187_321, 0)) >> 41
     h = (q + _flog2pow10(-k) + 2).astype(np.uint64)
     k_at = k - _K_MIN
     g1, g0 = _G1[k_at], _G0[k_at]
