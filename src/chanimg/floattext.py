@@ -19,8 +19,9 @@ a row of char slots.  Three passes make them:
     index vector from rows of each value's digit chars, sign char and the
     other chars a text may use.
   - the rest: zeros take the array path ("0.0", "-0.0"); subnormals and
-    non-finite values, which a valid link table never holds, are
-    formatted by repr one at a time.
+    non-finite values are formatted by repr one at a time.  A valid link
+    table may hold a subnormal (a delay of 5e-324 keeps every rule), but
+    the generated and decoded tables hold none in practice.
 
 Importing the module builds the table (about 2 ms), so a process that
 forks after importing it hands the table to its children.
@@ -198,7 +199,6 @@ def _layout(key) -> list:
     return [_SIGN] + body
 
 
-_LENGTHS = np.array([len(_layout(key)) - 1 for key in range(_KEYS)], dtype=np.uint8)
 _ONE = np.float64(1.0).view(np.uint64)
 
 
@@ -208,11 +208,10 @@ def _gather(key):
 
 
 def shortest(values):
-    """(chars, lengths): row i of chars holds repr(float(values[i])).encode() between zeros.
+    """Row i of the (n, SLOT) uint8 result holds repr(float(values[i])).encode() between zeros.
 
-    values is a 1-D float64 array; chars is (n, SLOT) uint8, each row the
-    repr's bytes with zero bytes before (at most one) and after them, and
-    lengths (n,) uint8 the repr's length.
+    values is a 1-D float64 array.  Each row holds the repr's bytes with
+    zero bytes before (at most one) and after them.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     n = len(values)
@@ -229,7 +228,6 @@ def shortest(values):
     key = nd * _CLASSES + np.where((decpt < -3) | (decpt > 16),
                                    _POSITIONAL + 2 * (decpt < 1) + (x >= 100), decpt + 4)
     negative = bits >> np.uint64(63)
-    lengths = _LENGTHS[key] + negative.astype(np.uint8)
 
     # in key order (a radix sort of small ints), each key's run of values gets its text
     # through one gather from the source rows
@@ -259,5 +257,4 @@ def shortest(values):
         r = repr(float(values[i])).encode()
         chars[i] = 0
         chars[i, :len(r)] = np.frombuffer(r, dtype=np.uint8)
-        lengths[i] = len(r)
-    return chars, lengths
+    return chars

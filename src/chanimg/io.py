@@ -305,7 +305,7 @@ def _block_text(part: LinkTable) -> bytes:
     kind[0] -= n  # the block's first line
     kind[-1] = 2 * n + 2  # the close of the last line
     canvas = templates[kind]
-    chars = shortest(numbers.ravel())[0].reshape(len(numbers), 7, SLOT)
+    chars = shortest(numbers.ravel()).reshape(len(numbers), 7, SLOT)
     for k, at in enumerate(slots):
         canvas[:-1, at:at + SLOT] = chars[:, k]
     return canvas.tobytes().translate(None, b"\0")

@@ -479,22 +479,33 @@ def dataset_bytes(p):
 
 @pytest.mark.parametrize("where", ["child", "parent"])
 def test_failing_text_writer_leaves_nothing(tmp_path, monkeypatch, where):
-    parent, text_blocks = os.getpid(), io._text_blocks
+    parent, block_text, start_part = os.getpid(), io._block_text, io._start_part
+    started, seen = [], []  # the children forked; what the failing parent saw
 
-    def fails(*args):
+    def start(*args):
+        started.append(start_part(*args))
+        return started[-1]
+
+    def fails(part):  # formatting a block fails: here, or in the children
         if (os.getpid() == parent) == (where == "parent"):
+            seen.append((list(started), sorted(f.name for f in tmp_path.iterdir())))
             raise RuntimeError("formatting failed")
-        return text_blocks(*args)
+        return block_text(part)
 
     p = tmp_path / "data.jsonl"
     io.write_table(p, edge_table())  # an earlier dataset, kept whole below
     before = dataset_bytes(p)
     monkeypatch.setattr(io, "_text_processes", lambda: 2)
-    monkeypatch.setattr(io, "_text_blocks", fails)
+    monkeypatch.setattr(io, "_start_part", start)
+    monkeypatch.setattr(io, "_block_text", fails)
     error, message = (OSError, f"{p}: a dataset text writer exited with 1") \
         if where == "child" else (RuntimeError, "formatting failed")
     with pytest.raises(error, match=re.escape(message)):
         io.write_table(p, split_table("blocks"))
+    if where == "parent":  # it failed mid-write, with its child forked and the text open
+        (children, names), = seen
+        assert len(children) == 1 and children[0] is not None
+        assert "data.jsonl.tmp" in names
     # the earlier dataset and its sidecar as they were, and no temporary or part file
     assert dataset_bytes(p) == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.ltab"]
