@@ -12,7 +12,6 @@ importing a submodule such as chanimg.cli loads only what it uses.
 """
 
 import importlib
-import os
 
 from .core import (
     MAX_PATHS,
@@ -42,14 +41,6 @@ def _lazy_exports(namespace: dict, exports: dict):
         namespace[name] = value
         return value
     return __getattr__
-
-
-def usable_cpus() -> int:
-    """How many CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
 
 
 __getattr__ = _lazy_exports(globals(), {

@@ -23,8 +23,8 @@ a row of char slots.  Three passes make them:
     table may hold a subnormal (a delay of 5e-324 keeps every rule), but
     the generated and decoded tables hold none in practice.
 
-Importing the module builds the table (about 2 ms), so a process that
-forks after importing it hands the table to its children.
+Importing the module builds the table (about 2 ms), so io imports it only
+when it first formats dataset text.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .. import usable_cpus
 from ..core import MATRIX_SHAPE
 from ..errors import DataError, TrainingDivergedError
 from ..rng import substream, substreams
@@ -522,6 +521,14 @@ def _global_norm(grads) -> float:
 
 
 # -- training -------------------------------------------------------------------
+
+
+def usable_cpus() -> int:
+    """How many CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 def _blas_threads() -> int:

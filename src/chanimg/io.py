@@ -12,23 +12,21 @@ so a failed write leaves the file already at path as it was.
                 order, C-ordered and little-endian, each <f4, <f8, <i8 or
                 |u1.
   - dataset:    JSON Lines, one link per line, '#'-comment header with
-                version, units and the generating seed.  A line is the
-                text json.dumps writes for the link's record, each number
-                its float's repr.  The numbers of a block of links are
-                formatted in array passes (floattext: shortest digits by
-                Schubfach, then repr's layout; repr itself only for
-                subnormals) and set in the fixed text of their rows.  The
-                text is formatted by up to one process per usable CPU, and
-                the bytes are the same for any count.  write_table also
-                writes the sidecar X.jsonl.ltab, an "LTAB" v2 container:
-                meta seed and text_sha256 (of the JSONL bytes as written);
-                entries counts (N,) <i8, codes (N,) |u1 (LOS, NLOS,
-                Outage), ends (N, 7) <f8 tx/rx/carrier and paths (P, 7)
-                <f8, the table's path rows as they are.  read_table takes
-                the columns from it only when it reads whole, matches the
-                JSONL's current bytes and keeps every rule; otherwise it
-                parses the text.  The JSONL is the record: a sidecar is
-                safe to delete, and read_table never writes one.
+                version, units and the generating seed.  A line is the text
+                json.dumps writes for the link's record, each number its
+                float's repr.  The numbers of a block of links are formatted
+                in array passes (floattext: shortest digits by Schubfach, then
+                repr's layout; repr itself only for subnormals) and set in the
+                fixed text of their rows; the writing process formats, hashes
+                and writes the blocks in order.  write_table also writes the
+                sidecar X.jsonl.ltab, an "LTAB" v2 container: meta seed and
+                text_sha256 (of the JSONL bytes as written); entries counts
+                (N,) <i8, codes (N,) |u1 (LOS, NLOS, Outage), ends (N, 7) <f8
+                tx/rx/carrier and paths (P, 7) <f8, the table's path rows as
+                they are.  read_table takes the columns from it only when it
+                reads whole, matches the JSONL's current bytes and keeps every
+                rule; otherwise it parses the text.  The JSONL is the record:
+                a sidecar is safe to delete, and read_table never writes one.
   - codec:      JSON document of the fitted ranges: format, version, seed
                 and the four lists virtual_min/max and feature_min/max, each
                 of 8 finite numbers (codec.py fixes every other constant)
@@ -57,9 +55,6 @@ import math
 import os
 import re
 import struct
-import tempfile
-import threading
-import warnings
 from itertools import chain, count
 from operator import itemgetter
 from pathlib import Path
@@ -67,7 +62,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import usable_cpus
 from .core import (
     MATRIX_SHAPE,
     MAX_PATHS,
@@ -118,7 +112,8 @@ def _replacing(path, mode, **kwargs):
     """Open path + ".tmp" for writing; leaving the block moves it onto path.
 
     On any failure the temporary file is removed, so a file already at path
-    keeps its bytes until the new one replaces it whole.
+    keeps its bytes until the new one replaces it whole.  An OSError that
+    names no file, such as a full disk's on a write, is given path.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -127,8 +122,10 @@ def _replacing(path, mode, **kwargs):
         with tmp.open(mode, **kwargs) as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None and exc.filename is None:
+            exc.filename = str(path)
         raise
 
 
@@ -223,7 +220,6 @@ _ENDS = struct.Struct("7d")  # tx, rx, carrier_freq
 # every number a 24-character repr, is 6,300 bytes with its newline
 MAX_LINE_BYTES = 1 << 16
 _TEXT_BLOCK = 1024  # rows of 7 numbers per formatted, hashed and written block of text
-_TEXT_PART = 512  # links per text process at least
 
 _STATES = np.array(list(LinkState), dtype=object)  # the sidecar's state codes
 _STATE_CODES = {state: code for code, state in enumerate(_STATES)}
@@ -239,47 +235,30 @@ def write_table(path, table: LinkTable, seed=None):
     The lines are the text json.dumps writes for the links' records, so
     every number is the repr of its Python float (made in array passes,
     see _text_blocks), and a file that read_table read writes back byte
-    for byte.  The text is formatted by up to one process per usable CPU
-    (see _write_text), with the same bytes for any count.  The sidecar,
-    path + ".ltab", holds the same columns in binary, keyed by the SHA-256
-    of the text as written (see _write_ltab).  Each file replaces its path
-    whole (see _replacing), the text first, so a failure leaves the
-    dataset and sidecar already there as they were, or a new text beside
-    a sidecar whose key no longer matches it.
+    for byte.  The text is formatted, hashed and written in order by this
+    process (see _write_text).  The sidecar, path + ".ltab", holds the
+    same columns in binary, keyed by the SHA-256 of the text as written
+    (see _write_ltab).  Each file replaces its path whole (see
+    _replacing), the text first, so a failure leaves the dataset and
+    sidecar already there as they were, or a new text beside a sidecar
+    whose key no longer matches it.
     """
     path = Path(path)
     seed_part = f" seed={seed}" if seed is not None else ""
     header = (f"# chanimg-dataset v{DATASET_VERSION}{seed_part}"
               " units: coords=m freq=Hz pathloss=dB delay=s angles=deg phase=deg\n")
-    workers = max(1, min(_text_processes(), -(-len(table) // _TEXT_PART)))
-    _write_ltab(path, _write_text(path, header, table, workers), table, seed)
+    _write_ltab(path, _write_text(path, header, table), table, seed)
 
 
-def _text_processes() -> int:
-    """How many processes may format dataset text: one per usable CPU.
-
-    One where there is no os.fork, or where other Python threads run: a
-    forked child would inherit any lock such a thread held.
-    """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        return 1
-    return usable_cpus()
-
-
-def _text_blocks(table: LinkTable, lo, hi):
-    """The text of links lo..hi-1, the lines json.dumps writes for their records, in blocks.
+def _text_blocks(table: LinkTable):
+    """The text of the table's links, the lines json.dumps writes for their records, in blocks.
 
     An iterator of bytes.  Each block holds whole links and an equal share
-    of the part's rows of 7 numbers (a link's tx, rx and carrier_freq, or
-    one of its paths), about _TEXT_BLOCK rows (see _part_bounds).  The
-    formatter (floattext, with its table) and the row templates are
-    loaded when the iterator is made, so a process that forks after making
-    one hands them to its children.
+    of the table's rows of 7 numbers (a link's tx, rx and carrier_freq,
+    or one of its paths), about _TEXT_BLOCK rows (see _part_bounds).
     """
-    _templates()
-    counts = table.counts[lo:hi]
-    blocks = -(-int(counts.sum() + len(counts)) // _TEXT_BLOCK)
-    bounds = (_part_bounds(counts, max(blocks, 1)) + lo).tolist()
+    blocks = -(-int(table.counts.sum() + len(table)) // _TEXT_BLOCK)
+    bounds = _part_bounds(table.counts, max(blocks, 1)).tolist()
     return (_block_text(table.take(slice(a, b))) for a, b in zip(bounds, bounds[1:]) if a < b)
 
 
@@ -341,14 +320,6 @@ def _templates():
     return templates, slots[:7]
 
 
-def _write_blocks(out, blocks, digest=None):
-    """Write byte blocks to out, feeding each to digest if given."""
-    for block in blocks:
-        if digest is not None:
-            digest.update(block)
-        out.write(block)
-
-
 def _part_bounds(counts, parts):
     """parts + 1 link bounds of contiguous parts holding near-equal lines plus paths."""
     weight = np.concatenate([[0], np.cumsum(counts + 1)])
@@ -356,66 +327,17 @@ def _part_bounds(counts, parts):
                            side="right") - 1
 
 
-def _start_part(out, table, lo, hi):
-    """Fork a child that writes the lines of links lo..hi-1 to out, and return its pid.
+def _write_text(path, header, table: LinkTable) -> bytes:
+    """Write the header and the table's lines to path, in order; the SHA-256 of the bytes.
 
-    None when the fork failed and the lines were written here instead.  The
-    child leaves through os._exit, so it flushes no buffer it inherited.
+    The text replaces path whole (see _replacing), so on any failure a
+    dataset already there keeps its bytes.
     """
-    try:
-        # Python 3.12+ warns of fork in a process with threads.  The only ones
-        # here are native (BLAS's idle workers; see _text_processes), and the
-        # child only formats text and writes its own file
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            pid = os.fork()
-    except OSError:  # no process to spare
-        pid = None
-    if not pid:  # the child, or no child: write the part here
-        code = 1
-        try:
-            _write_blocks(out, _text_blocks(table, lo, hi))
-            out.flush()
-            code = 0
-        finally:
-            if pid == 0:
-                os._exit(code)
-    return pid
-
-
-def _write_text(path, header, table: LinkTable, workers) -> bytes:
-    """Write the header and the table's lines to path; the SHA-256 of the bytes.
-
-    The links are cut into `workers` contiguous parts (_part_bounds).  A
-    forked child writes each part after the first to an unlinked temporary
-    file beside path while this process writes the header and the first
-    part; the parts are then appended in order, every byte through the one
-    digest, so the file does not depend on `workers`.  A child that fails
-    is an OSError naming path.  The text replaces path whole (see
-    _replacing), so on any failure a dataset already there keeps its bytes.
-    """
-    bounds = _part_bounds(table.counts, workers).tolist()
-    first = _text_blocks(table, 0, bounds[1])  # before the forks, which inherit its formatter
-    digest, parts = hashlib.sha256(), []  # (temporary file, pid or None) of parts 1, 2, ...
-    try:
-        with _replacing(path, "wb") as fh:
-            try:
-                for lo, hi in zip(bounds[1:-1], bounds[2:]):
-                    out = tempfile.TemporaryFile(dir=path.parent)
-                    parts.append((out, _start_part(out, table, lo, hi)))
-                _write_blocks(fh, chain([header.encode()], first), digest)
-            finally:  # every child is waited for, whatever failed here
-                codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-                         for _, pid in parts if pid is not None]
-            if any(codes):
-                raise OSError(f"{path}: a dataset text writer exited with "
-                              f"{next(c for c in codes if c)}")
-            for out, _ in parts:
-                out.seek(0)
-                _hash_copy(out, digest, fh)
-    finally:
-        for out, _ in parts:
-            out.close()
+    digest = hashlib.sha256()
+    with _replacing(path, "wb") as fh:
+        for block in chain([header.encode()], _text_blocks(table)):
+            digest.update(block)
+            fh.write(block)
     return digest.digest()
 
 
@@ -514,8 +436,8 @@ def _write_ltab(path, text_digest: bytes, table: LinkTable, seed=None):
     ])
 
 
-def _hash_copy(src, digest, dst=None):
-    """Feed the rest of a binary file to digest through one 64 KiB buffer, copying it to dst.
+def _hash_copy(src, digest):
+    """Feed the rest of a binary file to digest through one 64 KiB buffer.
 
     (hashlib.file_digest reads through 256 KiB; with it, encode's peak RSS
     on a 5,000-link dataset sat 0.2 MB higher.)
@@ -523,8 +445,6 @@ def _hash_copy(src, digest, dst=None):
     buf = bytearray(1 << 16)
     while n := src.readinto(buf):
         digest.update(memoryview(buf)[:n])
-        if dst is not None:
-            dst.write(memoryview(buf)[:n])
 
 
 def _read_ltab(path, fh):

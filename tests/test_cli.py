@@ -1,6 +1,7 @@
 """CLI surface: determinism, composition, error exit codes."""
 
 import contextlib
+import errno
 import inspect
 import io as stdio
 import json
@@ -391,38 +392,6 @@ def cli_env():
                     os.environ.get("PYTHONPATH")) if p))
 
 
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
-                    reason="needs CPU affinity and two usable CPUs")
-def test_dataset_bytes_do_not_depend_on_usable_cpus(tmp_path):
-    """gen-data and decode write the same .jsonl and .ltab bytes on one CPU as on all."""
-    cpu = min(os.sched_getaffinity(0))
-    # unpinned, a child formats 1,200 links (up to 3 parts of 512) with 2 or more processes
-    count = subprocess.run([sys.executable, "-c", "from chanimg import io; "
-                            "print(io._text_processes())"], env=cli_env(), check=True,
-                           timeout=300, capture_output=True, text=True).stdout
-    assert int(count) >= 2
-
-    def cli(pinned, *argv):
-        subprocess.run([sys.executable, "-W", "error", "-m", "chanimg.cli", "--seed", "5",
-                        *map(str, argv)], env=cli_env(), check=True, timeout=300,
-                       capture_output=True,
-                       preexec_fn=(lambda: os.sched_setaffinity(0, {cpu})) if pinned else None)
-
-    for tag, pinned in (("all", False), ("one", True)):
-        cli(pinned, "gen-data", "--links", "1200", "--out", tmp_path / tag / "data.jsonl")
-    d = tmp_path / "all"
-    assert run(["fit-codec", "--data", str(d / "data.jsonl"), "--out", str(d / "codec.json")]) == 0
-    assert run(["encode", "--data", str(d / "data.jsonl"), "--codec", str(d / "codec.json"),
-                "--out", str(d / "images.chim")]) == 0
-    for tag, pinned in (("all", False), ("one", True)):
-        cli(pinned, "decode", "--images", d / "images.chim", "--codec", d / "codec.json",
-            "--geometry-from", d / "data.jsonl", "--out", tmp_path / tag / "decoded.jsonl")
-    for name in ("data.jsonl", "decoded.jsonl"):
-        for suffix in ("", io.LTAB_SUFFIX):
-            one = (tmp_path / "one" / (name + suffix)).read_bytes()
-            assert one == (d / (name + suffix)).read_bytes(), name + suffix
-
-
 # runs `python -m chanimg.cli ARGS`, then prints the chanimg modules it loaded
 STAGE_MODULES = """
 import runpy, sys
@@ -478,21 +447,23 @@ def test_stage_loads_only_its_modules(pipeline_dir, tmp_path, argv, absent):
 
 
 def test_failing_text_writer_is_a_file_error(tmp_path, capsys, monkeypatch):
-    parent, text_blocks = os.getpid(), io._text_blocks
+    out, path_open = tmp_path / "d.jsonl", Path.open
 
-    def fails_in_a_child(*args):
-        if os.getpid() != parent:
-            raise RuntimeError("formatting failed")
-        return text_blocks(*args)
+    def full(self, mode="r", *args, **kwargs):  # the text's writes find the disk full
+        fh = path_open(self, mode, *args, **kwargs)
+        if self.name == "d.jsonl.tmp":
+            def write(data):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            fh.write = write
+        return fh
 
-    out = tmp_path / "d.jsonl"
     assert run(["gen-data", "--links", "20", "--out", str(out)]) == 0  # an earlier dataset
     before = [(tmp_path / name).read_bytes() for name in ("d.jsonl", "d.jsonl.ltab")]
-    monkeypatch.setattr(io, "_text_processes", lambda: 2)
-    monkeypatch.setattr(io, "_text_blocks", fails_in_a_child)
+    monkeypatch.setattr(Path, "open", full)
     fails_cleanly(capsys, ["gen-data", "--links", "600", "--out", str(out)], EXIT_BAD_FILE,
-                  f"kind=io exit=3 msg={out}: a dataset text writer exited with 1")
-    # kept whole, beside no temporary or part file
+                  f"kind=io exit=3 msg=[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}: "
+                  f"{str(out)!r}")
+    # kept whole, beside no temporary file
     assert [(tmp_path / name).read_bytes() for name in ("d.jsonl", "d.jsonl.ltab")] == before
     assert sorted(os.listdir(tmp_path)) == ["d.jsonl", "d.jsonl.ltab"]
 

@@ -403,7 +403,7 @@ def test_sidecar_of_5000_links_is_written_in_blocks(tmp_path):
     assert peak < 56 * len(table) + 2**20
 
 
-# -- the split text writer ---------------------------------------------------------
+# -- the text writer ---------------------------------------------------------------
 
 
 def split_table(name):
@@ -413,21 +413,29 @@ def split_table(name):
 
 
 @pytest.mark.parametrize("name", ["small", "blocks"])
-def test_split_text_is_the_same_bytes(tmp_path, name):
+def test_split_text_is_the_same_bytes(tmp_path, monkeypatch, name):
     table, header = split_table(name), "# chanimg-dataset v1\n"
-    texts = {}
-    for workers in (1, 2, 3):
-        p = tmp_path / f"{workers}.jsonl"
-        digest = io._write_text(p, header, table, workers)
-        texts[workers] = p.read_bytes()
-        assert hashlib.sha256(texts[workers]).digest() == digest
-    assert texts[1].decode().splitlines() == [header[:-1], *json_lines(table)]
-    assert texts[2] == texts[1] and texts[3] == texts[1]
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["1.jsonl", "2.jsonl", "3.jsonl"]
-    # some part starts or ends at an Outage link without paths
-    cuts = [b for w in (2, 3) for b in io._part_bounds(table.counts, w)[1:-1].tolist()]
-    assert any(table.counts[b] == 0 or table.counts[b - 1] == 0
-               for b in cuts if 0 < b < len(table))
+    block_text, sizes = io._block_text, []
+
+    def sized(part):
+        sizes.append(len(part))
+        return block_text(part)
+
+    monkeypatch.setattr(io, "_block_text", sized)
+    cuts, block_rows = [], (1, 7, io._TEXT_BLOCK, 10**6)
+    for rows in block_rows:
+        monkeypatch.setattr(io, "_TEXT_BLOCK", rows)
+        p = tmp_path / f"{rows}.jsonl"
+        digest = io._write_text(p, header, table)
+        text = p.read_bytes()
+        assert text.decode().splitlines() == [header[:-1], *json_lines(table)]
+        assert hashlib.sha256(text).digest() == digest
+        cuts += np.cumsum(sizes)[:-1].tolist()
+        assert sum(sizes) == len(table)
+        sizes.clear()
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f"{r}.jsonl" for r in block_rows)
+    # some block starts or ends at an Outage link without paths
+    assert any(table.counts[b] == 0 or table.counts[b - 1] == 0 for b in cuts)
 
 
 @pytest.mark.parametrize("name", ["small", "blocks"])
@@ -454,63 +462,55 @@ def test_sidecar_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, na
 
 def test_part_bounds_balance_lines_and_paths():
     counts = np.array([0, MAX_PATHS, 1] * 700)
-    for workers in (1, 2, 3, 8):
-        bounds = io._part_bounds(counts, workers).tolist()
-        assert bounds[0] == 0 and bounds[-1] == len(counts) and len(bounds) == workers + 1
+    for parts in (1, 2, 3, 8):
+        bounds = io._part_bounds(counts, parts).tolist()
+        assert bounds[0] == 0 and bounds[-1] == len(counts) and len(bounds) == parts + 1
         for lo, hi in zip(bounds, bounds[1:]):  # within one link of an equal share
-            assert abs((counts[lo:hi] + 1).sum() - (counts + 1).sum() / workers) <= MAX_PATHS + 2
+            assert abs((counts[lo:hi] + 1).sum() - (counts + 1).sum() / parts) <= MAX_PATHS + 2
     assert io._part_bounds(np.array([], dtype=int), 1).tolist() == [0, 0]
-
-
-def test_failed_fork_formats_the_part_here(tmp_path, monkeypatch):
-    def no_fork():
-        raise OSError("no process to spare")
-
-    table = split_table("blocks")
-    io._write_text(tmp_path / "forked.jsonl", "# h\n", table, 3)
-    monkeypatch.setattr(io.os, "fork", no_fork)
-    io._write_text(tmp_path / "here.jsonl", "# h\n", table, 3)
-    assert (tmp_path / "here.jsonl").read_bytes() == (tmp_path / "forked.jsonl").read_bytes()
 
 
 def dataset_bytes(p):
     return p.read_bytes(), Path(f"{p}{io.LTAB_SUFFIX}").read_bytes()
 
 
-@pytest.mark.parametrize("where", ["child", "parent"])
-def test_failing_text_writer_leaves_nothing(tmp_path, monkeypatch, where):
-    parent, block_text, start_part = os.getpid(), io._block_text, io._start_part
-    started, seen = [], []  # the children forked; what the failing parent saw
+def test_failing_text_writer_leaves_nothing(tmp_path, monkeypatch):
+    block_text, seen = io._block_text, []  # the files there as each block was formatted
 
-    def start(*args):
-        started.append(start_part(*args))
-        return started[-1]
-
-    def fails(part):  # formatting a block fails: here, or in the children
-        if (os.getpid() == parent) == (where == "parent"):
-            seen.append((list(started), sorted(f.name for f in tmp_path.iterdir())))
+    def fails(part):  # formatting the second block fails, with the text open
+        seen.append(sorted(f.name for f in tmp_path.iterdir()))
+        if len(seen) > 1:
             raise RuntimeError("formatting failed")
         return block_text(part)
 
     p = tmp_path / "data.jsonl"
     io.write_table(p, edge_table())  # an earlier dataset, kept whole below
     before = dataset_bytes(p)
-    monkeypatch.setattr(io, "_text_processes", lambda: 2)
-    monkeypatch.setattr(io, "_start_part", start)
     monkeypatch.setattr(io, "_block_text", fails)
-    error, message = (OSError, f"{p}: a dataset text writer exited with 1") \
-        if where == "child" else (RuntimeError, "formatting failed")
-    with pytest.raises(error, match=re.escape(message)):
+    with pytest.raises(RuntimeError, match="formatting failed"):
         io.write_table(p, split_table("blocks"))
-    if where == "parent":  # it failed mid-write, with its child forked and the text open
-        (children, names), = seen
-        assert len(children) == 1 and children[0] is not None
-        assert "data.jsonl.tmp" in names
-    # the earlier dataset and its sidecar as they were, and no temporary or part file
+    assert seen == [["data.jsonl", "data.jsonl.ltab", "data.jsonl.tmp"]] * 2
+    # the earlier dataset and its sidecar as they were, and no temporary file
     assert dataset_bytes(p) == before
     assert sorted(f.name for f in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.ltab"]
-    with pytest.raises(ChildProcessError):  # and every child was waited for
-        os.waitpid(-1, os.WNOHANG)
+
+
+def test_text_writer_starts_no_process_or_thread(tmp_path, monkeypatch):
+    block_text, threads = io._block_text, []
+
+    def no_fork():
+        raise AssertionError("write_table forked")
+
+    def counted(part):
+        threads.append(threading.active_count())
+        return block_text(part)
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+    monkeypatch.setattr(io, "_block_text", counted)
+    before = threading.active_count()
+    io.write_table(tmp_path / "data.jsonl", split_table("blocks"))
+    assert len(threads) > 1 and set(threads) == {before}
+    assert threading.active_count() == before
 
 
 def test_dataset_that_cannot_be_opened_is_left_as_it_is(tmp_path, monkeypatch):
@@ -552,20 +552,6 @@ def test_read_only_dataset_survives_write_table(tmp_path):
         d.chmod(0o755)
     io.write_table(p, split_table("blocks"))
     assert dataset_bytes(p) == dataset_bytes(other)
-
-
-def test_text_is_formatted_here_beside_python_threads(monkeypatch):
-    assert io._text_processes() >= 1
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:  # a forked child would inherit any lock the thread held
-        assert io._text_processes() == 1
-    finally:
-        release.set()
-        thread.join()
-    monkeypatch.delattr(os, "fork")  # a platform without fork
-    assert io._text_processes() == 1
 
 
 def test_codec_roundtrip(tmp_path, table):
