@@ -1,9 +1,11 @@
 """From a link table to channel matrices and back, losslessly.
 
-Generates a small surrogate dataset, fits the codec (virtual-path ranges +
-Min-Max scaler), encodes one link into its 8x25 channel matrix, renders the
-matrix as the paper's 64x50 channel image, and shows that decoding the
-matrix recovers the original paths while stripping the virtual padding.
+Generates a small surrogate dataset, fits the codec (the pathloss and
+delay rows of the Min-Max scaler and the virtual delay band; the angle,
+phase and link-state rows are fixed), encodes one link into its 8x25
+channel matrix, renders the matrix as the paper's 64x50 channel image,
+and shows that decoding the matrix recovers the original paths while
+stripping the virtual padding.
 Run:  python3 demos/02_channel_images.py
 """
 
@@ -18,10 +20,12 @@ print(f"surrogate dataset: {len(dataset)} links, "
       f"{dataset.counts.mean():.1f} paths/link on average")
 
 codec = fit_codec(dataset)
-print("fitted per-feature scaler ranges (min/max):")
-for name, lo, hi in zip(("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase", "state"),
-                        codec.scaler.feature_min, codec.scaler.feature_max):
+print("fitted scaler ranges (min/max; re-referenced pathloss dB, delay in 1e-7 s):")
+for name, lo, hi in zip(("pathloss", "delay"), codec.scaler.feature_min,
+                        codec.scaler.feature_max):
     print(f"  {name:9s} [{lo:9.3f}, {hi:9.3f}]")
+lo, hi = codec.virtual_delay
+print(f"virtual delays drawn in [{lo:.3e}, {hi:.3e}] s, the real delays' range")
 
 # encode takes a link table and returns a stack of scaled 8x25 matrices plus
 # their (dist2d, height) conditions

@@ -2,14 +2,15 @@
 
 Encode pipeline, run over a dataset one block of links at a time:
   1. pad each link's #paths x 8 features to a fixed 8x25 matrix with "virtual"
-     paths: non-pathloss features drawn uniformly inside the dataset's real
-     ranges, virtual pathloss drawn in (181, 190) dB so anything above the
-     180 dB outage threshold marks a column as virtual;
+     paths: delays drawn uniformly inside the dataset's real range, angles
+     and phase over their domains, pathloss in (181, 190) dB so anything
+     above the 180 dB outage threshold marks a column as virtual;
   2. re-reference pathloss to free-space loss and delay to the LOS delay
      (times 1e7 so delays land in a workable numeric range), and encode the
      link state as a value near +1 (LOS) or -1 (NLOS/Outage);
-  3. Min-Max scale each feature row into [-1, 1] with ranges that span the
-     real cells and every value a virtual cell can take;
+  3. Min-Max scale each feature row into [-1, 1]: pathloss and delay over
+     ranges fitted to span the real cells and every value a virtual cell
+     can take, the other rows over their fixed domains (FIXED_ROWS);
   4. render (display only): tile shows a matrix as the paper's 64x50
      channel image, each cell an 8x2 pixel block.
 
@@ -53,7 +54,6 @@ from .core import (
 from .errors import DataError, FormatError, GeometryError
 
 __all__ = [
-    "FEATURES",
     "FeatureScaler",
     "ChannelImageCodec",
     "MATRIX_SHAPE",
@@ -61,7 +61,6 @@ __all__ = [
     "fit_codec",
 ]
 
-FEATURES = ("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase", "link_state")
 N_FEATURES = MATRIX_SHAPE[0]
 PL, DLY, AOD, ZOD, AOA, ZOA, PS, LS = range(N_FEATURES)
 
@@ -73,25 +72,23 @@ VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH = 181.0, 190.0
 LINK_STATE_EPS = 0.01
 BLOCK = 256  # links per encode and decode block; bounds their working memory
 U_MAX = 1.0 - 2.0**-53  # the largest double a Generator's random() returns
+# the scaler rows from aod on, which do not depend on the data: core's angle
+# and phase domains, where virtual cells are drawn, and the link state's (-1, 1)
+FIXED_ROWS = ((-180.0, 180.0), (0.0, 180.0), (-180.0, 180.0), (0.0, 180.0), (-360.0, 0.0),
+              (-1.0, 1.0))
 
 
 class FeatureScaler:
     """Per-feature Min-Max scaling of the padded, re-referenced tensor.
 
-    Maps each feature row affinely so the fitted min/max land on -1/+1
-    exactly.  Values outside the fitted range (possible at inference time)
-    are clamped and counted in n_clipped rather than rejected.
+    Maps each feature row affinely so its min/max land on -1/+1 exactly.
+    Values outside a row's range (possible at inference time) are clamped
+    and counted in n_clipped rather than rejected.
     """
 
     def __init__(self, feature_min, feature_max):
         self.feature_min = np.asarray(feature_min, dtype=np.float64)
         self.feature_max = np.asarray(feature_max, dtype=np.float64)
-        if self.feature_min.shape != (N_FEATURES,) or self.feature_max.shape != (N_FEATURES,):
-            raise DataError("scaler needs one (min, max) pair per feature")
-        span = self.feature_max - self.feature_min
-        for i, s in enumerate(span):
-            if not s > 0:
-                raise DataError(f"degenerate feature '{FEATURES[i]}': max <= min")
         self.n_clipped = 0
 
     def _bounds(self, rows):
@@ -127,12 +124,6 @@ class FeatureScaler:
         lo, hi = self._bounds(rows)
         return lo + (x + 1.0) * 0.5 * (hi - lo)
 
-    def to_dict(self) -> dict:
-        return {
-            "feature_min": self.feature_min.tolist(),
-            "feature_max": self.feature_max.tolist(),
-        }
-
 
 def tile(values: np.ndarray) -> np.ndarray:
     """Render (..., 8, 25) matrices as 64x50 images: each cell an 8x2 pixel block."""
@@ -148,21 +139,20 @@ def _require_paths(table: LinkTable):
         raise DataError(f"link {int(np.argmin(table.counts))} has zero paths; cannot encode it")
 
 
-def _virtual_band(virtual_ranges):
+def _virtual_band(virtual_delay):
     """(low (8,), span (8,)) of the padding draws, row by row.
 
     A virtual cell of row r is low[r] + span[r] u for a uniform u in [0, 1):
-    pathloss in (181, 190) dB, the rows from delay to phase inside the real
-    ranges.  The link-state row keeps u itself (low 0, span 1).
+    pathloss in (181, 190) dB, delay inside virtual_delay, the (min, max) of
+    the real delays, and angles and phase over their FIXED_ROWS.  The
+    link-state row keeps u itself (low 0, span 1).
     """
-    low = np.array(virtual_ranges[:, 0])
-    span = virtual_ranges[:, 1] - low
-    low[PL], span[PL] = VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH - VIRTUAL_PL_LOW
-    low[LS], span[LS] = 0.0, 1.0
-    return low, span
+    low, high = np.array([(VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH), virtual_delay, *FIXED_ROWS[:-1],
+                          (0.0, 1.0)]).T
+    return low, high - low
 
 
-def _prescaled(table: LinkTable, virtual_ranges, rng):
+def _prescaled(table: LinkTable, virtual_delay, rng):
     """Yield (links, (m, 8, 25) values) of the padded, re-referenced matrices, block by block.
 
     links is the slice of table's links a block holds, BLOCK at a time in
@@ -180,7 +170,7 @@ def _prescaled(table: LinkTable, virtual_ranges, rng):
     """
     n, offsets = len(table), table.offsets
     # per cell of a link's 200: one pass over whole links is faster than 7 passes over rows
-    low, span = (np.repeat(x, MAX_PATHS) for x in _virtual_band(virtual_ranges))
+    low, span = (np.repeat(x, MAX_PATHS) for x in _virtual_band(virtual_delay))
     for start in range(0, n, BLOCK):
         links = slice(start, min(n, start + BLOCK))
         m, counts = links.stop - start, table.counts[links]
@@ -201,11 +191,19 @@ def _prescaled(table: LinkTable, virtual_ranges, rng):
 
 
 class ChannelImageCodec:
-    """Fitted encode/decode bundle: virtual ranges + feature scaler."""
+    """Fitted encode/decode bundle: the fitted ranges and the feature scaler.
 
-    def __init__(self, virtual_ranges, scaler: FeatureScaler):
-        self.virtual_ranges = np.asarray(virtual_ranges, dtype=np.float64)
-        self.scaler = scaler
+    pathloss and delay are the (min, max) of those scaler rows, FIXED_ROWS
+    the others; virtual delays are drawn in virtual_delay (s).  A scaler
+    row whose max is not above its min is a DataError.
+    """
+
+    def __init__(self, pathloss, delay, virtual_delay):
+        for name, (lo, hi) in (("pathloss", pathloss), ("delay", delay)):
+            if not hi > lo:
+                raise DataError(f"degenerate feature '{name}': max <= min")
+        self.scaler = FeatureScaler(*np.array([pathloss, delay, *FIXED_ROWS]).T)
+        self.virtual_delay = tuple(map(float, virtual_delay))
         self.stats = {"delay_floored": 0, "pathloss_floored": 0}
 
     # -- encode ------------------------------------------------------------
@@ -239,7 +237,7 @@ class ChannelImageCodec:
         if low.size:
             raise DataError(f"link {low[0]}: receiver height {table.height[low[0]]} "
                             "is not positive")
-        for links, values in _prescaled(table, self.virtual_ranges, rng):
+        for links, values in _prescaled(table, self.virtual_delay, rng):
             yield links, self.scaler.scale(values, out=values)
 
     # -- decode ------------------------------------------------------------
@@ -346,67 +344,49 @@ class ChannelImageCodec:
     # -- persistence --------------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "virtual_min": self.virtual_ranges[:, 0].tolist(),
-            "virtual_max": self.virtual_ranges[:, 1].tolist(),
-            **self.scaler.to_dict(),
-        }
+        """The fitted ranges: the pathloss and delay scaler rows and virtual_delay."""
+        rows = np.column_stack([self.scaler.feature_min, self.scaler.feature_max]).tolist()
+        return {"pathloss": rows[PL], "delay": rows[DLY], "virtual_delay": [*self.virtual_delay]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ChannelImageCodec":
-        """The codec of a to_dict document.
-
-        Each of the four range lists must hold 8 finite numbers, with
-        finite spans; anything else is a FormatError.
-        """
-        rows = {key: _range_list(d, key)
-                for key in ("virtual_min", "virtual_max", "feature_min", "feature_max")}
-        for lo, hi in (("virtual_min", "virtual_max"), ("feature_min", "feature_max")):
-            if not all(math.isfinite(b - a) for a, b in zip(rows[lo], rows[hi])):
-                raise FormatError(f"{lo} to {hi} spans more than a float holds")
-        return cls(np.stack([rows["virtual_min"], rows["virtual_max"]], axis=1),
-                   FeatureScaler(rows["feature_min"], rows["feature_max"]))
+        """The codec of a to_dict document; _range makes a malformed range a FormatError."""
+        return cls(*(_range(d, key) for key in ("pathloss", "delay", "virtual_delay")))
 
 
-def _range_list(d: dict, key: str) -> list:
-    """A codec range list as 8 finite floats; FormatError otherwise."""
+def _range(d: dict, key: str) -> list:
+    """A codec range as 2 finite floats, min and max, a finite span apart."""
     values = d[key]
     try:
         if isinstance(values, list) and all(type(v) in (int, float) for v in values):  # no bool
             values = [float(v) for v in values]
-            if len(values) == N_FEATURES and all(map(math.isfinite, values)):
+            if len(values) == 2 and all(map(math.isfinite, [*values, values[1] - values[0]])):
                 return values
     except OverflowError:  # an integer too large for a float
         pass
-    raise FormatError(f"{key} must be a list of {N_FEATURES} finite numbers, got {d[key]!r}")
+    raise FormatError(f"{key} must be 2 finite numbers [min, max] a finite span apart, "
+                      f"got {d[key]!r}")
 
 
 def fit_codec(table: LinkTable) -> ChannelImageCodec:
-    """Fit virtual-path ranges and the feature scaler on a link table, in closed form.
+    """Fit the pathloss and delay scaler rows and the virtual delay band, in closed form.
 
-    The virtual ranges are the min/max of each feature over the real paths
-    (the pathloss row is informational, the link-state row nominally
-    (-1, 1)).  Each scaler row spans the re-referenced real cells and the
-    extremes of the virtual cells: _prescaled's own float expressions at
-    u = 0 and u = U_MAX, re-referenced to the extreme FSPL and LOS delay.
-    Rounding keeps them monotone in u and in the reference, so no padding
-    realization clips.
+    The band is the min/max of the real delays.  Each row spans the
+    re-referenced real cells and the extremes of the virtual cells:
+    _prescaled's own float expressions at u = 0 and u = U_MAX, re-referenced
+    to the extreme FSPL and LOS delay.  Rounding keeps them monotone in u
+    and in the reference, so no padding realization clips.
     """
     _require_paths(table)
-    ranges = np.empty((N_FEATURES, 2))
-    ranges[:PS + 1, 0] = table.paths.min(axis=0)
-    ranges[:PS + 1, 1] = table.paths.max(axis=0)
-    ranges[LS] = (-1.0, 1.0)
-    low, span = _virtual_band(ranges)
+    virtual_delay = table.paths[:, DLY].min(), table.paths[:, DLY].max()
+    low, span = _virtual_band(virtual_delay)
     top = low + span * U_MAX
-    # angles and phase: the real range and the band's top (rounding may set
-    # it an ulp apart); the link-state row keeps (-1, 1)
-    lo, hi = np.minimum(ranges[:, 0], low), np.maximum(ranges[:, 1], top)
     base = table.dist3d / SPEED_OF_LIGHT
     pathloss = table.paths[:, PL] - np.repeat(table.fspl, table.counts)
     delay = (table.paths[:, DLY] - np.repeat(base, table.counts)) * DELAY_SCALE
-    lo[PL] = min(pathloss.min(), low[PL] - table.fspl.max())
-    hi[PL] = max(pathloss.max(), top[PL] - table.fspl.min())
-    lo[DLY] = min(delay.min(), (low[DLY] - base.max()) * DELAY_SCALE)
-    hi[DLY] = max(delay.max(), (top[DLY] - base.min()) * DELAY_SCALE)
-    return ChannelImageCodec(ranges, FeatureScaler(lo, hi))
+    return ChannelImageCodec(
+        (min(pathloss.min(), low[PL] - table.fspl.max()),
+         max(pathloss.max(), top[PL] - table.fspl.min())),
+        (min(delay.min(), (low[DLY] - base.max()) * DELAY_SCALE),
+         max(delay.max(), (top[DLY] - base.min()) * DELAY_SCALE)),
+        virtual_delay)

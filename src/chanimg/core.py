@@ -79,7 +79,9 @@ def path_rules(rows):
         ("pathloss, delay, aod and aoa must be finite", ~finite),
         ("pathloss must be positive", ~(rows[:, 0] > 0.0)),
         ("delay must be positive", ~(rows[:, 1] > 0.0)),
+        ("aod out of (-180, 180]", ~((rows[:, 2] > -180.0) & (rows[:, 2] <= 180.0))),
         ("zod out of [0, 180]", ~((rows[:, 3] >= 0.0) & (rows[:, 3] <= 180.0))),
+        ("aoa out of (-180, 180]", ~((rows[:, 4] > -180.0) & (rows[:, 4] <= 180.0))),
         ("zoa out of [0, 180]", ~((rows[:, 5] >= 0.0) & (rows[:, 5] <= 180.0))),
         ("phase out of (-360, 0]", ~((rows[:, 6] > -360.0) & (rows[:, 6] <= 0.0))),
     ]

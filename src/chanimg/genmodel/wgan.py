@@ -31,6 +31,7 @@ gradient-penalty path, are computed analytically and are finite-difference
 checked in the test suite.
 """
 
+import functools
 import math
 import os
 from dataclasses import dataclass, field
@@ -458,6 +459,9 @@ def _to_preimage(x):
     return np.arctanh(np.clip(x, -0.995, 0.995))
 
 
+MOMENT_ROWS = 1024  # samples per block of ArrayBatches.preimage_moments
+
+
 class ArrayBatches:
     """Minibatches over materialized (images, conditions) arrays."""
 
@@ -474,8 +478,22 @@ class ArrayBatches:
             raise DataError("training images or conditions contain non-finite values")
 
     def preimage_moments(self):
-        x = _to_preimage(self.images.astype(np.float64).reshape(len(self.images), -1))
-        return x.mean(axis=0), x.std(axis=0)
+        """Per-pixel mean and population std of the samples' preimages (see _to_preimage).
+
+        Two passes over blocks of MOMENT_ROWS samples in float64, each adding
+        the rows in order as numpy's sum over axis 0 does: numpy's mean and
+        std over the whole float64 set, which is never made.
+        """
+        flat = self.images.reshape(len(self.images), -1)
+
+        def row_sum(f):  # of f(preimages), block by block; a running total heads each block
+            blocks = (f(_to_preimage(flat[i:i + MOMENT_ROWS].astype(np.float64)))
+                      for i in range(0, len(flat), MOMENT_ROWS))
+            return functools.reduce(lambda total, x: np.vstack([total, x]).sum(axis=0), blocks,
+                                    np.empty((0, flat.shape[1])))
+
+        mu = row_sum(lambda x: x) / len(flat)
+        return mu, np.sqrt(row_sum(lambda x: np.square(x - mu)) / len(flat))
 
     def epoch_batches(self, order_rng, batch_size, dtype):
         """(flattened images in dtype, raw conditions) of each full batch of one epoch."""

@@ -28,8 +28,9 @@ so a failed write leaves the file already at path as it was.
                 rule; otherwise it parses the text.  The JSONL is the record:
                 a sidecar is safe to delete, and read_table never writes one.
   - codec:      JSON document of the fitted ranges: format, version, seed
-                and the four lists virtual_min/max and feature_min/max, each
-                of 8 finite numbers (codec.py fixes every other constant)
+                and the [min, max] lists pathloss and delay (the scaler's
+                rows) and virtual_delay (the real delays' range), each of 2
+                finite numbers (codec.py fixes every other constant and row)
   - images:     "CHIM" v3 container: meta seed; entries matrices (N, rows,
                 cols) <f4 and conditions (N, 2) <f8 (dist2d, height).
                 Matrix i of a file derived from a dataset pairs with link
@@ -78,7 +79,7 @@ if TYPE_CHECKING:  # the codec and the networks are imported by the functions th
     from .genmodel.wgan import NetworkParams
 
 DATASET_VERSION = 1
-CODEC_VERSION = 2  # v2: only the fitted ranges
+CODEC_VERSION = 3  # v3: only the pathloss and delay rows and the virtual delay band
 IMAGES_VERSION = 3  # v3: the container
 CHECKPOINT_VERSION = 5  # v5: the wgan-gp meta holds only noise_dim and hidden
 REPORT_VERSION = 1
@@ -100,11 +101,6 @@ def _require_version(path, kind: str, got: int, expected: int):
 # magic, version, JSON header length, SHA-256 of every byte after the prefix
 _PREFIX = struct.Struct("<4sII32s")
 _DTYPES = ("<f4", "<f8", "<i8", "|u1")  # the dtypes a container array may have
-
-
-def _whole(name, array, dtype):
-    """The container entry of one array, written in dtype."""
-    return name, dtype, array.shape, (array,)
 
 
 @contextlib.contextmanager
@@ -132,22 +128,21 @@ def _replacing(path, mode, **kwargs):
 def _write_container(path, magic, version, meta, entries):
     """Write meta and the arrays of entries to path as a container, hashed as written.
 
-    entries are (name, dtype, shape, blocks): the blocks give the array's
-    values in C order, each cast to dtype (a copy only where that differs).
-    The file replaces path whole (see _replacing).
+    entries are (name, array, dtype): each array is written in C order in
+    dtype (a copy only where that differs).  The file replaces path whole
+    (see _replacing).
     """
     header = json.dumps({"meta": meta, "entries": [
-        {"name": name, "dtype": dtype, "shape": list(shape)}
-        for name, dtype, shape, _ in entries]}).encode()
+        {"name": name, "dtype": dtype, "shape": list(array.shape)}
+        for name, array, dtype in entries]}).encode()
     digest = hashlib.sha256(header)
     with _replacing(path, "wb") as fh:
         fh.write(bytes(_PREFIX.size))
         fh.write(header)
-        for _, dtype, _, blocks in entries:
-            for block in blocks:
-                block = np.ascontiguousarray(block, dtype=dtype)
-                digest.update(block)
-                fh.write(block)
+        for _, array, dtype in entries:
+            array = np.ascontiguousarray(array, dtype=dtype)
+            digest.update(array)
+            fh.write(array)
         fh.seek(0)
         fh.write(_PREFIX.pack(magic, version, len(header), digest.digest()))
 
@@ -429,10 +424,10 @@ def _write_ltab(path, text_digest: bytes, table: LinkTable, seed=None):
     """Write the sidecar of the dataset at path, whose bytes hash to text_digest."""
     _write_container(_ltab_path(path), LTAB_MAGIC, LTAB_VERSION,
                      {"seed": seed, "text_sha256": text_digest.hex()}, [
-        _whole("counts", table.counts, "<i8"),
-        _whole("codes", np.array([_STATE_CODES[s] for s in table.state], dtype="u1"), "|u1"),
-        _whole("ends", np.column_stack([table.tx, table.rx, table.carrier_freq]), "<f8"),
-        _whole("paths", table.paths, "<f8"),
+        ("counts", table.counts, "<i8"),
+        ("codes", np.array([_STATE_CODES[s] for s in table.state], dtype="u1"), "|u1"),
+        ("ends", np.column_stack([table.tx, table.rx, table.carrier_freq]), "<f8"),
+        ("paths", table.paths, "<f8"),
     ])
 
 
@@ -521,7 +516,7 @@ def write_images(path, matrices, conditions, seed=None):
     if matrices.ndim != 3 or conditions.shape != (len(matrices), 2):
         raise DataError("need (N, rows, cols) matrices and matching (N, 2) conditions")
     _write_container(path, IMAGES_MAGIC, IMAGES_VERSION, {"seed": seed}, [
-        _whole("matrices", matrices, "<f4"), _whole("conditions", conditions, "<f8")])
+        ("matrices", matrices, "<f4"), ("conditions", conditions, "<f8")])
 
 
 def read_images(path):
@@ -549,15 +544,15 @@ def write_wgan_checkpoint(path, netp: NetworkParams, seed=None):
             arrays[f"{name}.{k // 2}.{'Wb'[k % 2]}"] = param
     # float32 training is also stored as float64
     _write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, meta,
-                     [_whole(k, v, "<f8") for k, v in arrays.items()])
+                     [(k, v, "<f8") for k, v in arrays.items()])
 
 
 def write_resampler_checkpoint(path, model: EmpiricalResampler, seed=None):
     matrices = model.matrices
     _write_container(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
                      {"backend": "resampler", "seed": seed, "k": model.k}, [
-        _whole("matrices", matrices, "<f4" if matrices.dtype == np.float32 else "<f8"),
-        _whole("conditions", model.conditions, "<f8")])
+        ("matrices", matrices, "<f4" if matrices.dtype == np.float32 else "<f8"),
+        ("conditions", model.conditions, "<f8")])
 
 
 def _count(v) -> bool:

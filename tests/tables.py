@@ -66,7 +66,9 @@ def reference_rule(lk):
                                                                   (pl, dly, aod, aoa))))),
         ("pathloss must be positive", any_path(lambda pl, *_: pl > 0.0)),
         ("delay must be positive", any_path(lambda pl, dly, *_: dly > 0.0)),
+        ("aod out of (-180, 180]", any_path(lambda pl, dly, aod, *_: -180.0 < aod <= 180.0)),
         ("zod out of [0, 180]", any_path(lambda pl, dly, aod, zod, *_: 0.0 <= zod <= 180.0)),
+        ("aoa out of (-180, 180]", any_path(lambda *row: -180.0 < row[4] <= 180.0)),
         ("zoa out of [0, 180]", any_path(lambda *row: 0.0 <= row[5] <= 180.0)),
         ("phase out of (-360, 0]", any_path(lambda *row: -360.0 < row[6] <= 0.0)),
         ("coordinates and carrier_freq must be finite",

@@ -906,6 +906,7 @@ TWO_PATHS = [{"pathloss": 110.0, "delay": 2e-6, "aod": 0.0, "zod": 90.0, "aoa": 
     rec_edit(lambda r: r.update(paths=TWO_PATHS)),
     rec_edit(lambda r: r.update(paths=TWO_PATHS[1:] * 26)),
     set_path("pathloss", -1.0), set_path("pathloss", None), set_path("delay", 0.0),
+    set_path("aod", 190.0), set_path("aoa", -180.0),
     set_path("zod", 181.0), set_path("zoa", -0.5), set_path("phase", 0.5),
     set_path("phase", -360.0),
     lambda line: "[" + line + "]",
@@ -914,8 +915,8 @@ TWO_PATHS = [{"pathloss": 110.0, "delay": 2e-6, "aod": 0.0, "zod": 90.0, "aoa": 
 ], ids=["truncated", "freq-str", "freq-huge-int", "freq-zero", "tx-4d", "rx-2d", "tx-str",
         "rx-str-number", "no-paths", "paths-number", "path-list", "no-phase", "bad-state",
         "nlos-without-paths", "unsorted", "26-paths", "pathloss-neg", "pathloss-null",
-        "delay-zero", "zod-181", "zoa-neg", "phase-pos", "phase-360", "record-list",
-        "nested-too-deep", "nested-too-deep-short"])
+        "delay-zero", "aod-190", "aoa-neg180", "zod-181", "zoa-neg", "phase-pos", "phase-360",
+        "record-list", "nested-too-deep", "nested-too-deep-short"])
 def test_dataset_rejects_malformed_records(tmp_path, capsys, edit):
     data = tmp_path / "d.jsonl"
     run(["--seed", "1", "gen-data", "--links", "20", "--out", str(data)])
@@ -1032,29 +1033,56 @@ def codec_stages(base, bad, out):
              "--geometry-from", str(base / "good.jsonl"), "--out", f"{out}/d.jsonl"]]
 
 
-def test_v1_codec_is_version_error(model_base, tmp_path, capsys):
-    # v1 also held the three constants codec.py fixes
+def v2_codec(doc):
+    """The v2 codec document of a v3 one: eight fitted rows and eight virtual ranges."""
+    rows = [doc["pathloss"], doc["delay"], [-180.0, 180.0], [0.0, 180.0], [-180.0, 180.0],
+            [0.0, 180.0], [-360.0, 0.0], [-1.0, 1.0]]
+    virtual = [[100.0, 120.0], doc["virtual_delay"], *rows[2:]]
+    return {"format": doc["format"], "version": 2, "seed": doc["seed"],
+            "virtual_min": [lo for lo, _ in virtual], "virtual_max": [hi for _, hi in virtual],
+            "feature_min": [lo for lo, _ in rows], "feature_max": [hi for _, hi in rows]}
+
+
+def v1_codec(doc):
+    """A v1 codec document: v2's ranges and the three constants codec.py fixes."""
+    return {**v2_codec(doc), "version": 1, "epsilon": 0.01, "delay_scale": 1e7,
+            "outage_threshold_db": 180.0}
+
+
+def old_codec_fails_cleanly(model_base, tmp_path, capsys, old_codec):
+    """Every stage that reads a codec exits 4 on old_codec(the v3 codec) and writes nothing."""
     doc = json.loads((model_base / "codec.json").read_text())
     assert list(doc) == ["format", "version", "seed", *CODEC_RANGES]
-    doc.update(version=1, epsilon=0.01, delay_scale=1e7, outage_threshold_db=180.0)
-    old = tmp_path / "v1.json"
+    doc = old_codec(doc)
+    old = tmp_path / "old.json"
     old.write_text(json.dumps(doc, indent=2))
     report = ["report", "--data", str(model_base / "good.jsonl"), "--codec", str(old),
               "--out", f"{tmp_path}/r.csv"]
     for argv in [*codec_stages(model_base, old, tmp_path), report]:
         fails_cleanly(capsys, argv, EXIT_VERSION,
-                      f"{old}: codec format v1 not supported (expected v2)")
-    assert os.listdir(tmp_path) == ["v1.json"]
+                      f"{old}: codec format v{doc['version']} not supported (expected v3)")
+    assert os.listdir(tmp_path) == ["old.json"]
+
+
+def test_v1_codec_is_version_error(model_base, tmp_path, capsys):
+    old_codec_fails_cleanly(model_base, tmp_path, capsys, v1_codec)
+
+
+def test_v2_codec_is_version_error(model_base, tmp_path, capsys):
+    # v2 held all eight scaler rows and eight virtual ranges
+    old_codec_fails_cleanly(model_base, tmp_path, capsys, v2_codec)
 
 
 @pytest.mark.parametrize("edit", [
-    lambda doc: doc.update(virtual_min=doc["virtual_min"][:5]),
-    lambda doc: doc.update(feature_min="x"),
-    lambda doc: doc["virtual_min"].__setitem__(2, float("nan")),
+    lambda doc: doc.update(delay=[*doc["delay"], 1.0]),
+    lambda doc: doc.update(pathloss="x"),
+    lambda doc: doc["virtual_delay"].__setitem__(1, float("nan")),
+    lambda doc: doc.update(delay=[-1e308, 1e308]),
+    lambda doc: doc.__delitem__("virtual_delay"),
     lambda doc: [doc],
     lambda doc: doc.update(version=True),
-], ids=["virtual_min-5", "feature_min-str", "virtual_min-nan", "top-level-array",
-        "version-true"])
+], ids=["delay-3", "pathloss-str", "virtual_delay-nan", "delay-span-overflow",
+        "no-virtual_delay", "top-level-array", "version-true"])
 def test_malformed_codec_is_format_error(model_base, tmp_path, capsys, edit):
     doc = json.loads((model_base / "codec.json").read_text())
     bad = tmp_path / "bad.json"
@@ -1064,7 +1092,7 @@ def test_malformed_codec_is_format_error(model_base, tmp_path, capsys, edit):
     assert os.listdir(tmp_path) == ["bad.json"]
 
 
-CODEC_RANGES = ("virtual_min", "virtual_max", "feature_min", "feature_max")
+CODEC_RANGES = ("pathloss", "delay", "virtual_delay")
 CODEC_KEYS = ("format", "version", *CODEC_RANGES)
 # no value here is valid in any codec field
 CODEC_JUNK = st.sampled_from(["12e9", "x", None, True, [], [1.0], {"x": 1}, float("nan"),
@@ -1082,9 +1110,9 @@ def mutated_codec(draw, text):
     if kind == "field":
         doc[key] = draw(CODEC_JUNK)
     elif kind == "entry":
-        doc[key][draw(st.integers(0, 7))] = draw(CODEC_JUNK)
+        doc[key][draw(st.integers(0, 1))] = draw(CODEC_JUNK)
     elif kind == "length":
-        doc[key] = doc[key][:draw(st.integers(0, 7))] or doc[key] + [1.0]
+        doc[key] = doc[key][:draw(st.integers(0, 1))] or doc[key] + [1.0]
     else:
         del doc[key]
     return json.dumps(doc, indent=2)

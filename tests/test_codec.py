@@ -57,8 +57,21 @@ WIDE_HI = np.array([300.0, 1e3, 400.0, 240.0, 400.0, 240.0, 300.0, 1.0])
 
 @pytest.fixture
 def wide(codec):
-    """The dataset's virtual ranges with a scaler that clips nothing."""
-    return ChannelImageCodec(codec.virtual_ranges, FeatureScaler(WIDE_LO, WIDE_HI))
+    """The dataset's codec with a scaler that clips nothing."""
+    return with_scaler(codec, WIDE_LO, WIDE_HI)
+
+
+def with_scaler(codec, lo, hi):
+    """A new codec of codec's fitted ranges whose scaler rows, fixed rows too, are lo, hi."""
+    out = ChannelImageCodec.from_dict(codec.to_dict())
+    out.scaler = FeatureScaler(lo, hi)
+    return out
+
+
+# the angle and phase domains core states: their scaler rows, and where their
+# virtual cells are drawn
+DOMAINS = {AOD: (-180.0, 180.0), ZOD: (0.0, 180.0), AOA: (-180.0, 180.0), ZOA: (0.0, 180.0),
+           PS: (-360.0, 0.0)}
 
 
 def forms(tx, rx, freq):
@@ -84,21 +97,23 @@ def make_link(n_paths, state=LinkState.NLOS, freq=12e9):
     return link(tx, rx, freq, state, paths)
 
 
-def reference_prescale(virtual_ranges, eps, links, rng):
+def reference_prescale(virtual_delay, eps, links, rng):
     """Per-link pad -> re-reference, written as the definition reads.
 
     Draws link by link: each link takes one (8, 25) block of uniforms u; a
     virtual cell of row r is lo + (hi - lo) u of its own u, with (lo, hi)
-    = (181, 190) dB for pathloss and the virtual range otherwise, and the
-    link-state jitter is eps times the u of the last row's first cell.
+    = (181, 190) dB for pathloss, virtual_delay for delay and the DOMAINS
+    otherwise, and the link-state jitter is eps times the u of the last
+    row's first cell.
     """
+    bands = {PL: (181.0, 190.0), DLY: virtual_delay, **DOMAINS}
     out = np.empty((len(links), 8, 25))
     for i, lk in enumerate(links):
         u = rng.random((8, 25))
         k = len(lk.paths)
         m = out[i]
         for row in range(PS + 1):  # pad
-            lo, hi = (181.0, 190.0) if row == PL else virtual_ranges[row]
+            lo, hi = bands[row]
             m[row, :k] = lk.paths[:, row]
             m[row, k:] = lo + (hi - lo) * u[row, k:]
         jitter = eps * u[LS, 0]
@@ -125,23 +140,26 @@ class ConstantDraws:
 def reference_fit(links, eps=0.01):
     """(feature_min, feature_max) of the scaler, as the definition reads.
 
-    The prescaled cells of every link, and of every link cut to its first
-    path (so each link's virtual cells are there), at the smallest and the
-    largest uniform draw; the link-state row is the nominal (-1, 1).
+    Pathloss and delay: the prescaled cells of every link, and of every
+    link cut to its first path (so each link's virtual cells are there), at
+    the smallest and the largest uniform draw, with the virtual delays over
+    the real delays' range.  The other rows are the DOMAINS and the
+    link-state row's nominal (-1, 1).
     """
-    cols = np.concatenate([lk.paths for lk in links])
-    ranges = np.column_stack([cols.min(axis=0), cols.max(axis=0)])
+    delays = np.concatenate([lk.paths[:, DLY] for lk in links])
     links = [*links, *(lk._replace(paths=lk.paths[:1]) for lk in links)]
-    cells = np.concatenate([reference_prescale(ranges, eps, links, ConstantDraws(u))
+    cells = np.concatenate([reference_prescale((delays.min(), delays.max()), eps, links,
+                                               ConstantDraws(u))
                             for u in (0.0, LARGEST_DRAW)])
     lo, hi = cells.min(axis=(0, 2)), cells.max(axis=(0, 2))
-    lo[LS], hi[LS] = -1.0, 1.0
+    for row, (a, b) in {**DOMAINS, LS: (-1.0, 1.0)}.items():
+        lo[row], hi[row] = a, b
     return lo, hi
 
 
 def reference_encode(codec, links, rng):
     """(matrices, conditions, clipped cells): reference_prescale -> scale."""
-    pre = reference_prescale(codec.virtual_ranges, LINK_STATE_EPS, links, rng)
+    pre = reference_prescale(codec.virtual_delay, LINK_STATE_EPS, links, rng)
     lo = codec.scaler.feature_min[:, None]
     hi = codec.scaler.feature_max[:, None]
     matrices = np.empty((len(links), 8, 25))
@@ -180,22 +198,19 @@ def test_pad_13_paths_virtual_pathloss_above_threshold(wide):
 
 
 def test_pad_virtual_values_inside_dataset_ranges(dataset, codec, wide):
-    # brute-force scan of the dataset is the oracle for the ranges
-    cols = np.concatenate([lk.paths.T for lk in dataset], axis=1)
-    lo, hi = cols.min(axis=1), cols.max(axis=1)
-    np.testing.assert_array_equal(codec.virtual_ranges[:LS, 0], lo)
-    np.testing.assert_array_equal(codec.virtual_ranges[:LS, 1], hi)
-    np.testing.assert_array_equal(codec.virtual_ranges[LS], [-1.0, 1.0])
+    # brute-force scan of the dataset is the oracle for the delay band
+    delays = np.concatenate([lk.paths[:, DLY] for lk in dataset])
+    assert codec.virtual_delay == (delays.min(), delays.max())
 
     links = [make_link(n) for n in (1, 7, 24)]
-    tol = 1e-9 * np.maximum(np.abs(lo), np.abs(hi))
     for lk, m in zip(links, prescaled(wide, links, substream(2, "x"))):
         n = len(lk.paths)
         d3 = forms(lk.tx, lk.rx, lk.carrier_freq)[1]
         m[DLY] = m[DLY] / 1e7 + d3 / SPEED_OF_LIGHT
-        for row in range(DLY, PS + 1):
-            assert np.all(m[row, n:] >= lo[row] - tol[row])
-            assert np.all(m[row, n:] <= hi[row] + tol[row])
+        for row, (lo, hi) in {DLY: codec.virtual_delay, **DOMAINS}.items():
+            tol = 1e-9 * max(abs(lo), abs(hi))
+            assert np.all(m[row, n:] >= lo - tol)
+            assert np.all(m[row, n:] <= hi + tol)
 
 
 def test_pad_link_state_row(wide):
@@ -253,15 +268,13 @@ def test_scaler_fit_matches_bruteforce(dataset, codec):
 
 
 def test_scaler_single_matrix_fit():
-    # the link-state row is nominal, so one link fits; one path leaves its
-    # delay (and angles) a single value, a degenerate scaler
+    # only pathloss and delay are fitted, so one link fits; one path leaves
+    # its delay a single value, a degenerate scaler row
     with pytest.raises(DataError, match="delay"):
         fit_codec(link_table([make_link(1)]))
     los = make_link(7, state=LinkState.LOS)
     one = fit_codec(link_table([los]))
-    real = los.paths.T
-    np.testing.assert_array_equal(one.virtual_ranges[:LS, 0], real.min(axis=1))
-    np.testing.assert_array_equal(one.virtual_ranges[:LS, 1], real.max(axis=1))
+    assert one.virtual_delay == (los.paths[:, DLY].min(), los.paths[:, DLY].max())
     lo, hi = reference_fit([los])
     np.testing.assert_array_equal(one.scaler.feature_min, lo)
     np.testing.assert_array_equal(one.scaler.feature_max, hi)
@@ -303,9 +316,11 @@ def test_scale_into_out_is_scale():
     assert fresh.n_clipped == into.n_clipped == inplace.n_clipped > 0
 
 
-def test_scaler_rejects_degenerate_feature():
-    with pytest.raises(DataError, match="delay"):
-        FeatureScaler(np.zeros(8), np.r_[1.0, 0.0, np.ones(6)])
+def test_scaler_rejects_degenerate_feature(codec):
+    # only the fitted rows can be degenerate; the other rows are fixed
+    for key, row in (("pathloss", [1.0, 1.0]), ("delay", [1.0, 0.0])):
+        with pytest.raises(DataError, match=f"degenerate feature '{key}'"):
+            ChannelImageCodec.from_dict({**codec.to_dict(), key: row})
 
 
 def test_fit_codec_empty(codec):
@@ -412,8 +427,10 @@ def test_extreme_draws_clip_nothing(table, codec):
         enc = ChannelImageCodec.from_dict(codec.to_dict())
         matrices, _ = enc.encode(table, ConstantDraws(u))
         assert enc.scaler.n_clipped == 0
-        if u == LARGEST_DRAW:  # the largest draw reaches each fitted maximum
-            np.testing.assert_array_equal(matrices[:, :PS + 1].max(axis=(0, 2)), 1.0)
+        if u == 0.0:  # the smallest draw reaches each fixed minimum
+            np.testing.assert_array_equal(matrices[:, AOD:PS + 1].min(axis=(0, 2)), -1.0)
+        else:  # the largest draw reaches each fitted maximum
+            np.testing.assert_array_equal(matrices[:, :AOD].max(axis=(0, 2)), 1.0)
 
 
 @st.composite
@@ -451,8 +468,8 @@ def codec_tables(draw):
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(table=codec_tables())
 def test_fitted_codec_clips_no_realization(table):
-    # a feature of a single value over the real paths has a degenerate scaler
-    assume(np.all(np.ptp(table.paths[:, DLY:], axis=0) > 0.0))
+    # a single delay over the real paths may leave a degenerate delay row
+    assume(np.ptp(table.paths[:, DLY]) > 0.0)
     codec = fit_codec(table)
     for seed in (1, 2):
         rng = substream(seed, "padding")
@@ -466,6 +483,38 @@ def test_fitted_codec_clips_no_realization(table):
             worst = np.abs(dec.paths - table.paths).max(axis=0)
             assert worst[PL] <= 1e-3 and worst[DLY] <= 1e-12
             assert np.all(worst[[AOD, ZOD, AOA, ZOA, PS]] <= 1e-3)
+
+
+@pytest.fixture(scope="module")
+def draws():
+    """{seed: 5,000-link surrogate table} of two independent draws."""
+    return {seed: generate_dataset(SurrogateConfig(num_tx=10, num_rx_per_height=100, seed=seed))
+            for seed in (7, 9)}
+
+
+@pytest.mark.parametrize("data_seed, codec_seed", [(9, 7), (7, 9)])
+def test_codec_fitted_on_another_draw_round_trips(draws, data_seed, codec_seed):
+    # measured while the angle and phase rows were fitted: the seed-7 codec
+    # clipped 3 real AOA cells of seed 9 (-179.9988 deg against a row from
+    # -179.9735), for a worst AOA error of 2.5e-2 deg
+    table, codec = draws[data_seed], fit_codec(draws[codec_seed])
+    # the real cells, re-referenced as encode does, against the scaler's rows
+    cells = np.zeros((len(table.paths), 8, 1))
+    cells[:, :PS + 1, 0] = table.paths
+    cells[:, PL, 0] -= np.repeat(table.fspl, table.counts)
+    cells[:, DLY, 0] -= np.repeat(table.dist3d / SPEED_OF_LIGHT, table.counts)
+    cells[:, DLY, 0] *= DELAY_SCALE
+    codec.scaler.scale(cells)
+    assert codec.scaler.n_clipped == 0
+
+    matrices, _ = codec.encode(table, substream(8, "padding"))
+    dec = codec.decode(matrices, table)
+    assert list(dec.state) == list(table.state)
+    np.testing.assert_array_equal(dec.counts, table.counts)
+    worst = np.abs(dec.paths - table.paths).max(axis=0)
+    assert np.all(worst[AOD:] <= 1e-12)
+    # each draw's errors with its own codec, as before the angle rows were fixed
+    assert worst[PL] == 0.0 and worst[DLY] <= 2.0**-70  # 8.47e-22 s
 
 
 # -- full encode/decode -----------------------------------------------------------
@@ -569,14 +618,13 @@ def reference_decode(codec, matrix, tx, rx, carrier_freq, stats):
     return LinkState.LOS if is_los else LinkState.NLOS, cols[:PS + 1].T
 
 
-def test_stacked_decode_matches_per_image_reference():
+def test_stacked_decode_matches_per_image_reference(codec):
     # wide scaler ranges push decoded values past every physical limit:
     # pathloss <= 0 and > 180 dB, delays before the LOS arrival, azimuths and
     # phases outside their wrap intervals, zeniths outside [0, 180]
     lo = np.array([-300.0, -1e3, -400.0, -60.0, -400.0, -60.0, -800.0, -1.0])
     hi = np.array([300.0, 1e3, 400.0, 240.0, 400.0, 240.0, 300.0, 1.0])
-    doc = ChannelImageCodec(np.stack([lo, hi], axis=1), FeatureScaler(lo, hi)).to_dict()
-    stacked, single, ref = (ChannelImageCodec.from_dict(doc) for _ in range(3))
+    stacked, single, ref = (with_scaler(codec, lo, hi) for _ in range(3))
 
     rng = np.random.default_rng(21)
     n = BLOCK + 7  # crosses an internal block boundary
@@ -659,9 +707,10 @@ def test_codec_json_roundtrip(codec):
     doc = codec.to_dict()
     back = ChannelImageCodec.from_dict(doc)
     np.testing.assert_array_equal(back.scaler.feature_min, codec.scaler.feature_min)
-    np.testing.assert_array_equal(back.virtual_ranges, codec.virtual_ranges)
-    # the fitted ranges only: codec.py fixes every other constant
-    assert list(doc) == ["virtual_min", "virtual_max", "feature_min", "feature_max"]
+    np.testing.assert_array_equal(back.scaler.feature_max, codec.scaler.feature_max)
+    assert back.virtual_delay == codec.virtual_delay
+    # the fitted ranges only: codec.py fixes every other constant and row
+    assert list(doc) == ["pathloss", "delay", "virtual_delay"]
 
 
 def test_encode_images_in_range(dataset, table, codec):

@@ -241,6 +241,8 @@ def test_pathparams_validation():
     assert rules_of() == []
     for bad, rule in [(dict(pathloss=-1.0), "pathloss must be positive"),
                       (dict(delay=0.0), "delay must be positive"),
+                      (dict(aod=190.0), "aod out of (-180, 180]"),
+                      (dict(aoa=-180.0), "aoa out of (-180, 180]"),
                       (dict(zod=181.0), "zod out of [0, 180]"),
                       (dict(zoa=-0.1), "zoa out of [0, 180]"),
                       (dict(phase=1.0), "phase out of (-360, 0]"),
@@ -271,8 +273,9 @@ def _edit_path(field, value, k=0):
 @pytest.mark.parametrize("edit", [
     None, _edit_path("pathloss", math.nan), _edit_path("pathloss", -1.0),
     _edit_path("delay", 0.0), _edit_path("aod", math.inf), _edit_path("aoa", -math.inf),
-    _edit_path("zod", 181.0), _edit_path("zoa", -0.1), _edit_path("phase", 1.0),
-    _edit_path("phase", -360.0), _edit_path("delay", 3e-6, k=0),
+    _edit_path("aod", 190.0), _edit_path("aoa", -180.0), _edit_path("zod", 181.0),
+    _edit_path("zoa", -0.1), _edit_path("phase", 1.0), _edit_path("phase", -360.0),
+    _edit_path("delay", 3e-6, k=0),
     lambda lk: lk.update(tx=(0.0, math.nan, 10.0)),
     lambda lk: lk.update(carrier_freq=0.0),
     lambda lk: lk.update(paths=[]),
@@ -280,8 +283,8 @@ def _edit_path(field, value, k=0):
     lambda lk: lk.update(paths=[[100.0, (i + 1) * 1e-6, 0.0, 90.0, 0.0, 90.0, -5.0]
                                 for i in range(26)]),
 ], ids=["valid", "pathloss-nan", "pathloss-neg", "delay-zero", "aod-inf", "aoa-inf",
-        "zod-181", "zoa-neg", "phase-pos", "phase-360", "unsorted", "tx-nan", "freq-zero",
-        "nlos-without-paths", "outage-without-paths", "26-paths"])
+        "aod-190", "aoa-neg180", "zod-181", "zoa-neg", "phase-pos", "phase-360", "unsorted",
+        "tx-nan", "freq-zero", "nlos-without-paths", "outage-without-paths", "26-paths"])
 def test_link_rules_are_the_scalar_rules(edit):
     # the array rules (read_table) and the per-link reference reject the
     # same links, for the same first reason

@@ -546,6 +546,32 @@ def test_preimage_moments_are_the_clipped_arctanh_moments():
     np.testing.assert_allclose(sd, want_sd, rtol=1e-12)
 
 
+@pytest.mark.parametrize("n", [1, 6, 7, 8, 20])
+def test_preimage_moments_in_blocks_are_the_whole_sets_moments(monkeypatch, n):
+    # blocks of 7 samples: one short block, one full, one sample over, three blocks
+    monkeypatch.setattr(wgan, "MOMENT_ROWS", 7)
+    images = np.random.default_rng(n).uniform(-1.1, 1.1, (n, 8, 25)).astype(np.float32)
+    mu, sd = ArrayBatches(images, np.ones((n, 2))).preimage_moments()
+    x = np.arctanh(np.clip(images.astype(np.float64).reshape(n, -1), -0.995, 0.995))
+    assert mu.tobytes() == x.mean(axis=0).tobytes()
+    assert sd.tobytes() == x.std(axis=0).tobytes()
+
+
+def test_preimage_moments_hold_a_few_blocks():
+    # measured: 6.6 MB at 10,000 and at 50,000 samples; 240 MB at 50,000
+    # while the whole set was taken in float64, clipped and mapped at once
+    n = 10_000
+    data = ArrayBatches(np.zeros((n, 8, 25), dtype=np.float32), np.ones((n, 2)))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        data.preimage_moments()
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * wgan.MOMENT_ROWS * 200 * 8  # 8.2 MB; the float64 set is 16 MB
+
+
 class Calibrated(Exception):
     """Stops train_wgan_gp once it has calibrated the generator's output layer."""
 

@@ -1,5 +1,6 @@
 """On-disk formats: round trips, version gating, corruption handling."""
 
+import contextlib
 import hashlib
 import json
 import os
@@ -324,9 +325,9 @@ def test_table_breaking_a_rule_reads_as_the_parse(tmp_path, table):
 @st.composite
 def link_tables(draw):
     """Small valid tables with Outage links without paths, 25-path links and -0.0 cells."""
-    def number(lo, hi):
-        return st.one_of(st.just(-0.0), st.just(0.0), st.floats(lo, hi)) if lo <= 0 <= hi \
-            else st.floats(lo, hi)
+    def number(lo, hi, exclude_min=False):
+        floats = st.floats(lo, hi, exclude_min=exclude_min)
+        return st.one_of(st.just(-0.0), st.just(0.0), floats) if lo <= 0 <= hi else floats
 
     n = draw(st.integers(1, 5))
     counts = draw(st.lists(st.sampled_from([0, 1, 2, 7, MAX_PATHS]), min_size=n, max_size=n))
@@ -334,8 +335,8 @@ def link_tables(draw):
     for count in counts:
         delays = sorted(draw(st.lists(st.floats(1e-9, 1e-5), min_size=count, max_size=count)))
         for delay in delays:
-            rows.append([draw(st.floats(1.0, 200.0)), delay, draw(number(-180.0, 180.0)),
-                         draw(number(0.0, 180.0)), draw(number(-180.0, 180.0)),
+            rows.append([draw(st.floats(1.0, 200.0)), delay, draw(number(-180.0, 180.0, True)),
+                         draw(number(0.0, 180.0)), draw(number(-180.0, 180.0, True)),
                          draw(number(0.0, 180.0)), draw(number(-359.0, 0.0))])
     state = np.array([LinkState.OUTAGE if not c else draw(st.sampled_from(list(LinkState)))
                       for c in counts], dtype=object)
@@ -359,11 +360,11 @@ def edge_table():
     rows[0, 1] = 5e-324
     under_4, under_16 = 9.999999999999999e-05, 9999999999999998.0  # just below 1e-4, 1e16
     rows[1:3, 0] = 1e-4, under_4  # pathloss
-    rows[3:5, 2] = 1e16, under_16  # aod
-    rows[5:7, 4] = -1e16, -under_16  # aoa
+    rows[3:5, 0] = 1e16, under_16
     rows[7:9, [3, 5]] = 1e-4, under_4  # zod, zoa
     rows[9:11, 6] = -1e-4, -under_4  # phase
-    tx = np.array([[-0.0, 0.0, 10.0], [5.0, -0.0, 10.0], [0.0, 0.0, -0.0]])
+    # the negative side of 1e16 in the coordinates, which alone may reach it
+    tx = np.array([[-1e16, 0.0, 10.0], [-under_16, -0.0, 10.0], [0.0, 0.0, -0.0]])
     return LinkTable.from_columns(
         rows, counts,
         np.array([LinkState.OUTAGE, LinkState.NLOS, LinkState.LOS], dtype=object),
@@ -561,7 +562,7 @@ def test_codec_roundtrip(tmp_path, table):
     back = io.read_codec(p)
     np.testing.assert_array_equal(back.scaler.feature_min, codec.scaler.feature_min)
     np.testing.assert_array_equal(back.scaler.feature_max, codec.scaler.feature_max)
-    np.testing.assert_array_equal(back.virtual_ranges, codec.virtual_ranges)
+    assert back.virtual_delay == codec.virtual_delay
 
 
 def test_codec_rejects_garbage(tmp_path):
@@ -790,20 +791,32 @@ def test_same_arrays_give_the_same_bytes_with_their_seed(tmp_path):
 def test_failed_write_leaves_the_old_file_and_no_tmp(tmp_path, monkeypatch, kind):
     path, write = kind_writers(tmp_path, seed=5)[kind]
     write(path)
-    before, whole = sorted(os.listdir(tmp_path)), io._whole
+    before, replacing, failed_at = sorted(os.listdir(tmp_path)), io._replacing, []
 
-    def failing(name, array, dtype):
-        name, dtype, shape, blocks = whole(name, array, dtype)
+    class FailsAfterTheHeader:
+        """The temporary file, whose first write after the prefix and header fails."""
 
-        def fail():
-            yield from blocks
-            raise RuntimeError("no more blocks")
-        return name, dtype, shape, fail()
+        def __init__(self, fh):
+            self.fh, self.writes = fh, 0
+
+        def write(self, data):
+            self.writes += 1
+            if self.writes == 3:
+                failed_at.append(self.fh.tell())
+                raise RuntimeError("no more room")
+            return self.fh.write(data)
+
+    @contextlib.contextmanager
+    def failing(path, mode):
+        with replacing(path, mode) as fh:
+            yield FailsAfterTheHeader(fh)
 
     old = path.read_bytes()
-    monkeypatch.setattr(io, "_whole", failing)
-    with pytest.raises(RuntimeError, match="no more blocks"):
+    monkeypatch.setattr(io, "_replacing", failing)
+    with pytest.raises(RuntimeError, match="no more room"):
         write(path)
+    header_len = PREFIX.unpack(old[:PREFIX.size])[2]
+    assert failed_at == [PREFIX.size + header_len]
     assert path.read_bytes() == old
     assert sorted(os.listdir(tmp_path)) == before
 

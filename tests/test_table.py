@@ -26,7 +26,7 @@ def padded(paths, counts):
     return out
 
 
-ANGLE = st.floats(-180.0, 180.0)
+ANGLE = st.floats(-180.0, 180.0, exclude_min=True)
 ZENITH = st.floats(0.0, 180.0)
 PATH = st.tuples(st.floats(1.0, 200.0), st.floats(1e-9, 1e-5), ANGLE, ZENITH, ANGLE, ZENITH,
                  st.floats(-359.0, 0.0))
@@ -53,7 +53,7 @@ def valid_links(draw, max_links=6):
 BREAKS = st.one_of(
     st.none(),
     st.tuples(st.integers(0, 6), st.sampled_from([math.nan, math.inf, -1.0, 0.0, 181.0,
-                                                  -360.0, 1.0])),
+                                                  -180.0, -360.0, 1.0])),
     st.sampled_from(["unsorted", "no-paths", "26-paths", "tx-nan", "freq-zero", "freq-nan"]),
 )
 
