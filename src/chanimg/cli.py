@@ -6,9 +6,9 @@ Subcommands compose into the full experiment:
 
 plus `report`, a per-link encode/decode round-trip fidelity check.  Every
 run is a deterministic function of its inputs and --seed; all randomness
-flows through named substreams (data, padding, init, batching, noise,
-sampling).  Errors print one machine-parsable line to stderr and map to
-distinct exit codes:
+flows through named streams of the seed (tx, rx, link, split, padding,
+init, batching, noise, gp, noise-gen, sampling, resampler).  Errors print
+one machine-parsable line to stderr and map to distinct exit codes:
 
     2 usage, 3 malformed file, 4 format version mismatch,
     5 invalid data/geometry/config, 6 training diverged, 1 unexpected

@@ -16,6 +16,7 @@ Conventions:
   - all functions are pure; safe under any concurrency
 """
 
+import numbers
 from dataclasses import dataclass, fields
 from enum import Enum
 
@@ -50,6 +51,11 @@ class LinkState(Enum):
     LOS = "LOS"
     NLOS = "NLOS"
     OUTAGE = "Outage"
+
+
+def is_int(v) -> bool:
+    """An integer that is not a bool (a bool is an int to Python)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def wrap_azimuth(a):

@@ -7,11 +7,10 @@ matrices and serves as a codec-isolating baseline.  Each name is imported
 on first access, so the resampler loads without the networks.
 """
 
-import numbers
-
 import numpy as np
 
 from .. import _lazy_exports
+from ..core import is_int
 from ..errors import DataError
 
 __all__ = [
@@ -33,11 +32,6 @@ __getattr__ = _lazy_exports(globals(), {
         (".wgan", ("ArrayBatches", "NetworkParams", "WganGpHyperparams", "sample",
                    "train_wgan_gp")),
     ) for name in names})
-
-
-def is_int(v) -> bool:
-    """An integer that is not a bool (a bool is an int to Python)."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 def sample_request(cond, n, shape, dtype, out):

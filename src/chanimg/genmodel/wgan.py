@@ -40,7 +40,7 @@ import numpy as np
 
 from ..core import MATRIX_SHAPE
 from ..errors import DataError, TrainingDivergedError
-from ..rng import substream, substreams
+from ..rng import substream
 from . import is_int, sample_request
 from .nn import AdamState, Mlp, Scratch, adam_step, count_params, frame, take
 
@@ -657,8 +657,10 @@ def sample(netp: NetworkParams, cond, n: int, seed: int, out=None) -> np.ndarray
     """n channel matrices under the given condition(s), in [-1, 1].
 
     cond is one (dist2d, height) pair applied to every sample, or an (n, 2)
-    array pairing one condition per sample.  Sample i depends only on
-    (seed, i) and its condition, so subsets are stable.
+    array pairing one condition per sample.  Sample i's noise is row i of
+    the (n, noise_dim) standard normals of the seed's "sampling" stream,
+    so sample i depends only on (seed, i) and its condition: a smaller
+    draw is a prefix of a larger one.
 
     The generator runs on SAMPLE_CHUNK samples at a time.  out, when given,
     is an (n, 8, 25) array that receives each block as it is made,
@@ -674,15 +676,14 @@ def sample(netp: NetworkParams, cond, n: int, seed: int, out=None) -> np.ndarray
     c = np.zeros((-(-n // SAMPLE_CHUNK) * SAMPLE_CHUNK, 2), dtype=dt)
     c[:n] = netp.normalize_conditions(cond)
 
-    noise = substreams(seed, "sampling", n=n)
+    noise = substream(seed, "sampling")
     z = np.zeros((SAMPLE_CHUNK, netp.noise_dim))
     scratch = Scratch()
     y = scratch.take((SAMPLE_CHUNK, PIXELS), dt)  # below every frame generator_forward rewinds
     blocks = RowBlocks((scratch,))  # one block: each pass is over all SAMPLE_CHUNK rows
     for start in range(0, n, SAMPLE_CHUNK):
         m = min(SAMPLE_CHUNK, n - start)
-        for z_i, rng in zip(z[:m], noise):  # z first: no stream is drawn past the block
-            rng.standard_normal(out=z_i)
+        noise.standard_normal(out=z[:m])
         generator_forward(netp, z.astype(dt, copy=False), c[start:start + SAMPLE_CHUNK],
                           blocks, out=y)
         out[start:start + m] = y[:m].reshape(m, *MATRIX_SHAPE)

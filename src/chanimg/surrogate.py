@@ -16,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_PATHS, LinkState, LinkTable, closed_forms, path_rules, wrap_azimuth
+from .core import MAX_PATHS, LinkState, LinkTable, closed_forms, is_int, path_rules, wrap_azimuth
 from .errors import DataError, GeometryError
-from .rng import substream, substreams
+from .rng import substream
 
 __all__ = ["SurrogateConfig", "generate_dataset", "train_test_split"]
 
@@ -62,6 +62,10 @@ class SurrogateConfig:
 
     def validate(self):
         # chained comparisons with math.inf also reject NaN
+        for name in ("num_tx", "num_rx_per_height"):
+            count = getattr(self, name)
+            if not is_int(count) or count < 1:
+                raise DataError(f"{name} must be a positive integer, got {count!r}")
         if not self.heights or not all(0 < h < math.inf for h in self.heights):
             raise DataError("heights must be non-empty, positive and finite")
         if not all(0 < x < math.inf for x in self.area):
@@ -70,28 +74,35 @@ class SurrogateConfig:
             raise DataError("carrier_freq must be positive and finite")
         if self.los_probability is not None and not 0 <= self.los_probability <= 1:
             raise DataError("los_probability must lie in [0, 1]")
-        if self.num_tx * self.num_rx_per_height * len(self.heights) <= 0:
-            raise DataError("zero links requested")
-
-
-def _los_probability(cfg: SurrogateConfig, dist2d: float, height: float) -> float:
-    if cfg.los_probability is not None:
-        return cfg.los_probability
-    scale = cfg.los_scale_base_m + cfg.los_scale_per_height * height
-    return min(1.0, math.exp(-dist2d / scale))
+        for name in ("los_scale_base_m", "path_rate_decay_m", "spread_decay_m"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be positive and finite")
+        for name in ("los_scale_per_height", "excess_delay_mean_s", "excess_pl_sigma_db",
+                     "excess_pl_per_ns_db", "azimuth_spread_deg", "zenith_spread_deg"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise DataError(f"{name} must be non-negative and finite")
+        # numpy's Poisson draw refuses a mean above about 9.2e18; a mean of
+        # 1e6 already fills every link to the path cap
+        if not 0 <= self.path_rate_base <= 1e6:
+            raise DataError("path_rate_base must lie in [0, 1e6]")
 
 
 def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
     """The LinkTable of the full tx x rx x height grid of links.
 
-    A pure function of the config: tx positions, rx positions and every
-    link's paths come from independent substreams of cfg.seed, so the output
-    is identical regardless of evaluation order.  The closed forms are
-    evaluated once over the whole grid; a link without a LOS path (a
-    vertical link, or a LOS pathloss that is not positive at a low carrier)
-    is a GeometryError naming the first one.  A link's scattered paths sit
-    around its LOS direction, delay and loss, sorted by delay behind the
-    LOS path of a LOS link.
+    A pure function of the config.  The tx positions, the rx positions of
+    each height and the links' draws come from their own streams of
+    cfg.seed.  The closed forms are evaluated once over the whole grid; a
+    link without a LOS path (a vertical link, or a LOS pathloss that is not
+    positive at a low carrier) is a GeometryError naming the first one.
+
+    The "link" stream is drawn in bulk, in this order, for N links: the N
+    uniforms that decide LOS, the N Poisson counts of extra paths, then
+    each of the 7 scattered-path fields for all P scattered paths, link by
+    link: excess delay, excess-loss normal, AOD, AOA, ZOD and ZOA Laplace
+    offsets (per-path scales, the spread times the link's decay) and the
+    phase uniform.  A link's scattered paths sit around its LOS direction,
+    delay and loss, sorted by delay behind the LOS path of a LOS link.
     """
     cfg.validate()
 
@@ -114,29 +125,26 @@ def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
                                              if dist2d[i] == 0.0 else
                                              f"LOS pathloss {fspl[i]} dB is not positive"))
 
-    # per link, only the draws: each link's substream is read in a fixed order,
-    # and each field's draws are appended to one byte buffer
-    is_los, n_scattered, draws = [], [], [bytearray() for _ in range(7)]
-    for rng, d2, h in zip(substreams(cfg.seed, "link", n=len(dist2d)),
-                          dist2d.tolist(), rx_all[:, 2].tolist()):
-        los_link = rng.uniform() < _los_probability(cfg, d2, h)
-        n_extra = int(rng.poisson(cfg.path_rate_base * math.exp(-d2 / cfg.path_rate_decay_m)))
-        n = min(n_extra, MAX_PATHS - 1) if los_link else min(1 + n_extra, MAX_PATHS)
-        decay = math.exp(-d2 / cfg.spread_decay_m)
-        az_scale, zen_scale = cfg.azimuth_spread_deg * decay, cfg.zenith_spread_deg * decay
-        is_los.append(los_link)
-        n_scattered.append(n)
-        for buf, draw in zip(draws, (
-                rng.exponential(cfg.excess_delay_mean_s, n),
-                rng.normal(0.0, cfg.excess_pl_sigma_db, n),
-                rng.laplace(0.0, az_scale, n), rng.laplace(0.0, az_scale, n),
-                rng.laplace(0.0, zen_scale, n), rng.laplace(0.0, zen_scale, n),
-                rng.uniform(0.0, 360.0, n))):
-            buf += draw.tobytes()
-    is_los, n_scattered = np.array(is_los), np.array(n_scattered)
-    excess_delay, normal, l_aod, l_aoa, l_zod, l_zoa, phase = map(np.frombuffer, draws)
+    rng = substream(cfg.seed, "link")
+    if cfg.los_probability is None:
+        p_los = np.minimum(1.0, np.exp(-dist2d / (cfg.los_scale_base_m
+                                                  + cfg.los_scale_per_height * rx_all[:, 2])))
+    else:
+        p_los = cfg.los_probability
+    is_los = rng.uniform(size=len(dist2d)) < p_los
+    n_extra = rng.poisson(cfg.path_rate_base * np.exp(-dist2d / cfg.path_rate_decay_m))
+    n_scattered = np.where(is_los, np.minimum(n_extra, MAX_PATHS - 1),
+                           np.minimum(1 + n_extra, MAX_PATHS))
+    n_paths = int(n_scattered.sum())
+    decay = np.repeat(np.exp(-dist2d / cfg.spread_decay_m), n_scattered)
+    az_scale, zen_scale = cfg.azimuth_spread_deg * decay, cfg.zenith_spread_deg * decay
+    excess_delay = rng.exponential(cfg.excess_delay_mean_s, n_paths)
+    normal = rng.normal(0.0, cfg.excess_pl_sigma_db, n_paths)
+    l_aod, l_aoa = rng.laplace(0.0, az_scale), rng.laplace(0.0, az_scale)
+    l_zod, l_zoa = rng.laplace(0.0, zen_scale), rng.laplace(0.0, zen_scale)
+    phase = rng.uniform(0.0, 360.0, n_paths)
 
-    # then one pass over every scattered path, each written to its row of the
+    # one pass over every scattered path, each written to its row of the
     # output: a link's rows are its LOS path, if any, then its scattered paths
     # by delay
     counts = n_scattered + is_los
@@ -147,9 +155,10 @@ def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
     to = np.empty(len(link), dtype=np.intp)
     to[np.lexsort((excess_delay, link))] = (np.arange(len(link))
                                             + np.repeat(np.cumsum(is_los), n_scattered))
-    excess_pl = np.abs(normal)
-    excess_pl += cfg.excess_pl_per_ns_db * excess_delay * 1e9
-    paths[to, 0] = los[link, 0] + excess_pl
+    with np.errstate(over="ignore"):  # path_rules reports a pathloss that overflows
+        excess_pl = np.abs(normal)
+        excess_pl += cfg.excess_pl_per_ns_db * excess_delay * 1e9
+        paths[to, 0] = los[link, 0] + excess_pl
     paths[to, 1] = los[link, 1] + excess_delay
     paths[to, 2] = wrap_azimuth(los[link, 2] + l_aod)
     paths[to, 3] = np.clip(los[link, 3] + l_zod, 0.0, 180.0)

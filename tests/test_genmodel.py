@@ -875,11 +875,12 @@ def test_sample_per_index_stability():
 
 @pytest.mark.parametrize("seed", [0, 2**32, 2**64 + 3])
 def test_sample_noise_is_each_samples_substream(seed):
-    # sample i is row i of a generator pass over one SAMPLE_CHUNK-row block
+    # sample i is row i of a generator pass over one SAMPLE_CHUNK-row block,
+    # its noise row i of the "sampling" stream's (n, noise_dim) normals
     netp, _ = tiny_netp()
     cond = np.column_stack([np.linspace(10.0, 400.0, 5), np.full(5, 1.6)])
     z, c = np.zeros((wgan.SAMPLE_CHUNK, netp.noise_dim)), np.zeros((wgan.SAMPLE_CHUNK, 2))
-    z[:5] = [substream(seed, "sampling", i).standard_normal(netp.noise_dim) for i in range(5)]
+    z[:5] = substream(seed, "sampling").standard_normal((5, netp.noise_dim))
     c[:5] = netp.normalize_conditions(cond)
     want = generator_forward(netp, z, c)[:5]
     assert sample(netp, cond, 5, seed).tobytes() == want.reshape(5, 8, 25).tobytes()

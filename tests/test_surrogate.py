@@ -1,6 +1,8 @@
 """Surrogate dataset generator: determinism, invariants, qualitative trends."""
 
 import math
+import re
+import sys
 from collections import namedtuple
 from dataclasses import fields
 
@@ -30,49 +32,54 @@ def small_config(**kw):
 
 
 # -- the per-link reference generator ---------------------------------------------
-# One link at a time, built path by path from the link's own substream:
-# generate_dataset must give the table of these links bit for bit.
+# One link at a time, built path by path from its share of the "link" stream's
+# draws, drawn one number at a time in the order generate_dataset documents:
+# generate_dataset must give the table of these links bit for bit.  The
+# exponentials are numpy's, as in the generator, since libm's exp may round
+# differently.
 
 
 def reference_los_probability(cfg, dist2d, height):
     if cfg.los_probability is not None:
         return cfg.los_probability
     scale = cfg.los_scale_base_m + cfg.los_scale_per_height * height
-    return min(1.0, math.exp(-dist2d / scale))
+    return min(1.0, float(np.exp(-dist2d / scale)))
 
 
-def reference_scattered_paths(cfg, rng, n, dist2d, los):
-    """Draw n scattered paths around the link's LOS direction, delay and loss."""
-    decay = math.exp(-dist2d / cfg.spread_decay_m)
-    az_scale = cfg.azimuth_spread_deg * decay
-    zen_scale = cfg.zenith_spread_deg * decay
+def reference_draws(cfg, dist2d, height):
+    """(LOS or not, scattered-path count) of every link, and the 7 draws of every path."""
+    rng = substream(cfg.seed, "link")
+    is_los = [rng.uniform() < reference_los_probability(cfg, d2, h)
+              for d2, h in zip(dist2d, height)]
+    n_paths = []
+    for los, d2 in zip(is_los, dist2d):
+        n_extra = rng.poisson(cfg.path_rate_base * float(np.exp(-d2 / cfg.path_rate_decay_m)))
+        n_paths.append(min(n_extra, MAX_PATHS - 1) if los else min(1 + n_extra, MAX_PATHS))
+    # the spread decay of each path's link
+    decay = [float(np.exp(-d2 / cfg.spread_decay_m)) for d2, n in zip(dist2d, n_paths)
+             for _ in range(n)]
+    total = len(decay)
+    delays = [rng.exponential(cfg.excess_delay_mean_s) for _ in range(total)]
+    normals = [rng.normal(0.0, cfg.excess_pl_sigma_db) for _ in range(total)]
+    l_aod, l_aoa, l_zod, l_zoa = ([rng.laplace(0.0, spread * d) for d in decay]
+                                  for spread in (cfg.azimuth_spread_deg, cfg.azimuth_spread_deg,
+                                                 cfg.zenith_spread_deg, cfg.zenith_spread_deg))
+    phases = [rng.uniform(0.0, 360.0) for _ in range(total)]
+    return is_los, n_paths, list(zip(delays, normals, l_aod, l_aoa, l_zod, l_zoa, phases))
 
-    excess_delay = rng.exponential(cfg.excess_delay_mean_s, size=n)
-    excess_pl = np.abs(rng.normal(0.0, cfg.excess_pl_sigma_db, size=n))
-    excess_pl += cfg.excess_pl_per_ns_db * excess_delay * 1e9
 
-    aod = wrap_azimuth(los.aod + rng.laplace(0.0, az_scale, size=n))
-    aoa = wrap_azimuth(los.aoa + rng.laplace(0.0, az_scale, size=n))
-    zod = np.clip(los.zod + rng.laplace(0.0, zen_scale, size=n), 0.0, 180.0)
-    zoa = np.clip(los.zoa + rng.laplace(0.0, zen_scale, size=n), 0.0, 180.0)
-    phase = -rng.uniform(0.0, 360.0, size=n)  # (-360, 0]
-
-    order = np.argsort(excess_delay, kind="stable")
-    return [Path(float(los.pathloss + excess_pl[i]), float(los.delay + excess_delay[i]),
-                 float(aod[i]), float(zod[i]), float(aoa[i]), float(zoa[i]), float(phase[i]))
-            for i in order]
-
-
-def reference_link(cfg, tx, rx, link_index, dist2d, los):
-    rng = substream(cfg.seed, "link", link_index)
-    is_los = rng.uniform() < reference_los_probability(cfg, dist2d, rx[2])
-    n_extra = int(rng.poisson(cfg.path_rate_base * math.exp(-dist2d / cfg.path_rate_decay_m)))
+def reference_link(cfg, tx, rx, los, is_los, draws):
+    """A link from its LOS path and the draws of its scattered paths."""
+    paths = []
+    for excess_delay, normal, l_aod, l_aoa, l_zod, l_zoa, phase in draws:
+        excess_pl = abs(normal) + cfg.excess_pl_per_ns_db * excess_delay * 1e9
+        paths.append(Path(los.pathloss + excess_pl, los.delay + excess_delay,
+                          wrap_azimuth(los.aod + l_aod), min(max(los.zod + l_zod, 0.0), 180.0),
+                          wrap_azimuth(los.aoa + l_aoa), min(max(los.zoa + l_zoa, 0.0), 180.0),
+                          -phase))  # (-360, 0]
+    paths.sort(key=lambda p: p.delay)  # stable: equal delays keep their draw order
     if is_los:
-        n_extra = min(n_extra, MAX_PATHS - 1)
-        paths = [los] + reference_scattered_paths(cfg, rng, n_extra, dist2d, los)
-    else:
-        n_total = min(1 + n_extra, MAX_PATHS)
-        paths = reference_scattered_paths(cfg, rng, n_total, dist2d, los)
+        paths.insert(0, los)
     if min(p.pathloss for p in paths) > cfg.outage_threshold_db:
         state = LinkState.OUTAGE
     else:
@@ -93,9 +100,14 @@ def reference_dataset(cfg):
         for h_idx, height in enumerate(cfg.heights)])
     tx_all, rx_all = np.tile(txs, (len(rxs), 1)), np.repeat(rxs, cfg.num_tx, axis=0)
     dist2d, _, _, los = closed_forms(tx_all, rx_all, np.full(len(rx_all), cfg.carrier_freq))
-    return [reference_link(cfg, tuple(a), tuple(b), i, d2, Path(*row))
-            for i, (a, b, d2, row) in enumerate(zip(
-                tx_all.tolist(), rx_all.tolist(), dist2d.tolist(), los.tolist()))]
+    is_los, n_paths, draws = reference_draws(cfg, dist2d.tolist(), rx_all[:, 2].tolist())
+    links, start = [], 0
+    for a, b, row, los_link, n in zip(tx_all.tolist(), rx_all.tolist(), los.tolist(), is_los,
+                                      n_paths):
+        links.append(reference_link(cfg, tuple(a), tuple(b), Path(*row), los_link,
+                                    draws[start:start + n]))
+        start += n
+    return links
 
 
 @pytest.mark.parametrize("kw", [
@@ -205,9 +217,10 @@ def test_low_carrier_without_a_los_path_is_rejected(freq):
 
 @pytest.mark.parametrize("knob", ["excess_pl_sigma_db", "excess_delay_mean_s"])
 def test_non_finite_scattered_path_rejected(knob):
-    # the rules read_table applies, so the generator never writes a file it rejects
+    # the rules read_table applies, so the generator never writes a file it
+    # rejects: a finite knob so large that a pathloss overflows
     with pytest.raises(DataError, match="^link 0: pathloss, delay, aod and aoa must be finite"):
-        generate_dataset(small_config(**{knob: math.inf}))
+        generate_dataset(small_config(**{knob: sys.float_info.max}))
 
 
 def test_zero_links_rejected():
@@ -216,10 +229,27 @@ def test_zero_links_rejected():
 
 
 def test_bad_config_rejected():
-    with pytest.raises(DataError):
-        generate_dataset(small_config(heights=()))
-    with pytest.raises(DataError):
-        generate_dataset(small_config(area=(0.0, 100.0)))
+    for kw, message in [
+        ({"heights": ()}, "heights must be non-empty"),
+        ({"area": (0.0, 100.0)}, "area dimensions must be positive"),
+        ({"num_tx": -2, "num_rx_per_height": -3}, "num_tx must be a positive integer, got -2"),
+        ({"num_rx_per_height": -3}, "num_rx_per_height must be a positive integer, got -3"),
+        ({"num_tx": 2.5}, "num_tx must be a positive integer, got 2.5"),
+        ({"num_tx": True}, "num_tx must be a positive integer, got True"),
+        ({"azimuth_spread_deg": -1.0}, "azimuth_spread_deg must be non-negative"),
+        ({"zenith_spread_deg": math.nan}, "zenith_spread_deg must be non-negative"),
+        ({"excess_delay_mean_s": math.inf}, "excess_delay_mean_s must be non-negative"),
+        ({"excess_pl_sigma_db": math.inf}, "excess_pl_sigma_db must be non-negative"),
+        ({"excess_pl_per_ns_db": -0.1}, "excess_pl_per_ns_db must be non-negative"),
+        ({"los_scale_per_height": -3.0}, "los_scale_per_height must be non-negative"),
+        ({"los_scale_base_m": 0.0}, "los_scale_base_m must be positive"),
+        ({"path_rate_decay_m": math.inf}, "path_rate_decay_m must be positive"),
+        ({"spread_decay_m": -400.0}, "spread_decay_m must be positive"),
+        ({"path_rate_base": -1.0}, "path_rate_base must lie in"),
+        ({"path_rate_base": 1e19}, "path_rate_base must lie in"),  # numpy's Poisson refuses it
+    ]:
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            generate_dataset(small_config(**kw))
 
 
 def test_train_test_split():
