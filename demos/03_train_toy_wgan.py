@@ -25,8 +25,9 @@ print("training conditional WGAN-GP on the toy set "
 netp, log = train_wgan_gp(ArrayBatches(matrices, conds), hyper, seed=3)
 counts = log.param_counts
 print(f"parameters: generator {counts['generator']:,} / critic {counts['critic']:,}")
-print(f"critic loss: start {np.mean(log.critic_losses[:20]):+.3f} "
-      f"end {np.mean(log.critic_losses[-20:]):+.3f}")
+critic_loss = [row[log.COLUMNS.index("critic_loss")] for row in log.rows]  # one per step
+print(f"critic loss: start {np.mean(critic_loss[:20]):+.3f} "
+      f"end {np.mean(critic_loss[-20:]):+.3f}")
 
 for cond, target in ([50.0, 1.6], 0.5), ([300.0, 120.0], -0.5):
     out = sample(netp, cond, 200, seed=4)

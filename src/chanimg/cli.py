@@ -24,7 +24,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import _lazy_exports, io
-from .core import MATRIX_SHAPE
+from .core import MATRIX_SHAPE, PATH_FIELDS
 from .errors import (
     ChanimgError,
     DataError,
@@ -245,11 +245,13 @@ def _cmd_train(args) -> int:
         output_init=args.output_init, dtype=args.dtype)
     netp, log = _layer("train_wgan_gp")(ArrayBatches(matrices, conds), hyper, args.seed)
     io.write_wgan_checkpoint(args.out, netp, seed=args.seed)
-    if args.log:
-        io.write_training_log(args.log, log, seed=args.seed)
     counts = log.param_counts
+    if args.log:
+        io.write_report_csv(args.log, "training-log", args.seed, log.COLUMNS, log.rows,
+                            generator_params=counts["generator"],
+                            critic_params=counts["critic"])
     print(f"trained wgan-gp ({counts['generator']} generator / {counts['critic']} critic "
-          f"parameters, {log.steps[-1]} critic steps) -> {args.out}")
+          f"parameters, {len(log.rows)} critic steps) -> {args.out}")
     return 0
 
 
@@ -271,7 +273,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    from .stats import RMS_FEATURES
+    from .stats import METRICS
 
     model = io.read_table(args.model)
     data = io.read_table(args.data)
@@ -284,10 +286,7 @@ def _cmd_eval(args) -> int:
                                         angle_bin_width=args.angle_bin_width)
     outdir = args.outdir
 
-    metrics = (*(f"ks_{f}" for f in ("pathloss", "delay")),
-               *(f"ks_uniform_{f}" for f in ("aoa", "aod", "phase")),
-               *(f"ks_rms_{f}" for f in RMS_FEATURES), "max_los_prob_gap")
-    ks_rows = [[h, m, entry[m]] for h, entry in report.items() for m in metrics]
+    ks_rows = [[h, m, entry[m]] for h, entry in report.items() for m in METRICS]
     io.write_report_csv(f"{outdir}/ks.csv", "ks", args.seed,
                         ["height", "metric", "value"], ks_rows)
 
@@ -324,9 +323,8 @@ def _cmd_report(args) -> int:
     table = io.read_table(args.data)
     codec = io.read_codec(args.codec)
     header = ["link", "state_ok", "n_paths_ok", "virtual_survivors",
-              "err_pathloss", "err_delay", "err_aod", "err_zod", "err_aoa",
-              "err_zoa", "err_phase"]
-    worst = np.zeros(len(header) - 4)
+              *(f"err_{f}" for f in PATH_FIELDS)]
+    worst = np.zeros(len(PATH_FIELDS))
 
     def rows():
         # one padding block of links at a time: encode, decode, compare, so

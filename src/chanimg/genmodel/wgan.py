@@ -506,27 +506,19 @@ class ArrayBatches:
 
 @dataclass
 class TrainingLog:
-    """Per-critic-step losses and gradient norms plus model bookkeeping."""
+    """One row per critic step, in COLUMNS order, and the networks' parameter counts.
 
-    steps: list = field(default_factory=list)
-    critic_losses: list = field(default_factory=list)
-    gen_losses: list = field(default_factory=list)  # NaN when no generator step
-    gp_terms: list = field(default_factory=list)
-    wasserstein: list = field(default_factory=list)  # mean f(fake) - mean f(real)
-    gp_norms: list = field(default_factory=list)  # mean ||grad_m f|| at the interpolates
-    # global L2 norms of the gradients Adam is given; NaN when no generator step
-    critic_grad_norms: list = field(default_factory=list)
-    gen_grad_norms: list = field(default_factory=list)
-    param_counts: dict = field(default_factory=dict)
+    wasserstein is mean f(fake) - mean f(real), gp_norm the mean ||grad_m f||
+    at the interpolates, and the grad norms the global L2 norms of the
+    gradients Adam is given; gen_loss and gen_grad_norm are NaN on a step
+    without a generator step.
+    """
 
     COLUMNS = ("step", "critic_loss", "gen_loss", "gp_term", "wasserstein", "gp_norm",
                "critic_grad_norm", "gen_grad_norm")
 
-    def rows(self):
-        for row in zip(self.steps, self.critic_losses, self.gen_losses, self.gp_terms,
-                       self.wasserstein, self.gp_norms, self.critic_grad_norms,
-                       self.gen_grad_norms):
-            yield dict(zip(self.COLUMNS, row))
+    rows: list = field(default_factory=list)
+    param_counts: dict = field(default_factory=dict)
 
 
 def _global_norm(grads) -> float:
@@ -642,14 +634,9 @@ def train_wgan_gp(data: ArrayBatches, hyper: WganGpHyperparams, seed: int):
                     adam_step(netp.generator_params(), ggrads, opt_g,
                               hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
 
-                log.steps.append(step)
-                log.critic_losses.append(parts["total"])
-                log.gen_losses.append(gen_loss)
-                log.gp_terms.append(parts["gp"])
-                log.wasserstein.append(parts["wasserstein"])
-                log.gp_norms.append(parts["gp_norm"])
-                log.critic_grad_norms.append(critic_grad_norm)
-                log.gen_grad_norms.append(gen_grad_norm)
+                log.rows.append((step, parts["total"], gen_loss, parts["gp"],
+                                 parts["wasserstein"], parts["gp_norm"], critic_grad_norm,
+                                 gen_grad_norm))
     return netp, log
 
 

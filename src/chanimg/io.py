@@ -214,7 +214,9 @@ _ENDS = struct.Struct("7d")  # tx, rx, carrier_freq
 # longest dataset line read_table parses: write_table's longest, 25 paths with
 # every number a 24-character repr, is 6,300 bytes with its newline
 MAX_LINE_BYTES = 1 << 16
-_TEXT_BLOCK = 1024  # rows of 7 numbers per formatted, hashed and written block of text
+# links per formatted, hashed and written block of text: at most 1,024 rows
+# of 7 numbers, whose formatting arrays bound write_table's peak memory
+_BLOCK_LINKS = 1024 // (MAX_PATHS + 1)
 
 _STATES = np.array(list(LinkState), dtype=object)  # the sidecar's state codes
 _STATE_CODES = {state: code for code, state in enumerate(_STATES)}
@@ -248,13 +250,10 @@ def write_table(path, table: LinkTable, seed=None):
 def _text_blocks(table: LinkTable):
     """The text of the table's links, the lines json.dumps writes for their records, in blocks.
 
-    An iterator of bytes.  Each block holds whole links and an equal share
-    of the table's rows of 7 numbers (a link's tx, rx and carrier_freq,
-    or one of its paths), about _TEXT_BLOCK rows (see _part_bounds).
+    An iterator of bytes, one block of _BLOCK_LINKS links at a time.
     """
-    blocks = -(-int(table.counts.sum() + len(table)) // _TEXT_BLOCK)
-    bounds = _part_bounds(table.counts, max(blocks, 1)).tolist()
-    return (_block_text(table.take(slice(a, b))) for a, b in zip(bounds, bounds[1:]) if a < b)
+    return (_block_text(table.take(slice(a, a + _BLOCK_LINKS)))
+            for a in range(0, len(table), _BLOCK_LINKS))
 
 
 def _block_text(part: LinkTable) -> bytes:
@@ -313,13 +312,6 @@ def _templates():
         slots.append(at)
         at += SLOT
     return templates, slots[:7]
-
-
-def _part_bounds(counts, parts):
-    """parts + 1 link bounds of contiguous parts holding near-equal lines plus paths."""
-    weight = np.concatenate([[0], np.cumsum(counts + 1)])
-    return np.searchsorted(weight, weight[-1] * np.arange(parts + 1) // parts,
-                           side="right") - 1
 
 
 def _write_text(path, header, table: LinkTable) -> bytes:
@@ -624,26 +616,16 @@ def read_model_checkpoint(path):
 # -- CSV reports -------------------------------------------------------------------
 
 
-def write_report_csv(path, name: str, seed, header, rows):
+def write_report_csv(path, name: str, seed, header, rows, **meta):
     """rows: iterable of sequences aligned with header, written as they come.
 
-    The file replaces path whole (see _replacing), so rows may raise part
-    way and leave no partial report.
+    The '#' line names the report, its version and seed, then each of
+    meta's pairs as key=value.  The file replaces path whole (see
+    _replacing), so rows may raise part way and leave no partial report.
     """
+    pairs = "".join(f" {k}={v}" for k, v in meta.items())
     with _replacing(path, "w", newline="") as fh:
-        fh.write(f"# chanimg-report v{REPORT_VERSION} name={name} seed={seed}\n")
+        fh.write(f"# chanimg-report v{REPORT_VERSION} name={name} seed={seed}{pairs}\n")
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def write_training_log(path, log, seed=None):
-    """log's rows under its header, replacing path whole (see _replacing)."""
-    with _replacing(path, "w", newline="") as fh:
-        fh.write(f"# chanimg-report v{REPORT_VERSION} name=training-log seed={seed}"
-                 f" generator_params={log.param_counts.get('generator')}"
-                 f" critic_params={log.param_counts.get('critic')}\n")
-        writer = csv.writer(fh)
-        writer.writerow(log.COLUMNS)
-        for row in log.rows():
-            writer.writerow(row.values())

@@ -3,8 +3,9 @@
 Implements the evaluation battery used to judge a generative channel model
 against source data: empirical CDFs and Kolmogorov-Smirnov distances,
 LOS/outage probability versus 2D distance, per-distance PDFs of zenith
-angles relative to the LOS direction, uniformity checks for azimuths and
-phases, and gain-weighted RMS spreads of delay and angles.
+angles relative to the LOS direction, KS distances of azimuths and phases
+from the uniform distribution on their domains, and gain-weighted RMS
+spreads of delay and angles.
 """
 
 import os
@@ -19,17 +20,20 @@ __all__ = [
     "Ecdf",
     "ks_statistic",
     "ks_uniform",
-    "uniformity_check",
     "LinkStateProb",
     "link_state_prob",
     "BinnedPdf2D",
     "relative_zenith_pdf",
-    "RmsSpreadReport",
-    "rms_spread_report",
+    "rms_spread",
     "compare_datasets",
 ]
 
 RMS_FEATURES = ("delay", "aoa", "aod", "zoa", "zod")
+# the domain each model feature's uniformity KS distance is taken against
+UNIFORM_DOMAINS = {"aoa": (-180.0, 180.0), "aod": (-180.0, 180.0), "phase": (-360.0, 0.0)}
+# compare_datasets' scalar metrics at each height, in the order eval writes them
+METRICS = ("ks_pathloss", "ks_delay", *(f"ks_uniform_{f}" for f in UNIFORM_DOMAINS),
+           *(f"ks_rms_{f}" for f in RMS_FEATURES), "max_los_prob_gap")
 _CIRCULAR = {"aoa", "aod"}
 # column of each path feature in LinkTable.paths and LinkTable.los
 _FEATURE_COL = {f: i for i, f in enumerate(PATH_FIELDS)}
@@ -67,15 +71,6 @@ def ks_uniform(samples, low: float, high: float) -> float:
     return float(max(np.max(i - u), np.max(u - (i - 1 / x.size))))
 
 
-def uniformity_check(samples, kind: str) -> float:
-    """KS distance of azimuths against U(-180, 180] or phases against U(-360, 0]."""
-    if kind in ("aoa", "aod"):
-        return ks_uniform(samples, -180.0, 180.0)
-    if kind == "phase":
-        return ks_uniform(samples, -360.0, 0.0)
-    raise DataError(f"unknown uniformity kind: {kind}")
-
-
 @dataclass
 class LinkStateProb:
     """Per-distance-bin LOS and outage fractions at one receiver height."""
@@ -90,17 +85,16 @@ class LinkStateProb:
         return self.counts > 0
 
 
-def link_state_prob(table: LinkTable, height: float, bin_edges) -> LinkStateProb:
-    """LOS/outage probability vs 2D distance for links at one height.
+def link_state_prob(table: LinkTable, bin_edges) -> LinkStateProb:
+    """LOS/outage probability vs 2D distance over the table's links.
 
     Empty bins are reported with count 0 and NaN probabilities (absent, not
     zero).  P_LOS + P_outage <= 1 in every occupied bin.
     """
     bin_edges = np.asarray(bin_edges, dtype=float)
-    sel = table.height == height
-    dists = table.dist2d[sel]
-    is_los = (table.state[sel] == LinkState.LOS).astype(float)
-    is_out = (table.state[sel] == LinkState.OUTAGE).astype(float)
+    dists = table.dist2d
+    is_los = (table.state == LinkState.LOS).astype(float)
+    is_out = (table.state == LinkState.OUTAGE).astype(float)
 
     counts, _ = np.histogram(dists, bin_edges)
     los_counts, _ = np.histogram(dists, bin_edges, weights=is_los)
@@ -131,7 +125,7 @@ class BinnedPdf2D:
         return out
 
 
-def relative_zenith_pdf(table: LinkTable, height, dist_edges, angle_edges,
+def relative_zenith_pdf(table: LinkTable, dist_edges, angle_edges,
                         angle: str = "zod") -> BinnedPdf2D:
     """PDF of zenith angles relative to the LOS direction, per distance bin.
 
@@ -146,8 +140,7 @@ def relative_zenith_pdf(table: LinkTable, height, dist_edges, angle_edges,
     dist_edges = np.asarray(dist_edges, dtype=float)
     angle_edges = np.asarray(angle_edges, dtype=float)
     col = _FEATURE_COL[angle]
-    used = ((table.height == height) & (table.state != LinkState.OUTAGE)
-            & (table.counts > 0))
+    used = (table.state != LinkState.OUTAGE) & (table.counts > 0)
     ref = table.los[:, col]
     skipped = int(np.count_nonzero(used & np.isnan(ref)))
     t = table.take(used & ~np.isnan(ref))
@@ -161,19 +154,11 @@ def relative_zenith_pdf(table: LinkTable, height, dist_edges, angle_edges,
     return BinnedPdf2D(dist_edges, angle_edges, density, skipped_links=skipped)
 
 
-@dataclass
-class RmsSpreadReport:
-    """Per-link RMS spreads (seconds for delay, degrees for angles)."""
-
-    delay: np.ndarray
-    aoa: np.ndarray
-    aod: np.ndarray
-    zoa: np.ndarray
-    zod: np.ndarray
-
-
-def rms_spread_report(table: LinkTable) -> RmsSpreadReport:
+def rms_spread(table: LinkTable) -> dict:
     """Gain-weighted RMS spreads of every link that has paths, in link order.
+
+    {feature: (links,) array} over RMS_FEATURES, in seconds for delay and
+    degrees for the angles.
 
     Path powers are 10^(-pathloss/10).  Delay uses excess delay (delay minus
     the first arrival); azimuths are unwrapped around the gain-weighted
@@ -208,18 +193,20 @@ def rms_spread_report(table: LinkTable) -> RmsSpreadReport:
             d = mean + (d - mean + 180.0) % 360.0 - 180.0
         mean = np.sum(w * d, axis=1, keepdims=True)
         out[feature] = np.sqrt(np.sum(w * (d - mean) ** 2, axis=1))
-    return RmsSpreadReport(**out)
+    return out
 
 
 def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width: float = 25.0,
                      angle_bin_width: float = 2.0) -> dict:
     """Model-vs-data divergence report, per receiver height.
 
-    Returns {height: {metric: value}} with KS distances for pathloss and
-    delay, uniformity KS for the model's azimuths/phases (each NaN at a
-    height where a side it reads has no path), the maximum
-    absolute LOS-probability gap over shared occupied distance bins, and
-    relative-zenith spread profiles for both sides.  A bin width that is
+    Returns {height: entry}.  Each entry holds a value for every name in
+    METRICS: KS distances of pathloss, delay and the RMS spreads between
+    the sides, the KS distance of the model's azimuths and phases from the
+    uniform distribution on UNIFORM_DOMAINS (each NaN at a height where a
+    side it reads has no path), and the maximum absolute LOS-probability
+    gap over shared occupied distance bins.  It also holds both sides'
+    LinkStateProb and relative-zenith PDFs.  A bin width that is
     not positive and finite, or widths whose zenith PDF grid of float64
     bins would not fit in this machine's physical memory, are a DataError.
     """
@@ -249,27 +236,26 @@ def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width:
             col = _FEATURE_COL[feat]
             entry[f"ks_{feat}"] = (ks_statistic(pool_m[:, col], pool_d[:, col])
                                    if len(pool_m) and len(pool_d) else np.nan)
-        for feat in ("aoa", "aod", "phase"):
-            entry[f"ks_uniform_{feat}"] = (uniformity_check(pool_m[:, _FEATURE_COL[feat]], feat)
+        for feat, (low, high) in UNIFORM_DOMAINS.items():
+            entry[f"ks_uniform_{feat}"] = (ks_uniform(pool_m[:, _FEATURE_COL[feat]], low, high)
                                            if len(pool_m) else np.nan)
 
-        lsp_m = link_state_prob(m, h, dist_edges)
-        lsp_d = link_state_prob(d, h, dist_edges)
+        lsp_m, lsp_d = link_state_prob(m, dist_edges), link_state_prob(d, dist_edges)
         shared = lsp_m.occupied & lsp_d.occupied
         entry["max_los_prob_gap"] = float(
             np.max(np.abs(lsp_m.p_los[shared] - lsp_d.p_los[shared]))) if shared.any() else np.nan
         entry["link_state_model"] = lsp_m
         entry["link_state_data"] = lsp_d
 
-        rms_m, rms_d = rms_spread_report(m), rms_spread_report(d)
+        rms_m, rms_d = rms_spread(m), rms_spread(d)
         for feat in RMS_FEATURES:
-            vm, vd = getattr(rms_m, feat), getattr(rms_d, feat)
+            vm, vd = rms_m[feat], rms_d[feat]
             entry[f"ks_rms_{feat}"] = (
                 ks_statistic(vm, vd) if len(vm) and len(vd) else np.nan)
 
         for side, table in (("model", m), ("data", d)):
             for ang in ("zod", "zoa"):
                 entry[f"zenith_pdf_{ang}_{side}"] = relative_zenith_pdf(
-                    table, h, dist_edges, angle_edges, ang)
+                    table, dist_edges, angle_edges, ang)
         report[h] = entry
     return report

@@ -33,6 +33,7 @@ from chanimg.errors import DataError
 from chanimg.genmodel import EmpiricalResampler
 from chanimg.genmodel import sample as wgan_sample
 from chanimg.rng import substream
+from chanimg.stats import METRICS
 from containers import arrays, seal, split
 from tables import table_links
 from test_codec import reference_encode
@@ -126,9 +127,10 @@ def test_jsonl_artifacts_rewrite_byte_identical(pipeline_dir, tmp_path):
 def test_roundtrip_report_errors_small(pipeline_dir):
     rows = (pipeline_dir / "roundtrip.csv").read_text().splitlines()[2:]
     errs = np.array([[float(v) for v in row.split(",")[4:]] for row in rows])
-    assert np.nanmax(errs[:, 0]) <= 1e-3   # pathloss dB (through float32 images)
+    # report encodes and decodes in float64, in memory: perfbench's bounds
+    assert np.nanmax(errs[:, 0]) <= 1e-6   # pathloss dB
     assert np.nanmax(errs[:, 1]) <= 1e-12  # delay s
-    assert np.nanmax(errs[:, 2:]) <= 1e-3  # angles/phase deg
+    assert np.nanmax(errs[:, 2:]) <= 1e-6  # angles/phase deg
     state_ok = np.array([int(row.split(",")[1]) for row in rows])
     paths_ok = np.array([int(row.split(",")[2]) for row in rows])
     assert state_ok.all() and paths_ok.all()
@@ -183,14 +185,20 @@ def test_eval_report_format(pipeline_dir):
     lines = (pipeline_dir / "reports" / "ks.csv").read_text().splitlines()
     assert lines[0].startswith("# chanimg-report v1 name=ks seed=")
     assert lines[1] == "height,metric,value"
-    metrics = {row.split(",")[1] for row in lines[2:]}
     assert {"ks_pathloss", "ks_delay", "ks_uniform_aoa", "ks_uniform_aod",
-            "ks_uniform_phase", "max_los_prob_gap"} <= metrics
+            "ks_uniform_phase", "max_los_prob_gap"} <= set(METRICS)
+    # exactly the metrics stats defines, in its order, at each height
+    heights = sorted(set(io.read_table(pipeline_dir / "data.jsonl").height.tolist()))
+    assert ([(float(h), m) for h, m, _ in (row.split(",") for row in lines[2:])]
+            == [(h, m) for h in heights for m in METRICS])
 
 
 def test_training_log_format(pipeline_dir):
     lines = (pipeline_dir / "train_log.csv").read_text().splitlines()
-    assert "generator_params=" in lines[0] and "critic_params=" in lines[0]
+    _, netp = io.read_model_checkpoint(pipeline_dir / "model.ckpt")
+    counts = netp.param_counts()
+    assert lines[0].endswith(f" generator_params={counts['generator']}"
+                             f" critic_params={counts['critic']}")
     assert lines[1] == ("step,critic_loss,gen_loss,gp_term,wasserstein,gp_norm,"
                         "critic_grad_norm,gen_grad_norm")
     assert len(lines) > 2

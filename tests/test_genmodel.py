@@ -624,40 +624,45 @@ def test_fan_in_training_calibrates_nothing(tmp_path, monkeypatch):
     assert written[0] == written[1]
 
 
+def log_column(log, name):
+    """One column of a TrainingLog's rows."""
+    return [row[log.COLUMNS.index(name)] for row in log.rows]
+
+
 def test_training_deterministic():
     images, conds = toy_data()
     hyper = WganGpHyperparams(**TINY, epochs=2, batch_size=64)
 
     netp1, log1 = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=9)
     netp2, log2 = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=9)
-    assert log1.critic_losses == log2.critic_losses
-    assert log1.gen_losses[4] == log2.gen_losses[4]
+    assert log_column(log1, "critic_loss") == log_column(log2, "critic_loss")
+    assert log_column(log1, "gen_loss")[4] == log_column(log2, "gen_loss")[4]
     for a, b in zip(netp1.generator_params(), netp2.generator_params()):
         np.testing.assert_array_equal(a, b)
     netp3, log3 = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=10)
-    assert log1.critic_losses != log3.critic_losses
+    assert log_column(log1, "critic_loss") != log_column(log3, "critic_loss")
 
 
 def test_training_log_contents():
     images, conds = toy_data()
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64, critic_steps_per_gen_step=2)
     netp, log = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=11)
-    assert log.steps == [1, 2, 3, 4]  # 256/64 batches, last batch kept (exact split)
-    assert all(np.isfinite(log.critic_losses))
-    assert math.isnan(log.gen_losses[0]) and math.isfinite(log.gen_losses[1])
+    assert all(len(row) == len(log.COLUMNS) for row in log.rows)
+    assert log_column(log, "step") == [1, 2, 3, 4]  # 256/64 batches (exact split)
+    assert all(np.isfinite(log_column(log, "critic_loss")))
+    gen_loss = log_column(log, "gen_loss")
+    assert math.isnan(gen_loss[0]) and math.isfinite(gen_loss[1])
+    assert log.param_counts == netp.param_counts()
     assert log.param_counts["generator"] > 0 and log.param_counts["critic"] > 0
     # the total is the Wasserstein estimate plus the weighted penalty
-    assert len(log.wasserstein) == len(log.gp_norms) == 4
-    for total, w, gp in zip(log.critic_losses, log.wasserstein, log.gp_terms):
+    for _, total, _, gp, w, *_ in log.rows:
         assert total == pytest.approx(w + gp, rel=1e-12, abs=1e-15)
-    assert all(n > 0 and math.isfinite(n) for n in log.gp_norms)
-    assert [row["gp_norm"] for row in log.rows()] == log.gp_norms
+    assert all(n > 0 and math.isfinite(n) for n in log_column(log, "gp_norm"))
     # gradient norms: every critic step, and the generator steps only
-    assert all(n > 0 and math.isfinite(n) for n in log.critic_grad_norms)
-    assert [math.isnan(n) for n in log.gen_grad_norms] == [True, False, True, False]
-    assert all(n > 0 for n in log.gen_grad_norms[1::2])
-    assert [row["critic_grad_norm"] for row in log.rows()] == log.critic_grad_norms
-    assert list(next(log.rows())) == list(log.COLUMNS)
+    assert all(n > 0 and math.isfinite(n) for n in log_column(log, "critic_grad_norm"))
+    gen_grad_norm = log_column(log, "gen_grad_norm")
+    assert [math.isnan(n) for n in gen_grad_norm] == [True, False, True, False]
+    assert all(n > 0 for n in gen_grad_norm[1::2])
 
 
 @pytest.mark.parametrize("hidden", [(256, 256), (6, 5), (7,)])
@@ -721,7 +726,7 @@ def test_training_drops_last_partial_batch():
     images, conds = toy_data(n=100)
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64)
     _, log = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=12)
-    assert log.steps == [1]  # 100 -> one full batch of 64, remainder dropped
+    assert log_column(log, "step") == [1]  # 100 -> one full batch of 64, remainder dropped
 
 
 class Float64Batches(ArrayBatches):
@@ -783,7 +788,7 @@ def test_training_bytes_do_not_depend_on_the_worker(tmp_path, monkeypatch, dtype
         # a batch of one row is one block, which the calling thread runs
         assert (len(threads) == 2) == (cpus == 2 and batch > 1)
         io.write_wgan_checkpoint(tmp_path / "m.ckpt", netp, seed=seed)
-        io.write_training_log(tmp_path / "log.csv", log, seed=seed)
+        io.write_report_csv(tmp_path / "log.csv", "training-log", seed, log.COLUMNS, log.rows)
         written.append([(tmp_path / name).read_bytes() for name in ("m.ckpt", "log.csv")])
     assert written[0] == written[1]
 

@@ -408,7 +408,7 @@ def test_sidecar_of_5000_links_is_written_in_blocks(tmp_path):
 
 
 def split_table(name):
-    """edge_table() (smaller than one text block), or 2,100 links (17 blocks) repeating it."""
+    """edge_table() (smaller than one text block), or 2,100 links (many blocks) repeating it."""
     edge = edge_table()
     return edge if name == "small" else edge.take(np.tile(np.arange(3), 700))
 
@@ -423,10 +423,10 @@ def test_split_text_is_the_same_bytes(tmp_path, monkeypatch, name):
         return block_text(part)
 
     monkeypatch.setattr(io, "_block_text", sized)
-    cuts, block_rows = [], (1, 7, io._TEXT_BLOCK, 10**6)
-    for rows in block_rows:
-        monkeypatch.setattr(io, "_TEXT_BLOCK", rows)
-        p = tmp_path / f"{rows}.jsonl"
+    cuts, block_links = [], (1, 7, io._BLOCK_LINKS, 10**6)
+    for links in block_links:
+        monkeypatch.setattr(io, "_BLOCK_LINKS", links)
+        p = tmp_path / f"{links}.jsonl"
         digest = io._write_text(p, header, table)
         text = p.read_bytes()
         assert text.decode().splitlines() == [header[:-1], *json_lines(table)]
@@ -434,7 +434,7 @@ def test_split_text_is_the_same_bytes(tmp_path, monkeypatch, name):
         cuts += np.cumsum(sizes)[:-1].tolist()
         assert sum(sizes) == len(table)
         sizes.clear()
-    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f"{r}.jsonl" for r in block_rows)
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f"{n}.jsonl" for n in block_links)
     # some block starts or ends at an Outage link without paths
     assert any(table.counts[b] == 0 or table.counts[b - 1] == 0 for b in cuts)
 
@@ -444,8 +444,8 @@ def test_sidecar_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, na
     # the text is hashed block by block as it is written, into the sidecar's meta
     table = split_table(name)
     sides = []
-    for links in (1, 7, io._TEXT_BLOCK, 10**6):
-        monkeypatch.setattr(io, "_TEXT_BLOCK", links)
+    for links in (1, 7, io._BLOCK_LINKS, 10**6):
+        monkeypatch.setattr(io, "_BLOCK_LINKS", links)
         p = tmp_path / f"{links}.jsonl"
         io.write_table(p, table)
         sides.append(Path(f"{p}{io.LTAB_SUFFIX}").read_bytes())
@@ -459,16 +459,6 @@ def test_sidecar_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, na
     assert payload == want
     assert sides[0][12:44] == hashlib.sha256(sides[0][44:]).digest()
     assert [e["shape"][0] for e in header["entries"]] == [n, n, n, p]
-
-
-def test_part_bounds_balance_lines_and_paths():
-    counts = np.array([0, MAX_PATHS, 1] * 700)
-    for parts in (1, 2, 3, 8):
-        bounds = io._part_bounds(counts, parts).tolist()
-        assert bounds[0] == 0 and bounds[-1] == len(counts) and len(bounds) == parts + 1
-        for lo, hi in zip(bounds, bounds[1:]):  # within one link of an equal share
-            assert abs((counts[lo:hi] + 1).sum() - (counts + 1).sum() / parts) <= MAX_PATHS + 2
-    assert io._part_bounds(np.array([], dtype=int), 1).tolist() == [0, 0]
 
 
 def dataset_bytes(p):
@@ -831,19 +821,16 @@ def test_report_csv(tmp_path):
 
 
 def test_failed_training_log_leaves_the_old_log_and_no_tmp(tmp_path):
-    class FailingLog(TrainingLog):
-        def rows(self):
-            yield next(super().rows())
-            raise RuntimeError("no more rows")
+    def rows():  # a training log's rows that stop part way
+        yield (5, *[5.0] * 7)
+        raise RuntimeError("no more rows")
 
-    columns = {name: [1.0, 2.0] for name in ("critic_losses", "gen_losses", "gp_terms",
-                                               "wasserstein", "gp_norms", "critic_grad_norms",
-                                               "gen_grad_norms")}
     p = tmp_path / "train_log.csv"
-    io.write_training_log(p, TrainingLog(steps=[1, 2], **columns), seed=3)
+    log = TrainingLog(rows=[(1, *[1.0] * 7), (2, *[2.0] * 7)])
+    io.write_report_csv(p, "training-log", 3, log.COLUMNS, log.rows)
     before, old = sorted(os.listdir(tmp_path)), p.read_bytes()
     assert len(old.splitlines()) == 4
     with pytest.raises(RuntimeError, match="no more rows"):
-        io.write_training_log(p, FailingLog(steps=[5, 6], **columns), seed=4)
+        io.write_report_csv(p, "training-log", 4, log.COLUMNS, rows())
     assert p.read_bytes() == old
     assert sorted(os.listdir(tmp_path)) == before

@@ -6,17 +6,18 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
-from chanimg.core import PATH_FIELDS, LinkState, closed_forms
+from chanimg.core import MAX_PATHS, PATH_FIELDS, LinkState, closed_forms
 from chanimg.errors import DataError
 from chanimg.stats import (
+    UNIFORM_DOMAINS,
     BinnedPdf2D,
     Ecdf,
+    compare_datasets,
     ks_statistic,
     ks_uniform,
     link_state_prob,
     relative_zenith_pdf,
-    rms_spread_report,
-    uniformity_check,
+    rms_spread,
 )
 from tables import link, link_table
 
@@ -37,9 +38,9 @@ def los_params(tx, rx, freq):
     return Path(*closed_forms([tx], [rx], [freq])[3][0].tolist())
 
 
-def rms_spread(paths, feature):
-    """The RMS spread of one link's paths, through rms_spread_report."""
-    return float(getattr(rms_spread_report(link_table([make_link(paths=paths)])), feature)[0])
+def link_rms(paths, feature):
+    """The RMS spread of one link's paths, through rms_spread."""
+    return float(rms_spread(link_table([make_link(paths=paths)]))[feature][0])
 
 
 # -- ecdf / KS ---------------------------------------------------------------
@@ -104,20 +105,29 @@ def test_ks_uniform_exact_grid():
     assert ks_uniform(grid, -360.0, 0.0) == pytest.approx(1 / (2 * n), abs=1e-12)
 
 
+def uniformity(links):
+    """compare_datasets' uniformity KS distances of the model's paths, at 1.6 m."""
+    table = link_table(links)
+    entry = compare_datasets(table, table, [1.6])[1.6]
+    return {f: entry[f"ks_uniform_{f}"] for f in UNIFORM_DOMAINS}
+
+
 def test_uniformity_check_degenerate_sample():
-    assert uniformity_check(np.full(50, -90.0), "aoa") > 0.7
+    paths = [make_path(100.0, aod=-90.0, aoa=-90.0, phase=-90.0)] * MAX_PATHS
+    assert all(v > 0.7 for v in uniformity([make_link(paths=paths)] * 2).values())
 
 
 def test_uniformity_check_kinds():
+    # azimuths against U(-180, 180], phases against U(-360, 0]
     rng = np.random.default_rng(4)
-    n = 20_000
-    az = rng.uniform(-180, 180, n)
-    ph = -rng.uniform(0, 360, n)
-    assert uniformity_check(az, "aod") < 0.02
-    assert uniformity_check(ph, "phase") < 0.02
-    for kind in ("zod", "azimuth", "ps"):  # the old aliases are gone
-        with pytest.raises(DataError, match=f"unknown uniformity kind: {kind}"):
-            uniformity_check(az, kind)
+    az, ph = rng.uniform(-180, 180, (2, 400, MAX_PATHS)), -rng.uniform(0, 360, (400, MAX_PATHS))
+    links = [make_link(paths=[make_path(100.0, aod=d, aoa=a, phase=p)
+                              for d, a, p in zip(*row)]) for row in zip(az[0], az[1], ph)]
+    assert UNIFORM_DOMAINS.keys() == {"aod", "aoa", "phase"}
+    assert all(v < 0.02 for v in uniformity(links).values())
+    # phases on the azimuths' domain are far from uniform on the phases'
+    shifted = [make_link(paths=[make_path(100.0, phase=p + 180.0) for p in row]) for row in ph]
+    assert uniformity(shifted)["phase"] > 0.4
 
 
 # -- link state probability ----------------------------------------------------
@@ -125,7 +135,7 @@ def test_uniformity_check_kinds():
 
 def test_link_state_prob_all_los():
     links = [make_link(LinkState.LOS, dist=d) for d in (10, 60, 110)]
-    out = link_state_prob(link_table(links), 1.6, [0, 50, 100, 150])
+    out = link_state_prob(link_table(links), [0, 50, 100, 150])
     np.testing.assert_array_equal(out.counts, [1, 1, 1])
     assert np.all(out.p_los[out.occupied] == 1.0)
     assert np.all(out.p_outage[out.occupied] == 0.0)
@@ -134,7 +144,7 @@ def test_link_state_prob_all_los():
 def test_link_state_prob_single_outage_bin():
     links = [make_link(LinkState.OUTAGE,
                        paths=[make_path(185.0)], dist=75.0)]
-    out = link_state_prob(link_table(links), 1.6, [0, 50, 100])
+    out = link_state_prob(link_table(links), [0, 50, 100])
     assert out.counts.tolist() == [0, 1]
     assert np.isnan(out.p_los[0])  # empty bin absent, not zero
     assert out.p_outage[1] == 1.0
@@ -142,9 +152,14 @@ def test_link_state_prob_single_outage_bin():
 
 
 def test_link_state_prob_filters_height():
+    # compare_datasets takes each height's links once, for every metric there
     links = [make_link(LinkState.LOS, rx_h=1.6), make_link(LinkState.NLOS, rx_h=30.0)]
-    out = link_state_prob(link_table(links), 1.6, [0, 200])
-    assert out.counts.sum() == 1 and out.p_los[0] == 1.0
+    table = link_table(links)
+    report = compare_datasets(table, table, [1.6, 30.0])
+    for h, p_los in ((1.6, 1.0), (30.0, 0.0)):
+        out = report[h]["link_state_data"]
+        assert out.counts.sum() == 1 and out.p_los[out.occupied].tolist() == [p_los]
+        assert report[h]["zenith_pdf_zod_model"].density.sum() == pytest.approx(1.0)
 
 
 # -- relative zenith PDFs ---------------------------------------------------------
@@ -156,7 +171,7 @@ def test_relative_zenith_pure_los_mass_at_zero():
         tx, rx = (0.0, 0.0, 30.0), (d, 0.0, 1.6)
         links.append(link(tx, rx, 12e9, LinkState.LOS,
                                 [los_params(tx, rx, 12e9)]))
-    pdf = relative_zenith_pdf(link_table(links), 1.6, [0, 100, 200, 300],
+    pdf = relative_zenith_pdf(link_table(links), [0, 100, 200, 300],
                               np.arange(-91, 92, 2.0))
     zero_bin = np.searchsorted(pdf.angle_edges, 0.0, side="right") - 1
     for j in range(3):
@@ -169,7 +184,7 @@ def test_relative_zenith_offset_path():
     ref = los_params(tx, rx, 12e9)
     p = make_path(120.0, zod=ref.zod + 10.0)
     links = [link(tx, rx, 12e9, LinkState.NLOS, [p])]
-    pdf = relative_zenith_pdf(link_table(links), 1.6, [0, 200], np.arange(-90, 91, 2.0))
+    pdf = relative_zenith_pdf(link_table(links), [0, 200], np.arange(-90, 91, 2.0))
     centers = 0.5 * (pdf.angle_edges[:-1] + pdf.angle_edges[1:])
     hot = np.flatnonzero(pdf.density[:, 0])
     assert len(hot) == 1 and abs(centers[hot[0]] - 10.0) <= 1.0
@@ -177,7 +192,7 @@ def test_relative_zenith_offset_path():
 
 def test_relative_zenith_skips_outage():
     links = [make_link(LinkState.OUTAGE, paths=[make_path(185.0)])]
-    pdf = relative_zenith_pdf(link_table(links), 1.6, [0, 200], np.arange(-90, 91, 2.0))
+    pdf = relative_zenith_pdf(link_table(links), [0, 200], np.arange(-90, 91, 2.0))
     assert pdf.density.sum() == 0.0
 
 
@@ -186,7 +201,7 @@ def test_relative_zenith_skips_and_counts_vertical_links():
     vertical = link(tx, (0.0, 0.0, 1.6), 12e9, LinkState.NLOS, [make_path(120.0)])
     slanted = link(tx, (100.0, 0.0, 1.6), 12e9, LinkState.NLOS, [make_path(120.0)])
     table = link_table([vertical, slanted, vertical])
-    pdf = relative_zenith_pdf(table, 1.6, [0, 200], np.arange(-90, 91, 2.0), angle="zoa")
+    pdf = relative_zenith_pdf(table, [0, 200], np.arange(-90, 91, 2.0), angle="zoa")
     assert pdf.skipped_links == 2
     assert pdf.density.sum() == pytest.approx(1.0)  # the slanted link alone
 
@@ -201,7 +216,7 @@ def test_binned_pdf_columns_sum_to_one_or_zero():
         paths = [make_path(100.0 + i, zod=np.clip(ref.zod + rng.normal(0, 8), 0, 180))
                  for i in range(rng.integers(1, 6))]
         links.append(link(tx, rx, 12e9, LinkState.NLOS, paths))
-    pdf = relative_zenith_pdf(link_table(links), 1.6, np.arange(0, 500, 50.0),
+    pdf = relative_zenith_pdf(link_table(links), np.arange(0, 500, 50.0),
                               np.arange(-90, 91, 2.0))
     sums = pdf.density.sum(axis=0)
     assert np.all((np.abs(sums - 1.0) < 1e-9) | (sums == 0.0))
@@ -218,13 +233,13 @@ def test_column_spread():
 
 
 def test_rms_single_path_zero():
-    assert rms_spread([make_path(100.0)], "delay") == 0.0
-    assert rms_spread([make_path(100.0)], "aoa") == 0.0
+    assert link_rms([make_path(100.0)], "delay") == 0.0
+    assert link_rms([make_path(100.0)], "aoa") == 0.0
 
 
 def test_rms_two_equal_gain_points():
     paths = [make_path(100.0, delay=1e-6 + 0.0), make_path(100.0, delay=1e-6 + 2.0)]
-    assert rms_spread(paths, "delay") == pytest.approx(1.0, rel=1e-12)
+    assert link_rms(paths, "delay") == pytest.approx(1.0, rel=1e-12)
 
 
 def test_rms_hand_weighted_value():
@@ -232,7 +247,7 @@ def test_rms_hand_weighted_value():
     pl = -10.0 * np.log10([1.0, 2.0, 1.0])
     pl -= pl.min() - 100.0  # shift positive; scaling invariance puts gains at 1,2,1
     paths = [make_path(pl[i], zod=d) for i, d in enumerate([0.0, 1.0, 2.0])]
-    assert rms_spread(paths, "zod") == pytest.approx(np.sqrt(0.5), rel=1e-9)
+    assert link_rms(paths, "zod") == pytest.approx(np.sqrt(0.5), rel=1e-9)
 
 
 def test_rms_bruteforce_oracle():
@@ -242,7 +257,7 @@ def test_rms_bruteforce_oracle():
         pl = rng.uniform(80, 160, n)
         vals = rng.uniform(0, 180, n)
         paths = [make_path(pl[i], zoa=vals[i]) for i in range(n)]
-        got = rms_spread(paths, "zoa")
+        got = link_rms(paths, "zoa")
         p = 10 ** (-pl / 10)
         num = den = 0.0
         for k in range(n):  # double loop, straight from the definition
@@ -264,7 +279,7 @@ def test_rms_gain_scaling_invariance():
     pl = rng.integers(90, 140, 10).astype(float)
     a = [make_path(pl[i], delay=delays[i]) for i in range(10)]
     b = [make_path(pl[i] + 30.0, delay=delays[i]) for i in range(10)]
-    assert rms_spread(a, "delay") == rms_spread(b, "delay")
+    assert link_rms(a, "delay") == link_rms(b, "delay")
 
 
 def test_rms_delay_offset_invariance():
@@ -274,13 +289,13 @@ def test_rms_delay_offset_invariance():
     pl = rng.uniform(90, 140, 8)
     a = [make_path(pl[i], delay=delays[i]) for i in range(8)]
     b = [make_path(pl[i], delay=delays[i] + 2.0 ** -8) for i in range(8)]
-    assert rms_spread(a, "delay") == rms_spread(b, "delay")
+    assert link_rms(a, "delay") == link_rms(b, "delay")
 
 
 def test_rms_azimuth_seam_safety():
     # two equal-gain paths straddling +/-180: true spread is 5 deg, not ~175
     paths = [make_path(100.0, aoa=175.0), make_path(100.0, aoa=-175.0)]
-    assert rms_spread(paths, "aoa") == pytest.approx(5.0, abs=1e-9)
+    assert link_rms(paths, "aoa") == pytest.approx(5.0, abs=1e-9)
 
 
 def reference_rms(paths, feature):
@@ -312,20 +327,21 @@ def test_rms_report_matches_per_link_reference():
                            aoa=-az[j], zoa=rng.uniform(0, 180))
                  for j, d in enumerate(np.sort(rng.uniform(1e-7, 2e-6, n)))]
         links.append(make_link(paths=paths))
-    rep = rms_spread_report(link_table(links))
+    rep = rms_spread(link_table(links))
     for f in ("delay", "aoa", "aod", "zoa", "zod"):
         want = np.array([reference_rms(lk.paths, f) for lk in links[1:]])
-        got = getattr(rep, f)
+        got = rep[f]
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         assert np.all(got[::10] == 0.0)  # single-path links
-        assert got.tolist() == [rms_spread(lk.paths, f) for lk in links[1:]]
-    assert np.all(rep.aoa[3::3] < 10.0)  # seam links keep a small azimuth spread
+        assert got.tolist() == [link_rms(lk.paths, f) for lk in links[1:]]
+    assert np.all(rep["aoa"][3::3] < 10.0)  # seam links keep a small azimuth spread
 
 
 def test_rms_report_shapes():
     links = [make_link(paths=[make_path(100.0), make_path(110.0, delay=2e-6)]),
              make_link()]
-    rep = rms_spread_report(link_table(links))
+    rep = rms_spread(link_table(links))
+    assert rep.keys() == {"delay", "aoa", "aod", "zoa", "zod"}
     for f in ("delay", "aoa", "aod", "zoa", "zod"):
-        assert getattr(rep, f).shape == (2,)
-        assert np.all(getattr(rep, f) >= 0.0)
+        assert rep[f].shape == (2,)
+        assert np.all(rep[f] >= 0.0)
