@@ -11,7 +11,7 @@ Run:  python3 demos/02_channel_images.py
 
 import numpy as np
 
-from chanimg import SurrogateConfig, fit_codec, generate_dataset, tile
+from chanimg import LinkState, SurrogateConfig, fit_codec, generate_dataset, tile
 from chanimg.rng import substream
 
 cfg = SurrogateConfig(num_tx=5, num_rx_per_height=20, seed=42)
@@ -32,7 +32,7 @@ print(f"virtual delays drawn in [{lo:.3e}, {hi:.3e}] s, the real delays' range")
 table = dataset.take([np.argmax(dataset.counts)])  # the link with the most paths
 matrices, conds = codec.encode(table, substream(7, "demo"))
 matrix = matrices[0]
-print(f"\nencoded a {table.state[0].value} link with {table.counts[0]} paths "
+print(f"\nencoded a {LinkState(table.state[0]).name} link with {table.counts[0]} paths "
       f"-> matrix {matrix.shape}, value range [{matrix.min():.3f}, {matrix.max():.3f}]")
 
 # the paper's channel image renders each matrix cell as a constant 8x2 block
@@ -44,7 +44,7 @@ print(f"rendered image {image.shape}; top-left 8x2 block is constant: "
 # decode takes a stack of matrices and a table with one geometry row per
 # matrix, and returns the decoded table
 decoded = codec.decode(matrices, table)
-print(f"\ndecoded: state={decoded.state[0].value} paths={decoded.counts[0]} "
+print(f"\ndecoded: state={LinkState(decoded.state[0]).name} paths={decoded.counts[0]} "
       f"(virtual columns stripped)")
 # a table holds only real paths: link i's are paths[offsets[i]:offsets[i + 1]],
 # and this one-link table's are all of them

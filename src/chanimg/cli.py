@@ -209,7 +209,7 @@ def _cmd_decode(args) -> int:
     if len(matrices) % n:
         raise DataError(f"{len(matrices)} matrices do not repeat {n} geometry links")
     # matrix i was drawn at link i % n's condition: both are closed forms of its coordinates
-    geometry = np.column_stack([table.dist2d, table.height])
+    geometry = table.conditions
     moved = (conditions.reshape(-1, n, 2) != geometry).any(axis=2).ravel()
     if moved.any():
         i = int(np.argmax(moved))
@@ -260,7 +260,7 @@ def _cmd_sample(args) -> int:
         raise DataError("--per-cond must be >= 1")
     backend, model = io.read_model_checkpoint(args.model)
     table = io.read_table(args.conditions_from)
-    conds = np.tile(np.column_stack([table.dist2d, table.height]), (args.per_cond, 1))
+    conds = np.tile(table.conditions, (args.per_cond, 1))
     # filled block by block in the CHIM payload's dtype, so no float64 copy is held
     matrices = np.empty((len(conds), *MATRIX_SHAPE), dtype=np.float32)
     if backend == "wgan-gp":

@@ -45,6 +45,7 @@ import numpy as np
 from .core import (
     MATRIX_SHAPE,
     MAX_PATHS,
+    OUTAGE_THRESHOLD_DB,
     SPEED_OF_LIGHT,
     LinkState,
     LinkTable,
@@ -67,7 +68,6 @@ PL, DLY, AOD, ZOD, AOA, ZOA, PS, LS = range(N_FEATURES)
 V_REP, H_REP = 8, 2  # pixel rows / columns per cell of the 64x50 rendering
 
 DELAY_SCALE = 1e7
-OUTAGE_THRESHOLD_DB = 180.0
 VIRTUAL_PL_LOW, VIRTUAL_PL_HIGH = 181.0, 190.0
 LINK_STATE_EPS = 0.01
 BLOCK = 256  # links per encode and decode block; bounds their working memory
@@ -223,7 +223,7 @@ class ChannelImageCodec:
             out = np.empty((len(table), *MATRIX_SHAPE))
         for links, matrices in self.encode_blocks(table, rng):
             out[links] = matrices
-        return out, np.column_stack([table.dist2d, table.height])
+        return out, table.conditions
 
     def encode_blocks(self, table: LinkTable, rng):
         """Yield (links, (m, 8, 25) float64 matrices) of the table, block by block.
@@ -277,7 +277,7 @@ class ChannelImageCodec:
             counts[block] = np.count_nonzero(pathloss <= OUTAGE_THRESHOLD_DB, axis=-1)
         self.scaler.n_clipped = clipped
         decoded = dataclasses.replace(table, paths=np.empty((counts.sum(), PS + 1)),
-                                      counts=counts, state=np.empty(n, dtype=object))
+                                      counts=counts, state=np.empty(n, dtype=np.uint8))
         offsets = decoded.offsets
         for block in blocks:
             self._decode_block(matrices[block], table.take(block), block.start,

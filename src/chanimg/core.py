@@ -18,7 +18,7 @@ Conventions:
 
 import numbers
 from dataclasses import dataclass, fields
-from enum import Enum
+from enum import IntEnum
 
 import numpy as np
 
@@ -29,6 +29,7 @@ MAX_PATHS = 25
 PATH_FIELDS = ("pathloss", "delay", "aod", "zod", "aoa", "zoa", "phase")
 # the codec's encoded form: a row per path field plus the link-state row, a column per path
 MATRIX_SHAPE = (len(PATH_FIELDS) + 1, MAX_PATHS)
+OUTAGE_THRESHOLD_DB = 180.0  # a path above this pathloss carries no power
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -45,12 +46,12 @@ __all__ = [
 ]
 
 
-class LinkState(Enum):
-    """State of the first-arrival path; Outage means no path below 180 dB."""
+class LinkState(IntEnum):
+    """State of the first-arrival path, by code; Outage means no path at or below 180 dB."""
 
-    LOS = "LOS"
-    NLOS = "NLOS"
-    OUTAGE = "Outage"
+    LOS = 0
+    NLOS = 1
+    OUTAGE = 2
 
 
 def is_int(v) -> bool:
@@ -93,7 +94,7 @@ def path_rules(rows):
     ]
 
 
-def link_rules(paths, counts, state, tx, rx, carrier_freq):
+def link_rules(paths, counts, state, ends):
     """[(message, mask)] of the rules a link keeps, over link columns.
 
     The columns are those of LinkTable.from_columns.  Each mask is (N,) and
@@ -111,10 +112,10 @@ def link_rules(paths, counts, state, tx, rx, carrier_freq):
     # a row whose delay is below the row before it, in the same link
     unsorted = np.zeros(len(paths), dtype=bool)
     unsorted[1:] = (np.diff(paths[:, 1]) < 0.0) & (link[1:] == link[:-1])
-    ends = np.column_stack([tx, rx, carrier_freq])
     return [(message, of_links(mask)) for message, mask in path_rules(paths)] + [
         ("coordinates and carrier_freq must be finite", ~np.isfinite(ends).all(axis=1)),
-        ("carrier_freq must be positive", ~(carrier_freq > 0.0)),
+        ("carrier_freq must be positive", ~(ends[:, 6] > 0.0)),
+        ("link_state must be LOS, NLOS or Outage", state > LinkState.OUTAGE),
         ("only Outage links may have zero paths", (counts == 0) & (state != LinkState.OUTAGE)),
         (f"at most {MAX_PATHS} paths per link", counts > MAX_PATHS),
         ("paths must be sorted ascending by delay", of_links(unsorted)),
@@ -172,33 +173,33 @@ class LinkTable:
 
     paths holds the real path rows of every link, link after link, in
     PATH_FIELDS order: link i's counts[i] rows are paths[offsets[i]:
-    offsets[i + 1]].  fspl and dist3d give the free-space pathloss and
-    delay references; los is the closed-form LOS path in PATH_FIELDS order,
-    NaN where a link has none (see closed_forms).
+    offsets[i + 1]].  state holds each link's LinkState code, and ends its
+    tx and rx coordinates and carrier frequency: the columns a dataset
+    file stores.  fspl and dist3d give the free-space pathloss and delay
+    references; los is the closed-form LOS path in PATH_FIELDS order, NaN
+    where a link has none (see closed_forms).
     """
 
-    paths: np.ndarray         # (P, 7), P = counts.sum()
-    counts: np.ndarray        # (N,)
-    state: np.ndarray         # (N,) LinkState objects
-    tx: np.ndarray            # (N, 3)
-    rx: np.ndarray            # (N, 3)
-    carrier_freq: np.ndarray  # (N,)
-    dist2d: np.ndarray        # (N,)
-    dist3d: np.ndarray        # (N,)
-    fspl: np.ndarray          # (N,) dB
-    los: np.ndarray           # (N, 7)
+    paths: np.ndarray   # (P, 7), P = counts.sum()
+    counts: np.ndarray  # (N,)
+    state: np.ndarray   # (N,) uint8 LinkState codes
+    ends: np.ndarray    # (N, 7) tx (3), rx (3), carrier_freq
+    dist2d: np.ndarray  # (N,)
+    dist3d: np.ndarray  # (N,)
+    fspl: np.ndarray    # (N,) dB
+    los: np.ndarray     # (N, 7)
 
     @classmethod
-    def from_columns(cls, paths, counts, state, tx, rx, carrier_freq) -> "LinkTable":
-        """The table of non-empty link columns, with the closed forms filled in.
+    def from_columns(cls, paths, counts, state, ends) -> "LinkTable":
+        """The table of non-empty link columns, state as uint8, with the closed forms filled in.
 
         An empty table is a DataError; closed_forms' GeometryError names a
         link whose endpoints coincide.
         """
         if not len(counts):
             raise DataError("empty link dataset")
-        return cls(paths, counts, state, tx, rx, carrier_freq,
-                   *closed_forms(tx, rx, carrier_freq))
+        return cls(paths, counts, np.asarray(state, np.uint8), ends,
+                   *closed_forms(ends[:, :3], ends[:, 3:6], ends[:, 6]))
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -229,4 +230,9 @@ class LinkTable:
     @property
     def height(self) -> np.ndarray:
         """(N,) receiver height."""
-        return self.rx[:, 2]
+        return self.ends[:, 5]
+
+    @property
+    def conditions(self) -> np.ndarray:
+        """(N, 2) (dist2d, height): the condition a generative model is given per link."""
+        return np.stack([self.dist2d, self.height], axis=1)

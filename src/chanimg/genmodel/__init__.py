@@ -34,6 +34,20 @@ __getattr__ = _lazy_exports(globals(), {
     ) for name in names})
 
 
+def training_pairs(matrices, conditions):
+    """(matrices, float64 conditions), checked: paired, non-empty and finite (else DataError)."""
+    matrices, conditions = np.asarray(matrices), np.asarray(conditions, dtype=np.float64)
+    if len(matrices) != len(conditions):
+        raise DataError("training matrices and conditions must pair up")
+    if not len(matrices):
+        raise DataError("empty training set")
+    # min and max propagate NaN and show +-inf, without a full-size mask
+    if not (np.isfinite([matrices.min(), matrices.max()]).all()
+            and np.isfinite(conditions).all()):
+        raise DataError("training matrices or conditions contain non-finite values")
+    return matrices, conditions
+
+
 def sample_request(cond, n, shape, dtype, out):
     """(conditions (n, 2), out) of a backend's request for n matrices of shape.
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..errors import DataError
 from ..rng import substream
-from . import is_int, sample_request
+from . import is_int, sample_request, training_pairs
 
 __all__ = ["EmpiricalResampler"]
 
@@ -22,16 +22,7 @@ class EmpiricalResampler:
     """k-nearest-condition resampling over stored training matrices."""
 
     def __init__(self, matrices, conditions, k: int = 50):
-        self.matrices = np.asarray(matrices)
-        self.conditions = np.asarray(conditions, dtype=np.float64)
-        if len(self.matrices) == 0:
-            raise DataError("resampler needs a non-empty dataset")
-        if len(self.matrices) != len(self.conditions):
-            raise DataError("matrices and conditions must pair up")
-        # min and max propagate NaN and show +-inf, without a full-size mask
-        if not (np.isfinite([self.matrices.min(), self.matrices.max()]).all()
-                and np.isfinite(self.conditions).all()):
-            raise DataError("resampler matrices or conditions contain non-finite values")
+        self.matrices, self.conditions = training_pairs(matrices, conditions)
         if not is_int(k) or k < 1:
             raise DataError(f"k must be a positive integer, got {k!r}")
         self.k = int(min(k, len(self.matrices)))

@@ -41,7 +41,7 @@ import numpy as np
 from ..core import MATRIX_SHAPE
 from ..errors import DataError, TrainingDivergedError
 from ..rng import substream
-from . import is_int, sample_request
+from . import is_int, sample_request, training_pairs
 from .nn import AdamState, Mlp, Scratch, adam_step, count_params, frame, take
 
 __all__ = [
@@ -466,16 +466,7 @@ class ArrayBatches:
     """Minibatches over materialized (images, conditions) arrays."""
 
     def __init__(self, images, conditions):
-        self.images = np.asarray(images)
-        self.conditions = np.asarray(conditions, dtype=np.float64)
-        if len(self.images) != len(self.conditions):
-            raise DataError("images and conditions must pair up")
-        if len(self.images) == 0:
-            raise DataError("empty training set")
-        # min and max propagate NaN and show +-inf, without a full-size mask
-        if not (np.isfinite([self.images.min(), self.images.max()]).all()
-                and np.isfinite(self.conditions).all()):
-            raise DataError("training images or conditions contain non-finite values")
+        self.images, self.conditions = training_pairs(images, conditions)
 
     def preimage_moments(self):
         """Per-pixel mean and population std of the samples' preimages (see _to_preimage).

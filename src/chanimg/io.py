@@ -14,15 +14,16 @@ so a failed write leaves the file already at path as it was.
   - dataset:    JSON Lines, one link per line, '#'-comment header with
                 version, units and the generating seed.  A line is the text
                 json.dumps writes for the link's record, each number its
-                float's repr.  The numbers of a block of links are formatted
-                in array passes (floattext: shortest digits by Schubfach, then
-                repr's layout; repr itself only for subnormals) and set in the
-                fixed text of their rows; the writing process formats, hashes
-                and writes the blocks in order.  write_table also writes the
+                float's repr.  The numbers of a block of about 1,024 rows (a
+                link's endpoints or one of its paths) are formatted in array
+                passes (floattext: shortest digits by Schubfach, then repr's
+                layout; repr itself only for subnormals) and set in the fixed
+                text of their rows; the writing process formats, hashes and
+                writes the blocks in order.  write_table also writes the
                 sidecar X.jsonl.ltab, an "LTAB" v2 container: meta seed and
                 text_sha256 (of the JSONL bytes as written); entries counts
-                (N,) <i8, codes (N,) |u1 (LOS, NLOS, Outage), ends (N, 7) <f8
-                tx/rx/carrier and paths (P, 7) <f8, the table's path rows as
+                (N,) <i8, codes (N,) |u1, ends (N, 7) <f8 and paths (P, 7)
+                <f8: the table's counts, state, ends and paths columns as
                 they are.  read_table takes the columns from it only when it
                 reads whole, matches the JSONL's current bytes and keeps every
                 rule; otherwise it parses the text.  The JSONL is the record:
@@ -67,7 +68,6 @@ from .core import (
     MATRIX_SHAPE,
     MAX_PATHS,
     PATH_FIELDS,
-    LinkState,
     LinkTable,
     link_rules,
 )
@@ -214,12 +214,8 @@ _ENDS = struct.Struct("7d")  # tx, rx, carrier_freq
 # longest dataset line read_table parses: write_table's longest, 25 paths with
 # every number a 24-character repr, is 6,300 bytes with its newline
 MAX_LINE_BYTES = 1 << 16
-# links per formatted, hashed and written block of text: at most 1,024 rows
-# of 7 numbers, whose formatting arrays bound write_table's peak memory
-_BLOCK_LINKS = 1024 // (MAX_PATHS + 1)
-
-_STATES = np.array(list(LinkState), dtype=object)  # the sidecar's state codes
-_STATE_CODES = {state: code for code, state in enumerate(_STATES)}
+_BLOCK_ROWS = 1024  # rows per formatted text block, to the next link: bounds its arrays' memory
+_STATE_NAMES = ("LOS", "NLOS", "Outage")  # the text's link_state of each LinkState code
 
 
 def _ltab_path(path) -> Path:
@@ -250,10 +246,13 @@ def write_table(path, table: LinkTable, seed=None):
 def _text_blocks(table: LinkTable):
     """The text of the table's links, the lines json.dumps writes for their records, in blocks.
 
-    An iterator of bytes, one block of _BLOCK_LINKS links at a time.
+    An iterator of bytes, a block at a time: each ends with the first link
+    to end at or past a multiple of _BLOCK_ROWS rows (its own and its paths').
     """
-    return (_block_text(table.take(slice(a, a + _BLOCK_LINKS)))
-            for a in range(0, len(table), _BLOCK_LINKS))
+    bounds = table.offsets + np.arange(len(table) + 1)  # the row each link starts at
+    cuts = np.searchsorted(bounds, np.arange(_BLOCK_ROWS, bounds[-1], _BLOCK_ROWS)).tolist()
+    return (_block_text(table.take(slice(a, b)))
+            for a, b in zip([0, *cuts], [*cuts, len(table)]) if a < b)
 
 
 def _block_text(part: LinkTable) -> bytes:
@@ -268,13 +267,12 @@ def _block_text(part: LinkTable) -> bytes:
 
     templates, slots = _templates()
     starts = part.offsets[:-1]
-    numbers = np.insert(part.paths, starts, np.column_stack([part.tx, part.rx,
-                                                             part.carrier_freq]), axis=0)
+    numbers = np.insert(part.paths, starts, part.ends, axis=0)
     heads = np.arange(len(part)) + starts  # each link's row
-    n = len(_STATES)
+    n = len(_STATE_NAMES)
     kind = np.full(len(numbers) + 1, 2 * n + 1)  # a path after a path
     kind[heads[part.counts > 0] + 1] = 2 * n  # a link's first path
-    kind[heads] = [_STATE_CODES[s] + n for s in part.state]  # a link after a line
+    kind[heads] = part.state + n  # a link after a line
     kind[0] -= n  # the block's first line
     kind[-1] = 2 * n + 2  # the close of the last line
     canvas = templates[kind]
@@ -299,7 +297,7 @@ def _templates():
 
     link = ['{"tx": [', ", ", ", ", '], "rx": [', ", ", ", ", '], "carrier_freq": ']
     path = ['{"pathloss": ', *(f', "{f}": ' for f in PATH_FIELDS[1:]), "}"]
-    ends = [f', "link_state": "{s.value}", "paths": [' for s in _STATES]
+    ends = [f', "link_state": "{s}", "paths": [' for s in _STATE_NAMES]
     kinds = ([[*link, e] for e in ends] + [["]}\n" + link[0], *link[1:], e] for e in ends]
              + [path, [", " + path[0], *path[1:]], ["]}\n"] + [""] * 7])
     widths = [max(len(kind[i]) for kind in kinds) for i in range(8)]
@@ -340,7 +338,7 @@ def read_table(path) -> LinkTable:
     line.
     """
     path = Path(path)
-    ends, cells, counts, states, line_nos = bytearray(), bytearray(), [], [], []
+    ends, cells, codes, counts, line_nos = bytearray(), bytearray(), bytearray(), [], []
     with path.open("rb") as fh:
         header = _bounded_line(fh, path, 1, "dataset header")
         m = re.match(rb"# chanimg-dataset v(\d+)\b", header)
@@ -368,7 +366,9 @@ def read_table(path) -> LinkTable:
                     raise ValueError("tx and rx must be 3D coordinates")
                 # packing as doubles rejects a value that is not a number, e.g. "12e9"
                 ends += _ENDS.pack(*rec["tx"], *rec["rx"], rec["carrier_freq"])
-                states.append(LinkState(rec["link_state"]))
+                if rec["link_state"] not in _STATE_NAMES:
+                    raise ValueError(f"unknown link_state {rec['link_state']!r}")
+                codes.append(_STATE_NAMES.index(rec["link_state"]))
                 n = len(rec["paths"])
                 if n > MAX_PATHS:  # named with its count, before its rows are packed
                     raise ValueError(f"at most {MAX_PATHS} paths per link, got {n}")
@@ -379,12 +379,12 @@ def read_table(path) -> LinkTable:
                     struct.error) as exc:
                 raise FormatError(f"{path}:{line_no}: bad link record: {exc}") from exc
             line_nos.append(line_no)
-    counts, state = np.array(counts, dtype=int), np.array(states, dtype=object)
+    counts, state = np.array(counts, dtype=int), np.frombuffer(codes, np.uint8)
     ends, paths = np.frombuffer(ends).reshape(-1, 7), np.frombuffer(cells).reshape(-1, 7)
     broken = _broken_rule(paths, counts, state, ends)
     if broken:
         raise FormatError(f"{path}:{line_nos[broken[0]]}: bad link record: {broken[1]}")
-    return LinkTable.from_columns(paths, counts, state, ends[:, :3], ends[:, 3:6], ends[:, 6])
+    return LinkTable.from_columns(paths, counts, state, ends)
 
 
 def _bounded_line(fh, path, line_no, kind) -> bytes:
@@ -404,7 +404,7 @@ def _broken_rule(paths, counts, state, ends):
 
     None when every link keeps every rule of core.link_rules.
     """
-    rules = link_rules(paths, counts, state, ends[:, :3], ends[:, 3:6], ends[:, 6])
+    rules = link_rules(paths, counts, state, ends)
     bad = np.array([mask for _, mask in rules])  # (rules, links)
     if not bad.any():
         return None
@@ -417,8 +417,8 @@ def _write_ltab(path, text_digest: bytes, table: LinkTable, seed=None):
     _write_container(_ltab_path(path), LTAB_MAGIC, LTAB_VERSION,
                      {"seed": seed, "text_sha256": text_digest.hex()}, [
         ("counts", table.counts, "<i8"),
-        ("codes", np.array([_STATE_CODES[s] for s in table.state], dtype="u1"), "|u1"),
-        ("ends", np.column_stack([table.tx, table.rx, table.carrier_freq]), "<f8"),
+        ("codes", table.state, "|u1"),
+        ("ends", table.ends, "<f8"),
         ("paths", table.paths, "<f8"),
     ])
 
@@ -456,12 +456,9 @@ def _read_ltab(path, fh):
     if meta.get("text_sha256") != text.hexdigest():
         return None
     counts, codes, ends, paths = (arrays[k] for k in ("counts", "codes", "ends", "paths"))
-    if codes.max(initial=0) >= len(_STATES) or counts.min(initial=0) < 0 or counts.sum() != p:
+    if counts.min(initial=0) < 0 or counts.sum() != p or _broken_rule(paths, counts, codes, ends):
         return None
-    state = _STATES[codes]
-    if _broken_rule(paths, counts, state, ends):
-        return None
-    return LinkTable.from_columns(paths, counts, state, ends[:, :3], ends[:, 3:6], ends[:, 6])
+    return LinkTable.from_columns(paths, counts, codes, ends)
 
 
 # -- codec JSON ------------------------------------------------------------------

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_PATHS, LinkState, LinkTable, closed_forms, is_int, path_rules, wrap_azimuth
+from .core import (MAX_PATHS, OUTAGE_THRESHOLD_DB, LinkState, LinkTable, closed_forms, is_int,
+                   path_rules, wrap_azimuth)
 from .errors import DataError, GeometryError
 from .rng import substream
 
@@ -39,7 +40,6 @@ class SurrogateConfig:
     area: tuple = (500.0, 500.0)
     carrier_freq: float = 12e9
     seed: int = 0
-    outage_threshold_db: float = 180.0
 
     # LOS probability: exp(-dist2d / (base + per_height * h)), or a fixed override
     los_probability: float | None = None
@@ -116,9 +116,9 @@ def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
             np.full(cfg.num_rx_per_height, float(height))])
         for h_idx, height in enumerate(cfg.heights)])
     # link index = rx index * num_tx + tx index
-    tx_all, rx_all = np.tile(txs, (len(rxs), 1)), np.repeat(rxs, cfg.num_tx, axis=0)
-    freq = np.full(len(rx_all), float(cfg.carrier_freq))
-    dist2d, dist3d, fspl, los = closed_forms(tx_all, rx_all, freq)
+    ends = np.column_stack([np.tile(txs, (len(rxs), 1)), np.repeat(rxs, cfg.num_tx, axis=0),
+                            np.full(len(rxs) * cfg.num_tx, float(cfg.carrier_freq))])
+    dist2d, dist3d, fspl, los = closed_forms(ends[:, :3], ends[:, 3:6], ends[:, 6])
     if np.isnan(los).any():
         i = np.argmax(np.isnan(los[:, 0]))
         raise GeometryError(f"link {i}: " + ("azimuth undefined for a vertical link"
@@ -128,7 +128,7 @@ def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
     rng = substream(cfg.seed, "link")
     if cfg.los_probability is None:
         p_los = np.minimum(1.0, np.exp(-dist2d / (cfg.los_scale_base_m
-                                                  + cfg.los_scale_per_height * rx_all[:, 2])))
+                                                  + cfg.los_scale_per_height * ends[:, 5])))
     else:
         p_los = cfg.los_probability
     is_los = rng.uniform(size=len(dist2d)) < p_los
@@ -151,7 +151,7 @@ def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
     first = np.cumsum(counts) - counts  # each link's first row
     paths = np.empty((int(counts.sum()), 7))
     paths[first[is_los]] = los[is_los]
-    link = np.repeat(np.arange(len(rx_all)), n_scattered)
+    link = np.repeat(np.arange(len(ends)), n_scattered)
     to = np.empty(len(link), dtype=np.intp)
     to[np.lexsort((excess_delay, link))] = (np.arange(len(link))
                                             + np.repeat(np.cumsum(is_los), n_scattered))
@@ -171,9 +171,9 @@ def generate_dataset(cfg: SurrogateConfig) -> LinkTable:
             raise DataError(f"link {np.searchsorted(first + counts, row, side='right')}: "
                             f"{message}")
 
-    outage = np.minimum.reduceat(paths[:, 0], first) > cfg.outage_threshold_db
+    outage = np.minimum.reduceat(paths[:, 0], first) > OUTAGE_THRESHOLD_DB
     state = np.where(outage, LinkState.OUTAGE, np.where(is_los, LinkState.LOS, LinkState.NLOS))
-    return LinkTable(paths, counts, state, tx_all, rx_all, freq, dist2d, dist3d, fspl, los)
+    return LinkTable(paths, counts, state.astype(np.uint8), ends, dist2d, dist3d, fspl, los)
 
 
 def train_test_split(table: LinkTable, test_fraction: float, seed: int):

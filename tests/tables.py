@@ -1,7 +1,8 @@
 """Build LinkTables from plain links: the one way the tests make a table by hand.
 
-A Link is the tx and rx coordinates, the carrier, the link state and the
-(k, 7) path rows in PATH_FIELDS order.  core.link_rules is the only
+A Link is the tx and rx coordinates, the carrier, the link state (a
+LinkState, or any other code) and the (k, 7) path rows in PATH_FIELDS
+order.  core.link_rules is the only
 statement of what a valid table holds, so nothing here checks a link;
 reference_rule states the same rules link by link, for the tests to
 compare against.
@@ -28,10 +29,9 @@ def columns(links) -> tuple:
     links = list(links)
     return (np.concatenate([np.zeros((0, 7)), *(lk.paths for lk in links)]),
             np.array([len(lk.paths) for lk in links], dtype=int),
-            np.array([lk.link_state for lk in links], dtype=object),
-            np.array([lk.tx for lk in links], dtype=float).reshape(-1, 3),
-            np.array([lk.rx for lk in links], dtype=float).reshape(-1, 3),
-            np.array([lk.carrier_freq for lk in links], dtype=float))
+            np.array([lk.link_state for lk in links], dtype=np.uint8),
+            np.array([(*lk.tx, *lk.rx, lk.carrier_freq) for lk in links],
+                     dtype=float).reshape(-1, 7))
 
 
 def link_table(links) -> LinkTable:
@@ -40,12 +40,11 @@ def link_table(links) -> LinkTable:
 
 
 def table_links(table: LinkTable) -> list:
-    """The Links of a table, in link order."""
+    """The Links of a table, in link order, each state a LinkState."""
     offsets = table.offsets.tolist()
-    return [Link(tuple(tx), tuple(rx), f, state, table.paths[a:b])
-            for tx, rx, f, state, a, b in zip(table.tx.tolist(), table.rx.tolist(),
-                                              table.carrier_freq.tolist(), table.state,
-                                              offsets, offsets[1:])]
+    return [Link(tuple(ends[:3]), tuple(ends[3:6]), ends[6], LinkState(state), table.paths[a:b])
+            for ends, state, a, b in zip(table.ends.tolist(), table.state.tolist(),
+                                         offsets, offsets[1:])]
 
 
 def reference_rule(lk):
@@ -74,8 +73,9 @@ def reference_rule(lk):
         ("coordinates and carrier_freq must be finite",
          not all(map(math.isfinite, (*lk.tx, *lk.rx, lk.carrier_freq)))),
         ("carrier_freq must be positive", not lk.carrier_freq > 0.0),
+        ("link_state must be LOS, NLOS or Outage", lk.link_state not in list(LinkState)),
         ("only Outage links may have zero paths",
-         not rows and lk.link_state is not LinkState.OUTAGE),
+         not rows and lk.link_state != LinkState.OUTAGE),
         (f"at most {MAX_PATHS} paths per link", len(rows) > MAX_PATHS),
         ("paths must be sorted ascending by delay",
          any(b[1] < a[1] for a, b in zip(rows, rows[1:]))),

@@ -103,7 +103,7 @@ def test_encode_decode_artifacts_consistent(pipeline_dir):
     assert len(images) == len(data)
     decoded = io.read_table(d / "decoded.jsonl")
     assert len(decoded) == len(data)
-    for name in ("tx", "rx", "carrier_freq", "dist2d", "dist3d", "fspl", "los"):
+    for name in ("ends", "dist2d", "dist3d", "fspl", "los"):
         np.testing.assert_array_equal(getattr(decoded, name), getattr(data, name))
 
 
@@ -610,7 +610,7 @@ def test_decode_pairs_matrix_i_with_link_i_mod_n(pipeline_dir, tmp_path):
         assert part.paths.tobytes() == want.paths.tobytes()
         assert part.counts.tolist() == want.counts.tolist()
         assert part.state.tolist() == want.state.tolist()
-        assert part.tx.tobytes() == table.tx.tobytes()
+        assert part.ends.tobytes() == table.ends.tobytes()
 
 
 def test_decode_rejects_conditions_of_other_links(pipeline_dir, tmp_path, capsys):
@@ -934,6 +934,16 @@ def test_dataset_rejects_malformed_records(tmp_path, capsys, edit):
     fails_cleanly(capsys, ["fit-codec", "--data", str(data), "--out", str(tmp_path / "c.json")],
                   EXIT_BAD_FILE, f"{data}:3: bad link record")
     assert not (tmp_path / "c.json").exists()
+
+
+def test_unknown_link_state_names_its_line_and_value(tmp_path, capsys):
+    data = tmp_path / "d.jsonl"
+    run(["--seed", "1", "gen-data", "--links", "20", "--out", str(data)])
+    lines = data.read_text().splitlines(keepends=True)
+    lines[4] = rec_edit(lambda r: r.update(link_state="Sideways"))(lines[4].rstrip("\n")) + "\n"
+    data.write_text("".join(lines))
+    fails_cleanly(capsys, ["fit-codec", "--data", str(data), "--out", str(tmp_path / "c.json")],
+                  EXIT_BAD_FILE, f"{data}:5: bad link record: unknown link_state 'Sideways'")
 
 
 @pytest.fixture(scope="module")

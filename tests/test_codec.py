@@ -16,7 +16,6 @@ from chanimg.codec import (
     DLY,
     LINK_STATE_EPS,
     LS,
-    OUTAGE_THRESHOLD_DB,
     PL,
     PS,
     ZOA,
@@ -26,7 +25,14 @@ from chanimg.codec import (
     fit_codec,
     tile,
 )
-from chanimg.core import SPEED_OF_LIGHT, LinkState, closed_forms, wrap_azimuth, wrap_phase
+from chanimg.core import (
+    OUTAGE_THRESHOLD_DB,
+    SPEED_OF_LIGHT,
+    LinkState,
+    closed_forms,
+    wrap_azimuth,
+    wrap_phase,
+)
 from chanimg.errors import DataError, FormatError, GeometryError
 from chanimg.rng import substream
 from chanimg.surrogate import SurrogateConfig, generate_dataset
@@ -531,18 +537,18 @@ def geometry_table(tx, rx, carrier_freq):
 
 
 def decode_one(codec, matrix, link):
-    """(state, (k, 7) path rows) of one matrix decoded against link's geometry."""
+    """(LinkState, (k, 7) path rows) of one matrix decoded against link's geometry."""
     dec = decode_stack(codec, np.asarray(matrix)[None], [link])
-    return dec.state[0], dec.paths
+    return LinkState(dec.state[0]), dec.paths
 
 
 def test_roundtrip_surrogate_links(dataset, table, codec):
     matrices, _ = codec.encode(table, substream(12, "roundtrip"))
     dec = codec.decode(matrices, table)
     # the geometry columns are the given table's, not recomputed
-    for name in ("tx", "rx", "carrier_freq", "dist2d", "dist3d", "fspl", "los"):
+    for name in ("ends", "dist2d", "dist3d", "fspl", "los"):
         assert getattr(dec, name) is getattr(table, name), name
-    assert list(dec.state) == [lk.link_state for lk in dataset]
+    assert dec.state.tolist() == [lk.link_state for lk in dataset]
     np.testing.assert_array_equal(dec.counts, table.counts)  # no virtual survivors
     worst = np.abs(dec.paths - table.paths).max(axis=0)
     assert worst[PL] <= 1e-3
@@ -647,7 +653,7 @@ def test_stacked_decode_matches_per_image_reference(codec):
     offsets = got.offsets
     assert len(got.paths) == offsets[-1]
     for i, (state, paths) in enumerate(want):  # every bit of every path row
-        assert got.state[i] is state and ones[i].state[0] is state
+        assert got.state[i] == state and ones[i].state[0] == state
         assert got.paths[offsets[i]:offsets[i + 1]].tobytes() == paths.tobytes()
         assert ones[i].paths.tobytes() == paths.tobytes()
     assert stacked.stats == single.stats == stats
@@ -742,4 +748,4 @@ def test_decode_of_5000_matrices_holds_its_output_once():
         tracemalloc.stop()
     assert peak < output + 3 * 2**20
     assert decoded.paths.flags.c_contiguous and decoded.counts.dtype == np.intp
-    assert decoded.state.dtype == object
+    assert decoded.state.dtype == np.uint8

@@ -185,9 +185,8 @@ CLOSED_FORM_TOL = {"dist": 1.2e-13, "pathloss": 2.9e-14, "delay": 4.3e-22,
 def check_against_reference(table):
     tol = CLOSED_FORM_TOL
     row_tol = np.array([tol["pathloss"], tol["delay"], *[tol["angle"]] * 4, tol["phase"]])
-    for i, (tx, rx, f) in enumerate(zip(table.tx.tolist(), table.rx.tolist(),
-                                        table.carrier_freq.tolist())):
-        d2, d3, pl, los = reference_closed_forms(tx, rx, f)
+    for i, ends in enumerate(table.ends.tolist()):
+        d2, d3, pl, los = reference_closed_forms(ends[:3], ends[3:6], ends[6])
         assert abs(table.dist2d[i] - d2) <= tol["dist"]
         assert abs(table.dist3d[i] - d3) <= tol["dist"]
         assert abs(table.fspl[i] - pl) <= tol["pathloss"]
@@ -280,11 +279,13 @@ def _edit_path(field, value, k=0):
     lambda lk: lk.update(carrier_freq=0.0),
     lambda lk: lk.update(paths=[]),
     lambda lk: lk.update(paths=[], link_state=LinkState.OUTAGE),
+    lambda lk: lk.update(link_state=3),
     lambda lk: lk.update(paths=[[100.0, (i + 1) * 1e-6, 0.0, 90.0, 0.0, 90.0, -5.0]
                                 for i in range(26)]),
 ], ids=["valid", "pathloss-nan", "pathloss-neg", "delay-zero", "aod-inf", "aoa-inf",
         "aod-190", "aoa-neg180", "zod-181", "zoa-neg", "phase-pos", "phase-360", "unsorted",
-        "tx-nan", "freq-zero", "nlos-without-paths", "outage-without-paths", "26-paths"])
+        "tx-nan", "freq-zero", "nlos-without-paths", "outage-without-paths", "state-3",
+        "26-paths"])
 def test_link_rules_are_the_scalar_rules(edit):
     # the array rules (read_table) and the per-link reference reject the
     # same links, for the same first reason
@@ -311,10 +312,10 @@ def test_link_table_rows_are_the_scalar_closed_forms():
     assert len(table) == 4 and table.counts.tolist() == [2, 1, 1, 0]
     assert table.offsets.tolist() == [0, 2, 3, 4, 4]
     np.testing.assert_array_equal(table.paths, [p] * 4)
-    assert list(table.state) == [lk.link_state for lk in links]
-    for i, lk in enumerate(links):
-        assert table.height[i] == lk.rx[2] and tuple(table.tx[i]) == lk.tx
-        assert table.carrier_freq[i] == lk.carrier_freq
+    assert table.state.dtype == np.uint8
+    assert table.state.tolist() == [lk.link_state for lk in links]
+    assert table.ends.tolist() == [[*lk.tx, *lk.rx, lk.carrier_freq] for lk in links]
+    assert table.conditions.tolist() == [[d, lk.rx[2]] for d, lk in zip(table.dist2d, links)]
     check_against_reference(table)
     assert np.isnan(table.los[1:3]).all() and table.fspl[2] < 0.0
     assert not np.isnan(table.los[[0, 3]]).any()
@@ -324,6 +325,17 @@ def test_link_table_rows_are_the_scalar_closed_forms():
     sub = table.take([3, 0])
     assert sub.counts.tolist() == [0, 2] and sub.height.tolist() == [60.0, 1.6]
     np.testing.assert_array_equal(sub.paths, [p] * 2)
+
+
+def test_a_state_code_past_outage_breaks_its_rule():
+    row = [OK_PATH[f] for f in PATH_FIELDS]
+    geo = ((0, 0, 10), (50, 0, 1.6), 12e9)
+    table = link_table([link(*geo, LinkState.OUTAGE, [row]), link(*geo, 3, [row])])
+    assert table.state.dtype == np.uint8 and table.state.tolist() == [2, 3]
+    rules = link_rules(table.paths, table.counts, table.state, table.ends)
+    assert [message for message, mask in rules if mask.any()] == [
+        "link_state must be LOS, NLOS or Outage"]
+    assert [mask.tolist() for message, mask in rules if mask.any()] == [[False, True]]
 
 
 def test_link_table_rejects_empty_and_coincident_datasets():

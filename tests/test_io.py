@@ -23,7 +23,7 @@ from chanimg.errors import FormatError, VersionError
 from chanimg.genmodel import EmpiricalResampler, WganGpHyperparams
 from chanimg.genmodel.wgan import TrainingLog, build_networks
 from chanimg.rng import substream
-from containers import PREFIX, seal, split
+from containers import PREFIX, arrays, seal, split
 
 
 @pytest.fixture(scope="module")
@@ -44,12 +44,15 @@ def test_dataset_roundtrip(tmp_path, table):
     assert lines[1:] == json_lines(table)
 
 
+STATE_NAMES = ("LOS", "NLOS", "Outage")  # the text's link_state of each code
+
+
 def json_lines(table):
     """What json.dumps writes for each link's record."""
     offsets = table.offsets
-    return [json.dumps({"tx": table.tx[i].tolist(), "rx": table.rx[i].tolist(),
-                        "carrier_freq": float(table.carrier_freq[i]),
-                        "link_state": table.state[i].value,
+    return [json.dumps({"tx": table.ends[i, :3].tolist(), "rx": table.ends[i, 3:6].tolist(),
+                        "carrier_freq": float(table.ends[i, 6]),
+                        "link_state": STATE_NAMES[table.state[i]],
                         "paths": [dict(zip(PATH_FIELDS, row)) for row in
                                   table.paths[offsets[i]:offsets[i + 1]].tolist()]})
             for i in range(len(table))]
@@ -128,12 +131,12 @@ def test_overlong_header_is_rejected(tmp_path):
 
 
 def columns(table):
-    """{column: (dtype, shape, bytes)} of a table; states by value."""
+    """{column: (dtype, shape, bytes)} of a table, whose columns are all numeric."""
     out = {}
     for f in fields(table):
         a = getattr(table, f.name)
-        out[f.name] = (a.dtype, a.shape,
-                       [s.value for s in a] if a.dtype == object else a.tobytes())
+        assert a.dtype.kind in "uif", f.name
+        out[f.name] = (a.dtype, a.shape, a.tobytes())
     return out
 
 
@@ -184,6 +187,27 @@ def test_write_table_writes_a_current_sidecar(written, table, monkeypatch):
     monkeypatch.setattr(json, "loads", recording)
     assert columns(io.read_table(written)) == columns(table)
     assert len(texts) == 1  # the sidecar's header, and no dataset line
+
+
+def test_every_column_is_numeric_and_state_is_uint8(written, table):
+    codec = fit_codec(table)
+    matrices, _ = codec.encode(table, substream(1, "padding"))
+    tables = {"generated": table, "sidecar": io.read_table(written),
+              "decoded": codec.decode(matrices, table)}
+    Path(f"{written}{io.LTAB_SUFFIX}").unlink()
+    tables["parsed"] = io.read_table(written)
+    for name, t in tables.items():
+        assert all(getattr(t, f.name).dtype.kind in "uif" for f in fields(t)), name
+        assert t.state.dtype == np.uint8, name
+
+
+def test_sidecar_with_an_unknown_state_code_reads_as_the_parse(written, table):
+    side = Path(f"{written}{io.LTAB_SUFFIX}")
+    magic, version, header, payload = split(side.read_bytes())
+    buf, cols = arrays(header, payload)
+    cols["codes"][1] = 3  # one past Outage
+    side.write_bytes(seal(magic, version, header, bytes(buf)))
+    assert outcome(written) == parsed(written) == columns(table)
 
 
 def flip_bit(offset):
@@ -338,13 +362,13 @@ def link_tables(draw):
             rows.append([draw(st.floats(1.0, 200.0)), delay, draw(number(-180.0, 180.0, True)),
                          draw(number(0.0, 180.0)), draw(number(-180.0, 180.0, True)),
                          draw(number(0.0, 180.0)), draw(number(-359.0, 0.0))])
-    state = np.array([LinkState.OUTAGE if not c else draw(st.sampled_from(list(LinkState)))
-                      for c in counts], dtype=object)
+    state = [LinkState.OUTAGE if not c else draw(st.sampled_from(list(LinkState)))
+             for c in counts]
     tx = np.array([[draw(number(-500.0, 500.0)) for _ in range(2)] + [draw(number(0.0, 30.0))]
                    for _ in counts])
     rx = tx + [[draw(number(-500.0, 500.0)), draw(number(-500.0, 500.0)), 1.5] for _ in counts]
     return LinkTable.from_columns(np.array(rows).reshape(-1, 7), np.array(counts, dtype=int),
-                                  state, tx, rx, np.full(n, 12e9))
+                                  state, np.column_stack([tx, rx, np.full(n, 12e9)]))
 
 
 def edge_table():
@@ -366,9 +390,8 @@ def edge_table():
     # the negative side of 1e16 in the coordinates, which alone may reach it
     tx = np.array([[-1e16, 0.0, 10.0], [-under_16, -0.0, 10.0], [0.0, 0.0, -0.0]])
     return LinkTable.from_columns(
-        rows, counts,
-        np.array([LinkState.OUTAGE, LinkState.NLOS, LinkState.LOS], dtype=object),
-        tx, tx + [[30.0, -0.0, 1.5]], np.full(3, 12e9))
+        rows, counts, [LinkState.OUTAGE, LinkState.NLOS, LinkState.LOS],
+        np.column_stack([tx, tx + [[30.0, -0.0, 1.5]], np.full(3, 12e9)]))
 
 
 # a fixed example set, so the suite's outcome does not vary between runs
@@ -423,10 +446,10 @@ def test_split_text_is_the_same_bytes(tmp_path, monkeypatch, name):
         return block_text(part)
 
     monkeypatch.setattr(io, "_block_text", sized)
-    cuts, block_links = [], (1, 7, io._BLOCK_LINKS, 10**6)
-    for links in block_links:
-        monkeypatch.setattr(io, "_BLOCK_LINKS", links)
-        p = tmp_path / f"{links}.jsonl"
+    cuts, block_rows = [], (1, 7, 100, io._BLOCK_ROWS, 10**6)
+    for rows in block_rows:
+        monkeypatch.setattr(io, "_BLOCK_ROWS", rows)
+        p = tmp_path / f"{rows}.jsonl"
         digest = io._write_text(p, header, table)
         text = p.read_bytes()
         assert text.decode().splitlines() == [header[:-1], *json_lines(table)]
@@ -434,7 +457,7 @@ def test_split_text_is_the_same_bytes(tmp_path, monkeypatch, name):
         cuts += np.cumsum(sizes)[:-1].tolist()
         assert sum(sizes) == len(table)
         sizes.clear()
-    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f"{n}.jsonl" for n in block_links)
+    assert sorted(f.name for f in tmp_path.iterdir()) == sorted(f"{n}.jsonl" for n in block_rows)
     # some block starts or ends at an Outage link without paths
     assert any(table.counts[b] == 0 or table.counts[b - 1] == 0 for b in cuts)
 
@@ -444,17 +467,16 @@ def test_sidecar_bytes_do_not_depend_on_the_block_size(tmp_path, monkeypatch, na
     # the text is hashed block by block as it is written, into the sidecar's meta
     table = split_table(name)
     sides = []
-    for links in (1, 7, io._BLOCK_LINKS, 10**6):
-        monkeypatch.setattr(io, "_BLOCK_LINKS", links)
-        p = tmp_path / f"{links}.jsonl"
+    for rows in (1, 7, 100, io._BLOCK_ROWS, 10**6):
+        monkeypatch.setattr(io, "_BLOCK_ROWS", rows)
+        p = tmp_path / f"{rows}.jsonl"
         io.write_table(p, table)
         sides.append(Path(f"{p}{io.LTAB_SUFFIX}").read_bytes())
     assert sides[1:] == sides[:-1]
     n, p = len(table), int(table.counts.sum())
-    want = (table.counts.astype("<i8").tobytes()
-            + bytes(list(LinkState).index(s) for s in table.state)  # LOS, NLOS, Outage
-            + np.column_stack([table.tx, table.rx, table.carrier_freq]).tobytes()
-            + table.paths.tobytes())
+    assert list(LinkState) == [0, 1, 2]  # the sidecar's codes: LOS, NLOS, Outage
+    want = (table.counts.astype("<i8").tobytes() + table.state.tobytes()
+            + table.ends.tobytes() + table.paths.tobytes())
     _, _, header, payload = split(sides[0])
     assert payload == want
     assert sides[0][12:44] == hashlib.sha256(sides[0][44:]).digest()
