@@ -9,9 +9,20 @@ the source data.
 
 The codec and surrogate names are imported on first access (PEP 562), so
 importing a submodule such as chanimg.cli loads only what it uses.
+
+Importing chanimg before numpy runs BLAS on one thread: each of
+OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that is unset
+becomes "1", and a value already set is kept.  Once numpy is loaded its
+BLAS has read them, and chanimg sets none.
 """
 
 import importlib
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 from .core import (
     MAX_PATHS,

@@ -532,26 +532,6 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _blas_threads() -> int:
-    """How many threads BLAS runs a product on, by OpenBLAS's rule.
-
-    OpenBLAS, the BLAS of numpy's wheels, reads the first of these
-    variables that is set to a positive count when it loads, and otherwise
-    starts one thread per usable CPU.
-    """
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        value = os.environ.get(name, "").strip()
-        if value.isdigit() and int(value) > 0:
-            return int(value)
-    return usable_cpus()
-
-
-# read once, as numpy, imported above, has loaded OpenBLAS.  The row-block
-# worker runs only beside a one-thread BLAS: beside a threaded one it made
-# training slower
-_BLAS_THREADS = _blas_threads()
-
-
 def _dims(shape) -> str:
     return "x".join(str(d) for d in shape)
 
@@ -595,7 +575,9 @@ def train_wgan_gp(data: ArrayBatches, hyper: WganGpHyperparams, seed: int):
     # bits do not depend on whether the second block runs on the worker
     split = hyper.batch_size * count_params(netp.critic) >= SPLIT_WORK
     scratches = (Scratch(), Scratch()) if split else (Scratch(),)
-    threaded = usable_cpus() >= 2 and _BLAS_THREADS == 1
+    # the worker runs only beside a one-thread BLAS: beside a threaded one
+    # it made training slower
+    threaded = usable_cpus() >= 2 and os.environ.get("OPENBLAS_NUM_THREADS") == "1"
     with RowBlocks(scratches, threaded) as blocks:
         step = 0
         for epoch in range(hyper.epochs):

@@ -36,7 +36,7 @@ from chanimg.rng import substream
 from chanimg.stats import METRICS
 from containers import arrays, seal, split
 from tables import table_links
-from test_codec import reference_encode
+from test_codec import float32_bounds, path_errors, reference_encode
 
 
 def test_gen_data_byte_identical(tmp_path):
@@ -96,7 +96,7 @@ def test_pipeline_composes(pipeline_dir):
         assert (d / f).exists(), f
 
 
-def test_encode_decode_artifacts_consistent(pipeline_dir):
+def test_encode_decode_artifacts_consistent(pipeline_dir, tmp_path):
     d = pipeline_dir
     images, conds = io.read_images(d / "images.chim")
     data = io.read_table(d / "data.jsonl")
@@ -105,6 +105,16 @@ def test_encode_decode_artifacts_consistent(pipeline_dir):
     assert len(decoded) == len(data)
     for name in ("ends", "dist2d", "dist3d", "fspl", "los"):
         np.testing.assert_array_equal(getattr(decoded, name), getattr(data, name))
+    # the data's own float32 matrices decode to its links, each feature
+    # within the float32 rounding of its scaled cells
+    assert run(["--seed", "4", "decode", "--images", str(d / "images.chim"),
+                "--codec", str(d / "codec.json"), "--geometry-from", str(d / "data.jsonl"),
+                "--out", str(tmp_path / "decoded.jsonl")]) == 0
+    back = io.read_table(tmp_path / "decoded.jsonl")
+    np.testing.assert_array_equal(back.state, data.state)
+    np.testing.assert_array_equal(back.counts, data.counts)
+    worst = path_errors(back.paths, data.paths).max(axis=0)
+    assert np.all(worst <= float32_bounds(io.read_codec(d / "codec.json"))), worst
 
 
 def test_jsonl_artifacts_rewrite_byte_identical(pipeline_dir, tmp_path):

@@ -542,6 +542,42 @@ def decode_one(codec, matrix, link):
     return LinkState(dec.state[0]), dec.paths
 
 
+def float32_bounds(codec):
+    """Each path feature's worst error after a float32 cast of its scaled cells.
+
+    A cast moves a cell of [-1, 1] by at most 2**-25, which unscales to
+    (hi - lo) * 2**-26 of its scaler row (delay's divided by DELAY_SCALE):
+    half of the bound.
+    """
+    scaler = codec.scaler
+    bounds = (scaler.feature_max - scaler.feature_min)[:PS + 1] * 2.0**-25
+    bounds[DLY] /= DELAY_SCALE
+    return bounds
+
+
+def path_errors(got, want):
+    """|got - want| of (k, 7) path rows; azimuths and phase circularly, as angles."""
+    errors = np.abs(got - want)
+    turns = errors[:, [AOD, AOA, PS]] % 360.0
+    errors[:, [AOD, AOA, PS]] = np.minimum(turns, 360.0 - turns)
+    return errors
+
+
+@pytest.mark.parametrize("feature, value, decoded", [(AOA, -179.999996, 180.0),
+                                                     (PS, -359.999996, 0.0)])
+def test_angle_next_to_its_lower_end_decodes_from_float32_as_the_upper(codec, feature, value,
+                                                                        decoded):
+    # the scaled cell is -1 + 2.2e-8, which rounds to float32 -1: the row's
+    # lower end, which decode wraps to the upper.  The angle is the same,
+    # 4e-6 deg away
+    lk = make_link(10)
+    lk.paths[3, feature] = value
+    matrices, _ = codec.encode(link_table([lk]), substream(19, "x"))
+    _, paths = decode_one(codec, matrices[0].astype(np.float32), lk)
+    assert paths[3, feature] == decoded
+    assert np.all(path_errors(paths, lk.paths).max(axis=0) <= float32_bounds(codec))
+
+
 def test_roundtrip_surrogate_links(dataset, table, codec):
     matrices, _ = codec.encode(table, substream(12, "roundtrip"))
     dec = codec.decode(matrices, table)

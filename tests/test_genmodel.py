@@ -754,11 +754,11 @@ def test_batches_in_the_training_dtype_write_the_same_checkpoint(tmp_path, dtype
 
 def worker_training(monkeypatch, cpus, blas_threads=1):
     """Make train_wgan_gp split every batch of two rows or more into two row
-    blocks, on cpus usable CPUs beside a BLAS of blas_threads threads: the
-    worker is on at cpus=2 and off at cpus=1.  Returns the names of the
+    blocks, on cpus usable CPUs with OPENBLAS_NUM_THREADS set to blas_threads:
+    the worker is on at cpus=2 and off at cpus=1.  Returns the names of the
     threads that ran a critic block."""
     monkeypatch.setattr(wgan, "SPLIT_WORK", 0)
-    monkeypatch.setattr(wgan, "_BLAS_THREADS", blas_threads)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(blas_threads))
     monkeypatch.setattr(wgan, "usable_cpus", lambda: cpus)
     threads = set()
     critic_block = wgan._critic_block
