@@ -10,7 +10,7 @@ Run:  python3 demos/03_train_toy_wgan.py
 
 import numpy as np
 
-from chanimg.genmodel import ArrayBatches, WganGpHyperparams, sample, train_wgan_gp
+from chanimg.genmodel import WganGpHyperparams, sample, train_wgan_gp
 
 n = 2048
 matrices = np.concatenate([np.full((n // 2, 8, 25), 0.5),
@@ -22,7 +22,7 @@ hyper = WganGpHyperparams(hidden=(128, 128), noise_dim=16, learning_rate=5e-4,
                           epochs=60, batch_size=128)
 print("training conditional WGAN-GP on the toy set "
       f"({hyper.epochs} epochs, batch {hyper.batch_size}) ...")
-netp, log = train_wgan_gp(ArrayBatches(matrices, conds), hyper, seed=3)
+netp, log = train_wgan_gp(matrices, conds, hyper, seed=3)
 counts = log.param_counts
 print(f"parameters: generator {counts['generator']:,} / critic {counts['critic']:,}")
 critic_loss = [row[log.COLUMNS.index("critic_loss")] for row in log.rows]  # one per step

@@ -133,8 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True, help="decoded model dataset (JSONL)")
     p.add_argument("--data", required=True, help="reference dataset (JSONL)")
     p.add_argument("--outdir", required=True)
-    p.add_argument("--dist-bin-width", type=float, default=25.0)
-    p.add_argument("--angle-bin-width", type=float, default=2.0)
 
     p = sub.add_parser("report", help="per-link encode/decode round-trip fidelity report")
     p.add_argument("--data", required=True)
@@ -235,7 +233,7 @@ def _cmd_train(args) -> int:
         io.write_resampler_checkpoint(args.out, model, seed=args.seed)
         print(f"stored resampler over {len(matrices)} matrices -> {args.out}")
         return 0
-    from .genmodel.wgan import ArrayBatches, WganGpHyperparams
+    from .genmodel.wgan import WganGpHyperparams
 
     hyper = WganGpHyperparams(
         learning_rate=args.lr, adam_beta1=args.beta1, adam_beta2=args.beta2,
@@ -243,7 +241,7 @@ def _cmd_train(args) -> int:
         critic_steps_per_gen_step=args.critic_steps, noise_dim=args.noise_dim,
         hidden=_number_list(args.hidden, "--hidden", kind=int),
         output_init=args.output_init, dtype=args.dtype)
-    netp, log = _layer("train_wgan_gp")(ArrayBatches(matrices, conds), hyper, args.seed)
+    netp, log = _layer("train_wgan_gp")(matrices, conds, hyper, args.seed)
     io.write_wgan_checkpoint(args.out, netp, seed=args.seed)
     counts = log.param_counts
     if args.log:
@@ -281,9 +279,7 @@ def _cmd_eval(args) -> int:
     heights = np.sort(data.height)
     first = np.ones(len(heights), dtype=bool)
     np.not_equal(heights[1:], heights[:-1], out=first[1:])
-    report = _layer("compare_datasets")(model, data, heights[first].tolist(),
-                                        dist_bin_width=args.dist_bin_width,
-                                        angle_bin_width=args.angle_bin_width)
+    report = _layer("compare_datasets")(model, data, heights[first].tolist())
     outdir = args.outdir
 
     ks_rows = [[h, m, entry[m]] for h, entry in report.items() for m in METRICS]

@@ -273,8 +273,8 @@ class ChannelImageCodec:
         # rows; the second counts every clipped cell, once
         clipped, counts = self.scaler.n_clipped, np.empty(n, dtype=np.intp)
         for block in blocks:
-            _, pathloss = self._vote(matrices[block], table.take(block), block.start)
-            counts[block] = np.count_nonzero(pathloss <= OUTAGE_THRESHOLD_DB, axis=-1)
+            _, _, keep = self._vote(matrices[block], table.take(block), block.start)
+            counts[block] = np.count_nonzero(keep, axis=-1)
         self.scaler.n_clipped = clipped
         decoded = dataclasses.replace(table, paths=np.empty((counts.sum(), PS + 1)),
                                       counts=counts, state=np.empty(n, dtype=np.uint8))
@@ -286,13 +286,14 @@ class ChannelImageCodec:
         return decoded
 
     def _vote(self, matrices, geo: LinkTable, start: int):
-        """(is_los (m,), pathloss (m, 25) dB) of one block of matrices.
+        """(is_los (m,), pathloss (m, 25) dB, keep (m, 25)) of one block of matrices.
 
         is_los is the link-state vote; pathloss is the un-scaled pathloss
         row with the free-space loss added back and, on a LOS vote, the
-        closed-form LOS path's in the first column.  A non-finite cell and a
-        LOS vote on a link without a LOS path are errors naming the block's
-        first such matrix.
+        closed-form LOS path's in the first column; keep marks the columns
+        decode keeps as paths, those at or below the outage threshold.  A
+        non-finite cell and a LOS vote on a link without a LOS path are
+        errors naming the block's first such matrix.
         """
         matrices = np.asarray(matrices, dtype=np.float64)
         if not np.all(np.isfinite(matrices)):
@@ -305,12 +306,12 @@ class ChannelImageCodec:
         pathloss = self.scaler.unscale(matrices[:, PL], PL)
         pathloss += geo.fspl[:, None]
         pathloss[is_los, 0] = geo.los[is_los, PL]
-        return is_los, pathloss
+        return is_los, pathloss, pathloss <= OUTAGE_THRESHOLD_DB
 
     def _decode_block(self, matrices, geo: LinkTable, start: int, paths, state):
         """Decode one block into its path rows (counts.sum(), 7) and its state (m,)."""
         matrices = np.asarray(matrices, dtype=np.float64)
-        is_los, pathloss = self._vote(matrices, geo, start)
+        is_los, pathloss, keep = self._vote(matrices, geo, start)
         values = np.empty((len(matrices), PS + 1, MAX_PATHS))  # (m, 7, 25)
         values[:, PL] = pathloss
         values[:, DLY:] = self.scaler.unscale(matrices[:, DLY:PS + 1], slice(DLY, PS + 1))
@@ -318,7 +319,6 @@ class ChannelImageCodec:
         values[:, DLY] = values[:, DLY] / DELAY_SCALE + base_delay[:, None]
         values[is_los, DLY:, 0] = geo.los[is_los, DLY:]
 
-        keep = values[:, PL] <= OUTAGE_THRESHOLD_DB  # (m, 25)
         self.stats["delay_floored"] += int(np.count_nonzero(
             keep & (values[:, DLY] < base_delay[:, None])))
         self.stats["pathloss_floored"] += int(np.count_nonzero(keep & (values[:, PL] <= 0.0)))

@@ -41,6 +41,7 @@ __all__ = [
     "path_rules",
     "link_rules",
     "closed_forms",
+    "los_rules",
     "wrap_azimuth",
     "wrap_phase",
 ]
@@ -125,6 +126,17 @@ def link_rules(paths, counts, state, ends):
 def closed_forms(tx, rx, carrier_freq):
     """(dist2d, dist3d, fspl, los) of (N, 3) endpoints and (N,) carriers.
 
+    The columns of los_rules, with each row of los that breaks one of its
+    rules set to NaN: the link has no LOS path.
+    """
+    *forms, rules = los_rules(tx, rx, carrier_freq)
+    forms[3][np.logical_or.reduce([bad for _, bad in rules])] = np.nan
+    return tuple(forms)
+
+
+def los_rules(tx, rx, carrier_freq):
+    """(dist2d, dist3d, fspl, los, rules) of (N, 3) endpoints and (N,) carriers.
+
     dist2d may be 0 (a vertical link).  fspl is the free-space pathloss in
     dB, 20 log10(dist3d) + 20 log10(f) - 147.55.  los is the (N, 7)
     line-of-sight path in PATH_FIELDS order: pathloss is the
@@ -134,9 +146,10 @@ def closed_forms(tx, rx, carrier_freq):
     its back direction, the zenith of departure is measured from vertical
     at the transmitter (z_rx == z_tx gives the 90 deg horizon) and the
     zenith of arrival mirrors it.  Phase is the carrier rotation left over
-    from whole cycles, in (-360, 0].  A row is NaN where the link has no
-    such path: a vertical link (no azimuth) or a row path_rules rejects
-    (a pathloss that is not positive).
+    from whole cycles, in (-360, 0].  rules is [(message, mask)] of the
+    rules a LOS row keeps, each mask (N,) and True where the row breaks
+    it: a vertical link has no azimuth, then path_rules (e.g. a pathloss
+    that is not positive, or a phase of a carrier rotation that overflows).
 
     Each row depends only on its own link.  GeometryError names the first
     link whose endpoints coincide, lie too far apart to measure, or whose
@@ -163,8 +176,8 @@ def closed_forms(tx, rx, carrier_freq):
         cycles = freq * delay
         phase = -360.0 * (cycles - np.floor(cycles)) + 0.0  # +0.0 folds -0.0
         los = np.column_stack([fspl, delay, aod, zod, aoa, 180.0 - zod, phase])
-    los[(dist2d == 0.0) | np.logical_or.reduce([m for _, m in path_rules(los)])] = np.nan
-    return dist2d, dist3d, fspl, los
+    return dist2d, dist3d, fspl, los, [("azimuth undefined for a vertical link", dist2d == 0.0),
+                                       *path_rules(los)]
 
 
 @dataclass

@@ -21,7 +21,6 @@ __all__ = [
     "NetworkParams",
     "train_wgan_gp",
     "sample",
-    "ArrayBatches",
     "EmpiricalResampler",
 ]
 
@@ -29,7 +28,7 @@ __getattr__ = _lazy_exports(globals(), {
     name: (module, name) for module, names in (
         (".nn", ("AdamState", "Mlp", "adam_step")),
         (".resampler", ("EmpiricalResampler",)),
-        (".wgan", ("ArrayBatches", "NetworkParams", "WganGpHyperparams", "sample",
+        (".wgan", ("NetworkParams", "WganGpHyperparams", "sample",
                    "train_wgan_gp")),
     ) for name in names})
 

@@ -335,14 +335,14 @@ class AdamState:
 # the block's p, g, m, v and two scratch blocks stay in cache across the
 # update's passes instead of streaming whole arrays through memory each time
 ADAM_CHUNK = 16384
+ADAM_EPS = 1e-8  # the denominator's regularizer
 
 
-def adam_step(params, grads, state: AdamState, lr: float, beta1: float, beta2: float,
-              eps: float = 1e-8):
+def adam_step(params, grads, state: AdamState, lr: float, beta1: float, beta2: float):
     """In-place Adam update with bias correction; returns params.
 
     Evaluates m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
-    p -= lr * (m / c1) / (sqrt(v / c2) + eps) in that operation order,
+    p -= lr * (m / c1) / (sqrt(v / c2) + ADAM_EPS) in that operation order,
     block by block along each parameter's first axis, with two scratch
     blocks per parameter.  Raises TrainingDivergedError on any non-finite
     gradient, before that parameter is touched.
@@ -372,7 +372,7 @@ def adam_step(params, grads, state: AdamState, lr: float, beta1: float, beta2: f
             sb *= lr
             np.divide(vb, c2, out=tb)
             np.sqrt(tb, out=tb)
-            tb += eps
+            tb += ADAM_EPS
             sb /= tb
             pb -= sb
     return params

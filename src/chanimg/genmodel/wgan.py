@@ -49,7 +49,6 @@ __all__ = [
     "NetworkParams",
     "network_sizes",
     "TrainingLog",
-    "ArrayBatches",
     "RowBlocks",
     "train_wgan_gp",
     "sample",
@@ -459,40 +458,26 @@ def _to_preimage(x):
     return np.arctanh(np.clip(x, -0.995, 0.995))
 
 
-MOMENT_ROWS = 1024  # samples per block of ArrayBatches.preimage_moments
+MOMENT_ROWS = 1024  # samples per block of preimage_moments
 
 
-class ArrayBatches:
-    """Minibatches over materialized (images, conditions) arrays."""
+def preimage_moments(matrices):
+    """Per-pixel mean and population std of the matrices' preimages (see _to_preimage).
 
-    def __init__(self, images, conditions):
-        self.images, self.conditions = training_pairs(images, conditions)
+    Two passes over blocks of MOMENT_ROWS samples in float64, each adding
+    the rows in order as numpy's sum over axis 0 does: numpy's mean and
+    std over the whole float64 set, which is never made.
+    """
+    flat = matrices.reshape(len(matrices), -1)
 
-    def preimage_moments(self):
-        """Per-pixel mean and population std of the samples' preimages (see _to_preimage).
+    def row_sum(f):  # of f(preimages), block by block; a running total heads each block
+        blocks = (f(_to_preimage(flat[i:i + MOMENT_ROWS].astype(np.float64)))
+                  for i in range(0, len(flat), MOMENT_ROWS))
+        return functools.reduce(lambda total, x: np.vstack([total, x]).sum(axis=0), blocks,
+                                np.empty((0, flat.shape[1])))
 
-        Two passes over blocks of MOMENT_ROWS samples in float64, each adding
-        the rows in order as numpy's sum over axis 0 does: numpy's mean and
-        std over the whole float64 set, which is never made.
-        """
-        flat = self.images.reshape(len(self.images), -1)
-
-        def row_sum(f):  # of f(preimages), block by block; a running total heads each block
-            blocks = (f(_to_preimage(flat[i:i + MOMENT_ROWS].astype(np.float64)))
-                      for i in range(0, len(flat), MOMENT_ROWS))
-            return functools.reduce(lambda total, x: np.vstack([total, x]).sum(axis=0), blocks,
-                                    np.empty((0, flat.shape[1])))
-
-        mu = row_sum(lambda x: x) / len(flat)
-        return mu, np.sqrt(row_sum(lambda x: np.square(x - mu)) / len(flat))
-
-    def epoch_batches(self, order_rng, batch_size, dtype):
-        """(flattened images in dtype, raw conditions) of each full batch of one epoch."""
-        idx = order_rng.permutation(len(self.images))
-        for start in range(0, len(idx) - batch_size + 1, batch_size):
-            take = idx[start:start + batch_size]
-            x = self.images[take].astype(dtype, copy=False).reshape(len(take), -1)
-            yield x, self.conditions[take]
+    mu = row_sum(lambda x: x) / len(flat)
+    return mu, np.sqrt(row_sum(lambda x: np.square(x - mu)) / len(flat))
 
 
 @dataclass
@@ -536,27 +521,30 @@ def _dims(shape) -> str:
     return "x".join(str(d) for d in shape)
 
 
-def train_wgan_gp(data: ArrayBatches, hyper: WganGpHyperparams, seed: int):
-    """Train on channel matrices; returns (NetworkParams, TrainingLog).
+def train_wgan_gp(matrices, conditions, hyper: WganGpHyperparams, seed: int):
+    """Train on (N, 8, 25) channel matrices and their (N, 2) conditions.
 
-    data's samples must be 8x25 matrices (a DataError otherwise), and it is
-    cut into batches of hyper.batch_size.  Deterministic for a fixed seed:
-    batch order, noise, interpolation draws and init each use a named
-    substream of the seed, and the bits are the same whether or not the
-    second row block runs on a worker thread (see RowBlocks).
+    Returns (NetworkParams, TrainingLog).  The pairs are checked by
+    training_pairs; matrices of another shape are a DataError.  Each epoch
+    visits the matrices in a fresh order and cuts them into full batches of
+    hyper.batch_size, each cast once to the training dtype; the last
+    partial batch is dropped.  Deterministic for a fixed seed: batch order,
+    noise, interpolation draws and init each use a named substream of the
+    seed, and the bits are the same whether or not the second row block
+    runs on a worker thread (see RowBlocks).
     """
+    matrices, cond = training_pairs(matrices, conditions)
     hyper.validate()
-    if data.images.shape[1:] != MATRIX_SHAPE:
-        raise DataError(f"training samples have shape {_dims(data.images.shape[1:])}, "
+    if matrices.shape[1:] != MATRIX_SHAPE:
+        raise DataError(f"training samples have shape {_dims(matrices.shape[1:])}, "
                         f"the model expects {_dims(MATRIX_SHAPE)}")
-    if len(data.images) < hyper.batch_size:
+    if len(matrices) < hyper.batch_size:
         raise DataError("dataset smaller than one batch; nothing to train on")
 
-    cond = np.asarray(data.conditions, dtype=np.float64)
     netp = build_networks(hyper, cond.min(axis=0), cond.max(axis=0),
                           substream(seed, "init"))
     if hyper.output_init != "fan_in":
-        mu, sd = data.preimage_moments()
+        mu, sd = preimage_moments(matrices)
         calib_rng = substream(seed, "init", "calibration")
         n_calib = min(512, len(cond))
         z = calib_rng.standard_normal((n_calib, hyper.noise_dim))
@@ -581,11 +569,13 @@ def train_wgan_gp(data: ArrayBatches, hyper: WganGpHyperparams, seed: int):
     with RowBlocks(scratches, threaded) as blocks:
         step = 0
         for epoch in range(hyper.epochs):
-            order_rng = substream(seed, "batching", epoch)
-            for x, c_raw in data.epoch_batches(order_rng, hyper.batch_size, dt):
+            order = substream(seed, "batching", epoch).permutation(len(matrices))
+            for start in range(0, len(order) - hyper.batch_size + 1, hyper.batch_size):
+                rows = order[start:start + hyper.batch_size]
                 step += 1
-                b = x.shape[0]
-                c = netp.normalize_conditions(c_raw).astype(dt, copy=False)
+                b = len(rows)
+                x = matrices[rows].astype(dt, copy=False).reshape(b, -1)
+                c = netp.normalize_conditions(cond[rows]).astype(dt, copy=False)
 
                 blocks.reset()
                 z = substream(seed, "noise", step).standard_normal((b, hyper.noise_dim))

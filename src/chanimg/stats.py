@@ -38,6 +38,9 @@ _CIRCULAR = {"aoa", "aod"}
 # column of each path feature in LinkTable.paths and LinkTable.los
 _FEATURE_COL = {f: i for i, f in enumerate(PATH_FIELDS)}
 ZENITH_SPAN = 90.0  # deg; compare_datasets bins relative zenith angles over [-90, 90]
+# compare_datasets' bins: 2D distance (m) and relative zenith angle (deg)
+DIST_BIN_WIDTH = 25.0
+ANGLE_BIN_WIDTH = 2.0
 
 
 class Ecdf:
@@ -196,8 +199,7 @@ def rms_spread(table: LinkTable) -> dict:
     return out
 
 
-def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width: float = 25.0,
-                     angle_bin_width: float = 2.0) -> dict:
+def compare_datasets(model: LinkTable, data: LinkTable, heights) -> dict:
     """Model-vs-data divergence report, per receiver height.
 
     Returns {height: entry}.  Each entry holds a value for every name in
@@ -206,24 +208,22 @@ def compare_datasets(model: LinkTable, data: LinkTable, heights, dist_bin_width:
     uniform distribution on UNIFORM_DOMAINS (each NaN at a height where a
     side it reads has no path), and the maximum absolute LOS-probability
     gap over shared occupied distance bins.  It also holds both sides'
-    LinkStateProb and relative-zenith PDFs.  A bin width that is
-    not positive and finite, or widths whose zenith PDF grid of float64
-    bins would not fit in this machine's physical memory, are a DataError.
+    LinkStateProb and relative-zenith PDFs, binned by DIST_BIN_WIDTH and
+    ANGLE_BIN_WIDTH.  Links so far apart that the zenith PDF grid of
+    float64 bins would not fit in this machine's physical memory are a
+    DataError.
     """
-    for name, width in (("dist_bin_width", dist_bin_width),
-                        ("angle_bin_width", angle_bin_width)):
-        if not 0 < width < np.inf:
-            raise DataError(f"{name} must be positive and finite, got {width}")
-    d_hi = float(np.concatenate([model.dist2d, data.dist2d]).max()) + dist_bin_width
-    cells = (d_hi / dist_bin_width + 1.0) * (2.0 * ZENITH_SPAN / angle_bin_width + 1.0)
-    grid_bytes = 8.0 * cells  # counted before any array exists; inf on underflow
+    d_max = float(np.concatenate([model.dist2d, data.dist2d]).max())
+    d_hi = d_max + DIST_BIN_WIDTH
+    cells = (d_hi / DIST_BIN_WIDTH + 1.0) * (2.0 * ZENITH_SPAN / ANGLE_BIN_WIDTH + 1.0)
+    grid_bytes = 8.0 * cells  # counted before any array exists
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if not grid_bytes <= memory:
-        raise DataError(f"dist_bin_width {dist_bin_width} and angle_bin_width {angle_bin_width}"
-                        f" give {cells:.3g} zenith PDF bins, a {grid_bytes:.3g}-byte float64"
-                        f" grid, more than this machine's {memory:.3g} bytes of memory")
-    dist_edges = np.arange(0.0, d_hi + dist_bin_width, dist_bin_width)
-    angle_edges = np.arange(-ZENITH_SPAN, ZENITH_SPAN + angle_bin_width, angle_bin_width)
+        raise DataError(f"links up to {d_max:.3g} m apart give {cells:.3g} zenith PDF bins,"
+                        f" a {grid_bytes:.3g}-byte float64 grid, more than this machine's"
+                        f" {memory:.3g} bytes of memory")
+    dist_edges = np.arange(0.0, d_hi + DIST_BIN_WIDTH, DIST_BIN_WIDTH)
+    angle_edges = np.arange(-ZENITH_SPAN, ZENITH_SPAN + ANGLE_BIN_WIDTH, ANGLE_BIN_WIDTH)
 
     report = {}
     for h in heights:

@@ -86,7 +86,7 @@ wgan._critic_block = recorded
 rng = np.random.default_rng(0)
 images = rng.uniform(-1, 1, (64, 8, 25))
 conds = np.column_stack([rng.uniform(10, 500, 64), rng.choice([1.6, 30.0], 64)])
-wgan.train_wgan_gp(wgan.ArrayBatches(images, conds),
+wgan.train_wgan_gp(images, conds,
                    wgan.WganGpHyperparams(hidden=(16, 16), noise_dim=8, epochs=1, batch_size=32),
                    seed=0)
 print(len(threads))

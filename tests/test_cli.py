@@ -331,33 +331,22 @@ def test_sample_rejects_nonpositive_per_cond(pipeline_dir, tmp_path, capsys, per
     assert not (tmp_path / "s.chim").exists()
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--dist-bin-width", "0"), ("--dist-bin-width", "nan"), ("--dist-bin-width", "-25"),
-    ("--dist-bin-width", "inf"), ("--angle-bin-width", "-2"), ("--angle-bin-width", "0"),
-    ("--angle-bin-width", "nan"),
-    # positive and finite, but a zenith PDF grid no machine's memory holds
-    ("--dist-bin-width", "1e-300"), ("--dist-bin-width", "5e-324"),
-    ("--angle-bin-width", "1e-12"),
-])
-def test_eval_rejects_bad_bin_widths(pipeline_dir, tmp_path, capsys, flag, value):
-    d = pipeline_dir
-    fails_cleanly(capsys, ["eval", "--model", str(d / "decoded.jsonl"),
-                           "--data", str(d / "data.jsonl"), f"{flag}={value}",
+@pytest.mark.parametrize("side, end, axis", [
+    ("data", "rx", 0), ("data", "tx", 1), ("model", "rx", 0),
+], ids=["data-rx", "data-tx", "model-rx"])
+def test_eval_rejects_links_too_far_apart_to_bin(pipeline_dir, tmp_path, capsys,
+                                                 side, end, axis):
+    # one link 1e12 m long on either side: its zenith PDFs of 25 m by 2 deg
+    # bins would be a 2.9e13-byte grid, more than any machine's memory
+    tables = {"model": pipeline_dir / "decoded.jsonl", "data": pipeline_dir / "data.jsonl"}
+    far = tmp_path / "far.jsonl"
+    far.write_bytes(tables[side].read_bytes())
+    edit_first_link(far, lambda r: r[end].__setitem__(axis, 1e12))
+    tables[side] = far
+    fails_cleanly(capsys, ["eval", "--model", str(tables["model"]), "--data", str(tables["data"]),
                            "--outdir", str(tmp_path / "reports")],
-                  EXIT_BAD_DATA, flag[2:].replace("-", "_"))
+                  EXIT_BAD_DATA, "links up to 1e+12 m apart", "zenith PDF bins")
     assert not (tmp_path / "reports").exists()
-
-
-def test_eval_writes_reports_for_fine_feasible_bin_widths(pipeline_dir, tmp_path):
-    # 1 m by 0.1 deg: over a million bins per zenith PDF, about 10 MB each
-    out = tmp_path / "reports"
-    assert run(["--seed", "4", "eval", "--model", str(pipeline_dir / "decoded.jsonl"),
-                "--data", str(pipeline_dir / "data.jsonl"), "--dist-bin-width=1",
-                "--angle-bin-width=0.1", "--outdir", str(out)]) == 0
-    for ang in ("zod", "zoa"):
-        rows = (out / f"zenith_pdf_{ang}.csv").read_text().splitlines()[2:]
-        assert rows and all(float(r.split(",")[2]).is_integer() for r in rows)
-    assert (out / "ks.csv").exists() and (out / "los_prob.csv").exists()
 
 
 def test_eval_reports_nan_at_a_height_without_model_paths(pipeline_dir, tmp_path):
@@ -804,7 +793,7 @@ def test_train_defaults_are_the_librarys(tmp_path, monkeypatch):
     from chanimg import cli
     from chanimg.genmodel.wgan import WganGpHyperparams
 
-    def train_wgan_gp(data, hyper, seed):
+    def train_wgan_gp(matrices, conditions, hyper, seed):
         raise Trained(hyper)
 
     monkeypatch.setattr(cli, "train_wgan_gp", train_wgan_gp, raising=False)
@@ -872,7 +861,7 @@ def test_gen_data_low_carrier_is_data_error(tmp_path, capsys, freq):
     # free-space loss is below 0 dB there, so no link has a LOS path
     fails_cleanly(capsys, ["gen-data", "--links", "20", "--freq", freq,
                            "--out", str(tmp_path / "d.jsonl")],
-                  EXIT_BAD_DATA, "link 0: LOS pathloss", "is not positive")
+                  EXIT_BAD_DATA, "link 0: no LOS path: pathloss must be positive")
     assert not (tmp_path / "d.jsonl").exists()
 
 

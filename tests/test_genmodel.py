@@ -17,7 +17,6 @@ from chanimg.errors import DataError, TrainingDivergedError
 from chanimg.genmodel import nn, wgan
 from chanimg.genmodel import (
     AdamState,
-    ArrayBatches,
     EmpiricalResampler,
     Mlp,
     WganGpHyperparams,
@@ -32,6 +31,7 @@ from chanimg.genmodel.wgan import (
     generator_forward,
     generator_loss_and_grads,
     network_sizes,
+    preimage_moments,
 )
 from chanimg.rng import substream
 
@@ -67,9 +67,9 @@ def test_adam_first_step_magnitude_is_lr():
 
 def test_adam_closed_form_first_step():
     g = 0.25
-    lr, b1, b2, eps = 1e-2, 0.5, 0.9, 1e-8
+    lr, b1, b2, eps = 1e-2, 0.5, 0.9, nn.ADAM_EPS
     params = [np.array([1.0])]
-    adam_step(params, [np.array([g])], AdamState.zeros(params), lr, b1, b2, eps)
+    adam_step(params, [np.array([g])], AdamState.zeros(params), lr, b1, b2)
     m_hat = (1 - b1) * g / (1 - b1)
     v_hat = (1 - b2) * g * g / (1 - b2)
     assert params[0][0] == 1.0 - lr * m_hat / (math.sqrt(v_hat) + eps)
@@ -540,7 +540,7 @@ def reference_preimage_moments(images):
 def test_preimage_moments_are_the_clipped_arctanh_moments():
     images, conds = toy_data(n=40)
     images[0, 0, :3] = (-1.0, 0.999, 1.0)  # clipped to -+0.995
-    mu, sd = ArrayBatches(images.astype(np.float32), conds).preimage_moments()
+    mu, sd = preimage_moments(images.astype(np.float32))
     want_mu, want_sd = reference_preimage_moments(images.astype(np.float32))
     np.testing.assert_allclose(mu, want_mu, rtol=1e-12, atol=1e-15)
     np.testing.assert_allclose(sd, want_sd, rtol=1e-12)
@@ -551,7 +551,7 @@ def test_preimage_moments_in_blocks_are_the_whole_sets_moments(monkeypatch, n):
     # blocks of 7 samples: one short block, one full, one sample over, three blocks
     monkeypatch.setattr(wgan, "MOMENT_ROWS", 7)
     images = np.random.default_rng(n).uniform(-1.1, 1.1, (n, 8, 25)).astype(np.float32)
-    mu, sd = ArrayBatches(images, np.ones((n, 2))).preimage_moments()
+    mu, sd = preimage_moments(images)
     x = np.arctanh(np.clip(images.astype(np.float64).reshape(n, -1), -0.995, 0.995))
     assert mu.tobytes() == x.mean(axis=0).tobytes()
     assert sd.tobytes() == x.std(axis=0).tobytes()
@@ -561,11 +561,11 @@ def test_preimage_moments_hold_a_few_blocks():
     # measured: 6.6 MB at 10,000 and at 50,000 samples; 240 MB at 50,000
     # while the whole set was taken in float64, clipped and mapped at once
     n = 10_000
-    data = ArrayBatches(np.zeros((n, 8, 25), dtype=np.float32), np.ones((n, 2)))
+    matrices = np.zeros((n, 8, 25), dtype=np.float32)
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        data.preimage_moments()
+        preimage_moments(matrices)
         peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
@@ -590,7 +590,7 @@ def test_output_init_starts_at_the_datas_preimage_moments(monkeypatch, mode):
 
     monkeypatch.setattr(wgan, "calibrate_output_layer", calibrate_and_stop)
     with pytest.raises(Calibrated) as calibrated:
-        train_wgan_gp(ArrayBatches(images, conds), hyper, seed=4)
+        train_wgan_gp(images, conds, hyper, seed=4)
     netp, z, cond_norm = calibrated.value.args
     want_mu, want_sd = reference_preimage_moments(images)
     np.testing.assert_allclose(netp.generator.params[-1], want_mu, rtol=1e-12, atol=1e-15)
@@ -617,8 +617,8 @@ def test_fan_in_training_calibrates_nothing(tmp_path, monkeypatch):
     for patched in (False, True):
         if patched:
             monkeypatch.setattr(wgan, "calibrate_output_layer", refuse)
-            monkeypatch.setattr(ArrayBatches, "preimage_moments", refuse)
-        netp, _ = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=4)
+            monkeypatch.setattr(wgan, "preimage_moments", refuse)
+        netp, _ = train_wgan_gp(images, conds, hyper, seed=4)
         io.write_wgan_checkpoint(tmp_path / "m.ckpt", netp, seed=4)
         written.append((tmp_path / "m.ckpt").read_bytes())
     assert written[0] == written[1]
@@ -633,20 +633,20 @@ def test_training_deterministic():
     images, conds = toy_data()
     hyper = WganGpHyperparams(**TINY, epochs=2, batch_size=64)
 
-    netp1, log1 = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=9)
-    netp2, log2 = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=9)
+    netp1, log1 = train_wgan_gp(images, conds, hyper, seed=9)
+    netp2, log2 = train_wgan_gp(images, conds, hyper, seed=9)
     assert log_column(log1, "critic_loss") == log_column(log2, "critic_loss")
     assert log_column(log1, "gen_loss")[4] == log_column(log2, "gen_loss")[4]
     for a, b in zip(netp1.generator_params(), netp2.generator_params()):
         np.testing.assert_array_equal(a, b)
-    netp3, log3 = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=10)
+    netp3, log3 = train_wgan_gp(images, conds, hyper, seed=10)
     assert log_column(log1, "critic_loss") != log_column(log3, "critic_loss")
 
 
 def test_training_log_contents():
     images, conds = toy_data()
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64, critic_steps_per_gen_step=2)
-    netp, log = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=11)
+    netp, log = train_wgan_gp(images, conds, hyper, seed=11)
     assert all(len(row) == len(log.COLUMNS) for row in log.rows)
     assert log_column(log, "step") == [1, 2, 3, 4]  # 256/64 batches (exact split)
     assert all(np.isfinite(log_column(log, "critic_loss")))
@@ -688,7 +688,7 @@ def test_training_rejects_samples_of_another_shape(shape):
     images, conds = toy_data(n=64, shape=shape)
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=16)
     with pytest.raises(DataError, match="shape .* the model expects 8x25"):
-        train_wgan_gp(ArrayBatches(images, conds), hyper, seed=0)
+        train_wgan_gp(images, conds, hyper, seed=0)
 
 
 def test_hyperparameters_need_a_hidden_layer():
@@ -712,7 +712,7 @@ def test_hyperparameters_need_integer_counts(field, value):
         WganGpHyperparams(**{field: value}).validate()
     images, conds = toy_data(n=64)
     with pytest.raises(DataError, match=field):
-        train_wgan_gp(ArrayBatches(images, conds),
+        train_wgan_gp(images, conds,
                       WganGpHyperparams(**{**TINY, "epochs": 1, "batch_size": 16, field: value}),
                       seed=0)
 
@@ -725,16 +725,8 @@ def test_hyperparameters_take_numpy_integers():
 def test_training_drops_last_partial_batch():
     images, conds = toy_data(n=100)
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64)
-    _, log = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=12)
+    _, log = train_wgan_gp(images, conds, hyper, seed=12)
     assert log_column(log, "step") == [1]  # 100 -> one full batch of 64, remainder dropped
-
-
-class Float64Batches(ArrayBatches):
-    """Batches made float64 first, then cast to the training dtype."""
-
-    def epoch_batches(self, order_rng, batch_size, dtype):
-        for x, c in super().epoch_batches(order_rng, batch_size, np.float64):
-            yield x.astype(dtype), c
 
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
@@ -746,8 +738,8 @@ def test_batches_in_the_training_dtype_write_the_same_checkpoint(tmp_path, dtype
     conds = np.column_stack([rng.uniform(10, 500, 96), rng.choice([1.6, 30.0], 96)])
     hyper = WganGpHyperparams(hidden=(16, 16), noise_dim=8, epochs=2, batch_size=32,
                               critic_steps_per_gen_step=2, dtype=dtype)
-    for name, batches in (("direct", ArrayBatches), ("round-trip", Float64Batches)):
-        netp, _ = train_wgan_gp(batches(images, conds), hyper, seed)
+    for name, matrices in (("direct", images), ("round-trip", images.astype(np.float64))):
+        netp, _ = train_wgan_gp(matrices, conds, hyper, seed)
         io.write_wgan_checkpoint(tmp_path / name, netp, seed=seed)
     assert (tmp_path / "direct").read_bytes() == (tmp_path / "round-trip").read_bytes()
 
@@ -784,7 +776,7 @@ def test_training_bytes_do_not_depend_on_the_worker(tmp_path, monkeypatch, dtype
     written = []
     for cpus in (2, 1):
         threads = worker_training(monkeypatch, cpus)
-        netp, log = train_wgan_gp(ArrayBatches(images, conds), hyper, seed)
+        netp, log = train_wgan_gp(images, conds, hyper, seed)
         # a batch of one row is one block, which the calling thread runs
         assert (len(threads) == 2) == (cpus == 2 and batch > 1)
         io.write_wgan_checkpoint(tmp_path / "m.ckpt", netp, seed=seed)
@@ -798,7 +790,7 @@ def test_training_bytes_do_not_depend_on_the_worker(tmp_path, monkeypatch, dtype
 def test_worker_runs_only_beside_a_one_thread_blas(monkeypatch, cpus, blas_threads, worker):
     threads = worker_training(monkeypatch, cpus, blas_threads)
     images, conds = toy_data()
-    train_wgan_gp(ArrayBatches(images, conds),
+    train_wgan_gp(images, conds,
                   WganGpHyperparams(**TINY, epochs=1, batch_size=64), seed=0)
     assert (len(threads) == 2) == worker
 
@@ -809,36 +801,37 @@ def test_training_joins_its_worker(monkeypatch):
     images, conds = toy_data()
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64)
     before = threading.active_count()
-    train_wgan_gp(ArrayBatches(images, conds), hyper, seed=0)
+    train_wgan_gp(images, conds, hyper, seed=0)
     assert len(threads) == 2
     assert threading.active_count() == before
     # a step of 1e300 sends the critic's loss to inf or NaN on step 2
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingDivergedError):
-            train_wgan_gp(ArrayBatches(images, conds),
+            train_wgan_gp(images, conds,
                           WganGpHyperparams(**TINY, epochs=1, batch_size=64,
                                             learning_rate=1e300), seed=0)
     assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_array_batches_rejects_nonfinite(bad):
+def test_training_rejects_nonfinite(bad):
+    hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=8)
     images, conds = toy_data(n=8)
     images[3, 1, 0] = bad
     with pytest.raises(DataError, match="non-finite"):
-        ArrayBatches(images, conds)
+        train_wgan_gp(images, conds, hyper, seed=0)
     images, conds = toy_data(n=8)
     conds[5, 1] = bad
     with pytest.raises(DataError, match="non-finite"):
-        ArrayBatches(images, conds)
+        train_wgan_gp(images, conds, hyper, seed=0)
 
 
 def test_training_rejects_small_dataset():
     images, conds = toy_data(n=16)
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64)
     with pytest.raises(DataError, match="smaller than one batch"):
-        train_wgan_gp(ArrayBatches(images, conds), hyper, seed=0)
+        train_wgan_gp(images, conds, hyper, seed=0)
 
 
 def test_collapse_to_constant_image():
@@ -850,7 +843,7 @@ def test_collapse_to_constant_image():
     conds = np.tile([[100.0, 1.6]], (512, 1))
     hyper = WganGpHyperparams(hidden=(32, 32), noise_dim=8, learning_rate=1e-3,
                               epochs=100, batch_size=64, gp_lambda=1.0)
-    netp, _ = train_wgan_gp(ArrayBatches(images, conds), hyper, seed=14)
+    netp, _ = train_wgan_gp(images, conds, hyper, seed=14)
     out = sample(netp, [100.0, 1.6], 512, seed=15)
     assert np.abs(out.mean(axis=0) - target).max() < 0.05
 

@@ -2,7 +2,6 @@
 
 import math
 import re
-import sys
 from collections import namedtuple
 from dataclasses import fields
 
@@ -16,8 +15,10 @@ from chanimg.core import (
     SPEED_OF_LIGHT,
     LinkState,
     closed_forms,
+    link_rules,
     wrap_azimuth,
 )
+from chanimg import io, surrogate
 from chanimg.errors import DataError, GeometryError
 from chanimg.rng import substream
 from chanimg.surrogate import SurrogateConfig, generate_dataset, train_test_split
@@ -36,14 +37,15 @@ def small_config(**kw):
 # One link at a time, built path by path from its share of the "link" stream's
 # draws, drawn one number at a time in the order generate_dataset documents:
 # generate_dataset must give the table of these links bit for bit.  The
-# exponentials are numpy's, as in the generator, since libm's exp may round
-# differently.
+# distributions are the surrogate module's constants, read when a reference
+# is made.  The exponentials are numpy's, as in the generator, since libm's
+# exp may round differently.
 
 
 def reference_los_probability(cfg, dist2d, height):
     if cfg.los_probability is not None:
         return cfg.los_probability
-    scale = cfg.los_scale_base_m + cfg.los_scale_per_height * height
+    scale = surrogate.LOS_SCALE_BASE_M + surrogate.LOS_SCALE_PER_HEIGHT * height
     return min(1.0, float(np.exp(-dist2d / scale)))
 
 
@@ -54,17 +56,18 @@ def reference_draws(cfg, dist2d, height):
               for d2, h in zip(dist2d, height)]
     n_paths = []
     for los, d2 in zip(is_los, dist2d):
-        n_extra = rng.poisson(cfg.path_rate_base * float(np.exp(-d2 / cfg.path_rate_decay_m)))
+        n_extra = rng.poisson(surrogate.PATH_RATE_BASE
+                              * float(np.exp(-d2 / surrogate.PATH_RATE_DECAY_M)))
         n_paths.append(min(n_extra, MAX_PATHS - 1) if los else min(1 + n_extra, MAX_PATHS))
     # the spread decay of each path's link
-    decay = [float(np.exp(-d2 / cfg.spread_decay_m)) for d2, n in zip(dist2d, n_paths)
+    decay = [float(np.exp(-d2 / surrogate.SPREAD_DECAY_M)) for d2, n in zip(dist2d, n_paths)
              for _ in range(n)]
     total = len(decay)
-    delays = [rng.exponential(cfg.excess_delay_mean_s) for _ in range(total)]
-    normals = [rng.normal(0.0, cfg.excess_pl_sigma_db) for _ in range(total)]
+    delays = [rng.exponential(surrogate.EXCESS_DELAY_MEAN_S) for _ in range(total)]
+    normals = [rng.normal(0.0, surrogate.EXCESS_PL_SIGMA_DB) for _ in range(total)]
+    az, zen = surrogate.AZIMUTH_SPREAD_DEG, surrogate.ZENITH_SPREAD_DEG
     l_aod, l_aoa, l_zod, l_zoa = ([rng.laplace(0.0, spread * d) for d in decay]
-                                  for spread in (cfg.azimuth_spread_deg, cfg.azimuth_spread_deg,
-                                                 cfg.zenith_spread_deg, cfg.zenith_spread_deg))
+                                  for spread in (az, az, zen, zen))
     phases = [rng.uniform(0.0, 360.0) for _ in range(total)]
     return is_los, n_paths, list(zip(delays, normals, l_aod, l_aoa, l_zod, l_zoa, phases))
 
@@ -73,7 +76,7 @@ def reference_link(cfg, tx, rx, los, is_los, draws):
     """A link from its LOS path and the draws of its scattered paths."""
     paths = []
     for excess_delay, normal, l_aod, l_aoa, l_zod, l_zoa, phase in draws:
-        excess_pl = abs(normal) + cfg.excess_pl_per_ns_db * excess_delay * 1e9
+        excess_pl = abs(normal) + surrogate.EXCESS_PL_PER_NS_DB * excess_delay * 1e9
         paths.append(Path(los.pathloss + excess_pl, los.delay + excess_delay,
                           wrap_azimuth(los.aod + l_aod), min(max(los.zod + l_zod, 0.0), 180.0),
                           wrap_azimuth(los.aoa + l_aoa), min(max(los.zoa + l_zoa, 0.0), 180.0),
@@ -92,7 +95,7 @@ def reference_dataset(cfg):
     """The links of the tx x rx x height grid, one at a time."""
     rng_tx = substream(cfg.seed, "tx")
     tx_xy = rng_tx.uniform([0.0, 0.0], cfg.area, size=(cfg.num_tx, 2))
-    tx_z = rng_tx.uniform(*cfg.tx_height_range, size=cfg.num_tx)
+    tx_z = rng_tx.uniform(*surrogate.TX_HEIGHT_RANGE, size=cfg.num_tx)
     txs = np.column_stack([tx_xy, tx_z])
     rxs = np.concatenate([
         np.column_stack([substream(cfg.seed, "rx", h_idx).uniform(
@@ -115,14 +118,17 @@ def reference_dataset(cfg):
     {},
     {"los_probability": 1.0},
     {"los_probability": 0.0},
-    {"los_probability": 0.0, "excess_pl_sigma_db": 1000.0},  # Outage links appear
-    {"path_rate_base": 200.0},  # the 25-path cap is hit
+    {"los_probability": 0.0, "carrier_freq": 5e13},  # 212 of 500 links are Outage
+    {"PATH_RATE_BASE": 200.0},  # a module constant: the 25-path cap is hit
     {"seed": 9, "num_tx": 3, "heights": (1.6, 45.0)},
     {"seed": 2**32},  # seeds of more than one 32-bit word
     {"seed": 2**64 + 3},
 ])
-def test_table_matches_per_link_reference(kw):
-    cfg = small_config(**kw)
+def test_table_matches_per_link_reference(monkeypatch, kw):
+    for name, value in kw.items():
+        if name.isupper():
+            monkeypatch.setattr(surrogate, name, value)
+    cfg = small_config(**{k: v for k, v in kw.items() if not k.isupper()})
     got = generate_dataset(cfg)
     want = link_table(reference_dataset(cfg))
     for f in fields(want):  # paths, counts, states, endpoints and closed forms
@@ -130,9 +136,9 @@ def test_table_matches_per_link_reference(kw):
         assert a.dtype == b.dtype != object and a.shape == b.shape, f.name
         assert a.tobytes() == b.tobytes(), f.name
     states = set(got.state.tolist())
-    if "excess_pl_sigma_db" in kw:
+    if "carrier_freq" in kw:
         assert LinkState.OUTAGE in states
-    if "path_rate_base" in kw:
+    if "PATH_RATE_BASE" in kw:
         assert got.counts.max() == 25
     if kw.get("los_probability") == 0.0:
         assert LinkState.LOS not in states
@@ -208,16 +214,42 @@ def test_los_fraction_increases_with_height():
 @pytest.mark.parametrize("freq", [1e3, 1.0])
 def test_low_carrier_without_a_los_path_is_rejected(freq):
     # free-space loss at 1 kHz is below 0 dB over the whole 500 m area
-    with pytest.raises(GeometryError, match=r"^link 0: LOS pathloss -\d.* dB is not positive"):
+    with pytest.raises(GeometryError, match=r"^link 0: no LOS path: pathloss must be positive$"):
         generate_dataset(small_config(carrier_freq=freq))
 
 
-@pytest.mark.parametrize("knob", ["excess_pl_sigma_db", "excess_delay_mean_s"])
-def test_non_finite_scattered_path_rejected(knob):
-    # the rules read_table applies, so the generator never writes a file it
-    # rejects: a finite knob so large that a pathloss overflows
-    with pytest.raises(DataError, match="^link 0: pathloss, delay, aod and aoa must be finite"):
-        generate_dataset(small_config(**{knob: sys.float_info.max}))
+@pytest.mark.parametrize("kw", [{"area": (1e308, 1e308)}, {"heights": (1e308,)}])
+def test_overflowing_carrier_rotation_is_named(kw):
+    # the LOS pathloss is positive (over 6,000 dB), but frequency x delay
+    # overflows to inf cycles and the phase is NaN
+    assert closed_forms([[0.0, 0.0, 20.0]], [[1e308, 1e308, 1.6]], [12e9])[2] > 0
+    with pytest.raises(GeometryError, match=re.escape("link 0: no LOS path: phase out of")):
+        generate_dataset(small_config(**kw))
+
+
+@pytest.mark.parametrize("kw", [
+    {"los_probability": 1.0},
+    {"los_probability": 0.0, "carrier_freq": 5e13},
+    {"carrier_freq": 1e300},  # every link an Outage
+    {"area": (1e-9, 1e-9)},  # every link LOS, most at the 25-path cap
+    {"area": (3e306, 3e306)},  # about the largest area whose carrier rotation is finite
+    {"heights": (1e-300, 1e300)},
+    {"num_tx": 1, "num_rx_per_height": 1},
+])
+def test_tables_at_extreme_settings_are_valid_files(tmp_path, kw):
+    # each scattered path is its LOS path plus finite draws: what the
+    # generator makes, read_table reads back, from the sidecar and from the text
+    table = generate_dataset(small_config(**kw))
+    assert not any(bad.any() for _, bad in link_rules(table.paths, table.counts, table.state,
+                                                       table.ends))
+    path = tmp_path / "data.jsonl"
+    io.write_table(path, table)
+    for read in range(2):
+        if read:
+            (tmp_path / "data.jsonl.ltab").unlink()
+        back = io.read_table(path)
+        for f in fields(table):
+            assert getattr(back, f.name).tobytes() == getattr(table, f.name).tobytes(), f.name
 
 
 def test_zero_links_rejected():
@@ -233,17 +265,9 @@ def test_bad_config_rejected():
         ({"num_rx_per_height": -3}, "num_rx_per_height must be a positive integer, got -3"),
         ({"num_tx": 2.5}, "num_tx must be a positive integer, got 2.5"),
         ({"num_tx": True}, "num_tx must be a positive integer, got True"),
-        ({"azimuth_spread_deg": -1.0}, "azimuth_spread_deg must be non-negative"),
-        ({"zenith_spread_deg": math.nan}, "zenith_spread_deg must be non-negative"),
-        ({"excess_delay_mean_s": math.inf}, "excess_delay_mean_s must be non-negative"),
-        ({"excess_pl_sigma_db": math.inf}, "excess_pl_sigma_db must be non-negative"),
-        ({"excess_pl_per_ns_db": -0.1}, "excess_pl_per_ns_db must be non-negative"),
-        ({"los_scale_per_height": -3.0}, "los_scale_per_height must be non-negative"),
-        ({"los_scale_base_m": 0.0}, "los_scale_base_m must be positive"),
-        ({"path_rate_decay_m": math.inf}, "path_rate_decay_m must be positive"),
-        ({"spread_decay_m": -400.0}, "spread_decay_m must be positive"),
-        ({"path_rate_base": -1.0}, "path_rate_base must lie in"),
-        ({"path_rate_base": 1e19}, "path_rate_base must lie in"),  # numpy's Poisson refuses it
+        ({"carrier_freq": math.inf}, "carrier_freq must be positive and finite"),
+        ({"los_probability": math.nan}, "los_probability must lie in [0, 1]"),
+        ({"los_probability": 1.5}, "los_probability must lie in [0, 1]"),
     ]:
         with pytest.raises(DataError, match=f"^{re.escape(message)}"):
             generate_dataset(small_config(**kw))
