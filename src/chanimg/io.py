@@ -232,9 +232,11 @@ def write_table(path, table: LinkTable, seed=None):
     process (see _write_text).  The sidecar, path + ".ltab", holds the
     same columns in binary, keyed by the SHA-256 of the text as written
     (see _write_ltab).  Each file replaces its path whole (see
-    _replacing), the text first, so a failure leaves the dataset and
-    sidecar already there as they were, or a new text beside a sidecar
-    whose key no longer matches it.
+    _replacing), the text first, and the sidecar already there is removed
+    once the new text is written, before it replaces the dataset.  So a
+    failure leaves the dataset and sidecar already there as they were, or
+    the dataset already there or the new text with no sidecar, whose text
+    read_table then parses.
     """
     path = Path(path)
     seed_part = f" seed={seed}" if seed is not None else ""
@@ -316,13 +318,17 @@ def _write_text(path, header, table: LinkTable) -> bytes:
     """Write the header and the table's lines to path, in order; the SHA-256 of the bytes.
 
     The text replaces path whole (see _replacing), so on any failure a
-    dataset already there keeps its bytes.
+    dataset already there keeps its bytes.  The dataset's sidecar, stale
+    once the new text lands, is removed just before.
     """
     digest = hashlib.sha256()
     with _replacing(path, "wb") as fh:
         for block in chain([header.encode()], _text_blocks(table)):
             digest.update(block)
             fh.write(block)
+        # the new sidecar's rename then replaces no file: on ext4 a rename
+        # onto a file waits for the new file's data to reach the disk
+        _ltab_path(path).unlink(missing_ok=True)
     return digest.digest()
 
 

@@ -8,13 +8,16 @@ import threading
 import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chanimg import io
 from chanimg.errors import DataError, TrainingDivergedError
-from chanimg.genmodel import nn, wgan
+from chanimg.genmodel import nn, resampler, wgan
 from chanimg.genmodel import (
     AdamState,
     EmpiricalResampler,
@@ -24,7 +27,7 @@ from chanimg.genmodel import (
     sample,
     train_wgan_gp,
 )
-from chanimg.genmodel.resampler import QUERY_CHUNK
+from chanimg.genmodel.resampler import BLOCK
 from chanimg.genmodel.wgan import (
     build_networks,
     critic_loss_and_grads,
@@ -984,7 +987,7 @@ def test_resampler_picks_match_bruteforce_reference():
     conds = rng.integers(0, 6, size=(300, 2)).astype(float) * (25.0, 10.0)
     images = np.arange(300.0).reshape(300, 1, 1)  # image i holds its own index
     res = EmpiricalResampler(images, conds, k=7)
-    n = QUERY_CHUNK + 45  # more queries than one chunk
+    n = BLOCK // 14 + 45  # more queries than one block of (queries, 2k) windows
     queries = np.concatenate([conds[rng.integers(0, 300, n - 20)],
                               rng.uniform(0, 130, (20, 2))])
     got = res.sample(queries, len(queries), seed=5)[:, 0, 0].astype(int)
@@ -1001,6 +1004,99 @@ def test_resampler_picks_match_bruteforce_reference():
     np.testing.assert_array_equal(a.integers(7, size=500), [b.integers(7) for _ in range(500)])
 
 
+@st.composite
+def resampler_cases(draw):
+    """(conditions, queries, k, block) with ties, lone heights, small height buckets and far queries."""
+    n = draw(st.integers(1, 40))
+    if draw(st.booleans()):
+        # distances 25 m apart spanning 0-200 m normalize exactly, so the
+        # midpoints between them tie with both sides
+        x = [25.0 * v for v in draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))]
+        if n > 1:
+            x[0], x[-1] = 0.0, 200.0
+    else:  # distances whose d2 round
+        x = np.random.default_rng(draw(st.integers(0, 2**32))).uniform(0.0, 500.0, n).tolist()
+    if draw(st.booleans()):  # every link at its own height
+        h = draw(st.permutations(range(n)))
+    else:  # a few heights, duplicated conditions, buckets smaller than k
+        h = draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=n, max_size=n))
+    conds = np.column_stack([x, np.multiply(h, 1.5)])
+    query = st.one_of(
+        st.sampled_from(conds.tolist()),
+        st.tuples(st.integers(-2, 18).map(lambda v: 12.5 * v), st.sampled_from(conds[:, 1].tolist())),
+        st.tuples(st.floats(-500.0, 700.0), st.floats(-20.0, 30.0)))  # mostly outside
+    queries = np.array(draw(st.lists(query, max_size=12)), dtype=float).reshape(-1, 2)
+    return conds, queries, draw(st.integers(1, n + 2)), draw(st.sampled_from([1, 5, 64, BLOCK]))
+
+
+# stored distances 50, 0, 200 m at one height: a query at 25 m is 0.125 from
+# both the first and second, and their tie at k = 1 goes to the lower index
+@example(case=(np.array([[50.0, 0.0], [0.0, 0.0], [200.0, 0.0]]), np.array([[25.0, 0.0]]), 1,
+               BLOCK), seed=0)
+@example(case=(np.column_stack([np.arange(6.0) * 25, np.arange(6.0)]),
+               np.array([[60.0, 2.5], [0.0, 9.0], [130.0, -4.0]]), 6, 5), seed=1)  # k = N
+@example(case=(np.array([[0.0, 0.0]] * 10 + [[100.0, 5.0], [200.0, 5.0]]),
+               np.array([[100.0, 5.0], [150.0, 5.0]]), 4, BLOCK), seed=2)  # bucket smaller than k
+@example(case=(np.array([[0.0, 0.0], [25.0, 1.0]]), np.zeros((0, 2)), 1, BLOCK), seed=3)
+# far above the one stored height, dy**2 swamps dx**2 and d2 rounds: only the
+# widened distance range holds the 4th neighbour
+@example(case=(np.column_stack([[0.39501292999758697, 0.7900153179807999, 0.4649923001754772,
+                                 0.7308090491481728, 0.5661038765794069, 0.9782481140195477],
+                                np.full(6, 2.0)]),
+               np.array([[0.4552299873233121, 7.839721305580946]]), 4, BLOCK), seed=4)
+# 1e-300 m from two stored conditions, whose d2 underflows to 0
+@example(case=(np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]), np.array([[1e-300, 0.0]]), 2,
+               BLOCK), seed=5)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=resampler_cases(), seed=st.integers(0, 2**32))
+def test_resampler_picks_match_the_reference_on_any_conditions(case, seed):
+    conds, queries, k, block = case
+    images = np.arange(len(conds), dtype=float).reshape(-1, 1, 1)  # image i holds its own index
+    with mock.patch.object(resampler, "BLOCK", block):
+        got = EmpiricalResampler(images, conds, k=k).sample(queries, len(queries), seed=seed)
+    np.testing.assert_array_equal(got[:, 0, 0].astype(int),
+                                  reference_picks(conds, queries, min(k, len(conds)), seed))
+
+
+def scan_neighbours(conds, queries, k):
+    """(n, k) neighbour lists by the O(N**2) scan: per 32-query block, every d2, a partition and a lexsort."""
+    lo = conds.min(axis=0)
+    span = np.where(conds.max(axis=0) > lo, conds.max(axis=0) - lo, 1.0)
+    norm = (conds - lo) / span
+    nx, ny = np.ascontiguousarray(norm[:, 0]), np.ascontiguousarray(norm[:, 1])
+    q = (queries - lo) / span
+    blocks = []
+    for start in range(0, len(q), 32):
+        c = min(32, len(q) - start)
+        dd = np.square(nx - q[start:start + c, 0:1]) + np.square(ny - q[start:start + c, 1:2])
+        kth = np.partition(dd, k - 1, axis=1)[:, k - 1:k]
+        flat = np.flatnonzero(dd <= kth)  # grouped by row, by index within one
+        rows, cols = np.divmod(flat, dd.shape[1])
+        order = np.lexsort((dd.ravel()[flat], rows))  # stable: ties keep index order
+        first = np.searchsorted(rows, np.arange(c))
+        blocks.append(cols[order[first[:, None] + np.arange(k)]])
+    return np.concatenate(blocks)
+
+
+def test_resampler_matches_the_scan_at_20000_conditions():
+    # 5,000 surrogate-like conditions at five heights, each stored 4 times,
+    # queried at 10,000 stored conditions (ties at d2 = 0) and 10,000 fresh ones
+    rng = np.random.default_rng(19)
+    heights = [1.6, 30.0, 60.0, 90.0, 120.0]
+    distinct = np.column_stack([rng.uniform(10, 500, 5000), rng.choice(heights, 5000)])
+    conds = np.repeat(distinct, 4, axis=0)[rng.permutation(20000)]
+    queries = np.concatenate([conds[rng.integers(0, 20000, 10000)],
+                              np.column_stack([rng.uniform(0, 520, 10000),
+                                               rng.choice(heights, 10000)])])
+    images = np.arange(20000.0).reshape(-1, 1, 1)
+    res = EmpiricalResampler(images, conds)
+    nb = scan_neighbours(conds, queries, res.k)
+    for seed in range(3):
+        draws = substream(seed, "resampler").integers(res.k, size=len(queries))
+        got = res.sample(queries, len(queries), seed=seed)[:, 0, 0].astype(int)
+        np.testing.assert_array_equal(got, nb[np.arange(len(queries)), draws])
+
+
 # -- sampling into a caller's array, in fixed-size blocks ------------------------
 
 
@@ -1013,7 +1109,7 @@ def block_backends():
     return [("wgan", lambda *a, **kw: sample(netp, *a, **kw)), ("resampler", res.sample)]
 
 
-# on either side of one and of several 32-query and 256-sample blocks
+# on either side of one and of several 256-sample blocks
 @pytest.mark.parametrize("n", [1, 31, 32, 33, 255, 256, 257, 1025])
 def test_sample_into_float32_is_the_cast_result(n):
     cond = np.column_stack([np.linspace(10.0, 500.0, n), np.resize([1.6, 30.0], n)])
@@ -1048,12 +1144,12 @@ def test_sample_requests_are_checked(backend):
 
 
 def test_samples_do_not_depend_on_the_block_size(monkeypatch):
-    from chanimg.genmodel import resampler
-
     cond = np.column_stack([np.linspace(10.0, 500.0, 700), np.resize([1.6, 30.0], 700)])
     want = [draw(cond, 700, 5).tobytes() for _, draw in block_backends()]
     monkeypatch.setattr(wgan, "SAMPLE_CHUNK", 1024)
-    monkeypatch.setattr(resampler, "QUERY_CHUNK", 256)
+    # 4 queries of 2k = 14 window columns per block, split where their
+    # candidates exceed 64
+    monkeypatch.setattr(resampler, "BLOCK", 64)
     assert [draw(cond, 700, 5).tobytes() for _, draw in block_backends()] == want
 
 
@@ -1071,9 +1167,10 @@ def traced_peak(fn):
 
 def test_sampling_5000_conditions_holds_no_full_size_copy():
     # measured: 5.8 MB for the default WGAN-GP (one 256-row forward and its
-    # noise) and 2.8 MB for the resampler (two (32, 5000) float64 distance
-    # blocks); a float64 result alone is 8 MB, and sampling whole arrays
-    # took 28.8 and 23.4 MB
+    # noise) and 1.9 MB for the resampler (one block's 2**15-element window
+    # and candidate arrays; 2.8 MB while it scanned two (32, 5000) float64
+    # distance blocks); a float64 result alone is 8 MB, and sampling whole
+    # arrays took 28.8 and 23.4 MB
     n = 5000
     images, conds = toy_data(n=n, shape=(8, 25))
     out = np.empty((n, 8, 25), dtype=np.float32)

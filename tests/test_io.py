@@ -544,6 +544,36 @@ def test_dataset_that_cannot_be_opened_is_left_as_it_is(tmp_path, monkeypatch):
     assert sorted(f.name for f in tmp_path.iterdir()) == ["data.jsonl", "data.jsonl.ltab"]
 
 
+def test_write_failing_after_the_text_leaves_no_stale_sidecar(tmp_path, monkeypatch):
+    p, replace_file = tmp_path / "data.jsonl", os.replace
+    io.write_table(p, edge_table())  # an earlier dataset and its sidecar
+    text = p.read_bytes()
+
+    def refuses_the_text(src, dst):
+        if Path(dst) == p:
+            raise PermissionError(13, "Permission denied", str(dst))
+        replace_file(src, dst)
+
+    # the new text is written whole, but cannot replace the earlier one:
+    # the earlier text stays, without its sidecar, and is parsed
+    monkeypatch.setattr(os, "replace", refuses_the_text)
+    with pytest.raises(PermissionError):
+        io.write_table(p, split_table("blocks"))
+    monkeypatch.undo()
+    assert p.read_bytes() == text
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["data.jsonl"]
+    assert columns(io.read_table(p)) == columns(edge_table())
+
+    # the new text lands but its sidecar fails: the new text, parsed
+    io.write_table(p, edge_table())
+    monkeypatch.setattr(io, "_write_container", lambda *a: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        io.write_table(p, split_table("blocks"))
+    monkeypatch.undo()
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["data.jsonl"]
+    assert columns(io.read_table(p)) == columns(split_table("blocks"))
+
+
 @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
                     reason="root may write a read-only file")
 def test_read_only_dataset_survives_write_table(tmp_path):
