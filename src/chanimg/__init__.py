@@ -14,8 +14,18 @@ Importing chanimg before numpy runs BLAS on one thread: each of
 OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and MKL_NUM_THREADS that is unset
 becomes "1", and a value already set is kept.  Once numpy is loaded its
 BLAS has read them, and chanimg sets none.
+
+Importing chanimg also has the C library's malloc keep the memory that is
+freed, where the library has mallopt (glibc does): blocks up to 32 MiB
+come from its heap instead of their own mappings (M_MMAP_THRESHOLD), and
+the heap is given back to the kernel only when 64 MiB lie free at its top
+(M_TRIM_THRESHOLD).  numpy's arrays of a training step or of a block of
+dataset text then reuse the memory that the previous ones freed, instead
+of mapping fresh pages and faulting them in.  Every result is the same
+either way.
 """
 
+import ctypes
 import importlib
 import os
 import sys
@@ -23,6 +33,20 @@ import sys
 if "numpy" not in sys.modules:
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, "1")
+
+
+def _keep_freed_memory():
+    """Set malloc's mmap and trim thresholds (see the module doc), where there is mallopt."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library to open, or no mallopt in it
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD in glibc's malloc.h
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_memory()
 
 from .core import (
     MAX_PATHS,

@@ -30,8 +30,12 @@ class VersionError(FormatError):
 
 
 class TrainingDivergedError(ChanimgError, RuntimeError):
-    """Non-finite loss or gradient encountered during training."""
+    """Non-finite loss or gradient encountered during training.
 
-    def __init__(self, step, message):
-        super().__init__(f"step {step}: {message}")
-        self.step = step
+    A pass raises it with the reason alone, and the training loop raises
+    it again with the step it was on.
+    """
+
+    def __init__(self, reason, step=None):
+        super().__init__(reason if step is None else f"step {step}: {reason}")
+        self.reason, self.step = reason, step

@@ -10,7 +10,7 @@ on first access, so the resampler loads without the networks.
 import numpy as np
 
 from .. import _lazy_exports
-from ..core import is_int
+from ..core import MATRIX_SHAPE, is_int
 from ..errors import DataError
 
 __all__ = [
@@ -33,13 +33,23 @@ __getattr__ = _lazy_exports(globals(), {
     ) for name in names})
 
 
+def _dims(shape) -> str:
+    return "x".join(str(d) for d in shape)
+
+
 def training_pairs(matrices, conditions):
-    """(matrices, float64 conditions), checked: paired, non-empty and finite (else DataError)."""
+    """(matrices, float64 conditions), checked for either backend (else DataError).
+
+    The pairs must pair up, be non-empty, hold (N, 8, 25) matrices and be finite.
+    """
     matrices, conditions = np.asarray(matrices), np.asarray(conditions, dtype=np.float64)
     if len(matrices) != len(conditions):
         raise DataError("training matrices and conditions must pair up")
     if not len(matrices):
         raise DataError("empty training set")
+    if matrices.shape[1:] != MATRIX_SHAPE:
+        raise DataError(f"training samples have shape {_dims(matrices.shape[1:])}, "
+                        f"the model expects {_dims(MATRIX_SHAPE)}")
     # min and max propagate NaN and show +-inf, without a full-size mask
     if not (np.isfinite([matrices.min(), matrices.max()]).all()
             and np.isfinite(conditions).all()):

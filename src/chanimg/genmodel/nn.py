@@ -23,124 +23,59 @@ is computed once per forward however many passes read it.  backward,
 input_grad and grad_of_jvp form the input-side product only for the input
 columns the caller asks for.
 
-Scratch contract.  Every pass takes an optional Scratch and writes its
-arrays (cache entries, derivatives, results and every temporary but a
-few small ones such as boolean masks) into memory taken from it; without
-one, numpy allocates them afresh.  The arithmetic, and so every output
-bit, is the same either way.  A Scratch is a stack: arrays taken from
-it, including those a pass returns or adds to a cache, stay valid until
-the scratch is rewound past them, by reset() or by leaving a frame()
-that was entered before they were taken.  The next pass on the rewound
-scratch overwrites them.  When given out, backward writes the parameter
-gradients into it instead, and grad_of_jvp adds them to it.
+Every pass takes its arrays from numpy.  Memory comes from the C
+library's heap, which chanimg sets to keep freed blocks (see chanimg), so
+a training step reuses the memory of the step before instead of faulting
+in fresh pages.  When given out, backward writes the parameter gradients
+into it instead, and grad_of_jvp adds them to it.
 """
 
-import math
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import TrainingDivergedError
 
-__all__ = ["Mlp", "Scratch", "AdamState", "adam_step", "count_params"]
+__all__ = ["Mlp", "AdamState", "adam_step", "count_params"]
 
 
-class Scratch:
-    """Work memory that one training step after another reuses.
-
-    A stack over a list of byte chunks: take() hands out the next free
-    block of the current chunk, or of the first later chunk it fits in,
-    adding a chunk only when none does; reset() and leaving frame() rewind.
-    A step takes the same blocks in the same order each time, so its first
-    run adds every chunk it needs and later runs add none.
-    """
-
-    CHUNK = 1 << 20  # bytes; smaller blocks share a chunk
-    ALIGN = 64  # bytes; each block starts a multiple of this into its chunk
-
-    def __init__(self):
-        self._chunks = []
-        self._at = (0, 0)  # (chunk, byte offset) of the next free block
-
-    def take(self, shape, dtype):
-        """An uninitialised array in the next free block."""
-        dtype = np.dtype(dtype)
-        nbytes = math.prod(shape) * dtype.itemsize
-        i, off = self._at
-        while i < len(self._chunks) and off + nbytes > len(self._chunks[i]):
-            i, off = i + 1, 0
-        if i == len(self._chunks):
-            self._chunks.append(np.empty(max(nbytes, self.CHUNK), np.uint8))
-        self._at = (i, off + -(-nbytes // self.ALIGN) * self.ALIGN)
-        return self._chunks[i][off:off + nbytes].view(dtype).reshape(shape)
-
-    def reset(self):
-        """Rewind to the start: every array taken so far may be overwritten."""
-        self._at = (0, 0)
-
-    @contextmanager
-    def frame(self):
-        """Rewind on exit to where the scratch stood on entry."""
-        at = self._at
-        try:
-            yield
-        finally:
-            self._at = at
-
-
-def take(scratch, shape, dtype):
-    """scratch.take(shape, dtype), or a fresh array when scratch is None."""
-    return np.empty(shape, dtype) if scratch is None else scratch.take(shape, dtype)
-
-
-def frame(scratch):
-    """scratch.frame(), or no rewinding when scratch is None."""
-    return nullcontext() if scratch is None else scratch.frame()
-
-
-def _matmul(x, y, scratch):
-    """x @ y into an array taken from scratch."""
-    return np.matmul(x, y, out=take(scratch, (x.shape[0], y.shape[1]), x.dtype))
-
-
-def _sigmoid(a, out=None, d=None):
+def _sigmoid(a):
     """Logistic function; exp only sees -|a|, so it never overflows.
 
-    1/d where a >= 0 and e/d elsewhere: e <= 1, so the maximum with the
-    mask picks the numerator without a data-dependent branch.  The result
-    is written to out and the denominator d = 1 + e to d (fresh if None).
+    1/d where a >= 0 and e/d elsewhere, with d = 1 + e: e <= 1, so the
+    maximum with the mask picks the numerator without a data-dependent
+    branch.
     """
-    e = np.abs(a, out=out)
+    e = np.abs(a)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    d = np.add(e, 1.0, out=d)
+    d = np.add(e, 1.0)
     np.maximum(e, a >= 0, out=e)
     return np.divide(e, d, out=e)
 
 
-def _act_prime(kind, a, h, s, out):
-    """First derivative of a tanh or silu activation, into out.
+def _act_prime(kind, a, h, s):
+    """First derivative of a tanh or silu activation.
 
     h = act(a) and s = sigmoid(a) for silu: 1 - h h, or s (1 + a (1 - s)).
     """
     if kind == "tanh":
-        np.multiply(h, h, out=out)
+        out = np.multiply(h, h)
         return np.subtract(1.0, out, out=out)
-    np.subtract(1.0, s, out=out)
+    out = np.subtract(1.0, s)
     out *= a
     out += 1.0
     out *= s
     return out
 
 
-def _act_second(a, s, out, tmp):
-    """Second derivative of silu, s (1 - s) (2 + a (1 - 2 s)), into out; tmp is scratch."""
-    np.multiply(s, 2.0, out=out)
+def _act_second(a, s):
+    """Second derivative of silu, s (1 - s) (2 + a (1 - 2 s))."""
+    out = np.multiply(s, 2.0)
     np.subtract(1.0, out, out=out)
     out *= a
     out += 2.0
-    np.subtract(1.0, s, out=tmp)
+    tmp = np.subtract(1.0, s)
     tmp *= s
     return np.multiply(tmp, out, out=out)
 
@@ -178,35 +113,28 @@ class Mlp:
             net.params.append(np.zeros(fan_out, dtype=dtype))
         return net
 
-    def _grads(self, scratch, out):
-        return out if out is not None else [take(scratch, p.shape, p.dtype)
-                                            for p in self.params]
-
     # -- plain passes --------------------------------------------------------
 
-    def forward(self, x, scratch=None):
+    def forward(self, x):
         """Returns (output (B, sizes[-1]), cache {"h", "a", "s"}; see module doc)."""
         h = [np.asarray(x, dtype=self.dtype)]
         a_list, s_list = [], []
         for l in range(self.n_layers):
             w, b = self.params[2 * l], self.params[2 * l + 1]
-            a = _matmul(h[-1], w.T, scratch)
+            a = h[-1] @ w.T
             a += b
             kind, s, out = self._kind(l), None, a
-            if kind != "linear":
-                out = take(scratch, a.shape, a.dtype)
             if kind == "silu":
-                # out holds the sigmoid's denominator until it receives a * s
-                s = _sigmoid(a, take(scratch, a.shape, a.dtype), d=out)
-                np.multiply(a, s, out=out)
+                s = _sigmoid(a)
+                out = a * s
             elif kind == "tanh":
-                np.tanh(a, out=out)
+                out = np.tanh(a)
             a_list.append(a)
             s_list.append(s)
             h.append(out)
         return h[-1], {"h": h, "a": a_list, "s": s_list}
 
-    def _deriv(self, cache, l, order, scratch):
+    def _deriv(self, cache, l, order):
         """Activation derivative of order 1 or 2 at layer l, kept in the cache."""
         kind = self._kind(l)
         if kind == "linear":
@@ -214,16 +142,11 @@ class Mlp:
         memo = cache.setdefault(f"d{order}", [None] * self.n_layers)
         if memo[l] is None:
             a, h, s = cache["a"][l], cache["h"][l + 1], cache["s"][l]
-            out = take(scratch, a.shape, a.dtype)
-            if order == 1:
-                memo[l] = _act_prime(kind, a, h, s, out)
-            else:  # only hidden, silu, layers are differentiated twice
-                with frame(scratch):
-                    memo[l] = _act_second(a, s, out, take(scratch, a.shape, a.dtype))
+            # only hidden, silu, layers are differentiated twice
+            memo[l] = _act_prime(kind, a, h, s) if order == 1 else _act_second(a, s)
         return memo[l]
 
-    def backward(self, cache, d_out, with_param_grads=True, in_cols=slice(None),
-                 scratch=None, out=None):
+    def backward(self, cache, d_out, with_param_grads=True, in_cols=slice(None), out=None):
         """Backprop d_out (B, out) through the cached forward.
 
         Returns (grads matching self.params or None, d_input), where d_input
@@ -231,29 +154,28 @@ class Mlp:
         grads go to out when given.
         """
         h = cache["h"]
-        grads = self._grads(scratch, out) if with_param_grads else None
-        d_out = np.asarray(d_out, dtype=self.dtype)
-        da = np.multiply(d_out, self._deriv(cache, self.n_layers - 1, 1, scratch),
-                         out=take(scratch, d_out.shape, d_out.dtype))
+        grads = None
+        if with_param_grads:
+            grads = out if out is not None else [np.empty_like(p) for p in self.params]
+        da = np.asarray(d_out, dtype=self.dtype) * self._deriv(cache, self.n_layers - 1, 1)
         for l in range(self.n_layers - 1, -1, -1):
             w = self.params[2 * l]
             if with_param_grads:
                 np.matmul(da.T, h[l], out=grads[2 * l])
                 np.sum(da, axis=0, out=grads[2 * l + 1])
             if l == 0:
-                return grads, _matmul(da, w[:, in_cols], scratch)
-            da = _matmul(da, w, scratch)
-            da *= self._deriv(cache, l - 1, 1, scratch)
+                return grads, da @ w[:, in_cols]
+            da = da @ w
+            da *= self._deriv(cache, l - 1, 1)
 
-    def input_grad(self, cache, d_out, in_cols=slice(None), scratch=None):
+    def input_grad(self, cache, d_out, in_cols=slice(None)):
         """d_input (columns in_cols) only; skips parameter gradients."""
-        _, dx = self.backward(cache, d_out, with_param_grads=False, in_cols=in_cols,
-                              scratch=scratch)
+        _, dx = self.backward(cache, d_out, with_param_grads=False, in_cols=in_cols)
         return dx
 
     # -- tangent machinery for the gradient penalty ---------------------------
 
-    def jvp(self, cache, v, scratch=None):
+    def jvp(self, cache, v):
         """Forward-mode pass along input tangent v; parameters carry zero tangent.
 
         Returns (a_dots, h_dots): the pre-activation tangent of every layer,
@@ -263,13 +185,12 @@ class Mlp:
         h_dots = [np.asarray(v, dtype=self.dtype)]
         a_dots = []
         for l in range(self.n_layers):
-            ad = _matmul(h_dots[-1], self.params[2 * l].T, scratch)
+            ad = h_dots[-1] @ self.params[2 * l].T
             a_dots.append(ad)
-            h_dots.append(np.multiply(self._deriv(cache, l, 1, scratch), ad,
-                                      out=take(scratch, ad.shape, ad.dtype)))
+            h_dots.append(self._deriv(cache, l, 1) * ad)
         return a_dots, h_dots
 
-    def grad_of_jvp(self, cache, v, r_out, in_cols=slice(None), scratch=None, out=None):
+    def grad_of_jvp(self, cache, v, r_out, in_cols=slice(None), out=None):
         """Parameter gradient of sum_b r_out_b . out_tangent_b.
 
         cache is the primal forward cache and v the input tangent.  Only
@@ -282,35 +203,31 @@ class Mlp:
         if self.out_act != "linear":
             raise ValueError("grad_of_jvp supports linear-output networks only")
         h = cache["h"]
-        a_dots, h_dots = self.jvp(cache, v, scratch)
+        a_dots, h_dots = self.jvp(cache, v)
 
         if out is None:
-            out = self._grads(scratch, None)
-            for g in out:
-                g.fill(0.0)
+            out = [np.zeros_like(p) for p in self.params]
         r_ad = np.asarray(r_out, dtype=self.dtype)  # d/d(a_dot), last layer
         r_a = np.zeros_like(r_ad)
         for l in range(self.n_layers - 1, -1, -1):
             w = self.params[2 * l]
-            with frame(scratch):
-                g = _matmul(r_a.T, h[l], scratch)
-                out[2 * l] += g
-                out[2 * l] += np.matmul(r_ad.T, h_dots[l], out=g)
-                out[2 * l + 1] += np.sum(r_a, axis=0, out=take(scratch, w.shape[:1], w.dtype))
+            g = r_a.T @ h[l]
+            out[2 * l] += g
+            out[2 * l] += np.matmul(r_ad.T, h_dots[l], out=g)
+            out[2 * l + 1] += np.sum(r_a, axis=0)
             if l == 0:
-                return out, _matmul(r_a, w[:, in_cols], scratch)
-            s1 = self._deriv(cache, l - 1, 1, scratch)
-            s2 = self._deriv(cache, l - 1, 2, scratch)
+                return out, r_a @ w[:, in_cols]
+            s1 = self._deriv(cache, l - 1, 1)
+            s2 = self._deriv(cache, l - 1, 2)
             # h_dots[l] is read only by the product above, so r_hd may take its place
             r_hd = np.matmul(r_ad, w, out=h_dots[l])
-            with frame(scratch):
-                # r_a = s2 * a_dot * r_hd + s1 * r_h and r_ad = s1 * r_hd, in place
-                r_h = _matmul(r_a, w, scratch)
-                r_a = a_dots[l - 1]
-                r_a *= s2
-                r_a *= r_hd
-                r_h *= s1
-                r_a += r_h
+            # r_a = s2 * a_dot * r_hd + s1 * r_h and r_ad = s1 * r_hd, in place
+            r_h = r_a @ w
+            r_a = a_dots[l - 1]
+            r_a *= s2
+            r_a *= r_hd
+            r_h *= s1
+            r_a += r_h
             r_ad = np.multiply(r_hd, s1, out=r_hd)
 
 
@@ -353,7 +270,7 @@ def adam_step(params, grads, state: AdamState, lr: float, beta1: float, beta2: f
     c2 = 1.0 - beta2 ** t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if not np.isfinite(g).all():
-            raise TrainingDivergedError(t, "non-finite gradient")
+            raise TrainingDivergedError("non-finite gradient")
         rows = max(1, ADAM_CHUNK * len(p) // max(p.size, 1))
         tmp = np.empty_like(p[:rows])
         step = np.empty_like(tmp)

@@ -42,7 +42,7 @@ from ..core import MATRIX_SHAPE
 from ..errors import DataError, TrainingDivergedError
 from ..rng import substream
 from . import is_int, sample_request, training_pairs
-from .nn import AdamState, Mlp, Scratch, adam_step, count_params, frame, take
+from .nn import AdamState, Mlp, adam_step, count_params
 
 __all__ = [
     "WganGpHyperparams",
@@ -204,28 +204,27 @@ def calibrate_output_layer(netp: NetworkParams, mode: str, mu, sd, z, cond_norm)
 
 
 class RowBlocks:
-    """Runs a pass over a batch as fixed row blocks, each on its own nn.Scratch.
+    """Runs a pass over a batch as one or two fixed row blocks.
 
-    One scratch makes one block of every row.  Two scratches cut a b-row
-    batch into rows [0, b // 2) and [b // 2, b), or make one block when
-    b = 1.  A scratch of None gives its block fresh arrays.  The passes
-    below normalize each block by the whole batch size and add the blocks'
-    results in block order, so their bits do not depend on which thread
-    runs a block.
+    Two blocks cut a b-row batch into rows [0, b // 2) and [b // 2, b),
+    or make one block when b = 1.  The passes below normalize each block
+    by the whole batch size and add the blocks' results in block order,
+    so their bits do not depend on which thread runs a block.
 
     threaded=True runs the second block on a worker thread while the
     caller runs the first: numpy releases the interpreter lock in BLAS and
     in its ufunc loops, so the blocks overlap on two CPUs.  The worker
+    runs its block under the caller's floating-point error settings.  It
     starts on the first such pass; close(), or leaving a with statement,
     joins it.
     """
 
-    def __init__(self, scratches=(None,), threaded=False):
-        self.scratches = tuple(scratches)
-        if len(self.scratches) not in (1, 2):
-            raise ValueError("RowBlocks takes one or two scratches")
+    def __init__(self, blocks=1, threaded=False):
+        if blocks not in (1, 2):
+            raise ValueError("RowBlocks makes one or two blocks")
+        self.blocks = blocks
         self._worker = None
-        if threaded and len(self.scratches) == 2:
+        if threaded and blocks == 2:
             # imported here: a stage that runs no worker does not load it
             from concurrent.futures import ThreadPoolExecutor
 
@@ -241,26 +240,25 @@ class RowBlocks:
         if self._worker is not None:
             self._worker.shutdown()
 
-    def reset(self):
-        """Rewind every block's scratch: its arrays may be overwritten."""
-        for scratch in self.scratches:
-            if scratch is not None:
-                scratch.reset()
-
     def map(self, fn, b):
-        """[fn(rows, scratch) for each block's row slice and scratch], in block order."""
-        half = b // 2 if len(self.scratches) == 2 else 0
+        """[fn(rows) for each block's row slice], in block order."""
+        half = b // 2 if self.blocks == 2 else 0
         if half == 0:
-            return [fn(slice(0, b), self.scratches[0])]
-        first, second = self.scratches
+            return [fn(slice(0, b))]
         if self._worker is None:
-            return [fn(slice(0, half), first), fn(slice(half, b), second)]
-        later = self._worker.submit(fn, slice(half, b), second)
+            return [fn(slice(0, half)), fn(slice(half, b))]
+        later = self._worker.submit(_under_errstate, np.geterr(), fn, slice(half, b))
         try:
-            head = fn(slice(0, half), first)
+            head = fn(slice(0, half))
         finally:
-            later.exception()  # waits: the second block writes its scratch until it returns
+            later.exception()  # waits: the second block runs until it returns
         return [head, later.result()]
+
+
+def _under_errstate(settings, fn, rows):
+    """fn(rows) under numpy's floating-point error settings, which are per thread."""
+    with np.errstate(**settings):
+        return fn(rows)
 
 
 def _add_blocks(results):
@@ -280,29 +278,16 @@ def _add_blocks(results):
 # -- losses -------------------------------------------------------------------
 #
 # Each public pass below is one call on the calling thread that runs its row
-# blocks through a RowBlocks (by default one block on fresh arrays).  The
-# block functions are private, so a block never enters a public name.
+# blocks through a RowBlocks (by default one block).  The block functions are
+# private, so a block never enters a public name.  A block keeps its large
+# arrays in the locals of helpers, one per part of the block, so that each
+# part's arrays are freed before the next part allocates its own.
 
 
-def _critic_apply(netp: NetworkParams, x_flat, cond_norm, scratch=None):
+def _critic_apply(netp: NetworkParams, x_flat, cond_norm):
     """Critic value on (image, condition); returns scores and the body cache."""
-    emb, _ = netp.critic_embed.forward(cond_norm, scratch)
-    return netp.critic.forward(_stack_columns(x_flat, emb, netp.critic.dtype, scratch),
-                               scratch)
-
-
-def _stack_columns(x, emb, dtype, scratch):
-    """[x, emb] along the columns, in an array taken from scratch."""
-    out = take(scratch, (len(x), x.shape[1] + emb.shape[1]), dtype)
-    out[:, :x.shape[1]] = x
-    out[:, x.shape[1]:] = emb
-    return out
-
-
-def _interpolates(real, fake, u, out, tmp):
-    """u * real + (1 - u) * fake into out; tmp receives the second product."""
-    np.multiply(u, real, out=out)
-    out += np.multiply(1.0 - u, fake, out=tmp)
+    emb, _ = netp.critic_embed.forward(cond_norm)
+    return netp.critic.forward(np.concatenate([x_flat, emb], axis=1, dtype=netp.critic.dtype))
 
 
 def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lambda: float,
@@ -312,8 +297,7 @@ def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lamb
     The parts are "total", "wasserstein" (mean f(fake) - mean f(real)),
     "gp" (the lambda-weighted penalty) and "gp_norm" (the mean input-gradient
     norm at the interpolates, which the penalty pulls towards 1).  The rows
-    run as blocks (a RowBlocks; see _critic_block), and the gradients
-    returned are arrays of the first block's scratch.
+    run as blocks (a RowBlocks; see _critic_block).
     """
     dt = netp.critic.dtype
     real = np.asarray(real, dtype=dt).reshape(len(real), -1)
@@ -323,84 +307,86 @@ def critic_loss_and_grads(netp: NetworkParams, real, fake, cond_norm, u, gp_lamb
     if blocks is None:
         blocks = RowBlocks()
     (w_sum, gp_sum, norm_sum), grads = _add_blocks(blocks.map(
-        lambda rows, scratch: _critic_block(netp, real[rows], fake[rows], cond_norm[rows],
-                                            u[rows], gp_lambda, b, scratch), b))
+        lambda rows: _critic_block(netp, real[rows], fake[rows], cond_norm[rows], u[rows],
+                                   gp_lambda, b), b))
     wasserstein, gp = w_sum / b, gp_lambda * gp_sum / b
     total = wasserstein + gp
     if not math.isfinite(total):
-        raise TrainingDivergedError(-1, "non-finite critic loss")
+        raise TrainingDivergedError("non-finite critic loss")
     return ({"total": total, "wasserstein": wasserstein, "gp": gp, "gp_norm": norm_sum / b},
             grads)
 
 
-def _critic_block(netp: NetworkParams, real, fake, cond_norm, u, gp_lambda, b, scratch):
+def _critic_block(netp: NetworkParams, real, fake, cond_norm, u, gp_lambda, b):
     """One row block's share of the critic loss of a b-row batch.
 
     Returns the block's [sum f(fake) - sum f(real), sum (s - 1)^2, sum s],
     s the input-gradient norm at each interpolate, and the gradients of its
-    rows' terms of the whole-batch loss.  Every array is taken from scratch
-    (see nn): the Wasserstein pass's memory is rewound once its backward has
-    returned, and the penalty pass reuses it.
+    rows' terms of the whole-batch loss.
     """
-    critic, dt = netp.critic, netp.critic.dtype
+    emb, emb_cache = netp.critic_embed.forward(cond_norm)
+    w_sum, grads, d_emb = _wasserstein_part(netp.critic, real, fake, emb, b)
+    gp_sum, norm_sum, d_emb_gp = _penalty_part(netp.critic, real, fake, emb, u, gp_lambda, b,
+                                               grads)
+    d_emb += d_emb_gp
+    emb_grads, _ = netp.critic_embed.backward(emb_cache, d_emb)
+    return [w_sum, gp_sum, norm_sum], emb_grads + grads
+
+
+def _wasserstein_part(critic, real, fake, emb, b):
+    """sum f(fake) - sum f(real), its critic gradients and its embedding gradient.
+
+    One pass over the stacked inputs [real, emb; fake, emb].
+    """
     n, d = real.shape
-    emb, emb_cache = netp.critic_embed.forward(cond_norm, scratch)
-    grads = [take(scratch, p.shape, dt) for p in critic.params]
-    d_emb = take(scratch, emb.shape, dt)
-
-    # Wasserstein part: one pass over the stacked inputs [real, emb; fake, emb]
-    with frame(scratch):
-        u_all = take(scratch, (2 * n, d + emb.shape[1]), dt)
-        u_all[:n, :d] = real
-        u_all[n:, :d] = fake
-        u_all[:n, d:] = emb
-        u_all[n:, d:] = emb
-        f_all, cache_all = critic.forward(u_all, scratch)
-        w_sum = float(f_all[n:].sum() - f_all[:n].sum())
-        d_out = np.full((2 * n, 1), 1.0 / b, dtype=dt)
-        d_out[:n] = -1.0 / b
-        # only the embedding columns of the input gradient are read
-        _, d_emb_all = critic.backward(cache_all, d_out, in_cols=slice(d, None),
-                                       scratch=scratch, out=grads)
-        np.add(d_emb_all[:n], d_emb_all[n:], out=d_emb)
-
-    # gradient penalty: needs second derivatives through the input gradient,
-    # whose parameter gradients grad_of_jvp adds to grads
-    with frame(scratch):
-        x_hat = take(scratch, (n, d + emb.shape[1]), dt)
-        with frame(scratch):
-            _interpolates(real, fake, u, x_hat[:, :d], take(scratch, (n, d), dt))
-        x_hat[:, d:] = emb
-        f, cache_h = critic.forward(x_hat, scratch)
-        g_img = critic.input_grad(cache_h, np.ones_like(f), slice(0, d), scratch)
-        with frame(scratch):
-            s = np.sqrt(np.sum(np.multiply(g_img, g_img, out=take(scratch, g_img.shape, dt)),
-                               axis=1))
-        s_safe = np.maximum(s, 1e-12)
-        coef = (gp_lambda * 2.0 * (s - 1.0) / (s_safe * b))[:, None].astype(dt)
-        tangent = take(scratch, x_hat.shape, dt)
-        tangent[:, :d] = g_img
-        tangent[:, d:] = 0.0
-        _, d_emb_gp = critic.grad_of_jvp(cache_h, tangent, coef, slice(d, None), scratch,
-                                         out=grads)
-        d_emb += d_emb_gp
-    emb_grads, _ = netp.critic_embed.backward(emb_cache, d_emb, scratch=scratch)
-    return [w_sum, float(np.sum((s - 1.0) ** 2)), float(s.sum())], emb_grads + grads
+    x = np.empty((2 * n, d + emb.shape[1]), critic.dtype)
+    x[:n, :d] = real
+    x[n:, :d] = fake
+    x[:n, d:] = emb
+    x[n:, d:] = emb
+    f, cache = critic.forward(x)
+    w_sum = float(f[n:].sum() - f[:n].sum())
+    d_out = np.full((2 * n, 1), 1.0 / b, dtype=critic.dtype)
+    d_out[:n] = -1.0 / b
+    # only the embedding columns of the input gradient are read
+    grads, d_x = critic.backward(cache, d_out, in_cols=slice(d, None))
+    return w_sum, grads, d_x[:n] + d_x[n:]
 
 
-def _generate(netp: NetworkParams, z, cond_norm, scratch):
+def _penalty_part(critic, real, fake, emb, u, gp_lambda, b, grads):
+    """sum (s - 1)^2, sum s and the penalty's embedding gradient.
+
+    The penalty needs second derivatives through the input gradient, whose
+    parameter gradients grad_of_jvp adds to grads.
+    """
+    n, d = real.shape
+    x_hat = np.empty((n, d + emb.shape[1]), critic.dtype)
+    np.multiply(u, real, out=x_hat[:, :d])
+    x_hat[:, :d] += (1.0 - u) * fake
+    x_hat[:, d:] = emb
+    f, cache = critic.forward(x_hat)
+    g_img = critic.input_grad(cache, np.ones_like(f), slice(0, d))
+    s = np.sqrt(np.sum(g_img * g_img, axis=1))
+    s_safe = np.maximum(s, 1e-12)
+    coef = (gp_lambda * 2.0 * (s - 1.0) / (s_safe * b))[:, None].astype(critic.dtype)
+    tangent = np.zeros_like(x_hat)
+    tangent[:, :d] = g_img
+    _, d_emb = critic.grad_of_jvp(cache, tangent, coef, slice(d, None), out=grads)
+    return float(np.sum((s - 1.0) ** 2)), float(s.sum()), d_emb
+
+
+def _generate(netp: NetworkParams, z, cond_norm):
     """The generator pass on one row block: (output, embedding cache, body cache)."""
-    emb, emb_cache = netp.gen_embed.forward(cond_norm, scratch)
+    emb, emb_cache = netp.gen_embed.forward(cond_norm)
     y, cache = netp.generator.forward(
-        _stack_columns(z, emb, netp.generator.dtype, scratch), scratch)
+        np.concatenate([z, emb], axis=1, dtype=netp.generator.dtype))
     return y, emb_cache, cache
 
 
 def generator_forward(netp: NetworkParams, z, cond_norm, blocks=None, out=None):
     """G(z, c), a (b, 200) array with one row per noise row, into out (fresh when None).
 
-    The rows run as blocks (a RowBlocks), each inside a frame of its
-    scratch, so every scratch stands where it stood once this returns.
+    The rows run as blocks (a RowBlocks).
     """
     b = len(z)
     if out is None:
@@ -408,9 +394,8 @@ def generator_forward(netp: NetworkParams, z, cond_norm, blocks=None, out=None):
     if blocks is None:
         blocks = RowBlocks()
 
-    def block(rows, scratch):
-        with frame(scratch):
-            out[rows] = _generate(netp, z[rows], cond_norm[rows], scratch)[0]
+    def block(rows):
+        out[rows] = _generate(netp, z[rows], cond_norm[rows])[0]
 
     blocks.map(block, b)
     return out
@@ -419,35 +404,36 @@ def generator_forward(netp: NetworkParams, z, cond_norm, blocks=None, out=None):
 def generator_loss_and_grads(netp: NetworkParams, z, cond_norm, blocks=None):
     """-mean f(G(z, c)) and its gradients aligned with netp.generator_params().
 
-    The rows run as blocks (a RowBlocks), and the gradients returned are
-    arrays of the first block's scratch.
+    The rows run as blocks (a RowBlocks).
     """
     b = len(z)
     if blocks is None:
         blocks = RowBlocks()
     (f_sum,), grads = _add_blocks(blocks.map(
-        lambda rows, scratch: _generator_block(netp, z[rows], cond_norm[rows], b, scratch), b))
+        lambda rows: _generator_block(netp, z[rows], cond_norm[rows], b), b))
     loss = -f_sum / b
     if not math.isfinite(loss):
-        raise TrainingDivergedError(-1, "non-finite generator loss")
+        raise TrainingDivergedError("non-finite generator loss")
     return loss, grads
 
 
-def _generator_block(netp: NetworkParams, z, cond_norm, b, scratch):
+def _generator_block(netp: NetworkParams, z, cond_norm, b):
     """One row block's [sum f(G(z, c))] and the gradients of its rows' terms of -mean f."""
-    y, emb_cache, gen_cache = _generate(netp, z, cond_norm, scratch)
-    d_y = take(scratch, y.shape, y.dtype)
-    with frame(scratch):  # the critic's arrays are dead once d_y is copied out
-        f, critic_cache = _critic_apply(netp, y, cond_norm, scratch)
-        f_sum = float(f.sum())
-        # critic params frozen: only the matrix columns of its input gradient count
-        np.copyto(d_y, netp.critic.input_grad(
-            critic_cache, np.full((len(z), 1), -1.0 / b, dtype=netp.critic.dtype),
-            slice(0, y.shape[1]), scratch))
-    gen_grads, d_emb = netp.generator.backward(
-        gen_cache, d_y, in_cols=slice(netp.noise_dim, None), scratch=scratch)
-    emb_grads, _ = netp.gen_embed.backward(emb_cache, d_emb, scratch=scratch)
+    y, emb_cache, gen_cache = _generate(netp, z, cond_norm)
+    f_sum, d_y = _critic_part(netp, y, cond_norm, b)
+    gen_grads, d_emb = netp.generator.backward(gen_cache, d_y,
+                                               in_cols=slice(netp.noise_dim, None))
+    emb_grads, _ = netp.gen_embed.backward(emb_cache, d_emb)
     return [f_sum], emb_grads + gen_grads
+
+
+def _critic_part(netp: NetworkParams, y, cond_norm, b):
+    """sum f(y, c) and the gradient of -sum f / b with respect to the generator output y."""
+    f, cache = _critic_apply(netp, y, cond_norm)
+    # critic params frozen: only the matrix columns of its input gradient count
+    d_y = netp.critic.input_grad(cache, np.full((len(y), 1), -1.0 / b, dtype=netp.critic.dtype),
+                                 slice(0, y.shape[1]))
+    return float(f.sum()), d_y
 
 
 # -- data feeding ---------------------------------------------------------------
@@ -517,27 +503,21 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _dims(shape) -> str:
-    return "x".join(str(d) for d in shape)
-
-
 def train_wgan_gp(matrices, conditions, hyper: WganGpHyperparams, seed: int):
     """Train on (N, 8, 25) channel matrices and their (N, 2) conditions.
 
     Returns (NetworkParams, TrainingLog).  The pairs are checked by
-    training_pairs; matrices of another shape are a DataError.  Each epoch
-    visits the matrices in a fresh order and cuts them into full batches of
-    hyper.batch_size, each cast once to the training dtype; the last
-    partial batch is dropped.  Deterministic for a fixed seed: batch order,
-    noise, interpolation draws and init each use a named substream of the
-    seed, and the bits are the same whether or not the second row block
-    runs on a worker thread (see RowBlocks).
+    training_pairs.  Each epoch visits the matrices in a fresh order and
+    cuts them into full batches of hyper.batch_size, each cast once to the
+    training dtype; the last partial batch is dropped.  Deterministic for a
+    fixed seed: batch order, noise, interpolation draws and init each use a
+    named substream of the seed, and the bits are the same whether or not
+    the second row block runs on a worker thread (see RowBlocks).  A loss
+    or gradient that is not finite raises TrainingDivergedError naming the
+    critic step, the log's step.
     """
     matrices, cond = training_pairs(matrices, conditions)
     hyper.validate()
-    if matrices.shape[1:] != MATRIX_SHAPE:
-        raise DataError(f"training samples have shape {_dims(matrices.shape[1:])}, "
-                        f"the model expects {_dims(MATRIX_SHAPE)}")
     if len(matrices) < hyper.batch_size:
         raise DataError("dataset smaller than one batch; nothing to train on")
 
@@ -557,49 +537,49 @@ def train_wgan_gp(matrices, conditions, hyper: WganGpHyperparams, seed: int):
 
     dt = np.dtype(hyper.dtype)
     fake = np.empty((hyper.batch_size, PIXELS), dt)
-    # each row block keeps one scratch for the whole run: after the first
-    # steps no step allocates its large arrays, and the critic step's passes
-    # share memory (see nn).  The split depends only on the sizes, so the
-    # bits do not depend on whether the second block runs on the worker
+    # the split depends only on the sizes, so the bits do not depend on
+    # whether the second block runs on the worker
     split = hyper.batch_size * count_params(netp.critic) >= SPLIT_WORK
-    scratches = (Scratch(), Scratch()) if split else (Scratch(),)
     # the worker runs only beside a one-thread BLAS: beside a threaded one
     # it made training slower
     threaded = usable_cpus() >= 2 and os.environ.get("OPENBLAS_NUM_THREADS") == "1"
-    with RowBlocks(scratches, threaded) as blocks:
-        step = 0
-        for epoch in range(hyper.epochs):
-            order = substream(seed, "batching", epoch).permutation(len(matrices))
-            for start in range(0, len(order) - hyper.batch_size + 1, hyper.batch_size):
-                rows = order[start:start + hyper.batch_size]
-                step += 1
-                b = len(rows)
-                x = matrices[rows].astype(dt, copy=False).reshape(b, -1)
-                c = netp.normalize_conditions(cond[rows]).astype(dt, copy=False)
+    step = 0
+    try:
+        # no floating-point warnings: the losses and Adam check that what
+        # they produce is finite, and a divergence stops training there
+        with np.errstate(all="ignore"), RowBlocks(2 if split else 1, threaded) as blocks:
+            for epoch in range(hyper.epochs):
+                order = substream(seed, "batching", epoch).permutation(len(matrices))
+                for start in range(0, len(order) - hyper.batch_size + 1, hyper.batch_size):
+                    rows = order[start:start + hyper.batch_size]
+                    step += 1
+                    b = len(rows)
+                    x = matrices[rows].astype(dt, copy=False).reshape(b, -1)
+                    c = netp.normalize_conditions(cond[rows]).astype(dt, copy=False)
 
-                blocks.reset()
-                z = substream(seed, "noise", step).standard_normal((b, hyper.noise_dim))
-                generator_forward(netp, z.astype(dt), c, blocks, out=fake)
-                u = substream(seed, "gp", step).uniform(size=(b, 1))
-                parts, grads = critic_loss_and_grads(
-                    netp, x, fake, c, u, hyper.gp_lambda, blocks)
-                critic_grad_norm = _global_norm(grads)
-                adam_step(netp.critic_params(), grads, opt_c,
-                          hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
-
-                gen_loss = gen_grad_norm = math.nan
-                if step % hyper.critic_steps_per_gen_step == 0:
-                    blocks.reset()
-                    z2 = substream(seed, "noise-gen", step).standard_normal(
-                        (b, hyper.noise_dim)).astype(dt)
-                    gen_loss, ggrads = generator_loss_and_grads(netp, z2, c, blocks)
-                    gen_grad_norm = _global_norm(ggrads)
-                    adam_step(netp.generator_params(), ggrads, opt_g,
+                    z = substream(seed, "noise", step).standard_normal((b, hyper.noise_dim))
+                    generator_forward(netp, z.astype(dt), c, blocks, out=fake)
+                    u = substream(seed, "gp", step).uniform(size=(b, 1))
+                    parts, grads = critic_loss_and_grads(
+                        netp, x, fake, c, u, hyper.gp_lambda, blocks)
+                    critic_grad_norm = _global_norm(grads)
+                    adam_step(netp.critic_params(), grads, opt_c,
                               hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
 
-                log.rows.append((step, parts["total"], gen_loss, parts["gp"],
-                                 parts["wasserstein"], parts["gp_norm"], critic_grad_norm,
-                                 gen_grad_norm))
+                    gen_loss = gen_grad_norm = math.nan
+                    if step % hyper.critic_steps_per_gen_step == 0:
+                        z2 = substream(seed, "noise-gen", step).standard_normal(
+                            (b, hyper.noise_dim)).astype(dt)
+                        gen_loss, ggrads = generator_loss_and_grads(netp, z2, c, blocks)
+                        gen_grad_norm = _global_norm(ggrads)
+                        adam_step(netp.generator_params(), ggrads, opt_g,
+                                  hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
+
+                    log.rows.append((step, parts["total"], gen_loss, parts["gp"],
+                                     parts["wasserstein"], parts["gp_norm"], critic_grad_norm,
+                                     gen_grad_norm))
+    except TrainingDivergedError as exc:
+        raise TrainingDivergedError(exc.reason, step) from None
     return netp, log
 
 
@@ -628,13 +608,12 @@ def sample(netp: NetworkParams, cond, n: int, seed: int, out=None) -> np.ndarray
 
     noise = substream(seed, "sampling")
     z = np.zeros((SAMPLE_CHUNK, netp.noise_dim))
-    scratch = Scratch()
-    y = scratch.take((SAMPLE_CHUNK, PIXELS), dt)  # below every frame generator_forward rewinds
-    blocks = RowBlocks((scratch,))  # one block: each pass is over all SAMPLE_CHUNK rows
+    y = np.empty((SAMPLE_CHUNK, PIXELS), dt)
     for start in range(0, n, SAMPLE_CHUNK):
         m = min(SAMPLE_CHUNK, n - start)
         noise.standard_normal(out=z[:m])
+        # one block: each pass is over all SAMPLE_CHUNK rows
         generator_forward(netp, z.astype(dt, copy=False), c[start:start + SAMPLE_CHUNK],
-                          blocks, out=y)
+                          out=y)
         out[start:start + m] = y[:m].reshape(m, *MATRIX_SHAPE)
     return out

@@ -25,6 +25,7 @@ from chanimg import io
 from chanimg.cli import (
     EXIT_BAD_DATA,
     EXIT_BAD_FILE,
+    EXIT_DIVERGED,
     EXIT_USAGE,
     EXIT_VERSION,
     run,
@@ -693,11 +694,24 @@ def test_train_rejects_nonfinite_pixels(tmp_path, capsys):
         assert not (tmp_path / "m.ckpt").exists()
 
 
-def test_train_rejects_images_that_are_not_64x50(tmp_path, capsys):
-    images = np.random.default_rng(0).uniform(-1, 1, (300, 2, 2)).astype(np.float32)
+def test_train_rejects_images_that_are_not_8x25(tmp_path, capsys):
+    # both backends: a resampler of other matrices is a checkpoint that sample rejects
+    images = np.random.default_rng(0).uniform(-1, 1, (300, 8, 24)).astype(np.float32)
     io.write_images(tmp_path / "i.chim", images, np.ones((300, 2)))
-    fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"),
-                           "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA, "8x25")
+    for backend in ("wgan-gp", "resampler"):
+        fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"), "--backend",
+                               backend, "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA,
+                      "training samples have shape 8x24, the model expects 8x25")
+        assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_diverging_train_fails_cleanly_naming_its_step(pipeline_dir, tmp_path, capsys):
+    # no floating-point warning comes before the error line, though warnings
+    # are errors here
+    fails_cleanly(capsys, ["train", "--images", str(pipeline_dir / "images.chim"), "--lr",
+                           "1e300", "--hidden", "16", "--epochs", "3",
+                           "--out", str(tmp_path / "m.ckpt")], EXIT_DIVERGED,
+                  "msg=step 2: non-finite critic loss")
     assert not (tmp_path / "m.ckpt").exists()
 
 

@@ -237,7 +237,7 @@ def test_column_ranges_at_the_training_shapes(dtype, batch):
     check_column_ranges([232, 256, 256, 1], [96, 256, 256, 200], dtype, batch)
 
 
-# -- the scratch -------------------------------------------------------------------
+# -- row blocks on two threads -----------------------------------------------------
 
 
 def step_inputs(rng, b, noise_dim=64):
@@ -249,30 +249,29 @@ def step_inputs(rng, b, noise_dim=64):
 
 @pytest.mark.parametrize("dtype", ["float64", "float32"])
 @pytest.mark.parametrize("act", ["silu"])  # every hidden layer's, named in the test id
-def test_scratch_steps_match_fresh_arrays(dtype, act):
-    # three consecutive steps on one scratch per row block, the second block
-    # on the worker thread, with the batch size changing between them: a
-    # stale shape, or a live array that a later take overwrote, would change
-    # a bit of some loss part or gradient.  A short switch interval makes the
-    # two threads interleave often
+def test_threaded_blocks_match_one_thread(dtype, act):
+    # three consecutive steps in two row blocks, the second on the worker
+    # thread, with the batch size changing between them: an array that one
+    # block shared with the other, or a pass that read another thread's
+    # state, would change a bit of some loss part or gradient.  A short
+    # switch interval makes the two threads interleave often
     hyper = WganGpHyperparams(hidden=(48, 40), dtype=dtype)
     netp = build_networks(hyper, [10.0, 1.6], [500.0, 30.0], substream(31, "init"))
     rng = np.random.default_rng(32)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        check_blocked_steps_match_fresh_arrays(netp, dtype, rng)
+        check_threaded_steps_match_one_thread(netp, dtype, rng)
     finally:
         sys.setswitchinterval(interval)
 
 
-def check_blocked_steps_match_fresh_arrays(netp, dtype, rng):
-    fresh = wgan.RowBlocks((None, None))
-    with wgan.RowBlocks((nn.Scratch(), nn.Scratch()), threaded=True) as blocks:
+def check_threaded_steps_match_one_thread(netp, dtype, rng):
+    one = wgan.RowBlocks(2)
+    with wgan.RowBlocks(2, threaded=True) as blocks:
         for b in (64, 41, 96):
             real, fake, cond, u, z = (a.astype(dtype) for a in step_inputs(rng, b))
-            want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, fresh)
-            blocks.reset()
+            want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, one)
             parts, got = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, blocks)
             assert parts == want_parts
             assert len(got) == len(want)
@@ -280,8 +279,7 @@ def check_blocked_steps_match_fresh_arrays(netp, dtype, rng):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
 
-            want_loss, want = generator_loss_and_grads(netp, z, cond, fresh)
-            blocks.reset()
+            want_loss, want = generator_loss_and_grads(netp, z, cond, one)
             loss, got = generator_loss_and_grads(netp, z, cond, blocks)
             assert loss == want_loss
             assert len(got) == len(want)
@@ -289,9 +287,8 @@ def check_blocked_steps_match_fresh_arrays(netp, dtype, rng):
                 assert g.dtype == w.dtype
                 np.testing.assert_array_equal(g, w)
 
-            blocks.reset()
             y = generator_forward(netp, z, cond, blocks)
-            assert y.tobytes() == generator_forward(netp, z, cond, fresh).tobytes()
+            assert y.tobytes() == generator_forward(netp, z, cond, one).tobytes()
 
 
 def assert_close_to_scale(got, want, rel=1e-12):
@@ -308,7 +305,7 @@ def test_row_blocks_add_up_to_one_block(b):
     hyper = WganGpHyperparams(hidden=(48, 40))
     netp = build_networks(hyper, [10.0, 1.6], [500.0, 30.0], substream(35, "init"))
     real, fake, cond, u, z = step_inputs(np.random.default_rng(36), b)
-    two = wgan.RowBlocks((None, None))
+    two = wgan.RowBlocks(2)
 
     parts, grads = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, two)
     want_parts, want = critic_loss_and_grads(netp, real, fake, cond, u, 10.0)
@@ -328,13 +325,12 @@ def test_row_blocks_add_up_to_one_block(b):
 
 def test_row_blocks_cut_halves_and_raise_the_workers_error():
     seen = []
-    assert wgan.RowBlocks().map(lambda rows, scratch: rows, 7) == [slice(0, 7)]
-    with wgan.RowBlocks((None, None), threaded=True) as blocks:
-        assert blocks.map(lambda rows, scratch: (rows, scratch), 7) == \
-            [(slice(0, 3), None), (slice(3, 7), None)]
-        assert blocks.map(lambda rows, scratch: rows, 1) == [slice(0, 1)]
+    assert wgan.RowBlocks().map(lambda rows: rows, 7) == [slice(0, 7)]
+    with wgan.RowBlocks(2, threaded=True) as blocks:
+        assert blocks.map(lambda rows: rows, 7) == [slice(0, 3), slice(3, 7)]
+        assert blocks.map(lambda rows: rows, 1) == [slice(0, 1)]
 
-        def fail_second(rows, scratch):
+        def fail_second(rows):
             seen.append(rows)
             if rows.start:
                 raise ValueError("second block")
@@ -342,45 +338,6 @@ def test_row_blocks_cut_halves_and_raise_the_workers_error():
         with pytest.raises(ValueError, match="second block"):
             blocks.map(fail_second, 4)
     assert sorted(seen, key=lambda r: r.start) == [slice(0, 2), slice(2, 4)]
-
-
-def test_training_steps_allocate_little_after_the_first():
-    # the default model at B=256: without a scratch a critic step allocates
-    # about 20 MB of temporaries; with one, only small arrays remain
-    hyper = WganGpHyperparams()
-    netp = build_networks(hyper, [10.0, 1.6], [500.0, 30.0], substream(33, "init"))
-    real, fake, cond, u, z = step_inputs(np.random.default_rng(34), 256)
-    blocks = wgan.RowBlocks((nn.Scratch(), nn.Scratch()))
-    steps = (lambda: critic_loss_and_grads(netp, real, fake, cond, u, 10.0, blocks),
-             lambda: generator_loss_and_grads(netp, z, cond, blocks))
-    for step in steps:  # the first run of each adds the chunks it needs
-        blocks.reset()
-        step()
-    tracemalloc.start()
-    try:
-        for _ in range(2):
-            for step in steps:
-                blocks.reset()
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                step()
-                assert tracemalloc.get_traced_memory()[1] - before <= 4 * 2**20
-    finally:
-        tracemalloc.stop()
-
-
-def test_scratch_frame_rewinds_and_reuses():
-    scratch = nn.Scratch()
-    keep = scratch.take((3, 5), np.float64)
-    with scratch.frame():
-        inner = scratch.take((1000,), np.float32)
-    again = scratch.take((10,), np.float32)
-    assert np.shares_memory(inner, again) and not np.shares_memory(keep, again)
-    big = scratch.take((nn.Scratch.CHUNK,), np.uint8)  # no room left: a new chunk
-    assert not np.shares_memory(big, keep) and not np.shares_memory(big, again)
-    scratch.reset()
-    assert np.shares_memory(scratch.take((2,), np.float64), keep)
-    assert nn.take(None, (2, 3), np.float32).shape == (2, 3)
 
 
 # -- value-only reference losses ------------------------------------------------------
@@ -461,7 +418,7 @@ def test_critic_gradcheck_tiny():
     cond = rng.uniform(-1, 1, (b, 2))
     u = rng.uniform(size=(b, 1))
     # two row blocks: the gradients checked are the sum of the blocks'
-    two = wgan.RowBlocks((None, None))
+    two = wgan.RowBlocks(2)
     parts, grads = critic_loss_and_grads(netp, real, fake, cond, u, 10.0, two)
     ref = critic_loss(netp, real, fake, cond, u, 10.0)
     assert parts.keys() == ref.keys()
@@ -493,7 +450,7 @@ def test_generator_gradcheck_tiny():
     rng = np.random.default_rng(6)
     z = rng.standard_normal((3, 4))
     cond = rng.uniform(-1, 1, (3, 2))
-    _, grads = generator_loss_and_grads(netp, z, cond, wgan.RowBlocks((None, None)))
+    _, grads = generator_loss_and_grads(netp, z, cond, wgan.RowBlocks(2))
     h = 1e-6
     for pi, p in enumerate(netp.generator_params()):
         it = np.nditer(p, flags=["multi_index"])
@@ -692,6 +649,8 @@ def test_training_rejects_samples_of_another_shape(shape):
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=16)
     with pytest.raises(DataError, match="shape .* the model expects 8x25"):
         train_wgan_gp(images, conds, hyper, seed=0)
+    with pytest.raises(DataError, match="shape .* the model expects 8x25"):
+        EmpiricalResampler(images, conds)
 
 
 def test_hyperparameters_need_a_hidden_layer():
@@ -807,13 +766,13 @@ def test_training_joins_its_worker(monkeypatch):
     train_wgan_gp(images, conds, hyper, seed=0)
     assert len(threads) == 2
     assert threading.active_count() == before
-    # a step of 1e300 sends the critic's loss to inf or NaN on step 2
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(TrainingDivergedError):
-            train_wgan_gp(images, conds,
-                          WganGpHyperparams(**TINY, epochs=1, batch_size=64,
-                                            learning_rate=1e300), seed=0)
+    # a step of 1e300 sends the critic's loss to inf or NaN on step 2.  No
+    # floating-point warning escapes either block, though warnings are errors
+    # here: the worker runs its block under the caller's error settings
+    with pytest.raises(TrainingDivergedError, match=r"^step 2: non-finite critic loss$"):
+        train_wgan_gp(images, conds,
+                      WganGpHyperparams(**TINY, epochs=1, batch_size=64, learning_rate=1e300),
+                      seed=0)
     assert threading.active_count() == before
 
 
@@ -909,7 +868,7 @@ def test_sample_condition_shapes():
 
 
 def test_resampler_single_image():
-    images = np.full((1, 2, 2), 0.25)
+    images = np.full((1, 8, 25), 0.25)
     res = EmpiricalResampler(images, np.array([[100.0, 1.6]]), k=50)
     out = res.sample([300.0, 30.0], 5, seed=0)
     assert np.all(out == 0.25)
@@ -917,23 +876,23 @@ def test_resampler_single_image():
 
 def test_resampler_k1_nearest_identity():
     rng = np.random.default_rng(16)
-    images = rng.uniform(-1, 1, (20, 2, 2))
+    images = rng.uniform(-1, 1, (20, 8, 25))
     conds = np.column_stack([np.linspace(10, 200, 20), np.full(20, 1.6)])
     res = EmpiricalResampler(images, conds, k=1)
     out = res.sample(conds[7], 3, seed=1)
-    np.testing.assert_array_equal(out, np.broadcast_to(images[7], (3, 2, 2)))
+    np.testing.assert_array_equal(out, np.broadcast_to(images[7], (3, 8, 25)))
 
 
 def test_resampler_deterministic_and_validated():
     rng = np.random.default_rng(17)
-    images = rng.uniform(-1, 1, (20, 2, 2))
+    images = rng.uniform(-1, 1, (20, 8, 25))
     conds = np.column_stack([np.linspace(10, 200, 20), np.full(20, 1.6)])
     res = EmpiricalResampler(images, conds, k=5)
     a = res.sample([50.0, 1.6], 8, seed=3)
     b = res.sample([50.0, 1.6], 8, seed=3)
     np.testing.assert_array_equal(a, b)
     per_row = res.sample(conds[:8], 8, seed=4)
-    assert per_row.shape == (8, 2, 2)
+    assert per_row.shape == (8, 8, 25)
     with pytest.raises(DataError):
         EmpiricalResampler(images[:0], conds[:0])
     for bad in (conds[:3], [1.0, 2.0, 3.0], np.ones((8, 3)), [1.0], conds[:8, :, None]):
@@ -966,6 +925,11 @@ def test_resampler_k_takes_numpy_integers_and_caps_at_the_dataset():
     assert EmpiricalResampler(images, conds, k=50).k == 8
 
 
+def indexed_matrices(n):
+    """n 8x25 matrices, matrix i holding i in every cell (float32, exact below 2**24)."""
+    return np.broadcast_to(np.arange(n, dtype=np.float32)[:, None, None], (n, 8, 25))
+
+
 def reference_picks(conds, queries, k, seed):
     """Per-query full (distance, index) lexsort and one scalar draw per query."""
     lo = conds.min(axis=0)
@@ -985,8 +949,7 @@ def test_resampler_picks_match_bruteforce_reference():
     # at the k-th distance that only the index order can break
     rng = np.random.default_rng(18)
     conds = rng.integers(0, 6, size=(300, 2)).astype(float) * (25.0, 10.0)
-    images = np.arange(300.0).reshape(300, 1, 1)  # image i holds its own index
-    res = EmpiricalResampler(images, conds, k=7)
+    res = EmpiricalResampler(indexed_matrices(300), conds, k=7)
     n = BLOCK // 14 + 45  # more queries than one block of (queries, 2k) windows
     queries = np.concatenate([conds[rng.integers(0, 300, n - 20)],
                               rng.uniform(0, 130, (20, 2))])
@@ -1051,9 +1014,8 @@ def resampler_cases(draw):
 @given(case=resampler_cases(), seed=st.integers(0, 2**32))
 def test_resampler_picks_match_the_reference_on_any_conditions(case, seed):
     conds, queries, k, block = case
-    images = np.arange(len(conds), dtype=float).reshape(-1, 1, 1)  # image i holds its own index
     with mock.patch.object(resampler, "BLOCK", block):
-        got = EmpiricalResampler(images, conds, k=k).sample(queries, len(queries), seed=seed)
+        got = EmpiricalResampler(indexed_matrices(len(conds)), conds, k=k).sample(queries, len(queries), seed=seed)
     np.testing.assert_array_equal(got[:, 0, 0].astype(int),
                                   reference_picks(conds, queries, min(k, len(conds)), seed))
 
@@ -1088,8 +1050,7 @@ def test_resampler_matches_the_scan_at_20000_conditions():
     queries = np.concatenate([conds[rng.integers(0, 20000, 10000)],
                               np.column_stack([rng.uniform(0, 520, 10000),
                                                rng.choice(heights, 10000)])])
-    images = np.arange(20000.0).reshape(-1, 1, 1)
-    res = EmpiricalResampler(images, conds)
+    res = EmpiricalResampler(indexed_matrices(20000), conds)
     nb = scan_neighbours(conds, queries, res.k)
     for seed in range(3):
         draws = substream(seed, "resampler").integers(res.k, size=len(queries))
