@@ -14,10 +14,14 @@ one machine-parsable line to stderr and map to distinct exit codes:
     5 invalid data/geometry/config, 6 training diverged, 1 unexpected
 
 Each stage imports the modules it runs when it starts, so a stage loads
-only those: gen-data loads no codec, networks or statistics.
+only those: gen-data loads no codec, networks or statistics.  The process
+entry point, main(), ends a stage with os._exit once stdout and stderr are
+flushed, skipping the interpreter's teardown (see main for what that
+skips); run() is the same stage with a normal return, for library callers.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -379,7 +383,34 @@ def run(argv=None) -> int:
 
 
 def main():
-    sys.exit(run())
+    """Entry point of `python -m chanimg.cli` and the `chanimg` script.
+
+    Runs run(), flushes stdout and stderr, then ends the process with
+    os._exit, skipping the interpreter's teardown: module cleanup, the last
+    garbage collections and freeing every object, tens of ms of CPU a stage.
+    Nothing that teardown would do is needed:
+
+    - every artifact is closed and renamed into place before run()
+      returns (io._replacing);
+    - RowBlocks joins its worker thread when its with block ends, so no
+      thread is left for threading's shutdown join;
+    - chanimg registers no atexit callback; those of other modules do not
+      run, nor do object finalizers, and a ResourceWarning that teardown
+      would raise is not raised;
+    - C-level frees, such as OpenBLAS's buffers, are left to the kernel.
+
+    An exception that escapes run() propagates with the normal shutdown
+    (traceback, exit 1).  A flush that fails, such as on a pipe whose reader
+    has gone, falls back to sys.exit, so CPython reports it as it would
+    (exit 120).
+    """
+    code = run()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:  # a closed pipe, a full disk, a stream that is None
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

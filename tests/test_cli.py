@@ -400,15 +400,15 @@ def cli_env():
                     os.environ.get("PYTHONPATH")) if p))
 
 
-# runs `python -m chanimg.cli ARGS`, then prints the chanimg modules it loaded
+# runs `python -m chanimg.cli ARGS` and prints the chanimg modules it loaded
+# as the stage ends: its main() ends the process with os._exit
 STAGE_MODULES = """
-import runpy, sys
-try:
-    runpy.run_module("chanimg.cli", run_name="__main__", alter_sys=True)
-except SystemExit as exc:
-    if exc.code:
-        raise
-print(" ".join(m for m in sys.modules if m.startswith(("chanimg", "numpy.ma"))))
+import os, runpy, sys
+def exit_now(code, _exit=os._exit):
+    print(" ".join(m for m in sys.modules if m.startswith(("chanimg", "numpy.ma"))), flush=True)
+    _exit(code)
+os._exit = exit_now
+runpy.run_module("chanimg.cli", run_name="__main__", alter_sys=True)
 """
 NETWORKS = ("chanimg.genmodel.nn", "chanimg.genmodel.wgan")
 NOT_MODELS = ("chanimg.genmodel", "chanimg.stats", "chanimg.surrogate")
@@ -488,6 +488,86 @@ def test_eval_runs_warning_free(pipeline_dir, tmp_path):
     for name in ("ks.csv", "los_prob.csv", "zenith_pdf_zod.csv", "zenith_pdf_zoa.csv"):
         assert (tmp_path / "reports" / name).read_bytes() == \
             (d / "reports" / name).read_bytes()
+
+
+def buffered_env(unbuffered=False):
+    """cli_env(), with stdout buffered unless unbuffered."""
+    env = cli_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+# the `chanimg` script's path, `chanimg.cli.main()`, with a stage that raises
+RAISES = """
+import chanimg.cli as cli
+def boom(args):
+    raise RuntimeError("boom")
+cli._COMMANDS["gen-data"] = boom
+cli.main()
+"""
+
+
+@pytest.mark.parametrize("child, argv, code, fragment", [
+    (["-m", "chanimg.cli"], ["gen-data", "--links", "20", "--out", "{out}/d.jsonl"], 0,
+     "wrote 20 links to {out}/d.jsonl\n"),
+    (["-m", "chanimg.cli"], ["--seed", "-1", "gen-data", "--links", "20",
+                             "--out", "{out}/d.jsonl"], EXIT_USAGE, "--seed"),
+    (["-m", "chanimg.cli"], ["fit-codec", "--data", "{out}/bad.jsonl", "--out", "{out}/c.json"],
+     EXIT_BAD_FILE, "bad.jsonl"),
+    (["-m", "chanimg.cli"], ["train", "--images", "{out}/v2.chim", "--backend", "resampler",
+                             "--out", "{out}/m.ckpt"], EXIT_VERSION, "CHIM format v2"),
+    (["-m", "chanimg.cli"], ["sample", "--model", "{d}/resampler.ckpt", "--conditions-from",
+                             "{d}/data.jsonl", "--per-cond", "0", "--out", "{out}/s.chim"],
+     EXIT_BAD_DATA, "--per-cond"),
+    (["-c", RAISES], ["gen-data", "--links", "20", "--out", "{out}/d.jsonl"], 1,
+     "RuntimeError: boom"),
+], ids=["ok", "usage", "bad-file", "version", "bad-data", "escaped-exception"])
+def test_cli_process_exit_status(pipeline_dir, tmp_path, child, argv, code, fragment):
+    # stdout is a buffered pipe, so a stage's line arrives only through the
+    # flush before main() ends the process
+    (tmp_path / "bad.jsonl").write_text("not a dataset\n")
+    with_version(pipeline_dir / "images.chim", 2, tmp_path / "v2.chim")
+    argv = [a.format(d=pipeline_dir, out=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, *child, *argv], env=buffered_env(),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    if code == 0:
+        assert (proc.stdout, proc.stderr) == (fragment.format(out=tmp_path), "")
+    elif code == 1:  # a bug keeps its traceback
+        assert "Traceback" in proc.stderr and fragment in proc.stderr, proc.stderr
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and proc.stderr.startswith("chanimg: error kind=")
+        assert f"exit={code}" in proc.stderr and fragment in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_stdout_without_reader_keeps_its_exit_status(tmp_path, unbuffered):
+    out = tmp_path / "d.jsonl"
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the stage writes its line
+    try:
+        proc = subprocess.run([sys.executable, "-m", "chanimg.cli", "--seed", "3", "gen-data",
+                               "--links", "20", "--out", str(out)],
+                              env=buffered_env(unbuffered), stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=300)
+    finally:
+        os.close(write_end)
+    epipe = f"[Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}"
+    if unbuffered:  # print fails inside the stage: a file error
+        assert proc.returncode == EXIT_BAD_FILE
+        assert proc.stderr == f"chanimg: error kind=io exit=3 msg={epipe}\n"
+    else:  # the final flush fails, and CPython reports it as it exits
+        assert proc.returncode == 120, proc.stderr
+        assert proc.stderr.startswith("Exception ignored in: <_io.TextIOWrapper name='<stdout>'")
+        assert f"BrokenPipeError: {epipe}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+    # the dataset was whole before the line was written
+    assert run(["--seed", "3", "gen-data", "--links", "20", "--out", str(tmp_path / "r.jsonl")]) \
+        == 0
+    assert out.read_bytes() == (tmp_path / "r.jsonl").read_bytes()
 
 
 BOOL_SHAPE = {"meta": {}, "entries": [{"name": "x", "dtype": "<f8", "shape": [True]}]}
