@@ -23,7 +23,6 @@ skips); run() is the same stage with a normal return, for library callers.
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -96,21 +95,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--codec", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--realizations", type=int, default=1,
-                   help="virtual-padding realizations per link (data augmentation)")
 
     p = sub.add_parser("decode", help="decode channel matrices back into a link dataset")
     p.add_argument("--images", required=True, help="CHIM file of channel matrices")
     p.add_argument("--codec", required=True)
     p.add_argument("--geometry-from", required=True,
-                   help="dataset supplying tx/rx/freq; matrix i pairs with link i %% n_links")
+                   help="dataset supplying tx/rx/freq: matrix i pairs with link i")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train a generative backend on channel matrices")
     p.add_argument("--images", required=True, help="CHIM file of channel matrices")
     p.add_argument("--backend", choices=("wgan-gp", "resampler"), default="wgan-gp")
     p.add_argument("--out", required=True)
-    p.add_argument("--log", default=None, help="training log CSV (wgan-gp)")
+    p.add_argument("--log", default=None, help="training log CSV (wgan-gp only)")
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--batch-size", type=int, default=256)
     p.add_argument("--lr", type=float, default=5e-5)
@@ -120,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--critic-steps", type=int, default=5)
     p.add_argument("--noise-dim", type=int, default=64)
     p.add_argument("--hidden", type=str, default="256,256")
-    p.add_argument("--output-init", choices=("fan_in", "data_mean", "data_moments"),
+    p.add_argument("--output-init", choices=("fan_in", "data_moments"),
                    default="fan_in",
                    help="start the generator output layer at data statistics")
     p.add_argument("--dtype", choices=("float64", "float32"), default="float64",
@@ -130,7 +127,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sample", help="sample channel matrices at the conditions of a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--conditions-from", required=True)
-    p.add_argument("--per-cond", type=int, default=1, help="matrices per condition (>= 1)")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="compare a decoded model dataset against source data")
@@ -190,16 +186,10 @@ def _cmd_encode(args) -> int:
 
     table = io.read_table(args.data)
     codec = io.read_codec(args.codec)
-    if args.realizations < 1:
-        raise DataError("--realizations must be >= 1")
-    rng = substream(args.seed, "padding")
-    n = len(table)
-    matrices = np.empty((args.realizations * n, *MATRIX_SHAPE), dtype=np.float32)
-    for r in range(args.realizations):
-        _, conds = codec.encode(table, rng, out=matrices[r * n:(r + 1) * n])
-    io.write_images(args.out, matrices, np.tile(conds, (args.realizations, 1)), seed=args.seed)
-    print(f"encoded {len(matrices)} matrices ({args.realizations} realization(s) "
-          f"of {n} links) -> {args.out}")
+    matrices = np.empty((len(table), *MATRIX_SHAPE), dtype=np.float32)
+    _, conds = codec.encode(table, substream(args.seed, "padding"), out=matrices)
+    io.write_images(args.out, matrices, conds, seed=args.seed)
+    print(f"encoded {len(matrices)} matrices -> {args.out}")
     return 0
 
 
@@ -207,21 +197,17 @@ def _cmd_decode(args) -> int:
     matrices, conditions = io.read_images(args.images)
     codec = io.read_codec(args.codec)
     table = io.read_table(args.geometry_from)
-    n = len(table)
-    if len(matrices) % n:
-        raise DataError(f"{len(matrices)} matrices do not repeat {n} geometry links")
-    # matrix i was drawn at link i % n's condition: both are closed forms of its coordinates
+    if len(matrices) != len(table):
+        raise DataError(f"{len(matrices)} matrices for {len(table)} geometry links: "
+                        "decode takes one matrix per link")
+    # matrix i was drawn at link i's condition: both are closed forms of its coordinates
     geometry = table.conditions
-    moved = (conditions.reshape(-1, n, 2) != geometry).any(axis=2).ravel()
+    moved = (conditions != geometry).any(axis=1)
     if moved.any():
         i = int(np.argmax(moved))
         raise DataError(f"matrix {i} holds condition (dist2d, height) = "
-                        f"{tuple(conditions[i].tolist())}, but geometry link {i % n} "
-                        f"has {tuple(geometry[i % n].tolist())}")
-    if len(matrices) != n:
-        # decode replaces the paths, so only the geometry is repeated
-        table = replace(table, paths=table.paths[:0], counts=np.zeros_like(table.counts)
-                        ).take(np.arange(len(matrices)) % n)
+                        f"{tuple(conditions[i].tolist())}, but geometry link {i} "
+                        f"has {tuple(geometry[i].tolist())}")
     decoded = codec.decode(matrices, table)
     io.write_table(args.out, decoded, seed=args.seed)
     print(f"decoded {len(decoded)} links -> {args.out}")
@@ -229,6 +215,8 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    if args.backend == "resampler" and args.log is not None:
+        raise UsageError("--log is a wgan-gp option: the resampler keeps no training log")
     matrices, conds = io.read_images(args.images)
     if args.backend == "resampler":
         from .genmodel.resampler import EmpiricalResampler
@@ -258,11 +246,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    if args.per_cond < 1:
-        raise DataError("--per-cond must be >= 1")
     backend, model = io.read_model_checkpoint(args.model)
-    table = io.read_table(args.conditions_from)
-    conds = np.tile(table.conditions, (args.per_cond, 1))
+    conds = io.read_table(args.conditions_from).conditions
     # filled block by block in the CHIM payload's dtype, so no float64 copy is held
     matrices = np.empty((len(conds), *MATRIX_SHAPE), dtype=np.float32)
     if backend == "wgan-gp":
@@ -270,7 +255,7 @@ def _cmd_sample(args) -> int:
     else:
         model.sample(conds, len(conds), args.seed, out=matrices)
     io.write_images(args.out, matrices, conds, seed=args.seed)
-    print(f"sampled {len(matrices)} matrices ({args.per_cond} per condition) -> {args.out}")
+    print(f"sampled {len(matrices)} matrices -> {args.out}")
     return 0
 
 

@@ -165,8 +165,7 @@ def _prescaled(table: LinkTable, virtual_delay, rng):
     before Min-Max scaling.
 
     Each block draws rng.random, 200 doubles per link, link after link, so
-    the draws do not depend on the block size, and consecutive calls on one
-    rng draw consecutive realizations.
+    the draws do not depend on the block size.
     """
     n, offsets = len(table), table.offsets
     # per cell of a link's 200: one pass over whole links is faster than 7 passes over rows

@@ -26,8 +26,7 @@ columns the caller asks for.
 Every pass takes its arrays from numpy.  Memory comes from the C
 library's heap, which chanimg sets to keep freed blocks (see chanimg), so
 a training step reuses the memory of the step before instead of faulting
-in fresh pages.  When given out, backward writes the parameter gradients
-into it instead, and grad_of_jvp adds them to it.
+in fresh pages.
 """
 
 from dataclasses import dataclass
@@ -146,17 +145,16 @@ class Mlp:
             memo[l] = _act_prime(kind, a, h, s) if order == 1 else _act_second(a, s)
         return memo[l]
 
-    def backward(self, cache, d_out, with_param_grads=True, in_cols=slice(None), out=None):
+    def backward(self, cache, d_out, with_param_grads=True, in_cols=slice(None)):
         """Backprop d_out (B, out) through the cached forward.
 
         Returns (grads matching self.params or None, d_input), where d_input
-        holds only the input columns in_cols (all of them by default).  The
-        grads go to out when given.
+        holds only the input columns in_cols (all of them by default).
         """
         h = cache["h"]
         grads = None
         if with_param_grads:
-            grads = out if out is not None else [np.empty_like(p) for p in self.params]
+            grads = [np.empty_like(p) for p in self.params]
         da = np.asarray(d_out, dtype=self.dtype) * self._deriv(cache, self.n_layers - 1, 1)
         for l in range(self.n_layers - 1, -1, -1):
             w = self.params[2 * l]

@@ -105,8 +105,8 @@ class WganGpHyperparams:
     dtype: str = "float64"
     # init shaping of the generator output layer:
     #   fan_in       - plain uniform fan-in init
-    #   data_mean    - output bias starts at arctanh(mean training matrix)
-    #   data_moments - bias as above plus per-pixel weight rescaling so the
+    #   data_moments - output bias starts at the mean of arctanh(training
+    #                  pixels), and per-pixel weight rescaling makes the
     #                  initial output marginals match the training data's
     #                  (one calibration forward pass on noise at init)
     output_init: str = "fan_in"
@@ -131,8 +131,8 @@ class WganGpHyperparams:
         # beta1 = 0 is the Adam setting of the WGAN-GP paper (Gulrajani et al. 2017)
         if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
             raise DataError("Adam beta1 must lie in [0, 1) and beta2 in (0, 1)")
-        if self.output_init not in ("fan_in", "data_mean", "data_moments"):
-            raise DataError("output_init must be fan_in, data_mean or data_moments")
+        if self.output_init not in ("fan_in", "data_moments"):
+            raise DataError("output_init must be fan_in or data_moments")
         if self.dtype not in ("float64", "float32"):
             raise DataError("dtype must be float64 or float32")
 
@@ -182,22 +182,21 @@ def build_networks(hyper: WganGpHyperparams, cond_min, cond_max, rng) -> Network
                          noise_dim=hyper.noise_dim)
 
 
-def calibrate_output_layer(netp: NetworkParams, mode: str, mu, sd, z, cond_norm):
+def calibrate_output_layer(netp: NetworkParams, mu, sd, z, cond_norm):
     """Match the generator's initial output marginals to the data's.
 
     mu/sd are per-pixel moments of arctanh(clipped training pixels).  The
-    output bias starts at mu; in 'data_moments' mode each output row's
-    weights are additionally rescaled so the pre-squash spread over a
-    calibration batch (z, cond_norm) matches sd.
+    output bias starts at mu, and each output row's weights are rescaled
+    so the pre-squash spread over a calibration batch (z, cond_norm)
+    matches sd.
     """
     w, b = netp.generator.params[-2], netp.generator.params[-1]
     b[:] = mu
-    if mode == "data_moments":
-        _, cache = netp.generator.forward(
-            np.concatenate([z, netp.gen_embed.forward(cond_norm)[0]], axis=1))
-        pre = cache["a"][-1] - b
-        current = np.maximum(pre.std(axis=0), 1e-6)
-        w *= (np.asarray(sd) / current)[:, None]
+    _, cache = netp.generator.forward(
+        np.concatenate([z, netp.gen_embed.forward(cond_norm)[0]], axis=1))
+    pre = cache["a"][-1] - b
+    current = np.maximum(pre.std(axis=0), 1e-6)
+    w *= (np.asarray(sd) / current)[:, None]
 
 
 # -- row blocks -----------------------------------------------------------------
@@ -529,7 +528,7 @@ def train_wgan_gp(matrices, conditions, hyper: WganGpHyperparams, seed: int):
         n_calib = min(512, len(cond))
         z = calib_rng.standard_normal((n_calib, hyper.noise_dim))
         c = netp.normalize_conditions(cond[calib_rng.integers(len(cond), size=n_calib)])
-        calibrate_output_layer(netp, hyper.output_init, mu, sd, z, c)
+        calibrate_output_layer(netp, mu, sd, z, c)
 
     opt_c = AdamState.zeros(netp.critic_params())
     opt_g = AdamState.zeros(netp.generator_params())

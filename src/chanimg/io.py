@@ -34,9 +34,8 @@ so a failed write leaves the file already at path as it was.
                 finite numbers (codec.py fixes every other constant and row)
   - images:     "CHIM" v3 container: meta seed; entries matrices (N, rows,
                 cols) <f4 and conditions (N, 2) <f8 (dist2d, height).
-                Matrix i of a file derived from a dataset pairs with link
-                i % n_links (realizations/samples are stored as repeated
-                blocks of the full dataset).
+                A file derived from a dataset holds one matrix per link:
+                matrix i pairs with link i.
   - checkpoint: "WGPC" v5 container: meta backend, seed and the backend's
                 settings: noise_dim and hidden for wgan-gp, whose
                 genmodel.wgan.network_sizes give every array's shape, and k

@@ -12,7 +12,6 @@ import struct
 import subprocess
 import sys
 import tempfile
-import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -301,10 +300,18 @@ def test_resampler_stores_the_float32_matrices(pipeline_dir, tmp_path):
         matrices.astype(np.float64), conds, k=10), seed=3)
     for name in ("resampler", "f8"):
         model = d / "resampler.ckpt" if name == "resampler" else tmp_path / "f8.ckpt"
-        assert run(["--seed", "5", "sample", "--model", str(model), "--per-cond", "2",
+        assert run(["--seed", "5", "sample", "--model", str(model),
                     "--conditions-from", str(d / "data.jsonl"),
                     "--out", str(tmp_path / f"{name}.chim")]) == 0
     assert (tmp_path / "resampler.chim").read_bytes() == (tmp_path / "f8.chim").read_bytes()
+
+
+def test_resampler_train_with_a_log_is_usage_error(pipeline_dir, tmp_path, capsys):
+    # the resampler keeps no training log, so --log would name a file never written
+    fails_cleanly(capsys, ["train", "--images", str(pipeline_dir / "images.chim"),
+                           "--backend", "resampler", "--log", str(tmp_path / "log.csv"),
+                           "--out", str(tmp_path / "res.ckpt")], EXIT_USAGE, "--log")
+    assert not list(tmp_path.iterdir())
 
 
 def test_resampler_with_k1_returns_stored_matrices(pipeline_dir, tmp_path):
@@ -321,15 +328,6 @@ def test_resampler_with_k1_returns_stored_matrices(pipeline_dir, tmp_path):
     # of any links sharing a condition)
     first = [np.flatnonzero((conds == c).all(axis=1))[0] for c in conds]
     assert samples.tobytes() == matrices[first].tobytes()
-
-
-@pytest.mark.parametrize("per_cond", ["0", "-1"])
-def test_sample_rejects_nonpositive_per_cond(pipeline_dir, tmp_path, capsys, per_cond):
-    fails_cleanly(capsys, ["sample", "--model", str(pipeline_dir / "resampler.ckpt"),
-                           "--conditions-from", str(pipeline_dir / "data.jsonl"),
-                           f"--per-cond={per_cond}", "--out", str(tmp_path / "s.chim")],
-                  EXIT_BAD_DATA, "--per-cond")
-    assert not (tmp_path / "s.chim").exists()
 
 
 @pytest.mark.parametrize("side, end, axis", [
@@ -518,9 +516,8 @@ cli.main()
      EXIT_BAD_FILE, "bad.jsonl"),
     (["-m", "chanimg.cli"], ["train", "--images", "{out}/v2.chim", "--backend", "resampler",
                              "--out", "{out}/m.ckpt"], EXIT_VERSION, "CHIM format v2"),
-    (["-m", "chanimg.cli"], ["sample", "--model", "{d}/resampler.ckpt", "--conditions-from",
-                             "{d}/data.jsonl", "--per-cond", "0", "--out", "{out}/s.chim"],
-     EXIT_BAD_DATA, "--per-cond"),
+    (["-m", "chanimg.cli"], ["gen-data", "--links", "0", "--out", "{out}/d.jsonl"],
+     EXIT_BAD_DATA, "--links"),
     (["-c", RAISES], ["gen-data", "--links", "20", "--out", "{out}/d.jsonl"], 1,
      "RuntimeError: boom"),
 ], ids=["ok", "usage", "bad-file", "version", "bad-data", "escaped-exception"])
@@ -645,52 +642,25 @@ def test_dataset_version_of_5000_digits_is_format_error(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
-def test_decode_rejects_mismatched_counts(tmp_path):
+def test_decode_rejects_mismatched_counts(tmp_path, capsys):
     run(["--seed", "1", "gen-data", "--links", "40", "--out", str(tmp_path / "a.jsonl")])
     run(["--seed", "1", "gen-data", "--links", "30", "--out", str(tmp_path / "b.jsonl")])
     run(["--seed", "1", "fit-codec", "--data", str(tmp_path / "a.jsonl"),
          "--out", str(tmp_path / "codec.json")])
     run(["--seed", "1", "encode", "--data", str(tmp_path / "a.jsonl"),
          "--codec", str(tmp_path / "codec.json"), "--out", str(tmp_path / "a.chim")])
-    assert run(["decode", "--images", str(tmp_path / "a.chim"),
-                "--codec", str(tmp_path / "codec.json"),
-                "--geometry-from", str(tmp_path / "b.jsonl"),
-                "--out", str(tmp_path / "dec.jsonl")]) == EXIT_BAD_DATA
-
-
-def test_encode_realizations_are_consecutive_encode_calls(tmp_path):
-    data, codec_path, out = tmp_path / "d.jsonl", tmp_path / "c.json", tmp_path / "i.chim"
-    run(["--seed", "5", "gen-data", "--links", "40", "--out", str(data)])
-    run(["--seed", "5", "fit-codec", "--data", str(data), "--out", str(codec_path)])
-    assert run(["--seed", "5", "encode", "--data", str(data), "--codec", str(codec_path),
-                "--realizations", "2", "--out", str(out)]) == 0
-    table, codec = io.read_table(data), io.read_codec(codec_path)
-    rng = substream(5, "padding")
-    (a, conds), (b, _) = codec.encode(table, rng), codec.encode(table, rng)
-    matrices, got_conds = io.read_images(out)
-    assert matrices.shape == (80, 8, 25)
-    np.testing.assert_array_equal(matrices, np.concatenate([a, b]).astype(np.float32))
-    np.testing.assert_array_equal(got_conds, np.concatenate([conds, conds]))
-
-
-def test_decode_pairs_matrix_i_with_link_i_mod_n(pipeline_dir, tmp_path):
-    d = pipeline_dir
-    samples, decoded = tmp_path / "s.chim", tmp_path / "d.jsonl"
-    assert run(["--seed", "6", "sample", "--model", str(d / "model.ckpt"), "--per-cond", "2",
-                "--conditions-from", str(d / "data.jsonl"), "--out", str(samples)]) == 0
-    assert run(["decode", "--images", str(samples), "--codec", str(d / "codec.json"),
-                "--geometry-from", str(d / "data.jsonl"), "--out", str(decoded)]) == 0
-    table, codec, got = (io.read_table(d / "data.jsonl"), io.read_codec(d / "codec.json"),
-                         io.read_table(decoded))
-    matrices, _ = io.read_images(samples)
-    n = len(table)
-    for half in (slice(0, n), slice(n, 2 * n)):
-        want = codec.decode(matrices[half], table)
-        part = got.take(half)
-        assert part.paths.tobytes() == want.paths.tobytes()
-        assert part.counts.tolist() == want.counts.tolist()
-        assert part.state.tolist() == want.state.tolist()
-        assert part.ends.tobytes() == table.ends.tobytes()
+    argv = ["decode", "--codec", str(tmp_path / "codec.json"),
+            "--out", str(tmp_path / "dec.jsonl")]
+    fails_cleanly(capsys, [*argv, "--images", str(tmp_path / "a.chim"),
+                           "--geometry-from", str(tmp_path / "b.jsonl")], EXIT_BAD_DATA,
+                  "40 matrices for 30 geometry links")
+    # two matrices per link, each at its link's condition, are a count error too
+    matrices, conds = io.read_images(tmp_path / "a.chim")
+    io.write_images(tmp_path / "twice.chim", np.tile(matrices, (2, 1, 1)), np.tile(conds, (2, 1)))
+    fails_cleanly(capsys, [*argv, "--images", str(tmp_path / "twice.chim"),
+                           "--geometry-from", str(tmp_path / "a.jsonl")], EXIT_BAD_DATA,
+                  "80 matrices for 40 geometry links")
+    assert not (tmp_path / "dec.jsonl").exists()
 
 
 def test_decode_rejects_conditions_of_other_links(pipeline_dir, tmp_path, capsys):
@@ -705,17 +675,16 @@ def test_decode_rejects_conditions_of_other_links(pipeline_dir, tmp_path, capsys
                            str(other)], EXIT_BAD_DATA,
                   f"matrix 0 holds condition (dist2d, height) = {tuple(conds[0].tolist())}, "
                   f"but geometry link 0 has {(float(table.dist2d[0]), float(table.height[0]))}")
-    # a condition moved in the second repetition (--per-cond 2) names its matrix and link
-    n = len(data)
-    moved = np.tile(conds, (2, 1))
-    moved[n + 5, 1] += 1.0
-    io.write_images(tmp_path / "s2.chim", np.tile(matrices, (2, 1, 1)), moved)
-    fails_cleanly(capsys, [*argv, "--images", str(tmp_path / "s2.chim"), "--geometry-from",
+    # a moved condition names its matrix and link
+    moved = conds.copy()
+    moved[5, 1] += 1.0
+    io.write_images(tmp_path / "s5.chim", matrices, moved)
+    fails_cleanly(capsys, [*argv, "--images", str(tmp_path / "s5.chim"), "--geometry-from",
                            str(d / "data.jsonl")], EXIT_BAD_DATA,
-                  f"matrix {n + 5} holds",
+                  f"matrix 5 holds condition (dist2d, height) = {tuple(moved[5].tolist())}",
                   f"geometry link 5 has {(float(data.dist2d[5]), float(data.height[5]))}")
     assert sorted(f.name for f in tmp_path.iterdir()) == ["other.jsonl", "other.jsonl.ltab",
-                                                         "s2.chim"]
+                                                         "s5.chim"]
 
 
 def fails_cleanly(capsys, argv, code, *fragments):
@@ -820,18 +789,13 @@ def test_seeds_beyond_32_bits_run(pipeline_dir, tmp_path, seed):
                 != (tmp_path / f"{seed + 1}{suffix}").read_bytes())
 
 
-# Each count asks for an array of more than the 128 TiB a 64-bit Linux process
+# The count asks for an array of more than the 128 TiB a 64-bit Linux process
 # can address, so the allocation fails at once whatever the host's memory
 # and overcommit policy, and no test touches real memory.
 @pytest.mark.parametrize("argv, out", [
     (["gen-data", "--links", str(10**15)], "d.jsonl"),
-    (["encode", "--data", "{d}/data.jsonl", "--codec", "{d}/codec.json",
-      "--realizations", str(10**12)], "i.chim"),
-    (["sample", "--model", "{d}/resampler.ckpt", "--conditions-from", "{d}/data.jsonl",
-      "--per-cond", str(10**12)], "s.chim"),
-], ids=["gen-data-links", "encode-realizations", "sample-per-cond"])
-def test_counts_too_large_to_allocate_are_data_errors(pipeline_dir, tmp_path, capsys, argv, out):
-    argv = [a.format(d=pipeline_dir) for a in argv]
+], ids=["gen-data-links"])
+def test_counts_too_large_to_allocate_are_data_errors(tmp_path, capsys, argv, out):
     fails_cleanly(capsys, [*argv, "--out", str(tmp_path / out)], EXIT_BAD_DATA,
                   "Unable to allocate")
     assert not list(tmp_path.iterdir())
@@ -966,7 +930,7 @@ def test_decode_of_zero_matrices_is_data_error(degenerate_dir, tmp_path, capsys)
                            "--codec", str(d / "codec.json"),
                            "--geometry-from", str(d / "good.jsonl"),
                            "--out", str(tmp_path / "o.jsonl")],
-                  EXIT_BAD_DATA, "empty link dataset")
+                  EXIT_BAD_DATA, "0 matrices for 20 geometry links")
     assert not (tmp_path / "o.jsonl").exists()
 
 
@@ -1500,33 +1464,3 @@ def test_read_side_stages_hold_no_full_size_copy(large_pipeline, tmp_path):
     above = {stage: peak_rss_mb(["-m", "chanimg.cli", "--seed", "8", *map(str, argv)]) - base
              for stage, argv in stages.items()}
     assert all(above[stage] < bound for stage, bound in bounds.items()), above
-
-
-def test_decode_repeats_only_the_geometry(large_pipeline, tmp_path):
-    d = large_pipeline
-    for per_cond in ("1", "2"):
-        assert run(["--seed", "8", "sample", "--model", str(d / "res.ckpt"), "--per-cond",
-                    per_cond, "--conditions-from", str(d / "data.jsonl"),
-                    "--out", str(tmp_path / f"s{per_cond}.chim")]) == 0
-    peaks = {}
-    for per_cond in ("1", "2"):
-        tracemalloc.start()
-        try:
-            assert run(["--seed", "8", "decode", "--images", str(tmp_path / f"s{per_cond}.chim"),
-                        "--codec", str(d / "codec.json"), "--geometry-from",
-                        str(d / "data.jsonl"), "--out", str(tmp_path / f"d{per_cond}.jsonl")]) == 0
-            peaks[per_cond] = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    # the bytes of decoding against every geometry column repeated
-    matrices, _ = io.read_images(tmp_path / "s2.chim")
-    table = io.read_table(d / "data.jsonl")
-    decoded = io.read_codec(d / "codec.json").decode(
-        matrices, table.take(np.arange(len(matrices)) % len(table)))
-    io.write_table(tmp_path / "want.jsonl", decoded, seed=8)
-    assert (tmp_path / "d2.jsonl").read_bytes() == (tmp_path / "want.jsonl").read_bytes()
-    # measured: 10.5 MB traced for 5,000 matrices and 15.9 MB for 10,000, whose
-    # second half (4 MB) and its decoded path rows (1.8 MB) are the difference;
-    # repeating the geometry's path rows as well would add 1.8 MB more.  With
-    # padded paths: 20.7 and 26.0 MB, and 40.0 MB while those were repeated
-    assert peaks["2"] - peaks["1"] < matrices.nbytes / 2 + table.paths.nbytes, peaks

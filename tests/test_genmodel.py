@@ -536,7 +536,7 @@ class Calibrated(Exception):
     """Stops train_wgan_gp once it has calibrated the generator's output layer."""
 
 
-@pytest.mark.parametrize("mode", ["data_mean", "data_moments"])
+@pytest.mark.parametrize("mode", ["data_moments"])
 def test_output_init_starts_at_the_datas_preimage_moments(monkeypatch, mode):
     images, conds = toy_data(n=300)
     hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64, output_init=mode)
@@ -544,8 +544,8 @@ def test_output_init_starts_at_the_datas_preimage_moments(monkeypatch, mode):
                             conds.max(axis=0), substream(4, "init"))
     calibrate = wgan.calibrate_output_layer
 
-    def calibrate_and_stop(netp, mode, mu, sd, z, cond_norm):
-        calibrate(netp, mode, mu, sd, z, cond_norm)
+    def calibrate_and_stop(netp, mu, sd, z, cond_norm):
+        calibrate(netp, mu, sd, z, cond_norm)
         raise Calibrated(netp, z, cond_norm)
 
     monkeypatch.setattr(wgan, "calibrate_output_layer", calibrate_and_stop)
@@ -554,17 +554,14 @@ def test_output_init_starts_at_the_datas_preimage_moments(monkeypatch, mode):
     netp, z, cond_norm = calibrated.value.args
     want_mu, want_sd = reference_preimage_moments(images)
     np.testing.assert_allclose(netp.generator.params[-1], want_mu, rtol=1e-12, atol=1e-15)
-    # the output bias, and in data_moments the output weights, are all that differ from fan_in
-    changed = 1 if mode == "data_mean" else 2
-    for got, want in zip(netp.generator_params()[:-changed] + netp.critic_params(),
-                         fan_in.generator_params()[:-changed] + fan_in.critic_params()):
+    # the output bias and weights are all that differ from fan_in
+    for got, want in zip(netp.generator_params()[:-2] + netp.critic_params(),
+                         fan_in.generator_params()[:-2] + fan_in.critic_params()):
         assert got.tobytes() == want.tobytes()
-    if mode == "data_moments":  # the pre-tanh spread over the calibration batch is the data's
-        _, cache = netp.generator.forward(
-            np.concatenate([z, netp.gen_embed.forward(cond_norm)[0]], axis=1))
-        np.testing.assert_allclose(cache["a"][-1].std(axis=0), want_sd, rtol=1e-12)
-    else:
-        assert netp.generator.params[-2].tobytes() == fan_in.generator.params[-2].tobytes()
+    # the pre-tanh spread over the calibration batch is the data's
+    _, cache = netp.generator.forward(
+        np.concatenate([z, netp.gen_embed.forward(cond_norm)[0]], axis=1))
+    np.testing.assert_allclose(cache["a"][-1].std(axis=0), want_sd, rtol=1e-12)
 
 
 def test_fan_in_training_calibrates_nothing(tmp_path, monkeypatch):

@@ -1,9 +1,13 @@
 """A traced train stage through the benchmark's tracer, perfbench/tracer.py.
 
 The tracer wraps the WGAN-GP layer functions by name and reads the critic's
-sizes for its FLOP counter, so a change to either shows here first.
+sizes for its FLOP counter, so a change to either shows here first.  A
+renamed wrap target would only read 0 calls in the benchmark, so the
+targets are resolved here too.
 """
 
+import functools
+import importlib
 import json
 import os
 import runpy
@@ -16,6 +20,15 @@ import numpy as np
 from chanimg import io
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+# the tracer's targets whose code was renamed or deleted before this check
+STALE_TARGETS = {
+    ("chanimg.codec", "DatasetEncoder.__init__"),
+    ("chanimg.codec", "DatasetEncoder.encode_all"),
+    ("chanimg.codec", "ChannelImageCodec.encode_link"),
+    ("chanimg.io", "read_dataset"),
+    ("chanimg.io", "write_dataset"),
+}
 
 
 def self_times(spans):
@@ -91,3 +104,14 @@ def test_traced_train_in_two_row_blocks(tmp_path):
     for suffix in (".ckpt", ".csv"):
         assert (tmp_path / ("plain" + suffix)).read_bytes() == \
             (tmp_path / ("traced" + suffix)).read_bytes(), suffix
+
+
+def test_tracer_targets_resolve_but_the_stale_ones():
+    # the tracer imports no chanimg, so its targets are read without wrapping any
+    absent = set()
+    for _, module, path in runpy.run_path(str(TRACER))["TARGETS"]:
+        try:
+            functools.reduce(getattr, path.split("."), importlib.import_module(module))
+        except (ImportError, AttributeError):
+            absent.add((module, path))
+    assert absent <= STALE_TARGETS, absent - STALE_TARGETS
