@@ -18,7 +18,7 @@ matrices = np.concatenate([np.full((n // 2, 8, 25), 0.5),
 conds = np.concatenate([np.tile([[50.0, 1.6]], (n // 2, 1)),
                         np.tile([[300.0, 120.0]], (n // 2, 1))])
 
-hyper = WganGpHyperparams(hidden=(128, 128), noise_dim=16, learning_rate=5e-4,
+hyper = WganGpHyperparams(hidden=(128, 128), noise_dim=16, lr=5e-4,
                           epochs=60, batch_size=128)
 print("training conditional WGAN-GP on the toy set "
       f"({hyper.epochs} epochs, batch {hyper.batch_size}) ...")

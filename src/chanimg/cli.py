@@ -23,6 +23,7 @@ skips); run() is the same stage with a normal return, for library callers.
 import argparse
 import os
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -68,8 +69,18 @@ __getattr__ = _layer = _lazy_exports(globals(), {
 })
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose errors are UsageErrors, so each prints one line.
+
+    Its subparsers are of this class too; -h still prints help and exits 0.
+    """
+
+    def error(self, message):
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chanimg",
         description="channel-image pipeline: surrogate data, codec, generative models, eval")
     parser.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
@@ -103,26 +114,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="dataset supplying tx/rx/freq: matrix i pairs with link i")
     p.add_argument("--out", required=True)
 
-    p = sub.add_parser("train", help="train a generative backend on channel matrices")
+    # only the options given are set: each backend's defaults are its library's
+    p = sub.add_parser("train", help="train a generative backend on channel matrices",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--images", required=True, help="CHIM file of channel matrices")
     p.add_argument("--backend", choices=("wgan-gp", "resampler"), default="wgan-gp")
     p.add_argument("--out", required=True)
-    p.add_argument("--log", default=None, help="training log CSV (wgan-gp only)")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=256)
-    p.add_argument("--lr", type=float, default=5e-5)
-    p.add_argument("--beta1", type=float, default=0.5)
-    p.add_argument("--beta2", type=float, default=0.9)
-    p.add_argument("--gp-lambda", type=float, default=10.0)
-    p.add_argument("--critic-steps", type=int, default=5)
-    p.add_argument("--noise-dim", type=int, default=64)
-    p.add_argument("--hidden", type=str, default="256,256")
+    p.add_argument("--log", help="training log CSV (wgan-gp only)")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--lr", type=float)
+    p.add_argument("--beta1", type=float)
+    p.add_argument("--beta2", type=float)
+    p.add_argument("--gp-lambda", type=float)
+    p.add_argument("--critic-steps", type=int)
+    p.add_argument("--noise-dim", type=int)
+    p.add_argument("--hidden", help="comma-separated hidden widths")
     p.add_argument("--output-init", choices=("fan_in", "data_moments"),
-                   default="fan_in",
                    help="start the generator output layer at data statistics")
-    p.add_argument("--dtype", choices=("float64", "float32"), default="float64",
+    p.add_argument("--dtype", choices=("float64", "float32"),
                    help="training arithmetic (checkpoints are always float64)")
-    p.add_argument("--k", type=int, default=50, help="resampler neighborhood size")
+    p.add_argument("--k", type=int, help="resampler neighborhood size")
 
     p = sub.add_parser("sample", help="sample channel matrices at the conditions of a dataset")
     p.add_argument("--model", required=True)
@@ -215,31 +227,35 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    if args.backend == "resampler" and args.log is not None:
-        raise UsageError("--log is a wgan-gp option: the resampler keeps no training log")
+    # the options given besides the files and the backend: the resampler
+    # reads only k, and wgan-gp every other one
+    given = {name: value for name, value in vars(args).items()
+             if name not in ("seed", "command", "images", "backend", "out")}
+    foreign = [name for name in given if (name == "k") != (args.backend == "resampler")]
+    if foreign:
+        flags = ", ".join("--" + name.replace("_", "-") for name in foreign)
+        raise UsageError(f"--backend {args.backend} takes no {flags}")
     matrices, conds = io.read_images(args.images)
     if args.backend == "resampler":
         from .genmodel.resampler import EmpiricalResampler
 
-        model = EmpiricalResampler(matrices, conds, k=args.k)
+        model = EmpiricalResampler(matrices, conds, **given)
         io.write_resampler_checkpoint(args.out, model, seed=args.seed)
         print(f"stored resampler over {len(matrices)} matrices -> {args.out}")
         return 0
     from .genmodel.wgan import WganGpHyperparams
 
-    hyper = WganGpHyperparams(
-        learning_rate=args.lr, adam_beta1=args.beta1, adam_beta2=args.beta2,
-        epochs=args.epochs, batch_size=args.batch_size, gp_lambda=args.gp_lambda,
-        critic_steps_per_gen_step=args.critic_steps, noise_dim=args.noise_dim,
-        hidden=_number_list(args.hidden, "--hidden", kind=int),
-        output_init=args.output_init, dtype=args.dtype)
-    netp, log = _layer("train_wgan_gp")(matrices, conds, hyper, args.seed)
-    io.write_wgan_checkpoint(args.out, netp, seed=args.seed)
+    log_path = given.pop("log", None)
+    if "hidden" in given:
+        given["hidden"] = _number_list(given["hidden"], "--hidden", kind=int)
+    netp, log = _layer("train_wgan_gp")(matrices, conds, WganGpHyperparams(**given), args.seed)
     counts = log.param_counts
-    if args.log:
-        io.write_report_csv(args.log, "training-log", args.seed, log.COLUMNS, log.rows,
+    # the log first: a log path that cannot be written leaves no checkpoint
+    if log_path is not None:
+        io.write_report_csv(log_path, "training-log", args.seed, log.COLUMNS, log.rows,
                             generator_params=counts["generator"],
                             critic_params=counts["critic"])
+    io.write_wgan_checkpoint(args.out, netp, seed=args.seed)
     print(f"trained wgan-gp ({counts['generator']} generator / {counts['critic']} critic "
           f"parameters, {len(log.rows)} critic steps) -> {args.out}")
     return 0
@@ -269,10 +285,10 @@ def _cmd_eval(args) -> int:
     first = np.ones(len(heights), dtype=bool)
     np.not_equal(heights[1:], heights[:-1], out=first[1:])
     report = _layer("compare_datasets")(model, data, heights[first].tolist())
-    outdir = args.outdir
+    outdir = Path(args.outdir)
 
     ks_rows = [[h, m, entry[m]] for h, entry in report.items() for m in METRICS]
-    io.write_report_csv(f"{outdir}/ks.csv", "ks", args.seed,
+    io.write_report_csv(outdir / "ks.csv", "ks", args.seed,
                         ["height", "metric", "value"], ks_rows)
 
     ls_rows = []
@@ -282,7 +298,7 @@ def _cmd_eval(args) -> int:
             for j in np.flatnonzero(lsp.occupied):
                 ls_rows.append([h, side, lsp.bin_edges[j], lsp.bin_edges[j + 1],
                                 int(lsp.counts[j]), lsp.p_los[j], lsp.p_outage[j]])
-    io.write_report_csv(f"{outdir}/los_prob.csv", "los-prob", args.seed,
+    io.write_report_csv(outdir / "los_prob.csv", "los-prob", args.seed,
                         ["height", "side", "bin_lo", "bin_hi", "n", "p_los", "p_outage"],
                         ls_rows)
 
@@ -294,7 +310,7 @@ def _cmd_eval(args) -> int:
                 for j, i in zip(*np.nonzero(pdf.density.T)):  # by distance, then angle
                     rows.append([h, side, pdf.dist_edges[j], pdf.angle_edges[i],
                                  pdf.density[i, j]])
-        io.write_report_csv(f"{outdir}/zenith_pdf_{ang}.csv", f"zenith-pdf-{ang}",
+        io.write_report_csv(outdir / f"zenith_pdf_{ang}.csv", f"zenith-pdf-{ang}",
                             args.seed,
                             ["height", "side", "dist_bin_lo", "angle_bin_lo", "density"],
                             rows)
@@ -352,12 +368,11 @@ _COMMANDS = {
 
 def run(argv=None) -> int:
     """Parse and execute one subcommand; returns the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse already printed usage
-        return int(exc.code) if exc.code else 0
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # -h printed help
+            return int(exc.code) if exc.code else 0
         if args.seed < 0:  # SeedSequence takes no negative entropy
             raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
         return _COMMANDS[args.command](args)

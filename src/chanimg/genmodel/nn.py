@@ -59,24 +59,13 @@ def _act_prime(kind, a, h, s):
     h = act(a) and s = sigmoid(a) for silu: 1 - h h, or s (1 + a (1 - s)).
     """
     if kind == "tanh":
-        out = np.multiply(h, h)
-        return np.subtract(1.0, out, out=out)
-    out = np.subtract(1.0, s)
-    out *= a
-    out += 1.0
-    out *= s
-    return out
+        return 1.0 - h * h
+    return ((1.0 - s) * a + 1.0) * s
 
 
 def _act_second(a, s):
     """Second derivative of silu, s (1 - s) (2 + a (1 - 2 s))."""
-    out = np.multiply(s, 2.0)
-    np.subtract(1.0, out, out=out)
-    out *= a
-    out += 2.0
-    tmp = np.subtract(1.0, s)
-    tmp *= s
-    return np.multiply(tmp, out, out=out)
+    return (1.0 - s) * s * ((1.0 - s * 2.0) * a + 2.0)
 
 
 class Mlp:
@@ -209,24 +198,16 @@ class Mlp:
         r_a = np.zeros_like(r_ad)
         for l in range(self.n_layers - 1, -1, -1):
             w = self.params[2 * l]
-            g = r_a.T @ h[l]
-            out[2 * l] += g
-            out[2 * l] += np.matmul(r_ad.T, h_dots[l], out=g)
+            out[2 * l] += r_a.T @ h[l]
+            out[2 * l] += r_ad.T @ h_dots[l]
             out[2 * l + 1] += np.sum(r_a, axis=0)
             if l == 0:
                 return out, r_a @ w[:, in_cols]
             s1 = self._deriv(cache, l - 1, 1)
             s2 = self._deriv(cache, l - 1, 2)
-            # h_dots[l] is read only by the product above, so r_hd may take its place
-            r_hd = np.matmul(r_ad, w, out=h_dots[l])
-            # r_a = s2 * a_dot * r_hd + s1 * r_h and r_ad = s1 * r_hd, in place
-            r_h = r_a @ w
-            r_a = a_dots[l - 1]
-            r_a *= s2
-            r_a *= r_hd
-            r_h *= s1
-            r_a += r_h
-            r_ad = np.multiply(r_hd, s1, out=r_hd)
+            r_hd = r_ad @ w
+            r_a = a_dots[l - 1] * s2 * r_hd + (r_a @ w) * s1
+            r_ad = r_hd * s1
 
 
 def count_params(*nets) -> int:
@@ -246,10 +227,6 @@ class AdamState:
         return cls(0, [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params])
 
 
-# Adam walks each parameter in blocks of about this many elements, so that
-# the block's p, g, m, v and two scratch blocks stay in cache across the
-# update's passes instead of streaming whole arrays through memory each time
-ADAM_CHUNK = 16384
 ADAM_EPS = 1e-8  # the denominator's regularizer
 
 
@@ -258,9 +235,8 @@ def adam_step(params, grads, state: AdamState, lr: float, beta1: float, beta2: f
 
     Evaluates m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g g and
     p -= lr * (m / c1) / (sqrt(v / c2) + ADAM_EPS) in that operation order,
-    block by block along each parameter's first axis, with two scratch
-    blocks per parameter.  Raises TrainingDivergedError on any non-finite
-    gradient, before that parameter is touched.
+    over each parameter's whole array.  Raises TrainingDivergedError on any
+    non-finite gradient, before that parameter is touched.
     """
     state.step += 1
     t = state.step
@@ -269,25 +245,9 @@ def adam_step(params, grads, state: AdamState, lr: float, beta1: float, beta2: f
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if not np.isfinite(g).all():
             raise TrainingDivergedError("non-finite gradient")
-        rows = max(1, ADAM_CHUNK * len(p) // max(p.size, 1))
-        tmp = np.empty_like(p[:rows])
-        step = np.empty_like(tmp)
-        for lo in range(0, len(p), rows):
-            blk = slice(lo, lo + rows)
-            pb, gb, mb, vb = p[blk], g[blk], m[blk], v[blk]
-            tb, sb = tmp[:len(pb)], step[:len(pb)]
-            np.multiply(gb, 1.0 - beta1, out=tb)
-            mb *= beta1
-            mb += tb
-            np.multiply(gb, 1.0 - beta2, out=tb)
-            tb *= gb
-            vb *= beta2
-            vb += tb
-            np.divide(mb, c1, out=sb)
-            sb *= lr
-            np.divide(vb, c2, out=tb)
-            np.sqrt(tb, out=tb)
-            tb += ADAM_EPS
-            sb /= tb
-            pb -= sb
+        m *= beta1
+        m += g * (1.0 - beta1)
+        v *= beta2
+        v += g * (1.0 - beta2) * g
+        p -= m / c1 * lr / (np.sqrt(v / c2) + ADAM_EPS)
     return params

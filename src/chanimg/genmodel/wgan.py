@@ -89,13 +89,13 @@ class WganGpHyperparams:
     the standard reference values.  Samples are 8x25 channel matrices.
     """
 
-    learning_rate: float = 5e-5
-    adam_beta1: float = 0.5
-    adam_beta2: float = 0.9
+    lr: float = 5e-5
+    beta1: float = 0.5
+    beta2: float = 0.9
     epochs: int = 10
     batch_size: int = 256
     gp_lambda: float = 10.0
-    critic_steps_per_gen_step: int = 5
+    critic_steps: int = 5
     noise_dim: int = 64
 
     # hidden widths of generator and critic (small on purpose; parameter
@@ -112,24 +112,21 @@ class WganGpHyperparams:
     output_init: str = "fan_in"
 
     def validate(self):
-        for name in ("learning_rate", "adam_beta1", "adam_beta2", "gp_lambda"):
+        for name in ("lr", "beta1", "beta2", "gp_lambda"):
             if not math.isfinite(getattr(self, name)):
                 raise DataError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("epochs", "batch_size", "critic_steps_per_gen_step", "noise_dim"):
+        for name in ("epochs", "batch_size", "critic_steps", "noise_dim"):
             if not is_int(getattr(self, name)):
                 raise DataError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not isinstance(self.hidden, (tuple, list)) or not all(map(is_int, self.hidden)):
             raise DataError(f"hidden must be a list of integer widths, got {self.hidden!r}")
-        positive = (
-            self.learning_rate, self.epochs,
-            self.batch_size, self.gp_lambda, self.critic_steps_per_gen_step,
-            self.noise_dim, *self.hidden,
-        )
+        positive = (self.lr, self.epochs, self.batch_size, self.gp_lambda, self.critic_steps,
+                    self.noise_dim, *self.hidden)
         if not self.hidden or any(v <= 0 for v in positive):
             raise DataError("all hyperparameters must be positive, with one hidden width "
                             "or more")
         # beta1 = 0 is the Adam setting of the WGAN-GP paper (Gulrajani et al. 2017)
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 < self.adam_beta2 < 1.0):
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
             raise DataError("Adam beta1 must lie in [0, 1) and beta2 in (0, 1)")
         if self.output_init not in ("fan_in", "data_moments"):
             raise DataError("output_init must be fan_in or data_moments")
@@ -338,12 +335,7 @@ def _wasserstein_part(critic, real, fake, emb, b):
     One pass over the stacked inputs [real, emb; fake, emb].
     """
     n, d = real.shape
-    x = np.empty((2 * n, d + emb.shape[1]), critic.dtype)
-    x[:n, :d] = real
-    x[n:, :d] = fake
-    x[:n, d:] = emb
-    x[n:, d:] = emb
-    f, cache = critic.forward(x)
+    f, cache = critic.forward(np.block([[real, emb], [fake, emb]]))
     w_sum = float(f[n:].sum() - f[:n].sum())
     d_out = np.full((2 * n, 1), 1.0 / b, dtype=critic.dtype)
     d_out[:n] = -1.0 / b
@@ -359,10 +351,7 @@ def _penalty_part(critic, real, fake, emb, u, gp_lambda, b, grads):
     parameter gradients grad_of_jvp adds to grads.
     """
     n, d = real.shape
-    x_hat = np.empty((n, d + emb.shape[1]), critic.dtype)
-    np.multiply(u, real, out=x_hat[:, :d])
-    x_hat[:, :d] += (1.0 - u) * fake
-    x_hat[:, d:] = emb
+    x_hat = np.concatenate([u * real + (1.0 - u) * fake, emb], axis=1)
     f, cache = critic.forward(x_hat)
     g_img = critic.input_grad(cache, np.ones_like(f), slice(0, d))
     s = np.sqrt(np.sum(g_img * g_img, axis=1))
@@ -535,7 +524,6 @@ def train_wgan_gp(matrices, conditions, hyper: WganGpHyperparams, seed: int):
     log = TrainingLog(param_counts=netp.param_counts())
 
     dt = np.dtype(hyper.dtype)
-    fake = np.empty((hyper.batch_size, PIXELS), dt)
     # the split depends only on the sizes, so the bits do not depend on
     # whether the second block runs on the worker
     split = hyper.batch_size * count_params(netp.critic) >= SPLIT_WORK
@@ -557,22 +545,22 @@ def train_wgan_gp(matrices, conditions, hyper: WganGpHyperparams, seed: int):
                     c = netp.normalize_conditions(cond[rows]).astype(dt, copy=False)
 
                     z = substream(seed, "noise", step).standard_normal((b, hyper.noise_dim))
-                    generator_forward(netp, z.astype(dt), c, blocks, out=fake)
+                    fake = generator_forward(netp, z.astype(dt), c, blocks)
                     u = substream(seed, "gp", step).uniform(size=(b, 1))
                     parts, grads = critic_loss_and_grads(
                         netp, x, fake, c, u, hyper.gp_lambda, blocks)
                     critic_grad_norm = _global_norm(grads)
                     adam_step(netp.critic_params(), grads, opt_c,
-                              hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
+                              hyper.lr, hyper.beta1, hyper.beta2)
 
                     gen_loss = gen_grad_norm = math.nan
-                    if step % hyper.critic_steps_per_gen_step == 0:
+                    if step % hyper.critic_steps == 0:
                         z2 = substream(seed, "noise-gen", step).standard_normal(
                             (b, hyper.noise_dim)).astype(dt)
                         gen_loss, ggrads = generator_loss_and_grads(netp, z2, c, blocks)
                         gen_grad_norm = _global_norm(ggrads)
                         adam_step(netp.generator_params(), ggrads, opt_g,
-                                  hyper.learning_rate, hyper.adam_beta1, hyper.adam_beta2)
+                                  hyper.lr, hyper.beta1, hyper.beta2)
 
                     log.rows.append((step, parts["total"], gen_loss, parts["gp"],
                                      parts["wasserstein"], parts["gp_norm"], critic_grad_norm,

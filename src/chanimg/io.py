@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import errno
 import functools
 import hashlib
 import json
@@ -108,9 +109,12 @@ def _replacing(path, mode, **kwargs):
 
     On any failure the temporary file is removed, so a file already at path
     keeps its bytes until the new one replaces it whole.  An OSError that
-    names no file, such as a full disk's on a write, is given path.
+    names no file, such as a full disk's on a write, is given path.  A path
+    with no file name, such as "" or "/", is an IsADirectoryError.
     """
     path = Path(path)
+    if not path.name:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:

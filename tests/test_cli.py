@@ -12,7 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -311,6 +311,20 @@ def test_resampler_train_with_a_log_is_usage_error(pipeline_dir, tmp_path, capsy
     fails_cleanly(capsys, ["train", "--images", str(pipeline_dir / "images.chim"),
                            "--backend", "resampler", "--log", str(tmp_path / "log.csv"),
                            "--out", str(tmp_path / "res.ckpt")], EXIT_USAGE, "--log")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("backend, flags, named", [
+    ("resampler", ["--epochs", "0", "--dtype", "float32"], "--epochs, --dtype"),
+    ("wgan-gp", ["--k", "0"], "--k"),
+    ("resampler", ["--log", ""], "--log"),
+], ids=["resampler-epochs-dtype", "wgan-k", "resampler-empty-log"])
+def test_train_option_of_the_other_backend_is_usage_error(tmp_path, capsys, backend, flags,
+                                                          named):
+    # raised before the images are read: there are none here
+    fails_cleanly(capsys, ["train", "--images", str(tmp_path / "missing.chim"),
+                           "--backend", backend, *flags, "--out", str(tmp_path / "m.ckpt")],
+                  EXIT_USAGE, f"--backend {backend} takes no {named}")
     assert not list(tmp_path.iterdir())
 
 
@@ -736,10 +750,9 @@ def test_train_rejects_nonfinite_pixels(tmp_path, capsys):
     matrices = np.zeros((8, 8, 25), dtype=np.float32)
     matrices[3, 5, 10] = np.nan
     io.write_images(tmp_path / "i.chim", matrices, np.ones((8, 2)))
-    for backend in ("wgan-gp", "resampler"):
-        fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"), "--batch-size", "4",
-                               "--backend", backend, "--out", str(tmp_path / "m.ckpt")],
-                      EXIT_BAD_DATA, "non-finite")
+    for flags in (["--backend", "wgan-gp", "--batch-size", "4"], ["--backend", "resampler"]):
+        fails_cleanly(capsys, ["train", "--images", str(tmp_path / "i.chim"), *flags,
+                               "--out", str(tmp_path / "m.ckpt")], EXIT_BAD_DATA, "non-finite")
         assert not (tmp_path / "m.ckpt").exists()
 
 
@@ -767,6 +780,47 @@ def test_diverging_train_fails_cleanly_naming_its_step(pipeline_dir, tmp_path, c
 def test_gen_data_unparsable_heights_is_usage_error(tmp_path, capsys):
     fails_cleanly(capsys, ["gen-data", "--heights", "a,b", "--out", str(tmp_path / "d.jsonl")],
                   EXIT_USAGE, "--heights")
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["gen-data", "--nope", "--out", "d.jsonl"], "unrecognized arguments: --nope"),
+    (["gen-data"], "required: --out"),
+    (["train", "--images", "i.chim", "--out", "m.ckpt", "--dtype", "float16"],
+     "argument --dtype: invalid choice"),
+    (["gen-data", "--links", "x", "--out", "d.jsonl"], "argument --links: invalid int value"),
+], ids=["unknown-flag", "missing-option", "bad-choice", "not-a-number"])
+def test_argparse_errors_are_one_usage_line(tmp_path, capsys, monkeypatch, argv, fragment):
+    monkeypatch.chdir(tmp_path)
+    fails_cleanly(capsys, argv, EXIT_USAGE, fragment)
+    assert not list(tmp_path.iterdir())
+
+
+def test_help_exits_zero(capsys):
+    assert run(["gen-data", "-h"]) == 0
+    assert "usage: chanimg gen-data" in capsys.readouterr().out
+
+
+def test_empty_output_path_is_file_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    fails_cleanly(capsys, ["gen-data", "--links", "20", "--out", ""], EXIT_BAD_FILE,
+                  "kind=io", "Is a directory: '.'")
+    io.write_images("i.chim", np.zeros((8, 8, 25), np.float32), np.ones((8, 2)))
+    fails_cleanly(capsys, ["train", "--images", "i.chim", "--batch-size", "4", "--epochs", "1",
+                           "--hidden", "8", "--log", "", "--out", "m.ckpt"], EXIT_BAD_FILE,
+                  "kind=io", "Is a directory: '.'")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["i.chim"]
+
+
+def test_eval_outdir_empty_is_the_working_directory(pipeline_dir, monkeypatch):
+    written = []
+    monkeypatch.setattr(io, "write_report_csv", lambda path, *args, **kwargs:
+                        written.append(Path(path)))
+    d = pipeline_dir
+    assert run(["eval", "--model", str(d / "decoded.jsonl"), "--data", str(d / "data.jsonl"),
+                "--outdir", ""]) == 0
+    assert [p.name for p in written] == ["ks.csv", "los_prob.csv", "zenith_pdf_zod.csv",
+                                         "zenith_pdf_zoa.csv"]
+    assert not any(p.is_absolute() for p in written), written
 
 
 def test_negative_seed_is_usage_error(tmp_path, capsys):
@@ -855,14 +909,22 @@ def test_train_defaults_are_the_librarys(tmp_path, monkeypatch):
         raise Trained(hyper)
 
     monkeypatch.setattr(cli, "train_wgan_gp", train_wgan_gp, raising=False)
-    matrices = np.random.default_rng(0).uniform(-1, 1, (8, 8, 25)).astype(np.float32)
-    io.write_images(tmp_path / "i.chim", matrices, np.ones((8, 2)))
+    # more matrices than the resampler's default k, which it would cut to their count
+    matrices = np.random.default_rng(0).uniform(-1, 1, (60, 8, 25)).astype(np.float32)
+    io.write_images(tmp_path / "i.chim", matrices, np.ones((60, 2)))
     argv = ["train", "--images", str(tmp_path / "i.chim"), "--out", str(tmp_path / "m.ckpt")]
     with pytest.raises(Trained) as trained:
         run(argv)
     assert trained.value.args[0] == WganGpHyperparams()
     train = next(a for a in cli.build_parser()._actions if a.dest == "command").choices["train"]
-    assert train.parse_args(argv[1:]).k == \
+    # no option is set unless given, so EmpiricalResampler's k and every
+    # WganGpHyperparams field keep their library defaults
+    assert vars(train.parse_args(argv[1:])) == {"images": argv[2], "out": argv[4],
+                                                "backend": "wgan-gp"}
+    dests = {a.dest for a in train._actions} - {"help", "images", "backend", "out", "log"}
+    assert dests == {f.name for f in fields(WganGpHyperparams)} | {"k"}
+    assert run([*argv, "--backend", "resampler"]) == 0
+    assert io.read_model_checkpoint(tmp_path / "m.ckpt")[1].k == \
         inspect.signature(EmpiricalResampler).parameters["k"].default
     # the choices are exactly the values validate accepts
     choices = {a.dest: a.choices for a in train._actions if a.choices}

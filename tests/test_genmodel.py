@@ -90,9 +90,9 @@ def test_adam_deterministic():
 
 
 def test_adam_rejects_nonfinite_gradient():
-    # the bad values sit past the first Adam block of a multi-block parameter
+    # the bad values sit at the end of a long parameter
     for bad in ([np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]):
-        params = [np.ones(nn.ADAM_CHUNK + 10)]
+        params = [np.ones(16394)]
         g = np.zeros_like(params[0])
         g[-len(bad):] = bad
         state = AdamState.zeros(params)
@@ -116,11 +116,10 @@ def reference_adam(params, grad_steps, lr, b1, b2, eps):
 
 
 def test_adam_matches_reference_bitwise():
-    # shapes cover several blocks with a short last one, a 1-D parameter
-    # longer than one block, a single element, float32 and a Fortran-order
-    # parameter whose blocks are strided views
+    # shapes cover a large 2-D parameter, a long 1-D one, a single element,
+    # float32 and a Fortran-order parameter
     rng = np.random.default_rng(19)
-    shapes = [(3 * nn.ADAM_CHUNK // 100 + 7, 100), (nn.ADAM_CHUNK + 5,), (1, 1), (40, 30)]
+    shapes = [(498, 100), (16389,), (1, 1), (40, 30)]
     params = [rng.standard_normal(s) for s in shapes]
     params.append(rng.standard_normal((17, 9)).astype(np.float32))
     params.append(np.asfortranarray(rng.standard_normal((300, 70))))
@@ -602,7 +601,7 @@ def test_training_deterministic():
 
 def test_training_log_contents():
     images, conds = toy_data()
-    hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64, critic_steps_per_gen_step=2)
+    hyper = WganGpHyperparams(**TINY, epochs=1, batch_size=64, critic_steps=2)
     netp, log = train_wgan_gp(images, conds, hyper, seed=11)
     assert all(len(row) == len(log.COLUMNS) for row in log.rows)
     assert log_column(log, "step") == [1, 2, 3, 4]  # 256/64 batches (exact split)
@@ -660,7 +659,7 @@ def test_hyperparameters_need_a_hidden_layer():
 @pytest.mark.parametrize(("field", "value"), [
     ("epochs", 2.0), ("epochs", True), ("epochs", "3"),
     ("batch_size", 16.0), ("batch_size", True), ("batch_size", np.float64(16)),
-    ("critic_steps_per_gen_step", 5.0), ("critic_steps_per_gen_step", True),
+    ("critic_steps", 5.0), ("critic_steps", True),
     ("noise_dim", 8.0), ("noise_dim", np.True_),
     ("hidden", (2.5,)), ("hidden", (16, True)), ("hidden", 16), ("hidden", "16"),
 ])
@@ -696,7 +695,7 @@ def test_batches_in_the_training_dtype_write_the_same_checkpoint(tmp_path, dtype
     images = rng.uniform(-1, 1, (96, 8, 25)).astype(np.float32)
     conds = np.column_stack([rng.uniform(10, 500, 96), rng.choice([1.6, 30.0], 96)])
     hyper = WganGpHyperparams(hidden=(16, 16), noise_dim=8, epochs=2, batch_size=32,
-                              critic_steps_per_gen_step=2, dtype=dtype)
+                              critic_steps=2, dtype=dtype)
     for name, matrices in (("direct", images), ("round-trip", images.astype(np.float64))):
         netp, _ = train_wgan_gp(matrices, conds, hyper, seed)
         io.write_wgan_checkpoint(tmp_path / name, netp, seed=seed)
@@ -731,7 +730,7 @@ def test_training_bytes_do_not_depend_on_the_worker(tmp_path, monkeypatch, dtype
     images = rng.uniform(-1, 1, (n, 8, 25)).astype(np.float32)
     conds = np.column_stack([rng.uniform(10, 500, n), rng.choice([1.6, 30.0], n)])
     hyper = WganGpHyperparams(hidden=(16, 16), noise_dim=8, epochs=2, batch_size=batch,
-                              critic_steps_per_gen_step=2, dtype=dtype)
+                              critic_steps=2, dtype=dtype)
     written = []
     for cpus in (2, 1):
         threads = worker_training(monkeypatch, cpus)
@@ -768,7 +767,7 @@ def test_training_joins_its_worker(monkeypatch):
     # here: the worker runs its block under the caller's error settings
     with pytest.raises(TrainingDivergedError, match=r"^step 2: non-finite critic loss$"):
         train_wgan_gp(images, conds,
-                      WganGpHyperparams(**TINY, epochs=1, batch_size=64, learning_rate=1e300),
+                      WganGpHyperparams(**TINY, epochs=1, batch_size=64, lr=1e300),
                       seed=0)
     assert threading.active_count() == before
 
@@ -800,7 +799,7 @@ def test_collapse_to_constant_image():
     target = rng.uniform(-0.6, 0.6, size=(8, 25))
     images = np.broadcast_to(target, (512, 8, 25)).copy()
     conds = np.tile([[100.0, 1.6]], (512, 1))
-    hyper = WganGpHyperparams(hidden=(32, 32), noise_dim=8, learning_rate=1e-3,
+    hyper = WganGpHyperparams(hidden=(32, 32), noise_dim=8, lr=1e-3,
                               epochs=100, batch_size=64, gp_lambda=1.0)
     netp, _ = train_wgan_gp(images, conds, hyper, seed=14)
     out = sample(netp, [100.0, 1.6], 512, seed=15)
